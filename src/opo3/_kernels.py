@@ -1,12 +1,15 @@
 """Inner integration loops for the positive-P equations.
 
-Two implementations with identical semantics: a numba-compiled kernel and a
-vectorized numpy fallback.  Both advance a block of trajectories through one
-chunk of steps in place.
+Two implementations with identical semantics: a C kernel, compiled with the
+system `cc` on first use and cached on disk, and a vectorized numpy kernel,
+which is the reference the tests compare against and the fallback when no
+compiler is available or the build fails.  Both advance a block of
+trajectories through one chunk of steps in place.
 
 State layout: complex128 array (6, B) with rows (a0, a1, a2, a0p, a1p, a2p).
-Noise layout: float64 array (n_steps, 4, B) of normals already scaled by
-sqrt(dt/2); rows combine into the correlated complex increments
+Noise layout: C-contiguous float64 array (B, n_steps, 4) of normals already
+scaled by sqrt(dt/2), so each trajectory's noise is one contiguous run; the
+four columns combine into the correlated complex increments
 dw1 = w0 + i*w1, dw2 = w0 - i*w1, dw1p = w2 + i*w3, dw2p = w2 - i*w3,
 so <dw1 dw2> = <dw1p dw2p> = dt and all other second moments vanish.
 
@@ -20,122 +23,229 @@ always take explicit Euler-Maruyama steps.
 Divergence: candidate values are tested before being written; a trajectory
 whose candidate exceeds the threshold (or goes non-finite) is frozen at its
 last good state, marked dead, and its global step index recorded.
+
+The C kernel is built with -fcx-limited-range and -ffp-contract=off, so its
+complex products use numpy's textbook formula without fused multiply-adds;
+the two kernels agree to rounding, not bit for bit.  The shared library is
+cached under $XDG_CACHE_HOME/opo3 (else ~/.cache/opo3, else a per-user
+directory in the system temporary directory), keyed by a hash of the
+source, the flags and `cc --version`.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import os
+import shutil
+import subprocess
+import tempfile
+import warnings
+import zlib
+from pathlib import Path
 
 import numpy as np
 
+_C_SOURCE = r"""
+#include <complex.h>
+#include <stdint.h>
 
-def _chunk_step_py(state, w, alive, first_bad, eps, m_pump, dt,
-                   e_pump, phi_pump, thr2, step0):
-    n_steps = w.shape[0]
-    nb = state.shape[1]
-    for c in range(n_steps):
-        for j in range(nb):
-            if not alive[j]:
-                continue
-            a0 = state[0, j]
-            a1 = state[1, j]
-            a2 = state[2, j]
-            a0p = state[3, j]
-            a1p = state[4, j]
-            a2p = state[5, j]
-            dw1 = complex(w[c, 0, j], w[c, 1, j])
-            dw2 = complex(w[c, 0, j], -w[c, 1, j])
-            dw1p = complex(w[c, 2, j], w[c, 3, j])
-            dw2p = complex(w[c, 2, j], -w[c, 3, j])
-            r0 = np.sqrt(eps * a0)
-            r0p = np.sqrt(eps * a0p)
+static int inside(double complex z, double thr2)
+{
+    double re = creal(z), im = cimag(z);
+    return re * re + im * im <= thr2;   /* false for NaN and inf */
+}
+
+void opo3_chunk_step(double complex *state, const double *w, uint8_t *alive,
+                     int64_t *first_bad, int64_t nb, int64_t n_steps,
+                     double eps, double m_pump, double dt, double e_pump,
+                     double phi_pump, double thr2, int64_t step0)
+{
+    for (int64_t j = 0; j < nb; j++) {
+        if (!alive[j])
+            continue;
+        double complex a0 = state[j], a1 = state[nb + j],
+                       a2 = state[2 * nb + j], a0p = state[3 * nb + j],
+                       a1p = state[4 * nb + j], a2p = state[5 * nb + j];
+        const double *wj = w + j * n_steps * 4;
+        for (int64_t c = 0; c < n_steps; c++) {
+            const double *wc = wj + 4 * c;
+            double complex dw1 = CMPLX(wc[0], wc[1]), dw2 = CMPLX(wc[0], -wc[1]);
+            double complex dw1p = CMPLX(wc[2], wc[3]), dw2p = CMPLX(wc[2], -wc[3]);
+            double complex r0 = csqrt(eps * a0), r0p = csqrt(eps * a0p);
+            double complex n0 = m_pump + (a0 - m_pump) * e_pump
+                                + phi_pump * (-eps * a1 * a2);
+            double complex n0p = m_pump + (a0p - m_pump) * e_pump
+                                 + phi_pump * (-eps * a1p * a2p);
+            double complex n1 = a1 + dt * (-a1 + eps * a2p * a0) + r0 * dw1;
+            double complex n2 = a2 + dt * (-a2 + eps * a1p * a0) + r0 * dw2;
+            double complex n1p = a1p + dt * (-a1p + eps * a2 * a0p) + r0p * dw1p;
+            double complex n2p = a2p + dt * (-a2p + eps * a1 * a0p) + r0p * dw2p;
+            if (!(inside(n0, thr2) && inside(n1, thr2) && inside(n2, thr2)
+                  && inside(n0p, thr2) && inside(n1p, thr2)
+                  && inside(n2p, thr2))) {
+                alive[j] = 0;
+                first_bad[j] = step0 + c;
+                break;
+            }
+            a0 = n0; a1 = n1; a2 = n2; a0p = n0p; a1p = n1p; a2p = n2p;
+        }
+        state[j] = a0; state[nb + j] = a1; state[2 * nb + j] = a2;
+        state[3 * nb + j] = a0p; state[4 * nb + j] = a1p;
+        state[5 * nb + j] = a2p;
+    }
+}
+"""
+
+# no -ffast-math or -march=native: the kernel must round like numpy does
+_C_FLAGS = ("-O2", "-fPIC", "-shared", "-fcx-limited-range",
+            "-ffp-contract=off")
+
+
+def _chunk_step_numpy(state, w, alive, first_bad, eps, m_pump, dt,
+                      e_pump, phi_pump, thr2, step0):
+    # non-finite states are expected here and killed by the threshold test
+    with np.errstate(invalid="ignore", over="ignore"):
+        for c in range(w.shape[1]):
+            idx = np.flatnonzero(alive)
+            if idx.size == 0:
+                return
+            a0 = state[0, idx]
+            a1 = state[1, idx]
+            a2 = state[2, idx]
+            a0p = state[3, idx]
+            a1p = state[4, idx]
+            a2p = state[5, idx]
+            wc = w[idx, c]
+            dw1 = wc[:, 0] + 1j * wc[:, 1]
+            dw2 = wc[:, 0] - 1j * wc[:, 1]
+            dw1p = wc[:, 2] + 1j * wc[:, 3]
+            dw2p = wc[:, 2] - 1j * wc[:, 3]
+            r0 = np.sqrt((eps * a0).astype(np.complex128))
+            r0p = np.sqrt((eps * a0p).astype(np.complex128))
             n0 = m_pump + (a0 - m_pump) * e_pump + phi_pump * (-eps * a1 * a2)
             n0p = m_pump + (a0p - m_pump) * e_pump + phi_pump * (-eps * a1p * a2p)
             n1 = a1 + dt * (-a1 + eps * a2p * a0) + r0 * dw1
             n2 = a2 + dt * (-a2 + eps * a1p * a0) + r0 * dw2
             n1p = a1p + dt * (-a1p + eps * a2 * a0p) + r0p * dw1p
             n2p = a2p + dt * (-a2p + eps * a1 * a0p) + r0p * dw2p
-            ok = (
-                (n0.real * n0.real + n0.imag * n0.imag <= thr2)
-                and (n1.real * n1.real + n1.imag * n1.imag <= thr2)
-                and (n2.real * n2.real + n2.imag * n2.imag <= thr2)
-                and (n0p.real * n0p.real + n0p.imag * n0p.imag <= thr2)
-                and (n1p.real * n1p.real + n1p.imag * n1p.imag <= thr2)
-                and (n2p.real * n2p.real + n2p.imag * n2p.imag <= thr2)
-            )
-            if not ok:
-                alive[j] = False
-                first_bad[j] = step0 + c
-                continue
-            state[0, j] = n0
-            state[1, j] = n1
-            state[2, j] = n2
-            state[3, j] = n0p
-            state[4, j] = n1p
-            state[5, j] = n2p
-
-
-def _chunk_step_numpy(state, w, alive, first_bad, eps, m_pump, dt,
-                      e_pump, phi_pump, thr2, step0):
-    for c in range(w.shape[0]):
-        idx = np.flatnonzero(alive)
-        if idx.size == 0:
-            return
-        a0 = state[0, idx]
-        a1 = state[1, idx]
-        a2 = state[2, idx]
-        a0p = state[3, idx]
-        a1p = state[4, idx]
-        a2p = state[5, idx]
-        dw1 = w[c, 0, idx] + 1j * w[c, 1, idx]
-        dw2 = w[c, 0, idx] - 1j * w[c, 1, idx]
-        dw1p = w[c, 2, idx] + 1j * w[c, 3, idx]
-        dw2p = w[c, 2, idx] - 1j * w[c, 3, idx]
-        r0 = np.sqrt((eps * a0).astype(np.complex128))
-        r0p = np.sqrt((eps * a0p).astype(np.complex128))
-        n0 = m_pump + (a0 - m_pump) * e_pump + phi_pump * (-eps * a1 * a2)
-        n0p = m_pump + (a0p - m_pump) * e_pump + phi_pump * (-eps * a1p * a2p)
-        n1 = a1 + dt * (-a1 + eps * a2p * a0) + r0 * dw1
-        n2 = a2 + dt * (-a2 + eps * a1p * a0) + r0 * dw2
-        n1p = a1p + dt * (-a1p + eps * a2 * a0p) + r0p * dw1p
-        n2p = a2p + dt * (-a2p + eps * a1 * a0p) + r0p * dw2p
-        cand = np.stack([n0, n1, n2, n0p, n1p, n2p])
-        mag2 = cand.real * cand.real + cand.imag * cand.imag
-        with np.errstate(invalid="ignore"):
+            cand = np.stack([n0, n1, n2, n0p, n1p, n2p])
+            mag2 = cand.real * cand.real + cand.imag * cand.imag
             ok = np.all(mag2 <= thr2, axis=0)
-        good = idx[ok]
-        bad = idx[~ok]
-        state[:, good] = cand[:, ok]
-        if bad.size:
-            alive[bad] = False
-            first_bad[bad] = step0 + c
+            good = idx[ok]
+            bad = idx[~ok]
+            state[:, good] = cand[:, ok]
+            if bad.size:
+                alive[bad] = False
+                first_bad[bad] = step0 + c
 
 
-_NUMBA_KERNEL = None
-_NUMBA_FAILED = False
+def _chunk_step_c(state, w, alive, first_bad, eps, m_pump, dt,
+                  e_pump, phi_pump, thr2, step0):
+    fn = _c_function()
+    if fn is None:
+        raise RuntimeError("the C step kernel is not available")
+    nb = state.shape[1]
+    # the C side trusts these shapes and layouts; check them here
+    if not (state.dtype == np.complex128 and state.shape == (6, nb)
+            and state.flags.c_contiguous):
+        raise ValueError("state must be a C-contiguous complex128 (6, B) array")
+    if not (w.dtype == np.float64 and w.ndim == 3 and w.shape[0] == nb
+            and w.shape[2] == 4 and w.flags.c_contiguous):
+        raise ValueError("w must be a C-contiguous float64 (B, n_steps, 4) array")
+    if not (alive.dtype == np.bool_ and first_bad.dtype == np.int64
+            and alive.shape == first_bad.shape == (nb,)
+            and alive.flags.c_contiguous and first_bad.flags.c_contiguous):
+        raise ValueError("alive and first_bad must be contiguous (B,) bool "
+                         "and int64 arrays")
+    if not (state.flags.writeable and alive.flags.writeable
+            and first_bad.flags.writeable):
+        raise ValueError("state, alive and first_bad must be writeable")
+    fn(state.ctypes.data, w.ctypes.data, alive.ctypes.data,
+       first_bad.ctypes.data, nb, w.shape[1], eps, m_pump, dt, e_pump,
+       phi_pump, thr2, step0)
 
 
-def _build_numba_kernel():
-    global _NUMBA_KERNEL, _NUMBA_FAILED
-    if _NUMBA_KERNEL is not None or _NUMBA_FAILED:
-        return _NUMBA_KERNEL
+class _BuildError(Exception):
+    pass
+
+
+def _cache_dir() -> Path:
+    """First usable of $XDG_CACHE_HOME/opo3, ~/.cache/opo3, tmp/opo3-<uid>."""
+    candidates = []
+    if os.environ.get("XDG_CACHE_HOME"):
+        candidates.append(Path(os.environ["XDG_CACHE_HOME"]) / "opo3")
     try:
-        import numba
-    except ImportError:
-        _NUMBA_FAILED = True
+        candidates.append(Path.home() / ".cache" / "opo3")
+    except RuntimeError:
+        pass
+    uid = os.getuid()
+    private = Path(tempfile.gettempdir()) / f"opo3-{uid}"
+    candidates.append(private)
+    for path in candidates:
+        try:
+            path.mkdir(mode=0o700, parents=True, exist_ok=True)
+        except OSError:
+            continue
+        if not os.access(path, os.W_OK | os.X_OK):
+            continue
+        # a shared temporary directory may hold a directory someone else
+        # made under our name; never load a library from one
+        st = path.stat()
+        if path == private and (st.st_uid != uid or st.st_mode & 0o022):
+            continue
+        return path
+    raise _BuildError("no writable cache directory")
+
+
+def _compiled_library() -> Path:
+    """Path of the kernel's shared library, built into the cache if absent."""
+    cc = shutil.which("cc")
+    if cc is None:
+        raise _BuildError("no C compiler (cc) on PATH")
+    version = subprocess.run([cc, "--version"], capture_output=True,
+                             text=True, timeout=60, check=True).stdout
+    # crc32, not hashlib: importing hashlib loads OpenSSL, about 3 MB of
+    # resident memory in every process that integrates
+    key = "".join(f"{zlib.crc32(part.encode()):08x}"
+                  for part in (_C_SOURCE, " ".join(_C_FLAGS), version))
+    cache = _cache_dir()
+    lib = cache / f"chunk_step_{key}.so"
+    if lib.is_file():
+        return lib
+    fd, tmp = tempfile.mkstemp(dir=cache, prefix=".build-", suffix=".so")
+    os.close(fd)
+    try:
+        proc = subprocess.run(
+            [cc, *_C_FLAGS, "-x", "c", "-", "-o", tmp, "-lm"],
+            input=_C_SOURCE, capture_output=True, text=True, timeout=300)
+        if proc.returncode != 0:
+            raise _BuildError(f"cc failed: {proc.stderr.strip()[:500]}")
+        # concurrent builders each write their own file; the rename is atomic
+        os.replace(tmp, lib)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+    return lib
+
+
+@functools.cache
+def _c_function():
+    """The loaded C kernel, or None (with one warning) when unavailable."""
+    try:
+        lib = ctypes.CDLL(str(_compiled_library()))
+    except (OSError, subprocess.SubprocessError, _BuildError) as exc:
+        warnings.warn(f"opo3: C step kernel unavailable ({exc}); "
+                      "using the slower numpy kernel", RuntimeWarning,
+                      stacklevel=2)
         return None
-    _NUMBA_KERNEL = numba.njit(cache=True, fastmath=False)(_chunk_step_py)
-    return _NUMBA_KERNEL
-
-
-def numba_enabled() -> bool:
-    if os.environ.get("OPO3_DISABLE_NUMBA", "").strip() not in ("", "0"):
-        return False
-    return _build_numba_kernel() is not None
+    fn = lib.opo3_chunk_step
+    fn.argtypes = ([ctypes.c_void_p] * 4 + [ctypes.c_int64] * 2
+                   + [ctypes.c_double] * 6 + [ctypes.c_int64])
+    fn.restype = None
+    return fn
 
 
 def get_stepper():
-    """The fastest available chunk stepper with the common signature."""
-    if numba_enabled():
-        return _NUMBA_KERNEL
-    return _chunk_step_numpy
+    """The C kernel when it builds and loads, else the numpy kernel."""
+    return _chunk_step_c if _c_function() is not None else _chunk_step_numpy

@@ -11,8 +11,9 @@ over defaults.  Keys:
 dt, burn_in and sample_interval accept "auto" (or empty) to defer to the
 engine's resolution rules.  Unknown keys are rejected.  Exit codes: 0 ok,
 2 invalid input, 3 unreliable run (too many divergent trajectories; the
-report is still written).  The OPO3_WORKERS environment variable selects
-the worker count; unset means auto-detect.
+report is still written; `compare` and `sweep --source mc` exit 3 without
+output when divergences leave no estimate).  The OPO3_WORKERS environment
+variable selects the worker count; unset means 1.
 """
 
 from __future__ import annotations
@@ -41,6 +42,10 @@ from .moments import NoSamplesError
 
 class CliError(ValueError):
     """User-input problem; maps to exit code 2."""
+
+
+class UnreliableRunError(Exception):
+    """Divergences left no Monte-Carlo estimate; maps to exit code 3."""
 
 
 EXIT_OK = 0
@@ -212,6 +217,7 @@ def cmd_run(spec: RunSpec) -> int:
         "divergence_fraction": result.divergence_fraction,
         "reliable": result.reliable,
         "elapsed_seconds": result.elapsed_seconds,
+        "backend": result.backend,
         "moments": report.to_dict() if report is not None else None,
         "criteria": criteria,
         "analytic": {
@@ -252,6 +258,19 @@ def cmd_run(spec: RunSpec) -> int:
     return EXIT_OK
 
 
+def _mc_report(result):
+    """The run's moments, or UnreliableRunError when divergences left
+    too few trajectories to estimate them."""
+    try:
+        return result.moments.finalize(centering="reference")
+    except NoSamplesError as exc:
+        if result.reliable:
+            raise   # too few trajectories requested: invalid input
+        raise UnreliableRunError(
+            f"{result.n_diverged}/{result.n_trajectories} trajectories "
+            f"diverged; {exc}") from exc
+
+
 def _sweep_values(raw: str) -> list:
     try:
         vals = [float(v) for v in raw.split(",") if v.strip() != ""]
@@ -290,7 +309,7 @@ def cmd_sweep(spec: RunSpec, axis: str, values_raw: str, source: str) -> int:
             rows.append(_criterion_row(params, "analytic", crit))
         if source in ("mc", "both"):
             result = run_ensemble(params, point.sim_config())
-            crit = cs_test(result.moments.finalize(),
+            crit = cs_test(_mc_report(result),
                            sigma_threshold=point.sigma_threshold)
             rows.append(_criterion_row(params, "mc", crit))
     out_dir = Path(spec.out_dir)
@@ -314,7 +333,7 @@ def cmd_compare(spec: RunSpec) -> int:
         print("warning: near-threshold: perturbative oracle unreliable",
               file=sys.stderr)
     result = run_ensemble(params, spec.sim_config())
-    report = result.moments.finalize(centering="reference")
+    report = _mc_report(result)
     analytic_rep = analytic_moment_report(params)
     rows = []
     all_ok = True
@@ -408,6 +427,9 @@ def main(argv=None) -> int:
         if args.command == "compare":
             return cmd_compare(spec)
         raise CliError(f"unknown command {args.command!r}")
+    except UnreliableRunError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_UNRELIABLE
     except (CliError, DomainError, ValidityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID

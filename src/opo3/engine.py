@@ -5,8 +5,9 @@ explicit Euler-Maruyama steps (optionally an exponentially propagated linear
 pump part, scheme="exp_euler").  Each trajectory owns an independent,
 counter-derived random stream: Generator(PCG64(SeedSequence(master_seed,
 spawn_key=(trajectory_index,)))).  Noise is consumed in fixed step order per
-trajectory and trajectories are assigned to fixed 256-trajectory blocks, so
-results are bit-identical for any worker count.
+trajectory, every trajectory is integrated independently of the others in
+its block, and finished blocks are merged in trajectory order, so results
+are bit-identical for any worker count and any block size.
 
 Sampling: after `burn_steps`, the state is recorded every `int_steps` steps,
 n_samples_per_traj times.  Each trajectory contributes its samples as one
@@ -35,7 +36,7 @@ from .model import (
 )
 from .moments import MomentAccumulator, opo_schema, state_channels
 
-BLOCK_SIZE = 256          # trajectories per work unit, fixed for determinism
+BLOCK_SIZE = 256          # trajectories per work unit; results do not depend on it
 CHUNK_STEPS = 1024        # steps per noise buffer
 DT_CEILING = 0.05         # dt * max(1, gamma_r) must not exceed this
 MAX_DIVERGED_FRACTION = 0.01
@@ -252,10 +253,10 @@ def _run_block(params: ModelParams, rcfg: ResolvedConfig, traj_indices,
             stop = int(sample_at[next_sample])
         while step < stop:
             c = min(CHUNK_STEPS, stop - step)
-            if w is None or w.shape[0] != c:
-                w = np.empty((c, 4, nb), dtype=np.float64)
+            if w is None or w.shape[1] != c:
+                w = np.empty((nb, c, 4), dtype=np.float64)
             for j, rng in enumerate(rngs):
-                w[:, :, j] = rng.standard_normal((c, 4))
+                rng.standard_normal(out=w[j])
             w *= scale
             stepper(state, w, alive, first_bad, params.eps, m_pump, rcfg.dt,
                     rcfg.e_pump, rcfg.phi_pump, thr2, step)
@@ -327,6 +328,7 @@ class EnsembleResult:
     elapsed_seconds: float
     sample_times: np.ndarray
     diverged_indices: list
+    backend: str                          # qualified name of the step kernel
     samples: np.ndarray | None = None     # (12, kept_traj, n) when requested
     halves: tuple | None = None           # (first-half acc, second-half acc)
 
@@ -354,9 +356,9 @@ def run_ensemble(params: ModelParams, config: SimConfig, workers: int | None = N
                  split_halves: bool = False, initial_state=None) -> EnsembleResult:
     """Integrate an ensemble and stream every trajectory into one accumulator.
 
-    Work is split into fixed blocks of BLOCK_SIZE trajectories and merged in
-    block order, so estimates do not depend on the worker count.  workers
-    defaults to the OPO3_WORKERS environment variable, else 1.
+    Work is split into blocks of BLOCK_SIZE trajectories and merged in
+    trajectory order, so estimates do not depend on the worker count.
+    workers defaults to the OPO3_WORKERS environment variable, else 1.
     """
     t0 = time.perf_counter()
     rcfg = config.resolve(params)
@@ -366,6 +368,9 @@ def run_ensemble(params: ModelParams, config: SimConfig, workers: int | None = N
     if initial_state is not None and isinstance(initial_state, PhaseSpaceState):
         initial_state = initial_state.as_array()
 
+    # resolve (and, on first use, build) the kernel before any worker forks,
+    # so workers inherit it instead of racing to build it
+    stepper = _kernels.get_stepper()
     nt = rcfg.n_trajectories
     blocks = [list(range(lo, min(lo + BLOCK_SIZE, nt)))
               for lo in range(0, nt, BLOCK_SIZE)]
@@ -409,6 +414,7 @@ def run_ensemble(params: ModelParams, config: SimConfig, workers: int | None = N
         elapsed_seconds=time.perf_counter() - t0,
         sample_times=rcfg.sample_times(),
         diverged_indices=diverged_indices,
+        backend=f"{stepper.__module__}.{stepper.__name__}",
         samples=samples,
         halves=(half_a, half_b) if split_halves else None,
     )
@@ -427,7 +433,7 @@ def integrate_batch(params: ModelParams, dt: float, normals: np.ndarray,
     normals = np.asarray(normals, dtype=np.float64)
     if normals.ndim != 3 or normals.shape[1] != 4:
         raise ValueError("normals must have shape (n_steps, 4, B)")
-    state = np.array(initial_states, dtype=np.complex128)
+    state = np.array(initial_states, dtype=np.complex128, order="C")
     if state.shape != (6, normals.shape[2]):
         raise ValueError("initial_states must have shape (6, B)")
     nb = state.shape[1]
@@ -437,12 +443,15 @@ def integrate_batch(params: ModelParams, dt: float, normals: np.ndarray,
     stepper = _kernels.get_stepper()
     thr2 = divergence_threshold ** 2
     m_pump = params.mu / params.eps
+    scale = math.sqrt(dt / 2.0)
     step = 0
     total = normals.shape[0]
     while step < total:
         c = min(CHUNK_STEPS, total - step)
-        w = normals[step:step + c] * math.sqrt(dt / 2.0)
-        stepper(state, np.ascontiguousarray(w), alive, first_bad,
+        # the kernels read each trajectory's noise as one contiguous run
+        w = np.empty((nb, c, 4), dtype=np.float64)
+        np.multiply(normals[step:step + c].transpose(2, 0, 1), scale, out=w)
+        stepper(state, w, alive, first_bad,
                 params.eps, m_pump, dt, e_pump, phi_pump, thr2, step)
         step += c
     return state, alive, first_bad

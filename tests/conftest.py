@@ -8,8 +8,8 @@ from opo3 import ModelParams, SimConfig, run_ensemble, simulate_trajectory
 
 @pytest.fixture(scope="session", autouse=True)
 def _warm_kernels():
-    # first kernel call triggers the numba compile (or cache load); doing it
-    # once here keeps individual test timings honest
+    # the first kernel call builds the C step kernel (or loads it from the
+    # on-disk cache); doing it once here keeps individual test timings honest
     params = ModelParams(mu=0.3, gamma_r=1.0, g=0.05)
     cfg = SimConfig(dt=0.05, burn_in=20.0, sample_interval=2.0,
                     n_samples_per_traj=1, n_trajectories=1, master_seed=1)

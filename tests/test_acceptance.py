@@ -31,6 +31,7 @@ from opo3 import (
     state_channels,
     triple_correlations,
 )
+from opo3.engine import BLOCK_SIZE
 
 # frozen high-precision evaluations of the closed-form ratio (64-bit inputs)
 RATIO_GR_100 = 1.5230345115117114
@@ -282,14 +283,17 @@ def test_criterion_8_property_suites(acceptance, agreement_ensemble,
     slopes = [np.polyfit(logdt, np.log(errs[:, j]), 1)[0] for j in range(2)]
     checks["weak-order"] = all(0.6 <= s <= 1.5 for s in slopes)
 
-    # bit-level determinism under different worker counts
+    # bit-level determinism under different worker counts; more than one
+    # block, so the two-worker run really starts the process pool
     cfg = SimConfig(dt=0.05, burn_in=20.0, sample_interval=2.0,
-                    n_samples_per_traj=8, n_trajectories=64, master_seed=55)
+                    n_samples_per_traj=8, n_trajectories=2 * BLOCK_SIZE + 64,
+                    master_seed=55)
     p2 = ModelParams(0.5, 1.0, 0.05)
     r1 = run_ensemble(p2, cfg, workers=1).report()
     r2 = run_ensemble(p2, cfg, workers=2).report()
-    checks["workers"] = all(r1[t].value == r2[t].value
-                            for t in ("t1", "q4", "var_x0", "cov_x_xp"))
+    checks["workers"] = all(
+        r1[t].value == r2[t].value and r1[t].std_error == r2[t].std_error
+        for t in ("t1", "q4", "var_x0", "cov_x_xp"))
 
     ok = all(checks.values())
     passed = sum(checks.values())

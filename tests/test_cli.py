@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import opo3
+from opo3 import _kernels
 from opo3.cli import (
     CliError,
     build_runspec,
@@ -107,8 +108,10 @@ class TestRun:
         assert set(doc) == {"version", "params", "config", "sigma_threshold",
                             "n_trajectories", "n_diverged",
                             "divergence_fraction", "reliable",
-                            "elapsed_seconds", "moments", "criteria",
-                            "analytic"}
+                            "elapsed_seconds", "backend", "moments",
+                            "criteria", "analytic"}
+        stepper = _kernels.get_stepper()
+        assert doc["backend"] == f"{stepper.__module__}.{stepper.__name__}"
         assert doc["params"]["mu"] == 0.5
         assert doc["reliable"] is True
         assert doc["moments"]["n_samples"] == 16 * 8
@@ -175,6 +178,16 @@ class TestRun:
         assert "unreliable" in capsys.readouterr().err
 
 
+    def test_report_names_fallback_backend(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(_kernels, "get_stepper",
+                            lambda: _kernels._chunk_step_numpy)
+        rc = run_main(["run", *FAST, "--n-trajectories", 4,
+                       "--n-samples-per-traj", 2, "--out-dir", tmp_path])
+        assert rc == 0
+        doc = json.loads((tmp_path / "report.json").read_text())
+        assert doc["backend"] == "opo3._kernels._chunk_step_numpy"
+
+
 class TestSweep:
     def test_analytic_gamma_r(self, tmp_path):
         rc = run_main(["sweep", "--axis", "gamma_r", "--values", "100,0.01",
@@ -206,6 +219,15 @@ class TestSweep:
         assert "duplicate sweep value" in capsys.readouterr().err
         assert len((tmp_path / "sweep.csv").read_text().splitlines()) == 2
 
+    def test_mc_all_diverged_exits_3(self, tmp_path, capsys):
+        rc = run_main(["sweep", "--axis", "mu", "--values", "0.5",
+                       "--source", "mc", *FAST, "--n-trajectories", 8,
+                       "--n-samples-per-traj", 4,
+                       "--divergence-threshold", "1.0",
+                       "--out-dir", tmp_path])
+        assert rc == 3
+        assert "8/8 trajectories diverged" in capsys.readouterr().err
+
     def test_empty_values_exits_2(self, tmp_path, capsys):
         rc = run_main(["sweep", "--axis", "mu", "--values", ",",
                        "--out-dir", tmp_path])
@@ -235,6 +257,21 @@ class TestCompare:
             assert abs(float(r[4])) <= 3.0
             assert r[5] == "True"
         assert "all pulls within +-3" in capsys.readouterr().out
+
+    def test_all_diverged_exits_3(self, tmp_path, capsys):
+        rc = run_main(["compare", *FAST, "--n-trajectories", 8,
+                       "--n-samples-per-traj", 4,
+                       "--divergence-threshold", "1.0",
+                       "--out-dir", tmp_path])
+        assert rc == 3
+        assert "8/8 trajectories diverged" in capsys.readouterr().err
+
+    def test_too_few_trajectories_exits_2(self, tmp_path, capsys):
+        # one trajectory and no divergence: no error bars, an input problem
+        rc = run_main(["compare", *FAST, "--n-trajectories", 1,
+                       "--n-samples-per-traj", 4, "--out-dir", tmp_path])
+        assert rc == 2
+        assert "at least 2 batches" in capsys.readouterr().err
 
 
 class TestEntryPoints:

@@ -2,6 +2,8 @@
 determinism, divergence handling, stationarity, and weak convergence."""
 
 import math
+import shutil
+import warnings
 
 import numpy as np
 import pytest
@@ -12,6 +14,8 @@ from opo3 import (
     PhaseSpaceState,
     SimConfig,
     ValidityError,
+    _kernels,
+    fixed_point,
     integrate_batch,
     ou_covariances,
     pump_mean_shift,
@@ -20,6 +24,9 @@ from opo3 import (
     simulate_trajectory,
     step_euler_maruyama,
 )
+
+needs_cc = pytest.mark.skipif(shutil.which("cc") is None,
+                              reason="no C compiler (cc) on PATH")
 
 
 def se_of_mean(arr):
@@ -192,10 +199,10 @@ class TestDeterminism:
         pooled = run_ensemble(params, cfg, workers=2).report("none")
         for name in ("t1", "t2", "q4", "var_x0", "cov_x_xp", "amp_triple",
                      "mean_x0", "s"):
-            va, vb = serial[name].value, pooled[name].value
-            assert abs(va - vb) <= 1e-10 * max(1.0, abs(va)), name
-            assert serial[name].std_error == pytest.approx(
-                pooled[name].std_error, rel=1e-10, abs=1e-18)
+            assert serial[name].value == pooled[name].value, name
+            assert serial[name].std_error == pooled[name].std_error, name
+            assert (serial[name].std_error_imag
+                    == pooled[name].std_error_imag), name
 
     def test_trajectory_matches_ensemble_member(self):
         # trajectory seeding depends only on (master_seed, index)
@@ -210,17 +217,133 @@ class TestDeterminism:
         x0_tr = np.array([s.x0 for s in tr.samples])
         np.testing.assert_array_equal(x0_ens, x0_tr)
 
-    def test_numpy_fallback_agrees(self, monkeypatch):
+    @needs_cc
+    def test_numpy_fallback_agrees(self, no_compiler):
+        # with no compiler the engine falls back, once and with one warning,
+        # to the numpy kernel, which reproduces the compiled run
         params = ModelParams(0.5, 1.0, 0.05)
         cfg = SimConfig(dt=0.05, burn_in=20.0, sample_interval=2.0,
                         n_samples_per_traj=8, n_trajectories=32,
                         master_seed=77)
-        fast = run_ensemble(params, cfg).report("none")
-        monkeypatch.setenv("OPO3_DISABLE_NUMBA", "1")
-        slow = run_ensemble(params, cfg).report("none")
+        fast = run_ensemble(params, cfg)
+        assert fast.backend == "opo3._kernels._chunk_step_c"
+        no_compiler()
+        with pytest.warns(RuntimeWarning, match="C step kernel unavailable"):
+            assert _kernels.get_stepper() is _kernels._chunk_step_numpy
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            slow = run_ensemble(params, cfg)
+        assert slow.backend == "opo3._kernels._chunk_step_numpy"
+        assert slow.n_diverged == fast.n_diverged == 0
+        a, b = fast.report("none"), slow.report("none")
         for name in ("t1", "q4", "var_x0", "cov_x_xp", "amp_n0", "mean_x0"):
-            assert slow[name].value == pytest.approx(fast[name].value,
-                                                     rel=1e-12, abs=1e-20)
+            assert b[name].value == pytest.approx(a[name].value,
+                                                  rel=1e-12, abs=1e-20)
+
+
+@pytest.fixture
+def no_compiler(monkeypatch, tmp_path):
+    """Call to hide `cc` and forget the loaded kernel; undone afterwards."""
+
+    def hide():
+        monkeypatch.setenv("PATH", str(tmp_path))
+        _kernels._c_function.cache_clear()
+
+    yield hide
+    _kernels._c_function.cache_clear()
+
+
+def drive(stepper, start, w, params, dt, thr, step0, chunk):
+    """Advance `start` through the noise `w` in chunks of `chunk` steps."""
+    state = start.copy()
+    alive = np.ones(start.shape[1], dtype=np.bool_)
+    first_bad = np.full(start.shape[1], -1, dtype=np.int64)
+    m_pump = params.mu / params.eps
+    for lo in range(0, w.shape[1], chunk):
+        stepper(state, np.ascontiguousarray(w[:, lo:lo + chunk]), alive,
+                first_bad, params.eps, m_pump, dt, 1.0 - params.gamma_r * dt,
+                dt, thr * thr, step0 + lo)
+    return state, alive, first_bad
+
+
+class TestKernels:
+    params = ModelParams(0.6, 1.5, 0.1)
+
+    def kicked_block(self):
+        # trajectories near the fixed point; #4 and #6 start non-finite, #2
+        # is kicked over the threshold in the first chunk and #3 in the second
+        rng = np.random.default_rng(8)
+        nb, n_steps, dt = 7, 300, 0.01
+        start = np.repeat(fixed_point(self.params).as_array()[:, None], nb,
+                          axis=1)
+        start = start + 0.1 * (rng.standard_normal((6, nb))
+                               + 1j * rng.standard_normal((6, nb)))
+        start[0, 4] = np.inf
+        start[1, 6] = np.nan
+        w = rng.standard_normal((nb, n_steps, 4)) * math.sqrt(dt / 2.0)
+        w[2, 137, 0] = 1e4
+        w[3, 200, 3] = -1e4
+        return start, w, dt
+
+    @needs_cc
+    def test_c_kernel_matches_numpy_kernel(self):
+        start, w, dt = self.kicked_block()
+        c_out = drive(_kernels._chunk_step_c, start, w, self.params, dt,
+                      50.0, 5000, 150)
+        np_out = drive(_kernels._chunk_step_numpy, start, w, self.params, dt,
+                       50.0, 5000, 150)
+        # a dead trajectory stays at its last good state
+        frozen, _, _ = drive(_kernels._chunk_step_numpy, start[:, 2:3],
+                             w[2:3, :137], self.params, dt, 50.0, 0, 150)
+        for state, alive, first_bad in (c_out, np_out):
+            np.testing.assert_array_equal(alive, [1, 1, 0, 0, 0, 1, 0])
+            np.testing.assert_array_equal(
+                first_bad, [-1, -1, 5137, 5200, 5000, -1, 5000])
+            np.testing.assert_allclose(state[:, 2], frozen[:, 0], rtol=1e-12)
+            np.testing.assert_array_equal(state[:, 4::2], start[:, 4::2])
+        np.testing.assert_allclose(c_out[0], np_out[0], rtol=1e-12, atol=0)
+
+    @needs_cc
+    def test_c_kernel_rejects_bad_layout(self):
+        # the C side trusts its pointers; wrong layouts must not reach it
+        state = np.zeros((6, 3), dtype=np.complex128)
+        w = np.zeros((3, 5, 4))
+        alive = np.ones(3, dtype=np.bool_)
+        first_bad = np.full(3, -1, dtype=np.int64)
+        scalars = (0.1, 5.0, 0.01, 0.99, 0.01, 1e12, 0)
+        for bad in (state.astype(np.complex64), np.zeros((3, 6), complex).T):
+            with pytest.raises(ValueError, match="state must be"):
+                _kernels._chunk_step_c(bad, w, alive, first_bad, *scalars)
+        for bad in (np.zeros((5, 4, 3)), w.astype(np.float32),
+                    np.zeros((3, 4, 5)).transpose(0, 2, 1)):
+            with pytest.raises(ValueError, match="w must be"):
+                _kernels._chunk_step_c(state, bad, alive, first_bad, *scalars)
+        with pytest.raises(ValueError, match="alive and first_bad"):
+            _kernels._chunk_step_c(state, w, alive.astype(np.int64),
+                                   first_bad, *scalars)
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_numpy_kernel_quiet_on_non_finite_state(self, monkeypatch, bad):
+        monkeypatch.setattr(_kernels, "get_stepper",
+                            lambda: _kernels._chunk_step_numpy)
+        params = ModelParams(0.5, 1.0, 0.05)
+        cfg = SimConfig(dt=0.05, burn_in=20.0, sample_interval=2.0,
+                        n_samples_per_traj=4, n_trajectories=1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            tr = simulate_trajectory(params, cfg, initial_state=PhaseSpaceState(
+                bad, 0, 0, 0, 0, 0))
+        assert tr.diverged and tr.first_bad_step == 0
+
+    @needs_cc
+    def test_library_cached_under_xdg_cache_home(self, monkeypatch, tmp_path):
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+        lib = _kernels._compiled_library()
+        assert lib.parent == tmp_path / "opo3" and lib.is_file()
+        built = lib.stat().st_mtime_ns
+        assert _kernels._compiled_library() == lib
+        assert lib.stat().st_mtime_ns == built
+        assert [p.name for p in lib.parent.iterdir()] == [lib.name]
 
 
 class TestDivergence:
