@@ -17,14 +17,10 @@ import logging
 import math
 from dataclasses import dataclass
 
+from .criteria import NO_SIGNAL, SATISFIED, VIOLATED
 from .model import ModelParams, ValidityError
 
 logger = logging.getLogger(__name__)
-
-# Verdict strings shared with the criteria module.
-VIOLATED = "violated"
-SATISFIED = "satisfied"
-NO_SIGNAL = "no signal"
 
 
 def _check_validity(params: ModelParams) -> None:

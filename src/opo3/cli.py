@@ -10,10 +10,11 @@ over defaults.  Keys:
 
 dt, burn_in and sample_interval accept "auto" (or empty) to defer to the
 engine's resolution rules.  Unknown keys are rejected.  Exit codes: 0 ok,
-2 invalid input, 3 unreliable run (too many divergent trajectories; the
-report is still written; `compare` and `sweep --source mc` exit 3 without
-output when divergences leave no estimate).  The OPO3_WORKERS environment
-variable selects the worker count; unset means 1.
+2 invalid input (including too few trajectories for error bars), 3
+unreliable run (too many divergent trajectories; `run` still writes its
+report and `sweep` its sweep.csv, while `compare` and `sweep --source mc`
+exit 3 without output when divergences leave no estimate).  The
+OPO3_WORKERS environment variable selects the worker count; unset means 1.
 """
 
 from __future__ import annotations
@@ -170,7 +171,8 @@ def _write_csv(path: Path, header: str, rows) -> None:
 
 
 TIMESERIES_HEADER = "tau,n_samples,lhs,rhs,ratio"
-SWEEP_HEADER = "mu,gamma_r,g,source,lhs,rhs,ratio,significance,verdict"
+SWEEP_HEADER = ("mu,gamma_r,g,source,lhs,rhs,ratio,significance,verdict,"
+                "n_diverged,reliable")
 COMPARE_HEADER = ("moment,mc_value,mc_std_error,analytic_value,pull,"
                   "within_3sigma,low_confidence")
 
@@ -190,9 +192,9 @@ def cmd_run(spec: RunSpec) -> int:
 
     criteria = {}
     try:
-        report = result.moments.finalize(centering="reference")
-    except NoSamplesError:
-        report = None   # everything diverged; still write provenance
+        report = _mc_report(result)
+    except UnreliableRunError:
+        report = None   # divergences left no estimate; still write provenance
     if report is not None:
         for part in sorted(PARTITIONS):
             criteria[f"cauchy_schwarz_{part.replace('|', '_')}"] = cs_test(
@@ -288,9 +290,11 @@ def _sweep_values(raw: str) -> list:
     return seen
 
 
-def _criterion_row(params: ModelParams, source: str, crit) -> list:
+def _criterion_row(params: ModelParams, source: str, crit,
+                   n_diverged: int = 0, reliable: bool = True) -> list:
     return [params.mu, params.gamma_r, params.g, source,
-            crit.lhs, crit.rhs, crit.ratio, crit.significance, crit.verdict]
+            crit.lhs, crit.rhs, crit.ratio, crit.significance, crit.verdict,
+            n_diverged, "true" if reliable else "false"]
 
 
 def cmd_sweep(spec: RunSpec, axis: str, values_raw: str, source: str) -> int:
@@ -300,6 +304,7 @@ def cmd_sweep(spec: RunSpec, axis: str, values_raw: str, source: str) -> int:
     if source not in ("analytic", "mc", "both"):
         raise CliError(f"unknown sweep source: {source}")
     rows = []
+    unreliable = []
     for v in values:
         point = replace(spec, **{axis: v})
         params = point.params()
@@ -311,7 +316,11 @@ def cmd_sweep(spec: RunSpec, axis: str, values_raw: str, source: str) -> int:
             result = run_ensemble(params, point.sim_config())
             crit = cs_test(_mc_report(result),
                            sigma_threshold=point.sigma_threshold)
-            rows.append(_criterion_row(params, "mc", crit))
+            rows.append(_criterion_row(params, "mc", crit, result.n_diverged,
+                                       result.reliable))
+            if not result.reliable:
+                unreliable.append(f"{axis}={v:g}: {result.n_diverged}/"
+                                  f"{result.n_trajectories} diverged")
     out_dir = Path(spec.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / "sweep.csv"
@@ -320,6 +329,10 @@ def cmd_sweep(spec: RunSpec, axis: str, values_raw: str, source: str) -> int:
         print(f"{axis}={row[0] if axis == 'mu' else row[1]:g} "
               f"[{row[3]}] ratio={_fmt(row[6])} verdict={row[8]}")
     print(f"wrote {path}")
+    if unreliable:
+        print("warning: unreliable Monte-Carlo points (trajectories "
+              f"diverged): {'; '.join(unreliable)}", file=sys.stderr)
+        return EXIT_UNRELIABLE
     return EXIT_OK
 
 

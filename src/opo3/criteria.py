@@ -20,8 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .moments import MomentEstimate, MomentReport, SchemaError, _Stats
+from .moments import MomentEstimate, MomentReport, SchemaError
 
+# verdict strings; the analytic module reports with the same ones
 VIOLATED = "violated"
 SATISFIED = "satisfied"
 INCONCLUSIVE = "inconclusive"
@@ -382,15 +383,8 @@ def cs_running_average(result, partition: str = "0|12",
     """
     if partition not in PARTITIONS:
         raise ValueError(f"unknown partition {partition!r}")
-    acc = result.moments
-    if acc.per_sample_sums is None:
-        raise ValueError("time-series sums absent; "
-                         "run the ensemble with collect_time_series=True")
     qname, pname = PARTITIONS[partition]
-    prefix = np.cumsum(acc.per_sample_sums, axis=1)       # (K, n)
-    n_pts = prefix.shape[1]
-    counts = acc.per_sample_rows * np.arange(1, n_pts + 1, dtype=np.float64)
-    st = _Stats(acc.schema, prefix.T, counts, centering)
+    st = result.moments.running_stats(centering)
     q = st.target(qname)
     p = st.target(pname)
     t = st.target("amp_triple")
@@ -400,7 +394,7 @@ def cs_running_average(result, partition: str = "0|12",
         ratio = np.where(lhs != 0.0, rhs / lhs, np.nan)
     return {
         "tau": np.asarray(result.sample_times, dtype=np.float64),
-        "n_samples": counts.astype(np.int64),
+        "n_samples": st.n.astype(np.int64),
         "lhs": lhs,
         "rhs": rhs,
         "ratio": ratio,

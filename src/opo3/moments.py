@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -200,57 +200,69 @@ class MomentReport:
 
 
 class _Stats:
-    """Evaluation context over raw moments; scalar or replicate-vector shaped.
-
-    raw sums have shape (K,) for the full dataset or (B, K) for the
-    leave-one-out replicates; every derived quantity broadcasts accordingly.
+    """Evaluation context over key-major raw sums: (K,) for the full dataset
+    or (K, M) for M replicates with n shaped (M,); given totals, replicate m
+    leaves batch m out (totals - sums[:, m]).  Derived quantities broadcast.
     """
 
-    def __init__(self, schema: MomentSchema, sums, n, centering: str):
+    def __init__(self, schema: MomentSchema, sums, n, centering: str,
+                 totals=None):
+        if centering not in CENTERINGS:
+            raise ValueError(f"centering must be one of {CENTERINGS}")
         self.schema = schema
-        self._sums = sums          # (K,) or (B, K) or (K, M) handled via axis
-        self._n = n                # scalar or (B,)
+        self._sums = sums
+        self._totals = totals
+        self._n = n
         self.centering = centering
         self._cache = {}
-        self._shift_cache = {}
+        self._pow_cache = {}
 
     def raw(self, key: tuple):
         if key == ():
             return 1.0 if np.isscalar(self._n) else np.ones_like(self._n, dtype=np.complex128)
         idx = self.schema._key_index[key]
-        if np.isscalar(self._n):
+        if self._totals is None:
             return self._sums[idx] / self._n
-        return self._sums[..., idx] / self._n
+        return (self._totals[idx] - self._sums[idx]) / self._n
 
-    def shift(self, ch: int):
-        if ch in self._shift_cache:
-            return self._shift_cache[ch]
-        spec = self.schema.channels[ch]
-        if self.centering == "sample" or (self.centering == "reference" and spec.shiftable):
-            val = self.raw((ch,))
-        elif self.centering == "raw":
-            val = -complex(spec.center)
-            if not np.isscalar(self._n):
-                val = np.full_like(self._n, val, dtype=np.complex128)
-        else:
-            val = 0.0
-        self._shift_cache[ch] = val
-        return val
+    def _neg_shift_powers(self, ch: int):
+        """[(-s)^1, ..., (-s)^4] for the shift s of channel ch under the
+        centering mode, or None when s is zero."""
+        if ch not in self._pow_cache:
+            spec = self.schema.channels[ch]
+            s = 0.0
+            if self.centering == "sample" or (self.centering == "reference" and spec.shiftable):
+                s = self.raw((ch,))
+            elif self.centering == "raw":
+                s = -complex(spec.center)
+            pows = None
+            if np.any(s != 0.0):
+                pows = [-s]
+                for _ in range(3):
+                    pows.append(pows[-1] * pows[0])
+            self._pow_cache[ch] = pows
+        return self._pow_cache[ch]
 
     def centered(self, key: tuple):
-        """Inclusion-exclusion: E[prod (v_c - shift_c)] from raw moments."""
-        uniq = sorted(set(key))
-        mults = [key.count(u) for u in uniq]
-        shifts = [self.shift(u) for u in uniq]
-        if all(np.all(s == 0.0) if not np.isscalar(s) else s == 0.0 for s in shifts):
-            return self.raw(key)
+        """Inclusion-exclusion: E[prod (v_c - shift_c)] from raw moments.
+
+        Channels with zero shift contribute only their full power, so the
+        expansion runs over the shifted channels alone.
+        """
+        mults = {u: key.count(u) for u in sorted(set(key))}
+        shifted = [u for u in mults if self._neg_shift_powers(u) is not None]
+        fixed = tuple(u for u in key if u not in shifted)
         total = 0.0
-        for kvec in itertools.product(*(range(m + 1) for m in mults)):
-            sub = tuple(u for u, k in zip(uniq, kvec) for _ in range(k))
-            coef = 1.0
-            for u, m, k, s in zip(uniq, mults, kvec, shifts):
-                coef = coef * math.comb(m, k) * (-s) ** (m - k)
-            total = total + coef * self.raw(sub)
+        for kvec in itertools.product(*(range(mults[u] + 1) for u in shifted)):
+            sub = tuple(sorted(fixed + tuple(
+                u for u, k in zip(shifted, kvec) for _ in range(k))))
+            term = self.raw(sub)
+            coef = 1
+            for u, k in zip(shifted, kvec):
+                coef *= math.comb(mults[u], k)
+                if k < mults[u]:
+                    term = term * self._neg_shift_powers(u)[mults[u] - k - 1]
+            total = total + coef * term
         return total
 
     def target(self, name: str):
@@ -272,14 +284,12 @@ class _Stats:
         return self._n
 
 
-def _jack_se(full, loo, axis=-1):
-    """Componentwise jackknife SE of `full` from leave-one-out replicates."""
-    b = loo.shape[axis]
-    fac = (b - 1) / b
-    def one(part):
-        m = part.mean(axis=axis, keepdims=True)
-        return np.sqrt(fac * ((part - m) ** 2).sum(axis=axis))
-    return one(loo.real), one(loo.imag)
+def _jack_se(loo):
+    """Componentwise jackknife SE from leave-one-out replicates (last axis)."""
+    b = loo.shape[-1]
+    dev = loo - loo.mean(axis=-1, keepdims=True)
+    return (np.sqrt((b - 1) / b * (dev.real ** 2).sum(axis=-1)),
+            np.sqrt((b - 1) / b * (dev.imag ** 2).sum(axis=-1)))
 
 
 @dataclass(frozen=True)
@@ -295,8 +305,11 @@ class MomentAccumulator:
 
     Samples arrive as channel vectors (values in schema channel order).
     One batch per add_batch call; add_sample buffers rows and flushes a
-    batch every `batch_size` samples.  Per-key sums use pairwise summation
-    within a batch and compensated (Kahan) summation across batches.
+    batch every `batch_size` samples.  Per-batch key sums are stored
+    key-major in (K, nb) blocks that are never written after they are
+    appended, so copies and merges share them.  Evaluation joins them once
+    into one (K, B) array and sums along its batch axis pairwise, so the
+    totals depend on the batch order alone, not on how batches arrived.
     """
 
     def __init__(self, schema: MomentSchema, batch_size: int = 256,
@@ -305,8 +318,8 @@ class MomentAccumulator:
         self.batch_size = int(batch_size)
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
-        self._batch_sums = []     # list of (K,) complex arrays
-        self._batch_ns = []       # list of ints
+        self._blocks = []         # (K, nb) complex batch sums
+        self._block_ns = []       # (nb,) int sample counts
         self._buffer = []
         self.collect_per_sample = bool(collect_per_sample)
         self.per_sample_sums = None    # (K, n_samples) complex when collected
@@ -328,6 +341,20 @@ class MomentAccumulator:
             out.append(prod)
         return out
 
+    def _append_block(self, values: np.ndarray) -> list:
+        """Append the batch sums of finite values shaped (n_channels, nb, n);
+        returns the (nb, n) key products."""
+        if not (np.all(np.isfinite(values.real)) and np.all(np.isfinite(values.imag))):
+            raise ValueError("non-finite sample values")
+        nb, n = values.shape[1], values.shape[2]
+        prods = self._key_products(self._center_values(values))
+        block = np.empty((self.schema.n_keys, nb), dtype=np.complex128)
+        for k, prod in enumerate(prods):
+            prod.sum(axis=1, out=block[k])
+        self._blocks.append(block)
+        self._block_ns.append(np.full(nb, n, dtype=np.int64))
+        return prods
+
     def add_batch(self, values) -> "MomentAccumulator":
         """One batch of samples: values shaped (n_channels, n)."""
         values = np.asarray(values, dtype=np.complex128)
@@ -337,13 +364,7 @@ class MomentAccumulator:
             raise SchemaError(
                 f"expected {self.schema.n_channels} channels, got {values.shape[0]}"
             )
-        if not (np.all(np.isfinite(values.real)) and np.all(np.isfinite(values.imag))):
-            raise ValueError("non-finite sample values")
-        centered = self._center_values(values)
-        sums = np.array([p.sum() for p in self._key_products(centered)],
-                        dtype=np.complex128)
-        self._batch_sums.append(sums)
-        self._batch_ns.append(values.shape[1])
+        self._append_block(values[:, None, :])
         return self
 
     def add_batches(self, values) -> "MomentAccumulator":
@@ -359,15 +380,7 @@ class MomentAccumulator:
         nb, n = values.shape[1], values.shape[2]
         if nb == 0:
             return self
-        if not (np.all(np.isfinite(values.real)) and np.all(np.isfinite(values.imag))):
-            raise ValueError("non-finite sample values")
-        centered = self._center_values(values)
-        prods = self._key_products(centered)        # each (B, n)
-        per_batch = np.empty((nb, self.schema.n_keys), dtype=np.complex128)
-        for k, prod in enumerate(prods):
-            per_batch[:, k] = prod.sum(axis=1)
-        self._batch_sums.extend(per_batch)
-        self._batch_ns.extend([n] * nb)
+        prods = self._append_block(values)
         if self.collect_per_sample:
             if self.per_sample_sums is None:
                 self.per_sample_sums = np.zeros((self.schema.n_keys, n),
@@ -402,17 +415,17 @@ class MomentAccumulator:
 
     @property
     def n_samples(self) -> int:
-        return int(sum(self._batch_ns)) + len(self._buffer)
+        return sum(int(ns.sum()) for ns in self._block_ns) + len(self._buffer)
 
     @property
     def n_batches(self) -> int:
-        return len(self._batch_sums) + (1 if self._buffer else 0)
+        return sum(len(ns) for ns in self._block_ns) + (1 if self._buffer else 0)
 
     def copy(self) -> "MomentAccumulator":
         out = MomentAccumulator(self.schema, batch_size=self.batch_size,
                                 collect_per_sample=self.collect_per_sample)
-        out._batch_sums = list(self._batch_sums)
-        out._batch_ns = list(self._batch_ns)
+        out._blocks = list(self._blocks)
+        out._block_ns = list(self._block_ns)
         out._buffer = [r.copy() for r in self._buffer]
         if self.per_sample_sums is not None:
             out.per_sample_sums = self.per_sample_sums.copy()
@@ -425,8 +438,8 @@ class MomentAccumulator:
         self.flush()
         other = other.copy()
         other.flush()
-        self._batch_sums.extend(other._batch_sums)
-        self._batch_ns.extend(other._batch_ns)
+        self._blocks.extend(other._blocks)
+        self._block_ns.extend(other._block_ns)
         if other.per_sample_sums is not None:
             if self.per_sample_sums is None:
                 self.collect_per_sample = True
@@ -441,28 +454,37 @@ class MomentAccumulator:
 
     # -- evaluation ------------------------------------------------------
 
-    def _stacked(self):
+    def running_stats(self, centering: str = "reference") -> _Stats:
+        """Stats context over running averages of the per-sample sums:
+        entry j pools sample indices 0..j of every trajectory folded in."""
+        if self.per_sample_sums is None:
+            raise NoSamplesError("time-series sums absent; accumulate with "
+                                 "collect_per_sample (run_ensemble: "
+                                 "collect_time_series=True)")
+        prefix = np.cumsum(self.per_sample_sums, axis=1)      # (K, n)
+        counts = self.per_sample_rows * np.arange(
+            1, prefix.shape[1] + 1, dtype=np.float64)
+        return _Stats(self.schema, prefix, counts, centering)
+
+    def _contexts(self, centering: str):
+        """Full-dataset and leave-one-batch-out stats contexts."""
         self.flush()
-        b = len(self._batch_sums)
+        b = self.n_batches
         if b == 0:
             raise NoSamplesError("no samples")
         if b < 2:
             raise NoSamplesError(
                 f"need at least 2 batches for standard errors, have {b}"
             )
-        stacked = np.stack(self._batch_sums, axis=0)      # (B, K)
-        ns = np.asarray(self._batch_ns, dtype=np.float64)  # (B,)
-        totals = _kahan_colsum(stacked)                    # (K,)
-        return stacked, ns, totals
-
-    def _contexts(self, centering: str):
-        if centering not in CENTERINGS:
-            raise ValueError(f"centering must be one of {CENTERINGS}")
-        stacked, ns, totals = self._stacked()
-        n_total = ns.sum()
-        full = _Stats(self.schema, totals, float(n_total), centering)
-        loo = _Stats(self.schema, totals[None, :] - stacked, n_total - ns, centering)
-        return full, loo, len(ns), float(n_total)
+        if len(self._blocks) > 1:
+            self._blocks = [np.concatenate(self._blocks, axis=1)]
+            self._block_ns = [np.concatenate(self._block_ns)]
+        sums = self._blocks[0]                                 # (K, B)
+        ns = self._block_ns[0].astype(np.float64)              # (B,)
+        totals = sums.sum(axis=1)                              # (K,)
+        full = _Stats(self.schema, totals, ns.sum(), centering)
+        return full, _Stats(self.schema, sums, ns.sum() - ns, centering,
+                            totals=totals)
 
     def jackknife(self, fn, centering: str = "reference") -> JackknifeResult:
         """Leave-one-batch-out errors for an arbitrary composite statistic.
@@ -471,46 +493,30 @@ class MomentAccumulator:
         be written with numpy-broadcastable operations: it is evaluated once
         on scalars (full dataset) and once on (B,)-shaped replicate arrays.
         """
-        full, loo, b, _ = self._contexts(centering)
+        full, loo = self._contexts(centering)
+        b = self.n_batches
         value = np.atleast_1d(np.asarray(fn(full), dtype=np.complex128))
         reps = np.asarray(fn(loo), dtype=np.complex128)
         reps = reps.reshape(value.shape + (b,)) if reps.ndim == value.ndim else reps
-        se_re, se_im = _jack_se(value, reps, axis=-1)
+        se_re, se_im = _jack_se(reps)
         return JackknifeResult(value=value, std_error=se_re,
                                std_error_imag=se_im, n_batches=b)
 
     def finalize(self, centering: str = "reference",
                  label: str = "monte-carlo") -> MomentReport:
-        full, loo, b, n_total = self._contexts(centering)
-        low_conf = b < LOW_CONFIDENCE_BATCHES
+        full, loo = self._contexts(centering)
+        b = self.n_batches
         entries = {}
-        for tgt in self.schema.targets:
-            val = complex(np.asarray(full.target(tgt.name)).item())
-            reps = np.asarray(loo.target(tgt.name), dtype=np.complex128)
-            se_re, se_im = _jack_se(val, reps[None, :], axis=-1)
-            entries[tgt.name] = MomentEstimate(
-                value=val,
-                std_error=float(se_re[0]),
-                std_error_imag=float(se_im[0]),
-                n_batches=b,
-                low_confidence=low_conf,
-            )
-        return MomentReport(entries=entries, n_samples=int(n_total),
+        for name in self.schema.target_names():
+            se_re, se_im = _jack_se(loo.target(name))
+            entries[name] = MomentEstimate(
+                value=complex(full.target(name)), std_error=float(se_re),
+                std_error_imag=float(se_im), n_batches=b,
+                low_confidence=b < LOW_CONFIDENCE_BATCHES)
+        return MomentReport(entries=entries, n_samples=self.n_samples,
                             n_batches=b, centering=centering,
                             source=self, label=label,
                             params=self.schema.params)
-
-
-def _kahan_colsum(arr: np.ndarray) -> np.ndarray:
-    """Compensated column sums of a (B, K) complex array."""
-    s = np.zeros(arr.shape[1], dtype=np.complex128)
-    c = np.zeros(arr.shape[1], dtype=np.complex128)
-    for row in arr:
-        y = row - c
-        t = s + y
-        c = (t - s) - y
-        s = t
-    return s
 
 
 # -- spec-level free functions ------------------------------------------

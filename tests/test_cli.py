@@ -177,6 +177,13 @@ class TestRun:
         assert lines == ["tau,n_samples,lhs,rhs,ratio"]
         assert "unreliable" in capsys.readouterr().err
 
+    def test_too_few_trajectories_exits_2(self, tmp_path, capsys):
+        # one trajectory and no divergence: an input problem, as in compare
+        rc = run_main(["run", *FAST, "--n-trajectories", 1,
+                       "--n-samples-per-traj", 4, "--out-dir", tmp_path])
+        assert rc == 2
+        assert "at least 2 batches" in capsys.readouterr().err
+        assert not (tmp_path / "report.json").exists()
 
     def test_report_names_fallback_backend(self, tmp_path, monkeypatch):
         monkeypatch.setattr(_kernels, "get_stepper",
@@ -194,11 +201,12 @@ class TestSweep:
                        "--mu", "0.7", "--out-dir", tmp_path])
         assert rc == 0
         lines = (tmp_path / "sweep.csv").read_text().splitlines()
-        assert lines[0] == "mu,gamma_r,g,source,lhs,rhs,ratio,significance,verdict"
+        assert lines[0] == ("mu,gamma_r,g,source,lhs,rhs,ratio,significance,"
+                            "verdict,n_diverged,reliable")
         rows = [ln.split(",") for ln in lines[1:]]
-        assert [(r[1], r[3], r[8]) for r in rows] == [
-            ("100", "analytic", "violated"),
-            ("0.01", "analytic", "satisfied"),
+        assert [(r[1], r[3], r[8], r[9], r[10]) for r in rows] == [
+            ("100", "analytic", "violated", "0", "true"),
+            ("0.01", "analytic", "satisfied", "0", "true"),
         ]
         assert float(rows[0][6]) == pytest.approx(1.5230345115117114, rel=1e-9)
         assert float(rows[1][6]) == pytest.approx(0.68880480148245683, rel=1e-9)
@@ -227,6 +235,21 @@ class TestSweep:
                        "--out-dir", tmp_path])
         assert rc == 3
         assert "8/8 trajectories diverged" in capsys.readouterr().err
+
+    def test_mc_partly_diverged_writes_csv_and_exits_3(self, tmp_path, capsys):
+        # at g=0.5 a threshold of 1.2 cuts 1 of 16 signal excursions: an
+        # estimate remains, but more than 1% diverged
+        rc = run_main(["sweep", "--axis", "mu", "--values", "0.5",
+                       "--source", "both", *FAST, "--g", "0.5",
+                       "--n-trajectories", 16, "--n-samples-per-traj", 4,
+                       "--divergence-threshold", "1.2",
+                       "--out-dir", tmp_path])
+        assert rc == 3
+        lines = (tmp_path / "sweep.csv").read_text().splitlines()
+        rows = [ln.split(",") for ln in lines[1:]]
+        assert [(r[3], r[9], r[10]) for r in rows] == [
+            ("analytic", "0", "true"), ("mc", "1", "false")]
+        assert "mu=0.5: 1/16 diverged" in capsys.readouterr().err
 
     def test_empty_values_exits_2(self, tmp_path, capsys):
         rc = run_main(["sweep", "--axis", "mu", "--values", ",",

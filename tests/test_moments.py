@@ -210,6 +210,100 @@ class TestErrorBars:
                                                        rel=1e-10, abs=1e-16)
 
 
+def opo_cube(seed, n_batches, n_samples):
+    params = ModelParams(mu=0.4, gamma_r=2.5, g=0.3)
+    rng = np.random.default_rng(seed)
+    shape = (6, n_batches, n_samples)
+    states = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    return params, state_channels(states, params)
+
+
+def cs_parts(st):
+    """A composite of several targets, as cs_test hands to jackknife."""
+    q, p, t = (st.target(n) for n in ("amp_n1n2", "amp_n0", "amp_triple"))
+    return np.stack([q.real * p.real + 0j, t * t.conjugate(), st.target("s")])
+
+
+class TestBatchStore:
+    def test_totals_match_fsum_on_large_offset_stream(self):
+        # 1e5 batches around 1e8 (real) and -3e7 (imag): pairwise totals
+        # stay within a few ulp of the exact sum, where a row-by-row sum
+        # is off by about 9e-15 relative on this stream
+        rng = np.random.default_rng(271)
+        b, n = 100_000, 4
+        u = (1e8 + rng.standard_normal((b, n))
+             + 1j * (-3e7 + rng.standard_normal((b, n))))
+        t = TargetSpec
+        schema = MomentSchema(
+            channels=(ChannelSpec("u"),),
+            targets=(t("m1", ((1, ("u",)),), apply_shift=False),
+                     t("m2", ((1, ("u", "u")),), apply_shift=False)))
+        rep = MomentAccumulator(schema).add_batches(u[None]).finalize("none")
+        rtol = 4 * np.finfo(np.float64).eps
+        for name, prod in (("m1", u), ("m2", u * u)):
+            batch_sums = prod.sum(axis=1)
+            got = rep[name].value
+            for part, want in ((got.real, math.fsum(batch_sums.real)),
+                               (got.imag, math.fsum(batch_sums.imag))):
+                want /= b * n
+                assert abs(part - want) <= rtol * abs(want), name
+
+    def test_arrival_order_is_bitwise_invisible(self):
+        params, cube = opo_cube(277, 520, 3)
+        schema = opo_schema(params)
+        whole = MomentAccumulator(schema).add_batches(cube)
+        sliced = MomentAccumulator(schema)
+        for lo in range(0, 520, 256):
+            sliced.add_batches(cube[:, lo:lo + 256])
+        single = MomentAccumulator(schema)
+        for j in range(520):
+            single.add_batch(cube[:, j])
+        bounds = np.linspace(0, 520, 9).astype(int)
+        shards = [MomentAccumulator(schema).add_batches(cube[:, lo:hi])
+                  for lo, hi in zip(bounds[:-1], bounds[1:])]
+        merged = shards[0]
+        for other in shards[1:]:
+            merged = merge(merged, other)
+        for mode in ("reference", "sample", "none", "raw"):
+            want = finalize(whole, mode)
+            jk = whole.jackknife(cs_parts, centering=mode)
+            for acc in (sliced, single, merged):
+                got = finalize(acc, mode)
+                assert got.n_batches == 520 and got.n_samples == 1560
+                for name in schema.target_names():
+                    a, b = got[name], want[name]
+                    assert (a.value, a.std_error, a.std_error_imag) == (
+                        b.value, b.std_error, b.std_error_imag), (mode, name)
+                other = acc.jackknife(cs_parts, centering=mode)
+                for field in ("value", "std_error", "std_error_imag"):
+                    assert np.array_equal(getattr(other, field),
+                                          getattr(jk, field)), (mode, field)
+
+    def test_merge_shares_no_mutable_state(self):
+        params, cube = opo_cube(281, 90, 4)
+        schema = opo_schema(params)
+
+        def build(lo, hi):
+            acc = MomentAccumulator(schema)
+            for start in range(lo, hi, 16):
+                acc.add_batches(cube[:, start:min(start + 16, hi)])
+            return acc
+
+        a, b = build(0, 50), build(50, 90)
+        m = merge(a, b)
+        assert finalize(m).n_batches == 90
+        m.add_batches(cube[:, :8])
+        assert finalize(m).n_batches == 98
+        a.add_batches(cube[:, :8])
+        assert m.n_batches == 98
+        assert (a.n_batches, b.n_batches) == (58, 40)
+        for acc, twin in ((a, build(0, 50).add_batches(cube[:, :8])),
+                          (b, build(50, 90))):
+            got, want = finalize(acc), finalize(twin)
+            for name in schema.target_names():
+                assert got[name] == want[name], name
+
+
 class TestCentering:
     def test_modes_against_direct_evaluation(self):
         rng = np.random.default_rng(251)
