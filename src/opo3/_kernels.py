@@ -13,6 +13,15 @@ four columns combine into the correlated complex increments
 dw1 = w0 + i*w1, dw2 = w0 - i*w1, dw1p = w2 + i*w3, dw2p = w2 - i*w3,
 so <dw1 dw2> = <dw1p dw2p> = dt and all other second moments vanish.
 
+Noise source: both kernels accept such a buffer (`integrate_batch` fills
+one from caller-supplied normals).  For ensemble runs the C kernel instead
+draws each live trajectory's chunk of normals itself, straight from that
+trajectory's PCG64 (`_draw_chunk_step_c`), through numpy's own
+`random_standard_normal_fill`, the routine `Generator.standard_normal`
+runs, and scales them with the same single multiply; the draws, and so
+the results, are bit-for-bit those of the buffer path, and no per-block
+noise buffer is allocated.
+
 The pump advances through a factored one-step map
     a0 <- m + (a0 - m) * e_pump + phi_pump * (-eps * a1 * a2)
 with (e_pump, phi_pump) = (1 - gamma_r*dt, dt) for the plain Euler scheme
@@ -26,10 +35,13 @@ last good state, marked dead, and its global step index recorded.
 
 The C kernel is built with -fcx-limited-range and -ffp-contract=off, so its
 complex products use numpy's textbook formula without fused multiply-adds;
-the two kernels agree to rounding, not bit for bit.  The shared library is
-cached under $XDG_CACHE_HOME/opo3 (else ~/.cache/opo3, else a per-user
-directory in the system temporary directory), keyed by a hash of the
-source, the flags and `cc --version`.
+the two kernels agree to rounding, not bit for bit.  It is linked against
+the static `random/lib/libnpyrandom.a` that numpy wheels ship, with
+-Wl,--exclude-libs,ALL so the library exports none of numpy's symbols; a
+missing archive counts as a failed build.  The shared library is cached
+under $XDG_CACHE_HOME/opo3 (else ~/.cache/opo3, else a per-user directory
+in the system temporary directory), keyed by a hash of the source, the
+flags, `cc --version` and the numpy version.
 """
 
 from __future__ import annotations
@@ -49,6 +61,13 @@ import numpy as np
 _C_SOURCE = r"""
 #include <complex.h>
 #include <stdint.h>
+#include <stdlib.h>
+
+/* numpy's bit-generator interface, used only through pointers, and the
+   sampler behind Generator.standard_normal (numpy's libnpyrandom.a) */
+typedef struct bitgen bitgen_t;
+void random_standard_normal_fill(bitgen_t *bitgen_state, intptr_t cnt,
+                                 double *out);
 
 static int inside(double complex z, double thr2)
 {
@@ -56,18 +75,36 @@ static int inside(double complex z, double thr2)
     return re * re + im * im <= thr2;   /* false for NaN and inf */
 }
 
-void opo3_chunk_step(double complex *state, const double *w, uint8_t *alive,
-                     int64_t *first_bad, int64_t nb, int64_t n_steps,
-                     double eps, double m_pump, double dt, double e_pump,
-                     double phi_pump, double thr2, int64_t step0)
+/* With gens NULL the noise is read from w, (nb, n_steps, 4) and already
+   scaled; otherwise trajectory j draws its n_steps*4 normals from gens[j]
+   and scales them by `scale`.  Returns -1 when the scratch cannot be had. */
+int opo3_chunk_step(double complex *state, const double *w, bitgen_t **gens,
+                    double scale, uint8_t *alive, int64_t *first_bad,
+                    int64_t nb, int64_t n_steps, double eps, double m_pump,
+                    double dt, double e_pump, double phi_pump, double thr2,
+                    int64_t step0)
 {
+    double *drawn = NULL;
+    if (gens) {
+        drawn = malloc(n_steps * 4 * sizeof(double));
+        if (!drawn)
+            return -1;
+    }
     for (int64_t j = 0; j < nb; j++) {
         if (!alive[j])
             continue;
+        const double *wj;
+        if (gens) {
+            random_standard_normal_fill(gens[j], n_steps * 4, drawn);
+            for (int64_t i = 0; i < n_steps * 4; i++)
+                drawn[i] *= scale;
+            wj = drawn;
+        } else {
+            wj = w + j * n_steps * 4;
+        }
         double complex a0 = state[j], a1 = state[nb + j],
                        a2 = state[2 * nb + j], a0p = state[3 * nb + j],
                        a1p = state[4 * nb + j], a2p = state[5 * nb + j];
-        const double *wj = w + j * n_steps * 4;
         for (int64_t c = 0; c < n_steps; c++) {
             const double *wc = wj + 4 * c;
             double complex dw1 = CMPLX(wc[0], wc[1]), dw2 = CMPLX(wc[0], -wc[1]);
@@ -94,12 +131,16 @@ void opo3_chunk_step(double complex *state, const double *w, uint8_t *alive,
         state[3 * nb + j] = a0p; state[4 * nb + j] = a1p;
         state[5 * nb + j] = a2p;
     }
+    free(drawn);
+    return 0;
 }
 """
 
 # no -ffast-math or -march=native: the kernel must round like numpy does
 _C_FLAGS = ("-O2", "-fPIC", "-shared", "-fcx-limited-range",
             "-ffp-contract=off")
+# numpy wheels ship libnpyrandom.a under random/lib for C extensions
+_NUMPY_DIR = Path(np.__file__).parent
 
 
 def _chunk_step_numpy(state, w, alive, first_bad, eps, m_pump, dt,
@@ -142,6 +183,41 @@ def _chunk_step_numpy(state, w, alive, first_bad, eps, m_pump, dt,
 
 def _chunk_step_c(state, w, alive, first_bad, eps, m_pump, dt,
                   e_pump, phi_pump, thr2, step0):
+    if not (w.dtype == np.float64 and w.ndim == 3 and w.shape[0] == len(alive)
+            and w.shape[2] == 4 and w.flags.c_contiguous):
+        raise ValueError("w must be a C-contiguous float64 (B, n_steps, 4) array")
+    _call_c(state, w.ctypes.data, None, 1.0, alive, first_bad, w.shape[1],
+            eps, m_pump, dt, e_pump, phi_pump, thr2, step0)
+
+
+class BitGenerators:
+    """The bit generators behind a block's Generators, as C pointers.
+
+    Holds the Generators too: the pointers are valid only while they live.
+    """
+
+    def __init__(self, rngs):
+        self.rngs = list(rngs)
+        self.pointers = (ctypes.c_void_p * len(self.rngs))(
+            *(rng.bit_generator.ctypes.bit_generator.value
+              for rng in self.rngs))
+
+
+def _draw_chunk_step_c(state, gens, n_steps, scale, alive, first_bad, eps,
+                       m_pump, dt, e_pump, phi_pump, thr2, step0):
+    """`_chunk_step_c` drawing its noise inside the kernel: each live
+    trajectory j takes n_steps*4 normals from gens.rngs[j], exactly what
+    gens.rngs[j].standard_normal((n_steps, 4)) * scale would give it."""
+    if len(gens.pointers) != len(alive):
+        raise ValueError("need one generator per trajectory")
+    if n_steps < 1:
+        raise ValueError("n_steps must be positive")
+    _call_c(state, None, gens.pointers, scale, alive, first_bad, n_steps,
+            eps, m_pump, dt, e_pump, phi_pump, thr2, step0)
+
+
+def _call_c(state, w_ptr, gens_ptr, scale, alive, first_bad, n_steps, eps,
+            m_pump, dt, e_pump, phi_pump, thr2, step0):
     fn = _c_function()
     if fn is None:
         raise RuntimeError("the C step kernel is not available")
@@ -150,9 +226,6 @@ def _chunk_step_c(state, w, alive, first_bad, eps, m_pump, dt,
     if not (state.dtype == np.complex128 and state.shape == (6, nb)
             and state.flags.c_contiguous):
         raise ValueError("state must be a C-contiguous complex128 (6, B) array")
-    if not (w.dtype == np.float64 and w.ndim == 3 and w.shape[0] == nb
-            and w.shape[2] == 4 and w.flags.c_contiguous):
-        raise ValueError("w must be a C-contiguous float64 (B, n_steps, 4) array")
     if not (alive.dtype == np.bool_ and first_bad.dtype == np.int64
             and alive.shape == first_bad.shape == (nb,)
             and alive.flags.c_contiguous and first_bad.flags.c_contiguous):
@@ -161,9 +234,10 @@ def _chunk_step_c(state, w, alive, first_bad, eps, m_pump, dt,
     if not (state.flags.writeable and alive.flags.writeable
             and first_bad.flags.writeable):
         raise ValueError("state, alive and first_bad must be writeable")
-    fn(state.ctypes.data, w.ctypes.data, alive.ctypes.data,
-       first_bad.ctypes.data, nb, w.shape[1], eps, m_pump, dt, e_pump,
-       phi_pump, thr2, step0)
+    if fn(state.ctypes.data, w_ptr, gens_ptr, scale, alive.ctypes.data,
+          first_bad.ctypes.data, nb, n_steps, eps, m_pump, dt, e_pump,
+          phi_pump, thr2, step0) != 0:
+        raise MemoryError("no memory for the C kernel's noise scratch")
 
 
 class _BuildError(Exception):
@@ -203,12 +277,16 @@ def _compiled_library() -> Path:
     cc = shutil.which("cc")
     if cc is None:
         raise _BuildError("no C compiler (cc) on PATH")
+    archive = _NUMPY_DIR / "random" / "lib" / "libnpyrandom.a"
+    if not archive.is_file():
+        raise _BuildError(f"numpy's {archive.name} not found at {archive}")
     version = subprocess.run([cc, "--version"], capture_output=True,
                              text=True, timeout=60, check=True).stdout
     # crc32, not hashlib: importing hashlib loads OpenSSL, about 3 MB of
     # resident memory in every process that integrates
     key = "".join(f"{zlib.crc32(part.encode()):08x}"
-                  for part in (_C_SOURCE, " ".join(_C_FLAGS), version))
+                  for part in (_C_SOURCE, " ".join(_C_FLAGS), version,
+                               np.__version__))
     cache = _cache_dir()
     lib = cache / f"chunk_step_{key}.so"
     if lib.is_file():
@@ -217,7 +295,8 @@ def _compiled_library() -> Path:
     os.close(fd)
     try:
         proc = subprocess.run(
-            [cc, *_C_FLAGS, "-x", "c", "-", "-o", tmp, "-lm"],
+            [cc, *_C_FLAGS, "-x", "c", "-", "-x", "none", str(archive),
+             "-o", tmp, "-lm", "-Wl,--exclude-libs,ALL"],
             input=_C_SOURCE, capture_output=True, text=True, timeout=300)
         if proc.returncode != 0:
             raise _BuildError(f"cc failed: {proc.stderr.strip()[:500]}")
@@ -240,9 +319,10 @@ def _c_function():
                       stacklevel=2)
         return None
     fn = lib.opo3_chunk_step
-    fn.argtypes = ([ctypes.c_void_p] * 4 + [ctypes.c_int64] * 2
+    fn.argtypes = ([ctypes.c_void_p] * 3 + [ctypes.c_double]
+                   + [ctypes.c_void_p] * 2 + [ctypes.c_int64] * 2
                    + [ctypes.c_double] * 6 + [ctypes.c_int64])
-    fn.restype = None
+    fn.restype = ctypes.c_int
     return fn
 
 

@@ -21,7 +21,6 @@ from __future__ import annotations
 import math
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,7 +36,7 @@ from .model import (
 from .moments import MomentAccumulator, opo_schema, state_channels
 
 BLOCK_SIZE = 256          # trajectories per work unit; results do not depend on it
-CHUNK_STEPS = 1024        # steps per noise buffer
+CHUNK_STEPS = 1024        # steps per kernel call
 DT_CEILING = 0.05         # dt * max(1, gamma_r) must not exceed this
 MAX_DIVERGED_FRACTION = 0.01
 
@@ -244,6 +243,13 @@ def _run_block(params: ModelParams, rcfg: ResolvedConfig, traj_indices,
     cube = np.empty((12, nb, n), dtype=np.complex128)
     sample_at = rcfg.sample_steps()
 
+    # the C kernel draws each trajectory's normals itself, the same draws
+    # in the same order as the numpy kernel's buffer fill below
+    gens = (_kernels.BitGenerators(rngs)
+            if stepper is _kernels._chunk_step_c else None)
+    kernel_args = (params.eps, m_pump, rcfg.dt, rcfg.e_pump, rcfg.phi_pump,
+                   thr2)
+
     step = 0
     next_sample = 0
     w = None
@@ -253,13 +259,16 @@ def _run_block(params: ModelParams, rcfg: ResolvedConfig, traj_indices,
             stop = int(sample_at[next_sample])
         while step < stop:
             c = min(CHUNK_STEPS, stop - step)
-            if w is None or w.shape[1] != c:
-                w = np.empty((nb, c, 4), dtype=np.float64)
-            for j, rng in enumerate(rngs):
-                rng.standard_normal(out=w[j])
-            w *= scale
-            stepper(state, w, alive, first_bad, params.eps, m_pump, rcfg.dt,
-                    rcfg.e_pump, rcfg.phi_pump, thr2, step)
+            if gens is not None:
+                _kernels._draw_chunk_step_c(state, gens, c, scale, alive,
+                                            first_bad, *kernel_args, step)
+            else:
+                if w is None or w.shape[1] != c:
+                    w = np.empty((nb, c, 4), dtype=np.float64)
+                for j, rng in enumerate(rngs):
+                    rng.standard_normal(out=w[j])
+                w *= scale
+                stepper(state, w, alive, first_bad, *kernel_args, step)
             step += c
         if next_sample < n and step == int(sample_at[next_sample]):
             # dead trajectories may hold non-finite frozen states; their
@@ -377,6 +386,9 @@ def run_ensemble(params: ModelParams, config: SimConfig, workers: int | None = N
     payloads = [(params, rcfg, idxs, initial_state) for idxs in blocks]
 
     if workers > 1 and len(blocks) > 1:
+        # imported here: multiprocessing costs every one-worker run start-up
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_block_payload, payloads))
     else:

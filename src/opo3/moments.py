@@ -333,12 +333,15 @@ class MomentAccumulator:
         return values - centers.reshape((-1,) + (1,) * (values.ndim - 1))
 
     def _key_products(self, centered: np.ndarray) -> list:
+        # each key extends its prefix, which is a key listed before it, by
+        # one channel: the left-to-right product with one multiply per key
+        key_index = self.schema._key_index
         out = []
         for key in self.schema.key_order:
-            prod = centered[key[0]]
-            for idx in key[1:]:
-                prod = prod * centered[idx]
-            out.append(prod)
+            if len(key) == 1:
+                out.append(centered[key[0]])
+            else:
+                out.append(out[key_index[key[:-1]]] * centered[key[-1]])
         return out
 
     def _append_block(self, values: np.ndarray) -> list:

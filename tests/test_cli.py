@@ -316,6 +316,19 @@ class TestEntryPoints:
         assert out.returncode == 2
         assert "bad value for dt" in out.stderr
 
+    def test_one_worker_run_leaves_multiprocessing_unimported(self):
+        # the process pool is imported only when a run asks for workers, so
+        # a one-worker run does not pay for loading multiprocessing
+        code = ("import sys, opo3\n"
+                "opo3.simulate_trajectory(opo3.ModelParams(0.5, 1.0, 0.05), "
+                "opo3.SimConfig(dt=0.05, burn_in=20.0, sample_interval=2.0, "
+                "n_samples_per_traj=1, n_trajectories=1))\n"
+                "print('multiprocessing' in sys.modules)")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                             text=True, env=package_env())
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip() == "False"
+
     def test_console_script_version(self):
         # The `opo3` executable exists only after a pip install; from a
         # checkout, check the declared entry point and run it the way

@@ -1,6 +1,7 @@
 """Stochastic integration engine: noise statistics, exact stepping algebra,
 determinism, divergence handling, stationarity, and weak convergence."""
 
+import ctypes
 import math
 import shutil
 import warnings
@@ -15,6 +16,7 @@ from opo3 import (
     SimConfig,
     ValidityError,
     _kernels,
+    engine,
     fixed_point,
     integrate_batch,
     ou_covariances,
@@ -321,6 +323,10 @@ class TestKernels:
         with pytest.raises(ValueError, match="alive and first_bad"):
             _kernels._chunk_step_c(state, w, alive.astype(np.int64),
                                    first_bad, *scalars)
+        gens = _kernels.BitGenerators([np.random.default_rng(0)] * 2)
+        with pytest.raises(ValueError, match="one generator per trajectory"):
+            _kernels._draw_chunk_step_c(state, gens, 5, 0.1, alive,
+                                        first_bad, *scalars)
 
     @pytest.mark.parametrize("bad", [math.inf, math.nan])
     def test_numpy_kernel_quiet_on_non_finite_state(self, monkeypatch, bad):
@@ -334,6 +340,52 @@ class TestKernels:
             tr = simulate_trajectory(params, cfg, initial_state=PhaseSpaceState(
                 bad, 0, 0, 0, 0, 0))
         assert tr.diverged and tr.first_bad_step == 0
+
+    @needs_cc
+    def test_kernel_draws_match_standard_normal_feed(self):
+        # the C kernel draws each trajectory's normals from its own stream;
+        # that must equal integrate_batch fed rng.standard_normal on the same
+        # streams, through a burn-in of two chunks and a trajectory (#4)
+        # that crosses the low threshold at step 1200, mid-chunk
+        params = ModelParams(0.5, 1.0, 0.3)
+        cfg = SimConfig(dt=0.01, burn_in=20.0, sample_interval=2.0,
+                        n_samples_per_traj=1, n_trajectories=8,
+                        master_seed=31, divergence_threshold=1.248)
+        rcfg = cfg.resolve(params)
+        assert rcfg.burn_steps > engine.CHUNK_STEPS
+        assert _kernels.get_stepper() is _kernels._chunk_step_c
+        cube, alive, first_bad = engine._run_block(params, rcfg, range(8))
+        normals = np.stack([engine._traj_rng(31, j).standard_normal(
+            (rcfg.total_steps, 4)) for j in range(8)], axis=2)
+        start = np.repeat(fixed_point(params).as_array()[:, None], 8, axis=1)
+        state, want_alive, want_bad = integrate_batch(
+            params, rcfg.dt, normals, start, rcfg.divergence_threshold)
+        np.testing.assert_array_equal(first_bad, [-1] * 4 + [1200] + [-1] * 3)
+        np.testing.assert_array_equal(alive, want_alive)
+        np.testing.assert_array_equal(first_bad, want_bad)
+        # channels 6..11 are a0, a0p, a1, a1p, a2, a2p
+        np.testing.assert_array_equal(cube[6:, alive, 0],
+                                      state[[0, 3, 1, 4, 2, 5]][:, alive])
+
+    @needs_cc
+    def test_library_keeps_numpy_sampler_private(self):
+        lib = ctypes.CDLL(str(_kernels._compiled_library()))
+        assert hasattr(lib, "opo3_chunk_step")
+        assert not hasattr(lib, "random_standard_normal_fill")
+
+    @needs_cc
+    def test_missing_npyrandom_falls_back_once(self, monkeypatch, tmp_path):
+        # without numpy's libnpyrandom.a the C kernel cannot draw its noise
+        monkeypatch.setattr(_kernels, "_NUMPY_DIR", tmp_path)
+        _kernels._c_function.cache_clear()
+        try:
+            with pytest.warns(RuntimeWarning,
+                              match="libnpyrandom.a not found") as record:
+                assert _kernels.get_stepper() is _kernels._chunk_step_numpy
+                assert _kernels.get_stepper() is _kernels._chunk_step_numpy
+            assert len(record) == 1
+        finally:
+            _kernels._c_function.cache_clear()
 
     @needs_cc
     def test_library_cached_under_xdg_cache_home(self, monkeypatch, tmp_path):

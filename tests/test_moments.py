@@ -248,6 +248,19 @@ class TestBatchStore:
                 want /= b * n
                 assert abs(part - want) <= rtol * abs(want), name
 
+    def test_key_sums_equal_left_to_right_products(self):
+        # keys are built from their prefixes; the block sums must still be
+        # bitwise the sums of each key's channels multiplied left to right
+        params, cube = opo_cube(281, 40, 5)
+        acc = MomentAccumulator(opo_schema(params)).add_batches(cube)
+        centered = acc._center_values(cube)
+        (block,) = acc._blocks
+        for k, key in enumerate(acc.schema.key_order):
+            prod = centered[key[0]]
+            for idx in key[1:]:
+                prod = prod * centered[idx]
+            np.testing.assert_array_equal(block[k], prod.sum(axis=1))
+
     def test_arrival_order_is_bitwise_invisible(self):
         params, cube = opo_cube(277, 520, 3)
         schema = opo_schema(params)
