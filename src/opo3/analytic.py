@@ -266,7 +266,6 @@ def analytic_moment_report(params: ModelParams):
         n_samples=0,
         n_batches=0,
         centering="reference",
-        source=None,
         label="analytic",
         params=params,
     )

@@ -30,6 +30,7 @@ from . import __version__
 from .analytic import analytic_moment_report, cs_sides_analytic
 from .criteria import (
     PARTITIONS,
+    check_sigma_threshold,
     cs_running_average,
     cs_test,
     pair_audit,
@@ -37,7 +38,7 @@ from .criteria import (
     separability_witness,
 )
 from .engine import SimConfig, run_ensemble
-from .model import DomainError, ModelParams, ValidityError
+from .model import ModelParams
 from .moments import NoSamplesError
 
 
@@ -149,6 +150,7 @@ def build_runspec(args: argparse.Namespace) -> RunSpec:
         overrides["master_seed"] = int(args.seed)
     if overrides:
         spec = replace(spec, **overrides)
+    check_sigma_threshold(spec.sigma_threshold)
     return spec
 
 
@@ -443,10 +445,7 @@ def main(argv=None) -> int:
     except UnreliableRunError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_UNRELIABLE
-    except (CliError, DomainError, ValidityError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    except ValueError as exc:
+    except ValueError as exc:    # CliError and the model's input errors
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
 

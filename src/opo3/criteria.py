@@ -36,24 +36,35 @@ PARTITIONS = {
 }
 
 
+def check_sigma_threshold(value) -> float:
+    """The verdict threshold k as a float; it must be finite and > 0."""
+    k = float(value)
+    if not 0.0 < k < math.inf:
+        raise ValueError(f"sigma_threshold must be positive and finite, "
+                         f"got {value!r}")
+    return k
+
+
 def _significance(margin: float, se: float) -> float:
     if se > 0:
         return margin / se
     return 0.0 if margin == 0.0 else math.copysign(math.inf, margin)
 
 
-def _verdict(margin: float, se: float, k: float) -> str:
-    if se > 0:
-        if margin > k * se:
-            return VIOLATED
-        if margin < -k * se:
-            return SATISFIED
-        return INCONCLUSIVE
-    if margin > 0:
+def _verdict(significance: float, k: float) -> str:
+    if significance > k:
         return VIOLATED
-    if margin < 0:
+    if significance < -k:
         return SATISFIED
     return INCONCLUSIVE
+
+
+def _cs_sides(st, partition: str):
+    """lhs = <n_i n_j><n_k> and rhs = |<a_i a_j a_k>|^2 from a context's
+    targets; numpy-broadcastable, so replicate and running arrays work."""
+    qname, pname = PARTITIONS[partition]
+    q, p, t = (st.target(n) for n in (qname, pname, "amp_triple"))
+    return q.real * p.real, t.real ** 2 + t.imag ** 2
 
 
 @dataclass(frozen=True)
@@ -109,24 +120,48 @@ def cs_test(moments: MomentReport, partition: str = "0|12",
     """Generalized Cauchy-Schwarz test <n_i n_j><n_k> >= |<a_i a_j a_k>|^2.
 
     The partition names which mode plays the lone role; all moments are of
-    centered fluctuations.  With an attached accumulator the errors of the
-    composite quantities come from leave-one-trajectory-out jackknife;
-    otherwise from independent-error propagation of the stored entries.
+    centered fluctuations.  The sides, margin, ratio, lambda and the
+    quadrature cross-check are stated once, as one composite of the
+    report's targets.  Their errors come from leave-one-trajectory-out
+    jackknife over the batches the report was finalized on; a report
+    without batch data (analytic) gives exact values with zero errors and
+    raises ValueError if a used entry carries a nonzero error.
     """
     if partition not in PARTITIONS:
         raise ValueError(f"unknown partition {partition!r}; "
                          f"choose from {sorted(PARTITIONS)}")
-    qname, pname = PARTITIONS[partition]
-    quart = moments[qname]
-    pair = moments[pname]
-    tri = moments["amp_triple"]
-    has_conj = "amp_triple_conj" in moments
-    k = float(sigma_threshold)
-    name = f"cauchy-schwarz {partition}"
+    k = check_sigma_threshold(sigma_threshold)
+    pname = PARTITIONS[partition][1]
+    has_lambda = "amp_triple_conj" in moments and moments[pname].value != 0
+    can_cross = (partition == "0|12" and "s" in moments
+                 and moments.params is not None)
+    if can_cross:
+        cross_denom = 128.0 * moments.params.gamma_r * moments.params.g ** 6
 
-    lhs0 = quart.value.real * pair.value.real
-    rhs0 = abs(tri.value) ** 2
-    if lhs0 == 0.0 and rhs0 == 0.0:
+    def fn(st):
+        lhs, rhs = _cs_sides(st, partition)
+        margin = rhs - lhs
+        # np.divide: on exact (Python float) values a zero lhs gives inf
+        # rather than raising; has_lambda keeps an exact pair moment nonzero
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio = np.divide(rhs, lhs)
+            lam = (st.target("amp_triple_conj") / st.target(pname)
+                   if has_lambda else margin * 0.0)
+        # rhs rebuilt from the quadrature triple sum (mapping identity);
+        # the two estimators agree in expectation, differ by noise
+        if can_cross:
+            diff = rhs - st.target("s").real ** 2 / cross_denom
+        else:
+            diff = margin * 0.0
+        return [lhs + 0j, rhs + 0j, margin + 0j, ratio + 0j, lam + 0j,
+                diff + 0j]
+
+    jk = moments.jackknife(fn)
+    lhs, rhs, margin, ratio = (float(v.real) for v in jk.value[:4])
+    lhs_se, rhs_se, margin_se, ratio_se = (float(s) for s in jk.std_error[:4])
+
+    name = f"cauchy-schwarz {partition}"
+    if lhs == 0.0 and rhs == 0.0:
         return CriterionReport(
             name=name, partition=partition, lhs=0.0, rhs=0.0,
             lhs_std_error=0.0, rhs_std_error=0.0, ratio=None,
@@ -136,85 +171,23 @@ def cs_test(moments: MomentReport, partition: str = "0|12",
             n_batches=moments.n_batches,
         )
 
-    can_cross = (partition == "0|12" and "s" in moments
-                 and moments.params is not None)
-    if can_cross:
-        cross_denom = 128.0 * moments.params.gamma_r * moments.params.g ** 6
-
-    if moments.source is not None:
-        def fn(st):
-            q = st.target(qname)
-            p = st.target(pname)
-            t = st.target("amp_triple")
-            lhs = q.real * p.real
-            rhs = t.real ** 2 + t.imag ** 2
-            margin = rhs - lhs
-            with np.errstate(divide="ignore", invalid="ignore"):
-                ratio = rhs / lhs
-            if has_conj:
-                lam = st.target("amp_triple_conj") / p
-            else:
-                lam = margin * 0.0
-            # rhs rebuilt from the quadrature triple sum (mapping identity);
-            # the two estimators agree in expectation, differ by noise
-            if can_cross:
-                diff = rhs - st.target("s").real ** 2 / cross_denom
-            else:
-                diff = margin * 0.0
-            return np.stack([lhs + 0j, rhs + 0j, margin + 0j,
-                             ratio + 0j, lam + 0j, diff + 0j])
-
-        jk = moments.source.jackknife(fn, centering=moments.centering)
-        lhs, rhs, margin, ratio_v, lam, cross_diff = (complex(v)
-                                                      for v in jk.value)
-        lhs, rhs, margin = lhs.real, rhs.real, margin.real
-        lhs_se, rhs_se, margin_se, ratio_se = (float(s) for s in
-                                               jk.std_error[:4])
-        cross_diff_se = float(jk.std_error[5])
-        ratio = float(ratio_v.real) if lhs != 0.0 else None
-        lambda_opt = lam if has_conj else None
-    else:
-        qr, pr = quart.value.real, pair.value.real
-        lhs = qr * pr
-        lhs_se = math.hypot(quart.std_error * pr, pair.std_error * qr)
-        tr, ti = tri.value.real, tri.value.imag
-        rhs = tr * tr + ti * ti
-        rhs_se = 2.0 * math.hypot(tr * tri.std_error, ti * tri.std_error_imag)
-        margin = rhs - lhs
-        margin_se = math.hypot(lhs_se, rhs_se)
-        if lhs != 0.0:
-            ratio = rhs / lhs
-            ratio_se = abs(ratio) * math.hypot(
-                rhs_se / rhs if rhs != 0.0 else 0.0, lhs_se / lhs)
-        else:
-            ratio, ratio_se = None, 0.0
-        if has_conj and pair.value != 0:
-            lambda_opt = moments["amp_triple_conj"].value / pair.value
-        else:
-            lambda_opt = None
-        if can_cross:
-            s_est = moments["s"]
-            cross_diff = rhs - s_est.value.real ** 2 / cross_denom
-            cross_diff_se = math.hypot(
-                rhs_se, 2.0 * abs(s_est.value.real) * s_est.std_error
-                / cross_denom)
-
+    significance = _significance(margin, margin_se)
     cross_rhs, cross_ok = None, None
     if can_cross:
-        cross_rhs = rhs - float(np.real(cross_diff))
-        tol = max(k * cross_diff_se,
+        cross_diff = float(jk.value[5].real)
+        cross_rhs = rhs - cross_diff
+        tol = max(k * float(jk.std_error[5]),
                   1e-9 * max(abs(rhs), abs(cross_rhs)), 1e-300)
-        cross_ok = bool(abs(np.real(cross_diff)) <= tol)
+        cross_ok = bool(abs(cross_diff) <= tol)
 
     return CriterionReport(
-        name=name, partition=partition,
-        lhs=float(lhs), rhs=float(rhs),
-        lhs_std_error=float(lhs_se), rhs_std_error=float(rhs_se),
-        ratio=ratio, ratio_std_error=float(ratio_se),
-        margin=float(margin), margin_std_error=float(margin_se),
-        significance=_significance(float(margin), float(margin_se)),
-        verdict=_verdict(float(margin), float(margin_se), k),
-        lambda_opt=lambda_opt, sigma_threshold=k,
+        name=name, partition=partition, lhs=lhs, rhs=rhs,
+        lhs_std_error=lhs_se, rhs_std_error=rhs_se,
+        ratio=ratio if lhs != 0.0 else None, ratio_std_error=ratio_se,
+        margin=margin, margin_std_error=margin_se,
+        significance=significance, verdict=_verdict(significance, k),
+        lambda_opt=complex(jk.value[4]) if has_lambda else None,
+        sigma_threshold=k,
         n_samples=moments.n_samples, n_batches=moments.n_batches,
         cross_check_rhs=cross_rhs, cross_check_consistent=cross_ok,
     )
@@ -260,6 +233,7 @@ def _as_estimate(obj, name):
 
 def separability_witness(triples, sigma_threshold: float = 3.0) -> WitnessResult:
     """Check t1..t4 against zero; all nonzero at k sigma excludes separability."""
+    k = check_sigma_threshold(sigma_threshold)
     names = ("t1", "t2", "t3", "t4")
     if isinstance(triples, MomentReport):
         ests = [triples[n] for n in names]
@@ -270,7 +244,6 @@ def separability_witness(triples, sigma_threshold: float = 3.0) -> WitnessResult
         if len(seq) != 4:
             raise ValueError("need exactly four triple estimates")
         ests = [_as_estimate(e, n) for e, n in zip(seq, names)]
-    k = float(sigma_threshold)
     rows = []
     all_nonzero = True
     for n, e in zip(names, ests):
@@ -314,8 +287,8 @@ class AuditResult:
 
 def pair_audit(moments: MomentReport, sigma_threshold: float = 3.0) -> AuditResult:
     """Test the pump-signal quadrature covariances for consistency with zero."""
+    k = check_sigma_threshold(sigma_threshold)
     names = ("cov_x0_x", "cov_x0_y", "cov_y0_x", "cov_y0_y")
-    k = float(sigma_threshold)
     rows = []
     worst = 0.0
     all_ok = True
@@ -360,9 +333,9 @@ class OddMomentResult:
 
 def pump_odd_moment(moments: MomentReport, sigma_threshold: float = 3.0) -> OddMomentResult:
     """Gaussianity diagnostic: <(Delta x0)^3> with significance against zero."""
+    k = check_sigma_threshold(sigma_threshold)
     e = moments["skew_x0"]
     v = e.value.real
-    k = float(sigma_threshold)
     sig = abs(_significance(v, e.std_error))
     non_gaussian = sig >= k
     return OddMomentResult(
@@ -383,13 +356,8 @@ def cs_running_average(result, partition: str = "0|12",
     """
     if partition not in PARTITIONS:
         raise ValueError(f"unknown partition {partition!r}")
-    qname, pname = PARTITIONS[partition]
     st = result.moments.running_stats(centering)
-    q = st.target(qname)
-    p = st.target(pname)
-    t = st.target("amp_triple")
-    lhs = q.real * p.real
-    rhs = t.real ** 2 + t.imag ** 2
+    lhs, rhs = _cs_sides(st, partition)
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = np.where(lhs != 0.0, rhs / lhs, np.nan)
     return {

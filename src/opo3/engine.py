@@ -2,8 +2,12 @@
 
 Trajectories are integrated in nondimensional time tau = gamma*t with
 explicit Euler-Maruyama steps (optionally an exponentially propagated linear
-pump part, scheme="exp_euler").  Each trajectory owns an independent,
-counter-derived random stream: Generator(PCG64(SeedSequence(master_seed,
+pump part, scheme="exp_euler").  The step map is stated in the block kernels
+of `_kernels` (compiled C, with numpy as its oracle and fallback);
+`model.drift_and_diffusion` states the equations independently, and the
+tests check one against the other through `integrate_batch` on a
+one-trajectory block.  Each trajectory owns an independent, counter-derived
+random stream: Generator(PCG64(SeedSequence(master_seed,
 spawn_key=(trajectory_index,)))).  Noise is consumed in fixed step order per
 trajectory, every trajectory is integrated independently of the others in
 its block, and finished blocks are merged in trajectory order, so results
@@ -76,25 +80,6 @@ def _pump_factors(scheme: str, gamma_r: float, dt: float):
     raise ValueError(f"unknown scheme {scheme!r}")
 
 
-def step_euler_maruyama(state: PhaseSpaceState, params: ModelParams, dt: float,
-                        noise: NoiseIncrement, scheme: str = "euler") -> PhaseSpaceState:
-    """Scalar reference step; the block kernels implement the same map."""
-    eps, m = params.eps, params.mu / params.eps
-    e_pump, phi = _pump_factors(scheme, params.gamma_r, dt)
-    a0, a1, a2, a0p, a1p, a2p = (state.a0, state.a1, state.a2,
-                                 state.a0p, state.a1p, state.a2p)
-    r0 = np.sqrt(complex(eps * a0))
-    r0p = np.sqrt(complex(eps * a0p))
-    return PhaseSpaceState(
-        a0=m + (a0 - m) * e_pump + phi * (-eps * a1 * a2),
-        a1=a1 + dt * (-a1 + eps * a2p * a0) + r0 * noise.dw1,
-        a2=a2 + dt * (-a2 + eps * a1p * a0) + r0 * noise.dw2,
-        a0p=m + (a0p - m) * e_pump + phi * (-eps * a1p * a2p),
-        a1p=a1p + dt * (-a1p + eps * a2 * a0p) + r0p * noise.dw1p,
-        a2p=a2p + dt * (-a2p + eps * a1 * a0p) + r0p * noise.dw2p,
-    )
-
-
 @dataclass(frozen=True)
 class SimConfig:
     """Ensemble run settings; None fields are resolved from the model.
@@ -128,15 +113,17 @@ class SimConfig:
         slow = min(1.0 - params.mu, params.gamma_r)
         fast = max(1.0, params.gamma_r)
         dt = self.dt if self.dt is not None else 0.01 / fast
-        if not (0.0 < dt < math.inf):
-            raise ValueError("dt must be positive and finite")
+        burn_in = self.burn_in if self.burn_in is not None else 20.0 / slow
+        interval = (self.sample_interval if self.sample_interval is not None
+                    else 2.0 / (1.0 - params.mu))
+        for name, value in (("dt", dt), ("burn_in", burn_in),
+                            ("sample_interval", interval)):
+            if not (0.0 < value < math.inf):
+                raise ValueError(f"{name} must be positive and finite")
         if dt * fast > DT_CEILING * (1 + 1e-9):
             raise ValidityError(
                 f"dt={dt:g} too coarse: need dt*max(1,gamma_r) <= {DT_CEILING}"
             )
-        burn_in = self.burn_in if self.burn_in is not None else 20.0 / slow
-        interval = (self.sample_interval if self.sample_interval is not None
-                    else 2.0 / (1.0 - params.mu))
         if burn_in * slow < 10.0 * (1 - 1e-9):
             raise ValidityError(
                 f"burn_in={burn_in:g} too short: need >= {10.0 / slow:g}"

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -93,12 +93,12 @@ class MomentSchema:
                 keys.update(_submultisets(idx))
             if tgt.name in target_terms:
                 raise SchemaError(f"duplicate target name {tgt.name}")
-            target_terms[tgt.name] = tuple(terms_idx)
+            target_terms[tgt.name] = (complex(tgt.offset), tgt.apply_shift,
+                                      tuple(terms_idx))
         # singletons always present so empirical shifts are computable
         keys.update((i,) for i in range(len(names)))
         keys.discard(())
         key_order = tuple(sorted(keys, key=lambda k: (len(k), k)))
-        object.__setattr__(self, "_index", index)
         object.__setattr__(self, "_target_terms", target_terms)
         object.__setattr__(self, "key_order", key_order)
         object.__setattr__(self, "_key_index", {k: i for i, k in enumerate(key_order)})
@@ -110,12 +110,6 @@ class MomentSchema:
     @property
     def n_keys(self) -> int:
         return len(self.key_order)
-
-    def channel_index(self, name: str) -> int:
-        try:
-            return self._index[name]
-        except KeyError:
-            raise SchemaError(f"unknown channel {name!r}")
 
     def target_names(self):
         return [t.name for t in self.targets]
@@ -172,13 +166,24 @@ class MomentEstimate:
 
 @dataclass
 class MomentReport:
+    """Named estimates, from one finalize or from closed forms.
+
+    finalize attaches read-only references to the (K, B) batch sums and
+    (B,) counts it evaluated, so composites of a report are jackknifed over
+    exactly those batches, however the accumulator grows afterwards.
+    """
+
     entries: dict
     n_samples: int
     n_batches: int
     centering: str
-    source: "MomentAccumulator | None" = None
     label: str = "monte-carlo"
     params: ModelParams | None = None
+    schema: MomentSchema | None = field(default=None, repr=False)
+    batch_sums: np.ndarray | None = field(default=None, repr=False,
+                                          compare=False)
+    batch_counts: np.ndarray | None = field(default=None, repr=False,
+                                            compare=False)
 
     def __getitem__(self, name: str) -> MomentEstimate:
         try:
@@ -197,6 +202,18 @@ class MomentReport:
             "centering": self.centering,
             "moments": {k: v.to_dict() for k, v in self.entries.items()},
         }
+
+    def jackknife(self, fn) -> "JackknifeResult":
+        """fn over this report's batches, as MomentAccumulator.jackknife.
+        Without batch data fn sees the stored values, which must be exact,
+        and its errors are exactly zero."""
+        if self.batch_sums is not None:
+            return _jackknife(fn, self.schema, self.batch_sums,
+                              self.batch_counts, self.centering)
+        value = np.atleast_1d(np.asarray(fn(_ExactValues(self)),
+                                         dtype=np.complex128))
+        zero = np.zeros(value.shape)
+        return JackknifeResult(value, zero, zero, self.n_batches)
 
 
 class _Stats:
@@ -268,13 +285,12 @@ class _Stats:
     def target(self, name: str):
         if name in self._cache:
             return self._cache[name]
-        terms = self.schema._target_terms.get(name)
-        if terms is None:
+        entry = self.schema._target_terms.get(name)
+        if entry is None:
             raise SchemaError(f"unknown target {name!r}")
-        spec = next(t for t in self.schema.targets if t.name == name)
-        total = complex(spec.offset)
+        total, apply_shift, terms = entry
         for coef, key in terms:
-            part = self.centered(key) if spec.apply_shift else self.raw(key)
+            part = self.centered(key) if apply_shift else self.raw(key)
             total = total + coef * part
         self._cache[name] = total
         return total
@@ -282,6 +298,20 @@ class _Stats:
     @property
     def n(self):
         return self._n
+
+
+class _ExactValues:
+    """Context over a report's stored values; refuses any with an error."""
+
+    def __init__(self, report: MomentReport):
+        self._report = report
+
+    def target(self, name: str):
+        est = self._report[name]
+        if est.std_error or est.std_error_imag:
+            raise ValueError(f"{name} carries a nonzero error, but the report "
+                             "has no batch data to propagate it from")
+        return est.value
 
 
 def _jack_se(loo):
@@ -300,27 +330,38 @@ class JackknifeResult:
     n_batches: int
 
 
+def _jackknife(fn, schema: MomentSchema, sums, counts,
+               centering: str) -> JackknifeResult:
+    """fn on the full (K, B) batch sums and on each leave-one-batch-out
+    replicate; componentwise errors, one per element of fn's result."""
+    n = counts.astype(np.float64)
+    totals = sums.sum(axis=1)                                  # (K,)
+    value = fn(_Stats(schema, totals, n.sum(), centering))
+    reps = fn(_Stats(schema, sums, n.sum() - n, centering, totals=totals))
+    if np.ndim(value) == 0:
+        value, reps = [value], [reps]
+    se_re, se_im = np.array([_jack_se(np.asarray(r, dtype=np.complex128))
+                             for r in reps]).T
+    return JackknifeResult(np.asarray(value, dtype=np.complex128), se_re,
+                           se_im, counts.size)
+
+
 class MomentAccumulator:
     """Mergeable raw-moment sums with per-batch bookkeeping.
 
-    Samples arrive as channel vectors (values in schema channel order).
-    One batch per add_batch call; add_sample buffers rows and flushes a
-    batch every `batch_size` samples.  Per-batch key sums are stored
-    key-major in (K, nb) blocks that are never written after they are
-    appended, so copies and merges share them.  Evaluation joins them once
-    into one (K, B) array and sums along its batch axis pairwise, so the
-    totals depend on the batch order alone, not on how batches arrived.
+    Samples arrive as channel vectors (values in schema channel order),
+    one batch per add_batch call or per trajectory in add_batches.
+    Per-batch key sums are stored key-major in (K, nb) blocks that are
+    never written after they are appended, so copies, merges and reports
+    share them.  Evaluation joins them once into one read-only (K, B) array
+    and sums along its batch axis pairwise, so the totals depend on the
+    batch order alone, not on how batches arrived.
     """
 
-    def __init__(self, schema: MomentSchema, batch_size: int = 256,
-                 collect_per_sample: bool = False):
+    def __init__(self, schema: MomentSchema, collect_per_sample: bool = False):
         self.schema = schema
-        self.batch_size = int(batch_size)
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
         self._blocks = []         # (K, nb) complex batch sums
         self._block_ns = []       # (nb,) int sample counts
-        self._buffer = []
         self.collect_per_sample = bool(collect_per_sample)
         self.per_sample_sums = None    # (K, n_samples) complex when collected
         self.per_sample_rows = 0       # number of trajectories folded in
@@ -395,41 +436,21 @@ class MomentAccumulator:
             self.per_sample_rows += nb
         return self
 
-    def add_sample(self, values) -> "MomentAccumulator":
-        """Buffer one sample vector; flushes a batch every batch_size samples."""
-        row = np.asarray(values, dtype=np.complex128).reshape(-1)
-        if row.shape[0] != self.schema.n_channels:
-            raise SchemaError(
-                f"expected {self.schema.n_channels} channel values, got {row.shape[0]}"
-            )
-        self._buffer.append(row)
-        if len(self._buffer) >= self.batch_size:
-            self.flush()
-        return self
-
-    def flush(self) -> "MomentAccumulator":
-        if self._buffer:
-            block = np.stack(self._buffer, axis=1)
-            self._buffer = []
-            self.add_batch(block)
-        return self
-
     # -- bookkeeping -----------------------------------------------------
 
     @property
     def n_samples(self) -> int:
-        return sum(int(ns.sum()) for ns in self._block_ns) + len(self._buffer)
+        return sum(int(ns.sum()) for ns in self._block_ns)
 
     @property
     def n_batches(self) -> int:
-        return sum(len(ns) for ns in self._block_ns) + (1 if self._buffer else 0)
+        return sum(len(ns) for ns in self._block_ns)
 
     def copy(self) -> "MomentAccumulator":
-        out = MomentAccumulator(self.schema, batch_size=self.batch_size,
+        out = MomentAccumulator(self.schema,
                                 collect_per_sample=self.collect_per_sample)
         out._blocks = list(self._blocks)
         out._block_ns = list(self._block_ns)
-        out._buffer = [r.copy() for r in self._buffer]
         if self.per_sample_sums is not None:
             out.per_sample_sums = self.per_sample_sums.copy()
         out.per_sample_rows = self.per_sample_rows
@@ -438,9 +459,6 @@ class MomentAccumulator:
     def merge_in_place(self, other: "MomentAccumulator") -> "MomentAccumulator":
         if not self.schema.compatible(other.schema):
             raise SchemaError("cannot merge accumulators with different schemas")
-        self.flush()
-        other = other.copy()
-        other.flush()
         self._blocks.extend(other._blocks)
         self._block_ns.extend(other._block_ns)
         if other.per_sample_sums is not None:
@@ -469,9 +487,9 @@ class MomentAccumulator:
             1, prefix.shape[1] + 1, dtype=np.float64)
         return _Stats(self.schema, prefix, counts, centering)
 
-    def _contexts(self, centering: str):
-        """Full-dataset and leave-one-batch-out stats contexts."""
-        self.flush()
+    def _batch_sums(self):
+        """The (K, B) batch sums and (B,) sample counts, each joined into
+        one block and made read-only, since reports keep them."""
         b = self.n_batches
         if b == 0:
             raise NoSamplesError("no samples")
@@ -482,12 +500,10 @@ class MomentAccumulator:
         if len(self._blocks) > 1:
             self._blocks = [np.concatenate(self._blocks, axis=1)]
             self._block_ns = [np.concatenate(self._block_ns)]
-        sums = self._blocks[0]                                 # (K, B)
-        ns = self._block_ns[0].astype(np.float64)              # (B,)
-        totals = sums.sum(axis=1)                              # (K,)
-        full = _Stats(self.schema, totals, ns.sum(), centering)
-        return full, _Stats(self.schema, sums, ns.sum() - ns, centering,
-                            totals=totals)
+        sums, counts = self._blocks[0], self._block_ns[0]
+        sums.flags.writeable = False
+        counts.flags.writeable = False
+        return sums, counts
 
     def jackknife(self, fn, centering: str = "reference") -> JackknifeResult:
         """Leave-one-batch-out errors for an arbitrary composite statistic.
@@ -496,51 +512,43 @@ class MomentAccumulator:
         be written with numpy-broadcastable operations: it is evaluated once
         on scalars (full dataset) and once on (B,)-shaped replicate arrays.
         """
-        full, loo = self._contexts(centering)
-        b = self.n_batches
-        value = np.atleast_1d(np.asarray(fn(full), dtype=np.complex128))
-        reps = np.asarray(fn(loo), dtype=np.complex128)
-        reps = reps.reshape(value.shape + (b,)) if reps.ndim == value.ndim else reps
-        se_re, se_im = _jack_se(reps)
-        return JackknifeResult(value=value, std_error=se_re,
-                               std_error_imag=se_im, n_batches=b)
+        return _jackknife(fn, self.schema, *self._batch_sums(), centering)
 
     def finalize(self, centering: str = "reference",
                  label: str = "monte-carlo") -> MomentReport:
-        full, loo = self._contexts(centering)
-        b = self.n_batches
-        entries = {}
-        for name in self.schema.target_names():
-            se_re, se_im = _jack_se(loo.target(name))
-            entries[name] = MomentEstimate(
-                value=complex(full.target(name)), std_error=float(se_re),
+        sums, counts = self._batch_sums()
+        names = self.schema.target_names()
+        jk = _jackknife(lambda st: [st.target(n) for n in names],
+                        self.schema, sums, counts, centering)
+        b = counts.size
+        entries = {
+            name: MomentEstimate(
+                value=complex(v), std_error=float(se_re),
                 std_error_imag=float(se_im), n_batches=b,
                 low_confidence=b < LOW_CONFIDENCE_BATCHES)
-        return MomentReport(entries=entries, n_samples=self.n_samples,
-                            n_batches=b, centering=centering,
-                            source=self, label=label,
-                            params=self.schema.params)
+            for name, v, se_re, se_im in zip(names, jk.value, jk.std_error,
+                                             jk.std_error_imag)
+        }
+        return MomentReport(entries=entries, n_samples=int(counts.sum()),
+                            n_batches=b, centering=centering, label=label,
+                            params=self.schema.params, schema=self.schema,
+                            batch_sums=sums, batch_counts=counts)
 
 
 # -- spec-level free functions ------------------------------------------
 
 
 def accumulate(acc: MomentAccumulator, sample) -> MomentAccumulator:
-    """Feed one sample (QuadratureSample or channel vector) into acc."""
+    """Feed one sample (QuadratureSample or channel vector) into acc as a
+    batch of its own."""
     if isinstance(sample, QuadratureSample):
-        acc.add_sample(sample_to_channels(sample, acc.schema))
-    else:
-        acc.add_sample(sample)
-    return acc
+        sample = sample_to_channels(sample, acc.schema)
+    return acc.add_batch(sample)
 
 
 def merge(a: MomentAccumulator, b: MomentAccumulator) -> MomentAccumulator:
-    """Combined accumulator equal to accumulation over both streams.
-
-    Buffered partial batches are flushed first, so batch boundaries (and
-    hence standard errors, not point estimates) can differ from a single
-    concatenated stream.
-    """
+    """Combined accumulator holding a's batches, then b's: the accumulator
+    one stream of both would build, point estimates and errors alike."""
     return a.copy().merge_in_place(b)
 
 

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import opo3
-from opo3 import _kernels
+from opo3 import _kernels, cli
 from opo3.cli import (
     CliError,
     build_runspec,
@@ -185,6 +185,27 @@ class TestRun:
         assert "at least 2 batches" in capsys.readouterr().err
         assert not (tmp_path / "report.json").exists()
 
+    @pytest.mark.parametrize("flag, value", [("--burn-in", "inf"),
+                                             ("--burn-in", "nan"),
+                                             ("--sample-interval", "inf")])
+    def test_non_finite_times_exit_2(self, tmp_path, capsys, flag, value):
+        rc = run_main(["run", *FAST, flag, value, "--out-dir", tmp_path])
+        assert rc == 2
+        field = flag[2:].replace("-", "_")
+        assert f"{field} must be positive and finite" in capsys.readouterr().err
+        assert not (tmp_path / "report.json").exists()
+
+    @pytest.mark.parametrize("value", ["-1", "0", "nan", "inf"])
+    def test_bad_sigma_threshold_exits_2_before_integrating(
+            self, tmp_path, capsys, monkeypatch, value):
+        def no_run(*args, **kwargs):
+            raise AssertionError("integrated despite a bad sigma threshold")
+        monkeypatch.setattr(cli, "run_ensemble", no_run)
+        rc = run_main(["run", *FAST, "--sigma-threshold", value,
+                       "--out-dir", tmp_path])
+        assert rc == 2
+        assert "sigma_threshold must be positive" in capsys.readouterr().err
+
     def test_report_names_fallback_backend(self, tmp_path, monkeypatch):
         monkeypatch.setattr(_kernels, "get_stepper",
                             lambda: _kernels._chunk_step_numpy)
@@ -295,6 +316,12 @@ class TestCompare:
                        "--n-samples-per-traj", 4, "--out-dir", tmp_path])
         assert rc == 2
         assert "at least 2 batches" in capsys.readouterr().err
+
+
+class TestPackage:
+    def test_all_names_resolve_once(self):
+        assert len(opo3.__all__) == len(set(opo3.__all__))
+        assert [n for n in opo3.__all__ if not hasattr(opo3, n)] == []
 
 
 class TestEntryPoints:

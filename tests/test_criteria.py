@@ -105,6 +105,46 @@ class TestClassicalSanity:
         assert r.lambda_opt == pytest.approx(expect, rel=1e-9)
 
 
+class TestFrozenReport:
+    def test_growth_after_finalize_leaves_report_unchanged(self):
+        # a report keeps the batches it was finalized on; batches added to
+        # the accumulator afterwards must not leak into its errors
+        acc = MomentAccumulator(amplitude_schema())
+        acc.add_batches(classical_ensemble(4101, n=400).reshape(6, 40, 10))
+        rep = finalize(acc, centering="sample")
+        before = [cs_test(rep, partition=part) for part in PARTITIONS]
+        acc.add_batches(classical_ensemble(4102, n=4000).reshape(6, 400, 10))
+        assert finalize(acc, centering="sample").n_batches == 440
+        after = [cs_test(rep, partition=part) for part in PARTITIONS]
+        assert after == before
+        assert all(r.n_batches == 40 for r in after)
+
+    def test_frozen_sums_are_read_only(self):
+        rep = classical_report(classical_ensemble(4103))
+        assert rep.batch_sums.shape == (rep.schema.n_keys, rep.n_batches)
+        assert rep.batch_counts.sum() == rep.n_samples
+        for frozen in (rep.batch_sums, rep.batch_counts):
+            with pytest.raises(ValueError, match="read-only"):
+                frozen[0] = 0
+
+    def test_no_batch_data_refuses_errors(self):
+        rep = classical_report(classical_ensemble(4104))
+        bare = MomentReport(entries=rep.entries, n_samples=rep.n_samples,
+                            n_batches=rep.n_batches, centering=rep.centering)
+        with pytest.raises(ValueError, match="no batch data"):
+            cs_test(bare)
+
+
+class TestSigmaThreshold:
+    @pytest.mark.parametrize("bad", [-1.0, 0.0, math.nan, math.inf])
+    def test_every_criterion_rejects(self, std_report, bad):
+        for check in (cs_test, separability_witness, pair_audit,
+                      pump_odd_moment):
+            with pytest.raises(ValueError,
+                               match="sigma_threshold must be positive"):
+                check(std_report, sigma_threshold=bad)
+
+
 class TestAnalyticVerdicts:
     def test_violated_and_satisfied(self):
         for gr, verdict, ratio in ((100.0, "violated", 1.5230345115117114),

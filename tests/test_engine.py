@@ -11,11 +11,11 @@ import pytest
 
 from opo3 import (
     ModelParams,
-    NoiseIncrement,
     PhaseSpaceState,
     SimConfig,
     ValidityError,
     _kernels,
+    drift_and_diffusion,
     engine,
     fixed_point,
     integrate_batch,
@@ -24,7 +24,6 @@ from opo3 import (
     run_ensemble,
     sample_wiener_increments,
     simulate_trajectory,
-    step_euler_maruyama,
 )
 
 needs_cc = pytest.mark.skipif(shutil.which("cc") is None,
@@ -78,60 +77,61 @@ class TestNoise:
             sample_wiener_increments(rng, 0.0)
 
 
+def one_step(params, state, normals, scheme="euler", dt=0.01):
+    """One kernel step of a one-trajectory block; normals are the four
+    unscaled standard normals of the step."""
+    final, alive, _ = integrate_batch(
+        params, dt, np.asarray(normals, dtype=np.float64).reshape(1, 4, 1),
+        np.asarray(state, dtype=np.complex128).reshape(6, 1), scheme=scheme)
+    assert alive[0]
+    return PhaseSpaceState.from_array(final[:, 0])
+
+
 class TestStep:
     def test_exact_linear_decay(self):
         # decoupled signal with the pump at zero: a1' = a1*(1 - dt) exactly,
         # and the multiplicative noise amplitude sqrt(eps*a0) is exactly 0
         params = ModelParams(mu=0.0, gamma_r=1.0, g=0.05)
-        state = PhaseSpaceState(0, 1.0, 0, 0, 0, 0)
         rng = np.random.default_rng(3)
-        noise = sample_wiener_increments(rng, 0.01)
-        out = step_euler_maruyama(state, params, 0.01, noise)
+        out = one_step(params, [0, 1.0, 0, 0, 0, 0], rng.standard_normal(4))
         assert out.a1 == 0.99
         assert out.a0 == 0.0 and out.a2 == 0.0 and out.a0p == 0.0
 
     def test_pump_relaxation_euler(self):
         params = ModelParams(mu=0.5, gamma_r=2.0, g=0.05)
         m = params.mu / params.eps
-        state = PhaseSpaceState(0, 0, 0, 0, 0, 0)
-        out = step_euler_maruyama(state, params, 0.01,
-                                  NoiseIncrement(0, 0, 0, 0))
+        out = one_step(params, np.zeros(6), np.zeros(4))
         # plain Euler: a0' = a0 + dt*gamma_r*(m - a0)
         assert out.a0 == pytest.approx(0.02 * m, rel=1e-14)
 
     def test_pump_relaxation_exp_euler(self):
         params = ModelParams(mu=0.5, gamma_r=2.0, g=0.05)
         m = params.mu / params.eps
-        state = PhaseSpaceState(0, 0, 0, 0, 0, 0)
-        out = step_euler_maruyama(state, params, 0.01,
-                                  NoiseIncrement(0, 0, 0, 0),
-                                  scheme="exp_euler")
+        out = one_step(params, np.zeros(6), np.zeros(4), scheme="exp_euler")
         assert out.a0 == pytest.approx(m * (1.0 - math.exp(-0.02)), rel=1e-12)
 
     def test_unknown_scheme(self):
         params = ModelParams(mu=0.5, gamma_r=1.0, g=0.05)
         with pytest.raises(ValueError, match="scheme"):
-            step_euler_maruyama(PhaseSpaceState(0, 0, 0, 0, 0, 0), params,
-                                0.01, NoiseIncrement(0, 0, 0, 0),
-                                scheme="heun")
+            one_step(params, np.zeros(6), np.zeros(4), scheme="heun")
 
     def test_matches_kernel_one_step(self):
-        # the scalar reference and the block kernel implement the same map
+        # the kernel's step is x + dt*drift + amp*dw with the drift and noise
+        # amplitudes of the independently stated Ito equations
         params = ModelParams(mu=0.6, gamma_r=1.5, g=0.1)
         rng = np.random.default_rng(11)
         vec = rng.standard_normal(6) + 1j * rng.standard_normal(6)
-        state = PhaseSpaceState.from_array(vec)
-        normals = rng.standard_normal((1, 4, 1))
-        scale = math.sqrt(0.01 / 2.0)
-        w = normals[0, :, 0] * scale
-        noise = NoiseIncrement(dw1=complex(w[0], w[1]), dw2=complex(w[0], -w[1]),
-                               dw1p=complex(w[2], w[3]), dw2p=complex(w[2], -w[3]))
-        ref = step_euler_maruyama(state, params, 0.01, noise)
-        final, alive, _ = integrate_batch(params, 0.01, normals,
-                                          vec[:, None].astype(complex))
-        assert alive[0]
-        np.testing.assert_allclose(final[:, 0], ref.as_array(),
-                                   rtol=1e-13, atol=1e-14)
+        normals = rng.standard_normal(4)
+        w = normals * math.sqrt(0.01 / 2.0)
+        dw1, dw1p = complex(w[0], w[1]), complex(w[2], w[3])
+        drift, (r0, r0p) = drift_and_diffusion(
+            PhaseSpaceState.from_array(vec), params)
+        noise = PhaseSpaceState(a0=0, a1=r0 * dw1, a2=r0 * dw1.conjugate(),
+                                a0p=0, a1p=r0p * dw1p,
+                                a2p=r0p * dw1p.conjugate())
+        expect = vec + 0.01 * drift.as_array() + noise.as_array()
+        out = one_step(params, vec, normals)
+        np.testing.assert_allclose(out.as_array(), expect, rtol=1e-13, atol=0)
 
 
 class TestResolve:
@@ -169,6 +169,14 @@ class TestResolve:
             SimConfig(n_trajectories=0).resolve(params)
         with pytest.raises(ValueError):
             SimConfig(divergence_threshold=0.0).resolve(params)
+
+    @pytest.mark.parametrize("field", ["dt", "burn_in", "sample_interval"])
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan, 0.0])
+    def test_non_finite_or_non_positive_times(self, field, value):
+        # rejected by name before any step count is derived from them
+        with pytest.raises(ValueError,
+                           match=f"^{field} must be positive and finite$"):
+            SimConfig(**{field: value}).resolve(ModelParams(0.5, 1.0, 0.05))
 
     def test_sample_times(self):
         params = ModelParams(0.5, 1.0, 0.05)

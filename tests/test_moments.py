@@ -48,14 +48,14 @@ def feed_scalars(acc, values):
 
 class TestSmallStreams:
     def test_mean_of_1_2_3(self):
-        acc = MomentAccumulator(scalar_schema(), batch_size=1)
+        acc = MomentAccumulator(scalar_schema())
         feed_scalars(acc, [1.0, 2.0, 3.0])
         rep = finalize(acc, centering="sample")
         assert rep["mean_u"].value == pytest.approx(2.0, abs=1e-15)
         assert rep.n_samples == 3 and rep.n_batches == 3
 
     def test_third_central_moment_of_0_0_3(self):
-        acc = MomentAccumulator(scalar_schema(), batch_size=1)
+        acc = MomentAccumulator(scalar_schema())
         feed_scalars(acc, [0.0, 0.0, 3.0])
         rep = finalize(acc, centering="sample")
         # mean 1; ((-1)^3 + (-1)^3 + 2^3)/3 = 2
@@ -68,8 +68,8 @@ class TestSmallStreams:
         assert isinstance(NoSamplesError("x"), ValueError)
 
     def test_single_batch_cannot_give_errors(self):
-        acc = MomentAccumulator(scalar_schema(), batch_size=256)
-        feed_scalars(acc, [1.0, 2.0, 3.0])  # stays in one buffered batch
+        acc = MomentAccumulator(scalar_schema())
+        acc.add_batch([[1.0, 2.0, 3.0]])
         with pytest.raises(NoSamplesError, match="at least 2 batches"):
             finalize(acc)
 
@@ -108,12 +108,15 @@ class TestMergeLaws:
             data = random_stream(rng, n)
             cut = int(rng.integers(1, n))
             bs = int(rng.integers(3, 40))
-            whole = MomentAccumulator(schema, batch_size=bs)
-            left = MomentAccumulator(schema, batch_size=bs)
-            right = MomentAccumulator(schema, batch_size=bs)
-            for k in range(n):
-                whole.add_sample(data[:, k])
-                (left if k < cut else right).add_sample(data[:, k])
+            whole = MomentAccumulator(schema)
+            left = MomentAccumulator(schema)
+            right = MomentAccumulator(schema)
+            for lo in range(0, n, bs):
+                whole.add_batch(data[:, lo:lo + bs])
+            for lo in range(0, cut, bs):
+                left.add_batch(data[:, lo:min(lo + bs, cut)])
+            for lo in range(cut, n, bs):
+                right.add_batch(data[:, lo:lo + bs])
             m = merge(left, right)
             assert m.n_samples == whole.n_samples == n
             rep_m = finalize(m, centering="sample")
@@ -125,10 +128,10 @@ class TestMergeLaws:
     def test_merge_with_empty_is_identity(self):
         rng = np.random.default_rng(223)
         schema = two_channel_schema()
-        a = MomentAccumulator(schema, batch_size=16)
+        a = MomentAccumulator(schema)
         for k in range(100):
-            a.add_sample(random_stream(rng, 1)[:, 0])
-        empty = MomentAccumulator(schema, batch_size=16)
+            accumulate(a, random_stream(rng, 1)[:, 0])
+        empty = MomentAccumulator(schema)
         m = merge(a, empty)
         rep_a = finalize(a.copy())
         rep_m = finalize(m)
@@ -141,8 +144,8 @@ class TestMergeLaws:
     def test_merge_commutes(self):
         rng = np.random.default_rng(227)
         schema = two_channel_schema()
-        a = MomentAccumulator(schema, batch_size=8)
-        b = MomentAccumulator(schema, batch_size=8)
+        a = MomentAccumulator(schema)
+        b = MomentAccumulator(schema)
         for _ in range(7):
             a.add_batch(random_stream(rng, 20))
         for _ in range(5):
@@ -168,7 +171,7 @@ class TestErrorBars:
         schema = scalar_schema()
         ses = []
         for n in (2000, 8000):
-            acc = MomentAccumulator(schema, batch_size=50)
+            acc = MomentAccumulator(schema)
             acc.add_batches(rng.standard_normal((1, n // 50, 50)).astype(complex))
             ses.append(finalize(acc, centering="sample")["m2"].std_error)
         ratio = ses[0] / ses[1]
@@ -176,7 +179,7 @@ class TestErrorBars:
 
     def test_gaussian_third_moments_unbiased(self):
         rng = np.random.default_rng(233)
-        acc = MomentAccumulator(two_channel_schema(), batch_size=100)
+        acc = MomentAccumulator(two_channel_schema())
         data = rng.standard_normal((2, 200, 100))  # real Gaussian, mean 0
         acc.add_batches(data.astype(complex))
         rep = finalize(acc, centering="sample")
@@ -322,7 +325,7 @@ class TestCentering:
         rng = np.random.default_rng(251)
         c = 1.7
         u = rng.standard_normal(400) + 3.0
-        acc = MomentAccumulator(scalar_schema(center=c), batch_size=40)
+        acc = MomentAccumulator(scalar_schema(center=c))
         acc.add_batch(u[None, :200].astype(complex))
         acc.add_batch(u[None, 200:].astype(complex))
         expect = {
@@ -345,7 +348,7 @@ class TestCentering:
             channels=(ChannelSpec("u", c, shiftable=False),),
             targets=(TargetSpec("m2", ((1, ("u", "u")),)),),
         )
-        acc = MomentAccumulator(schema, batch_size=50)
+        acc = MomentAccumulator(schema)
         acc.add_batch(u[None, :].astype(complex))
         acc.add_batch(u[None, :].astype(complex))
         rep = finalize(acc, centering="reference")
@@ -354,9 +357,7 @@ class TestCentering:
 
     def test_unknown_centering_rejected(self):
         acc = MomentAccumulator(scalar_schema())
-        feed_scalars(acc, list(range(10)))
-        acc.flush()
-        feed_scalars(acc, list(range(10)))
+        feed_scalars(acc, list(range(20)))
         with pytest.raises(ValueError, match="centering"):
             finalize(acc, centering="bogus")
 
@@ -386,9 +387,9 @@ class TestMappingIdentities:
         params = ModelParams(mu=0.4, gamma_r=2.5, g=0.3)
         states = (rng.standard_normal((6, 2, 32))
                   + 1j * rng.standard_normal((6, 2, 32)))
-        via_channels = MomentAccumulator(opo_schema(params), batch_size=32)
+        via_channels = MomentAccumulator(opo_schema(params))
         via_channels.add_batches(state_channels(states, params))
-        via_samples = MomentAccumulator(opo_schema(params), batch_size=32)
+        via_samples = MomentAccumulator(opo_schema(params))
         for j in range(2):
             for k in range(32):
                 st = PhaseSpaceState(*(states[i, j, k] for i in range(6)))
@@ -434,12 +435,8 @@ class TestSchemaValidation:
         with pytest.raises(SchemaError):
             acc.add_batch(np.zeros((3, 5)))
         with pytest.raises(SchemaError):
-            acc.add_sample([1.0])
+            accumulate(acc, [1.0])
 
     def test_amplitude_schema_needs_six_centers(self):
         with pytest.raises(SchemaError):
             amplitude_schema(centers=(0.0,) * 5)
-
-    def test_batch_size_validation(self):
-        with pytest.raises(ValueError):
-            MomentAccumulator(scalar_schema(), batch_size=0)
