@@ -22,6 +22,12 @@ runs, and scales them with the same single multiply; the draws, and so
 the results, are bit-for-bit those of the buffer path, and no per-block
 noise buffer is allocated.
 
+Threads: the C kernel splits a block into `n_threads` contiguous ranges
+of trajectories, each on a pthread with its slice of one scratch that the
+calling thread allocates; that thread runs the first range, and any range
+whose thread fails to start, itself.  A trajectory touches only its own
+generator and state column, so results do not depend on the thread count.
+
 The pump advances through a factored one-step map
     a0 <- m + (a0 - m) * e_pump + phi_pump * (-eps * a1 * a2)
 with (e_pump, phi_pump) = (1 - gamma_r*dt, dt) for the plain Euler scheme
@@ -60,6 +66,7 @@ import numpy as np
 
 _C_SOURCE = r"""
 #include <complex.h>
+#include <pthread.h>
 #include <stdint.h>
 #include <stdlib.h>
 
@@ -69,38 +76,39 @@ typedef struct bitgen bitgen_t;
 void random_standard_normal_fill(bitgen_t *bitgen_state, intptr_t cnt,
                                  double *out);
 
+/* one opo3_chunk_step call's arguments, trajectories [lo, hi) of them,
+   their scratch and the thread that runs them */
+typedef struct {
+    double complex *state; const double *w; bitgen_t **gens; double scale;
+    uint8_t *alive; int64_t *first_bad; int64_t nb, n_steps;
+    double eps, m_pump, dt, e_pump, phi_pump, thr2; int64_t step0;
+    int64_t lo, hi; double *drawn; pthread_t thread; int started;
+} range_t;
+
 static int inside(double complex z, double thr2)
 {
     double re = creal(z), im = cimag(z);
     return re * re + im * im <= thr2;   /* false for NaN and inf */
 }
 
-/* With gens NULL the noise is read from w, (nb, n_steps, 4) and already
-   scaled; otherwise trajectory j draws its n_steps*4 normals from gens[j]
-   and scales them by `scale`.  Returns -1 when the scratch cannot be had. */
-int opo3_chunk_step(double complex *state, const double *w, bitgen_t **gens,
-                    double scale, uint8_t *alive, int64_t *first_bad,
-                    int64_t nb, int64_t n_steps, double eps, double m_pump,
-                    double dt, double e_pump, double phi_pump, double thr2,
-                    int64_t step0)
+static void *step_range(void *arg)
 {
-    double *drawn = NULL;
-    if (gens) {
-        drawn = malloc(n_steps * 4 * sizeof(double));
-        if (!drawn)
-            return -1;
-    }
-    for (int64_t j = 0; j < nb; j++) {
-        if (!alive[j])
+    const range_t *r = arg;
+    const int64_t nb = r->nb, n_steps = r->n_steps;
+    const double eps = r->eps, m_pump = r->m_pump, dt = r->dt,
+                 e_pump = r->e_pump, phi_pump = r->phi_pump, thr2 = r->thr2;
+    double complex *state = r->state;
+    for (int64_t j = r->lo; j < r->hi; j++) {
+        if (!r->alive[j])
             continue;
         const double *wj;
-        if (gens) {
-            random_standard_normal_fill(gens[j], n_steps * 4, drawn);
+        if (r->gens) {
+            random_standard_normal_fill(r->gens[j], n_steps * 4, r->drawn);
             for (int64_t i = 0; i < n_steps * 4; i++)
-                drawn[i] *= scale;
-            wj = drawn;
+                r->drawn[i] *= r->scale;
+            wj = r->drawn;
         } else {
-            wj = w + j * n_steps * 4;
+            wj = r->w + j * n_steps * 4;
         }
         double complex a0 = state[j], a1 = state[nb + j],
                        a2 = state[2 * nb + j], a0p = state[3 * nb + j],
@@ -121,8 +129,8 @@ int opo3_chunk_step(double complex *state, const double *w, bitgen_t **gens,
             if (!(inside(n0, thr2) && inside(n1, thr2) && inside(n2, thr2)
                   && inside(n0p, thr2) && inside(n1p, thr2)
                   && inside(n2p, thr2))) {
-                alive[j] = 0;
-                first_bad[j] = step0 + c;
+                r->alive[j] = 0;
+                r->first_bad[j] = r->step0 + c;
                 break;
             }
             a0 = n0; a1 = n1; a2 = n2; a0p = n0p; a1p = n1p; a2p = n2p;
@@ -131,13 +139,51 @@ int opo3_chunk_step(double complex *state, const double *w, bitgen_t **gens,
         state[3 * nb + j] = a0p; state[4 * nb + j] = a1p;
         state[5 * nb + j] = a2p;
     }
-    free(drawn);
+    return NULL;
+}
+
+/* With gens NULL the noise is read from w, (nb, n_steps, 4) and already
+   scaled; otherwise trajectory j draws its n_steps*4 normals from gens[j]
+   and scales them by `scale`.  n_threads is clamped to [1, nb].  Returns
+   -1 when the scratch cannot be had. */
+int opo3_chunk_step(double complex *state, const double *w, bitgen_t **gens,
+                    double scale, uint8_t *alive, int64_t *first_bad,
+                    int64_t nb, int64_t n_steps, double eps, double m_pump,
+                    double dt, double e_pump, double phi_pump, double thr2,
+                    int64_t step0, int64_t n_threads)
+{
+    if (n_threads > nb)
+        n_threads = nb;
+    if (n_threads < 1)
+        n_threads = 1;
+    /* the ranges, then one scratch slice per range (none for w) */
+    const int64_t slice = gens ? n_steps * 4 : 0;
+    range_t *ranges = malloc(n_threads * (sizeof(range_t)
+                                          + slice * sizeof(double)));
+    if (!ranges)
+        return -1;
+    for (int64_t t = 0; t < n_threads; t++) {
+        range_t *r = &ranges[t];
+        *r = (range_t){state, w, gens, scale, alive, first_bad, nb, n_steps,
+                       eps, m_pump, dt, e_pump, phi_pump, thr2, step0,
+                       nb * t / n_threads, nb * (t + 1) / n_threads,
+                       (double *)(ranges + n_threads) + t * slice, 0, 0};
+        r->started = t > 0
+                     && pthread_create(&r->thread, NULL, step_range, r) == 0;
+    }
+    for (int64_t t = 0; t < n_threads; t++) {
+        if (ranges[t].started)
+            pthread_join(ranges[t].thread, NULL);
+        else
+            step_range(&ranges[t]);
+    }
+    free(ranges);
     return 0;
 }
 """
 
 # no -ffast-math or -march=native: the kernel must round like numpy does
-_C_FLAGS = ("-O2", "-fPIC", "-shared", "-fcx-limited-range",
+_C_FLAGS = ("-O2", "-pthread", "-fPIC", "-shared", "-fcx-limited-range",
             "-ffp-contract=off")
 # numpy wheels ship libnpyrandom.a under random/lib for C extensions
 _NUMPY_DIR = Path(np.__file__).parent
@@ -182,12 +228,12 @@ def _chunk_step_numpy(state, w, alive, first_bad, eps, m_pump, dt,
 
 
 def _chunk_step_c(state, w, alive, first_bad, eps, m_pump, dt,
-                  e_pump, phi_pump, thr2, step0):
+                  e_pump, phi_pump, thr2, step0, n_threads=1):
     if not (w.dtype == np.float64 and w.ndim == 3 and w.shape[0] == len(alive)
             and w.shape[2] == 4 and w.flags.c_contiguous):
         raise ValueError("w must be a C-contiguous float64 (B, n_steps, 4) array")
     _call_c(state, w.ctypes.data, None, 1.0, alive, first_bad, w.shape[1],
-            eps, m_pump, dt, e_pump, phi_pump, thr2, step0)
+            eps, m_pump, dt, e_pump, phi_pump, thr2, step0, n_threads)
 
 
 class BitGenerators:
@@ -204,7 +250,8 @@ class BitGenerators:
 
 
 def _draw_chunk_step_c(state, gens, n_steps, scale, alive, first_bad, eps,
-                       m_pump, dt, e_pump, phi_pump, thr2, step0):
+                       m_pump, dt, e_pump, phi_pump, thr2, step0,
+                       n_threads=1):
     """`_chunk_step_c` drawing its noise inside the kernel: each live
     trajectory j takes n_steps*4 normals from gens.rngs[j], exactly what
     gens.rngs[j].standard_normal((n_steps, 4)) * scale would give it."""
@@ -213,11 +260,11 @@ def _draw_chunk_step_c(state, gens, n_steps, scale, alive, first_bad, eps,
     if n_steps < 1:
         raise ValueError("n_steps must be positive")
     _call_c(state, None, gens.pointers, scale, alive, first_bad, n_steps,
-            eps, m_pump, dt, e_pump, phi_pump, thr2, step0)
+            eps, m_pump, dt, e_pump, phi_pump, thr2, step0, n_threads)
 
 
 def _call_c(state, w_ptr, gens_ptr, scale, alive, first_bad, n_steps, eps,
-            m_pump, dt, e_pump, phi_pump, thr2, step0):
+            m_pump, dt, e_pump, phi_pump, thr2, step0, n_threads):
     fn = _c_function()
     if fn is None:
         raise RuntimeError("the C step kernel is not available")
@@ -236,8 +283,8 @@ def _call_c(state, w_ptr, gens_ptr, scale, alive, first_bad, n_steps, eps,
         raise ValueError("state, alive and first_bad must be writeable")
     if fn(state.ctypes.data, w_ptr, gens_ptr, scale, alive.ctypes.data,
           first_bad.ctypes.data, nb, n_steps, eps, m_pump, dt, e_pump,
-          phi_pump, thr2, step0) != 0:
-        raise MemoryError("no memory for the C kernel's noise scratch")
+          phi_pump, thr2, step0, n_threads) != 0:
+        raise MemoryError("no memory for the C kernel's scratch")
 
 
 class _BuildError(Exception):
@@ -321,7 +368,7 @@ def _c_function():
     fn = lib.opo3_chunk_step
     fn.argtypes = ([ctypes.c_void_p] * 3 + [ctypes.c_double]
                    + [ctypes.c_void_p] * 2 + [ctypes.c_int64] * 2
-                   + [ctypes.c_double] * 6 + [ctypes.c_int64])
+                   + [ctypes.c_double] * 6 + [ctypes.c_int64] * 2)
     fn.restype = ctypes.c_int
     return fn
 

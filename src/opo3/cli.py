@@ -14,7 +14,7 @@ engine's resolution rules.  Unknown keys are rejected.  Exit codes: 0 ok,
 unreliable run (too many divergent trajectories; `run` still writes its
 report and `sweep` its sweep.csv, while `compare` and `sweep --source mc`
 exit 3 without output when divergences leave no estimate).  The
-OPO3_WORKERS environment variable selects the worker count; unset means 1.
+OPO3_WORKERS environment variable sets the C kernel's thread count.
 """
 
 from __future__ import annotations
@@ -222,6 +222,8 @@ def cmd_run(spec: RunSpec) -> int:
         "reliable": result.reliable,
         "elapsed_seconds": result.elapsed_seconds,
         "backend": result.backend,
+        "workers": result.workers,
+        "block_size": result.block_size,
         "moments": report.to_dict() if report is not None else None,
         "criteria": criteria,
         "analytic": {

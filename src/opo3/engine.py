@@ -13,6 +13,9 @@ trajectory, every trajectory is integrated independently of the others in
 its block, and finished blocks are merged in trajectory order, so results
 are bit-identical for any worker count and any block size.
 
+Workers are C kernel threads on contiguous ranges of a block's
+trajectories (see `run_ensemble`); everything else runs on one thread.
+
 Sampling: after `burn_steps`, the state is recorded every `int_steps` steps,
 n_samples_per_traj times.  Each trajectory contributes its samples as one
 batch to a moment accumulator; divergent trajectories are excluded entirely
@@ -43,33 +46,7 @@ BLOCK_SIZE = 256          # trajectories per work unit; results do not depend on
 CHUNK_STEPS = 1024        # steps per kernel call
 DT_CEILING = 0.05         # dt * max(1, gamma_r) must not exceed this
 MAX_DIVERGED_FRACTION = 0.01
-
-
-@dataclass(frozen=True)
-class NoiseIncrement:
-    """Correlated Wiener increments for one step (scalars or arrays)."""
-
-    dw1: complex
-    dw2: complex
-    dw1p: complex
-    dw2p: complex
-
-
-def sample_wiener_increments(rng: np.random.Generator, dt: float, size=None) -> NoiseIncrement:
-    """Draw increments with <dw1 dw2> = <dw1p dw2p> = dt, all else zero."""
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    shape = (4,) if size is None else (4,) + tuple(np.atleast_1d(size))
-    w = rng.standard_normal(shape) * math.sqrt(dt / 2.0)
-    if size is None:
-        return NoiseIncrement(
-            dw1=complex(w[0], w[1]), dw2=complex(w[0], -w[1]),
-            dw1p=complex(w[2], w[3]), dw2p=complex(w[2], -w[3]),
-        )
-    return NoiseIncrement(
-        dw1=w[0] + 1j * w[1], dw2=w[0] - 1j * w[1],
-        dw1p=w[2] + 1j * w[3], dw2p=w[2] - 1j * w[3],
-    )
+_MAX_STEPS = 2**63 - 1    # the kernels count steps in int64
 
 
 def _pump_factors(scheme: str, gamma_r: float, dt: float):
@@ -133,6 +110,12 @@ class SimConfig:
                 f"sample_interval={interval:g} too short: need >= "
                 f"{1.0 / (1.0 - params.mu):g}"
             )
+        # each at most 1/(n+1) of the counter, so the total fits as well
+        limit = _MAX_STEPS // (self.n_samples_per_traj + 1)
+        for name, value in (("burn_in", burn_in), ("sample_interval", interval)):
+            if not value / dt < limit:      # also an overflow to inf
+                raise ValueError(f"{name}={value:g} needs too many steps of "
+                                 f"dt={dt:g} for the int64 step counter")
         burn_steps = max(1, math.ceil(burn_in / dt - 1e-9))
         int_steps = max(1, math.ceil(interval / dt - 1e-9))
         e_pump, phi_pump = _pump_factors(self.scheme, params.gamma_r, dt)
@@ -204,18 +187,18 @@ def _initial_block(initial_state, params: ModelParams, nb: int) -> np.ndarray:
     if initial_state is None:
         initial_state = fixed_point(params)
     if isinstance(initial_state, PhaseSpaceState):
-        vec = initial_state.as_array()
-    else:
-        vec = np.asarray(initial_state, dtype=np.complex128).reshape(6)
+        initial_state = initial_state.as_array()
+    vec = np.asarray(initial_state, dtype=np.complex128).reshape(6)
     return np.repeat(vec[:, None], nb, axis=1)
 
 
 def _run_block(params: ModelParams, rcfg: ResolvedConfig, traj_indices,
-               initial_state=None):
+               initial_state=None, n_threads: int = 1):
     """Integrate one block; returns channel cube and divergence bookkeeping.
 
     cube: (12, B, n_samples) complex128 in moments.OPO_CHANNELS order, for
     every trajectory including ones that later diverge (callers filter).
+    The C kernel splits the block over n_threads threads, the numpy one not.
     """
     stepper = _kernels.get_stepper()
     nb = len(traj_indices)
@@ -224,31 +207,25 @@ def _run_block(params: ModelParams, rcfg: ResolvedConfig, traj_indices,
     first_bad = np.full(nb, -1, dtype=np.int64)
     rngs = [_traj_rng(rcfg.master_seed, int(t)) for t in traj_indices]
     scale = math.sqrt(rcfg.dt / 2.0)
-    thr2 = rcfg.divergence_threshold ** 2
-    m_pump = params.mu / params.eps
-    n = rcfg.n_samples_per_traj
-    cube = np.empty((12, nb, n), dtype=np.complex128)
-    sample_at = rcfg.sample_steps()
+    cube = np.empty((12, nb, rcfg.n_samples_per_traj), dtype=np.complex128)
 
     # the C kernel draws each trajectory's normals itself, the same draws
     # in the same order as the numpy kernel's buffer fill below
     gens = (_kernels.BitGenerators(rngs)
             if stepper is _kernels._chunk_step_c else None)
-    kernel_args = (params.eps, m_pump, rcfg.dt, rcfg.e_pump, rcfg.phi_pump,
-                   thr2)
+    kernel_args = (params.eps, params.mu / params.eps, rcfg.dt, rcfg.e_pump,
+                   rcfg.phi_pump, rcfg.divergence_threshold ** 2)
 
     step = 0
-    next_sample = 0
     w = None
-    while step < rcfg.total_steps:
-        stop = rcfg.total_steps
-        if next_sample < n:
-            stop = int(sample_at[next_sample])
+    # the last sample is taken at the last step
+    for k, stop in enumerate(rcfg.sample_steps().tolist()):
         while step < stop:
             c = min(CHUNK_STEPS, stop - step)
             if gens is not None:
                 _kernels._draw_chunk_step_c(state, gens, c, scale, alive,
-                                            first_bad, *kernel_args, step)
+                                            first_bad, *kernel_args, step,
+                                            n_threads)
             else:
                 if w is None or w.shape[1] != c:
                     w = np.empty((nb, c, 4), dtype=np.float64)
@@ -257,12 +234,10 @@ def _run_block(params: ModelParams, rcfg: ResolvedConfig, traj_indices,
                 w *= scale
                 stepper(state, w, alive, first_bad, *kernel_args, step)
             step += c
-        if next_sample < n and step == int(sample_at[next_sample]):
-            # dead trajectories may hold non-finite frozen states; their
-            # channels are filtered out downstream
-            with np.errstate(invalid="ignore", over="ignore"):
-                cube[:, :, next_sample] = state_channels(state, params)
-            next_sample += 1
+        # dead trajectories may hold non-finite frozen states; their
+        # channels are filtered out downstream
+        with np.errstate(invalid="ignore", over="ignore"):
+            cube[:, :, k] = state_channels(state, params)
     return cube, alive, first_bad
 
 
@@ -325,6 +300,8 @@ class EnsembleResult:
     sample_times: np.ndarray
     diverged_indices: list
     backend: str                          # qualified name of the step kernel
+    workers: int                          # threads the kernel ran a block on
+    block_size: int                       # trajectories per block
     samples: np.ndarray | None = None     # (12, kept_traj, n) when requested
     halves: tuple | None = None           # (first-half acc, second-half acc)
 
@@ -340,11 +317,18 @@ class EnsembleResult:
         return self.moments.finalize(centering=centering)
 
 
-def _block_payload(args):
-    (params, rcfg, indices, init_vec) = args
-    cube, alive, first_bad = _run_block(params, rcfg, indices,
-                                        initial_state=init_vec)
-    return cube, alive, first_bad
+def _worker_count(workers) -> int:
+    """`workers`, else OPO3_WORKERS, else the CPUs this process may use."""
+    name = "workers"
+    if workers is None:
+        name, raw = "OPO3_WORKERS", os.environ.get("OPO3_WORKERS", "")
+        if not raw:
+            return (len(os.sched_getaffinity(0))
+                    if hasattr(os, "sched_getaffinity") else os.cpu_count())
+        workers = int(raw) if raw.isdecimal() else raw
+    if type(workers) is not int or workers < 1:   # bool and float too
+        raise ValueError(f"{name} must be an integer >= 1, got {workers!r}")
+    return workers
 
 
 def run_ensemble(params: ModelParams, config: SimConfig, workers: int | None = None,
@@ -352,72 +336,54 @@ def run_ensemble(params: ModelParams, config: SimConfig, workers: int | None = N
                  split_halves: bool = False, initial_state=None) -> EnsembleResult:
     """Integrate an ensemble and stream every trajectory into one accumulator.
 
-    Work is split into blocks of BLOCK_SIZE trajectories and merged in
-    trajectory order, so estimates do not depend on the worker count.
-    workers defaults to the OPO3_WORKERS environment variable, else 1.
+    Blocks of BLOCK_SIZE trajectories run in trajectory order, each added
+    as it finishes.  The C kernel splits a block into `workers` contiguous
+    ranges, one thread each, with scratch owned by the calling thread,
+    which also runs any range whose thread fails to start.  workers
+    defaults to OPO3_WORKERS, else to the CPUs this process may use; it
+    must be an integer >= 1, and estimates do not depend on it.
     """
     t0 = time.perf_counter()
     rcfg = config.resolve(params)
-    if workers is None:
-        workers = int(os.environ.get("OPO3_WORKERS", "1") or "1")
-    workers = max(1, workers)
-    if initial_state is not None and isinstance(initial_state, PhaseSpaceState):
-        initial_state = initial_state.as_array()
-
-    # resolve (and, on first use, build) the kernel before any worker forks,
-    # so workers inherit it instead of racing to build it
     stepper = _kernels.get_stepper()
-    nt = rcfg.n_trajectories
-    blocks = [list(range(lo, min(lo + BLOCK_SIZE, nt)))
-              for lo in range(0, nt, BLOCK_SIZE)]
-    payloads = [(params, rcfg, idxs, initial_state) for idxs in blocks]
-
-    if workers > 1 and len(blocks) > 1:
-        # imported here: multiprocessing costs every one-worker run start-up
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_block_payload, payloads))
-    else:
-        results = [_block_payload(p) for p in payloads]
-
+    nt, n = rcfg.n_trajectories, rcfg.n_samples_per_traj
+    # the kernel runs at most one thread per trajectory of a block
+    threads = min(_worker_count(workers), BLOCK_SIZE, nt)
     schema = opo_schema(params)
     acc = MomentAccumulator(schema, collect_per_sample=collect_time_series)
-    half_a = MomentAccumulator(schema) if split_halves else None
-    half_b = MomentAccumulator(schema) if split_halves else None
-    n = rcfg.n_samples_per_traj
-    kept_cubes = []
-    n_diverged = 0
-    diverged_indices = []
-    for idxs, (cube, alive, first_bad) in zip(blocks, results):
-        dead = np.flatnonzero(~alive)
-        n_diverged += dead.size
-        diverged_indices.extend(int(idxs[d]) for d in dead)
+    halves = ((MomentAccumulator(schema), MomentAccumulator(schema))
+              if split_halves else None)
+    kept_cubes, diverged_indices = [], []
+    for lo in range(0, nt, BLOCK_SIZE):
+        cube, alive, _ = _run_block(params, rcfg,
+                                    range(lo, min(lo + BLOCK_SIZE, nt)),
+                                    initial_state, threads)
+        diverged_indices.extend(lo + int(d) for d in np.flatnonzero(~alive))
         kept = cube[:, alive, :]
         if kept.shape[1] == 0:
             continue
         acc.add_batches(kept)
-        if split_halves and n >= 2:
-            half_a.add_batches(kept[:, :, : n // 2])
-            half_b.add_batches(kept[:, :, n // 2:])
+        if halves and n >= 2:
+            halves[0].add_batches(kept[:, :, : n // 2])
+            halves[1].add_batches(kept[:, :, n // 2:])
         if keep_samples:
             kept_cubes.append(kept)
 
-    samples = np.concatenate(kept_cubes, axis=1) if kept_cubes else None
-    result = EnsembleResult(
+    return EnsembleResult(
         moments=acc,
         params=params,
         config=rcfg,
         n_trajectories=nt,
-        n_diverged=n_diverged,
+        n_diverged=len(diverged_indices),
         elapsed_seconds=time.perf_counter() - t0,
         sample_times=rcfg.sample_times(),
         diverged_indices=diverged_indices,
         backend=f"{stepper.__module__}.{stepper.__name__}",
-        samples=samples,
-        halves=(half_a, half_b) if split_halves else None,
+        workers=threads if stepper is _kernels._chunk_step_c else 1,
+        block_size=BLOCK_SIZE,
+        samples=np.concatenate(kept_cubes, axis=1) if kept_cubes else None,
+        halves=halves,
     )
-    return result
 
 
 def integrate_batch(params: ModelParams, dt: float, normals: np.ndarray,

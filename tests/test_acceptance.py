@@ -26,7 +26,6 @@ from opo3 import (
     pump_mean_shift,
     pump_odd_moment,
     run_ensemble,
-    sample_wiener_increments,
     second_moments,
     state_channels,
     triple_correlations,
@@ -204,22 +203,34 @@ def test_criterion_8_property_suites(acceptance, agreement_ensemble,
                                      agreement_report):
     checks = {}
 
-    # noise moments: only the dw1.dw2 (and conjugate-line) products
-    # survive; everything else is zero
+    # noise moments of the increments the kernel applies: one
+    # integrate_batch step from a0 = a0p = 1/eps, with eps*a0 exactly 1 and
+    # every signal amplitude at 0, leaves the a1, a2, a1p and a2p rows equal
+    # to sqrt(dt/2)(w0 +- i*w1) and sqrt(dt/2)(w2 +- i*w3); only the dw1.dw2
+    # (and conjugate-line) products survive, everything else is zero
     rng = np.random.default_rng(2718)
     dt, n = 0.01, 200_000
-    inc = sample_wiener_increments(rng, dt, size=n)
+    pn = ModelParams(0.5, 0.5, 0.5)
+    start = np.zeros((6, n), dtype=np.complex128)
+    start[[0, 3]] = 1.0 / pn.eps
+    normals = rng.standard_normal((1, 4, n))
+    stepped, alive, _ = integrate_batch(pn, dt, normals, start)
+    dw1, dw2, dw1p, dw2p = stepped[[1, 2, 4, 5]]
+    w = normals[0] * math.sqrt(dt / 2.0)
     se_prod = 4.0 * dt / math.sqrt(n)
     se_mean = 4.0 * math.sqrt(dt) / math.sqrt(n)
-    checks["noise"] = (
-        abs(np.mean(inc.dw1 * inc.dw2) - dt) <= se_prod
-        and abs(np.mean(inc.dw1p * inc.dw2p) - dt) <= se_prod
-        and abs(np.mean(inc.dw1 * inc.dw2p)) <= se_prod
-        and abs(np.mean(inc.dw1 * inc.dw1)) <= se_prod
-        and abs(np.mean(inc.dw2 * inc.dw1p)) <= se_prod
-        and abs(np.mean(inc.dw1)) <= se_mean
-        and np.array_equal(inc.dw2, np.conj(inc.dw1))
-        and np.array_equal(inc.dw2p, np.conj(inc.dw1p))
+    checks["noise"] = bool(
+        alive.all()
+        and np.array_equal(dw1, w[0] + 1j * w[1])
+        and np.array_equal(dw1p, w[2] + 1j * w[3])
+        and abs(np.mean(dw1 * dw2) - dt) <= se_prod
+        and abs(np.mean(dw1p * dw2p) - dt) <= se_prod
+        and abs(np.mean(dw1 * dw2p)) <= se_prod
+        and abs(np.mean(dw1 * dw1)) <= se_prod
+        and abs(np.mean(dw2 * dw1p)) <= se_prod
+        and abs(np.mean(dw1)) <= se_mean
+        and np.array_equal(dw2, np.conj(dw1))
+        and np.array_equal(dw2p, np.conj(dw1p))
     )
 
     # merge law: split accumulation equals single-stream accumulation
@@ -283,8 +294,8 @@ def test_criterion_8_property_suites(acceptance, agreement_ensemble,
     slopes = [np.polyfit(logdt, np.log(errs[:, j]), 1)[0] for j in range(2)]
     checks["weak-order"] = all(0.6 <= s <= 1.5 for s in slopes)
 
-    # bit-level determinism under different worker counts; more than one
-    # block, so the two-worker run really starts the process pool
+    # bit-level determinism under different worker counts; the C kernel
+    # splits every block, the last one partial, over the two workers' threads
     cfg = SimConfig(dt=0.05, burn_in=20.0, sample_interval=2.0,
                     n_samples_per_traj=8, n_trajectories=2 * BLOCK_SIZE + 64,
                     master_seed=55)

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import opo3
-from opo3 import _kernels, cli
+from opo3 import _kernels, cli, engine
 from opo3.cli import (
     CliError,
     build_runspec,
@@ -108,8 +108,8 @@ class TestRun:
         assert set(doc) == {"version", "params", "config", "sigma_threshold",
                             "n_trajectories", "n_diverged",
                             "divergence_fraction", "reliable",
-                            "elapsed_seconds", "backend", "moments",
-                            "criteria", "analytic"}
+                            "elapsed_seconds", "backend", "workers",
+                            "block_size", "moments", "criteria", "analytic"}
         stepper = _kernels.get_stepper()
         assert doc["backend"] == f"{stepper.__module__}.{stepper.__name__}"
         assert doc["params"]["mu"] == 0.5
@@ -214,6 +214,42 @@ class TestRun:
         assert rc == 0
         doc = json.loads((tmp_path / "report.json").read_text())
         assert doc["backend"] == "opo3._kernels._chunk_step_numpy"
+        assert doc["workers"] == 1
+
+    def test_report_workers_default_and_override(self, tmp_path, monkeypatch):
+        # unset, the kernel threads over every CPU this process may use
+        argv = ["run", *FAST, "--n-trajectories", 4,
+                "--n-samples-per-traj", 2, "--out-dir", tmp_path]
+        on_c = _kernels.get_stepper() is _kernels._chunk_step_c
+        cpus = (len(os.sched_getaffinity(0))
+                if hasattr(os, "sched_getaffinity") else os.cpu_count())
+        for value, want in ((None, min(cpus, 4)), ("1", 1)):
+            if value is None:
+                monkeypatch.delenv("OPO3_WORKERS", raising=False)
+            else:
+                monkeypatch.setenv("OPO3_WORKERS", value)
+            assert run_main(argv) == 0
+            doc = json.loads((tmp_path / "report.json").read_text())
+            assert doc["workers"] == (want if on_c else 1)
+            assert doc["block_size"] == engine.BLOCK_SIZE
+
+    @pytest.mark.parametrize("value", ["abc", "0", "-3", "2.5"])
+    def test_bad_workers_env_exits_2(self, tmp_path, capsys, monkeypatch,
+                                     value):
+        monkeypatch.setenv("OPO3_WORKERS", value)
+        rc = run_main(["run", *FAST, "--n-trajectories", 4,
+                       "--n-samples-per-traj", 2, "--out-dir", tmp_path])
+        assert rc == 2
+        assert ("OPO3_WORKERS must be an integer >= 1"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "report.json").exists()
+
+    def test_step_count_overflow_exits_2(self, tmp_path, capsys):
+        rc = run_main(["run", "--burn-in", "1e307", "--dt", "0.001",
+                       "--out-dir", tmp_path])
+        assert rc == 2
+        assert ("burn_in=1e+307 needs too many steps of dt=0.001"
+                in capsys.readouterr().err)
 
 
 class TestSweep:
@@ -344,12 +380,16 @@ class TestEntryPoints:
         assert "bad value for dt" in out.stderr
 
     def test_one_worker_run_leaves_multiprocessing_unimported(self):
-        # the process pool is imported only when a run asks for workers, so
-        # a one-worker run does not pay for loading multiprocessing
+        # workers are threads inside the C kernel, so neither a one-worker
+        # trajectory nor a two-worker ensemble of two blocks loads
+        # multiprocessing
         code = ("import sys, opo3\n"
-                "opo3.simulate_trajectory(opo3.ModelParams(0.5, 1.0, 0.05), "
-                "opo3.SimConfig(dt=0.05, burn_in=20.0, sample_interval=2.0, "
-                "n_samples_per_traj=1, n_trajectories=1))\n"
+                "p = opo3.ModelParams(0.5, 1.0, 0.05)\n"
+                "cfg = opo3.SimConfig(dt=0.05, burn_in=20.0, "
+                "sample_interval=2.0, n_samples_per_traj=1, "
+                "n_trajectories=opo3.engine.BLOCK_SIZE + 1)\n"
+                "opo3.simulate_trajectory(p, cfg)\n"
+                "opo3.run_ensemble(p, cfg, workers=2)\n"
                 "print('multiprocessing' in sys.modules)")
         out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                              text=True, env=package_env())

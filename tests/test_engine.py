@@ -4,6 +4,7 @@ determinism, divergence handling, stationarity, and weak convergence."""
 import ctypes
 import math
 import shutil
+import subprocess
 import warnings
 
 import numpy as np
@@ -22,7 +23,6 @@ from opo3 import (
     ou_covariances,
     pump_mean_shift,
     run_ensemble,
-    sample_wiener_increments,
     simulate_trajectory,
 )
 
@@ -34,47 +34,66 @@ def se_of_mean(arr):
     return float(np.std(arr) / math.sqrt(arr.size))
 
 
+def kernel_increments(rng, dt, size):
+    """The (dw1, dw2, dw1p, dw2p) one kernel step applies to `size`
+    trajectories, with the four unscaled normals each drew.
+
+    From a0 = a0p = 1/eps with every signal amplitude at 0, at a point where
+    eps*a0 is exactly 1, one integrate_batch step leaves the a1, a2, a1p and
+    a2p rows equal to the increments themselves.
+    """
+    params = ModelParams(0.5, 0.5, 0.5)
+    assert params.eps * (1.0 / params.eps) == 1.0
+    start = np.zeros((6, size), dtype=np.complex128)
+    start[[0, 3]] = 1.0 / params.eps
+    normals = rng.standard_normal((1, 4, size))
+    final, alive, _ = integrate_batch(params, dt, normals, start)
+    assert alive.all()
+    return final[[1, 2, 4, 5]], normals[0]
+
+
 class TestNoise:
     def test_increment_moments(self):
         rng = np.random.default_rng(20260814)
         dt = 0.02
         n = 1_000_000
-        w = sample_wiener_increments(rng, dt, size=n)
+        (dw1, dw2, dw1p, dw2p), _ = kernel_increments(rng, dt, n)
         # the only nonzero second moments are <dw1 dw2> = <dw1p dw2p> = dt
         for prod, target in (
-            (w.dw1 * w.dw2, dt),
-            (w.dw1p * w.dw2p, dt),
-            (w.dw1 * w.dw1, 0.0),
-            (w.dw2 * w.dw2, 0.0),
-            (w.dw1p * w.dw1p, 0.0),
-            (w.dw1 * w.dw1p, 0.0),
-            (w.dw1 * w.dw2p, 0.0),
-            (w.dw2 * w.dw1p, 0.0),
+            (dw1 * dw2, dt),
+            (dw1p * dw2p, dt),
+            (dw1 * dw1, 0.0),
+            (dw2 * dw2, 0.0),
+            (dw1p * dw1p, 0.0),
+            (dw1 * dw1p, 0.0),
+            (dw1 * dw2p, 0.0),
+            (dw2 * dw1p, 0.0),
         ):
             mean = prod.mean()
             assert abs(mean.real - target) <= 4.0 * se_of_mean(prod.real)
             assert abs(mean.imag) <= 4.0 * se_of_mean(prod.imag)
-        for comp in (w.dw1, w.dw2, w.dw1p, w.dw2p):
+        for comp in (dw1, dw2, dw1p, dw2p):
             assert abs(comp.mean().real) <= 4.0 * se_of_mean(comp.real)
             assert abs(comp.mean().imag) <= 4.0 * se_of_mean(comp.imag)
         # exact conjugate pairing by construction
-        np.testing.assert_array_equal(w.dw2, np.conj(w.dw1))
-        np.testing.assert_array_equal(w.dw2p, np.conj(w.dw1p))
+        np.testing.assert_array_equal(dw2, np.conj(dw1))
+        np.testing.assert_array_equal(dw2p, np.conj(dw1p))
 
     def test_variance_scale(self):
         # |dw1|^2 averages to dt as well (real and imag parts dt/2 each)
         rng = np.random.default_rng(7)
-        w = sample_wiener_increments(rng, 0.1, size=200_000)
-        mag2 = (w.dw1 * np.conj(w.dw1)).real
+        (dw1, _, _, _), _ = kernel_increments(rng, 0.1, 200_000)
+        mag2 = (dw1 * np.conj(dw1)).real
         assert abs(mag2.mean() - 0.1) <= 4.0 * se_of_mean(mag2)
 
     def test_scalar_draw(self):
+        # one trajectory's increments are its four normals scaled by
+        # sqrt(dt/2): dw1 = w0 + i*w1, dw2 = w0 - i*w1, and w2, w3 likewise
         rng = np.random.default_rng(1)
-        w = sample_wiener_increments(rng, 0.5)
-        assert w.dw2 == w.dw1.conjugate()
-        assert w.dw2p == w.dw1p.conjugate()
-        with pytest.raises(ValueError):
-            sample_wiener_increments(rng, 0.0)
+        dw, normals = kernel_increments(rng, 0.5, 1)
+        w = normals[:, 0] * math.sqrt(0.5 / 2.0)
+        assert list(dw[:, 0]) == [complex(w[0], w[1]), complex(w[0], -w[1]),
+                                  complex(w[2], w[3]), complex(w[2], -w[3])]
 
 
 def one_step(params, state, normals, scheme="euler", dt=0.01):
@@ -174,9 +193,15 @@ class TestResolve:
     @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan, 0.0])
     def test_non_finite_or_non_positive_times(self, field, value):
         # rejected by name before any step count is derived from them
+        params = ModelParams(0.5, 1.0, 0.05)
         with pytest.raises(ValueError,
                            match=f"^{field} must be positive and finite$"):
-            SimConfig(**{field: value}).resolve(ModelParams(0.5, 1.0, 0.05))
+            SimConfig(**{field: value}).resolve(params)
+        # finite, but too many steps of dt for the int64 step counter
+        if field != "dt":
+            with pytest.raises(ValueError, match=f"^{field}=1e\\+307 needs "
+                               "too many steps of dt=0.001 for the int64"):
+                SimConfig(dt=0.001, **{field: 1e307}).resolve(params)
 
     def test_sample_times(self):
         params = ModelParams(0.5, 1.0, 0.05)
@@ -199,20 +224,45 @@ class TestDeterminism:
             assert a[name].std_error == b[name].std_error
 
     def test_worker_count_invariance(self):
-        # 2 blocks of 256 trajectories; merged block-ordered results must
-        # agree between serial and process-pool execution
+        # three blocks, the last one partial; the kernel splits each block
+        # over the threads, and the results must not depend on how many
         params = ModelParams(0.5, 1.0, 0.05)
         cfg = SimConfig(dt=0.05, burn_in=20.0, sample_interval=2.0,
-                        n_samples_per_traj=4, n_trajectories=512,
+                        n_samples_per_traj=4,
+                        n_trajectories=2 * engine.BLOCK_SIZE + 64,
                         master_seed=321)
         serial = run_ensemble(params, cfg, workers=1).report("none")
-        pooled = run_ensemble(params, cfg, workers=2).report("none")
-        for name in ("t1", "t2", "q4", "var_x0", "cov_x_xp", "amp_triple",
-                     "mean_x0", "s"):
-            assert serial[name].value == pooled[name].value, name
-            assert serial[name].std_error == pooled[name].std_error, name
-            assert (serial[name].std_error_imag
-                    == pooled[name].std_error_imag), name
+        for workers in (2, 3):
+            threaded = run_ensemble(params, cfg, workers=workers).report(
+                "none")
+            for name in ("t1", "t2", "q4", "var_x0", "cov_x_xp",
+                         "amp_triple", "mean_x0", "s"):
+                a, b = serial[name], threaded[name]
+                assert a.value == b.value, (workers, name)
+                assert a.std_error == b.std_error, (workers, name)
+                assert a.std_error_imag == b.std_error_imag, (workers, name)
+
+    @pytest.mark.parametrize("workers", [0, -3, 2.0, True, "2"])
+    def test_bad_worker_count_rejected(self, workers):
+        params = ModelParams(0.5, 1.0, 0.05)
+        cfg = SimConfig(dt=0.05, burn_in=20.0, sample_interval=2.0,
+                        n_samples_per_traj=1, n_trajectories=1)
+        with pytest.raises(ValueError,
+                           match="^workers must be an integer >= 1"):
+            run_ensemble(params, cfg, workers=workers)
+
+    def test_reports_workers_and_block_size(self, monkeypatch):
+        params = ModelParams(0.5, 1.0, 0.05)
+        cfg = SimConfig(dt=0.05, burn_in=20.0, sample_interval=2.0,
+                        n_samples_per_traj=1, n_trajectories=3)
+        monkeypatch.setenv("OPO3_WORKERS", "2")
+        res = run_ensemble(params, cfg)
+        assert res.block_size == engine.BLOCK_SIZE
+        on_c = res.backend == "opo3._kernels._chunk_step_c"
+        assert res.workers == (2 if on_c else 1)
+        # more threads than trajectories: the kernel runs one per trajectory
+        assert run_ensemble(params, cfg, workers=4).workers == (
+            3 if on_c else 1)
 
     def test_trajectory_matches_ensemble_member(self):
         # trajectory seeding depends only on (master_seed, index)
@@ -242,8 +292,9 @@ class TestDeterminism:
             assert _kernels.get_stepper() is _kernels._chunk_step_numpy
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            slow = run_ensemble(params, cfg)
+            slow = run_ensemble(params, cfg, workers=2)
         assert slow.backend == "opo3._kernels._chunk_step_numpy"
+        assert slow.workers == 1
         assert slow.n_diverged == fast.n_diverged == 0
         a, b = fast.report("none"), slow.report("none")
         for name in ("t1", "q4", "var_x0", "cov_x_xp", "amp_n0", "mean_x0"):
@@ -263,8 +314,9 @@ def no_compiler(monkeypatch, tmp_path):
     _kernels._c_function.cache_clear()
 
 
-def drive(stepper, start, w, params, dt, thr, step0, chunk):
-    """Advance `start` through the noise `w` in chunks of `chunk` steps."""
+def drive(stepper, start, w, params, dt, thr, step0, chunk, **kw):
+    """Advance `start` through the noise `w` in chunks of `chunk` steps;
+    `kw` goes to the stepper."""
     state = start.copy()
     alive = np.ones(start.shape[1], dtype=np.bool_)
     first_bad = np.full(start.shape[1], -1, dtype=np.int64)
@@ -272,7 +324,7 @@ def drive(stepper, start, w, params, dt, thr, step0, chunk):
     for lo in range(0, w.shape[1], chunk):
         stepper(state, np.ascontiguousarray(w[:, lo:lo + chunk]), alive,
                 first_bad, params.eps, m_pump, dt, 1.0 - params.gamma_r * dt,
-                dt, thr * thr, step0 + lo)
+                dt, thr * thr, step0 + lo, **kw)
     return state, alive, first_bad
 
 
@@ -312,6 +364,44 @@ class TestKernels:
             np.testing.assert_allclose(state[:, 2], frozen[:, 0], rtol=1e-12)
             np.testing.assert_array_equal(state[:, 4::2], start[:, 4::2])
         np.testing.assert_allclose(c_out[0], np_out[0], rtol=1e-12, atol=0)
+
+    @needs_cc
+    @pytest.mark.parametrize("n_threads", [2, 3, 8])
+    def test_c_kernel_thread_count_invariance(self, n_threads):
+        # each trajectory is stepped by exactly one thread, on its own noise
+        # and scratch, so any split of the block gives the same bits; 8 is
+        # more threads than trajectories
+        start, w, dt = self.kicked_block()
+        p = self.params
+
+        def buffered(threads):
+            return drive(_kernels._chunk_step_c, start, w, p, dt, 50.0,
+                         5000, 150, n_threads=threads)
+
+        def drawn(threads):
+            state = start.copy()
+            alive = np.ones(start.shape[1], dtype=np.bool_)
+            first_bad = np.full(start.shape[1], -1, dtype=np.int64)
+            gens = _kernels.BitGenerators(
+                engine._traj_rng(9, j) for j in range(start.shape[1]))
+            for lo in range(0, w.shape[1], 150):
+                _kernels._draw_chunk_step_c(
+                    state, gens, 150, math.sqrt(dt / 2.0), alive, first_bad,
+                    p.eps, p.mu / p.eps, dt, 1.0 - p.gamma_r * dt, dt,
+                    50.0 ** 2, 5000 + lo, n_threads=threads)
+            return state, alive, first_bad
+
+        for run in (buffered, drawn):
+            want, got = run(1), run(n_threads)
+            assert want[0].tobytes() == got[0].tobytes(), run.__name__
+            np.testing.assert_array_equal(want[1], got[1])
+            np.testing.assert_array_equal(want[2], got[2])
+        # the buffered case keeps its kicked deaths, the drawn one only the
+        # non-finite starts
+        np.testing.assert_array_equal(buffered(n_threads)[2],
+                                      [-1, -1, 5137, 5200, 5000, -1, 5000])
+        np.testing.assert_array_equal(drawn(n_threads)[2],
+                                      [-1, -1, -1, -1, 5000, -1, 5000])
 
     @needs_cc
     def test_c_kernel_rejects_bad_layout(self):
@@ -374,6 +464,16 @@ class TestKernels:
         # channels 6..11 are a0, a0p, a1, a1p, a2, a2p
         np.testing.assert_array_equal(cube[6:, alive, 0],
                                       state[[0, 3, 1, 4, 2, 5]][:, alive])
+
+    @needs_cc
+    def test_c_source_compiles_without_warnings(self, tmp_path):
+        # compile only, with the runtime flags plus warnings as errors
+        proc = subprocess.run(
+            ["cc", *_kernels._C_FLAGS, "-Wall", "-Wextra", "-Werror",
+             "-x", "c", "-", "-c", "-o", str(tmp_path / "kernel.o")],
+            input=_kernels._C_SOURCE, capture_output=True, text=True,
+            timeout=300)
+        assert proc.returncode == 0, proc.stderr
 
     @needs_cc
     def test_library_keeps_numpy_sampler_private(self):
