@@ -15,17 +15,19 @@ so <dw1 dw2> = <dw1p dw2p> = dt and all other second moments vanish.
 
 Noise source: both kernels accept such a buffer (`integrate_batch` fills
 one from caller-supplied normals).  For ensemble runs the C kernel instead
-draws each live trajectory's chunk of normals itself, straight from that
-trajectory's PCG64 (`_draw_chunk_step_c`), through numpy's own
-`random_standard_normal_fill`, the routine `Generator.standard_normal`
-runs, and scales them with the same single multiply; the draws, and so
-the results, are bit-for-bit those of the buffer path, and no per-block
-noise buffer is allocated.
+draws each live trajectory's four normals per step itself, straight from
+that trajectory's PCG64 (`_draw_chunk_step_c`), and scales them with the
+same single multiply.  Its sampler is a copy of numpy's
+`random_standard_normal`, the ziggurat behind `Generator.standard_normal`,
+as numpy writes it except that the random sign is XOR-ed into bit 63
+instead of taken by a branch; it calls the generator through numpy's public
+`bitgen_t` struct.  So the draws, and the results, are bit-for-bit those
+of the buffer path, and no noise buffer is allocated.  A trajectory that
+dies stops drawing; its generator is not used again.
 
 Threads: the C kernel splits a block into `n_threads` contiguous ranges
-of trajectories, each on a pthread with its slice of one scratch that the
-calling thread allocates; that thread runs the first range, and any range
-whose thread fails to start, itself.  A trajectory touches only its own
+of trajectories, each on a pthread; the calling thread runs the first
+range, and any range whose thread fails to start, itself.  A trajectory touches only its own
 generator and state column, so results do not depend on the thread count.
 
 The pump advances through a factored one-step map
@@ -40,14 +42,20 @@ whose candidate exceeds the threshold (or goes non-finite) is frozen at its
 last good state, marked dead, and its global step index recorded.
 
 The C kernel is built with -fcx-limited-range and -ffp-contract=off, so its
-complex products use numpy's textbook formula without fused multiply-adds;
-the two kernels agree to rounding, not bit for bit.  It is linked against
-the static `random/lib/libnpyrandom.a` that numpy wheels ship, with
--Wl,--exclude-libs,ALL so the library exports none of numpy's symbols; a
-missing archive counts as a failed build.  The shared library is cached
-under $XDG_CACHE_HOME/opo3 (else ~/.cache/opo3, else a per-user directory
-in the system temporary directory), keyed by a hash of the source, the
-flags, `cc --version` and the numpy version.
+complex products use numpy's textbook formula without fused multiply-adds,
+and its ziggurat rounds as numpy's does; the two kernels agree to rounding,
+not bit for bit.  The sampler's three 256-entry tables are local symbols of
+the static `random/lib/libnpyrandom.a` that numpy wheels ship, so they
+cannot be linked: on a build, a small ar and ELF64 reader copies them from
+the archive into the source.  The library links nothing of numpy; a
+missing or unreadable archive counts as a failed build.  On load, the
+kernel's sampler must reproduce `Generator.standard_normal` bit for bit on
+a fixed seed, consuming the same words, or the numpy kernel runs instead,
+with one warning.  The shared library is cached under
+$XDG_CACHE_HOME/opo3 (else ~/.cache/opo3, else a per-user directory in the
+system temporary directory), keyed by a hash of the source template, the
+flags, `cc --version` and the numpy version, so a cache hit never opens
+the archive.
 """
 
 from __future__ import annotations
@@ -56,6 +64,7 @@ import ctypes
 import functools
 import os
 import shutil
+import struct
 import subprocess
 import tempfile
 import warnings
@@ -64,25 +73,81 @@ from pathlib import Path
 
 import numpy as np
 
-_C_SOURCE = r"""
+_C_TEMPLATE = r"""
 #include <complex.h>
+#include <math.h>
 #include <pthread.h>
 #include <stdint.h>
 #include <stdlib.h>
+#include <string.h>
 
-/* numpy's bit-generator interface, used only through pointers, and the
-   sampler behind Generator.standard_normal (numpy's libnpyrandom.a) */
-typedef struct bitgen bitgen_t;
-void random_standard_normal_fill(bitgen_t *bitgen_state, intptr_t cnt,
-                                 double *out);
+/* numpy's bit-generator interface, as numpy/random/bitgen.h lays it out */
+typedef struct bitgen {
+    void *state;
+    uint64_t (*next_uint64)(void *st);
+    uint32_t (*next_uint32)(void *st);
+    double (*next_double)(void *st);
+    uint64_t (*next_raw)(void *st);
+} bitgen_t;
 
-/* one opo3_chunk_step call's arguments, trajectories [lo, hi) of them,
-   their scratch and the thread that runs them */
+/* numpy's ziggurat tables, copied from its libnpyrandom.a at build time */
+@TABLES@
+static const double ziggurat_nor_r = 3.6541528853610087963519472518;
+static const double ziggurat_nor_inv_r = 0.27366123732975827203338247596;
+
+/* numpy's random_standard_normal, the sampler behind
+   Generator.standard_normal (the ziggurat of Marsaglia & Tsang, J. Stat.
+   Softw. 5(8), 2000), as numpy writes it, except that the random sign is
+   XOR-ed into bit 63 instead of taken by an unpredictable branch */
+static inline double standard_normal(bitgen_t *bitgen_state)
+{
+    for (;;) {
+        uint64_t r = bitgen_state->next_uint64(bitgen_state->state);
+        int idx = r & 0xff;
+        r >>= 8;
+        uint64_t sign = r & 0x1;
+        uint64_t rabs = (r >> 1) & 0x000fffffffffffff;
+        double x = rabs * wi_double[idx];
+        uint64_t bits;
+        memcpy(&bits, &x, sizeof bits);
+        bits ^= sign << 63;
+        memcpy(&x, &bits, sizeof x);
+        if (rabs < ki_double[idx])
+            return x; /* 99.3% of the time return here */
+        if (idx == 0) {
+            for (;;) {
+                /* Switch to 1.0 - U to avoid log(0.0), see GH 13361 */
+                double xx = -ziggurat_nor_inv_r
+                            * log1p(-bitgen_state->next_double(bitgen_state->state));
+                double yy = -log1p(-bitgen_state->next_double(bitgen_state->state));
+                if (yy + yy > xx * xx)
+                    return ((rabs >> 8) & 0x1) ? -(ziggurat_nor_r + xx)
+                                               : ziggurat_nor_r + xx;
+            }
+        } else {
+            if (((fi_double[idx - 1] - fi_double[idx])
+                 * bitgen_state->next_double(bitgen_state->state)
+                 + fi_double[idx]) < exp(-0.5 * x * x))
+                return x;
+        }
+    }
+}
+
+/* n draws of standard_normal from g, for the load-time comparison with
+   Generator.standard_normal */
+void opo3_normals(bitgen_t *g, int64_t n, double *out)
+{
+    for (int64_t i = 0; i < n; i++)
+        out[i] = standard_normal(g);
+}
+
+/* one opo3_chunk_step call's arguments, trajectories [lo, hi) of them and
+   the thread that runs them */
 typedef struct {
     double complex *state; const double *w; bitgen_t **gens; double scale;
     uint8_t *alive; int64_t *first_bad; int64_t nb, n_steps;
     double eps, m_pump, dt, e_pump, phi_pump, thr2; int64_t step0;
-    int64_t lo, hi; double *drawn; pthread_t thread; int started;
+    int64_t lo, hi; pthread_t thread; int started;
 } range_t;
 
 static int inside(double complex z, double thr2)
@@ -101,22 +166,21 @@ static void *step_range(void *arg)
     for (int64_t j = r->lo; j < r->hi; j++) {
         if (!r->alive[j])
             continue;
-        const double *wj;
-        if (r->gens) {
-            random_standard_normal_fill(r->gens[j], n_steps * 4, r->drawn);
-            for (int64_t i = 0; i < n_steps * 4; i++)
-                r->drawn[i] *= r->scale;
-            wj = r->drawn;
-        } else {
-            wj = r->w + j * n_steps * 4;
-        }
+        bitgen_t *g = r->gens ? r->gens[j] : NULL;
+        const double *wj = r->w ? r->w + j * n_steps * 4 : NULL;
         double complex a0 = state[j], a1 = state[nb + j],
                        a2 = state[2 * nb + j], a0p = state[3 * nb + j],
                        a1p = state[4 * nb + j], a2p = state[5 * nb + j];
         for (int64_t c = 0; c < n_steps; c++) {
-            const double *wc = wj + 4 * c;
-            double complex dw1 = CMPLX(wc[0], wc[1]), dw2 = CMPLX(wc[0], -wc[1]);
-            double complex dw1p = CMPLX(wc[2], wc[3]), dw2p = CMPLX(wc[2], -wc[3]);
+            double w[4];
+            if (g) {
+                for (int k = 0; k < 4; k++)
+                    w[k] = standard_normal(g) * r->scale;
+            } else {
+                memcpy(w, wj + 4 * c, sizeof w);
+            }
+            double complex dw1 = CMPLX(w[0], w[1]), dw2 = CMPLX(w[0], -w[1]);
+            double complex dw1p = CMPLX(w[2], w[3]), dw2p = CMPLX(w[2], -w[3]);
             double complex r0 = csqrt(eps * a0), r0p = csqrt(eps * a0p);
             double complex n0 = m_pump + (a0 - m_pump) * e_pump
                                 + phi_pump * (-eps * a1 * a2);
@@ -143,9 +207,9 @@ static void *step_range(void *arg)
 }
 
 /* With gens NULL the noise is read from w, (nb, n_steps, 4) and already
-   scaled; otherwise trajectory j draws its n_steps*4 normals from gens[j]
-   and scales them by `scale`.  n_threads is clamped to [1, nb].  Returns
-   -1 when the scratch cannot be had. */
+   scaled; otherwise trajectory j draws each step's four normals from
+   gens[j] as it takes the step, and scales them by `scale`.  n_threads is
+   clamped to [1, nb].  Returns -1 when the ranges cannot be allocated. */
 int opo3_chunk_step(double complex *state, const double *w, bitgen_t **gens,
                     double scale, uint8_t *alive, int64_t *first_bad,
                     int64_t nb, int64_t n_steps, double eps, double m_pump,
@@ -156,18 +220,14 @@ int opo3_chunk_step(double complex *state, const double *w, bitgen_t **gens,
         n_threads = nb;
     if (n_threads < 1)
         n_threads = 1;
-    /* the ranges, then one scratch slice per range (none for w) */
-    const int64_t slice = gens ? n_steps * 4 : 0;
-    range_t *ranges = malloc(n_threads * (sizeof(range_t)
-                                          + slice * sizeof(double)));
+    range_t *ranges = malloc(n_threads * sizeof(range_t));
     if (!ranges)
         return -1;
     for (int64_t t = 0; t < n_threads; t++) {
         range_t *r = &ranges[t];
         *r = (range_t){state, w, gens, scale, alive, first_bad, nb, n_steps,
                        eps, m_pump, dt, e_pump, phi_pump, thr2, step0,
-                       nb * t / n_threads, nb * (t + 1) / n_threads,
-                       (double *)(ranges + n_threads) + t * slice, 0, 0};
+                       nb * t / n_threads, nb * (t + 1) / n_threads, 0, 0};
         r->started = t > 0
                      && pthread_create(&r->thread, NULL, step_range, r) == 0;
     }
@@ -187,6 +247,13 @@ _C_FLAGS = ("-O2", "-pthread", "-fPIC", "-shared", "-fcx-limited-range",
             "-ffp-contract=off")
 # numpy wheels ship libnpyrandom.a under random/lib for C extensions
 _NUMPY_DIR = Path(np.__file__).parent
+# numpy's ziggurat tables: C element type and the struct format of each
+_TABLES = {b"ki_double": ("uint64_t", "<256Q"),
+           b"wi_double": ("double", "<256d"),
+           b"fi_double": ("double", "<256d")}
+# the load-time comparison of the C sampler with Generator.standard_normal
+_CHECK_SEED = 20260814
+_CHECK_DRAWS = 2**14
 
 
 def _chunk_step_numpy(state, w, alive, first_bad, eps, m_pump, dt,
@@ -284,7 +351,7 @@ def _call_c(state, w_ptr, gens_ptr, scale, alive, first_bad, n_steps, eps,
     if fn(state.ctypes.data, w_ptr, gens_ptr, scale, alive.ctypes.data,
           first_bad.ctypes.data, nb, n_steps, eps, m_pump, dt, e_pump,
           phi_pump, thr2, step0, n_threads) != 0:
-        raise MemoryError("no memory for the C kernel's scratch")
+        raise MemoryError("no memory for the C kernel's thread ranges")
 
 
 class _BuildError(Exception):
@@ -319,8 +386,77 @@ def _cache_dir() -> Path:
     raise _BuildError("no writable cache directory")
 
 
+def _elf_tables(obj: bytes) -> dict:
+    """The ziggurat tables among one ELF object's symbols, by name."""
+    if obj[4:6] != b"\x02\x01":       # ELFCLASS64, ELFDATA2LSB
+        raise _BuildError("numpy's libnpyrandom.a is not little-endian ELF64")
+    shoff, = struct.unpack_from("<Q", obj, 0x28)
+    shentsize, shnum = struct.unpack_from("<HH", obj, 0x3A)
+    # (sh_type, sh_offset, sh_size, sh_link) of each section
+    sections = [struct.unpack_from("<4xI16xQQI", obj, shoff + i * shentsize)
+                for i in range(shnum)]
+    found = {}
+    for sh_type, offset, size, link in sections:
+        if sh_type != 2:                   # SHT_SYMTAB
+            continue
+        strtab = sections[link][1]
+        for sym in range(offset, offset + size, 24):
+            name_at, shndx, value, nbytes = struct.unpack_from(
+                "<I2xHQQ", obj, sym)
+            name = obj[strtab + name_at:obj.index(b"\0", strtab + name_at)]
+            if (name in _TABLES and nbytes == 2048 and 0 < shndx < shnum
+                    and sections[shndx][0] == 1):      # SHT_PROGBITS
+                found[name] = struct.unpack_from(_TABLES[name][1], obj,
+                                                 sections[shndx][1] + value)
+    return found
+
+
+def _ziggurat_tables(archive: Path) -> dict:
+    """numpy's ziggurat tables, read from the objects in its static archive.
+
+    They are local symbols there, so they cannot be linked; every ELF
+    member of the ar archive is searched.
+    """
+    data = archive.read_bytes()
+    if not data.startswith(b"!<arch>\n"):
+        raise _BuildError(f"{archive.name} is not an ar archive")
+    found, pos = {}, 8
+    try:
+        while pos + 60 <= len(data):
+            if data[pos + 58:pos + 60] != b"`\n":
+                raise _BuildError(f"{archive.name}: bad member header")
+            size = int(data[pos + 48:pos + 58])
+            member = data[pos + 60:pos + 60 + size]
+            pos += 60 + size + size % 2
+            if member.startswith(b"\x7fELF"):
+                found = {**_elf_tables(member), **found}
+    except (struct.error, ValueError, IndexError) as exc:
+        raise _BuildError(f"{archive.name} unreadable: {exc}") from None
+    missing = [name.decode() for name in _TABLES if name not in found]
+    if missing:
+        raise _BuildError(f"{archive.name} has no {', '.join(missing)}")
+    return found
+
+
+def _c_source(archive: Path) -> str:
+    """The kernel's C source with numpy's ziggurat tables filled in."""
+    tables, decls = _ziggurat_tables(archive), []
+    for name, (ctype, _) in _TABLES.items():
+        items = [f"{v:#x}ULL" if ctype == "uint64_t" else v.hex()
+                 for v in tables[name]]
+        rows = ",\n".join("    " + ", ".join(items[i:i + 4])
+                          for i in range(0, len(items), 4))
+        decls.append(f"static const {ctype} {name.decode()}[256] = {{\n"
+                     f"{rows}\n}};")
+    return _C_TEMPLATE.replace("@TABLES@", "\n".join(decls))
+
+
 def _compiled_library() -> Path:
-    """Path of the kernel's shared library, built into the cache if absent."""
+    """Path of the kernel's shared library, built into the cache if absent.
+
+    The cache key does not depend on the archive's contents, so a cache
+    hit never reads it.
+    """
     cc = shutil.which("cc")
     if cc is None:
         raise _BuildError("no C compiler (cc) on PATH")
@@ -332,19 +468,19 @@ def _compiled_library() -> Path:
     # crc32, not hashlib: importing hashlib loads OpenSSL, about 3 MB of
     # resident memory in every process that integrates
     key = "".join(f"{zlib.crc32(part.encode()):08x}"
-                  for part in (_C_SOURCE, " ".join(_C_FLAGS), version,
+                  for part in (_C_TEMPLATE, " ".join(_C_FLAGS), version,
                                np.__version__))
     cache = _cache_dir()
     lib = cache / f"chunk_step_{key}.so"
     if lib.is_file():
         return lib
+    source = _c_source(archive)
     fd, tmp = tempfile.mkstemp(dir=cache, prefix=".build-", suffix=".so")
     os.close(fd)
     try:
         proc = subprocess.run(
-            [cc, *_C_FLAGS, "-x", "c", "-", "-x", "none", str(archive),
-             "-o", tmp, "-lm", "-Wl,--exclude-libs,ALL"],
-            input=_C_SOURCE, capture_output=True, text=True, timeout=300)
+            [cc, *_C_FLAGS, "-x", "c", "-", "-o", tmp, "-lm"],
+            input=source, capture_output=True, text=True, timeout=300)
         if proc.returncode != 0:
             raise _BuildError(f"cc failed: {proc.stderr.strip()[:500]}")
         # concurrent builders each write their own file; the rename is atomic
@@ -357,13 +493,29 @@ def _compiled_library() -> Path:
 
 @functools.cache
 def _c_function():
-    """The loaded C kernel, or None (with one warning) when unavailable."""
+    """The loaded C kernel, or None (with one warning) when unavailable.
+
+    Its sampler must first reproduce Generator.standard_normal bit for bit,
+    consuming the same words, on _CHECK_DRAWS draws.
+    """
     try:
         lib = ctypes.CDLL(str(_compiled_library()))
     except (OSError, subprocess.SubprocessError, _BuildError) as exc:
         warnings.warn(f"opo3: C step kernel unavailable ({exc}); "
                       "using the slower numpy kernel", RuntimeWarning,
                       stacklevel=2)
+        return None
+    normals = lib.opo3_normals
+    normals.argtypes = [ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p]
+    normals.restype = None
+    ours, numpys = np.random.PCG64(_CHECK_SEED), np.random.PCG64(_CHECK_SEED)
+    got = np.empty(_CHECK_DRAWS)
+    normals(ours.ctypes.bit_generator.value, got.size, got.ctypes.data)
+    want = np.random.Generator(numpys).standard_normal(got.size)
+    if got.tobytes() != want.tobytes() or ours.state != numpys.state:
+        warnings.warn("opo3: the C kernel's normal sampler does not "
+                      "reproduce numpy's Generator.standard_normal; using "
+                      "the slower numpy kernel", RuntimeWarning, stacklevel=2)
         return None
     fn = lib.opo3_chunk_step
     fn.argtypes = ([ctypes.c_void_p] * 3 + [ctypes.c_double]

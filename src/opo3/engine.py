@@ -338,10 +338,10 @@ def run_ensemble(params: ModelParams, config: SimConfig, workers: int | None = N
 
     Blocks of BLOCK_SIZE trajectories run in trajectory order, each added
     as it finishes.  The C kernel splits a block into `workers` contiguous
-    ranges, one thread each, with scratch owned by the calling thread,
-    which also runs any range whose thread fails to start.  workers
-    defaults to OPO3_WORKERS, else to the CPUs this process may use; it
-    must be an integer >= 1, and estimates do not depend on it.
+    ranges, one thread each; the calling thread runs the first and any
+    range whose thread fails to start.  workers defaults to OPO3_WORKERS,
+    else to the CPUs this process may use; it must be an integer >= 1, and
+    estimates do not depend on it.
     """
     t0 = time.perf_counter()
     rcfg = config.resolve(params)
@@ -401,6 +401,10 @@ def integrate_batch(params: ModelParams, dt: float, normals: np.ndarray,
     state = np.array(initial_states, dtype=np.complex128, order="C")
     if state.shape != (6, normals.shape[2]):
         raise ValueError("initial_states must have shape (6, B)")
+    if not (0.0 < dt < math.inf):
+        raise ValueError("dt must be positive and finite")
+    if not (divergence_threshold > 0):
+        raise ValueError("divergence_threshold must be positive")
     nb = state.shape[1]
     alive = np.ones(nb, dtype=np.bool_)
     first_bad = np.full(nb, -1, dtype=np.int64)

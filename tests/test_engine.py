@@ -28,6 +28,7 @@ from opo3 import (
 
 needs_cc = pytest.mark.skipif(shutil.which("cc") is None,
                               reason="no C compiler (cc) on PATH")
+NPYRANDOM = _kernels._NUMPY_DIR / "random" / "lib" / "libnpyrandom.a"
 
 
 def se_of_mean(arr):
@@ -368,9 +369,9 @@ class TestKernels:
     @needs_cc
     @pytest.mark.parametrize("n_threads", [2, 3, 8])
     def test_c_kernel_thread_count_invariance(self, n_threads):
-        # each trajectory is stepped by exactly one thread, on its own noise
-        # and scratch, so any split of the block gives the same bits; 8 is
-        # more threads than trajectories
+        # each trajectory is stepped by exactly one thread, on its own
+        # noise, so any split of the block gives the same bits; 8 is more
+        # threads than trajectories
         start, w, dt = self.kicked_block()
         p = self.params
 
@@ -467,23 +468,86 @@ class TestKernels:
 
     @needs_cc
     def test_c_source_compiles_without_warnings(self, tmp_path):
-        # compile only, with the runtime flags plus warnings as errors
+        # compile only the generated source, tables filled in, with the
+        # runtime flags plus warnings as errors
         proc = subprocess.run(
             ["cc", *_kernels._C_FLAGS, "-Wall", "-Wextra", "-Werror",
              "-x", "c", "-", "-c", "-o", str(tmp_path / "kernel.o")],
-            input=_kernels._C_SOURCE, capture_output=True, text=True,
-            timeout=300)
+            input=_kernels._c_source(NPYRANDOM), capture_output=True,
+            text=True, timeout=300)
         assert proc.returncode == 0, proc.stderr
 
     @needs_cc
-    def test_library_keeps_numpy_sampler_private(self):
+    def test_library_exports_kernel_without_linking_numpy(self, monkeypatch,
+                                                          tmp_path):
+        # the tables are copied into the source; numpy's archive is read,
+        # never linked
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+        commands = []
+        run = subprocess.run
+
+        def recording_run(cmd, *args, **kwargs):
+            commands.append(cmd)
+            return run(cmd, *args, **kwargs)
+
+        monkeypatch.setattr(_kernels.subprocess, "run", recording_run)
         lib = ctypes.CDLL(str(_kernels._compiled_library()))
+        build = [cmd for cmd in commands if "-shared" in cmd]
+        assert len(build) == 1
+        assert not any("npyrandom" in str(arg) for arg in build[0])
         assert hasattr(lib, "opo3_chunk_step")
+        assert hasattr(lib, "opo3_normals")
         assert not hasattr(lib, "random_standard_normal_fill")
 
     @needs_cc
+    def test_c_sampler_matches_standard_normal(self):
+        # 1e7 draws over four seeds, bitwise, enough for the idx-0 tail
+        # (|x| > r) and the wedge tests to run many times; equal generator
+        # states afterwards mean the rejections consumed the same words
+        assert _kernels.get_stepper() is _kernels._chunk_step_c
+        normals = ctypes.CDLL(str(_kernels._compiled_library())).opo3_normals
+        normals.argtypes = [ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p]
+        normals.restype = None
+        n, tails = 2_500_000, 0
+        for seed in (0, 1, 20260814, 2**63 + 5):
+            ours, numpys = np.random.PCG64(seed), np.random.PCG64(seed)
+            got = np.empty(n)
+            normals(ours.ctypes.bit_generator.value, n, got.ctypes.data)
+            want = np.random.Generator(numpys).standard_normal(n)
+            assert got.tobytes() == want.tobytes(), seed
+            assert ours.state == numpys.state, seed
+            tails += int(np.count_nonzero(np.abs(got) > 3.6541528853610088))
+        assert tails > 0
+
+    @needs_cc
+    def test_sampler_self_check_falls_back_once(self, monkeypatch,
+                                                tmp_path):
+        # a kernel whose sampler differs from numpy's in one table entry
+        # must never run: one warning, then the numpy kernel
+        tables = _kernels._ziggurat_tables
+
+        def one_entry_off(archive):
+            found = dict(tables(archive))
+            wi = list(found[b"wi_double"])
+            wi[7] = np.nextafter(wi[7], 1.0)
+            found[b"wi_double"] = tuple(wi)
+            return found
+
+        monkeypatch.setattr(_kernels, "_ziggurat_tables", one_entry_off)
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+        _kernels._c_function.cache_clear()
+        try:
+            with pytest.warns(RuntimeWarning) as record:
+                assert _kernels.get_stepper() is _kernels._chunk_step_numpy
+                assert _kernels.get_stepper() is _kernels._chunk_step_numpy
+            assert len(record) == 1
+            assert "does not reproduce" in str(record[0].message)
+        finally:
+            _kernels._c_function.cache_clear()
+
+    @needs_cc
     def test_missing_npyrandom_falls_back_once(self, monkeypatch, tmp_path):
-        # without numpy's libnpyrandom.a the C kernel cannot draw its noise
+        # without numpy's libnpyrandom.a the C kernel has no ziggurat tables
         monkeypatch.setattr(_kernels, "_NUMPY_DIR", tmp_path)
         _kernels._c_function.cache_clear()
         try:
@@ -700,3 +764,18 @@ class TestWeakConvergence:
         with pytest.raises(ValueError, match="initial_states"):
             integrate_batch(params, 0.01, np.zeros((5, 4, 2)),
                             np.zeros((6, 3), dtype=complex))
+
+    @pytest.mark.parametrize("field, value", [
+        ("dt", 0.0), ("dt", -0.01), ("dt", math.nan), ("dt", math.inf),
+        ("divergence_threshold", math.nan), ("divergence_threshold", 0.0),
+        ("divergence_threshold", -1.0)])
+    def test_integrate_batch_rejects_bad_dt_and_threshold(self, field, value):
+        # each once ran: dt=0 returned the start with every trajectory
+        # alive, dt<0 raised a bare math domain error, and the others
+        # silently killed every trajectory
+        kwargs = {"dt": 0.01, "divergence_threshold": 1e6, field: value}
+        with pytest.raises(ValueError, match=field):
+            integrate_batch(ModelParams(0.5, 1.0, 0.05),
+                            normals=np.zeros((5, 4, 3)),
+                            initial_states=np.ones((6, 3), dtype=complex),
+                            **kwargs)
