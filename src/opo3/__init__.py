@@ -8,6 +8,8 @@ perturbative closed forms, and tests a generalized Cauchy-Schwarz
 inequality that certifies nonclassical tripartite correlations.
 """
 
+import types as _types
+
 from .model import (
     DomainError,
     ModelParams,
@@ -78,63 +80,7 @@ from .criteria import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "DomainError",
-    "ModelParams",
-    "PhaseSpaceState",
-    "QuadratureSample",
-    "ValidityError",
-    "alpha_to_quadratures",
-    "derive_params",
-    "drift_and_diffusion",
-    "fixed_point",
-    "quadratures_to_alpha",
-    "CsSides",
-    "OuCovariances",
-    "SecondMoments",
-    "TripleCorrelations",
-    "ZerothOrder",
-    "amplitude_pair",
-    "amplitude_quartic",
-    "amplitude_single",
-    "amplitude_triple",
-    "analytic_moment_report",
-    "cs_sides_analytic",
-    "ou_covariances",
-    "pump_mean_shift",
-    "second_moments",
-    "triple_correlations",
-    "zeroth_order",
-    "ChannelSpec",
-    "JackknifeResult",
-    "MomentAccumulator",
-    "MomentEstimate",
-    "MomentReport",
-    "MomentSchema",
-    "NoSamplesError",
-    "SchemaError",
-    "TargetSpec",
-    "accumulate",
-    "amplitude_schema",
-    "finalize",
-    "merge",
-    "opo_schema",
-    "state_channels",
-    "EnsembleResult",
-    "ResolvedConfig",
-    "SimConfig",
-    "TrajectoryResult",
-    "integrate_batch",
-    "run_ensemble",
-    "simulate_trajectory",
-    "AuditResult",
-    "CriterionReport",
-    "OddMomentResult",
-    "WitnessResult",
-    "cs_running_average",
-    "cs_test",
-    "pair_audit",
-    "pump_odd_moment",
-    "separability_witness",
-    "__version__",
-]
+# every public name imported above, and the version
+__all__ = [name for name, value in list(globals().items())
+           if not (name.startswith("_")
+                   or isinstance(value, _types.ModuleType))] + ["__version__"]

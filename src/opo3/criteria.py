@@ -16,7 +16,7 @@ result.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -91,28 +91,10 @@ class CriterionReport:
     cross_check_consistent: bool | None = None
 
     def to_dict(self) -> dict:
-        lam = None if self.lambda_opt is None else [self.lambda_opt.real,
-                                                    self.lambda_opt.imag]
-        return {
-            "name": self.name,
-            "partition": self.partition,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "lhs_std_error": self.lhs_std_error,
-            "rhs_std_error": self.rhs_std_error,
-            "ratio": self.ratio,
-            "ratio_std_error": self.ratio_std_error,
-            "margin": self.margin,
-            "margin_std_error": self.margin_std_error,
-            "significance": self.significance,
-            "verdict": self.verdict,
-            "lambda_opt": lam,
-            "sigma_threshold": self.sigma_threshold,
-            "n_samples": self.n_samples,
-            "n_batches": self.n_batches,
-            "cross_check_rhs": self.cross_check_rhs,
-            "cross_check_consistent": self.cross_check_consistent,
-        }
+        out = asdict(self)
+        if self.lambda_opt is not None:
+            out["lambda_opt"] = [self.lambda_opt.real, self.lambda_opt.imag]
+        return out
 
 
 def cs_test(moments: MomentReport, partition: str = "0|12",
@@ -321,14 +303,7 @@ class OddMomentResult:
     sigma_threshold: float
 
     def to_dict(self) -> dict:
-        return {
-            "value": self.value,
-            "std_error": self.std_error,
-            "significance": self.significance,
-            "non_gaussian": self.non_gaussian,
-            "verdict": self.verdict,
-            "sigma_threshold": self.sigma_threshold,
-        }
+        return asdict(self)
 
 
 def pump_odd_moment(moments: MomentReport, sigma_threshold: float = 3.0) -> OddMomentResult:

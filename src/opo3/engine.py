@@ -47,6 +47,7 @@ CHUNK_STEPS = 1024        # steps per kernel call
 DT_CEILING = 0.05         # dt * max(1, gamma_r) must not exceed this
 MAX_DIVERGED_FRACTION = 0.01
 _MAX_STEPS = 2**63 - 1    # the kernels count steps in int64
+SCHEMES = ("euler", "exp_euler")   # as _pump_factors knows them
 
 
 def _pump_factors(scheme: str, gamma_r: float, dt: float):
@@ -86,6 +87,9 @@ class SimConfig:
             raise ValueError("n_trajectories must be >= 1")
         if not (self.divergence_threshold > 0):
             raise ValueError("divergence_threshold must be positive")
+        if type(self.master_seed) is not int or self.master_seed < 0:
+            raise ValueError(f"master_seed must be an integer >= 0, got "
+                             f"{self.master_seed!r}")
         _pump_factors(self.scheme, params.gamma_r, 1.0)  # validates scheme
         slow = min(1.0 - params.mu, params.gamma_r)
         fast = max(1.0, params.gamma_r)
@@ -194,7 +198,8 @@ def _initial_block(initial_state, params: ModelParams, nb: int) -> np.ndarray:
 
 def _run_block(params: ModelParams, rcfg: ResolvedConfig, traj_indices,
                initial_state=None, n_threads: int = 1):
-    """Integrate one block; returns channel cube and divergence bookkeeping.
+    """Integrate one block of consecutive trajectory indices; returns
+    channel cube and divergence bookkeeping.
 
     cube: (12, B, n_samples) complex128 in moments.OPO_CHANNELS order, for
     every trajectory including ones that later diverge (callers filter).
@@ -205,14 +210,17 @@ def _run_block(params: ModelParams, rcfg: ResolvedConfig, traj_indices,
     state = _initial_block(initial_state, params, nb)
     alive = np.ones(nb, dtype=np.bool_)
     first_bad = np.full(nb, -1, dtype=np.int64)
-    rngs = [_traj_rng(rcfg.master_seed, int(t)) for t in traj_indices]
     scale = math.sqrt(rcfg.dt / 2.0)
     cube = np.empty((12, nb, rcfg.n_samples_per_traj), dtype=np.complex128)
 
-    # the C kernel draws each trajectory's normals itself, the same draws
-    # in the same order as the numpy kernel's buffer fill below
-    gens = (_kernels.BitGenerators(rngs)
-            if stepper is _kernels._chunk_step_c else None)
+    # the C kernel seeds and draws from each trajectory's PCG64 itself, the
+    # same draws in the same order as the numpy kernel's buffer fill below
+    if stepper is _kernels._chunk_step_c:
+        gens = _kernels.seed_generators(rcfg.master_seed,
+                                        int(traj_indices[0]), nb)
+    else:
+        gens = None
+        rngs = [_traj_rng(rcfg.master_seed, int(t)) for t in traj_indices]
     kernel_args = (params.eps, params.mu / params.eps, rcfg.dt, rcfg.e_pump,
                    rcfg.phi_pump, rcfg.divergence_threshold ** 2)
 

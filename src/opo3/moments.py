@@ -168,9 +168,10 @@ class MomentEstimate:
 class MomentReport:
     """Named estimates, from one finalize or from closed forms.
 
-    finalize attaches read-only references to the (K, B) batch sums and
-    (B,) counts it evaluated, so composites of a report are jackknifed over
-    exactly those batches, however the accumulator grows afterwards.
+    finalize attaches read-only references to the (K, B) batch sums, the
+    (B,) counts and the (K,) totals it evaluated, so composites of a report
+    are jackknifed over exactly those batches, however the accumulator
+    grows afterwards, without summing them again.
     """
 
     entries: dict
@@ -183,6 +184,8 @@ class MomentReport:
     batch_sums: np.ndarray | None = field(default=None, repr=False,
                                           compare=False)
     batch_counts: np.ndarray | None = field(default=None, repr=False,
+                                            compare=False)
+    batch_totals: np.ndarray | None = field(default=None, repr=False,
                                             compare=False)
 
     def __getitem__(self, name: str) -> MomentEstimate:
@@ -209,7 +212,8 @@ class MomentReport:
         and its errors are exactly zero."""
         if self.batch_sums is not None:
             return _jackknife(fn, self.schema, self.batch_sums,
-                              self.batch_counts, self.centering)
+                              self.batch_counts, self.batch_totals,
+                              self.centering)
         value = np.atleast_1d(np.asarray(fn(_ExactValues(self)),
                                          dtype=np.complex128))
         zero = np.zeros(value.shape)
@@ -330,12 +334,12 @@ class JackknifeResult:
     n_batches: int
 
 
-def _jackknife(fn, schema: MomentSchema, sums, counts,
+def _jackknife(fn, schema: MomentSchema, sums, counts, totals,
                centering: str) -> JackknifeResult:
-    """fn on the full (K, B) batch sums and on each leave-one-batch-out
-    replicate; componentwise errors, one per element of fn's result."""
+    """fn on the full (K, B) batch sums, whose (K,) totals are given, and on
+    each leave-one-batch-out replicate; componentwise errors, one per
+    element of fn's result."""
     n = counts.astype(np.float64)
-    totals = sums.sum(axis=1)                                  # (K,)
     value = fn(_Stats(schema, totals, n.sum(), centering))
     reps = fn(_Stats(schema, sums, n.sum() - n, centering, totals=totals))
     if np.ndim(value) == 0:
@@ -488,8 +492,8 @@ class MomentAccumulator:
         return _Stats(self.schema, prefix, counts, centering)
 
     def _batch_sums(self):
-        """The (K, B) batch sums and (B,) sample counts, each joined into
-        one block and made read-only, since reports keep them."""
+        """The (K, B) batch sums, joined into one block, (B,) sample counts
+        and (K,) totals, read-only, since reports keep them."""
         b = self.n_batches
         if b == 0:
             raise NoSamplesError("no samples")
@@ -501,9 +505,10 @@ class MomentAccumulator:
             self._blocks = [np.concatenate(self._blocks, axis=1)]
             self._block_ns = [np.concatenate(self._block_ns)]
         sums, counts = self._blocks[0], self._block_ns[0]
-        sums.flags.writeable = False
-        counts.flags.writeable = False
-        return sums, counts
+        totals = sums.sum(axis=1)
+        for frozen in (sums, counts, totals):
+            frozen.flags.writeable = False
+        return sums, counts, totals
 
     def jackknife(self, fn, centering: str = "reference") -> JackknifeResult:
         """Leave-one-batch-out errors for an arbitrary composite statistic.
@@ -516,10 +521,10 @@ class MomentAccumulator:
 
     def finalize(self, centering: str = "reference",
                  label: str = "monte-carlo") -> MomentReport:
-        sums, counts = self._batch_sums()
+        sums, counts, totals = self._batch_sums()
         names = self.schema.target_names()
         jk = _jackknife(lambda st: [st.target(n) for n in names],
-                        self.schema, sums, counts, centering)
+                        self.schema, sums, counts, totals, centering)
         b = counts.size
         entries = {
             name: MomentEstimate(
@@ -532,7 +537,8 @@ class MomentAccumulator:
         return MomentReport(entries=entries, n_samples=int(counts.sum()),
                             n_batches=b, centering=centering, label=label,
                             params=self.schema.params, schema=self.schema,
-                            batch_sums=sums, batch_counts=counts)
+                            batch_sums=sums, batch_counts=counts,
+                            batch_totals=totals)
 
 
 # -- spec-level free functions ------------------------------------------

@@ -123,9 +123,32 @@ class TestFrozenReport:
         rep = classical_report(classical_ensemble(4103))
         assert rep.batch_sums.shape == (rep.schema.n_keys, rep.n_batches)
         assert rep.batch_counts.sum() == rep.n_samples
-        for frozen in (rep.batch_sums, rep.batch_counts):
+        assert rep.batch_totals.shape == (rep.schema.n_keys,)
+        for frozen in (rep.batch_sums, rep.batch_counts, rep.batch_totals):
             with pytest.raises(ValueError, match="read-only"):
                 frozen[0] = 0
+
+    def test_report_jackknife_uses_its_own_totals(self):
+        # finalize's totals serve the report's jackknife: bitwise what the
+        # accumulator gives now, and still the report's own after growth
+        acc = MomentAccumulator(amplitude_schema())
+        acc.add_batches(classical_ensemble(4105, n=400).reshape(6, 40, 10))
+        rep = finalize(acc, centering="sample")
+
+        def fn(st):
+            return [st.target("amp_n1n2") * st.target("amp_n0"),
+                    st.target("amp_triple")]
+
+        def bits(jk):
+            return [np.asarray(v).tobytes() for v in
+                    (jk.value, jk.std_error, jk.std_error_imag)]
+
+        assert np.array_equal(rep.batch_totals, rep.batch_sums.sum(axis=1))
+        before = bits(rep.jackknife(fn))
+        assert before == bits(acc.jackknife(fn, centering="sample"))
+        acc.add_batches(classical_ensemble(4106, n=400).reshape(6, 40, 10))
+        assert bits(acc.jackknife(fn, centering="sample")) != before
+        assert bits(rep.jackknife(fn)) == before
 
     def test_no_batch_data_refuses_errors(self):
         rep = classical_report(classical_ensemble(4104))

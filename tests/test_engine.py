@@ -3,6 +3,8 @@ determinism, divergence handling, stationarity, and weak convergence."""
 
 import ctypes
 import math
+import os
+import platform
 import shutil
 import subprocess
 import warnings
@@ -204,6 +206,16 @@ class TestResolve:
                                "too many steps of dt=0.001 for the int64"):
                 SimConfig(dt=0.001, **{field: 1e307}).resolve(params)
 
+    @pytest.mark.parametrize("seed", [-1, True, False, 1.0, "7", None])
+    def test_bad_master_seed(self, seed):
+        # named before anything is seeded; SeedSequence would reject -1
+        # only inside the first block, with a message naming no field
+        with pytest.raises(ValueError, match="^master_seed must be an "
+                           "integer >= 0, got "):
+            SimConfig(master_seed=seed).resolve(ModelParams(0.5, 1.0, 0.05))
+        assert SimConfig(master_seed=2**200).resolve(
+            ModelParams(0.5, 1.0, 0.05)).master_seed == 2**200
+
     def test_sample_times(self):
         params = ModelParams(0.5, 1.0, 0.05)
         rcfg = SimConfig(dt=0.01, burn_in=20.0, sample_interval=2.0,
@@ -383,20 +395,21 @@ class TestKernels:
             state = start.copy()
             alive = np.ones(start.shape[1], dtype=np.bool_)
             first_bad = np.full(start.shape[1], -1, dtype=np.int64)
-            gens = _kernels.BitGenerators(
-                engine._traj_rng(9, j) for j in range(start.shape[1]))
+            gens = _kernels.seed_generators(9, 0, start.shape[1])
             for lo in range(0, w.shape[1], 150):
                 _kernels._draw_chunk_step_c(
                     state, gens, 150, math.sqrt(dt / 2.0), alive, first_bad,
                     p.eps, p.mu / p.eps, dt, 1.0 - p.gamma_r * dt, dt,
                     50.0 ** 2, 5000 + lo, n_threads=threads)
-            return state, alive, first_bad
+            return state, alive, first_bad, gens
 
         for run in (buffered, drawn):
             want, got = run(1), run(n_threads)
             assert want[0].tobytes() == got[0].tobytes(), run.__name__
             np.testing.assert_array_equal(want[1], got[1])
             np.testing.assert_array_equal(want[2], got[2])
+            if run is drawn:    # the generators end in the same states too
+                assert want[3].tobytes() == got[3].tobytes()
         # the buffered case keeps its kicked deaths, the drawn one only the
         # non-finite starts
         np.testing.assert_array_equal(buffered(n_threads)[2],
@@ -422,10 +435,14 @@ class TestKernels:
         with pytest.raises(ValueError, match="alive and first_bad"):
             _kernels._chunk_step_c(state, w, alive.astype(np.int64),
                                    first_bad, *scalars)
-        gens = _kernels.BitGenerators([np.random.default_rng(0)] * 2)
-        with pytest.raises(ValueError, match="one generator per trajectory"):
-            _kernels._draw_chunk_step_c(state, gens, 5, 0.1, alive,
-                                        first_bad, *scalars)
+        gens = _kernels.seed_generators(0, 0, 3)
+        read_only = gens.copy()
+        read_only.flags.writeable = False
+        for bad in (gens[:2], gens.astype(np.int64), gens.T.copy(),
+                    np.zeros((4, 3), np.uint64).T, read_only):
+            with pytest.raises(ValueError, match="gens must be"):
+                _kernels._draw_chunk_step_c(state, bad, 5, 0.1, alive,
+                                            first_bad, *scalars)
 
     @pytest.mark.parametrize("bad", [math.inf, math.nan])
     def test_numpy_kernel_quiet_on_non_finite_state(self, monkeypatch, bad):
@@ -495,8 +512,8 @@ class TestKernels:
         build = [cmd for cmd in commands if "-shared" in cmd]
         assert len(build) == 1
         assert not any("npyrandom" in str(arg) for arg in build[0])
-        assert hasattr(lib, "opo3_chunk_step")
-        assert hasattr(lib, "opo3_normals")
+        for name in ("opo3_chunk_step", "opo3_normals", "opo3_seed"):
+            assert hasattr(lib, name), name
         assert not hasattr(lib, "random_standard_normal_fill")
 
     @needs_cc
@@ -505,19 +522,134 @@ class TestKernels:
         # (|x| > r) and the wedge tests to run many times; equal generator
         # states afterwards mean the rejections consumed the same words
         assert _kernels.get_stepper() is _kernels._chunk_step_c
-        normals = ctypes.CDLL(str(_kernels._compiled_library())).opo3_normals
-        normals.argtypes = [ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p]
-        normals.restype = None
+        normals = _kernels._c_function().opo3_normals
         n, tails = 2_500_000, 0
         for seed in (0, 1, 20260814, 2**63 + 5):
-            ours, numpys = np.random.PCG64(seed), np.random.PCG64(seed)
+            numpys = np.random.PCG64(seed)
+            ours = _kernels._pcg64_words(numpys)
             got = np.empty(n)
-            normals(ours.ctypes.bit_generator.value, n, got.ctypes.data)
+            normals(ours.ctypes.data, n, got.ctypes.data)
             want = np.random.Generator(numpys).standard_normal(n)
             assert got.tobytes() == want.tobytes(), seed
-            assert ours.state == numpys.state, seed
+            assert ours.tobytes() == _kernels._pcg64_words(numpys).tobytes()
             tails += int(np.count_nonzero(np.abs(got) > 3.6541528853610088))
         assert tails > 0
+
+    @needs_cc
+    def test_seeding_matches_seed_sequence(self):
+        # opo3_seed runs SeedSequence and pcg64_set_seed in C; spawn keys
+        # from 2**32 on have two words, seeds from 2**128 on more than four
+        assert _kernels.get_stepper() is _kernels._chunk_step_c
+        for seed in (0, 1, 2**32 - 1, 2**32, 2**64 + 5, 12345678901234567890,
+                     2**200 + 17):
+            for index in (0, 1, 255, 2**31, 2**32 - 1, 2**32, 2**40):
+                want = np.random.PCG64(np.random.SeedSequence(
+                    entropy=seed, spawn_key=(index,))).state["state"]
+                hi_s, lo_s, hi_i, lo_i = (
+                    int(v) for v in _kernels.seed_generators(seed, index, 1)[0])
+                assert (hi_s << 64 | lo_s) == want["state"], (seed, index)
+                assert (hi_i << 64 | lo_i) == want["inc"], (seed, index)
+            # one call over consecutive keys gives each key's row
+            rows = _kernels.seed_generators(seed, 2**32 - 1, 3)
+            for j, row in enumerate(rows):
+                one = _kernels.seed_generators(seed, 2**32 - 1 + j, 1)[0]
+                assert row.tobytes() == one.tobytes()
+
+    @needs_cc
+    def test_run_block_writes_back_generator_states(self, monkeypatch):
+        # after _run_block each (B, 4) row is the trajectory's PCG64 moved
+        # past exactly the normals it drew: every step for the live ones,
+        # up to and including its last step for #4, which dies mid-chunk
+        params = ModelParams(0.5, 1.0, 0.3)
+        cfg = SimConfig(dt=0.01, burn_in=20.0, sample_interval=2.0,
+                        n_samples_per_traj=1, n_trajectories=8,
+                        master_seed=31, divergence_threshold=1.248)
+        rcfg = cfg.resolve(params)
+        assert _kernels.get_stepper() is _kernels._chunk_step_c
+        seen = []
+        draw = _kernels._draw_chunk_step_c
+
+        def recording_draw(state, gens, *args):
+            seen.append(gens)
+            return draw(state, gens, *args)
+
+        monkeypatch.setattr(_kernels, "_draw_chunk_step_c", recording_draw)
+        _, alive, first_bad = engine._run_block(params, rcfg, range(8))
+        # 2,200 steps in chunks of 1024, 1024 and 152, on one array
+        assert len(seen) == 3 and all(gens is seen[0] for gens in seen)
+        assert first_bad[4] == 1200 and 1200 % engine.CHUNK_STEPS != 0
+        for j, row in enumerate(seen[0]):
+            steps = rcfg.total_steps if alive[j] else int(first_bad[j]) + 1
+            rng = engine._traj_rng(31, j)
+            rng.standard_normal(4 * steps)
+            want = _kernels._pcg64_words(rng.bit_generator)
+            assert row.tobytes() == want.tobytes(), j
+
+    @needs_cc
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                        reason="the fast path copies glibc's csqrt")
+    def test_csqrt_fast_path_matches_libm(self):
+        # one buffer step from zero signal amplitudes with noise (1, 0, 1,
+        # 0) and eps = 1 leaves the a1 and a1p candidates equal to
+        # csqrt(a0) and csqrt(a0p); numpy's complex sqrt is libm's csqrt
+        tiny = 5e-324
+        edges = [(0.0, 1.0), (-0.0, -2.5), (3.0, 0.0), (-3.0, 0.0),
+                 (3.0, -0.0), (-3.0, -0.0), (0.0, 0.0), (tiny, 1.0),
+                 (-tiny, 1.0), (1.0, tiny), (1.0, -tiny), (-1.0, tiny),
+                 (tiny, -tiny), (2.0**-1022, 2.0**-1030), (1e150, tiny),
+                 (-1e150, 1e-300), (1e-300, 1e150), (-1e-300, -1e150)]
+        mags = 10.0 ** np.arange(-300, 151, 5, dtype=np.float64)
+        angles = np.linspace(-np.pi, np.pi, 13)[:-1] + 0.1
+        grid = (mags[:, None] * np.exp(1j * angles)).ravel()
+        z = np.concatenate([[complex(x, y) for x, y in edges], grid])
+        assert (z.real > 0).sum() > 100 and (z.real < 0).sum() > 100
+        zp = -z[::-1]
+        nb = z.size
+        state = np.zeros((6, nb), dtype=np.complex128)
+        state[0], state[3] = z, zp
+        w = np.zeros((nb, 1, 4))
+        w[:, 0, [0, 2]] = 1.0
+        alive = np.ones(nb, dtype=np.bool_)
+        first_bad = np.full(nb, -1, dtype=np.int64)
+        _kernels._chunk_step_c(state, w, alive, first_bad, 1.0, 0.0, 0.5,
+                               1.0, 0.0, math.inf, 0)
+        assert alive.all()
+        # the step's additions may flip the sign of a zero part; + 0 makes
+        # every zero +0 on both sides and leaves all else bitwise
+        for got, want in ((state[1], np.sqrt(z)), (state[4], np.sqrt(zp))):
+            assert (got + 0).tobytes() == (want + 0).tobytes()
+
+    @needs_cc
+    def test_cache_key_runs_no_compiler(self, monkeypatch, tmp_path):
+        # the key names the compiler by its resolved file's size and mtime:
+        # a warm hit starts no process, and a changed compiler a new build
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+        bin_dir = tmp_path / "bin"
+        bin_dir.mkdir()
+        (bin_dir / "gcc-x").write_text("#!/bin/sh\n")
+        (bin_dir / "gcc-x").chmod(0o755)
+        (bin_dir / "cc").symlink_to("gcc-x")
+        monkeypatch.setenv("PATH", str(bin_dir))
+        commands = []
+
+        def fake_build(cmd, *args, **kwargs):
+            # the output file exists already, made empty by mkstemp
+            commands.append(cmd)
+            return subprocess.CompletedProcess(cmd, 0, "", "")
+
+        monkeypatch.setattr(_kernels.subprocess, "run", fake_build)
+        first = _kernels._compiled_library()
+        assert len(commands) == 1 and commands[0][0] == str(bin_dir / "cc")
+        assert _kernels._compiled_library() == first
+        assert len(commands) == 1
+        st = (bin_dir / "gcc-x").stat()
+        os.utime(bin_dir / "gcc-x", ns=(st.st_atime_ns,
+                                        st.st_mtime_ns + 10**9))
+        second = _kernels._compiled_library()
+        assert second != first and len(commands) == 2
+        (bin_dir / "gcc-x").write_text("#!/bin/sh\n# another\n")
+        os.utime(bin_dir / "gcc-x", ns=(st.st_atime_ns, st.st_mtime_ns))
+        assert _kernels._compiled_library() not in (first, second)
 
     @needs_cc
     def test_sampler_self_check_falls_back_once(self, monkeypatch,
