@@ -123,7 +123,7 @@ void opo3_seed(const uint32_t *entropy, int64_t n_entropy,
     const int64_t n_run = n_entropy < 4 ? 4 : n_entropy;
     for (int64_t j = 0; j < nb; j++) {
         /* the run entropy padded to the pool size, then the key's words */
-        const uint64_t index = (uint64_t)(first_index + j);
+        const uint64_t index = (uint64_t)first_index + (uint64_t)j;
         uint32_t pool[4], hash_const = 0x43b0d7e5u;
         for (int64_t i = 0; i < n_run + (index >> 32 ? 2 : 1); i++) {
             uint32_t v = i < n_entropy ? entropy[i] : i < n_run ? 0
@@ -406,14 +406,6 @@ def _chunk_step_c(state, w, alive, first_bad, eps, m_pump, dt,
             eps, m_pump, dt, e_pump, phi_pump, thr2, step0, n_threads)
 
 
-@functools.lru_cache(maxsize=1, typed=True)
-def _entropy_words(master_seed: int) -> np.ndarray:
-    """master_seed's little-endian uint32 words, as SeedSequence reads it;
-    read-only, and made once for the blocks of a run."""
-    n = max(1, -(-master_seed.bit_length() // 32))
-    return np.frombuffer(master_seed.to_bytes(4 * n, "little"), dtype="<u4")
-
-
 def seed_generators(master_seed: int, first: int, nb: int,
                     lib=None) -> np.ndarray:
     """(nb, 4) uint64 rows (state hi, state lo, inc hi, inc lo), row j the
@@ -421,7 +413,9 @@ def seed_generators(master_seed: int, first: int, nb: int,
     lib = lib or _c_function()
     if lib is None:
         raise RuntimeError("the C step kernel is not available")
-    words = _entropy_words(master_seed)
+    # master_seed's little-endian uint32 words, as SeedSequence reads it
+    n = max(1, -(-master_seed.bit_length() // 32))
+    words = np.frombuffer(master_seed.to_bytes(4 * n, "little"), dtype="<u4")
     out = np.empty((nb, 4), dtype=np.uint64)
     lib.opo3_seed(words.ctypes.data, words.size, first, nb, out.ctypes.data)
     return out

@@ -6,7 +6,7 @@ over defaults.  Keys:
 
     mu, gamma_r, g, dt, burn_in, sample_interval, n_samples_per_traj,
     n_trajectories, master_seed, divergence_threshold, sigma_threshold,
-    scheme (euler or exp_euler), out_dir
+    out_dir
 
 dt, burn_in and sample_interval accept "auto" (or empty) to defer to the
 engine's resolution rules.  Unknown keys are rejected.  Exit codes: 0 ok,
@@ -37,7 +37,7 @@ from .criteria import (
     pump_odd_moment,
     separability_witness,
 )
-from .engine import SCHEMES, SimConfig, run_ensemble
+from .engine import SimConfig, run_ensemble
 from .model import ModelParams
 from .moments import NoSamplesError
 
@@ -70,7 +70,6 @@ class RunSpec:
     master_seed: int = 12345
     divergence_threshold: float = 1e6
     sigma_threshold: float = 3.0
-    scheme: str = "euler"
     out_dir: str = "."
 
     def params(self) -> ModelParams:
@@ -85,7 +84,6 @@ class RunSpec:
             n_trajectories=self.n_trajectories,
             master_seed=self.master_seed,
             divergence_threshold=self.divergence_threshold,
-            scheme=self.scheme,
         )
 
 
@@ -98,10 +96,7 @@ _FLOAT_KEYS = ("mu", "gamma_r", "g", "divergence_threshold", "sigma_threshold")
 
 def _convert(key: str, raw: str):
     raw = raw.strip()
-    if key == "scheme" and raw not in SCHEMES:
-        raise CliError(f"bad value for scheme: {raw!r} (not one of "
-                       f"{', '.join(SCHEMES)})")
-    if key in ("out_dir", "scheme"):
+    if key == "out_dir":
         return raw
     if key in _OPTIONAL_FLOAT_KEYS:
         if raw.lower() in ("", "auto", "none"):
@@ -407,8 +402,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--divergence-threshold", dest="divergence_threshold",
                    type=float)
     p.add_argument("--sigma-threshold", dest="sigma_threshold", type=float)
-    p.add_argument("--scheme", choices=SCHEMES,
-                   help="pump step: euler or exp_euler (default euler)")
     p.add_argument("--out-dir", dest="out_dir")
 
 

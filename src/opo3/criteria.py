@@ -16,7 +16,7 @@ result.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -91,10 +91,28 @@ class CriterionReport:
     cross_check_consistent: bool | None = None
 
     def to_dict(self) -> dict:
-        out = asdict(self)
-        if self.lambda_opt is not None:
-            out["lambda_opt"] = [self.lambda_opt.real, self.lambda_opt.imag]
-        return out
+        lam = None if self.lambda_opt is None else [self.lambda_opt.real,
+                                                    self.lambda_opt.imag]
+        return {
+            "name": self.name,
+            "partition": self.partition,
+            "lhs": self.lhs,
+            "rhs": self.rhs,
+            "lhs_std_error": self.lhs_std_error,
+            "rhs_std_error": self.rhs_std_error,
+            "ratio": self.ratio,
+            "ratio_std_error": self.ratio_std_error,
+            "margin": self.margin,
+            "margin_std_error": self.margin_std_error,
+            "significance": self.significance,
+            "verdict": self.verdict,
+            "lambda_opt": lam,
+            "sigma_threshold": self.sigma_threshold,
+            "n_samples": self.n_samples,
+            "n_batches": self.n_batches,
+            "cross_check_rhs": self.cross_check_rhs,
+            "cross_check_consistent": self.cross_check_consistent,
+        }
 
 
 def cs_test(moments: MomentReport, partition: str = "0|12",
@@ -303,7 +321,14 @@ class OddMomentResult:
     sigma_threshold: float
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return {
+            "value": self.value,
+            "std_error": self.std_error,
+            "significance": self.significance,
+            "non_gaussian": self.non_gaussian,
+            "verdict": self.verdict,
+            "sigma_threshold": self.sigma_threshold,
+        }
 
 
 def pump_odd_moment(moments: MomentReport, sigma_threshold: float = 3.0) -> OddMomentResult:

@@ -26,6 +26,7 @@ unreliable.
 from __future__ import annotations
 
 import math
+import operator
 import os
 import time
 from dataclasses import dataclass
@@ -47,7 +48,6 @@ CHUNK_STEPS = 1024        # steps per kernel call
 DT_CEILING = 0.05         # dt * max(1, gamma_r) must not exceed this
 MAX_DIVERGED_FRACTION = 0.01
 _MAX_STEPS = 2**63 - 1    # the kernels count steps in int64
-SCHEMES = ("euler", "exp_euler")   # as _pump_factors knows them
 
 
 def _pump_factors(scheme: str, gamma_r: float, dt: float):
@@ -87,7 +87,11 @@ class SimConfig:
             raise ValueError("n_trajectories must be >= 1")
         if not (self.divergence_threshold > 0):
             raise ValueError("divergence_threshold must be positive")
-        if type(self.master_seed) is not int or self.master_seed < 0:
+        try:    # any integer, numpy's too, but not a bool
+            master_seed = operator.index(self.master_seed)
+        except TypeError:
+            master_seed = -1
+        if isinstance(self.master_seed, bool) or master_seed < 0:
             raise ValueError(f"master_seed must be an integer >= 0, got "
                              f"{self.master_seed!r}")
         _pump_factors(self.scheme, params.gamma_r, 1.0)  # validates scheme
@@ -129,7 +133,7 @@ class SimConfig:
             int_steps=int_steps,
             n_samples_per_traj=self.n_samples_per_traj,
             n_trajectories=self.n_trajectories,
-            master_seed=self.master_seed,
+            master_seed=master_seed,
             divergence_threshold=self.divergence_threshold,
             scheme=self.scheme,
             e_pump=e_pump,
@@ -207,6 +211,12 @@ def _run_block(params: ModelParams, rcfg: ResolvedConfig, traj_indices,
     """
     stepper = _kernels.get_stepper()
     nb = len(traj_indices)
+    first = operator.index(traj_indices[0])
+    # SeedSequence refuses a negative spawn key; the C seeding takes one or
+    # two uint32 words, so both kernels refuse what it cannot express
+    if first < 0 or first + nb > 2**64:
+        raise ValueError(f"trajectory indices must lie in [0, 2**64), got "
+                         f"{first}..{first + nb - 1}")
     state = _initial_block(initial_state, params, nb)
     alive = np.ones(nb, dtype=np.bool_)
     first_bad = np.full(nb, -1, dtype=np.int64)
@@ -216,8 +226,7 @@ def _run_block(params: ModelParams, rcfg: ResolvedConfig, traj_indices,
     # the C kernel seeds and draws from each trajectory's PCG64 itself, the
     # same draws in the same order as the numpy kernel's buffer fill below
     if stepper is _kernels._chunk_step_c:
-        gens = _kernels.seed_generators(rcfg.master_seed,
-                                        int(traj_indices[0]), nb)
+        gens = _kernels.seed_generators(rcfg.master_seed, first, nb)
     else:
         gens = None
         rngs = [_traj_rng(rcfg.master_seed, int(t)) for t in traj_indices]

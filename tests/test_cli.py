@@ -97,21 +97,6 @@ class TestConfigFile:
         args = make_parser().parse_args(["run", "--seed", "777"])
         assert build_runspec(args).master_seed == 777
 
-    def test_scheme_flag_and_key(self, tmp_path):
-        p = tmp_path / "c.cfg"
-        p.write_text("scheme = exp_euler\n")
-        assert parse_config_file(str(p)) == {"scheme": "exp_euler"}
-        for command in ("run", "compare", "sweep --axis mu --values 0.5"):
-            args = make_parser().parse_args(
-                [*command.split(), "--config", str(p)])
-            spec = build_runspec(args)
-            assert spec.sim_config().scheme == "exp_euler"
-            args = make_parser().parse_args(
-                [*command.split(), "--config", str(p), "--scheme", "euler"])
-            assert build_runspec(args).sim_config().scheme == "euler"
-        assert build_runspec(make_parser().parse_args(["run"])).scheme == (
-            "euler")
-
 
 class TestRun:
     def test_artifacts_and_exit_zero(self, tmp_path, capsys):
@@ -271,36 +256,6 @@ class TestRun:
         assert ("master_seed must be an integer >= 0, got -1"
                 in capsys.readouterr().err)
         assert not (tmp_path / "report.json").exists()
-
-    def test_exp_euler_reaches_the_kernel(self, tmp_path):
-        # a stiff pump (gamma_r * dt at the ceiling) makes the two pump
-        # steps differ visibly; the report records the scheme it ran
-        docs = {}
-        for scheme in ("euler", "exp_euler"):
-            out = tmp_path / scheme
-            rc = run_main(["run", "--gamma-r", 25, "--dt", "2e-3",
-                           "--burn-in", 20, "--sample-interval", 2,
-                           "--n-trajectories", 8, "--n-samples-per-traj", 2,
-                           "--seed", 3, "--scheme", scheme, "--out-dir", out])
-            assert rc == 0
-            docs[scheme] = json.loads((out / "report.json").read_text())
-            assert docs[scheme]["config"]["scheme"] == scheme
-        a, b = (docs[k]["moments"]["moments"] for k in ("euler", "exp_euler"))
-        for name in ("mean_x0", "var_x0", "t1"):
-            assert a[name]["value"] != b[name]["value"], name
-
-    def test_bad_scheme_exits_2(self, tmp_path, capsys):
-        with pytest.raises(SystemExit) as exc:
-            make_parser().parse_args(["run", "--scheme", "rk4"])
-        assert exc.value.code == 2
-        p = tmp_path / "c.cfg"
-        p.write_text("scheme = rk4\n")
-        for command in (["run"], ["compare"],
-                        ["sweep", "--axis", "mu", "--values", "0.5"]):
-            rc = run_main([*command, "--config", p, "--out-dir", tmp_path])
-            assert rc == 2
-            assert "bad value for scheme: 'rk4'" in capsys.readouterr().err
-        assert list(tmp_path.iterdir()) == [p]
 
     def test_step_count_overflow_exits_2(self, tmp_path, capsys):
         rc = run_main(["run", "--burn-in", "1e307", "--dt", "0.001",

@@ -206,15 +206,21 @@ class TestResolve:
                                "too many steps of dt=0.001 for the int64"):
                 SimConfig(dt=0.001, **{field: 1e307}).resolve(params)
 
-    @pytest.mark.parametrize("seed", [-1, True, False, 1.0, "7", None])
+    @pytest.mark.parametrize("seed", [-1, np.int64(-1), True, False,
+                                      np.True_, 1.0, "7", None])
     def test_bad_master_seed(self, seed):
         # named before anything is seeded; SeedSequence would reject -1
         # only inside the first block, with a message naming no field
         with pytest.raises(ValueError, match="^master_seed must be an "
                            "integer >= 0, got "):
             SimConfig(master_seed=seed).resolve(ModelParams(0.5, 1.0, 0.05))
-        assert SimConfig(master_seed=2**200).resolve(
-            ModelParams(0.5, 1.0, 0.05)).master_seed == 2**200
+
+    @pytest.mark.parametrize("seed", [0, 2**200, np.int64(5), np.uint64(7)])
+    def test_integer_master_seed(self, seed):
+        # numpy integers pass, as SeedSequence takes them, stored as int
+        rcfg = SimConfig(master_seed=seed).resolve(ModelParams(0.5, 1.0, 0.05))
+        assert rcfg.master_seed == int(seed)
+        assert type(rcfg.master_seed) is int
 
     def test_sample_times(self):
         params = ModelParams(0.5, 1.0, 0.05)
@@ -444,6 +450,24 @@ class TestKernels:
                 _kernels._draw_chunk_step_c(state, bad, 5, 0.1, alive,
                                             first_bad, *scalars)
 
+    @pytest.mark.parametrize("kernel", ["c", "numpy"])
+    @pytest.mark.parametrize("index", [-1, 2**64])
+    def test_trajectory_index_out_of_range(self, monkeypatch, kernel, index):
+        # SeedSequence refuses -1 and the C seeding cannot express 2**64:
+        # both kernels refuse both, before integrating
+        if kernel == "numpy":
+            monkeypatch.setattr(_kernels, "get_stepper",
+                                lambda: _kernels._chunk_step_numpy)
+        cfg = SimConfig(dt=0.05, burn_in=20.0, sample_interval=2.0,
+                        n_samples_per_traj=1, n_trajectories=1)
+        with pytest.raises(ValueError, match=r"trajectory indices must lie "
+                           r"in \[0, 2\*\*64\)"):
+            simulate_trajectory(ModelParams(0.5, 1.0, 0.05), cfg,
+                                trajectory_index=index)
+        last = simulate_trajectory(ModelParams(0.5, 1.0, 0.05), cfg,
+                                   trajectory_index=2**64 - 1)
+        assert len(last.samples) == 1
+
     @pytest.mark.parametrize("bad", [math.inf, math.nan])
     def test_numpy_kernel_quiet_on_non_finite_state(self, monkeypatch, bad):
         monkeypatch.setattr(_kernels, "get_stepper",
@@ -542,18 +566,21 @@ class TestKernels:
         assert _kernels.get_stepper() is _kernels._chunk_step_c
         for seed in (0, 1, 2**32 - 1, 2**32, 2**64 + 5, 12345678901234567890,
                      2**200 + 17):
-            for index in (0, 1, 255, 2**31, 2**32 - 1, 2**32, 2**40):
+            for index in (0, 1, 255, 2**31, 2**32 - 1, 2**32, 2**40,
+                          2**63, 2**64 - 1):
                 want = np.random.PCG64(np.random.SeedSequence(
                     entropy=seed, spawn_key=(index,))).state["state"]
                 hi_s, lo_s, hi_i, lo_i = (
                     int(v) for v in _kernels.seed_generators(seed, index, 1)[0])
                 assert (hi_s << 64 | lo_s) == want["state"], (seed, index)
                 assert (hi_i << 64 | lo_i) == want["inc"], (seed, index)
-            # one call over consecutive keys gives each key's row
-            rows = _kernels.seed_generators(seed, 2**32 - 1, 3)
-            for j, row in enumerate(rows):
-                one = _kernels.seed_generators(seed, 2**32 - 1 + j, 1)[0]
-                assert row.tobytes() == one.tobytes()
+            # one call over consecutive keys gives each key's row, also
+            # across 2**32 (one to two words) and 2**63 (int64's sign bit)
+            for first in (2**32 - 1, 2**63 - 1):
+                rows = _kernels.seed_generators(seed, first, 3)
+                for j, row in enumerate(rows):
+                    one = _kernels.seed_generators(seed, first + j, 1)[0]
+                    assert row.tobytes() == one.tobytes()
 
     @needs_cc
     def test_run_block_writes_back_generator_states(self, monkeypatch):
