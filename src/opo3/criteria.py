@@ -46,6 +46,9 @@ def check_sigma_threshold(value) -> float:
 
 
 def _significance(margin: float, se: float) -> float:
+    """margin / se in sigmas; NaN, so never a verdict, when either is NaN."""
+    if math.isnan(margin) or math.isnan(se):
+        return math.nan
     if se > 0:
         return margin / se
     return 0.0 if margin == 0.0 else math.copysign(math.inf, margin)

@@ -224,6 +224,7 @@ class _Stats:
     """Evaluation context over key-major raw sums: (K,) for the full dataset
     or (K, M) for M replicates with n shaped (M,); given totals, replicate m
     leaves batch m out (totals - sums[:, m]).  Derived quantities broadcast.
+    Raw means multiply by 1/n, taken once per context as complex128.
     """
 
     def __init__(self, schema: MomentSchema, sums, n, centering: str,
@@ -234,6 +235,9 @@ class _Stats:
         self._sums = sums
         self._totals = totals
         self._n = n
+        # numpy's complex / real is (a + b*0) * (1/c), so this product gives
+        # its bits, bar the sign of a part that is exactly zero
+        self._inv_n = (1.0 / n).astype(np.complex128)
         self.centering = centering
         self._cache = {}
         self._pow_cache = {}
@@ -243,8 +247,8 @@ class _Stats:
             return 1.0 if np.isscalar(self._n) else np.ones_like(self._n, dtype=np.complex128)
         idx = self.schema._key_index[key]
         if self._totals is None:
-            return self._sums[idx] / self._n
-        return (self._totals[idx] - self._sums[idx]) / self._n
+            return self._sums[idx] * self._inv_n
+        return (self._totals[idx] - self._sums[idx]) * self._inv_n
 
     def _neg_shift_powers(self, ch: int):
         """[(-s)^1, ..., (-s)^4] for the shift s of channel ch under the
@@ -354,53 +358,61 @@ class MomentAccumulator:
     """Mergeable raw-moment sums with per-batch bookkeeping.
 
     Samples arrive as channel vectors (values in schema channel order),
-    one batch per add_batch call or per trajectory in add_batches.
-    Per-batch key sums are stored key-major in (K, nb) blocks that are
-    never written after they are appended, so copies, merges and reports
-    share them.  Evaluation joins them once into one read-only (K, B) array
-    and sums along its batch axis pairwise, so the totals depend on the
-    batch order alone, not on how batches arrived.
+    one batch per add_batch call or per trajectory in add_batches.  A
+    block's K key products fill one (K, nb, n) array, reduced to its batch
+    sums in one call.  Per-batch key sums are stored key-major in (K, nb)
+    blocks that are never written after they are appended, so copies,
+    merges and reports share them.  Evaluation joins them once into one
+    read-only (K, B) array and sums along its batch axis pairwise, so the
+    totals depend on the batch order alone, not on how batches arrived;
+    the totals are kept until a batch is added.
     """
 
     def __init__(self, schema: MomentSchema, collect_per_sample: bool = False):
         self.schema = schema
         self._blocks = []         # (K, nb) complex batch sums
         self._block_ns = []       # (nb,) int sample counts
+        self._totals = None       # (K,) sums of the joined block, if taken
         self.collect_per_sample = bool(collect_per_sample)
         self.per_sample_sums = None    # (K, n_samples) complex when collected
         self.per_sample_rows = 0       # number of trajectories folded in
 
     # -- feeding ---------------------------------------------------------
 
-    def _center_values(self, values: np.ndarray) -> np.ndarray:
+    def _center_values(self, values: np.ndarray, out=None) -> np.ndarray:
         centers = np.array([c.center for c in self.schema.channels],
                            dtype=np.complex128)
-        return values - centers.reshape((-1,) + (1,) * (values.ndim - 1))
+        return np.subtract(
+            values, centers.reshape((-1,) + (1,) * (values.ndim - 1)), out=out)
 
-    def _key_products(self, centered: np.ndarray) -> list:
-        # each key extends its prefix, which is a key listed before it, by
-        # one channel: the left-to-right product with one multiply per key
-        key_index = self.schema._key_index
-        out = []
-        for key in self.schema.key_order:
-            if len(key) == 1:
-                out.append(centered[key[0]])
-            else:
-                out.append(out[key_index[key[:-1]]] * centered[key[-1]])
+    def _key_products(self, values: np.ndarray) -> np.ndarray:
+        # the singletons lead key_order in channel order, so the centered
+        # values fill its first rows; each later key extends its prefix, a
+        # key listed before it, by one channel: the left-to-right product
+        # with one multiply per key
+        c, key_index = self.schema.n_channels, self.schema._key_index
+        out = np.empty((self.schema.n_keys,) + values.shape[1:],
+                       dtype=np.complex128)
+        self._center_values(values, out=out[:c])
+        for k, key in enumerate(self.schema.key_order[c:], c):
+            np.multiply(out[key_index[key[:-1]]], out[key[-1]], out=out[k])
         return out
 
-    def _append_block(self, values: np.ndarray) -> list:
-        """Append the batch sums of finite values shaped (n_channels, nb, n);
-        returns the (nb, n) key products."""
-        if not (np.all(np.isfinite(values.real)) and np.all(np.isfinite(values.imag))):
-            raise ValueError("non-finite sample values")
-        nb, n = values.shape[1], values.shape[2]
-        prods = self._key_products(self._center_values(values))
-        block = np.empty((self.schema.n_keys, nb), dtype=np.complex128)
-        for k, prod in enumerate(prods):
-            prod.sum(axis=1, out=block[k])
+    def _append_block(self, values: np.ndarray) -> np.ndarray:
+        """Append the batch sums of values shaped (n_channels, nb, n), n > 0,
+        whose key sums are finite; returns the (K, nb, n) key products."""
+        nb, n = values.shape[1:]
+        if n == 0:
+            raise ValueError("empty batch: each batch needs at least one sample")
+        # non-finite values or overflowing products leave a non-finite sum
+        with np.errstate(over="ignore", invalid="ignore"):
+            prods = self._key_products(values)
+            block = prods.sum(axis=2)
+        if not np.all(np.isfinite(block)):
+            raise ValueError("non-finite sample values or key sums")
         self._blocks.append(block)
         self._block_ns.append(np.full(nb, n, dtype=np.int64))
+        self._totals = None
         return prods
 
     def add_batch(self, values) -> "MomentAccumulator":
@@ -428,15 +440,15 @@ class MomentAccumulator:
         nb, n = values.shape[1], values.shape[2]
         if nb == 0:
             return self
+        if (self.collect_per_sample and self.per_sample_sums is not None
+                and self.per_sample_sums.shape[1] != n):
+            raise SchemaError("per-sample collection needs a fixed sample count")
         prods = self._append_block(values)
         if self.collect_per_sample:
             if self.per_sample_sums is None:
                 self.per_sample_sums = np.zeros((self.schema.n_keys, n),
                                                 dtype=np.complex128)
-            elif self.per_sample_sums.shape[1] != n:
-                raise SchemaError("per-sample collection needs a fixed sample count")
-            for k, prod in enumerate(prods):
-                self.per_sample_sums[k] += prod.sum(axis=0)
+            self.per_sample_sums += prods.sum(axis=1)
             self.per_sample_rows += nb
         return self
 
@@ -455,6 +467,7 @@ class MomentAccumulator:
                                 collect_per_sample=self.collect_per_sample)
         out._blocks = list(self._blocks)
         out._block_ns = list(self._block_ns)
+        out._totals = self._totals
         if self.per_sample_sums is not None:
             out.per_sample_sums = self.per_sample_sums.copy()
         out.per_sample_rows = self.per_sample_rows
@@ -465,6 +478,7 @@ class MomentAccumulator:
             raise SchemaError("cannot merge accumulators with different schemas")
         self._blocks.extend(other._blocks)
         self._block_ns.extend(other._block_ns)
+        self._totals = None
         if other.per_sample_sums is not None:
             if self.per_sample_sums is None:
                 self.collect_per_sample = True
@@ -493,7 +507,8 @@ class MomentAccumulator:
 
     def _batch_sums(self):
         """The (K, B) batch sums, joined into one block, (B,) sample counts
-        and (K,) totals, read-only, since reports keep them."""
+        and (K,) totals, read-only, since reports keep them.  The totals
+        are summed once and kept until a batch is added or merged in."""
         b = self.n_batches
         if b == 0:
             raise NoSamplesError("no samples")
@@ -505,10 +520,11 @@ class MomentAccumulator:
             self._blocks = [np.concatenate(self._blocks, axis=1)]
             self._block_ns = [np.concatenate(self._block_ns)]
         sums, counts = self._blocks[0], self._block_ns[0]
-        totals = sums.sum(axis=1)
-        for frozen in (sums, counts, totals):
+        if self._totals is None:
+            self._totals = sums.sum(axis=1)
+        for frozen in (sums, counts, self._totals):
             frozen.flags.writeable = False
-        return sums, counts, totals
+        return sums, counts, self._totals
 
     def jackknife(self, fn, centering: str = "reference") -> JackknifeResult:
         """Leave-one-batch-out errors for an arbitrary composite statistic.

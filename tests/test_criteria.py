@@ -29,6 +29,7 @@ from opo3 import (
     run_ensemble,
     separability_witness,
 )
+from opo3 import criteria
 
 PARTITIONS = ("0|12", "1|02", "2|01")
 
@@ -156,6 +157,15 @@ class TestFrozenReport:
                             n_batches=rep.n_batches, centering=rep.centering)
         with pytest.raises(ValueError, match="no batch data"):
             cs_test(bare)
+
+
+class TestSignificance:
+    @pytest.mark.parametrize("margin,se", [(5.0, math.nan), (-5.0, math.nan),
+                                           (math.nan, 1.0), (math.nan, 0.0)])
+    def test_nan_never_decides_a_verdict(self, margin, se):
+        sig = criteria._significance(margin, se)
+        assert math.isnan(sig)
+        assert criteria._verdict(sig, 3.0) == "inconclusive"
 
 
 class TestSigmaThreshold:

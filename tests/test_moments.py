@@ -3,6 +3,7 @@ batch-means errors, centering algebra, and the quadrature/amplitude
 mapping identities."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from opo3 import (
     ou_covariances,
     state_channels,
 )
+from opo3 import moments
 from opo3.model import PhaseSpaceState
 
 
@@ -252,17 +254,28 @@ class TestBatchStore:
                 assert abs(part - want) <= rtol * abs(want), name
 
     def test_key_sums_equal_left_to_right_products(self):
-        # keys are built from their prefixes; the block sums must still be
-        # bitwise the sums of each key's channels multiplied left to right
+        # keys are built from their prefixes into one (K, nb, n) array; the
+        # block sums and per-sample sums must still be bitwise the per-key
+        # reductions of each key's channels multiplied left to right, and
+        # bitwise what one add_batch per trajectory stores
         params, cube = opo_cube(281, 40, 5)
-        acc = MomentAccumulator(opo_schema(params)).add_batches(cube)
+        schema = opo_schema(params)
+        acc = MomentAccumulator(schema, collect_per_sample=True)
+        acc.add_batches(cube)
+        single = MomentAccumulator(schema)
+        for j in range(40):
+            single.add_batch(cube[:, j])
+        joined = np.concatenate(single._blocks, axis=1)
         centered = acc._center_values(cube)
         (block,) = acc._blocks
-        for k, key in enumerate(acc.schema.key_order):
+        for k, key in enumerate(schema.key_order):
             prod = centered[key[0]]
             for idx in key[1:]:
                 prod = prod * centered[idx]
-            np.testing.assert_array_equal(block[k], prod.sum(axis=1))
+            want = prod.sum(axis=1).tobytes()
+            assert block[k].tobytes() == want == joined[k].tobytes(), key
+            assert (acc.per_sample_sums[k].tobytes()
+                    == prod.sum(axis=0).tobytes()), key
 
     def test_arrival_order_is_bitwise_invisible(self):
         params, cube = opo_cube(277, 520, 3)
@@ -318,6 +331,117 @@ class TestBatchStore:
             got, want = finalize(acc), finalize(twin)
             for name in schema.target_names():
                 assert got[name] == want[name], name
+
+
+class _DividingStats(moments._Stats):
+    """The evaluation context with raw means divided by n, as numpy's
+    complex / real computes them, in place of the stored reciprocal."""
+
+    def raw(self, key: tuple):
+        if key == ():
+            return super().raw(key)
+        idx = self.schema._key_index[key]
+        if self._totals is None:
+            return self._sums[idx] / self._n
+        return (self._totals[idx] - self._sums[idx]) / self._n
+
+
+def _bits(*arrays):
+    return [np.asarray(a).tobytes() for a in arrays]
+
+
+class TestEvaluationShortcuts:
+    def test_reciprocal_is_bitwise_division(self, monkeypatch):
+        # unequal batch counts, so the replicate counts differ per batch
+        params, cube = opo_cube(293, 24, 6)
+        schema = opo_schema(params)
+        acc = MomentAccumulator(schema)
+        acc.add_batches(cube[:, :9, :6])
+        acc.add_batches(cube[:, 9:17, :2])
+        for j in range(17, 24):
+            acc.add_batch(cube[:, j, :j % 5 + 1])
+        series = MomentAccumulator(schema, collect_per_sample=True)
+        series.add_batches(cube[:, :12]).add_batches(cube[:, 12:])
+
+        def evaluate():
+            out = []
+            for mode in moments.CENTERINGS:
+                rep = finalize(acc, mode)
+                for e in rep.entries.values():
+                    out += _bits(e.value, e.std_error, e.std_error_imag)
+                jk = acc.jackknife(cs_parts, centering=mode)
+                out += _bits(jk.value, jk.std_error, jk.std_error_imag)
+                out += _bits(cs_parts(series.running_stats(mode)))
+            return out
+
+        got = evaluate()
+        monkeypatch.setattr(moments, "_Stats", _DividingStats)
+        assert evaluate() == got
+
+    def test_totals_cache_follows_the_batches(self):
+        params, cube = opo_cube(307, 60, 4)
+        schema = opo_schema(params)
+        reports = []
+
+        def check(acc, mode="reference"):
+            rep = finalize(acc, mode)
+            assert (rep.batch_totals.tobytes()
+                    == rep.batch_sums.sum(axis=1).tobytes())
+            reports.append((rep, rep.batch_totals.tobytes()))
+            return rep
+
+        # finalize, add a batch, finalize again
+        acc = MomentAccumulator(schema).add_batches(cube[:, :20])
+        first = check(acc)
+        assert check(acc, "sample").batch_totals is first.batch_totals
+        acc.add_batch(cube[:, 20])
+        assert check(acc).n_batches == 21
+        # merge, both ways
+        other = MomentAccumulator(schema).add_batches(cube[:, 30:45])
+        check(other)
+        merged = merge(acc, other)
+        assert check(merged).n_batches == 36
+        check(acc)
+        acc.merge_in_place(other)
+        joined = check(acc)
+        assert joined.n_batches == 36
+        # copy, then add to the copy
+        twin = acc.copy()
+        assert check(twin).batch_totals is joined.batch_totals
+        twin.add_batches(cube[:, 50:60])
+        assert check(twin).n_batches == 46
+        assert check(acc).n_batches == 36
+        for rep, frozen in reports:
+            assert rep.batch_totals.tobytes() == frozen
+
+    def test_empty_and_overflowing_batches_refused(self):
+        params, cube = opo_cube(311, 6, 3)
+        schema = opo_schema(params)
+        acc = MomentAccumulator(schema).add_batches(cube)
+        series = MomentAccumulator(schema, collect_per_sample=True)
+        series.add_batches(cube)
+        want = finalize(acc)
+        sums = series.per_sample_sums.tobytes()
+        # finite values whose fourth-order products overflow
+        huge = cube[:, :2] * 1e100
+        assert np.all(np.isfinite(huge))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for feed, bad, match in (
+                    (acc.add_batch, np.empty((12, 0)), "empty batch"),
+                    (acc.add_batches, np.empty((12, 4, 0)), "empty batch"),
+                    (acc.add_batch, huge[:, 0], "non-finite"),
+                    (acc.add_batches, huge, "non-finite"),
+                    (series.add_batches, huge, "non-finite"),
+                    (series.add_batches, cube[:, :2, :2], "fixed sample")):
+                with pytest.raises(ValueError, match=match):
+                    feed(bad)
+                assert acc.n_batches == series.n_batches == 6
+            got = finalize(acc)
+        assert (series.per_sample_rows, series.per_sample_sums.tobytes()) == (
+            6, sums)
+        for name in schema.target_names():
+            assert got[name] == want[name], name
 
 
 class TestCentering:
