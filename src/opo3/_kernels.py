@@ -29,8 +29,9 @@ fails to start.  A trajectory touches only its own generator and state
 column, so results do not depend on the thread count.
 
 The pump takes the factored step a0 <- m + (a0 - m) * e_pump + phi_pump *
-(-eps * a1 * a2) (see engine._pump_factors); signal modes take
-Euler-Maruyama steps.  A trajectory whose candidate exceeds the threshold
+(-eps * a1 * a2), m = mu/eps, whose Euler factors e_pump = 1 - gamma_r*dt
+and phi_pump = dt the engine passes in; signal modes take Euler-Maruyama
+steps.  A trajectory whose candidate exceeds the threshold
 or goes non-finite is frozen at its last good state, marked dead, and its
 global step index recorded.
 

@@ -23,6 +23,7 @@ import argparse
 import json
 import math
 import sys
+import typing
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
@@ -76,40 +77,26 @@ class RunSpec:
         return ModelParams(mu=self.mu, gamma_r=self.gamma_r, g=self.g)
 
     def sim_config(self) -> SimConfig:
-        return SimConfig(
-            dt=self.dt,
-            burn_in=self.burn_in,
-            sample_interval=self.sample_interval,
-            n_samples_per_traj=self.n_samples_per_traj,
-            n_trajectories=self.n_trajectories,
-            master_seed=self.master_seed,
-            divergence_threshold=self.divergence_threshold,
-        )
+        return SimConfig(**{f.name: getattr(self, f.name)
+                            for f in fields(SimConfig)})
 
 
 CONFIG_KEYS = tuple(f.name for f in fields(RunSpec))
-
-_OPTIONAL_FLOAT_KEYS = ("dt", "burn_in", "sample_interval")
-_INT_KEYS = ("n_samples_per_traj", "n_trajectories", "master_seed")
-_FLOAT_KEYS = ("mu", "gamma_r", "g", "divergence_threshold", "sigma_threshold")
+# key -> (kind, optional): a `float | None` field is (float, True)
+_KINDS = {key: ((typing.get_args(hint) or (hint,))[0],
+                type(None) in typing.get_args(hint))
+          for key, hint in typing.get_type_hints(RunSpec).items()}
 
 
 def _convert(key: str, raw: str):
     raw = raw.strip()
-    if key == "out_dir":
-        return raw
-    if key in _OPTIONAL_FLOAT_KEYS:
-        if raw.lower() in ("", "auto", "none"):
-            return None
-        key_kind = float
-    elif key in _INT_KEYS:
-        key_kind = int
-    elif key in _FLOAT_KEYS:
-        key_kind = float
-    else:
+    if key not in _KINDS:
         raise CliError(f"unknown config key: {key}")
+    kind, optional = _KINDS[key]
+    if optional and raw.lower() in ("", "auto", "none"):
+        return None
     try:
-        return key_kind(raw)
+        return kind(raw)
     except ValueError:
         raise CliError(f"bad value for {key}: {raw!r}")
 
@@ -144,8 +131,8 @@ def build_runspec(args: argparse.Namespace) -> RunSpec:
         val = getattr(args, key, None)
         if val is None:
             continue
-        # dt/burn-in/sample-interval flags arrive as strings ("auto" allowed)
-        overrides[key] = _convert(key, val) if key in _OPTIONAL_FLOAT_KEYS else val
+        # optional (auto-resolved) flags arrive as strings ("auto" allowed)
+        overrides[key] = _convert(key, val) if _KINDS[key][1] else val
     if getattr(args, "seed", None) is not None:
         overrides["master_seed"] = int(args.seed)
     if overrides:
@@ -389,20 +376,11 @@ def cmd_compare(spec: RunSpec) -> int:
 
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="key = value config file")
-    p.add_argument("--mu", type=float)
-    p.add_argument("--gamma-r", dest="gamma_r", type=float)
-    p.add_argument("--g", type=float)
-    p.add_argument("--dt", type=str)
-    p.add_argument("--burn-in", dest="burn_in", type=str)
-    p.add_argument("--sample-interval", dest="sample_interval", type=str)
-    p.add_argument("--n-samples-per-traj", dest="n_samples_per_traj", type=int)
-    p.add_argument("--n-trajectories", dest="n_trajectories", type=int)
-    p.add_argument("--master-seed", dest="master_seed", type=int)
-    p.add_argument("--seed", type=int, help="alias for --master-seed")
-    p.add_argument("--divergence-threshold", dest="divergence_threshold",
-                   type=float)
-    p.add_argument("--sigma-threshold", dest="sigma_threshold", type=float)
-    p.add_argument("--out-dir", dest="out_dir")
+    for key, (kind, optional) in _KINDS.items():
+        p.add_argument("--" + key.replace("_", "-"), dest=key,
+                       type=str if optional else kind)
+        if key == "master_seed":
+            p.add_argument("--seed", type=int, help="alias for --master-seed")
 
 
 def make_parser() -> argparse.ArgumentParser:

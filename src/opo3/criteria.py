@@ -289,23 +289,25 @@ class AuditResult:
 
 
 def pair_audit(moments: MomentReport, sigma_threshold: float = 3.0) -> AuditResult:
-    """Test the pump-signal quadrature covariances for consistency with zero."""
+    """Test the pump-signal quadrature covariances for consistency with zero;
+    a NaN significance leaves the audit inconclusive."""
     k = check_sigma_threshold(sigma_threshold)
     names = ("cov_x0_x", "cov_x0_y", "cov_y0_x", "cov_y0_y")
     rows = []
-    worst = 0.0
-    all_ok = True
     for n in names:
         e = moments[n]
         v = e.value.real
         sig = abs(_significance(v, e.std_error))
-        ok = sig <= k
-        worst = max(worst, sig)
-        all_ok = all_ok and ok
-        rows.append((n, v, e.std_error, sig, ok))
+        rows.append((n, v, e.std_error, sig, sig <= k))
+    all_ok = all(row[4] for row in rows)
+    if any(math.isnan(row[3]) for row in rows):
+        worst, verdict = math.nan, INCONCLUSIVE
+    else:
+        worst = max(row[3] for row in rows)
+        verdict = PAIRS_BLIND if all_ok else PAIRS_PRESENT
     return AuditResult(entries=tuple(rows), all_consistent=all_ok,
-                       verdict=PAIRS_BLIND if all_ok else PAIRS_PRESENT,
-                       max_significance=worst, sigma_threshold=k)
+                       verdict=verdict, max_significance=worst,
+                       sigma_threshold=k)
 
 
 NON_GAUSSIAN = "non-Gaussian pump fluctuations"
@@ -335,17 +337,20 @@ class OddMomentResult:
 
 
 def pump_odd_moment(moments: MomentReport, sigma_threshold: float = 3.0) -> OddMomentResult:
-    """Gaussianity diagnostic: <(Delta x0)^3> with significance against zero."""
+    """Gaussianity diagnostic: <(Delta x0)^3> with significance against zero;
+    inconclusive when the significance is NaN."""
     k = check_sigma_threshold(sigma_threshold)
     e = moments["skew_x0"]
     v = e.value.real
     sig = abs(_significance(v, e.std_error))
     non_gaussian = sig >= k
+    if math.isnan(sig):
+        verdict = INCONCLUSIVE
+    else:
+        verdict = NON_GAUSSIAN if non_gaussian else GAUSSIAN_COMPATIBLE
     return OddMomentResult(
         value=v, std_error=e.std_error, significance=sig,
-        non_gaussian=non_gaussian,
-        verdict=NON_GAUSSIAN if non_gaussian else GAUSSIAN_COMPATIBLE,
-        sigma_threshold=k,
+        non_gaussian=non_gaussian, verdict=verdict, sigma_threshold=k,
     )
 
 

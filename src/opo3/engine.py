@@ -1,8 +1,8 @@
 """Ensemble integration of the positive-P equations.
 
 Trajectories are integrated in nondimensional time tau = gamma*t with
-explicit Euler-Maruyama steps (optionally an exponentially propagated linear
-pump part, scheme="exp_euler").  The step map is stated in the block kernels
+explicit Euler-Maruyama steps; the pump's linear part takes the factored
+form of `_pump_factors`.  The step map is stated in the block kernels
 of `_kernels` (compiled C, with numpy as its oracle and fallback);
 `model.drift_and_diffusion` states the equations independently, and the
 tests check one against the other through `integrate_batch` on a
@@ -29,18 +29,12 @@ import math
 import operator
 import os
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from . import _kernels
-from .model import (
-    ModelParams,
-    PhaseSpaceState,
-    QuadratureSample,
-    ValidityError,
-    fixed_point,
-)
+from .model import ModelParams, PhaseSpaceState, ValidityError, fixed_point
 from .moments import MomentAccumulator, opo_schema, state_channels
 
 BLOCK_SIZE = 256          # trajectories per work unit; results do not depend on it
@@ -50,12 +44,10 @@ MAX_DIVERGED_FRACTION = 0.01
 _MAX_STEPS = 2**63 - 1    # the kernels count steps in int64
 
 
-def _pump_factors(scheme: str, gamma_r: float, dt: float):
-    if scheme == "euler":
-        return 1.0 - gamma_r * dt, dt
-    if scheme == "exp_euler":
-        return math.exp(-gamma_r * dt), -math.expm1(-gamma_r * dt) / gamma_r
-    raise ValueError(f"unknown scheme {scheme!r}")
+def _pump_factors(gamma_r: float, dt: float):
+    """(e_pump, phi_pump) of the Euler pump step a0 <- m + (a0 - m)*e_pump
+    + phi_pump*(-eps*a1*a2), m = mu/eps."""
+    return 1.0 - gamma_r * dt, dt
 
 
 @dataclass(frozen=True)
@@ -76,7 +68,6 @@ class SimConfig:
     n_trajectories: int = 256
     master_seed: int = 12345
     divergence_threshold: float = 1e6
-    scheme: str = "euler"
 
     def resolve(self, params: ModelParams) -> "ResolvedConfig":
         if params.mu >= 1.0:
@@ -94,7 +85,6 @@ class SimConfig:
         if isinstance(self.master_seed, bool) or master_seed < 0:
             raise ValueError(f"master_seed must be an integer >= 0, got "
                              f"{self.master_seed!r}")
-        _pump_factors(self.scheme, params.gamma_r, 1.0)  # validates scheme
         slow = min(1.0 - params.mu, params.gamma_r)
         fast = max(1.0, params.gamma_r)
         dt = self.dt if self.dt is not None else 0.01 / fast
@@ -126,7 +116,7 @@ class SimConfig:
                                  f"dt={dt:g} for the int64 step counter")
         burn_steps = max(1, math.ceil(burn_in / dt - 1e-9))
         int_steps = max(1, math.ceil(interval / dt - 1e-9))
-        e_pump, phi_pump = _pump_factors(self.scheme, params.gamma_r, dt)
+        e_pump, phi_pump = _pump_factors(params.gamma_r, dt)
         return ResolvedConfig(
             dt=dt,
             burn_steps=burn_steps,
@@ -135,7 +125,6 @@ class SimConfig:
             n_trajectories=self.n_trajectories,
             master_seed=master_seed,
             divergence_threshold=self.divergence_threshold,
-            scheme=self.scheme,
             e_pump=e_pump,
             phi_pump=phi_pump,
         )
@@ -150,9 +139,11 @@ class ResolvedConfig:
     n_trajectories: int
     master_seed: int
     divergence_threshold: float
-    scheme: str
     e_pump: float
     phi_pump: float
+
+    # the only step scheme; integrate_batch still takes it by name
+    scheme = "euler"
 
     @property
     def burn_in(self) -> float:
@@ -174,16 +165,8 @@ class ResolvedConfig:
         return self.sample_steps() * self.dt
 
     def to_dict(self) -> dict:
-        return {
-            "dt": self.dt,
-            "burn_in": self.burn_in,
-            "sample_interval": self.sample_interval,
-            "n_samples_per_traj": self.n_samples_per_traj,
-            "n_trajectories": self.n_trajectories,
-            "master_seed": self.master_seed,
-            "divergence_threshold": self.divergence_threshold,
-            "scheme": self.scheme,
-        }
+        """The resolved value of every SimConfig setting."""
+        return {f.name: getattr(self, f.name) for f in fields(SimConfig)}
 
 
 def _traj_rng(master_seed: int, traj_index: int) -> np.random.Generator:
@@ -258,50 +241,21 @@ def _run_block(params: ModelParams, rcfg: ResolvedConfig, traj_indices,
     return cube, alive, first_bad
 
 
-@dataclass
-class TrajectoryResult:
-    """One trajectory's retained samples plus divergence bookkeeping."""
-
-    samples: list
-    diverged: bool
-    first_bad_step: int
-    discarded_samples: int
-
-    @property
-    def n_samples(self) -> int:
-        return len(self.samples)
-
-
 def simulate_trajectory(params: ModelParams, config: SimConfig,
-                        trajectory_index: int = 0,
-                        initial_state=None) -> TrajectoryResult:
-    """Integrate a single trajectory and return its QuadratureSamples.
+                        trajectory_index: int = 0, initial_state=None):
+    """Integrate one trajectory; returns (channels, first_bad_step).
 
-    Samples at or after the first divergent step are discarded; the state
-    is frozen there and the trajectory flagged.
+    channels: the (12, n_kept) samples in OPO_CHANNELS order taken before
+    the trajectory diverged (all of them if it did not); first_bad_step is
+    the step it diverged at, or -1.
     """
     rcfg = config.resolve(params)
-    cube, alive, first_bad = _run_block(params, rcfg, [trajectory_index],
-                                        initial_state=initial_state)
-    taus = rcfg.sample_times()
-    steps = rcfg.sample_steps()
-    diverged = not bool(alive[0])
-    bad_step = int(first_bad[0])
-    samples = []
-    for k in range(rcfg.n_samples_per_traj):
-        if diverged and steps[k] > bad_step:
-            break
-        x0, y0, x, y, xp, yp, a0, a0p, a1, a1p, a2, a2p = cube[:, 0, k]
-        samples.append(QuadratureSample(
-            x0=x0, y0=y0, x=x, y=y, xp=xp, yp=yp,
-            n12=a1p * a1 * a2p * a2, n0=a0p * a0, t=float(taus[k]),
-        ))
-    return TrajectoryResult(
-        samples=samples,
-        diverged=diverged,
-        first_bad_step=bad_step,
-        discarded_samples=rcfg.n_samples_per_traj - len(samples),
-    )
+    cube, _, first_bad = _run_block(params, rcfg, [trajectory_index],
+                                    initial_state=initial_state)
+    bad = int(first_bad[0])
+    kept = rcfg.n_samples_per_traj if bad < 0 else int(
+        np.searchsorted(rcfg.sample_steps(), bad, side="right"))
+    return cube[:, 0, :kept], bad
 
 
 @dataclass
@@ -409,8 +363,8 @@ def integrate_batch(params: ModelParams, dt: float, normals: np.ndarray,
     """Drive a batch with caller-supplied standard normals; returns finals.
 
     normals has shape (n_steps, 4, B), unscaled; initial_states (6, B).
-    Used for common-random-number convergence studies.  Returns
-    (final_states, alive, first_bad).
+    Used for common-random-number convergence studies; scheme must be
+    "euler", the only one.  Returns (final_states, alive, first_bad).
     """
     normals = np.asarray(normals, dtype=np.float64)
     if normals.ndim != 3 or normals.shape[1] != 4:
@@ -425,7 +379,9 @@ def integrate_batch(params: ModelParams, dt: float, normals: np.ndarray,
     nb = state.shape[1]
     alive = np.ones(nb, dtype=np.bool_)
     first_bad = np.full(nb, -1, dtype=np.int64)
-    e_pump, phi_pump = _pump_factors(scheme, params.gamma_r, dt)
+    if scheme != ResolvedConfig.scheme:
+        raise ValueError(f"unknown scheme {scheme!r}")
+    e_pump, phi_pump = _pump_factors(params.gamma_r, dt)
     stepper = _kernels.get_stepper()
     thr2 = divergence_threshold ** 2
     m_pump = params.mu / params.eps

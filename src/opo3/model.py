@@ -1,4 +1,4 @@
-"""Parameterization, drift/diffusion functions, and the quadrature transform.
+"""Parameterization and the drift/diffusion functions of the Ito equations.
 
 Everything here is a pure function of its inputs.  Time is dimensionless,
 tau = gamma*t, so the down-converted decay rate is 1 and the pump decay rate
@@ -104,29 +104,6 @@ class PhaseSpaceState:
         return bool(np.all(np.isfinite(self.as_array().view(np.float64))))
 
 
-@dataclass(frozen=True)
-class QuadratureSample:
-    """Scaled quadratures of one state plus raw amplitude products.
-
-    x0, y0 belong to the pump; (x, y) and (xp, yp) to the two down-converted
-    modes under the fixed sign convention x + i*y = 2*g*a1,
-    x - i*y = 2*g*a2p, xp + i*yp = 2*g*a2, xp - i*yp = 2*g*a1p.
-    All fields are complex: single positive-P samples are not real, only
-    ensemble moments are.  n12 = a1p*a1*a2p*a2 and n0 = a0p*a0 are carried
-    raw; centering happens downstream in the moments module.
-    """
-
-    x0: complex
-    y0: complex
-    x: complex
-    y: complex
-    xp: complex
-    yp: complex
-    n12: complex
-    n0: complex
-    t: float = 0.0
-
-
 def fixed_point(params: ModelParams) -> PhaseSpaceState:
     """Deterministic below-threshold steady state: a0 = a0p = mu/eps, signals 0."""
     a0 = params.mu / params.eps
@@ -155,40 +132,3 @@ def drift_and_diffusion(state: PhaseSpaceState, params: ModelParams):
     )
     noise_amp = (cmath.sqrt(eps * a0), cmath.sqrt(eps * a0p))
     return drift, noise_amp
-
-
-def alpha_to_quadratures(
-    state: PhaseSpaceState, params: ModelParams, t: float = 0.0
-) -> QuadratureSample:
-    """Map one phase-space state to the scaled quadratures.
-
-    x0 = eps*(a0+a0p), y0 = -i*eps*(a0-a0p) with eps = g*sqrt(2*gamma_r);
-    x = g*(a1+a2p), y = -i*g*(a1-a2p); xp = g*(a2+a1p), yp = -i*g*(a2-a1p).
-    """
-    g, eps = params.g, params.eps
-    a0, a1, a2 = state.a0, state.a1, state.a2
-    a0p, a1p, a2p = state.a0p, state.a1p, state.a2p
-    return QuadratureSample(
-        x0=eps * (a0 + a0p),
-        y0=-1j * eps * (a0 - a0p),
-        x=g * (a1 + a2p),
-        y=-1j * g * (a1 - a2p),
-        xp=g * (a2 + a1p),
-        yp=-1j * g * (a2 - a1p),
-        n12=a1p * a1 * a2p * a2,
-        n0=a0p * a0,
-        t=t,
-    )
-
-
-def quadratures_to_alpha(sample: QuadratureSample, params: ModelParams) -> PhaseSpaceState:
-    """Exact inverse of alpha_to_quadratures on the quadrature fields."""
-    g, eps = params.g, params.eps
-    return PhaseSpaceState(
-        a0=(sample.x0 + 1j * sample.y0) / (2.0 * eps),
-        a1=(sample.x + 1j * sample.y) / (2.0 * g),
-        a2=(sample.xp + 1j * sample.yp) / (2.0 * g),
-        a0p=(sample.x0 - 1j * sample.y0) / (2.0 * eps),
-        a1p=(sample.xp - 1j * sample.yp) / (2.0 * g),
-        a2p=(sample.x - 1j * sample.y) / (2.0 * g),
-    )

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import ModelParams, QuadratureSample, quadratures_to_alpha
+from .model import ModelParams
 
 CENTERINGS = ("reference", "sample", "none", "raw")
 
@@ -322,6 +322,12 @@ class _ExactValues:
         return est.value
 
 
+def _finite(arr: np.ndarray, what: str) -> np.ndarray:
+    if not np.all(np.isfinite(arr)):
+        raise ValueError(f"non-finite {what}")
+    return arr
+
+
 def _jack_se(loo):
     """Componentwise jackknife SE from leave-one-out replicates (last axis)."""
     b = loo.shape[-1]
@@ -398,22 +404,32 @@ class MomentAccumulator:
             np.multiply(out[key_index[key[:-1]]], out[key[-1]], out=out[k])
         return out
 
-    def _append_block(self, values: np.ndarray) -> np.ndarray:
-        """Append the batch sums of values shaped (n_channels, nb, n), n > 0,
-        whose key sums are finite; returns the (K, nb, n) key products."""
-        nb, n = values.shape[1:]
-        if n == 0:
+    def _block_sums(self, values: np.ndarray):
+        """The (K, nb) batch sums of values shaped (n_channels, nb, n),
+        n > 0, and their (K, nb, n) key products; the sums must be finite."""
+        if values.shape[2] == 0:
             raise ValueError("empty batch: each batch needs at least one sample")
         # non-finite values or overflowing products leave a non-finite sum
         with np.errstate(over="ignore", invalid="ignore"):
             prods = self._key_products(values)
             block = prods.sum(axis=2)
-        if not np.all(np.isfinite(block)):
-            raise ValueError("non-finite sample values or key sums")
+        return _finite(block, "sample values or key sums"), prods
+
+    def _append_block(self, block: np.ndarray, n: int) -> None:
         self._blocks.append(block)
-        self._block_ns.append(np.full(nb, n, dtype=np.int64))
+        self._block_ns.append(np.full(block.shape[1], n, dtype=np.int64))
         self._totals = None
-        return prods
+
+    def _per_sample_total(self, sums: np.ndarray) -> np.ndarray:
+        """The per-sample sums with `sums` added, refused if they overflow."""
+        base = self.per_sample_sums
+        if base is None:
+            base = np.zeros_like(sums)
+        elif base.shape != sums.shape:
+            raise SchemaError("per-sample shapes differ: per-sample "
+                              "collection needs a fixed sample count")
+        with np.errstate(over="ignore", invalid="ignore"):
+            return _finite(base + sums, "per-sample sums")
 
     def add_batch(self, values) -> "MomentAccumulator":
         """One batch of samples: values shaped (n_channels, n)."""
@@ -424,7 +440,8 @@ class MomentAccumulator:
             raise SchemaError(
                 f"expected {self.schema.n_channels} channels, got {values.shape[0]}"
             )
-        self._append_block(values[:, None, :])
+        self._append_block(self._block_sums(values[:, None, :])[0],
+                           values.shape[1])
         return self
 
     def add_batches(self, values) -> "MomentAccumulator":
@@ -440,16 +457,13 @@ class MomentAccumulator:
         nb, n = values.shape[1], values.shape[2]
         if nb == 0:
             return self
-        if (self.collect_per_sample and self.per_sample_sums is not None
-                and self.per_sample_sums.shape[1] != n):
-            raise SchemaError("per-sample collection needs a fixed sample count")
-        prods = self._append_block(values)
+        block, prods = self._block_sums(values)
         if self.collect_per_sample:
-            if self.per_sample_sums is None:
-                self.per_sample_sums = np.zeros((self.schema.n_keys, n),
-                                                dtype=np.complex128)
-            self.per_sample_sums += prods.sum(axis=1)
+            with np.errstate(over="ignore", invalid="ignore"):
+                sums = prods.sum(axis=1)
+            self.per_sample_sums = self._per_sample_total(sums)
             self.per_sample_rows += nb
+        self._append_block(block, n)
         return self
 
     # -- bookkeeping -----------------------------------------------------
@@ -474,21 +488,16 @@ class MomentAccumulator:
         return out
 
     def merge_in_place(self, other: "MomentAccumulator") -> "MomentAccumulator":
+        """Append other's batches; a refused merge leaves self unchanged."""
         if not self.schema.compatible(other.schema):
             raise SchemaError("cannot merge accumulators with different schemas")
+        if other.per_sample_sums is not None:
+            self.per_sample_sums = self._per_sample_total(other.per_sample_sums)
+            self.per_sample_rows += other.per_sample_rows
+            self.collect_per_sample = True
         self._blocks.extend(other._blocks)
         self._block_ns.extend(other._block_ns)
         self._totals = None
-        if other.per_sample_sums is not None:
-            if self.per_sample_sums is None:
-                self.collect_per_sample = True
-                self.per_sample_sums = other.per_sample_sums.copy()
-                self.per_sample_rows = other.per_sample_rows
-            else:
-                if self.per_sample_sums.shape != other.per_sample_sums.shape:
-                    raise SchemaError("per-sample shapes differ; cannot merge")
-                self.per_sample_sums += other.per_sample_sums
-                self.per_sample_rows += other.per_sample_rows
         return self
 
     # -- evaluation ------------------------------------------------------
@@ -521,7 +530,9 @@ class MomentAccumulator:
             self._block_ns = [np.concatenate(self._block_ns)]
         sums, counts = self._blocks[0], self._block_ns[0]
         if self._totals is None:
-            self._totals = sums.sum(axis=1)
+            with np.errstate(over="ignore", invalid="ignore"):
+                self._totals = _finite(sums.sum(axis=1), "key sums over "
+                                       "all batches")
         for frozen in (sums, counts, self._totals):
             frozen.flags.writeable = False
         return sums, counts, self._totals
@@ -558,14 +569,6 @@ class MomentAccumulator:
 
 
 # -- spec-level free functions ------------------------------------------
-
-
-def accumulate(acc: MomentAccumulator, sample) -> MomentAccumulator:
-    """Feed one sample (QuadratureSample or channel vector) into acc as a
-    batch of its own."""
-    if isinstance(sample, QuadratureSample):
-        sample = sample_to_channels(sample, acc.schema)
-    return acc.add_batch(sample)
 
 
 def merge(a: MomentAccumulator, b: MomentAccumulator) -> MomentAccumulator:
@@ -668,27 +671,16 @@ def amplitude_schema(centers=(0.0,) * 6) -> MomentSchema:
     return MomentSchema(channels=channels, targets=targets)
 
 
-def sample_to_channels(sample: QuadratureSample, schema: MomentSchema) -> np.ndarray:
-    """Channel vector for one QuadratureSample under the OPO schema.
-
-    Amplitudes are reconstructed through the exact inverse transform, so a
-    stream of samples carries the full channel set.
-    """
-    if schema.params is None:
-        raise SchemaError("schema has no model params; cannot map samples")
-    state = quadratures_to_alpha(sample, schema.params)
-    return np.array(
-        [sample.x0, sample.y0, sample.x, sample.y, sample.xp, sample.yp,
-         state.a0, state.a0p, state.a1, state.a1p, state.a2, state.a2p],
-        dtype=np.complex128,
-    )
-
-
 def state_channels(states: np.ndarray, params: ModelParams) -> np.ndarray:
-    """Channel values from raw phase-space states.
+    """Channel values from raw phase-space states: the one quadrature map.
 
     states has shape (6, ...) ordered (a0, a1, a2, a0p, a1p, a2p); returns
-    (12, ...) in OPO_CHANNELS order.
+    (12, ...) in OPO_CHANNELS order: the scaled quadratures x0 =
+    eps*(a0 + a0p), y0 = -i*eps*(a0 - a0p) of the pump and, under the sign
+    convention x + i*y = 2*g*a1, x - i*y = 2*g*a2p, xp + i*yp = 2*g*a2,
+    xp - i*yp = 2*g*a1p, those of the down-converted modes, then the six
+    amplitudes.  All are complex: single positive-P samples are not real,
+    only ensemble moments are.
     """
     g, eps = params.g, params.eps
     a0, a1, a2, a0p, a1p, a2p = states

@@ -6,6 +6,7 @@ import os
 import shutil
 import subprocess
 import sys
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
@@ -16,6 +17,7 @@ from opo3.cli import (
     CliError,
     build_runspec,
     main,
+    RunSpec,
     make_parser,
     parse_config_file,
 )
@@ -96,6 +98,42 @@ class TestConfigFile:
     def test_seed_alias(self):
         args = make_parser().parse_args(["run", "--seed", "777"])
         assert build_runspec(args).master_seed == 777
+
+
+class TestSettingsTable:
+    # `opo3 run`'s options; the flags derived from RunSpec must keep them
+    RUN_OPTIONS = [
+        "-h", "--help", "--config", "--mu", "--gamma-r", "--g", "--dt",
+        "--burn-in", "--sample-interval", "--n-samples-per-traj",
+        "--n-trajectories", "--master-seed", "--seed",
+        "--divergence-threshold", "--sigma-threshold", "--out-dir"]
+    # a value other than the default for every RunSpec field
+    VALUES = {"mu": 0.25, "gamma_r": 3.5, "g": 0.125, "dt": 0.004,
+              "burn_in": 55.0, "sample_interval": 6.5,
+              "n_samples_per_traj": 7, "n_trajectories": 33,
+              "master_seed": 4242, "divergence_threshold": 1e5,
+              "sigma_threshold": 2.5, "out_dir": "elsewhere"}
+
+    def test_run_option_strings(self):
+        sub = next(a for a in make_parser()._actions if a.dest == "command")
+        got = [s for a in sub.choices["run"]._actions
+               for s in a.option_strings]
+        assert got == self.RUN_OPTIONS
+
+    @pytest.mark.parametrize("key", [f.name for f in fields(RunSpec)])
+    def test_flag_and_config_key_agree(self, tmp_path, key):
+        value = self.VALUES[key]
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(f"{key} = {value}\n")
+        parser = make_parser()
+        via_flag = build_runspec(parser.parse_args(
+            ["run", "--" + key.replace("_", "-"), str(value)]))
+        via_file = build_runspec(parser.parse_args(
+            ["run", "--config", str(cfg)]))
+        assert via_flag == via_file == replace(RunSpec(), **{key: value})
+        assert type(getattr(via_flag, key)) is type(value)
+        sim = via_flag.sim_config()
+        assert getattr(sim, key, value) == value
 
 
 class TestRun:

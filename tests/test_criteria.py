@@ -166,6 +166,20 @@ class TestSignificance:
         sig = criteria._significance(margin, se)
         assert math.isnan(sig)
         assert criteria._verdict(sig, 3.0) == "inconclusive"
+        # the same estimate as the pump skew and as one pump-signal
+        # covariance among three that are consistent with zero
+        zero = MomentEstimate.from_values(0.0, 1.0)
+        bad = MomentEstimate.from_values(margin, se)
+        entries = {"skew_x0": bad, "cov_x0_x": zero, "cov_x0_y": bad,
+                   "cov_y0_x": zero, "cov_y0_y": zero}
+        rep = MomentReport(entries=entries, n_samples=100, n_batches=10,
+                           centering="reference")
+        odd = pump_odd_moment(rep)
+        assert math.isnan(odd.significance) and not odd.non_gaussian
+        assert odd.verdict == "inconclusive"
+        audit = pair_audit(rep)
+        assert math.isnan(audit.max_significance)
+        assert audit.verdict == "inconclusive" and not audit.all_consistent
 
 
 class TestSigmaThreshold:

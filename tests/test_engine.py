@@ -2,6 +2,7 @@
 determinism, divergence handling, stationarity, and weak convergence."""
 
 import ctypes
+import dataclasses
 import math
 import os
 import platform
@@ -126,16 +127,14 @@ class TestStep:
         # plain Euler: a0' = a0 + dt*gamma_r*(m - a0)
         assert out.a0 == pytest.approx(0.02 * m, rel=1e-14)
 
-    def test_pump_relaxation_exp_euler(self):
-        params = ModelParams(mu=0.5, gamma_r=2.0, g=0.05)
-        m = params.mu / params.eps
-        out = one_step(params, np.zeros(6), np.zeros(4), scheme="exp_euler")
-        assert out.a0 == pytest.approx(m * (1.0 - math.exp(-0.02)), rel=1e-12)
-
     def test_unknown_scheme(self):
         params = ModelParams(mu=0.5, gamma_r=1.0, g=0.05)
-        with pytest.raises(ValueError, match="scheme"):
+        with pytest.raises(ValueError, match="unknown scheme"):
             one_step(params, np.zeros(6), np.zeros(4), scheme="heun")
+        # the Euler step is the only scheme, named but not settable
+        assert engine.ResolvedConfig.scheme == "euler"
+        assert "scheme" not in {f.name for f in dataclasses.fields(
+            engine.ResolvedConfig)}
 
     def test_matches_kernel_one_step(self):
         # the kernel's step is x + dt*drift + amp*dw with the drift and noise
@@ -290,11 +289,10 @@ class TestDeterminism:
                   n_samples_per_traj=4, master_seed=55)
         ens = run_ensemble(params, SimConfig(n_trajectories=8, **kw),
                            keep_samples=True)
-        tr = simulate_trajectory(params, SimConfig(n_trajectories=1, **kw),
-                                 trajectory_index=5)
-        x0_ens = ens.samples[0, 5, :]
-        x0_tr = np.array([s.x0 for s in tr.samples])
-        np.testing.assert_array_equal(x0_ens, x0_tr)
+        channels, first_bad = simulate_trajectory(
+            params, SimConfig(n_trajectories=1, **kw), trajectory_index=5)
+        assert first_bad == -1
+        np.testing.assert_array_equal(ens.samples[:, 5, :], channels)
 
     @needs_cc
     def test_numpy_fallback_agrees(self, no_compiler):
@@ -464,9 +462,9 @@ class TestKernels:
                            r"in \[0, 2\*\*64\)"):
             simulate_trajectory(ModelParams(0.5, 1.0, 0.05), cfg,
                                 trajectory_index=index)
-        last = simulate_trajectory(ModelParams(0.5, 1.0, 0.05), cfg,
-                                   trajectory_index=2**64 - 1)
-        assert len(last.samples) == 1
+        channels, _ = simulate_trajectory(ModelParams(0.5, 1.0, 0.05), cfg,
+                                          trajectory_index=2**64 - 1)
+        assert channels.shape == (12, 1)
 
     @pytest.mark.parametrize("bad", [math.inf, math.nan])
     def test_numpy_kernel_quiet_on_non_finite_state(self, monkeypatch, bad):
@@ -477,9 +475,9 @@ class TestKernels:
                         n_samples_per_traj=4, n_trajectories=1)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            tr = simulate_trajectory(params, cfg, initial_state=PhaseSpaceState(
-                bad, 0, 0, 0, 0, 0))
-        assert tr.diverged and tr.first_bad_step == 0
+            channels, first_bad = simulate_trajectory(
+                params, cfg, initial_state=PhaseSpaceState(bad, 0, 0, 0, 0, 0))
+        assert channels.shape == (12, 0) and first_bad == 0
 
     @needs_cc
     def test_kernel_draws_match_standard_normal_feed(self):
@@ -735,11 +733,10 @@ class TestDivergence:
         cfg = SimConfig(dt=0.05, burn_in=20.0, sample_interval=2.0,
                         n_samples_per_traj=4, n_trajectories=1)
         bad = PhaseSpaceState(float("inf"), 0, 0, 0, 0, 0)
-        tr = simulate_trajectory(params, cfg, initial_state=bad)
-        assert tr.diverged
-        assert tr.first_bad_step == 0
-        assert tr.n_samples == 0
-        assert tr.discarded_samples == 4
+        channels, first_bad = simulate_trajectory(params, cfg,
+                                                  initial_state=bad)
+        assert first_bad == 0
+        assert channels.shape == (12, 0)
 
     def test_tiny_threshold_kills_everything(self):
         params = ModelParams(0.5, 1.0, 0.05)
@@ -776,15 +773,13 @@ class TestDivergence:
         cfg = SimConfig(dt=0.01, burn_in=20.0, sample_interval=2.0,
                         n_samples_per_traj=16, n_trajectories=1,
                         master_seed=99, divergence_threshold=7.068)
-        tr = simulate_trajectory(params, cfg, trajectory_index=53,
-                                 initial_state=init)
-        assert tr.diverged
-        assert tr.n_samples == 9
-        assert tr.first_bad_step == 3940
-        assert tr.discarded_samples == 7
-        rcfg = cfg.resolve(params)
-        steps = rcfg.sample_steps()
-        assert all(steps[k] <= tr.first_bad_step for k in range(tr.n_samples))
+        channels, first_bad = simulate_trajectory(
+            params, cfg, trajectory_index=53, initial_state=init)
+        assert first_bad == 3940
+        assert channels.shape == (12, 9)    # 7 of 16 samples discarded
+        steps = cfg.resolve(params).sample_steps()
+        assert steps[8] <= first_bad < steps[9]
+        assert np.all(np.isfinite(channels))
 
     def test_pump_bounded_by_fixed_point(self, std_ensemble, base_params):
         # pathwise alpha1*alpha2 = |alpha1|^2 >= 0, so the pump amplitude
@@ -800,9 +795,9 @@ class TestStationaryPhysics:
         cfg = SimConfig(dt=0.01, burn_in=20.0, sample_interval=2.0,
                         n_samples_per_traj=512, n_trajectories=1,
                         master_seed=4242)
-        tr = simulate_trajectory(params, cfg)
-        assert not tr.diverged and tr.n_samples == 512
-        x0 = np.array([s.x0 for s in tr.samples]).real
+        channels, first_bad = simulate_trajectory(params, cfg)
+        assert first_bad == -1 and channels.shape == (12, 512)
+        x0 = channels[0].real
         # mean pump quadrature sits at 2*mu up to the O(g^2) depletion,
         # well within the per-sample spread ...
         assert abs(x0.mean() - 1.0) <= 3.0 * x0.std()
@@ -812,8 +807,7 @@ class TestStationaryPhysics:
         target = 1.0 + pump_mean_shift(params)
         assert abs(x0.mean() - target) <= 3.0 * block_se
         # down-converted means vanish
-        for field in ("x", "y"):
-            arr = np.array([getattr(s, field) for s in tr.samples])
+        for field, arr in (("x", channels[2]), ("y", channels[3])):
             bl = arr.reshape(16, 32).mean(axis=1)
             for part in (np.real, np.imag):
                 se = part(bl).std(ddof=1) / 4.0
@@ -866,19 +860,6 @@ class TestStationaryPhysics:
         t3_samples = (y * xp * (y0 - y0.mean())).real
         t4_samples = (x * yp * (y0 - y0.mean())).real
         np.testing.assert_allclose(t3_samples, t4_samples, atol=1e-16)
-
-
-class TestSchemeAgreement:
-    def test_exp_euler_matches_euler(self):
-        params = ModelParams(0.5, 2.0, 0.05)
-        base = dict(dt=0.01, burn_in=20.0, sample_interval=2.0,
-                    n_samples_per_traj=32, n_trajectories=128, master_seed=5)
-        re_ = run_ensemble(params, SimConfig(**base, scheme="euler")).report()
-        rx = run_ensemble(params, SimConfig(**base,
-                                            scheme="exp_euler")).report()
-        for name in ("cov_x_xp", "var_x0", "t2", "q4", "mean_x0"):
-            a, b = re_[name].value, rx[name].value
-            assert abs(a - b) <= 0.01 * max(abs(a), 1e-30), name
 
 
 class TestWeakConvergence:

@@ -1,4 +1,4 @@
-"""Parameterization, drift/diffusion, and the quadrature transform."""
+"""Parameterization, drift/diffusion, and the quadrature map."""
 
 import math
 
@@ -9,12 +9,12 @@ from opo3 import (
     DomainError,
     ModelParams,
     PhaseSpaceState,
-    alpha_to_quadratures,
     derive_params,
     drift_and_diffusion,
     fixed_point,
-    quadratures_to_alpha,
+    state_channels,
 )
+from opo3.moments import OPO_CHANNELS
 
 
 def random_params(rng):
@@ -23,6 +23,11 @@ def random_params(rng):
         gamma_r=float(10.0 ** rng.uniform(-3, 3)),
         g=float(10.0 ** rng.uniform(-3, 0.5)),
     )
+
+
+def quadratures(state, params):
+    """state_channels of one PhaseSpaceState, by channel name."""
+    return dict(zip(OPO_CHANNELS, state_channels(state.as_array(), params)))
 
 
 def random_state(rng, scale=1.0):
@@ -73,9 +78,8 @@ class TestParams:
 class TestQuadratures:
     def test_all_zero_state(self):
         p = ModelParams(mu=0.5, gamma_r=1.0, g=0.05)
-        q = alpha_to_quadratures(PhaseSpaceState(0, 0, 0, 0, 0, 0), p)
-        for name in ("x0", "y0", "x", "y", "xp", "yp", "n12", "n0"):
-            assert getattr(q, name) == 0
+        q = quadratures(PhaseSpaceState(0, 0, 0, 0, 0, 0), p)
+        assert list(q.values()) == [0] * 12
 
     def test_real_pump_example(self):
         # gamma_r=0.5, g=1 makes eps exactly 1
@@ -84,25 +88,37 @@ class TestQuadratures:
         rng = np.random.default_rng(3)
         for _ in range(20):
             r = float(rng.uniform(-3, 3))
-            q = alpha_to_quadratures(PhaseSpaceState(r, 0, 0, r, 0, 0), p)
-            assert q.x0 == pytest.approx(2.0 * r, abs=1e-14)
-            assert q.y0 == pytest.approx(0.0, abs=1e-14)
+            q = quadratures(PhaseSpaceState(r, 0, 0, r, 0, 0), p)
+            assert q["x0"] == pytest.approx(2.0 * r, abs=1e-14)
+            assert q["y0"] == pytest.approx(0.0, abs=1e-14)
 
     def test_signal_example(self):
         p = ModelParams(mu=0.5, gamma_r=0.5, g=1.0)
-        q = alpha_to_quadratures(
+        q = quadratures(
             PhaseSpaceState(a0=0, a1=1.0, a2=0, a0p=0, a1p=0, a2p=1j), p)
-        assert q.x == pytest.approx(1.0 + 1.0j, abs=1e-14)
-        assert q.y == pytest.approx(-1.0 - 1.0j, abs=1e-14)
+        assert q["x"] == pytest.approx(1.0 + 1.0j, abs=1e-14)
+        assert q["y"] == pytest.approx(-1.0 - 1.0j, abs=1e-14)
 
     def test_round_trip(self):
+        # the sign convention x +- i*y = 2*g*(a1, a2p), xp +- i*yp =
+        # 2*g*(a2, a1p), x0 +- i*y0 = 2*eps*(a0, a0p) recovers the state,
+        # and the amplitude channels carry it unchanged
         rng = np.random.default_rng(11)
         for _ in range(50):
             p = random_params(rng)
             s = random_state(rng, scale=3.0)
-            back = quadratures_to_alpha(alpha_to_quadratures(s, p), p)
-            np.testing.assert_allclose(back.as_array(), s.as_array(),
+            q = quadratures(s, p)
+            g2, eps2 = 2.0 * p.g, 2.0 * p.eps
+            back = [(q["x0"] + 1j * q["y0"]) / eps2,
+                    (q["x"] + 1j * q["y"]) / g2,
+                    (q["xp"] + 1j * q["yp"]) / g2,
+                    (q["x0"] - 1j * q["y0"]) / eps2,
+                    (q["xp"] - 1j * q["yp"]) / g2,
+                    (q["x"] - 1j * q["y"]) / g2]
+            np.testing.assert_allclose(back, s.as_array(),
                                        rtol=1e-12, atol=1e-12)
+            assert [q[n] for n in ("a0", "a1", "a2", "a0p", "a1p", "a2p")] \
+                == list(s.as_array())
 
     def test_linearity(self):
         rng = np.random.default_rng(13)
@@ -112,13 +128,10 @@ class TestQuadratures:
             u, v = random_state(rng), random_state(rng)
             c = complex(rng.standard_normal(), rng.standard_normal())
             w = PhaseSpaceState.from_array(u.as_array() + c * v.as_array())
-            qu = alpha_to_quadratures(u, p)
-            qv = alpha_to_quadratures(v, p)
-            qw = alpha_to_quadratures(w, p)
+            qu, qv, qw = (quadratures(s, p) for s in (u, v, w))
             for f in fields:
-                expect = getattr(qu, f) + c * getattr(qv, f)
-                assert qw.__getattribute__(f) == pytest.approx(
-                    expect, rel=1e-12, abs=1e-12)
+                assert qw[f] == pytest.approx(qu[f] + c * qv[f],
+                                              rel=1e-12, abs=1e-12)
 
     def test_intensity_identity(self):
         # x^2 + y^2 = 4 g^2 a1 a2p is exact for every single sample
@@ -126,8 +139,8 @@ class TestQuadratures:
         for _ in range(50):
             p = random_params(rng)
             s = random_state(rng, scale=2.0)
-            q = alpha_to_quadratures(s, p)
-            lhs = q.x**2 + q.y**2
+            q = quadratures(s, p)
+            lhs = q["x"]**2 + q["y"]**2
             rhs = 4.0 * p.g**2 * s.a1 * s.a2p
             assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-14)
 

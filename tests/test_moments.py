@@ -16,8 +16,6 @@ from opo3 import (
     NoSamplesError,
     SchemaError,
     TargetSpec,
-    accumulate,
-    alpha_to_quadratures,
     amplitude_schema,
     finalize,
     merge,
@@ -26,7 +24,6 @@ from opo3 import (
     state_channels,
 )
 from opo3 import moments
-from opo3.model import PhaseSpaceState
 
 
 def scalar_schema(center=0.0):
@@ -44,7 +41,7 @@ def scalar_schema(center=0.0):
 
 def feed_scalars(acc, values):
     for v in values:
-        accumulate(acc, [v])
+        acc.add_batch([v])
     return acc
 
 
@@ -132,7 +129,7 @@ class TestMergeLaws:
         schema = two_channel_schema()
         a = MomentAccumulator(schema)
         for k in range(100):
-            accumulate(a, random_stream(rng, 1)[:, 0])
+            a.add_batch(random_stream(rng, 1)[:, 0])
         empty = MomentAccumulator(schema)
         m = merge(a, empty)
         rep_a = finalize(a.copy())
@@ -165,6 +162,24 @@ class TestMergeLaws:
         b = MomentAccumulator(scalar_schema())
         with pytest.raises(SchemaError):
             merge(a, b)
+
+    def test_refused_merge_leaves_accumulator_unchanged(self):
+        # per-sample accumulators of 3 batches with 2 and 4 samples each:
+        # the merge is refused before any batch is taken over
+        params, cube = opo_cube(313, 3, 4)
+        a = MomentAccumulator(opo_schema(params), collect_per_sample=True)
+        b = MomentAccumulator(opo_schema(params), collect_per_sample=True)
+        a.add_batches(cube[:, :, :2])
+        b.add_batches(cube)
+        sums = a.per_sample_sums.tobytes()
+        want = finalize(a)
+        with pytest.raises(SchemaError, match="per-sample shapes differ"):
+            a.merge_in_place(b)
+        assert (a.n_batches, a.n_samples, a.per_sample_rows) == (3, 6, 3)
+        assert a.per_sample_sums.tobytes() == sums
+        got = finalize(a)
+        for name in a.schema.target_names():
+            assert got[name] == want[name], name
 
 
 class TestErrorBars:
@@ -442,6 +457,31 @@ class TestEvaluationShortcuts:
             6, sums)
         for name in schema.target_names():
             assert got[name] == want[name], name
+        # each batch sum is finite, the sums over batches are not: finalize
+        # and the per-sample sums refuse them without a warning
+        big = np.full((6, 2, 1), 1.05e77)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            amp_acc = MomentAccumulator(amplitude_schema()).add_batches(big)
+            for centering in moments.CENTERINGS:
+                with pytest.raises(ValueError, match="non-finite key sums "
+                                   "over all batches"):
+                    finalize(amp_acc, centering)
+            amp_series = MomentAccumulator(amplitude_schema(),
+                                           collect_per_sample=True)
+            with pytest.raises(ValueError, match="non-finite per-sample"):
+                amp_series.add_batches(big)
+            assert (amp_series.n_batches, amp_series.per_sample_rows) == (0, 0)
+            assert amp_series.per_sample_sums is None
+            amp_series.add_batches(big[:, :1])
+            amp_other = MomentAccumulator(amplitude_schema(),
+                                          collect_per_sample=True)
+            amp_other.add_batches(big[:, 1:])
+            amp_sums = amp_series.per_sample_sums.tobytes()
+            with pytest.raises(ValueError, match="non-finite per-sample"):
+                amp_series.merge_in_place(amp_other)
+        assert (amp_series.n_batches, amp_series.per_sample_rows) == (1, 1)
+        assert amp_series.per_sample_sums.tobytes() == amp_sums
 
 
 class TestCentering:
@@ -506,7 +546,9 @@ class TestMappingIdentities:
             assert v0 == pytest.approx(
                 8.0 * params.gamma_r * params.g**2 * pump, rel=1e-12)
 
-    def test_accumulate_quadrature_samples_matches_channels(self):
+    def test_single_sample_batches_match_channel_cube(self):
+        # state_channels of one (6,) state feeds add_batch as a batch of
+        # one sample; the point estimates do not depend on the batching
         rng = np.random.default_rng(269)
         params = ModelParams(mu=0.4, gamma_r=2.5, g=0.3)
         states = (rng.standard_normal((6, 2, 32))
@@ -516,8 +558,7 @@ class TestMappingIdentities:
         via_samples = MomentAccumulator(opo_schema(params))
         for j in range(2):
             for k in range(32):
-                st = PhaseSpaceState(*(states[i, j, k] for i in range(6)))
-                accumulate(via_samples, alpha_to_quadratures(st, params))
+                via_samples.add_batch(state_channels(states[:, j, k], params))
         ra = finalize(via_channels, "sample")
         rb = finalize(via_samples, "sample")
         for name in ("q4", "amp_n1n2", "t1", "s", "var_x0", "amp_triple"):
@@ -559,7 +600,7 @@ class TestSchemaValidation:
         with pytest.raises(SchemaError):
             acc.add_batch(np.zeros((3, 5)))
         with pytest.raises(SchemaError):
-            accumulate(acc, [1.0])
+            acc.add_batch([1.0])
 
     def test_amplitude_schema_needs_six_centers(self):
         with pytest.raises(SchemaError):
