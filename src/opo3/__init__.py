@@ -19,21 +19,8 @@ from .model import (
 )
 from .analytic import (
     CsSides,
-    OuCovariances,
-    SecondMoments,
-    TripleCorrelations,
-    ZerothOrder,
-    amplitude_pair,
-    amplitude_quartic,
-    amplitude_single,
-    amplitude_triple,
     analytic_moment_report,
     cs_sides_analytic,
-    ou_covariances,
-    pump_mean_shift,
-    second_moments,
-    triple_correlations,
-    zeroth_order,
 )
 from .moments import (
     ChannelSpec,
@@ -82,21 +69,8 @@ __all__ = [
     "drift_and_diffusion",
     "fixed_point",
     "CsSides",
-    "OuCovariances",
-    "SecondMoments",
-    "TripleCorrelations",
-    "ZerothOrder",
-    "amplitude_pair",
-    "amplitude_quartic",
-    "amplitude_single",
-    "amplitude_triple",
     "analytic_moment_report",
     "cs_sides_analytic",
-    "ou_covariances",
-    "pump_mean_shift",
-    "second_moments",
-    "triple_correlations",
-    "zeroth_order",
     "ChannelSpec",
     "JackknifeResult",
     "MomentAccumulator",

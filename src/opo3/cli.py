@@ -10,8 +10,9 @@ over defaults.  Keys:
 
 dt, burn_in and sample_interval accept "auto" (or empty) to defer to the
 engine's resolution rules.  Unknown keys are rejected.  Exit codes: 0 ok,
-2 invalid input (including too few trajectories for error bars), 3
-unreliable run (too many divergent trajectories; `run` still writes its
+2 invalid input (including too few trajectories for error bars, and an
+out_dir that cannot be made, checked before any integration, or written),
+3 unreliable run (too many divergent trajectories; `run` still writes its
 report and `sweep` its sweep.csv, while `compare` and `sweep --source mc`
 exit 3 without output when divergences leave no estimate).  The
 OPO3_WORKERS environment variable sets the C kernel's thread count.
@@ -31,6 +32,7 @@ from . import __version__
 from .analytic import analytic_moment_report, cs_sides_analytic
 from .criteria import (
     PARTITIONS,
+    _significance,
     check_sigma_threshold,
     cs_running_average,
     cs_test,
@@ -153,10 +155,17 @@ def _fmt(x) -> str:
     return str(x)
 
 
+def _write(path: Path, text: str) -> None:
+    try:
+        path.write_text(text)
+    except OSError as exc:
+        raise CliError(f"cannot write {path}: {exc}") from exc
+
+
 def _write_csv(path: Path, header: str, rows) -> None:
     lines = [header]
     lines.extend(",".join(_fmt(v) for v in row) for row in rows)
-    path.write_text("\n".join(lines) + "\n")
+    _write(path, "\n".join(lines) + "\n")
 
 
 TIMESERIES_HEADER = "tau,n_samples,lhs,rhs,ratio"
@@ -174,8 +183,19 @@ def _json_default(obj):
     raise TypeError(f"not serializable: {type(obj)!r}")
 
 
+def _out_dir(spec: RunSpec) -> Path:
+    """The output directory, made before any integration."""
+    out_dir = Path(spec.out_dir)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise CliError(f"cannot make out_dir {out_dir}: {exc}") from exc
+    return out_dir
+
+
 def cmd_run(spec: RunSpec) -> int:
     params = spec.params()
+    out_dir = _out_dir(spec)
     result = run_ensemble(params, spec.sim_config(), collect_time_series=True)
     k = spec.sigma_threshold
 
@@ -220,10 +240,8 @@ def cmd_run(spec: RunSpec) -> int:
         },
     }
 
-    out_dir = Path(spec.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "report.json").write_text(
-        json.dumps(doc, indent=2, default=_json_default, allow_nan=True) + "\n")
+    text = json.dumps(doc, indent=2, default=_json_default, allow_nan=True)
+    _write(out_dir / "report.json", text + "\n")
 
     if result.moments.per_sample_sums is not None:
         curves = cs_running_average(result)
@@ -294,6 +312,7 @@ def cmd_sweep(spec: RunSpec, axis: str, values_raw: str, source: str) -> int:
         raise CliError(f"unknown sweep axis: {axis}")
     if source not in ("analytic", "mc", "both"):
         raise CliError(f"unknown sweep source: {source}")
+    out_dir = _out_dir(spec)
     rows = []
     unreliable = []
     for v in values:
@@ -312,8 +331,6 @@ def cmd_sweep(spec: RunSpec, axis: str, values_raw: str, source: str) -> int:
             if not result.reliable:
                 unreliable.append(f"{axis}={v:g}: {result.n_diverged}/"
                                   f"{result.n_trajectories} diverged")
-    out_dir = Path(spec.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / "sweep.csv"
     _write_csv(path, SWEEP_HEADER, rows)
     for row in rows:
@@ -333,9 +350,7 @@ COMPARE_MOMENTS = ("t1", "t2", "t3", "t4", "q4", "var_x0",
 
 def cmd_compare(spec: RunSpec) -> int:
     params = spec.params()
-    if params.mu > 0.9:
-        print("warning: near-threshold: perturbative oracle unreliable",
-              file=sys.stderr)
+    out_dir = _out_dir(spec)
     result = run_ensemble(params, spec.sim_config())
     report = _mc_report(result)
     analytic_rep = analytic_moment_report(params)
@@ -345,15 +360,12 @@ def cmd_compare(spec: RunSpec) -> int:
     for name in COMPARE_MOMENTS:
         mc = report[name]
         an = analytic_rep[name].value.real
-        pull = ((mc.value.real - an) / mc.std_error
-                if mc.std_error > 0 else math.inf * (mc.value.real - an or 0))
+        pull = _significance(mc.value.real - an, mc.std_error)
         ok = abs(pull) <= 3.0
         all_ok = all_ok and ok
         any_low = any_low or mc.low_confidence
         rows.append([name, mc.value.real, mc.std_error, an, pull,
                      ok, mc.low_confidence])
-    out_dir = Path(spec.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / "compare.csv"
     _write_csv(path, COMPARE_HEADER, rows)
     print(f"{'moment':10s} {'mc':>14s} {'std_err':>10s} {'analytic':>14s} "

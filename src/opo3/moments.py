@@ -329,11 +329,20 @@ def _finite(arr: np.ndarray, what: str) -> np.ndarray:
 
 
 def _jack_se(loo):
-    """Componentwise jackknife SE from leave-one-out replicates (last axis)."""
+    """Jackknife SEs of the real and imaginary parts from one value's (B,)
+    leave-one-out replicates.  A sum of squares that overflows is redone on
+    deviations scaled by an exact power of two; the caller mutes overflow."""
     b = loo.shape[-1]
     dev = loo - loo.mean(axis=-1, keepdims=True)
-    return (np.sqrt((b - 1) / b * (dev.real ** 2).sum(axis=-1)),
-            np.sqrt((b - 1) / b * (dev.imag ** 2).sum(axis=-1)))
+    se = []
+    for part in (dev.real, dev.imag):
+        err = np.sqrt((b - 1) / b * (part ** 2).sum(axis=-1))
+        if math.isinf(err):
+            exp = math.frexp(np.abs(part).max())[1]
+            squares = (np.ldexp(part, -exp) ** 2).sum(axis=-1)
+            err = np.ldexp(np.sqrt((b - 1) / b * squares), exp)
+        se.append(err)
+    return tuple(se)
 
 
 @dataclass(frozen=True)
@@ -354,8 +363,9 @@ def _jackknife(fn, schema: MomentSchema, sums, counts, totals,
     reps = fn(_Stats(schema, sums, n.sum() - n, centering, totals=totals))
     if np.ndim(value) == 0:
         value, reps = [value], [reps]
-    se_re, se_im = np.array([_jack_se(np.asarray(r, dtype=np.complex128))
-                             for r in reps]).T
+    with np.errstate(over="ignore"):
+        se_re, se_im = np.array([_jack_se(np.asarray(r, dtype=np.complex128))
+                                 for r in reps]).T
     return JackknifeResult(np.asarray(value, dtype=np.complex128), se_re,
                            se_im, counts.size)
 

@@ -23,12 +23,9 @@ from opo3 import (
     integrate_batch,
     merge,
     pair_audit,
-    pump_mean_shift,
     pump_odd_moment,
     run_ensemble,
-    second_moments,
     state_channels,
-    triple_correlations,
 )
 from opo3.engine import BLOCK_SIZE
 
@@ -118,10 +115,9 @@ def test_criterion_4_g_scaling(acceptance, agreement_report):
     # closed forms scale as g^4 exactly (0.1 = 2 * 0.05 in binary)
     lo = ModelParams(0.5, 1.0, 0.05)
     hi = ModelParams(0.5, 1.0, 0.1)
-    tl, th = triple_correlations(lo), triple_correlations(hi)
-    sl, sh = second_moments(lo), second_moments(hi)
-    exact = (th.as_tuple() == tuple(16.0 * v for v in tl.as_tuple())
-             and sh.q4 == 16.0 * sl.q4 and sh.vx0 == 16.0 * sl.vx0)
+    al, ah = analytic_moment_report(lo), analytic_moment_report(hi)
+    exact = all(ah[n].value.real == 16.0 * al[n].value.real
+                for n in ("t1", "t2", "t3", "t4", "q4", "var_x0"))
 
     cfg = SimConfig(dt=0.01, burn_in=20.0, sample_interval=2.0,
                     n_samples_per_traj=32, n_trajectories=128,
@@ -156,7 +152,8 @@ def test_criterion_5_mean_field(acceptance):
         details.append(f"mu={mu}: dev {abs(dev) / spread:.2f} stds, "
                        f"rel {rel:.2%}")
         # the deviation is the real pump-depletion shift, not noise
-        shift = pump_mean_shift(params)
+        shift = (analytic_moment_report(params)["mean_x0"].value.real
+                 - 2.0 * mu)
         assert abs(dev - shift) <= 0.05 * abs(shift)
     acceptance("5", ok, "; ".join(details))
     assert ok, details

@@ -15,18 +15,9 @@ import pytest
 from opo3 import (
     ModelParams,
     ValidityError,
-    amplitude_pair,
-    amplitude_quartic,
-    amplitude_single,
-    amplitude_triple,
     analytic_moment_report,
     cs_sides_analytic,
     cs_test,
-    ou_covariances,
-    pump_mean_shift,
-    second_moments,
-    triple_correlations,
-    zeroth_order,
 )
 
 # frozen oracle values (mpmath, 40 digits, binary-double inputs)
@@ -48,40 +39,54 @@ def params(mu, gamma_r, g=0.05):
     return ModelParams(mu=mu, gamma_r=gamma_r, g=g)
 
 
+def forms(mu, gamma_r, g=0.05):
+    """The analytic report's values, all real, by target name."""
+    rep = analytic_moment_report(params(mu, gamma_r, g))
+    return {name: est.value.real for name, est in rep.entries.items()}
+
+
+REPORT_TARGETS = (
+    "t1", "t2", "t3", "t4", "s", "q4", "var_x0", "var_y0",
+    "cov_x_xp", "cov_y_yp", "cov_x0_x", "cov_x0_y", "cov_y0_x", "cov_y0_y",
+    "mean_x0", "mean_y0", "mean_x", "mean_y", "mean_xp", "mean_yp",
+    "amp_n1n2", "amp_n0", "amp_n1", "amp_n2", "amp_triple", "amp_triple_conj",
+)
+
+
 class TestTripleCorrelations:
     def test_frozen_point_05_2(self):
-        tc = triple_correlations(params(0.5, 2.0, g=1.0))
-        assert tc.t1 == pytest.approx(-2.0, rel=1e-13)
-        assert tc.t2 == pytest.approx(22.0 / 45.0, rel=1e-13)
-        assert tc.t3 == pytest.approx(1.0 / 6.0, rel=1e-13)
-        assert tc.t4 == tc.t3
+        f = forms(0.5, 2.0, g=1.0)
+        assert f["t1"] == pytest.approx(-2.0, rel=1e-13)
+        assert f["t2"] == pytest.approx(22.0 / 45.0, rel=1e-13)
+        assert f["t3"] == pytest.approx(1.0 / 6.0, rel=1e-13)
+        assert f["t4"] == f["t3"]
 
     def test_frozen_point_07_100(self):
         g = 0.05
-        tc = triple_correlations(params(0.7, 100.0, g=g))
-        assert tc.t1 == pytest.approx(T1_COEFF_07_100 * g**4, rel=5e-13)
-        assert tc.s == pytest.approx(S_COEFF_07_100 * g**4, rel=5e-13)
+        f = forms(0.7, 100.0, g=g)
+        assert f["t1"] == pytest.approx(T1_COEFF_07_100 * g**4, rel=5e-13)
+        assert f["s"] == pytest.approx(S_COEFF_07_100 * g**4, rel=5e-13)
 
     def test_physical_coupling_scale(self):
         # at a realistic cavity coupling the leading triple is ~ -3.00e-8
-        tc = triple_correlations(params(0.7, 100.0, g=0.0071))
-        assert tc.t1 == pytest.approx(-3.00e-8, rel=2e-3)
+        f = forms(0.7, 100.0, g=0.0071)
+        assert f["t1"] == pytest.approx(-3.00e-8, rel=2e-3)
 
     def test_signs_and_degeneracy_random_grid(self):
         rng = np.random.default_rng(101)
         for _ in range(300):
             mu = float(rng.uniform(1e-3, 0.999))
             gr = float(10.0 ** rng.uniform(-3, 3))
-            tc = triple_correlations(params(mu, gr))
-            assert tc.t1 < 0
-            assert tc.t2 > 0 and tc.t3 > 0 and tc.t4 > 0
-            assert tc.t3 == tc.t4
-            assert tc.s == -tc.t1 + tc.t2 + tc.t3 + tc.t4
+            f = forms(mu, gr)
+            assert f["t1"] < 0
+            assert f["t2"] > 0 and f["t3"] > 0 and f["t4"] > 0
+            assert f["t3"] == f["t4"]
+            assert f["s"] == -f["t1"] + f["t2"] + f["t3"] + f["t4"]
 
     def test_vanish_at_mu_zero(self):
-        tc = triple_correlations(params(0.0, 5.0))
-        assert tc.as_tuple() == (0.0, 0.0, 0.0, 0.0)
-        assert tc.s == 0.0
+        f = forms(0.0, 5.0)
+        assert (f["t1"], f["t2"], f["t3"], f["t4"]) == (0.0, 0.0, 0.0, 0.0)
+        assert f["s"] == 0.0
 
     def test_g4_scaling_exact(self):
         rng = np.random.default_rng(103)
@@ -89,26 +94,26 @@ class TestTripleCorrelations:
             mu = float(rng.uniform(0.05, 0.9))
             gr = float(10.0 ** rng.uniform(-2, 2))
             g = float(10.0 ** rng.uniform(-3, 0))
-            a = triple_correlations(params(mu, gr, g))
-            b = triple_correlations(params(mu, gr, 2.0 * g))
+            a = forms(mu, gr, g)
+            b = forms(mu, gr, 2.0 * g)
             # (2g)^4 = 16 g^4 exactly in binary arithmetic
-            assert b.t1 == 16.0 * a.t1
-            assert b.t2 == 16.0 * a.t2
-            assert b.t3 == 16.0 * a.t3
+            assert b["t1"] == 16.0 * a["t1"]
+            assert b["t2"] == 16.0 * a["t2"]
+            assert b["t3"] == 16.0 * a["t3"]
 
 
 class TestSecondMoments:
     def test_frozen_values(self):
-        sm = second_moments(params(0.5, 2.0, g=1.0))
-        assert sm.q4 == pytest.approx(20.0 / 9.0, rel=1e-13)
-        assert sm.vx0 == pytest.approx(8.0 / 3.0, rel=1e-13)
-        assert sm.vy0 == 0.0
-        sm1 = second_moments(params(0.5, 1.0, g=1.0))
-        assert sm1.vx0 == pytest.approx(7.0 / 3.0, rel=1e-13)
+        f = forms(0.5, 2.0, g=1.0)
+        assert f["q4"] == pytest.approx(20.0 / 9.0, rel=1e-13)
+        assert f["var_x0"] == pytest.approx(8.0 / 3.0, rel=1e-13)
+        assert f["var_y0"] == 0.0
+        f1 = forms(0.5, 1.0, g=1.0)
+        assert f1["var_x0"] == pytest.approx(7.0 / 3.0, rel=1e-13)
 
     def test_mu_zero(self):
-        sm = second_moments(params(0.0, 1.0))
-        assert sm.q4 == 0.0 and sm.vx0 == 0.0
+        f = forms(0.0, 1.0)
+        assert f["q4"] == 0.0 and f["var_x0"] == 0.0
 
     def test_positive_and_g4_scaling(self):
         rng = np.random.default_rng(107)
@@ -116,11 +121,18 @@ class TestSecondMoments:
             mu = float(rng.uniform(1e-3, 0.95))
             gr = float(10.0 ** rng.uniform(-3, 3))
             g = float(10.0 ** rng.uniform(-2, 0))
-            sm = second_moments(params(mu, gr, g))
-            assert sm.q4 > 0 and sm.vx0 > 0
-            sm2 = second_moments(params(mu, gr, 2.0 * g))
-            assert sm2.q4 == 16.0 * sm.q4
-            assert sm2.vx0 == 16.0 * sm.vx0
+            f = forms(mu, gr, g)
+            assert f["q4"] > 0 and f["var_x0"] > 0
+            f2 = forms(mu, gr, 2.0 * g)
+            assert f2["q4"] == 16.0 * f["q4"]
+            assert f2["var_x0"] == 16.0 * f["var_x0"]
+
+
+def amplitude_sides(p):
+    """Cauchy-Schwarz sides from the report's amplitude entries."""
+    rep = analytic_moment_report(p)
+    return (rep["amp_n1n2"].value.real * rep["amp_n0"].value.real,
+            rep["amp_triple"].value.real ** 2)
 
 
 class TestCsSides:
@@ -172,70 +184,88 @@ class TestCsSides:
                        float(10.0 ** rng.uniform(-3, 3)),
                        g=float(10.0 ** rng.uniform(-2, 0)))
             quad = cs_sides_analytic(p)
-            amp_lhs = amplitude_quartic(p) * amplitude_pair(p)
-            amp_rhs = amplitude_triple(p) ** 2
+            amp_lhs, amp_rhs = amplitude_sides(p)
             assert amp_rhs / amp_lhs == pytest.approx(quad.ratio, rel=1e-11)
 
     def test_amplitude_sides_frozen(self):
-        p = params(0.7, 100.0, g=0.05)
-        assert amplitude_quartic(p) * amplitude_pair(p) == pytest.approx(
-            AMP_LHS_07_100_G005, rel=5e-13)
-        assert amplitude_triple(p) ** 2 == pytest.approx(
-            AMP_RHS_07_100_G005, rel=5e-13)
-        p = params(0.7, 0.01, g=0.05)
-        assert amplitude_quartic(p) * amplitude_pair(p) == pytest.approx(
-            AMP_LHS_07_001_G005, rel=5e-13)
-        assert amplitude_triple(p) ** 2 == pytest.approx(
-            AMP_RHS_07_001_G005, rel=5e-13)
+        amp_lhs, amp_rhs = amplitude_sides(params(0.7, 100.0, g=0.05))
+        assert amp_lhs == pytest.approx(AMP_LHS_07_100_G005, rel=5e-13)
+        assert amp_rhs == pytest.approx(AMP_RHS_07_100_G005, rel=5e-13)
+        amp_lhs, amp_rhs = amplitude_sides(params(0.7, 0.01, g=0.05))
+        assert amp_lhs == pytest.approx(AMP_LHS_07_001_G005, rel=5e-13)
+        assert amp_rhs == pytest.approx(AMP_RHS_07_001_G005, rel=5e-13)
+
+
+def threshold_warnings(caplog):
+    return [r for r in caplog.records if "close to threshold" in r.message]
 
 
 class TestZerothOrderAndShift:
     def test_values(self):
-        assert zeroth_order(params(0.0, 1.0)).x0 == 0.0
-        z = zeroth_order(params(0.7, 1.0))
-        assert z.x0 == pytest.approx(1.4, rel=1e-15)
-        assert z.y0 == z.x == z.y == z.xp == z.yp == 0.0
+        # the zeroth-order steady state is the g -> 0 limit of the means
+        assert forms(0.0, 1.0)["mean_x0"] == 0.0
+        assert forms(0.7, 1.0, g=1e-9)["mean_x0"] == pytest.approx(
+            1.4, rel=1e-15)
+        f = forms(0.7, 1.0)
+        for name in ("mean_y0", "mean_x", "mean_y", "mean_xp", "mean_yp"):
+            assert f[name] == 0.0, name
 
     def test_near_threshold_warns_but_evaluates(self, caplog):
         with caplog.at_level(logging.WARNING, logger="opo3.analytic"):
-            z = zeroth_order(params(0.999, 1.0))
-        assert z.x0 == pytest.approx(1.998, rel=1e-12)
-        assert any("close to threshold" in r.message for r in caplog.records)
+            f = forms(0.999, 1.0, g=1e-9)
+        assert f["mean_x0"] == pytest.approx(1.998, rel=1e-12)
+        assert len(threshold_warnings(caplog)) == 1
+
+    def test_one_warning_per_call(self, caplog):
+        p = params(0.95, 1.0)
+        with caplog.at_level(logging.WARNING, logger="opo3.analytic"):
+            analytic_moment_report(p)
+        assert len(threshold_warnings(caplog)) == 1
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="opo3.analytic"):
+            cs_sides_analytic(p)
+        assert len(threshold_warnings(caplog)) == 1
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="opo3.analytic"):
+            analytic_moment_report(params(0.9, 1.0))
+        assert threshold_warnings(caplog) == []
 
     def test_above_threshold_rejected(self):
-        for fn in (zeroth_order, triple_correlations, second_moments,
-                   cs_sides_analytic, ou_covariances, pump_mean_shift):
+        for fn in (analytic_moment_report, cs_sides_analytic):
             with pytest.raises(ValidityError):
                 fn(params(1.0, 1.0))
             with pytest.raises(ValidityError):
                 fn(params(1.3, 1.0))
 
     def test_pump_mean_shift(self):
-        p = params(0.5, 1.0, g=0.05)
-        assert pump_mean_shift(p) == pytest.approx(
+        def shift(p):
+            return analytic_moment_report(p)["mean_x0"].value.real - 2.0 * p.mu
+
+        assert shift(params(0.5, 1.0, g=0.05)) == pytest.approx(
             -2.0 * 0.05**2 * 0.5 / 0.75, rel=1e-13)
-        assert pump_mean_shift(params(0.0, 1.0)) == 0.0
+        assert shift(params(0.0, 1.0)) == 0.0
 
 
 class TestOuCovariances:
     def test_values(self):
-        ou = ou_covariances(params(0.5, 1.0, g=0.05))
-        assert ou.xxp == pytest.approx(0.05**2 * 0.5 / 0.5, rel=1e-13)
-        assert ou.yyp == pytest.approx(-(0.05**2) * 0.5 / 1.5, rel=1e-13)
-        assert ou.rate_x == pytest.approx(0.5) and ou.rate_y == pytest.approx(1.5)
+        f = forms(0.5, 1.0, g=0.05)
+        assert f["cov_x_xp"] == pytest.approx(0.05**2 * 0.5 / 0.5, rel=1e-13)
+        assert f["cov_y_yp"] == pytest.approx(-(0.05**2) * 0.5 / 1.5,
+                                              rel=1e-13)
 
     def test_amplitude_single(self):
-        p = params(0.5, 1.0)
-        assert amplitude_single(p) == pytest.approx(0.25 / 1.5, rel=1e-13)
+        f = forms(0.5, 1.0)
+        assert f["amp_n1"] == pytest.approx(0.25 / 1.5, rel=1e-13)
+        assert f["amp_n2"] == f["amp_n1"]
         # relation to the OU covariances: 4 g^2 <da1 da1+> = xxp + yyp
         rng = np.random.default_rng(127)
         for _ in range(30):
             p = params(float(rng.uniform(0.05, 0.9)),
                        float(10.0 ** rng.uniform(-2, 2)),
                        g=float(10.0 ** rng.uniform(-2, 0)))
-            ou = ou_covariances(p)
-            assert amplitude_single(p) == pytest.approx(
-                (ou.xxp + ou.yyp) / (4.0 * p.g**2), rel=1e-11)
+            f = forms(p.mu, p.gamma_r, p.g)
+            assert f["amp_n1"] == pytest.approx(
+                (f["cov_x_xp"] + f["cov_y_yp"]) / (4.0 * p.g**2), rel=1e-11)
 
 
 class TestAnalyticReport:
@@ -245,21 +275,23 @@ class TestAnalyticReport:
         assert rep.label == "analytic"
         assert rep.params is p
         assert rep.n_samples == 0
-        tc = triple_correlations(p)
-        sm = second_moments(p)
-        assert rep["t1"].value == tc.t1
-        assert rep["t3"].value == rep["t4"].value == tc.t3
-        assert rep["s"].value == tc.s
-        assert rep["q4"].value == sm.q4
-        assert rep["var_x0"].value == sm.vx0
-        assert rep["var_y0"].value == 0.0
-        assert rep["mean_x0"].value == pytest.approx(
-            2.0 * p.mu + pump_mean_shift(p), rel=1e-13)
-        for name in ("t1", "q4", "cov_x_xp", "amp_n0"):
-            assert rep[name].std_error == 0.0
+        assert tuple(rep.entries) == REPORT_TARGETS
+        for name, est in rep.entries.items():
+            assert est.value.imag == 0.0, name
+            assert est.std_error == 0.0 and est.std_error_imag == 0.0, name
+        f = forms(0.5, 1.0, g=0.05)
+        assert f["t3"] == f["t4"]
+        assert f["s"] == -f["t1"] + f["t2"] + f["t3"] + f["t4"]
+        assert f["var_y0"] == 0.0
+        assert f["amp_triple_conj"] == f["amp_triple"]
+        assert f["mean_x0"] == pytest.approx(
+            2.0 * p.mu - 2.0 * p.g**2 * p.mu / (1.0 - p.mu**2), rel=1e-13)
+        # the analytic sides are products of the same entries
+        cs = cs_sides_analytic(p)
+        assert cs.lhs == f["q4"] * (f["var_x0"] + f["var_y0"])
+        assert cs.rhs == f["s"] ** 2
         # no closed form is kept for the pump skewness
         assert "skew_x0" not in rep
-        assert "t2" in rep
 
     def test_feeds_cs_test(self):
         rep = analytic_moment_report(params(0.7, 100.0, g=0.05))

@@ -404,6 +404,57 @@ class TestCompare:
         assert rc == 2
         assert "at least 2 batches" in capsys.readouterr().err
 
+    def test_exact_agreement_has_zero_pulls(self, tmp_path, capsys):
+        # at mu = 0 every compared moment is exactly 0 on both sides with
+        # a zero standard error: exact agreement, not an infinite pull
+        rc = run_main(["compare", *FAST, "--mu", 0, "--n-trajectories", 4,
+                       "--n-samples-per-traj", 2, "--out-dir", tmp_path])
+        assert rc == 0
+        rows = [ln.split(",") for ln in
+                (tmp_path / "compare.csv").read_text().splitlines()[1:]]
+        assert len(rows) == 8
+        for r in rows:
+            assert float(r[2]) == 0.0 and float(r[4]) == 0.0, r
+            assert r[5] == "True", r
+        out = capsys.readouterr().out
+        assert "outside 3 sigma" not in out
+        assert "all pulls within +-3" in out
+
+
+class TestOutputDirectory:
+    @pytest.mark.parametrize("argv", [
+        ["run"],
+        ["sweep", "--axis", "mu", "--values", "0.3", "--source", "both"],
+        ["compare"]])
+    def test_unusable_out_dir_exits_2_before_integrating(
+            self, tmp_path, capsys, monkeypatch, argv):
+        def no_run(*args, **kwargs):
+            raise AssertionError("integrated despite an unusable out_dir")
+        monkeypatch.setattr(cli, "run_ensemble", no_run)
+        blocker = tmp_path / "taken"
+        blocker.write_text("a file, not a directory\n")
+        rc = run_main([*argv, *FAST, "--n-trajectories", 4,
+                       "--n-samples-per-traj", 2, "--out-dir", blocker])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert blocker.read_text() == "a file, not a directory\n"
+
+    def test_unwritable_report_exits_2(self, tmp_path, capsys):
+        (tmp_path / "report.json").mkdir()
+        rc = run_main(["run", *FAST, "--n-trajectories", 4,
+                       "--n-samples-per-traj", 2, "--out-dir", tmp_path])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_io_error_while_integrating_is_not_input_error(
+            self, tmp_path, monkeypatch):
+        def failing_run(*args, **kwargs):
+            raise OSError("worker pool lost")
+        monkeypatch.setattr(cli, "run_ensemble", failing_run)
+        with pytest.raises(OSError, match="worker pool lost"):
+            run_main(["run", *FAST, "--out-dir", tmp_path])
+
 
 class TestPackage:
     def test_all_names_resolve_once(self):

@@ -19,12 +19,11 @@ from opo3 import (
     SimConfig,
     ValidityError,
     _kernels,
+    analytic_moment_report,
     drift_and_diffusion,
     engine,
     fixed_point,
     integrate_batch,
-    ou_covariances,
-    pump_mean_shift,
     run_ensemble,
     simulate_trajectory,
 )
@@ -804,7 +803,7 @@ class TestStationaryPhysics:
         # ... and on the depletion-corrected value at block-averaged errors
         blocks = x0.reshape(16, 32).mean(axis=1)
         block_se = blocks.std(ddof=1) / 4.0
-        target = 1.0 + pump_mean_shift(params)
+        target = analytic_moment_report(params)["mean_x0"].value.real
         assert abs(x0.mean() - target) <= 3.0 * block_se
         # down-converted means vanish
         for field, arr in (("x", channels[2]), ("y", channels[3])):
@@ -814,10 +813,10 @@ class TestStationaryPhysics:
                 assert abs(part(arr.mean())) <= 3.0 * se, field
 
     def test_cov_x_xp_matches_ou_oracle(self, std_report, base_params):
-        ou = ou_covariances(base_params)
+        xxp = analytic_moment_report(base_params)["cov_x_xp"].value.real
         est = std_report["cov_x_xp"]
-        assert ou.xxp == pytest.approx(2.5e-3, rel=1e-12)
-        assert abs(est.value.real - ou.xxp) <= 3.0 * est.std_error
+        assert xxp == pytest.approx(2.5e-3, rel=1e-12)
+        assert abs(est.value.real - xxp) <= 3.0 * est.std_error
 
     def test_mu_zero_is_exactly_deterministic(self):
         # at mu = 0 the noise amplitude is identically zero and the state

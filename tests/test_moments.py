@@ -17,10 +17,10 @@ from opo3 import (
     SchemaError,
     TargetSpec,
     amplitude_schema,
+    analytic_moment_report,
     finalize,
     merge,
     opo_schema,
-    ou_covariances,
     state_channels,
 )
 from opo3 import moments
@@ -482,6 +482,16 @@ class TestEvaluationShortcuts:
                 amp_series.merge_in_place(amp_other)
         assert (amp_series.n_batches, amp_series.per_sample_rows) == (1, 1)
         assert amp_series.per_sample_sums.tobytes() == amp_sums
+        # finite totals whose leave-one-out deviations (~1e307) would
+        # overflow if squared as they are: the error stays finite
+        wide = MomentAccumulator(amplitude_schema())
+        for v in (8e76, -8e76, 8e75):
+            wide.add_batch(np.full(6, v))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            est = finalize(wide, "sample")["amp_n1n2"]
+        assert math.isfinite(est.value.real) and est.value.real > 1e307
+        assert math.isfinite(est.std_error) and est.std_error > 1e307
 
 
 class TestCentering:
@@ -568,9 +578,9 @@ class TestMappingIdentities:
 
 class TestOpoEnsembleMoments:
     def test_cov_y_yp_matches_ou_oracle(self, std_report, base_params):
-        ou = ou_covariances(base_params)
+        yyp = analytic_moment_report(base_params)["cov_y_yp"].value.real
         est = std_report["cov_y_yp"]
-        assert abs(est.value.real - ou.yyp) <= 3.0 * est.std_error
+        assert abs(est.value.real - yyp) <= 3.0 * est.std_error
         assert est.value.real < 0
 
     def test_pump_signal_pairs_vanish(self, std_report):

@@ -1,0 +1,40 @@
+"""The benchmark harness under perfbench/ looks package names up directly.
+
+The harness stays unchanged between benchmark revisions, so these checks
+load its modules by path, as they are, and fail when the package drops or
+renames a name the harness patches or calls.
+"""
+
+import importlib.util
+from pathlib import Path
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def load(name: str):
+    spec = importlib.util.spec_from_file_location(
+        f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_traced_attribute_resolves():
+    tracing = load("tracing")
+    owners = {(owner.__name__, attr) for owner, attr, _ in tracing.PATCHES}
+    assert {("opo3.cli", "analytic_moment_report"),
+            ("opo3.cli", "cs_sides_analytic")} <= owners
+    missing = [(owner.__name__, attr) for owner, attr, _ in tracing.PATCHES
+               if attr not in owner.__dict__]
+    assert missing == []
+    before = [owner.__dict__[attr] for owner, attr, _ in tracing.PATCHES]
+    with tracing.Tracer().patched():
+        pass
+    assert [owner.__dict__[attr]
+            for owner, attr, _ in tracing.PATCHES] == before
+
+
+def test_setup_probe_runs(capsys):
+    run = load("run")
+    exec(compile(run.SETUP_CODE, "perfbench set-up probe", "exec"), {})
+    assert float(capsys.readouterr().out.split()[-1]) >= 0.0
