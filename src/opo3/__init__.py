@@ -33,7 +33,6 @@ from .moments import (
     SchemaError,
     TargetSpec,
     amplitude_schema,
-    finalize,
     merge,
     opo_schema,
     state_channels,
@@ -81,7 +80,6 @@ __all__ = [
     "SchemaError",
     "TargetSpec",
     "amplitude_schema",
-    "finalize",
     "merge",
     "opo_schema",
     "state_channels",

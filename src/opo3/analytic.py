@@ -14,6 +14,7 @@ grow and the leading-order expressions degrade, so a warning is logged.
 from __future__ import annotations
 
 import logging
+import sys
 from dataclasses import dataclass
 
 from .criteria import NO_SIGNAL, SATISFIED, VIOLATED
@@ -25,7 +26,9 @@ logger = logging.getLogger(__name__)
 def _closed_forms(params: ModelParams) -> dict:
     """Every closed form, keyed by its MomentReport target name.
 
-    Raises ValidityError at mu >= 1; logs one warning above mu = 0.9.
+    Raises ValidityError at mu >= 1 and where g**8, the scale of the
+    Cauchy-Schwarz sides, underflows (g below about 3.5e-39); logs one
+    warning above mu = 0.9.
     The triples t1 = <dx dx+ dx0> < 0, t2 = <dy dy+ dx0>, t3 = <dy dx+ dy0>
     and t4 = <dx dy+ dy0> = t3 are O(g^4); s = -t1 + t2 + t3 + t4 enters
     the Cauchy-Schwarz side.  var_x0 is taken about the 2*mu reference;
@@ -38,6 +41,11 @@ def _closed_forms(params: ModelParams) -> dict:
         raise ValidityError(
             f"mu = {mu} is at or above threshold; perturbative "
             "expressions require mu < 1"
+        )
+    if g**8 < sys.float_info.min:
+        raise ValidityError(
+            f"g = {g} is too small: the closed forms scale as g**8, which "
+            "underflows double precision"
         )
     if mu > 0.9:
         logger.warning(
@@ -135,7 +143,7 @@ def analytic_moment_report(params: ModelParams):
     # local import keeps moments free of any dependency on this module
     from .moments import MomentEstimate, MomentReport
 
-    entries = {name: MomentEstimate.from_values(val)
+    entries = {name: MomentEstimate(complex(val))
                for name, val in _closed_forms(params).items()}
     return MomentReport(
         entries=entries,

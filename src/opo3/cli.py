@@ -10,12 +10,13 @@ over defaults.  Keys:
 
 dt, burn_in and sample_interval accept "auto" (or empty) to defer to the
 engine's resolution rules.  Unknown keys are rejected.  Exit codes: 0 ok,
-2 invalid input (including too few trajectories for error bars, and an
-out_dir that cannot be made, checked before any integration, or written),
-3 unreliable run (too many divergent trajectories; `run` still writes its
-report and `sweep` its sweep.csv, while `compare` and `sweep --source mc`
-exit 3 without output when divergences leave no estimate).  The
-OPO3_WORKERS environment variable sets the C kernel's thread count.
+2 invalid input (including too few trajectories or samples for error
+bars, and an out_dir that cannot be made, checked before any integration,
+or written), 3 unreliable run (too many divergent trajectories; `run`
+still writes its report and `sweep` its sweep.csv, while `compare` and
+`sweep --source mc` exit 3 without output when divergences leave no
+estimate).  The OPO3_WORKERS environment variable sets the C kernel's
+thread count.
 """
 
 from __future__ import annotations

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .moments import MomentEstimate, MomentReport, SchemaError
+from .moments import MomentReport
 
 # verdict strings; the analytic module reports with the same ones
 VIOLATED = "violated"
@@ -225,31 +225,14 @@ class WitnessResult:
         }
 
 
-def _as_estimate(obj, name):
-    if isinstance(obj, MomentEstimate):
-        return obj
-    if hasattr(obj, "value") and hasattr(obj, "std_error"):
-        return MomentEstimate.from_values(obj.value, obj.std_error)
-    raise ValueError(f"triple {name} carries no uncertainty; "
-                     "pass estimates with std_error")
-
-
-def separability_witness(triples, sigma_threshold: float = 3.0) -> WitnessResult:
+def separability_witness(moments: MomentReport,
+                         sigma_threshold: float = 3.0) -> WitnessResult:
     """Check t1..t4 against zero; all nonzero at k sigma excludes separability."""
     k = check_sigma_threshold(sigma_threshold)
-    names = ("t1", "t2", "t3", "t4")
-    if isinstance(triples, MomentReport):
-        ests = [triples[n] for n in names]
-    elif isinstance(triples, dict):
-        ests = [_as_estimate(triples[n], n) for n in names]
-    else:
-        seq = list(triples)
-        if len(seq) != 4:
-            raise ValueError("need exactly four triple estimates")
-        ests = [_as_estimate(e, n) for e, n in zip(seq, names)]
     rows = []
     all_nonzero = True
-    for n, e in zip(names, ests):
+    for n in ("t1", "t2", "t3", "t4"):
+        e = moments[n]
         v = e.value.real
         sig = abs(_significance(v, e.std_error))
         rows.append((n, v, e.std_error, sig))

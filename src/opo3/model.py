@@ -22,7 +22,7 @@ class DomainError(ValueError):
 
 class ValidityError(ValueError):
     """Raised when a requested evaluation is outside the regime where the
-    perturbative expressions are meaningful (mu >= 1, at or above threshold)."""
+    perturbative expressions are meaningful (mu >= 1, or g**8 underflows)."""
 
 
 @dataclass(frozen=True)

@@ -114,13 +114,6 @@ class MomentSchema:
     def target_names(self):
         return [t.name for t in self.targets]
 
-    def compatible(self, other: "MomentSchema") -> bool:
-        return (
-            self.channels == other.channels
-            and self.targets == other.targets
-            and self.params == other.params
-        )
-
 
 def _submultisets(idx: tuple) -> list:
     """All nonempty sub-multisets of a sorted index tuple, sorted tuples."""
@@ -139,20 +132,10 @@ class MomentEstimate:
     """One moment: complex point estimate with componentwise jackknife errors."""
 
     value: complex
-    std_error: float
-    std_error_imag: float
-    n_batches: int
-    low_confidence: bool
-
-    @property
-    def real(self) -> float:
-        return self.value.real
-
-    @classmethod
-    def from_values(cls, value, std_error=0.0, std_error_imag=0.0,
-                    n_batches=0, low_confidence=False) -> "MomentEstimate":
-        return cls(complex(value), float(std_error), float(std_error_imag),
-                   int(n_batches), bool(low_confidence))
+    std_error: float = 0.0
+    std_error_imag: float = 0.0
+    n_batches: int = 0
+    low_confidence: bool = False
 
     def to_dict(self) -> dict:
         return {
@@ -207,9 +190,14 @@ class MomentReport:
         }
 
     def jackknife(self, fn) -> "JackknifeResult":
-        """fn over this report's batches, as MomentAccumulator.jackknife.
+        """Leave-one-batch-out errors of fn, one per element of its result.
+
+        fn maps a stats context to a scalar or 1-d array of values and must
+        be written with numpy-broadcastable operations: it is evaluated once
+        on scalars (full dataset) and once on (B,)-shaped replicate arrays.
         Without batch data fn sees the stored values, which must be exact,
-        and its errors are exactly zero."""
+        and its errors are exactly zero.
+        """
         if self.batch_sums is not None:
             return _jackknife(fn, self.schema, self.batch_sums,
                               self.batch_counts, self.batch_totals,
@@ -373,15 +361,15 @@ def _jackknife(fn, schema: MomentSchema, sums, counts, totals,
 class MomentAccumulator:
     """Mergeable raw-moment sums with per-batch bookkeeping.
 
-    Samples arrive as channel vectors (values in schema channel order),
-    one batch per add_batch call or per trajectory in add_batches.  A
-    block's K key products fill one (K, nb, n) array, reduced to its batch
-    sums in one call.  Per-batch key sums are stored key-major in (K, nb)
-    blocks that are never written after they are appended, so copies,
-    merges and reports share them.  Evaluation joins them once into one
-    read-only (K, B) array and sums along its batch axis pairwise, so the
-    totals depend on the batch order alone, not on how batches arrived;
-    the totals are kept until a batch is added.
+    Samples arrive through add_batches as channel vectors (values in
+    schema channel order), one batch per trajectory.  A block's K key
+    products fill one (K, nb, n) array, reduced to its batch sums in one
+    call.  Per-batch key sums are stored key-major in (K, nb) blocks that
+    are never written after they are appended, so copies, merges and
+    reports share them.  Evaluation joins them once into one read-only
+    (K, B) array and sums along its batch axis pairwise, so the totals
+    depend on the batch order alone, not on how batches arrived; the
+    totals are kept until a batch is added.
     """
 
     def __init__(self, schema: MomentSchema, collect_per_sample: bool = False):
@@ -414,22 +402,6 @@ class MomentAccumulator:
             np.multiply(out[key_index[key[:-1]]], out[key[-1]], out=out[k])
         return out
 
-    def _block_sums(self, values: np.ndarray):
-        """The (K, nb) batch sums of values shaped (n_channels, nb, n),
-        n > 0, and their (K, nb, n) key products; the sums must be finite."""
-        if values.shape[2] == 0:
-            raise ValueError("empty batch: each batch needs at least one sample")
-        # non-finite values or overflowing products leave a non-finite sum
-        with np.errstate(over="ignore", invalid="ignore"):
-            prods = self._key_products(values)
-            block = prods.sum(axis=2)
-        return _finite(block, "sample values or key sums"), prods
-
-    def _append_block(self, block: np.ndarray, n: int) -> None:
-        self._blocks.append(block)
-        self._block_ns.append(np.full(block.shape[1], n, dtype=np.int64))
-        self._totals = None
-
     def _per_sample_total(self, sums: np.ndarray) -> np.ndarray:
         """The per-sample sums with `sums` added, refused if they overflow."""
         base = self.per_sample_sums
@@ -441,23 +413,10 @@ class MomentAccumulator:
         with np.errstate(over="ignore", invalid="ignore"):
             return _finite(base + sums, "per-sample sums")
 
-    def add_batch(self, values) -> "MomentAccumulator":
-        """One batch of samples: values shaped (n_channels, n)."""
-        values = np.asarray(values, dtype=np.complex128)
-        if values.ndim == 1:
-            values = values[:, None]
-        if values.shape[0] != self.schema.n_channels:
-            raise SchemaError(
-                f"expected {self.schema.n_channels} channels, got {values.shape[0]}"
-            )
-        self._append_block(self._block_sums(values[:, None, :])[0],
-                           values.shape[1])
-        return self
-
     def add_batches(self, values) -> "MomentAccumulator":
-        """Many per-trajectory batches at once: values shaped (n_channels, B, n).
+        """B per-trajectory batches of n samples: values shaped
+        (n_channels, B, n); one batch of n samples is values[:, None, :].
 
-        Equivalent to B add_batch calls; vectorized across trajectories.
         When collect_per_sample is set, also folds per-sample-index sums
         (over trajectories) for running-average curves.
         """
@@ -467,13 +426,19 @@ class MomentAccumulator:
         nb, n = values.shape[1], values.shape[2]
         if nb == 0:
             return self
-        block, prods = self._block_sums(values)
-        if self.collect_per_sample:
-            with np.errstate(over="ignore", invalid="ignore"):
-                sums = prods.sum(axis=1)
-            self.per_sample_sums = self._per_sample_total(sums)
-            self.per_sample_rows += nb
-        self._append_block(block, n)
+        if n == 0:
+            raise ValueError("empty batch: each batch needs at least one sample")
+        # non-finite values or overflowing products leave a non-finite sum
+        with np.errstate(over="ignore", invalid="ignore"):
+            prods = self._key_products(values)
+            block = _finite(prods.sum(axis=2), "sample values or key sums")
+            if self.collect_per_sample:
+                self.per_sample_sums = self._per_sample_total(
+                    prods.sum(axis=1))
+                self.per_sample_rows += nb
+        self._blocks.append(block)
+        self._block_ns.append(np.full(nb, n, dtype=np.int64))
+        self._totals = None
         return self
 
     # -- bookkeeping -----------------------------------------------------
@@ -499,7 +464,7 @@ class MomentAccumulator:
 
     def merge_in_place(self, other: "MomentAccumulator") -> "MomentAccumulator":
         """Append other's batches; a refused merge leaves self unchanged."""
-        if not self.schema.compatible(other.schema):
+        if self.schema != other.schema:
             raise SchemaError("cannot merge accumulators with different schemas")
         if other.per_sample_sums is not None:
             self.per_sample_sums = self._per_sample_total(other.per_sample_sums)
@@ -527,7 +492,9 @@ class MomentAccumulator:
     def _batch_sums(self):
         """The (K, B) batch sums, joined into one block, (B,) sample counts
         and (K,) totals, read-only, since reports keep them.  The totals
-        are summed once and kept until a batch is added or merged in."""
+        are summed once and kept until a batch is added or merged in.
+        Each leave-one-out replicate must keep 2 samples: the centered
+        moments of a lone sample are rounding noise, not zero."""
         b = self.n_batches
         if b == 0:
             raise NoSamplesError("no samples")
@@ -543,18 +510,15 @@ class MomentAccumulator:
             with np.errstate(over="ignore", invalid="ignore"):
                 self._totals = _finite(sums.sum(axis=1), "key sums over "
                                        "all batches")
+        kept = int(counts.sum() - counts.max())
+        if kept < 2:
+            raise NoSamplesError(
+                f"leaving out the largest batch keeps {kept} sample; "
+                "standard errors need at least 2"
+            )
         for frozen in (sums, counts, self._totals):
             frozen.flags.writeable = False
         return sums, counts, self._totals
-
-    def jackknife(self, fn, centering: str = "reference") -> JackknifeResult:
-        """Leave-one-batch-out errors for an arbitrary composite statistic.
-
-        fn maps a stats context to a scalar or 1-d array of values and must
-        be written with numpy-broadcastable operations: it is evaluated once
-        on scalars (full dataset) and once on (B,)-shaped replicate arrays.
-        """
-        return _jackknife(fn, self.schema, *self._batch_sums(), centering)
 
     def finalize(self, centering: str = "reference",
                  label: str = "monte-carlo") -> MomentReport:
@@ -585,10 +549,6 @@ def merge(a: MomentAccumulator, b: MomentAccumulator) -> MomentAccumulator:
     """Combined accumulator holding a's batches, then b's: the accumulator
     one stream of both would build, point estimates and errors alike."""
     return a.copy().merge_in_place(b)
-
-
-def finalize(acc: MomentAccumulator, centering: str = "reference") -> MomentReport:
-    return acc.finalize(centering=centering)
 
 
 # -- the OPO schema ----------------------------------------------------

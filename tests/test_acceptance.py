@@ -19,7 +19,6 @@ from opo3 import (
     analytic_moment_report,
     cs_sides_analytic,
     cs_test,
-    finalize,
     integrate_batch,
     merge,
     pair_audit,
@@ -239,8 +238,8 @@ def test_criterion_8_property_suites(acceptance, agreement_ensemble,
     right = MomentAccumulator(amplitude_schema())
     left.add_batches(data[:, :17])
     right.add_batches(data[:, 17:])
-    ra = finalize(whole, centering="sample")
-    rb = finalize(merge(left, right), centering="sample")
+    ra = whole.finalize(centering="sample")
+    rb = merge(left, right).finalize(centering="sample")
     checks["merge"] = all(
         abs(ra[t].value - rb[t].value) <= 1e-12 * max(abs(ra[t].value), 1e-30)
         for t in ("amp_n1n2", "amp_n0", "amp_triple", "mean_a0"))
@@ -260,7 +259,7 @@ def test_criterion_8_property_suites(acceptance, agreement_ensemble,
     for seed in range(10):
         acc = MomentAccumulator(amplitude_schema())
         acc.add_batches(_classical_channels(8800 + seed).reshape(6, 10, 300))
-        r = cs_test(finalize(acc, centering="sample"))
+        r = cs_test(acc.finalize(centering="sample"))
         classical_ok = classical_ok and r.verdict != "violated" \
             and r.margin <= 1e-12 * max(abs(r.lhs), 1.0)
     checks["classical"] = classical_ok

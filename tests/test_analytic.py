@@ -164,6 +164,22 @@ class TestCsSides:
             r2 = cs_sides_analytic(params(mu, gr, g=1.7)).ratio
             assert r2 == pytest.approx(r1, rel=1e-11)
 
+    def test_underflowing_coupling_rejected(self):
+        # the sides scale as g^8: down to g = 1e-38 the ratio is the one
+        # of any g, while below about 3.5e-39 g^8 underflows and both
+        # functions refuse rather than lose the ratio
+        ratio = cs_sides_analytic(params(0.5, 1.0)).ratio
+        for g in (1e-38, 1e-30):
+            p = params(0.5, 1.0, g=g)
+            cs, res = cs_sides_analytic(p), cs_test(analytic_moment_report(p))
+            assert cs.verdict == res.verdict == "violated"
+            assert cs.ratio == pytest.approx(ratio, rel=1e-11)
+            assert res.ratio == pytest.approx(ratio, rel=1e-11)
+        for g in (1e-39, 1e-50, 1e-82):
+            for fn in (analytic_moment_report, cs_sides_analytic):
+                with pytest.raises(ValidityError, match="too small"):
+                    fn(params(0.5, 1.0, g=g))
+
     def test_gamma_r_ordering_at_07(self):
         hi = cs_sides_analytic(params(0.7, 100.0)).ratio
         lo = cs_sides_analytic(params(0.7, 0.01)).ratio

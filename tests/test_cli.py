@@ -223,6 +223,21 @@ class TestRun:
         assert "at least 2 batches" in capsys.readouterr().err
         assert not (tmp_path / "report.json").exists()
 
+    @pytest.mark.parametrize("n_traj, n_samples, rc_want", [
+        (2, 1, 2), (3, 1, 0), (2, 2, 0)])
+    def test_replicates_need_two_samples(self, tmp_path, capsys, n_traj,
+                                         n_samples, rc_want):
+        # two one-sample trajectories: leaving one out keeps a lone sample,
+        # whose centered moments are rounding noise, so no error bars; 3x1
+        # and 2x2 keep two samples in every replicate and run
+        rc = run_main(["run", *FAST, "--n-trajectories", n_traj,
+                       "--n-samples-per-traj", n_samples,
+                       "--out-dir", tmp_path])
+        assert rc == rc_want
+        refused = "standard errors need at least 2" in capsys.readouterr().err
+        assert refused is (rc_want == 2)
+        assert (tmp_path / "report.json").exists() is (rc_want == 0)
+
     @pytest.mark.parametrize("flag, value", [("--burn-in", "inf"),
                                              ("--burn-in", "nan"),
                                              ("--sample-interval", "inf")])
@@ -358,6 +373,13 @@ class TestSweep:
         assert [(r[3], r[9], r[10]) for r in rows] == [
             ("analytic", "0", "true"), ("mc", "1", "false")]
         assert "mu=0.5: 1/16 diverged" in capsys.readouterr().err
+
+    def test_underflowing_coupling_exits_2(self, tmp_path, capsys):
+        rc = run_main(["sweep", "--axis", "mu", "--values", "0.5", "--g",
+                       "1e-82", "--source", "analytic", "--out-dir",
+                       tmp_path])
+        assert rc == 2
+        assert "too small" in capsys.readouterr().err
 
     def test_empty_values_exits_2(self, tmp_path, capsys):
         rc = run_main(["sweep", "--axis", "mu", "--values", ",",

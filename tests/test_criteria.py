@@ -23,7 +23,6 @@ from opo3 import (
     cs_running_average,
     cs_sides_analytic,
     cs_test,
-    finalize,
     pair_audit,
     pump_odd_moment,
     run_ensemble,
@@ -62,7 +61,7 @@ def classical_report(chans, n_batches=8):
     n = chans.shape[1]
     step = n // n_batches
     acc.add_batches(chans.reshape(6, n_batches, step))
-    return finalize(acc, centering="sample")
+    return acc.finalize(centering="sample")
 
 
 class TestClassicalSanity:
@@ -112,10 +111,10 @@ class TestFrozenReport:
         # the accumulator afterwards must not leak into its errors
         acc = MomentAccumulator(amplitude_schema())
         acc.add_batches(classical_ensemble(4101, n=400).reshape(6, 40, 10))
-        rep = finalize(acc, centering="sample")
+        rep = acc.finalize(centering="sample")
         before = [cs_test(rep, partition=part) for part in PARTITIONS]
         acc.add_batches(classical_ensemble(4102, n=4000).reshape(6, 400, 10))
-        assert finalize(acc, centering="sample").n_batches == 440
+        assert acc.finalize(centering="sample").n_batches == 440
         after = [cs_test(rep, partition=part) for part in PARTITIONS]
         assert after == before
         assert all(r.n_batches == 40 for r in after)
@@ -134,7 +133,7 @@ class TestFrozenReport:
         # accumulator gives now, and still the report's own after growth
         acc = MomentAccumulator(amplitude_schema())
         acc.add_batches(classical_ensemble(4105, n=400).reshape(6, 40, 10))
-        rep = finalize(acc, centering="sample")
+        rep = acc.finalize(centering="sample")
 
         def fn(st):
             return [st.target("amp_n1n2") * st.target("amp_n0"),
@@ -146,9 +145,9 @@ class TestFrozenReport:
 
         assert np.array_equal(rep.batch_totals, rep.batch_sums.sum(axis=1))
         before = bits(rep.jackknife(fn))
-        assert before == bits(acc.jackknife(fn, centering="sample"))
+        assert before == bits(acc.finalize(centering="sample").jackknife(fn))
         acc.add_batches(classical_ensemble(4106, n=400).reshape(6, 40, 10))
-        assert bits(acc.jackknife(fn, centering="sample")) != before
+        assert bits(acc.finalize(centering="sample").jackknife(fn)) != before
         assert bits(rep.jackknife(fn)) == before
 
     def test_no_batch_data_refuses_errors(self):
@@ -168,8 +167,8 @@ class TestSignificance:
         assert criteria._verdict(sig, 3.0) == "inconclusive"
         # the same estimate as the pump skew and as one pump-signal
         # covariance among three that are consistent with zero
-        zero = MomentEstimate.from_values(0.0, 1.0)
-        bad = MomentEstimate.from_values(margin, se)
+        zero = MomentEstimate(0j, 1.0)
+        bad = MomentEstimate(complex(margin), se)
         entries = {"skew_x0": bad, "cov_x0_x": zero, "cov_x0_y": bad,
                    "cov_y0_x": zero, "cov_y0_y": zero}
         rep = MomentReport(entries=entries, n_samples=100, n_batches=10,
@@ -266,6 +265,13 @@ class TestSimulationVerdicts:
         assert r.lhs == 0.0 and r.rhs == 0.0
 
 
+def triples_report(*estimates):
+    """A report holding t1, t2, ... as given, as a witness reads it."""
+    entries = dict(zip(("t1", "t2", "t3", "t4"), estimates))
+    return MomentReport(entries=entries, n_samples=0, n_batches=0,
+                        centering="reference")
+
+
 class TestSeparabilityWitness:
     def test_excluded_on_simulation(self, std_report):
         w = separability_witness(std_report)
@@ -280,27 +286,16 @@ class TestSeparabilityWitness:
         assert w.excluded is True
 
     def test_inconclusive_when_one_consistent_with_zero(self):
-        triples = {
-            "t1": MomentEstimate.from_values(-1.0, 0.1),
-            "t2": MomentEstimate.from_values(1.0, 0.1),
-            "t3": MomentEstimate.from_values(0.05, 0.1),  # 0.5 sigma
-            "t4": MomentEstimate.from_values(1.0, 0.1),
-        }
-        w = separability_witness(triples)
+        w = separability_witness(triples_report(
+            MomentEstimate(-1 + 0j, 0.1), MomentEstimate(1 + 0j, 0.1),
+            MomentEstimate(0.05 + 0j, 0.1),  # 0.5 sigma
+            MomentEstimate(1 + 0j, 0.1)))
         assert w.excluded is False
         assert w.verdict == "inconclusive"
 
     def test_inconclusive_on_exact_zeros(self):
-        ests = [MomentEstimate.from_values(0.0, 0.0) for _ in range(4)]
-        w = separability_witness(ests)
+        w = separability_witness(triples_report(*[MomentEstimate(0j)] * 4))
         assert w.excluded is False
-
-    def test_rejects_bare_values(self):
-        with pytest.raises(ValueError, match="uncertainty"):
-            separability_witness({"t1": -1.0, "t2": 1.0, "t3": 1.0,
-                                  "t4": 1.0})
-        with pytest.raises(ValueError, match="four"):
-            separability_witness([MomentEstimate.from_values(1.0, 0.1)] * 3)
 
     def test_to_dict(self, std_report):
         d = separability_witness(std_report).to_dict()
@@ -318,7 +313,7 @@ class TestPairAudit:
 
     def test_detects_injected_correlation(self, std_report):
         entries = dict(std_report.entries)
-        entries["cov_x0_x"] = MomentEstimate.from_values(0.1, 0.001)
+        entries["cov_x0_x"] = MomentEstimate(0.1 + 0j, 0.001)
         fake = MomentReport(entries=entries, n_samples=std_report.n_samples,
                             n_batches=std_report.n_batches,
                             centering=std_report.centering)
@@ -343,7 +338,7 @@ class TestPumpOddMoment:
         )
         acc = MomentAccumulator(schema)
         acc.add_batches(rng.standard_normal((1, 100, 200)).astype(complex))
-        o = pump_odd_moment(finalize(acc, centering="sample"))
+        o = pump_odd_moment(acc.finalize(centering="sample"))
         assert o.non_gaussian is False
         assert o.verdict == "consistent with Gaussian pump fluctuations"
         assert o.significance < 3.0

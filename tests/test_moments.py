@@ -18,7 +18,6 @@ from opo3 import (
     TargetSpec,
     amplitude_schema,
     analytic_moment_report,
-    finalize,
     merge,
     opo_schema,
     state_channels,
@@ -40,44 +39,58 @@ def scalar_schema(center=0.0):
 
 
 def feed_scalars(acc, values):
-    for v in values:
-        acc.add_batch([v])
-    return acc
+    """One batch of one sample per value."""
+    return acc.add_batches(np.reshape(values, (1, -1, 1)))
 
 
 class TestSmallStreams:
     def test_mean_of_1_2_3(self):
         acc = MomentAccumulator(scalar_schema())
         feed_scalars(acc, [1.0, 2.0, 3.0])
-        rep = finalize(acc, centering="sample")
+        rep = acc.finalize(centering="sample")
         assert rep["mean_u"].value == pytest.approx(2.0, abs=1e-15)
         assert rep.n_samples == 3 and rep.n_batches == 3
 
     def test_third_central_moment_of_0_0_3(self):
         acc = MomentAccumulator(scalar_schema())
         feed_scalars(acc, [0.0, 0.0, 3.0])
-        rep = finalize(acc, centering="sample")
+        rep = acc.finalize(centering="sample")
         # mean 1; ((-1)^3 + (-1)^3 + 2^3)/3 = 2
         assert rep["m3"].value == pytest.approx(2.0, abs=1e-12)
 
     def test_empty_stream_errors(self):
         acc = MomentAccumulator(scalar_schema())
         with pytest.raises(NoSamplesError, match="no samples"):
-            finalize(acc)
+            acc.finalize()
         assert isinstance(NoSamplesError("x"), ValueError)
 
     def test_single_batch_cannot_give_errors(self):
         acc = MomentAccumulator(scalar_schema())
-        acc.add_batch([[1.0, 2.0, 3.0]])
+        acc.add_batches([[[1.0, 2.0, 3.0]]])
         with pytest.raises(NoSamplesError, match="at least 2 batches"):
-            finalize(acc)
+            acc.finalize()
+
+    def test_every_replicate_keeps_two_samples(self):
+        # leaving out a batch must keep 2 samples: the centered moments of
+        # a lone sample are rounding noise, not zero, so two one-sample
+        # batches would give errors of noise and a verdict from it
+        for sizes, refused in (((1, 1), True), ((4, 1), True),
+                               ((1, 1, 1), False), ((2, 2), False)):
+            acc = MomentAccumulator(scalar_schema())
+            for n in sizes:
+                acc.add_batches(np.linspace(0.1, 1.0, n)[None, None, :])
+            if refused:
+                with pytest.raises(NoSamplesError, match="keeps 1 sample"):
+                    acc.finalize("sample")
+            else:
+                assert acc.finalize("sample").n_batches == len(sizes)
 
     def test_non_finite_rejected(self):
         acc = MomentAccumulator(scalar_schema())
         with pytest.raises(ValueError, match="non-finite"):
-            acc.add_batch(np.array([[1.0, float("nan")]]))
+            acc.add_batches(np.array([[[1.0, float("nan")]]]))
         with pytest.raises(ValueError, match="non-finite"):
-            acc.add_batch(np.array([[1.0, complex(0, float("inf"))]]))
+            acc.add_batches(np.array([[[1.0, complex(0, float("inf"))]]]))
 
 
 def two_channel_schema():
@@ -111,15 +124,15 @@ class TestMergeLaws:
             left = MomentAccumulator(schema)
             right = MomentAccumulator(schema)
             for lo in range(0, n, bs):
-                whole.add_batch(data[:, lo:lo + bs])
+                whole.add_batches(data[:, None, lo:lo + bs])
             for lo in range(0, cut, bs):
-                left.add_batch(data[:, lo:min(lo + bs, cut)])
+                left.add_batches(data[:, None, lo:min(lo + bs, cut)])
             for lo in range(cut, n, bs):
-                right.add_batch(data[:, lo:lo + bs])
+                right.add_batches(data[:, None, lo:lo + bs])
             m = merge(left, right)
             assert m.n_samples == whole.n_samples == n
-            rep_m = finalize(m, centering="sample")
-            rep_w = finalize(whole, centering="sample")
+            rep_m = m.finalize(centering="sample")
+            rep_w = whole.finalize(centering="sample")
             for name in schema.target_names():
                 assert rep_m[name].value == pytest.approx(
                     rep_w[name].value, rel=1e-12, abs=1e-12)
@@ -129,11 +142,11 @@ class TestMergeLaws:
         schema = two_channel_schema()
         a = MomentAccumulator(schema)
         for k in range(100):
-            a.add_batch(random_stream(rng, 1)[:, 0])
+            a.add_batches(random_stream(rng, 1)[:, None])
         empty = MomentAccumulator(schema)
         m = merge(a, empty)
-        rep_a = finalize(a.copy())
-        rep_m = finalize(m)
+        rep_a = a.copy().finalize()
+        rep_m = m.finalize()
         assert rep_m.n_samples == rep_a.n_samples
         assert rep_m.n_batches == rep_a.n_batches
         for name in schema.target_names():
@@ -146,11 +159,11 @@ class TestMergeLaws:
         a = MomentAccumulator(schema)
         b = MomentAccumulator(schema)
         for _ in range(7):
-            a.add_batch(random_stream(rng, 20))
+            a.add_batches(random_stream(rng, 20)[:, None])
         for _ in range(5):
-            b.add_batch(random_stream(rng, 13))
-        ab = finalize(merge(a, b))
-        ba = finalize(merge(b, a))
+            b.add_batches(random_stream(rng, 13)[:, None])
+        ab = merge(a, b).finalize()
+        ba = merge(b, a).finalize()
         for name in schema.target_names():
             assert ab[name].value == pytest.approx(ba[name].value,
                                                    rel=1e-12, abs=1e-14)
@@ -172,12 +185,12 @@ class TestMergeLaws:
         a.add_batches(cube[:, :, :2])
         b.add_batches(cube)
         sums = a.per_sample_sums.tobytes()
-        want = finalize(a)
+        want = a.finalize()
         with pytest.raises(SchemaError, match="per-sample shapes differ"):
             a.merge_in_place(b)
         assert (a.n_batches, a.n_samples, a.per_sample_rows) == (3, 6, 3)
         assert a.per_sample_sums.tobytes() == sums
-        got = finalize(a)
+        got = a.finalize()
         for name in a.schema.target_names():
             assert got[name] == want[name], name
 
@@ -190,7 +203,7 @@ class TestErrorBars:
         for n in (2000, 8000):
             acc = MomentAccumulator(schema)
             acc.add_batches(rng.standard_normal((1, n // 50, 50)).astype(complex))
-            ses.append(finalize(acc, centering="sample")["m2"].std_error)
+            ses.append(acc.finalize(centering="sample")["m2"].std_error)
         ratio = ses[0] / ses[1]
         assert 1.6 <= ratio <= 2.4
 
@@ -199,7 +212,7 @@ class TestErrorBars:
         acc = MomentAccumulator(two_channel_schema())
         data = rng.standard_normal((2, 200, 100))  # real Gaussian, mean 0
         acc.add_batches(data.astype(complex))
-        rep = finalize(acc, centering="sample")
+        rep = acc.finalize(centering="sample")
         m3 = rep["m3_uuv"]
         assert abs(m3.value.real) <= 4.0 * m3.std_error
         assert m3.low_confidence is False
@@ -210,11 +223,11 @@ class TestErrorBars:
         for b, expect in ((29, True), (30, False)):
             acc = MomentAccumulator(schema)
             acc.add_batches(rng.standard_normal((1, b, 10)).astype(complex))
-            rep = finalize(acc)
+            rep = acc.finalize()
             assert rep["m2"].low_confidence is expect
             assert rep.n_batches == b
 
-    def test_add_batches_matches_sequential_add_batch(self):
+    def test_add_batches_matches_one_call_per_batch(self):
         rng = np.random.default_rng(241)
         data = (rng.standard_normal((6, 7, 40))
                 + 1j * rng.standard_normal((6, 7, 40)))
@@ -222,8 +235,8 @@ class TestErrorBars:
         a = MomentAccumulator(schema).add_batches(data)
         b = MomentAccumulator(schema)
         for j in range(7):
-            b.add_batch(data[:, j, :])
-        ra, rb = finalize(a, "sample"), finalize(b, "sample")
+            b.add_batches(data[:, j:j + 1, :])
+        ra, rb = a.finalize("sample"), b.finalize("sample")
         for name in schema.target_names():
             assert ra[name].value == pytest.approx(rb[name].value, rel=1e-13)
             assert ra[name].std_error == pytest.approx(rb[name].std_error,
@@ -272,14 +285,14 @@ class TestBatchStore:
         # keys are built from their prefixes into one (K, nb, n) array; the
         # block sums and per-sample sums must still be bitwise the per-key
         # reductions of each key's channels multiplied left to right, and
-        # bitwise what one add_batch per trajectory stores
+        # bitwise what one add_batches call per trajectory stores
         params, cube = opo_cube(281, 40, 5)
         schema = opo_schema(params)
         acc = MomentAccumulator(schema, collect_per_sample=True)
         acc.add_batches(cube)
-        single = MomentAccumulator(schema)
+        single = MomentAccumulator(schema, collect_per_sample=True)
         for j in range(40):
-            single.add_batch(cube[:, j])
+            single.add_batches(cube[:, j:j + 1])
         joined = np.concatenate(single._blocks, axis=1)
         centered = acc._center_values(cube)
         (block,) = acc._blocks
@@ -290,7 +303,17 @@ class TestBatchStore:
             want = prod.sum(axis=1).tobytes()
             assert block[k].tobytes() == want == joined[k].tobytes(), key
             assert (acc.per_sample_sums[k].tobytes()
-                    == prod.sum(axis=0).tobytes()), key
+                    == prod.sum(axis=0).tobytes()
+                    == single.per_sample_sums[k].tobytes()), key
+        # so the running averages and the report are bitwise the same
+        assert single.per_sample_rows == acc.per_sample_rows == 40
+        for mode in moments.CENTERINGS:
+            got, want = single.running_stats(mode), acc.running_stats(mode)
+            for name in schema.target_names():
+                assert (_bits(got.target(name), got.n)
+                        == _bits(want.target(name), want.n)), (mode, name)
+            assert (repr(single.finalize(mode).entries)
+                    == repr(acc.finalize(mode).entries)), mode
 
     def test_arrival_order_is_bitwise_invisible(self):
         params, cube = opo_cube(277, 520, 3)
@@ -301,7 +324,7 @@ class TestBatchStore:
             sliced.add_batches(cube[:, lo:lo + 256])
         single = MomentAccumulator(schema)
         for j in range(520):
-            single.add_batch(cube[:, j])
+            single.add_batches(cube[:, j:j + 1])
         bounds = np.linspace(0, 520, 9).astype(int)
         shards = [MomentAccumulator(schema).add_batches(cube[:, lo:hi])
                   for lo, hi in zip(bounds[:-1], bounds[1:])]
@@ -309,16 +332,16 @@ class TestBatchStore:
         for other in shards[1:]:
             merged = merge(merged, other)
         for mode in ("reference", "sample", "none", "raw"):
-            want = finalize(whole, mode)
-            jk = whole.jackknife(cs_parts, centering=mode)
+            want = whole.finalize(mode)
+            jk = want.jackknife(cs_parts)
             for acc in (sliced, single, merged):
-                got = finalize(acc, mode)
+                got = acc.finalize(mode)
                 assert got.n_batches == 520 and got.n_samples == 1560
                 for name in schema.target_names():
                     a, b = got[name], want[name]
                     assert (a.value, a.std_error, a.std_error_imag) == (
                         b.value, b.std_error, b.std_error_imag), (mode, name)
-                other = acc.jackknife(cs_parts, centering=mode)
+                other = got.jackknife(cs_parts)
                 for field in ("value", "std_error", "std_error_imag"):
                     assert np.array_equal(getattr(other, field),
                                           getattr(jk, field)), (mode, field)
@@ -335,15 +358,15 @@ class TestBatchStore:
 
         a, b = build(0, 50), build(50, 90)
         m = merge(a, b)
-        assert finalize(m).n_batches == 90
+        assert m.finalize().n_batches == 90
         m.add_batches(cube[:, :8])
-        assert finalize(m).n_batches == 98
+        assert m.finalize().n_batches == 98
         a.add_batches(cube[:, :8])
         assert m.n_batches == 98
         assert (a.n_batches, b.n_batches) == (58, 40)
         for acc, twin in ((a, build(0, 50).add_batches(cube[:, :8])),
                           (b, build(50, 90))):
-            got, want = finalize(acc), finalize(twin)
+            got, want = acc.finalize(), twin.finalize()
             for name in schema.target_names():
                 assert got[name] == want[name], name
 
@@ -374,17 +397,17 @@ class TestEvaluationShortcuts:
         acc.add_batches(cube[:, :9, :6])
         acc.add_batches(cube[:, 9:17, :2])
         for j in range(17, 24):
-            acc.add_batch(cube[:, j, :j % 5 + 1])
+            acc.add_batches(cube[:, j:j + 1, :j % 5 + 1])
         series = MomentAccumulator(schema, collect_per_sample=True)
         series.add_batches(cube[:, :12]).add_batches(cube[:, 12:])
 
         def evaluate():
             out = []
             for mode in moments.CENTERINGS:
-                rep = finalize(acc, mode)
+                rep = acc.finalize(mode)
                 for e in rep.entries.values():
                     out += _bits(e.value, e.std_error, e.std_error_imag)
-                jk = acc.jackknife(cs_parts, centering=mode)
+                jk = rep.jackknife(cs_parts)
                 out += _bits(jk.value, jk.std_error, jk.std_error_imag)
                 out += _bits(cs_parts(series.running_stats(mode)))
             return out
@@ -399,7 +422,7 @@ class TestEvaluationShortcuts:
         reports = []
 
         def check(acc, mode="reference"):
-            rep = finalize(acc, mode)
+            rep = acc.finalize(mode)
             assert (rep.batch_totals.tobytes()
                     == rep.batch_sums.sum(axis=1).tobytes())
             reports.append((rep, rep.batch_totals.tobytes()))
@@ -409,7 +432,7 @@ class TestEvaluationShortcuts:
         acc = MomentAccumulator(schema).add_batches(cube[:, :20])
         first = check(acc)
         assert check(acc, "sample").batch_totals is first.batch_totals
-        acc.add_batch(cube[:, 20])
+        acc.add_batches(cube[:, 20:21])
         assert check(acc).n_batches == 21
         # merge, both ways
         other = MomentAccumulator(schema).add_batches(cube[:, 30:45])
@@ -435,7 +458,7 @@ class TestEvaluationShortcuts:
         acc = MomentAccumulator(schema).add_batches(cube)
         series = MomentAccumulator(schema, collect_per_sample=True)
         series.add_batches(cube)
-        want = finalize(acc)
+        want = acc.finalize()
         sums = series.per_sample_sums.tobytes()
         # finite values whose fourth-order products overflow
         huge = cube[:, :2] * 1e100
@@ -443,16 +466,16 @@ class TestEvaluationShortcuts:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for feed, bad, match in (
-                    (acc.add_batch, np.empty((12, 0)), "empty batch"),
+                    (acc.add_batches, np.empty((12, 1, 0)), "empty batch"),
                     (acc.add_batches, np.empty((12, 4, 0)), "empty batch"),
-                    (acc.add_batch, huge[:, 0], "non-finite"),
+                    (acc.add_batches, huge[:, :1], "non-finite"),
                     (acc.add_batches, huge, "non-finite"),
                     (series.add_batches, huge, "non-finite"),
                     (series.add_batches, cube[:, :2, :2], "fixed sample")):
                 with pytest.raises(ValueError, match=match):
                     feed(bad)
                 assert acc.n_batches == series.n_batches == 6
-            got = finalize(acc)
+            got = acc.finalize()
         assert (series.per_sample_rows, series.per_sample_sums.tobytes()) == (
             6, sums)
         for name in schema.target_names():
@@ -466,7 +489,7 @@ class TestEvaluationShortcuts:
             for centering in moments.CENTERINGS:
                 with pytest.raises(ValueError, match="non-finite key sums "
                                    "over all batches"):
-                    finalize(amp_acc, centering)
+                    amp_acc.finalize(centering)
             amp_series = MomentAccumulator(amplitude_schema(),
                                            collect_per_sample=True)
             with pytest.raises(ValueError, match="non-finite per-sample"):
@@ -486,10 +509,10 @@ class TestEvaluationShortcuts:
         # overflow if squared as they are: the error stays finite
         wide = MomentAccumulator(amplitude_schema())
         for v in (8e76, -8e76, 8e75):
-            wide.add_batch(np.full(6, v))
+            wide.add_batches(np.full((6, 1, 1), v))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            est = finalize(wide, "sample")["amp_n1n2"]
+            est = wide.finalize("sample")["amp_n1n2"]
         assert math.isfinite(est.value.real) and est.value.real > 1e307
         assert math.isfinite(est.std_error) and est.std_error > 1e307
 
@@ -500,8 +523,8 @@ class TestCentering:
         c = 1.7
         u = rng.standard_normal(400) + 3.0
         acc = MomentAccumulator(scalar_schema(center=c))
-        acc.add_batch(u[None, :200].astype(complex))
-        acc.add_batch(u[None, 200:].astype(complex))
+        acc.add_batches(u[None, None, :200])
+        acc.add_batches(u[None, None, 200:])
         expect = {
             "none": np.mean((u - c) ** 2),
             "sample": np.mean((u - u.mean()) ** 2),
@@ -509,7 +532,7 @@ class TestCentering:
             "raw": np.mean(u**2),
         }
         for mode, val in expect.items():
-            rep = finalize(acc, centering=mode)
+            rep = acc.finalize(centering=mode)
             assert rep["m2"].value == pytest.approx(val, rel=1e-12)
             # mean target undoes the ingest center via its offset in all modes
             assert rep["mean_u"].value == pytest.approx(u.mean(), rel=1e-12)
@@ -523,9 +546,9 @@ class TestCentering:
             targets=(TargetSpec("m2", ((1, ("u", "u")),)),),
         )
         acc = MomentAccumulator(schema)
-        acc.add_batch(u[None, :].astype(complex))
-        acc.add_batch(u[None, :].astype(complex))
-        rep = finalize(acc, centering="reference")
+        acc.add_batches(u[None, None, :])
+        acc.add_batches(u[None, None, :])
+        rep = acc.finalize(centering="reference")
         # stays referenced to the declared center, not the empirical mean
         assert rep["m2"].value == pytest.approx(np.mean((u - c) ** 2), rel=1e-12)
 
@@ -533,7 +556,7 @@ class TestCentering:
         acc = MomentAccumulator(scalar_schema())
         feed_scalars(acc, list(range(20)))
         with pytest.raises(ValueError, match="centering"):
-            finalize(acc, centering="bogus")
+            acc.finalize(centering="bogus")
 
 
 class TestMappingIdentities:
@@ -547,7 +570,7 @@ class TestMappingIdentities:
         acc = MomentAccumulator(opo_schema(params))
         acc.add_batches(state_channels(states, params))
         for mode in ("sample", "none"):
-            rep = finalize(acc, centering=mode)
+            rep = acc.finalize(centering=mode)
             q4 = rep["q4"].value
             pair4 = rep["amp_n1n2"].value
             assert q4 == pytest.approx(16.0 * params.g**4 * pair4, rel=1e-12)
@@ -557,7 +580,7 @@ class TestMappingIdentities:
                 8.0 * params.gamma_r * params.g**2 * pump, rel=1e-12)
 
     def test_single_sample_batches_match_channel_cube(self):
-        # state_channels of one (6,) state feeds add_batch as a batch of
+        # state_channels of one (6,) state feeds add_batches as a batch of
         # one sample; the point estimates do not depend on the batching
         rng = np.random.default_rng(269)
         params = ModelParams(mu=0.4, gamma_r=2.5, g=0.3)
@@ -568,9 +591,10 @@ class TestMappingIdentities:
         via_samples = MomentAccumulator(opo_schema(params))
         for j in range(2):
             for k in range(32):
-                via_samples.add_batch(state_channels(states[:, j, k], params))
-        ra = finalize(via_channels, "sample")
-        rb = finalize(via_samples, "sample")
+                via_samples.add_batches(
+                    state_channels(states[:, j, k], params)[:, None, None])
+        ra = via_channels.finalize("sample")
+        rb = via_samples.finalize("sample")
         for name in ("q4", "amp_n1n2", "t1", "s", "var_x0", "amp_triple"):
             assert ra[name].value == pytest.approx(rb[name].value,
                                                    rel=1e-10, abs=1e-12)
@@ -608,9 +632,9 @@ class TestSchemaValidation:
     def test_channel_count_mismatch(self):
         acc = MomentAccumulator(two_channel_schema())
         with pytest.raises(SchemaError):
-            acc.add_batch(np.zeros((3, 5)))
+            acc.add_batches(np.zeros((3, 1, 5)))
         with pytest.raises(SchemaError):
-            acc.add_batch([1.0])
+            acc.add_batches([[[1.0]]])
 
     def test_amplitude_schema_needs_six_centers(self):
         with pytest.raises(SchemaError):

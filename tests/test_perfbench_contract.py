@@ -6,6 +6,7 @@ renames a name the harness patches or calls.
 """
 
 import importlib.util
+import sys
 from pathlib import Path
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -15,6 +16,8 @@ def load(name: str):
     spec = importlib.util.spec_from_file_location(
         f"perfbench_{name}", PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
+    # dataclasses look their module up in sys.modules while it executes
+    sys.modules[spec.name] = module
     spec.loader.exec_module(module)
     return module
 
@@ -38,3 +41,14 @@ def test_setup_probe_runs(capsys):
     run = load("run")
     exec(compile(run.SETUP_CODE, "perfbench set-up probe", "exec"), {})
     assert float(capsys.readouterr().out.split()[-1]) >= 0.0
+
+
+def test_moment_workload_matches_its_oracle():
+    # the benchmark's moments-wide workload at its smoke size: add_batches,
+    # merge, finalize under every centering and each criterion it calls
+    workloads = load("workloads")
+    run = workloads.WORKLOADS["tiny"]["moments-wide"]
+    cube = run.prepare(3)
+    out = run.execute(cube)
+    oracle = workloads.moments_oracle(cube, run.params())
+    assert run.check(cube, out, oracle) == []
