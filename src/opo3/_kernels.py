@@ -1,7 +1,7 @@
 """Inner integration loops for the positive-P equations.
 
-Two implementations with identical semantics advance a block of
-trajectories through one chunk of steps in place: a C kernel, compiled
+Two implementations with identical results, bit for bit, advance a block
+of trajectories through one chunk of steps in place: a C kernel, compiled
 with the system `cc` on first use and cached on disk, and a vectorized
 numpy kernel, the reference the tests compare against and the fallback
 when no compiler is available or the build fails.
@@ -23,10 +23,15 @@ Generator state: a uint64 array (B, 4) holds each trajectory's PCG64 as
 fills it in C with numpy's PCG64(SeedSequence(master_seed,
 spawn_key=(i,))) states.
 
-Threads: the C kernel runs `n_threads` contiguous ranges of a block on
-pthreads, the calling thread taking the first range and any whose thread
-fails to start.  A trajectory touches only its own generator and state
-column, so results do not depend on the thread count.
+Threads and lanes: the C kernel runs `n_threads` contiguous ranges of a
+block on pthreads, the calling thread taking the first range and any
+whose thread fails to start.  A thread steps its range four trajectories
+at a time, one per lane of a vector, with the real and imaginary parts of
+each amplitude in their own vectors; the step map is stated once, for the
+lanes.  A lane past the end of the range, or dead, is masked: it draws
+nothing, and its state and generator stay as they are.  A trajectory
+touches only its own generator and state column, and every lane rounds
+alone, so results depend neither on the thread count nor on the lane.
 
 The pump takes the factored step a0 <- m + (a0 - m) * e_pump + phi_pump *
 (-eps * a1 * a2), m = mu/eps, whose Euler factors e_pump = 1 - gamma_r*dt
@@ -35,20 +40,29 @@ steps.  A trajectory whose candidate exceeds the threshold
 or goes non-finite is frozen at its last good state, marked dead, and its
 global step index recorded.
 
-Rounding: the C kernel is built with -fcx-limited-range and
--ffp-contract=off (numpy's textbook complex product, no fused
-multiply-adds); csqrt runs glibc's steps inline where glibc needs no
-rescaling, libm's csqrt elsewhere.  The kernels agree to rounding.
+Rounding: both kernels take each step in float64 real arithmetic, every
+complex product the textbook (ac - bd, ad + bc), each operation rounded
+on its own in the same order; the C kernel is built with
+-ffp-contract=off, so no multiply-add is fused, and its vector clones
+(AVX and the baseline) enable no FMA.  The complex square root is a
+formula of IEEE operations only: with m = sqrt(x*x + y*y),
+t = sqrt((m + |x|)/2) and u = y/(2t), the root of x + iy is
+(t, copysign(u, y)) for x >= 0 and (|u|, copysign(t, y)) for x < 0,
+chosen by a mask, not a branch.  Where x*x + y*y leaves [2^-1000, 2^1000]
+the operand is first scaled by an exact power of two, and 0 gives
+(+0, y).  It is within 2 ulp of cmath.sqrt and needs no libm, so the two
+kernels give the same bits.
 
 Build: the ziggurat's tables are local symbols of numpy's static
 `random/lib/libnpyrandom.a`, so an ar and ELF64 reader copies them into
-the source; nothing of numpy is linked.  On load the kernel's seeding and
-sampler must reproduce numpy's states and draws bit for bit, or the numpy
-kernel runs instead, with one warning.  The library is cached under
-$XDG_CACHE_HOME/opo3 (else ~/.cache/opo3, else a per-user temporary
-directory), keyed by the source template, the flags, the resolved
-compiler's path, size and mtime, and the numpy version, so a cache hit
-runs no compiler and opens no archive.
+the source; nothing of numpy is linked.  On load the kernel's seeding,
+sampler and step must reproduce numpy's states and draws and the numpy
+kernel's bytes, or the numpy kernel runs instead, with one warning.  The
+library is cached under $XDG_CACHE_HOME/opo3 (else ~/.cache/opo3, else a
+per-user temporary directory), keyed by this module's source, the flags,
+the resolved compiler's path, size and mtime, and the numpy version, so a
+cache hit runs no compiler and opens no archive; the numpy kernel's bytes
+for the step check are kept beside it.
 """
 
 from __future__ import annotations
@@ -67,7 +81,6 @@ from pathlib import Path
 import numpy as np
 
 _C_TEMPLATE = r"""
-#include <complex.h>
 #include <math.h>
 #include <pthread.h>
 #include <stdint.h>
@@ -219,91 +232,232 @@ void opo3_normals(uint64_t *words, int64_t n, double *out)
     store_pcg64(&g, words);
 }
 
-/* glibc's csqrt (math/s_csqrt_template.c, 2.36) on the operands it takes
-   unscaled: finite, both parts nonzero, none above 2^1020 and not both
-   below 2^-1021; libm's csqrt takes the rest */
-static inline double complex csqrt_fast(double complex z)
+/* The step map runs on LANES trajectories of a range at once, the real
+   and imaginary parts of each amplitude in one vector across them.  Each
+   lane rounds as a scalar step would: + - * / and sqrt are IEEE per
+   element, and nothing fuses a multiply-add (-ffp-contract=off, and
+   neither clone below enables FMA).  32-byte vectors are passed by
+   pointer: by value, without AVX, they change the ABI (-Wpsabi). */
+#define LANES 4
+typedef double vdouble __attribute__((vector_size(LANES * sizeof(double))));
+typedef int64_t vmask __attribute__((vector_size(LANES * sizeof(int64_t))));
+typedef struct { vdouble re, im; } lanes_t;  /* one amplitude of each lane */
+#define ALWAYS_INLINE inline __attribute__((always_inline))
+#define SIGN_BIT ((vmask){} + INT64_MIN)
+#define VABS(a) ((vdouble)((vmask)(a) & ~SIGN_BIT))
+#define VCOPYSIGN(a, s) \
+    ((vdouble)(((vmask)(a) & ~SIGN_BIT) | ((vmask)(s) & SIGN_BIT)))
+#define VSELECT(m, a, b) ((vdouble)(((m) & (vmask)(a)) | (~(m) & (vmask)(b))))
+/* an AVX clone besides the baseline one, picked at load by an ifunc */
+#if defined(__x86_64__) && defined(__GNUC__) && !defined(__clang__) \
+    && defined(__GLIBC__)
+#define LANE_CLONES __attribute__((target_clones("avx", "default")))
+#else
+#define LANE_CLONES
+#endif
+
+static ALWAYS_INLINE void vsqrt(vdouble *a)
 {
-    double x = creal(z), y = cimag(z), ax = fabs(x), ay = fabs(y), r, s;
-    if (!(ax <= 0x1p1020 && ay <= 0x1p1020 && x != 0 && y != 0
-          && (ax >= 0x1p-1021 || ay >= 0x1p-1021)))
-        return csqrt(z);
-    if (x > 0) {
-        r = sqrt(0.5 * (hypot(x, y) + x));
-        s = 0.5 * (y / r);
-    } else {
-        s = sqrt(0.5 * (hypot(x, y) - x));
-        r = fabs(0.5 * (y / s));
+    for (int k = 0; k < LANES; k++)
+        (*a)[k] = sqrt((*a)[k]);
+}
+
+/* the principal root of x + iy: with m = sqrt(x*x + y*y),
+   t = sqrt(0.5*(m + |x|)) and u = 0.5*(y/t), (t, copysign(u, y)) for
+   x >= 0 and (|u|, copysign(t, y)) for x < 0 */
+static ALWAYS_INLINE void root_formula(const vdouble *x, const vdouble *y,
+                                       const vdouble *m2, lanes_t *root)
+{
+    vdouble m = *m2;
+    vsqrt(&m);
+    vdouble t = 0.5 * (m + VABS(*x));
+    vsqrt(&t);
+    vdouble u = 0.5 * (*y / t);
+    vmask neg = *x < 0.0;
+    root->re = VSELECT(neg, VABS(u), t);
+    root->im = VCOPYSIGN(VSELECT(neg, t, u), *y);
+}
+
+/* the root of x + iy when x*x + y*y is outside [2^-1000, 2^1000] or NaN:
+   the formula on x + iy times an exact even power of two that brings it
+   into range, its root times the square root of the inverse; 0 gives
+   (+0, y) */
+static __attribute__((noinline)) void root_rescaled(double x, double y,
+                                                    double *re, double *im)
+{
+    if (x == 0 && y == 0) {
+        *re = 0;
+        *im = y;
+        return;
     }
-    return CMPLX(r, copysign(s, y));
+    const int big = fabs(x) > 1 || fabs(y) > 1;
+    const double scale = big ? 0x1p-600 : 0x1p600;
+    vdouble sx = {x * scale}, sy = {y * scale};      /* in lane 0 */
+    vdouble m2 = sx * sx + sy * sy;
+    lanes_t root;
+    root_formula(&sx, &sy, &m2, &root);
+    *re = root.re[0] * (big ? 0x1p300 : 0x1p-300);
+    *im = root.im[0] * (big ? 0x1p300 : 0x1p-300);
+}
+
+/* root_formula where x*x + y*y lies in [2^-1000, 2^1000], so that no
+   square overflows and a part's square that underflows is below the
+   sum's rounding, root_rescaled elsewhere */
+static ALWAYS_INLINE void lane_root(const lanes_t *z, lanes_t *root)
+{
+    const vdouble m2 = z->re * z->re + z->im * z->im;
+    root_formula(&z->re, &z->im, &m2, root);
+    const vmask out = ~((m2 >= 0x1p-1000) & (m2 <= 0x1p1000));
+    if (!(out[0] | out[1] | out[2] | out[3]))
+        return;
+    for (int k = 0; k < LANES; k++) {
+        if (out[k]) {
+            double re, im;
+            root_rescaled(z->re[k], z->im[k], &re, &im);
+            root->re[k] = re;
+            root->im[k] = im;
+        }
+    }
+}
+
+/* the textbook product (ac - bd, ad + bc) */
+static ALWAYS_INLINE void cmul(const lanes_t *a, const lanes_t *b, lanes_t *p)
+{
+    p->re = a->re * b->re - a->im * b->im;
+    p->im = a->re * b->im + a->im * b->re;
 }
 
 /* one opo3_chunk_step call's arguments, trajectories [lo, hi) of them and
    the thread that runs them */
 typedef struct {
-    double complex *state; const double *w; uint64_t *gens; double scale;
+    double *state; const double *w; uint64_t *gens; double scale;
     uint8_t *alive; int64_t *first_bad; int64_t nb, n_steps;
     double eps, m_pump, dt, e_pump, phi_pump, thr2; int64_t step0;
     int64_t lo, hi; pthread_t thread; int started;
 } range_t;
 
-static int inside(double complex z, double thr2)
+/* the pump mode: m + (a - m)*e_pump + phi_pump*(-eps*b*c) */
+static ALWAYS_INLINE void pump_step(const range_t *r, const lanes_t *a,
+                                    const lanes_t *b, const lanes_t *c,
+                                    lanes_t *next)
 {
-    double re = creal(z), im = cimag(z);
-    return re * re + im * im <= thr2;   /* false for NaN and inf */
+    lanes_t eb = {-r->eps * b->re, -r->eps * b->im}, p;
+    cmul(&eb, c, &p);
+    next->re = r->m_pump + (a->re - r->m_pump) * r->e_pump
+               + r->phi_pump * p.re;
+    next->im = a->im * r->e_pump + r->phi_pump * p.im;
 }
 
-static void *step_range(void *arg)
+/* a signal mode: s + dt*(eps*p*q - s) + root*dw */
+static ALWAYS_INLINE void signal_step(const range_t *r, const lanes_t *s,
+                                      const lanes_t *p, const lanes_t *q,
+                                      const lanes_t *root, const lanes_t *dw,
+                                      lanes_t *next)
 {
-    const range_t *r = arg;
-    const int64_t nb = r->nb, n_steps = r->n_steps;
-    const double eps = r->eps, m_pump = r->m_pump, dt = r->dt,
-                 e_pump = r->e_pump, phi_pump = r->phi_pump, thr2 = r->thr2;
-    double complex *state = r->state;
-    for (int64_t j = r->lo; j < r->hi; j++) {
-        if (!r->alive[j])
-            continue;
-        /* the generator stays in registers for the whole chunk */
-        uint64_t *gw = r->gens ? r->gens + 4 * j : NULL;
-        pcg64_t g = gw ? LOAD_PCG64(gw) : (pcg64_t){0, 0};
-        const double *wj = r->w ? r->w + j * n_steps * 4 : NULL;
-        double complex a0 = state[j], a1 = state[nb + j],
-                       a2 = state[2 * nb + j], a0p = state[3 * nb + j],
-                       a1p = state[4 * nb + j], a2p = state[5 * nb + j];
-        for (int64_t c = 0; c < n_steps; c++) {
-            double w[4];
-            if (gw) {
-                for (int k = 0; k < 4; k++)
-                    w[k] = standard_normal(&g) * r->scale;
-            } else {
-                memcpy(w, wj + 4 * c, sizeof w);
-            }
-            double complex dw1 = CMPLX(w[0], w[1]), dw2 = CMPLX(w[0], -w[1]);
-            double complex dw1p = CMPLX(w[2], w[3]), dw2p = CMPLX(w[2], -w[3]);
-            double complex r0 = csqrt_fast(eps * a0),
-                           r0p = csqrt_fast(eps * a0p);
-            double complex n0 = m_pump + (a0 - m_pump) * e_pump
-                                + phi_pump * (-eps * a1 * a2);
-            double complex n0p = m_pump + (a0p - m_pump) * e_pump
-                                 + phi_pump * (-eps * a1p * a2p);
-            double complex n1 = a1 + dt * (-a1 + eps * a2p * a0) + r0 * dw1;
-            double complex n2 = a2 + dt * (-a2 + eps * a1p * a0) + r0 * dw2;
-            double complex n1p = a1p + dt * (-a1p + eps * a2 * a0p) + r0p * dw1p;
-            double complex n2p = a2p + dt * (-a2p + eps * a1 * a0p) + r0p * dw2p;
-            if (!(inside(n0, thr2) && inside(n1, thr2) && inside(n2, thr2)
-                  && inside(n0p, thr2) && inside(n1p, thr2)
-                  && inside(n2p, thr2))) {
-                r->alive[j] = 0;
-                r->first_bad[j] = r->step0 + c;
-                break;
-            }
-            a0 = n0; a1 = n1; a2 = n2; a0p = n0p; a1p = n1p; a2p = n2p;
+    lanes_t ep = {r->eps * p->re, r->eps * p->im}, d, f;
+    cmul(&ep, q, &d);
+    cmul(root, dw, &f);
+    next->re = s->re + r->dt * (d.re - s->re) + f.re;
+    next->im = s->im + r->dt * (d.im - s->im) + f.im;
+}
+
+/* clears the lanes of ok where |z|^2 exceeds thr2 or is NaN */
+static ALWAYS_INLINE void and_inside(vmask *ok, const lanes_t *z, double thr2)
+{
+    *ok &= z->re * z->re + z->im * z->im <= thr2;
+}
+
+/* Trajectories [lo, hi) in groups of LANES.  A lane that is dead, or past
+   hi, is masked: it draws nothing and its state and generator stay as
+   they are; a lane that leaves the threshold keeps its last good state. */
+static LANE_CLONES void *step_range(void *arg)
+{
+    /* a local copy, which the stores through alive cannot alias */
+    const range_t copy = *(const range_t *)arg, *r = &copy;
+    const int64_t nb = r->nb;
+    double *state = r->state;          /* (6, nb) complex, (re, im) pairs */
+    for (int64_t j0 = r->lo; j0 < r->hi; j0 += LANES) {
+        double parts[12][LANES], w[4][LANES] = {{0}};
+        pcg64_t g[LANES] = {{0}};
+        const double *wl[LANES] = {0};
+        vmask keep = {0};
+        for (int k = 0; k < LANES; k++) {
+            const int64_t j = j0 + k;
+            const int on = j < r->hi && r->alive[j];
+            keep[k] = -on;
+            /* masked lanes hold 1 + 0i, which takes no rescaled root */
+            for (int i = 0; i < 12; i++)
+                parts[i][k] = on ? state[2 * ((i / 2) * nb + j) + i % 2]
+                                 : (double)(i % 2 == 0);
+            if (on && r->gens)
+                g[k] = LOAD_PCG64(r->gens + 4 * j);
+            if (on && r->w)
+                wl[k] = r->w + j * r->n_steps * 4;
         }
-        state[j] = a0; state[nb + j] = a1; state[2 * nb + j] = a2;
-        state[3 * nb + j] = a0p; state[4 * nb + j] = a1p;
-        state[5 * nb + j] = a2p;
-        if (gw)
-            store_pcg64(&g, gw);
+        const vmask loaded = keep;
+        lanes_t a[6];                   /* a0, a1, a2, a0p, a1p, a2p */
+        memcpy(a, parts, sizeof a);
+        for (int64_t c = 0; c < r->n_steps; c++) {
+            /* each live lane's four normals, drawn or read */
+            for (int k = 0; k < LANES; k++) {
+                if (!keep[k])
+                    continue;
+                for (int i = 0; i < 4; i++)
+                    w[i][k] = r->gens ? standard_normal(&g[k]) * r->scale
+                                      : wl[k][4 * c + i];
+            }
+            lanes_t dw[4], z, root0, root0p, next[6];
+            memcpy(&dw[0].re, w[0], sizeof dw[0].re);
+            memcpy(&dw[0].im, w[1], sizeof dw[0].im);
+            memcpy(&dw[2].re, w[2], sizeof dw[2].re);
+            memcpy(&dw[2].im, w[3], sizeof dw[2].im);
+            /* dw1 = w0 + i w1, dw2 = w0 - i w1, and alike for dw1p, dw2p */
+            dw[1] = (lanes_t){dw[0].re, -dw[0].im};
+            dw[3] = (lanes_t){dw[2].re, -dw[2].im};
+            z = (lanes_t){r->eps * a[0].re, r->eps * a[0].im};
+            lane_root(&z, &root0);
+            z = (lanes_t){r->eps * a[3].re, r->eps * a[3].im};
+            lane_root(&z, &root0p);
+            pump_step(r, &a[0], &a[1], &a[2], &next[0]);
+            pump_step(r, &a[3], &a[4], &a[5], &next[3]);
+            signal_step(r, &a[1], &a[5], &a[0], &root0, &dw[0], &next[1]);
+            signal_step(r, &a[2], &a[4], &a[0], &root0, &dw[1], &next[2]);
+            signal_step(r, &a[4], &a[2], &a[3], &root0p, &dw[2], &next[4]);
+            signal_step(r, &a[5], &a[1], &a[3], &root0p, &dw[3], &next[5]);
+            vmask ok = ~(vmask){0};
+            for (int i = 0; i < 6; i++)
+                and_inside(&ok, &next[i], r->thr2);
+            const vmask died = keep & ~ok;
+            if (died[0] | died[1] | died[2] | died[3]) {
+                for (int k = 0; k < LANES; k++) {
+                    if (died[k]) {
+                        r->alive[j0 + k] = 0;
+                        r->first_bad[j0 + k] = r->step0 + c;
+                    }
+                }
+                keep &= ok;
+            }
+            if (keep[0] & keep[1] & keep[2] & keep[3]) {
+                memcpy(a, next, sizeof a);
+            } else {
+                if (!(keep[0] | keep[1] | keep[2] | keep[3]))
+                    break;
+                for (int i = 0; i < 6; i++) {
+                    a[i].re = VSELECT(keep, next[i].re, a[i].re);
+                    a[i].im = VSELECT(keep, next[i].im, a[i].im);
+                }
+            }
+        }
+        memcpy(parts, a, sizeof parts);
+        for (int k = 0; k < LANES; k++) {
+            const int64_t j = j0 + k;
+            if (!loaded[k])
+                continue;
+            for (int i = 0; i < 12; i++)
+                state[2 * ((i / 2) * nb + j) + i % 2] = parts[i][k];
+            if (r->gens)
+                store_pcg64(&g[k], r->gens + 4 * j);
+        }
     }
     return NULL;
 }
@@ -313,7 +467,7 @@ static void *step_range(void *arg)
    PCG64 in gens[4j..4j+3] as it takes the step, scales them by `scale`,
    and writes the generator back at the end of the chunk.  n_threads is
    clamped to [1, nb].  Returns -1 when the ranges cannot be allocated. */
-int opo3_chunk_step(double complex *state, const double *w, uint64_t *gens,
+int opo3_chunk_step(double *state, const double *w, uint64_t *gens,
                     double scale, uint8_t *alive, int64_t *first_bad,
                     int64_t nb, int64_t n_steps, double eps, double m_pump,
                     double dt, double e_pump, double phi_pump, double thr2,
@@ -346,8 +500,8 @@ int opo3_chunk_step(double complex *state, const double *w, uint64_t *gens,
 """
 
 # no -ffast-math or -march=native: the kernel must round like numpy does
-_C_FLAGS = ("-O2", "-pthread", "-fPIC", "-shared", "-fcx-limited-range",
-            "-ffp-contract=off")
+_C_FLAGS = ("-O2", "-pthread", "-fPIC", "-shared", "-ffp-contract=off",
+            "-fno-math-errno")
 # numpy wheels ship libnpyrandom.a under random/lib for C extensions
 _NUMPY_DIR = Path(np.__file__).parent
 # numpy's ziggurat tables: C element type and the struct format of each
@@ -358,53 +512,110 @@ _TABLES = {b"ki_double": ("uint64_t", "<256Q"),
 _CHECK_SEED = 20260814
 _CHECK_KEYS = (0, 2**32 - 1)
 _CHECK_DRAWS = 2**14
+# the load-time step check's block: trajectories x steps
+_CHECK_STEP = (7, 12)
+
+
+def _root_formula(x, y, m2):
+    """root_formula of the C source on float64 arrays, m2 = x*x + y*y."""
+    t = np.sqrt(0.5 * (np.sqrt(m2) + np.abs(x)))
+    u = 0.5 * (y / t)
+    if not np.signbit(x).any():    # x >= 0, and u has the sign of y
+        return t, u
+    neg = x < 0.0
+    return np.where(neg, np.abs(u), t), np.copysign(np.where(neg, t, u), y)
+
+
+def _root(x, y):
+    """lane_root of the C source: the kernels' principal square root of
+    x + iy on float64 arrays, as (real, imaginary) arrays."""
+    m2 = x * x + y * y
+    re, im = _root_formula(x, y, m2)
+    out = ~((m2 >= 2.0**-1000) & (m2 <= 2.0**1000))
+    if not out.any():
+        return re, im
+    # root_rescaled, NaN included
+    xo, yo = x[out], y[out]
+    big = (np.abs(xo) > 1) | (np.abs(yo) > 1)
+    scale = np.where(big, 2.0**-600, 2.0**600)
+    sx, sy = xo * scale, yo * scale
+    ro, io = _root_formula(sx, sy, sx * sx + sy * sy)
+    back = np.where(big, 2.0**300, 2.0**-300)
+    zero = (xo == 0) & (yo == 0)
+    re[out] = np.where(zero, 0.0, ro * back)
+    im[out] = np.where(zero, yo, io * back)
+    return re, im
+
+
+def _scatter(state, cols, px, py, sx, sy):
+    """Store pumps (2, n) and signals (2, 2, n) into state's columns."""
+    for part, p, s in ((state.real, px, sx), (state.imag, py, sy)):
+        rows = np.empty((2, 3, cols.size))
+        rows[:, 0], rows[:, 1:] = p, s
+        part[:, cols] = rows.reshape(6, cols.size)
 
 
 def _chunk_step_numpy(state, w, alive, first_bad, eps, m_pump, dt,
                       e_pump, phi_pump, thr2, step0):
+    """The C lane step on all live trajectories at once, each operation
+    the C source's, in its order, on float64 arrays, so the bits are equal.
+
+    Pumps are held as (2, n) arrays, rows a0 and a0p, and signals as
+    (2, 2, n) arrays, rows (a1, a2) and (a1p, a2p), real and imaginary
+    parts apart; the partner p of each signal in eps*p*q is then the
+    signals reversed on both axes.
+    """
+    idx = np.flatnonzero(alive)
+    n = idx.size
+    re = state.real[:, idx].reshape(2, 3, n)
+    im = state.imag[:, idx].reshape(2, 3, n)
+    px, py, sx, sy = re[:, 0], im[:, 0], re[:, 1:], im[:, 1:]
+    # dw1 = w0 + i w1, dw2 = w0 - i w1, and alike for dw1p and dw2p
+    flip = np.array([1.0, -1.0])[:, None]
     # non-finite states are expected here and killed by the threshold test
-    with np.errstate(invalid="ignore", over="ignore"):
+    with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
         for c in range(w.shape[1]):
-            idx = np.flatnonzero(alive)
-            if idx.size == 0:
+            if n == 0:
                 return
-            a0 = state[0, idx]
-            a1 = state[1, idx]
-            a2 = state[2, idx]
-            a0p = state[3, idx]
-            a1p = state[4, idx]
-            a2p = state[5, idx]
-            wc = w[idx, c]
-            dw1 = wc[:, 0] + 1j * wc[:, 1]
-            dw2 = wc[:, 0] - 1j * wc[:, 1]
-            dw1p = wc[:, 2] + 1j * wc[:, 3]
-            dw2p = wc[:, 2] - 1j * wc[:, 3]
-            r0 = np.sqrt((eps * a0).astype(np.complex128))
-            r0p = np.sqrt((eps * a0p).astype(np.complex128))
-            n0 = m_pump + (a0 - m_pump) * e_pump + phi_pump * (-eps * a1 * a2)
-            n0p = m_pump + (a0p - m_pump) * e_pump + phi_pump * (-eps * a1p * a2p)
-            n1 = a1 + dt * (-a1 + eps * a2p * a0) + r0 * dw1
-            n2 = a2 + dt * (-a2 + eps * a1p * a0) + r0 * dw2
-            n1p = a1p + dt * (-a1p + eps * a2 * a0p) + r0p * dw1p
-            n2p = a2p + dt * (-a2p + eps * a1 * a0p) + r0p * dw2p
-            cand = np.stack([n0, n1, n2, n0p, n1p, n2p])
-            mag2 = cand.real * cand.real + cand.imag * cand.imag
-            ok = np.all(mag2 <= thr2, axis=0)
-            good = idx[ok]
-            bad = idx[~ok]
-            state[:, good] = cand[:, ok]
-            if bad.size:
-                alive[bad] = False
-                first_bad[bad] = step0 + c
+            wc = (w[:, c] if n == len(alive) else w[idx, c]).T
+            rx, ry = _root(eps * px, eps * py)
+            # the pumps: m + (a - m)*e_pump + phi_pump*(-eps*b*c)
+            bx, by = -eps * sx[:, 0], -eps * sy[:, 0]
+            qx = bx * sx[:, 1] - by * sy[:, 1]
+            qy = bx * sy[:, 1] + by * sx[:, 1]
+            npx = m_pump + (px - m_pump) * e_pump + phi_pump * qx
+            npy = py * e_pump + phi_pump * qy
+            # the signals: s + dt*(eps*p*q - s) + root*dw
+            ex, ey = eps * sx[::-1, ::-1], eps * sy[::-1, ::-1]
+            pump_x, pump_y = px[:, None], py[:, None]
+            dx = ex * pump_x - ey * pump_y
+            dy = ex * pump_y + ey * pump_x
+            wr, wi = wc[0::2, None], wc[1::2, None] * flip
+            rx, ry = rx[:, None], ry[:, None]
+            nsx = sx + dt * (dx - sx) + (rx * wr - ry * wi)
+            nsy = sy + dt * (dy - sy) + (rx * wi + ry * wr)
+            ok = ((npx * npx + npy * npy <= thr2).all(axis=0)
+                  & (nsx * nsx + nsy * nsy <= thr2).all(axis=(0, 1)))
+            if not ok.all():
+                # the dead keep their last good state
+                _scatter(state, idx[~ok], px[:, ~ok], py[:, ~ok],
+                         sx[..., ~ok], sy[..., ~ok])
+                alive[idx[~ok]] = False
+                first_bad[idx[~ok]] = step0 + c
+                idx, npx, npy = idx[ok], npx[:, ok], npy[:, ok]
+                nsx, nsy = nsx[..., ok], nsy[..., ok]
+                n = idx.size
+            px, py, sx, sy = npx, npy, nsx, nsy
+    _scatter(state, idx, px, py, sx, sy)
 
 
 def _chunk_step_c(state, w, alive, first_bad, eps, m_pump, dt,
-                  e_pump, phi_pump, thr2, step0, n_threads=1):
+                  e_pump, phi_pump, thr2, step0, n_threads=1, lib=None):
     if not (w.dtype == np.float64 and w.ndim == 3 and w.shape[0] == len(alive)
             and w.shape[2] == 4 and w.flags.c_contiguous):
         raise ValueError("w must be a C-contiguous float64 (B, n_steps, 4) array")
     _call_c(state, w.ctypes.data, None, 1.0, alive, first_bad, w.shape[1],
-            eps, m_pump, dt, e_pump, phi_pump, thr2, step0, n_threads)
+            eps, m_pump, dt, e_pump, phi_pump, thr2, step0, n_threads, lib)
 
 
 def seed_generators(master_seed: int, first: int, nb: int,
@@ -446,8 +657,8 @@ def _draw_chunk_step_c(state, gens, n_steps, scale, alive, first_bad, eps,
 
 
 def _call_c(state, w_ptr, gens_ptr, scale, alive, first_bad, n_steps, eps,
-            m_pump, dt, e_pump, phi_pump, thr2, step0, n_threads):
-    lib = _c_function()
+            m_pump, dt, e_pump, phi_pump, thr2, step0, n_threads, lib=None):
+    lib = lib or _c_function()
     if lib is None:
         raise RuntimeError("the C step kernel is not available")
     nb = state.shape[1]
@@ -584,10 +795,13 @@ def _compiled_library() -> Path:
     st = os.stat(real)
     compiler = f"{real}:{st.st_size}:{st.st_mtime_ns}"
     # crc32, not hashlib: importing hashlib loads OpenSSL, about 3 MB of
-    # resident memory in every process that integrates
-    key = "".join(f"{zlib.crc32(part.encode()):08x}"
-                  for part in (_C_TEMPLATE, " ".join(_C_FLAGS), compiler,
-                               np.__version__))
+    # resident memory in every process that integrates; this module's
+    # source holds both the C template and the numpy kernel whose check
+    # bytes are kept beside the library
+    key = "".join(f"{zlib.crc32(part):08x}"
+                  for part in (Path(__file__).read_bytes(),
+                               " ".join(_C_FLAGS).encode(), compiler.encode(),
+                               np.__version__.encode()))
     cache = _cache_dir()
     lib = cache / f"chunk_step_{key}.so"
     if lib.is_file():
@@ -609,18 +823,61 @@ def _compiled_library() -> Path:
     return lib
 
 
+def _check_chunk(step, normals) -> bytes:
+    """state, alive and first_bad bytes after `step` (a kernel) on the
+    load-time check chunk: _CHECK_STEP trajectories x steps of buffered
+    noise made from `normals`, two lane groups, the second partial, with
+    #3 kicked over the threshold at step 9, #5 starting at a zero pump
+    (the exact zero root) and #6 at a tiny one (the rescaled root)."""
+    nb, n_steps = _CHECK_STEP
+    state = 2.0 + normals[:6 * nb].reshape(6, nb) + 1j * normals[
+        6 * nb:12 * nb].reshape(6, nb)
+    state[0, 5], state[3, 6] = 0.0, 1e-170j
+    w = 0.1 * normals[12 * nb:(12 + 4 * n_steps) * nb].reshape(nb, n_steps, 4)
+    w[3, 9, 0] = 1e4
+    alive = np.ones(nb, dtype=np.bool_)
+    first_bad = np.full(nb, -1, dtype=np.int64)
+    step(state, w, alive, first_bad, 0.5, 2.0, 0.01, 0.99, 0.01, 1e4, 3)
+    return state.tobytes() + alive.tobytes() + first_bad.tobytes()
+
+
+def _check_reference(path: Path, normals) -> bytes:
+    """The numpy kernel's `_check_chunk` bytes, kept in `path` beside the
+    library: the first load of a build computes them, later loads read
+    them, because a first numpy step pages in about 0.3 MB of numpy that
+    a run on the C kernel never touches."""
+    try:
+        return path.read_bytes()
+    except OSError:
+        pass
+    reference = _check_chunk(_chunk_step_numpy, normals)
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=".check-")
+    try:
+        with os.fdopen(fd, "wb") as f:
+            f.write(reference)
+        os.replace(tmp, path)
+    except OSError:
+        pass        # compared all the same, only not kept
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+    return reference
+
+
 @functools.cache
 def _c_function():
     """The loaded C kernel library, or None (with one warning) when
     unavailable.
 
     Its seeding must first give numpy's PCG64 states for the spawn keys
-    _CHECK_KEYS and their successors, and its sampler must reproduce
+    _CHECK_KEYS and their successors, its sampler must reproduce
     Generator.standard_normal bit for bit on _CHECK_DRAWS draws from the
-    last of them, consuming the same words.
+    last of them, consuming the same words, and its step must leave the
+    numpy kernel's bytes on `_check_chunk`.
     """
     try:
-        lib = ctypes.CDLL(str(_compiled_library()))
+        path = _compiled_library()
+        lib = ctypes.CDLL(str(path))
     except (OSError, subprocess.SubprocessError, _BuildError) as exc:
         warnings.warn(f"opo3: C step kernel unavailable ({exc}); "
                       "using the slower numpy kernel", RuntimeWarning,
@@ -644,11 +901,13 @@ def _c_function():
     lib.opo3_normals(ours[-1].ctypes.data, got.size, got.ctypes.data)
     want = np.random.Generator(bitgens[-1]).standard_normal(got.size)
     if not (seeded and got.tobytes() == want.tobytes()
-            and ours[-1].tobytes() == _pcg64_words(bitgens[-1]).tobytes()):
-        warnings.warn("opo3: the C kernel's generator does not reproduce "
-                      "numpy's SeedSequence, PCG64 and "
-                      "Generator.standard_normal; using the slower numpy "
-                      "kernel", RuntimeWarning, stacklevel=2)
+            and ours[-1].tobytes() == _pcg64_words(bitgens[-1]).tobytes()
+            and _check_chunk(functools.partial(_chunk_step_c, lib=lib), want)
+            == _check_reference(path.with_suffix(".check"), want)):
+        warnings.warn("opo3: the C kernel does not reproduce numpy's "
+                      "SeedSequence, PCG64, Generator.standard_normal and "
+                      "step kernel; using the slower numpy kernel",
+                      RuntimeWarning, stacklevel=2)
         return None
     return lib
 

@@ -213,8 +213,10 @@ def _run_block(params: ModelParams, rcfg: ResolvedConfig, traj_indices,
     else:
         gens = None
         rngs = [_traj_rng(rcfg.master_seed, int(t)) for t in traj_indices]
+    # t * t, not t ** 2: the same bits, and inf rather than OverflowError
+    thr = float(rcfg.divergence_threshold)
     kernel_args = (params.eps, params.mu / params.eps, rcfg.dt, rcfg.e_pump,
-                   rcfg.phi_pump, rcfg.divergence_threshold ** 2)
+                   rcfg.phi_pump, thr * thr)
 
     step = 0
     w = None
@@ -383,7 +385,8 @@ def integrate_batch(params: ModelParams, dt: float, normals: np.ndarray,
         raise ValueError(f"unknown scheme {scheme!r}")
     e_pump, phi_pump = _pump_factors(params.gamma_r, dt)
     stepper = _kernels.get_stepper()
-    thr2 = divergence_threshold ** 2
+    thr = float(divergence_threshold)
+    thr2 = thr * thr                    # inf, not an OverflowError
     m_pump = params.mu / params.eps
     scale = math.sqrt(dt / 2.0)
     step = 0

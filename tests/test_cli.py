@@ -215,6 +215,43 @@ class TestRun:
         assert lines == ["tau,n_samples,lhs,rhs,ratio"]
         assert "unreliable" in capsys.readouterr().err
 
+    def test_huge_divergence_threshold_runs(self, tmp_path):
+        # its square overflows to inf, which the kernels take as no bound
+        rc = run_main(["run", *FAST, "--n-trajectories", 4,
+                       "--n-samples-per-traj", 2,
+                       "--divergence-threshold", "1e300",
+                       "--out-dir", tmp_path])
+        assert rc == 0
+        doc = json.loads((tmp_path / "report.json").read_text())
+        assert doc["n_diverged"] == 0
+
+    @pytest.mark.parametrize("point", [
+        ["--gamma-r", "1", "--dt", "0.01"],       # the ensemble-wide point
+        ["--gamma-r", "25", "--dt", "2e-3"]])     # the trajectory-stiff one
+    def test_artifacts_equal_across_kernels_and_workers(
+            self, tmp_path, monkeypatch, point):
+        # the kernels are bitwise equal and a trajectory's bits do not
+        # depend on the thread that steps it, so the artifacts differ only
+        # in the fields naming the kernel and its threads, and the time
+        argv = ["run", "--mu", "0.5", "--g", "0.05", "--burn-in", "20",
+                "--sample-interval", "2", *point, "--n-trajectories", "9",
+                "--n-samples-per-traj", "3", "--seed", "3"]
+        runs = {}
+        for name, workers in (("c1", "1"), ("c2", "2"), ("c3", "3"),
+                              ("numpy", "1")):
+            if name == "numpy":
+                monkeypatch.setattr(_kernels, "get_stepper",
+                                    lambda: _kernels._chunk_step_numpy)
+            monkeypatch.setenv("OPO3_WORKERS", workers)
+            assert run_main(argv + ["--out-dir", tmp_path / name]) == 0
+            doc = json.loads((tmp_path / name / "report.json").read_text())
+            for key in ("backend", "workers", "elapsed_seconds"):
+                doc.pop(key)
+            runs[name] = (json.dumps(doc),
+                          (tmp_path / name / "timeseries.csv").read_bytes())
+        for name in ("c2", "c3", "numpy"):
+            assert runs[name] == runs["c1"], name
+
     def test_too_few_trajectories_exits_2(self, tmp_path, capsys):
         # one trajectory and no divergence: an input problem, as in compare
         rc = run_main(["run", *FAST, "--n-trajectories", 1,

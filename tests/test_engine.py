@@ -1,11 +1,11 @@
 """Stochastic integration engine: noise statistics, exact stepping algebra,
 determinism, divergence handling, stationarity, and weak convergence."""
 
+import cmath
 import ctypes
 import dataclasses
 import math
 import os
-import platform
 import shutil
 import subprocess
 import warnings
@@ -312,10 +312,13 @@ class TestDeterminism:
         assert slow.backend == "opo3._kernels._chunk_step_numpy"
         assert slow.workers == 1
         assert slow.n_diverged == fast.n_diverged == 0
+        # the kernels are bitwise equal, so the moments and errors are too
         a, b = fast.report("none"), slow.report("none")
         for name in ("t1", "q4", "var_x0", "cov_x_xp", "amp_n0", "mean_x0"):
-            assert b[name].value == pytest.approx(a[name].value,
-                                                  rel=1e-12, abs=1e-20)
+            want, got = (np.array([r[name].value, r[name].std_error,
+                                   r[name].std_error_imag]).tobytes()
+                         for r in (a, b))
+            assert got == want, name
 
 
 @pytest.fixture
@@ -377,9 +380,10 @@ class TestKernels:
             np.testing.assert_array_equal(alive, [1, 1, 0, 0, 0, 1, 0])
             np.testing.assert_array_equal(
                 first_bad, [-1, -1, 5137, 5200, 5000, -1, 5000])
-            np.testing.assert_allclose(state[:, 2], frozen[:, 0], rtol=1e-12)
-            np.testing.assert_array_equal(state[:, 4::2], start[:, 4::2])
-        np.testing.assert_allclose(c_out[0], np_out[0], rtol=1e-12, atol=0)
+            assert state[:, 2].tobytes() == frozen[:, 0].tobytes()
+            assert state[:, 4::2].tobytes() == start[:, 4::2].tobytes()
+        for got, want in zip(c_out, np_out):
+            assert got.tobytes() == want.tobytes()
 
     @needs_cc
     @pytest.mark.parametrize("n_threads", [2, 3, 8])
@@ -609,20 +613,22 @@ class TestKernels:
             want = _kernels._pcg64_words(rng.bit_generator)
             assert row.tobytes() == want.tobytes(), j
 
-    @needs_cc
-    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
-                        reason="the fast path copies glibc's csqrt")
-    def test_csqrt_fast_path_matches_libm(self):
+    @pytest.mark.parametrize("kernel", [pytest.param("c", marks=needs_cc),
+                                        "numpy"])
+    def test_root_within_two_ulp_of_cmath(self, kernel):
         # one buffer step from zero signal amplitudes with noise (1, 0, 1,
-        # 0) and eps = 1 leaves the a1 and a1p candidates equal to
-        # csqrt(a0) and csqrt(a0p); numpy's complex sqrt is libm's csqrt
+        # 0) and eps = 1 leaves the a1 and a1p candidates equal to the
+        # kernels' roots of a0 and a0p; the grid runs from 1e-300 to 1e300,
+        # through the rescaled range at both ends, and the edges hold
+        # signed zeros, the negative real axis and subnormals
         tiny = 5e-324
         edges = [(0.0, 1.0), (-0.0, -2.5), (3.0, 0.0), (-3.0, 0.0),
-                 (3.0, -0.0), (-3.0, -0.0), (0.0, 0.0), (tiny, 1.0),
-                 (-tiny, 1.0), (1.0, tiny), (1.0, -tiny), (-1.0, tiny),
-                 (tiny, -tiny), (2.0**-1022, 2.0**-1030), (1e150, tiny),
-                 (-1e150, 1e-300), (1e-300, 1e150), (-1e-300, -1e150)]
-        mags = 10.0 ** np.arange(-300, 151, 5, dtype=np.float64)
+                 (3.0, -0.0), (-3.0, -0.0), (0.0, 0.0), (-0.0, -0.0),
+                 (tiny, 1.0), (-tiny, 1.0), (1.0, tiny), (1.0, -tiny),
+                 (-1.0, tiny), (tiny, -tiny), (2.0**-1022, 2.0**-1030),
+                 (1e150, tiny), (-1e150, 1e-300), (1e-300, 1e150),
+                 (-1e-300, -1e150), (1e300, -1e-300), (-1.7e308, 1.7e308)]
+        mags = 10.0 ** np.arange(-300, 301, 5, dtype=np.float64)
         angles = np.linspace(-np.pi, np.pi, 13)[:-1] + 0.1
         grid = (mags[:, None] * np.exp(1j * angles)).ravel()
         z = np.concatenate([[complex(x, y) for x, y in edges], grid])
@@ -635,13 +641,79 @@ class TestKernels:
         w[:, 0, [0, 2]] = 1.0
         alive = np.ones(nb, dtype=np.bool_)
         first_bad = np.full(nb, -1, dtype=np.int64)
-        _kernels._chunk_step_c(state, w, alive, first_bad, 1.0, 0.0, 0.5,
-                               1.0, 0.0, math.inf, 0)
+        stepper = (_kernels._chunk_step_c if kernel == "c"
+                   else _kernels._chunk_step_numpy)
+        stepper(state, w, alive, first_bad, 1.0, 0.0, 0.5, 1.0, 0.0,
+                math.inf, 0)
         assert alive.all()
-        # the step's additions may flip the sign of a zero part; + 0 makes
-        # every zero +0 on both sides and leaves all else bitwise
-        for got, want in ((state[1], np.sqrt(z)), (state[4], np.sqrt(zp))):
-            assert (got + 0).tobytes() == (want + 0).tobytes()
+        for got, operands in ((state[1], z), (state[4], zp)):
+            for root, v in zip(got.tolist(), operands.tolist()):
+                want = cmath.sqrt(v)
+                for part, exact in ((root.real, want.real),
+                                    (root.imag, want.imag)):
+                    assert abs(part - exact) <= 2 * math.ulp(exact), v
+        # the step's additions may flip the sign of a zero part, so the
+        # signs are checked on the formula itself: zero gives (+0, y)
+        with np.errstate(all="ignore"):
+            re, im = _kernels._root(z.real.copy(), z.imag.copy())
+        for r, i, v in zip(re.tolist(), im.tolist(), z.tolist()):
+            want = cmath.sqrt(v)
+            assert (math.copysign(1, r), math.copysign(1, i)) == (
+                math.copysign(1, want.real), math.copysign(1, want.imag)), v
+
+    @needs_cc
+    @pytest.mark.parametrize("drawn", [False, True])
+    def test_lanes_match_one_trajectory_blocks(self, drawn):
+        # blocks of 1 to 9 trajectories on 1 to 3 threads, with the one
+        # started at (40, 10, 0, 40, 0, 10) in each position in turn: it
+        # outgrows the threshold mid-chunk, whichever lane it is in.  Each
+        # trajectory's state, alive, first_bad and generator words equal
+        # those of a block that holds it alone
+        p = ModelParams(0.5, 1.0, 0.3)
+        dt, n_steps, thr = 0.01, 40, 50.0
+        calm = np.tile(fixed_point(p).as_array()[:, None], (1, 9))
+        wild = np.array([40, 10, 0, 40, 0, 10], dtype=np.complex128)
+        noise = np.random.default_rng(4).standard_normal(
+            (9, n_steps, 4)) * math.sqrt(dt / 2.0)
+        scalars = (p.eps, p.mu / p.eps, dt, 1.0 - p.gamma_r * dt, dt,
+                   thr * thr, 0)
+
+        def run(start, first, threads):
+            nb = start.shape[1]
+            state = start.copy()
+            alive = np.ones(nb, dtype=np.bool_)
+            first_bad = np.full(nb, -1, dtype=np.int64)
+            gens = _kernels.seed_generators(6, first, nb)
+            if drawn:
+                _kernels._draw_chunk_step_c(state, gens, n_steps,
+                                            math.sqrt(dt / 2.0), alive,
+                                            first_bad, *scalars,
+                                            n_threads=threads)
+            else:
+                _kernels._chunk_step_c(state, noise[first:first + nb],
+                                       alive, first_bad, *scalars,
+                                       n_threads=threads)
+            return state, alive, first_bad, gens
+
+        alone = {}      # (index, calm) -> the trajectory in a block alone
+        for j in range(9):
+            alone[j, True] = run(calm[:, j:j + 1], j, 1)
+            alone[j, False] = run(wild[:, None], j, 1)
+            assert alone[j, True][2][0] == -1
+            assert 0 < alone[j, False][2][0] < n_steps - 1
+        for nb in range(1, 10):
+            for dead in range(nb):
+                start = calm[:, :nb].copy()
+                start[:, dead] = wild
+                for threads in (1, 2, 3):
+                    got = run(start, 0, threads)
+                    for j in range(nb):
+                        want = alone[j, j != dead]
+                        assert got[0][:, j].tobytes() == want[0].tobytes()
+                        assert got[1][j] == want[1][0]
+                        assert got[2][j] == want[2][0]
+                        assert got[3][j].tobytes() == want[3].tobytes()
+                    assert not got[1][dead] and got[1].sum() == nb - 1
 
     @needs_cc
     def test_cache_key_runs_no_compiler(self, monkeypatch, tmp_path):
@@ -702,6 +774,53 @@ class TestKernels:
             _kernels._c_function.cache_clear()
 
     @needs_cc
+    def test_step_self_check_falls_back_once(self, monkeypatch, tmp_path):
+        # a C step one ulp away from the numpy kernel on the load-time
+        # chunk must never run: one warning, then the numpy kernel
+        step = _kernels._chunk_step_numpy
+
+        def one_ulp_off(state, *args):
+            step(state, *args)
+            state.real[1, 0] = np.nextafter(state.real[1, 0], np.inf)
+
+        monkeypatch.setattr(_kernels, "_chunk_step_numpy", one_ulp_off)
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+        _kernels._c_function.cache_clear()
+        try:
+            with pytest.warns(RuntimeWarning) as record:
+                assert _kernels.get_stepper() is one_ulp_off
+                assert _kernels.get_stepper() is one_ulp_off
+            assert len(record) == 1
+            assert "step kernel" in str(record[0].message)
+        finally:
+            _kernels._c_function.cache_clear()
+
+    @needs_cc
+    def test_step_reference_kept_beside_library(self, monkeypatch, tmp_path):
+        # the first load computes the numpy kernel's check bytes and keeps
+        # them; a later load compares with those and runs no numpy step,
+        # and a kept reference one bit off makes the C kernel fall back
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+        _kernels._c_function.cache_clear()
+        try:
+            assert _kernels.get_stepper() is _kernels._chunk_step_c
+            kept = _kernels._compiled_library().with_suffix(".check")
+            reference = kept.read_bytes()
+
+            def no_numpy_step(*args):
+                raise AssertionError("a numpy step ran on a cache hit")
+
+            monkeypatch.setattr(_kernels, "_chunk_step_numpy", no_numpy_step)
+            _kernels._c_function.cache_clear()
+            assert _kernels.get_stepper() is _kernels._chunk_step_c
+            kept.write_bytes(bytes([reference[0] ^ 1]) + reference[1:])
+            _kernels._c_function.cache_clear()
+            with pytest.warns(RuntimeWarning, match="step kernel"):
+                assert _kernels.get_stepper() is no_numpy_step
+        finally:
+            _kernels._c_function.cache_clear()
+
+    @needs_cc
     def test_missing_npyrandom_falls_back_once(self, monkeypatch, tmp_path):
         # without numpy's libnpyrandom.a the C kernel has no ziggurat tables
         monkeypatch.setattr(_kernels, "_NUMPY_DIR", tmp_path)
@@ -736,6 +855,26 @@ class TestDivergence:
                                                   initial_state=bad)
         assert first_bad == 0
         assert channels.shape == (12, 0)
+
+    @pytest.mark.parametrize("threshold", [1e300, 10**200, math.inf],
+                             ids=["1e300", "int-1e200", "inf"])
+    def test_huge_states_agree_across_kernels(self, monkeypatch, threshold):
+        # pumps near 1e200 put eps*a0 out of the formula's range, so every
+        # step takes the rescaled root; the threshold's square, of a float
+        # or an int, overflows to inf instead of raising, and both kernels
+        # give the same bytes
+        params = ModelParams(0.5, 1.0, 0.05)
+        start = np.zeros((6, 5), dtype=np.complex128)
+        start[0] = start[3] = 1e200 * np.exp(1j * np.linspace(-3, 3, 5))
+        normals = np.random.default_rng(2).standard_normal((2, 4, 5))
+        got = integrate_batch(params, 0.01, normals, start, threshold)
+        monkeypatch.setattr(_kernels, "get_stepper",
+                            lambda: _kernels._chunk_step_numpy)
+        want = integrate_batch(params, 0.01, normals, start, threshold)
+        assert got[0][1].tobytes() != start[1].tobytes()
+        assert np.isfinite(got[0]).all() and got[1].all()
+        for a, b in zip(got, want):
+            assert a.tobytes() == b.tobytes()
 
     def test_tiny_threshold_kills_everything(self):
         params = ModelParams(0.5, 1.0, 0.05)
