@@ -12,16 +12,16 @@ scaled by sqrt(dt/2); the four columns combine into the increments
 dw1 = w0 + i*w1, dw2 = w0 - i*w1, dw1p = w2 + i*w3, dw2p = w2 - i*w3,
 so <dw1 dw2> = <dw1p dw2p> = dt and all other second moments vanish.
 
-Noise source: both kernels accept such a buffer.  For ensemble runs the C
-kernel instead draws each live trajectory's normals as it steps
-(`_draw_chunk_step_c`), with a copy of numpy's ziggurat
-`random_standard_normal` that XORs the random sign into bit 63 instead of
-branching, so the draws are bit-for-bit `Generator.standard_normal`'s.
-Generator state: a uint64 array (B, 4) holds each trajectory's PCG64 as
-(state hi, state lo, inc hi, inc lo); the kernel keeps it in a local
-128-bit pair for a chunk and stores it back.  Seeding: `seed_generators`
-fills it in C with numpy's PCG64(SeedSequence(master_seed,
-spawn_key=(i,))) states.
+Noise source: a chunk's noise is such a buffer or, in ensemble runs,
+generator words: a uint64 array (B, 4) of each trajectory's PCG64 as
+(state hi, state lo, inc hi, inc lo), from which each live trajectory
+draws four normals a step, through the step it dies at, and scales them.
+The C kernel draws as it steps, with a copy of numpy's ziggurat
+`random_standard_normal` that XORs the random sign into bit 63 instead
+of branching, so the draws are bit-for-bit `Generator.standard_normal`'s;
+the numpy kernel draws each chunk up front from a `np.random.PCG64` set
+to the words.  `seed_generators` fills them with the states of
+PCG64(SeedSequence(master_seed, spawn_key=(i,))).
 
 Threads and lanes: the C kernel runs `n_threads` contiguous ranges of a
 block on pthreads, the calling thread taking the first range and any
@@ -33,12 +33,11 @@ nothing, and its state and generator stay as they are.  A trajectory
 touches only its own generator and state column, and every lane rounds
 alone, so results depend neither on the thread count nor on the lane.
 
-The pump takes the factored step a0 <- m + (a0 - m) * e_pump + phi_pump *
-(-eps * a1 * a2), m = mu/eps, whose Euler factors e_pump = 1 - gamma_r*dt
-and phi_pump = dt the engine passes in; signal modes take Euler-Maruyama
-steps.  A trajectory whose candidate exceeds the threshold
-or goes non-finite is frozen at its last good state, marked dead, and its
-global step index recorded.
+The pump takes the factored Euler step a0 <- m + (a0 - m) * e_pump +
+dt * (-eps * a1 * a2), m = mu/eps, e_pump = 1 - gamma_r*dt; signal modes
+take Euler-Maruyama steps.  A trajectory whose candidate exceeds the
+threshold or goes non-finite is frozen at its last good state, marked
+dead, and its global step index recorded.
 
 Rounding: both kernels take each step in float64 real arithmetic, every
 complex product the textbook (ac - bd, ad + bc), each operation rounded
@@ -332,20 +331,19 @@ static ALWAYS_INLINE void cmul(const lanes_t *a, const lanes_t *b, lanes_t *p)
 typedef struct {
     double *state; const double *w; uint64_t *gens; double scale;
     uint8_t *alive; int64_t *first_bad; int64_t nb, n_steps;
-    double eps, m_pump, dt, e_pump, phi_pump, thr2; int64_t step0;
+    double eps, m_pump, dt, e_pump, thr2; int64_t step0;
     int64_t lo, hi; pthread_t thread; int started;
 } range_t;
 
-/* the pump mode: m + (a - m)*e_pump + phi_pump*(-eps*b*c) */
+/* the pump mode: m + (a - m)*e_pump + dt*(-eps*b*c) */
 static ALWAYS_INLINE void pump_step(const range_t *r, const lanes_t *a,
                                     const lanes_t *b, const lanes_t *c,
                                     lanes_t *next)
 {
     lanes_t eb = {-r->eps * b->re, -r->eps * b->im}, p;
     cmul(&eb, c, &p);
-    next->re = r->m_pump + (a->re - r->m_pump) * r->e_pump
-               + r->phi_pump * p.re;
-    next->im = a->im * r->e_pump + r->phi_pump * p.im;
+    next->re = r->m_pump + (a->re - r->m_pump) * r->e_pump + r->dt * p.re;
+    next->im = a->im * r->e_pump + r->dt * p.im;
 }
 
 /* a signal mode: s + dt*(eps*p*q - s) + root*dw */
@@ -470,8 +468,8 @@ static LANE_CLONES void *step_range(void *arg)
 int opo3_chunk_step(double *state, const double *w, uint64_t *gens,
                     double scale, uint8_t *alive, int64_t *first_bad,
                     int64_t nb, int64_t n_steps, double eps, double m_pump,
-                    double dt, double e_pump, double phi_pump, double thr2,
-                    int64_t step0, int64_t n_threads)
+                    double dt, double e_pump, double thr2, int64_t step0,
+                    int64_t n_threads)
 {
     if (n_threads > nb)
         n_threads = nb;
@@ -483,7 +481,7 @@ int opo3_chunk_step(double *state, const double *w, uint64_t *gens,
     for (int64_t t = 0; t < n_threads; t++) {
         range_t *r = &ranges[t];
         *r = (range_t){state, w, gens, scale, alive, first_bad, nb, n_steps,
-                       eps, m_pump, dt, e_pump, phi_pump, thr2, step0,
+                       eps, m_pump, dt, e_pump, thr2, step0,
                        nb * t / n_threads, nb * (t + 1) / n_threads, 0, 0};
         r->started = t > 0
                      && pthread_create(&r->thread, NULL, step_range, r) == 0;
@@ -555,10 +553,12 @@ def _scatter(state, cols, px, py, sx, sy):
         part[:, cols] = rows.reshape(6, cols.size)
 
 
-def _chunk_step_numpy(state, w, alive, first_bad, eps, m_pump, dt,
-                      e_pump, phi_pump, thr2, step0):
+def _chunk_step_numpy(state, w, gens, scale, alive, first_bad, n_steps, eps,
+                      m_pump, dt, e_pump, thr2, step0, n_threads=1):
     """The C lane step on all live trajectories at once, each operation
     the C source's, in its order, on float64 arrays, so the bits are equal.
+    It takes the arguments of `_chunk_step_c` and runs on the calling
+    thread whatever n_threads says.
 
     Pumps are held as (2, n) arrays, rows a0 and a0p, and signals as
     (2, 2, n) arrays, rows (a1, a2) and (a1p, a2p), real and imaginary
@@ -566,6 +566,14 @@ def _chunk_step_numpy(state, w, alive, first_bad, eps, m_pump, dt,
     signals reversed on both axes.
     """
     idx = np.flatnonzero(alive)
+    if gens is not None:
+        # each live trajectory's whole chunk, drawn up front
+        rng = np.random.Generator(np.random.PCG64(0))
+        live, start = idx, gens.copy()
+        w = np.empty((len(alive), n_steps, 4))
+        for j in idx:
+            _draw(rng, gens[j], w[j])
+            w[j] *= scale
     n = idx.size
     re = state.real[:, idx].reshape(2, 3, n)
     im = state.imag[:, idx].reshape(2, 3, n)
@@ -574,17 +582,17 @@ def _chunk_step_numpy(state, w, alive, first_bad, eps, m_pump, dt,
     flip = np.array([1.0, -1.0])[:, None]
     # non-finite states are expected here and killed by the threshold test
     with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
-        for c in range(w.shape[1]):
+        for c in range(n_steps):
             if n == 0:
-                return
+                break
             wc = (w[:, c] if n == len(alive) else w[idx, c]).T
             rx, ry = _root(eps * px, eps * py)
-            # the pumps: m + (a - m)*e_pump + phi_pump*(-eps*b*c)
+            # the pumps: m + (a - m)*e_pump + dt*(-eps*b*c)
             bx, by = -eps * sx[:, 0], -eps * sy[:, 0]
             qx = bx * sx[:, 1] - by * sy[:, 1]
             qy = bx * sy[:, 1] + by * sx[:, 1]
-            npx = m_pump + (px - m_pump) * e_pump + phi_pump * qx
-            npy = py * e_pump + phi_pump * qy
+            npx = m_pump + (px - m_pump) * e_pump + dt * qx
+            npy = py * e_pump + dt * qy
             # the signals: s + dt*(eps*p*q - s) + root*dw
             ex, ey = eps * sx[::-1, ::-1], eps * sy[::-1, ::-1]
             pump_x, pump_y = px[:, None], py[:, None]
@@ -607,28 +615,73 @@ def _chunk_step_numpy(state, w, alive, first_bad, eps, m_pump, dt,
                 n = idx.size
             px, py, sx, sy = npx, npy, nsx, nsy
     _scatter(state, idx, px, py, sx, sy)
+    if gens is not None:
+        # one that died in the chunk drew through its last step only
+        for j in live[~alive[live]]:
+            gens[j] = start[j]
+            _draw(rng, gens[j], np.empty((first_bad[j] - step0 + 1, 4)))
 
 
-def _chunk_step_c(state, w, alive, first_bad, eps, m_pump, dt,
-                  e_pump, phi_pump, thr2, step0, n_threads=1, lib=None):
-    if not (w.dtype == np.float64 and w.ndim == 3 and w.shape[0] == len(alive)
-            and w.shape[2] == 4 and w.flags.c_contiguous):
-        raise ValueError("w must be a C-contiguous float64 (B, n_steps, 4) array")
-    _call_c(state, w.ctypes.data, None, 1.0, alive, first_bad, w.shape[1],
-            eps, m_pump, dt, e_pump, phi_pump, thr2, step0, n_threads, lib)
+def _draw(rng, words, out):
+    """Fill `out` from rng.standard_normal, its PCG64 set to the state in
+    `words` (see `seed_generators`) first and stored back into it after."""
+    state, inc = (int(words[0]) << 64 | int(words[1]),
+                  int(words[2]) << 64 | int(words[3]))
+    rng.bit_generator.state = {"bit_generator": "PCG64",
+                               "state": {"state": state, "inc": inc},
+                               "has_uint32": 0, "uinteger": 0}
+    rng.standard_normal(out=out)
+    words[:] = _pcg64_words(rng.bit_generator)
+
+
+def _chunk_step_c(state, w, gens, scale, alive, first_bad, n_steps, eps,
+                  m_pump, dt, e_pump, thr2, step0, n_threads=1, lib=None):
+    """opo3_chunk_step on a block: its n_steps steps draw their noise from
+    gens, each trajectory's generator words, and scale it by `scale`, or
+    when gens is None read it from w, a C-contiguous (B, n_steps, 4)
+    buffer."""
+    lib = lib or _c_function()
+    if lib is None:
+        raise RuntimeError("the C step kernel is not available")
+    if n_steps < 1:
+        raise ValueError("n_steps must be positive")
+    nb = state.shape[1]
+    noise = (("gens", gens, np.uint64, (nb, 4)) if gens is not None
+             else ("w", w, np.float64, (nb, n_steps, 4)))
+    # the C side trusts these shapes and layouts; check them here
+    for name, a, dtype, shape in (("state", state, np.complex128, (6, nb)),
+                                  ("alive", alive, np.bool_, (nb,)),
+                                  ("first_bad", first_bad, np.int64, (nb,)),
+                                  noise):
+        if not (a.dtype == dtype and a.shape == shape and a.flags.c_contiguous
+                and (a.flags.writeable or a is w)):
+            need = "C-contiguous" if a is w else "writeable C-contiguous"
+            raise ValueError(f"{name} must be a {need} "
+                             f"{np.dtype(dtype).name} {shape} array")
+    w_ptr, gens_ptr = ((None, gens.ctypes.data) if gens is not None
+                       else (w.ctypes.data, None))
+    if lib.opo3_chunk_step(state.ctypes.data, w_ptr, gens_ptr, scale,
+                           alive.ctypes.data, first_bad.ctypes.data, nb,
+                           n_steps, eps, m_pump, dt, e_pump, thr2, step0,
+                           n_threads) != 0:
+        raise MemoryError("no memory for the C kernel's thread ranges")
 
 
 def seed_generators(master_seed: int, first: int, nb: int,
                     lib=None) -> np.ndarray:
     """(nb, 4) uint64 rows (state hi, state lo, inc hi, inc lo), row j the
-    state of PCG64(SeedSequence(master_seed, spawn_key=(first + j,)))."""
+    state of PCG64(SeedSequence(master_seed, spawn_key=(first + j,))),
+    seeded in C, or by numpy when the C kernel is not available."""
     lib = lib or _c_function()
+    out = np.empty((nb, 4), dtype=np.uint64)
     if lib is None:
-        raise RuntimeError("the C step kernel is not available")
+        for j in range(nb):
+            out[j] = _pcg64_words(np.random.PCG64(np.random.SeedSequence(
+                master_seed, spawn_key=(first + j,))))
+        return out
     # master_seed's little-endian uint32 words, as SeedSequence reads it
     n = max(1, -(-master_seed.bit_length() // 32))
     words = np.frombuffer(master_seed.to_bytes(4 * n, "little"), dtype="<u4")
-    out = np.empty((nb, 4), dtype=np.uint64)
     lib.opo3_seed(words.ctypes.data, words.size, first, nb, out.ctypes.data)
     return out
 
@@ -638,47 +691,6 @@ def _pcg64_words(bit_generator: np.random.PCG64) -> np.ndarray:
     st, mask = bit_generator.state["state"], 2**64 - 1
     return np.array([st["state"] >> 64, st["state"] & mask, st["inc"] >> 64,
                      st["inc"] & mask], dtype=np.uint64)
-
-
-def _draw_chunk_step_c(state, gens, n_steps, scale, alive, first_bad, eps,
-                       m_pump, dt, e_pump, phi_pump, thr2, step0,
-                       n_threads=1):
-    """`_chunk_step_c` drawing its noise inside the kernel: live trajectory
-    j takes from the PCG64 in gens[j] (see `seed_generators`) exactly
-    Generator.standard_normal((n_steps, 4)) * scale, moving gens[j] on."""
-    if not (gens.dtype == np.uint64 and gens.shape == (len(alive), 4)
-            and gens.flags.c_contiguous and gens.flags.writeable):
-        raise ValueError("gens must be a writeable C-contiguous uint64 "
-                         "(B, 4) array")
-    if n_steps < 1:
-        raise ValueError("n_steps must be positive")
-    _call_c(state, None, gens.ctypes.data, scale, alive, first_bad, n_steps,
-            eps, m_pump, dt, e_pump, phi_pump, thr2, step0, n_threads)
-
-
-def _call_c(state, w_ptr, gens_ptr, scale, alive, first_bad, n_steps, eps,
-            m_pump, dt, e_pump, phi_pump, thr2, step0, n_threads, lib=None):
-    lib = lib or _c_function()
-    if lib is None:
-        raise RuntimeError("the C step kernel is not available")
-    nb = state.shape[1]
-    # the C side trusts these shapes and layouts; check them here
-    if not (state.dtype == np.complex128 and state.shape == (6, nb)
-            and state.flags.c_contiguous):
-        raise ValueError("state must be a C-contiguous complex128 (6, B) array")
-    if not (alive.dtype == np.bool_ and first_bad.dtype == np.int64
-            and alive.shape == first_bad.shape == (nb,)
-            and alive.flags.c_contiguous and first_bad.flags.c_contiguous):
-        raise ValueError("alive and first_bad must be contiguous (B,) bool "
-                         "and int64 arrays")
-    if not (state.flags.writeable and alive.flags.writeable
-            and first_bad.flags.writeable):
-        raise ValueError("state, alive and first_bad must be writeable")
-    if lib.opo3_chunk_step(state.ctypes.data, w_ptr, gens_ptr, scale,
-                           alive.ctypes.data, first_bad.ctypes.data, nb,
-                           n_steps, eps, m_pump, dt, e_pump, phi_pump, thr2,
-                           step0, n_threads) != 0:
-        raise MemoryError("no memory for the C kernel's thread ranges")
 
 
 class _BuildError(Exception):
@@ -837,7 +849,8 @@ def _check_chunk(step, normals) -> bytes:
     w[3, 9, 0] = 1e4
     alive = np.ones(nb, dtype=np.bool_)
     first_bad = np.full(nb, -1, dtype=np.int64)
-    step(state, w, alive, first_bad, 0.5, 2.0, 0.01, 0.99, 0.01, 1e4, 3)
+    step(state, w, None, 1.0, alive, first_bad, n_steps, 0.5, 2.0, 0.01,
+         0.99, 1e4, 3)
     return state.tobytes() + alive.tobytes() + first_bad.tobytes()
 
 
@@ -888,7 +901,7 @@ def _c_function():
             (lib.opo3_seed, [ptr, i64, i64, i64, ptr], None),
             (lib.opo3_normals, [ptr, i64, ptr], None),
             (lib.opo3_chunk_step, [ptr] * 3 + [f64] + [ptr] * 2 + [i64] * 2
-             + [f64] * 6 + [i64] * 2, ctypes.c_int)):
+             + [f64] * 5 + [i64] * 2, ctypes.c_int)):
         fn.argtypes, fn.restype = args, res
     ours = np.concatenate([seed_generators(_CHECK_SEED, k, 2, lib)
                            for k in _CHECK_KEYS])

@@ -16,7 +16,7 @@ result.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -94,28 +94,10 @@ class CriterionReport:
     cross_check_consistent: bool | None = None
 
     def to_dict(self) -> dict:
-        lam = None if self.lambda_opt is None else [self.lambda_opt.real,
-                                                    self.lambda_opt.imag]
-        return {
-            "name": self.name,
-            "partition": self.partition,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "lhs_std_error": self.lhs_std_error,
-            "rhs_std_error": self.rhs_std_error,
-            "ratio": self.ratio,
-            "ratio_std_error": self.ratio_std_error,
-            "margin": self.margin,
-            "margin_std_error": self.margin_std_error,
-            "significance": self.significance,
-            "verdict": self.verdict,
-            "lambda_opt": lam,
-            "sigma_threshold": self.sigma_threshold,
-            "n_samples": self.n_samples,
-            "n_batches": self.n_batches,
-            "cross_check_rhs": self.cross_check_rhs,
-            "cross_check_consistent": self.cross_check_consistent,
-        }
+        out = asdict(self)      # every field, in declaration order
+        lam = self.lambda_opt
+        out["lambda_opt"] = None if lam is None else [lam.real, lam.imag]
+        return out
 
 
 def cs_test(moments: MomentReport, partition: str = "0|12",
@@ -214,15 +196,11 @@ class WitnessResult:
     sigma_threshold: float
 
     def to_dict(self) -> dict:
-        return {
-            "triples": [
-                {"name": n, "value": v, "std_error": s, "significance": sig}
-                for (n, v, s, sig) in self.triples
-            ],
-            "excluded": self.excluded,
-            "verdict": self.verdict,
-            "sigma_threshold": self.sigma_threshold,
-        }
+        out = asdict(self)
+        out["triples"] = [dict(zip(("name", "value", "std_error",
+                                    "significance"), row))
+                          for row in self.triples]
+        return out
 
 
 def separability_witness(moments: MomentReport,
@@ -258,17 +236,11 @@ class AuditResult:
     sigma_threshold: float
 
     def to_dict(self) -> dict:
-        return {
-            "entries": [
-                {"name": n, "value": v, "std_error": s, "significance": sig,
-                 "consistent": ok}
-                for (n, v, s, sig, ok) in self.entries
-            ],
-            "all_consistent": self.all_consistent,
-            "verdict": self.verdict,
-            "max_significance": self.max_significance,
-            "sigma_threshold": self.sigma_threshold,
-        }
+        out = asdict(self)
+        out["entries"] = [dict(zip(("name", "value", "std_error",
+                                    "significance", "consistent"), row))
+                          for row in self.entries]
+        return out
 
 
 def pair_audit(moments: MomentReport, sigma_threshold: float = 3.0) -> AuditResult:
@@ -309,14 +281,7 @@ class OddMomentResult:
     sigma_threshold: float
 
     def to_dict(self) -> dict:
-        return {
-            "value": self.value,
-            "std_error": self.std_error,
-            "significance": self.significance,
-            "non_gaussian": self.non_gaussian,
-            "verdict": self.verdict,
-            "sigma_threshold": self.sigma_threshold,
-        }
+        return asdict(self)
 
 
 def pump_odd_moment(moments: MomentReport, sigma_threshold: float = 3.0) -> OddMomentResult:

@@ -2,13 +2,15 @@
 
 Trajectories are integrated in nondimensional time tau = gamma*t with
 explicit Euler-Maruyama steps; the pump's linear part takes the factored
-form of `_pump_factors`.  The step map is stated in the block kernels
-of `_kernels` (compiled C, with numpy as its oracle and fallback);
+form of `_step_constants`.  The step map is stated in the block kernels
+of `_kernels` (compiled C, with numpy as its oracle and fallback), which
+`_advance` drives a chunk at a time, whichever of them loaded;
 `model.drift_and_diffusion` states the equations independently, and the
 tests check one against the other through `integrate_batch` on a
 one-trajectory block.  Each trajectory owns an independent, counter-derived
 random stream: Generator(PCG64(SeedSequence(master_seed,
-spawn_key=(trajectory_index,)))).  Noise is consumed in fixed step order per
+spawn_key=(trajectory_index,)))), which `_kernels.seed_generators` seeds
+and the kernel draws from.  Noise is consumed in fixed step order per
 trajectory, every trajectory is integrated independently of the others in
 its block, and finished blocks are merged in trajectory order, so results
 are bit-identical for any worker count and any block size.
@@ -44,10 +46,21 @@ MAX_DIVERGED_FRACTION = 0.01
 _MAX_STEPS = 2**63 - 1    # the kernels count steps in int64
 
 
-def _pump_factors(gamma_r: float, dt: float):
-    """(e_pump, phi_pump) of the Euler pump step a0 <- m + (a0 - m)*e_pump
-    + phi_pump*(-eps*a1*a2), m = mu/eps."""
-    return 1.0 - gamma_r * dt, dt
+def _step_constants(params: ModelParams, dt: float, divergence_threshold):
+    """(eps, m_pump, dt, e_pump, thr2), the kernels' step constants: the
+    Euler pump step a0 <- m + (a0 - m)*e_pump + dt*(-eps*a1*a2) with
+    m = m_pump = mu/eps and e_pump = 1 - gamma_r*dt, and the square of the
+    divergence threshold, which must be positive and within float range."""
+    if not (divergence_threshold > 0):
+        raise ValueError("divergence_threshold must be positive")
+    try:
+        thr = float(divergence_threshold)
+    except OverflowError:
+        raise ValueError("divergence_threshold is too large for a float; "
+                         "use math.inf for none") from None
+    # t * t, not t ** 2: the same bits, and inf rather than OverflowError
+    return (params.eps, params.mu / params.eps, dt,
+            1.0 - params.gamma_r * dt, thr * thr)
 
 
 @dataclass(frozen=True)
@@ -76,8 +89,6 @@ class SimConfig:
             raise ValueError("n_samples_per_traj must be >= 1")
         if self.n_trajectories < 1:
             raise ValueError("n_trajectories must be >= 1")
-        if not (self.divergence_threshold > 0):
-            raise ValueError("divergence_threshold must be positive")
         try:    # any integer, numpy's too, but not a bool
             master_seed = operator.index(self.master_seed)
         except TypeError:
@@ -95,6 +106,7 @@ class SimConfig:
                             ("sample_interval", interval)):
             if not (0.0 < value < math.inf):
                 raise ValueError(f"{name} must be positive and finite")
+        _step_constants(params, dt, self.divergence_threshold)   # refusals
         if dt * fast > DT_CEILING * (1 + 1e-9):
             raise ValidityError(
                 f"dt={dt:g} too coarse: need dt*max(1,gamma_r) <= {DT_CEILING}"
@@ -116,7 +128,6 @@ class SimConfig:
                                  f"dt={dt:g} for the int64 step counter")
         burn_steps = max(1, math.ceil(burn_in / dt - 1e-9))
         int_steps = max(1, math.ceil(interval / dt - 1e-9))
-        e_pump, phi_pump = _pump_factors(params.gamma_r, dt)
         return ResolvedConfig(
             dt=dt,
             burn_steps=burn_steps,
@@ -125,8 +136,6 @@ class SimConfig:
             n_trajectories=self.n_trajectories,
             master_seed=master_seed,
             divergence_threshold=self.divergence_threshold,
-            e_pump=e_pump,
-            phi_pump=phi_pump,
         )
 
 
@@ -139,8 +148,6 @@ class ResolvedConfig:
     n_trajectories: int
     master_seed: int
     divergence_threshold: float
-    e_pump: float
-    phi_pump: float
 
     # the only step scheme; integrate_batch still takes it by name
     scheme = "euler"
@@ -169,11 +176,6 @@ class ResolvedConfig:
         return {f.name: getattr(self, f.name) for f in fields(SimConfig)}
 
 
-def _traj_rng(master_seed: int, traj_index: int) -> np.random.Generator:
-    ss = np.random.SeedSequence(entropy=master_seed, spawn_key=(traj_index,))
-    return np.random.Generator(np.random.PCG64(ss))
-
-
 def _initial_block(initial_state, params: ModelParams, nb: int) -> np.ndarray:
     if initial_state is None:
         initial_state = fixed_point(params)
@@ -183,6 +185,36 @@ def _initial_block(initial_state, params: ModelParams, nb: int) -> np.ndarray:
     return np.repeat(vec[:, None], nb, axis=1)
 
 
+def _advance(state, stops, consts, gens=None, normals=None, n_threads=1):
+    """Step the (6, B) block `state` in place to each step count of `stops`
+    in turn, at most CHUNK_STEPS steps a kernel call, and yield its
+    (alive, first_bad) at each; `consts` are `_step_constants`.
+
+    The noise is each trajectory's generator words `gens` (see
+    `_kernels.seed_generators`), drawn and scaled in the kernel, or else
+    caller-supplied unscaled standard normals `normals` (n_steps, 4, B).
+    The C kernel splits the block over n_threads threads, the numpy one not.
+    """
+    stepper = _kernels.get_stepper()
+    nb = state.shape[1]
+    alive = np.ones(nb, dtype=np.bool_)
+    first_bad = np.full(nb, -1, dtype=np.int64)
+    scale = math.sqrt(consts[2] / 2.0)
+    step, w = 0, None
+    for stop in stops:
+        while step < stop:
+            c = min(CHUNK_STEPS, stop - step)
+            if normals is not None:
+                # the kernels read each trajectory's noise as one contiguous run
+                w = np.empty((nb, c, 4), dtype=np.float64)
+                np.multiply(normals[step:step + c].transpose(2, 0, 1), scale,
+                            out=w)
+            stepper(state, w, gens, scale, alive, first_bad, c, *consts,
+                    step, n_threads)
+            step += c
+        yield alive, first_bad
+
+
 def _run_block(params: ModelParams, rcfg: ResolvedConfig, traj_indices,
                initial_state=None, n_threads: int = 1):
     """Integrate one block of consecutive trajectory indices; returns
@@ -190,9 +222,7 @@ def _run_block(params: ModelParams, rcfg: ResolvedConfig, traj_indices,
 
     cube: (12, B, n_samples) complex128 in moments.OPO_CHANNELS order, for
     every trajectory including ones that later diverge (callers filter).
-    The C kernel splits the block over n_threads threads, the numpy one not.
     """
-    stepper = _kernels.get_stepper()
     nb = len(traj_indices)
     first = operator.index(traj_indices[0])
     # SeedSequence refuses a negative spawn key; the C seeding takes one or
@@ -201,41 +231,13 @@ def _run_block(params: ModelParams, rcfg: ResolvedConfig, traj_indices,
         raise ValueError(f"trajectory indices must lie in [0, 2**64), got "
                          f"{first}..{first + nb - 1}")
     state = _initial_block(initial_state, params, nb)
-    alive = np.ones(nb, dtype=np.bool_)
-    first_bad = np.full(nb, -1, dtype=np.int64)
-    scale = math.sqrt(rcfg.dt / 2.0)
     cube = np.empty((12, nb, rcfg.n_samples_per_traj), dtype=np.complex128)
-
-    # the C kernel seeds and draws from each trajectory's PCG64 itself, the
-    # same draws in the same order as the numpy kernel's buffer fill below
-    if stepper is _kernels._chunk_step_c:
-        gens = _kernels.seed_generators(rcfg.master_seed, first, nb)
-    else:
-        gens = None
-        rngs = [_traj_rng(rcfg.master_seed, int(t)) for t in traj_indices]
-    # t * t, not t ** 2: the same bits, and inf rather than OverflowError
-    thr = float(rcfg.divergence_threshold)
-    kernel_args = (params.eps, params.mu / params.eps, rcfg.dt, rcfg.e_pump,
-                   rcfg.phi_pump, thr * thr)
-
-    step = 0
-    w = None
+    gens = _kernels.seed_generators(rcfg.master_seed, first, nb)
+    consts = _step_constants(params, rcfg.dt, rcfg.divergence_threshold)
     # the last sample is taken at the last step
-    for k, stop in enumerate(rcfg.sample_steps().tolist()):
-        while step < stop:
-            c = min(CHUNK_STEPS, stop - step)
-            if gens is not None:
-                _kernels._draw_chunk_step_c(state, gens, c, scale, alive,
-                                            first_bad, *kernel_args, step,
-                                            n_threads)
-            else:
-                if w is None or w.shape[1] != c:
-                    w = np.empty((nb, c, 4), dtype=np.float64)
-                for j, rng in enumerate(rngs):
-                    rng.standard_normal(out=w[j])
-                w *= scale
-                stepper(state, w, alive, first_bad, *kernel_args, step)
-            step += c
+    samples = _advance(state, rcfg.sample_steps().tolist(), consts, gens=gens,
+                       n_threads=n_threads)
+    for k, (alive, first_bad) in enumerate(samples):
         # dead trajectories may hold non-finite frozen states; their
         # channels are filtered out downstream
         with np.errstate(invalid="ignore", over="ignore"):
@@ -352,7 +354,8 @@ def run_ensemble(params: ModelParams, config: SimConfig, workers: int | None = N
         sample_times=rcfg.sample_times(),
         diverged_indices=diverged_indices,
         backend=f"{stepper.__module__}.{stepper.__name__}",
-        workers=threads if stepper is _kernels._chunk_step_c else 1,
+        # the numpy kernel runs on the calling thread alone
+        workers=1 if stepper is _kernels._chunk_step_numpy else threads,
         block_size=BLOCK_SIZE,
         samples=np.concatenate(kept_cubes, axis=1) if kept_cubes else None,
         halves=halves,
@@ -376,27 +379,10 @@ def integrate_batch(params: ModelParams, dt: float, normals: np.ndarray,
         raise ValueError("initial_states must have shape (6, B)")
     if not (0.0 < dt < math.inf):
         raise ValueError("dt must be positive and finite")
-    if not (divergence_threshold > 0):
-        raise ValueError("divergence_threshold must be positive")
-    nb = state.shape[1]
-    alive = np.ones(nb, dtype=np.bool_)
-    first_bad = np.full(nb, -1, dtype=np.int64)
     if scheme != ResolvedConfig.scheme:
         raise ValueError(f"unknown scheme {scheme!r}")
-    e_pump, phi_pump = _pump_factors(params.gamma_r, dt)
-    stepper = _kernels.get_stepper()
-    thr = float(divergence_threshold)
-    thr2 = thr * thr                    # inf, not an OverflowError
-    m_pump = params.mu / params.eps
-    scale = math.sqrt(dt / 2.0)
-    step = 0
-    total = normals.shape[0]
-    while step < total:
-        c = min(CHUNK_STEPS, total - step)
-        # the kernels read each trajectory's noise as one contiguous run
-        w = np.empty((nb, c, 4), dtype=np.float64)
-        np.multiply(normals[step:step + c].transpose(2, 0, 1), scale, out=w)
-        stepper(state, w, alive, first_bad,
-                params.eps, m_pump, dt, e_pump, phi_pump, thr2, step)
-        step += c
+    consts = _step_constants(params, dt, divergence_threshold)
+    for alive, first_bad in _advance(state, [normals.shape[0]], consts,
+                                     normals=normals):
+        pass
     return state, alive, first_bad

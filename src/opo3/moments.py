@@ -557,6 +557,18 @@ def merge(a: MomentAccumulator, b: MomentAccumulator) -> MomentAccumulator:
 OPO_CHANNELS = ("x0", "y0", "x", "y", "xp", "yp",
                 "a0", "a0p", "a1", "a1p", "a2", "a2p")
 
+# the normally ordered amplitude moments, in both schemas below
+_AMPLITUDE_TARGETS = (
+    TargetSpec("amp_n1n2", ((1, ("a1", "a1p", "a2", "a2p")),)),
+    TargetSpec("amp_n2n0", ((1, ("a2", "a2p", "a0", "a0p")),)),
+    TargetSpec("amp_n0n1", ((1, ("a0", "a0p", "a1", "a1p")),)),
+    TargetSpec("amp_n0", ((1, ("a0", "a0p")),)),
+    TargetSpec("amp_n1", ((1, ("a1", "a1p")),)),
+    TargetSpec("amp_n2", ((1, ("a2", "a2p")),)),
+    TargetSpec("amp_triple", ((1, ("a0", "a1", "a2")),)),
+    TargetSpec("amp_triple_conj", ((1, ("a0p", "a1p", "a2p")),)),
+)
+
 
 def opo_schema(params: ModelParams) -> MomentSchema:
     """Channels and targets for the three-mode OPO.
@@ -602,14 +614,7 @@ def opo_schema(params: ModelParams) -> MomentSchema:
         t("cov_y0_y", ((1, ("y0", "y")),)),
         t("q4", ((1, ("x", "x", "xp", "xp")), (1, ("x", "x", "yp", "yp")),
                  (1, ("y", "y", "xp", "xp")), (1, ("y", "y", "yp", "yp")))),
-        t("amp_n1n2", ((1, ("a1", "a1p", "a2", "a2p")),)),
-        t("amp_n2n0", ((1, ("a2", "a2p", "a0", "a0p")),)),
-        t("amp_n0n1", ((1, ("a0", "a0p", "a1", "a1p")),)),
-        t("amp_n0", ((1, ("a0", "a0p")),)),
-        t("amp_n1", ((1, ("a1", "a1p")),)),
-        t("amp_n2", ((1, ("a2", "a2p")),)),
-        t("amp_triple", ((1, ("a0", "a1", "a2")),)),
-        t("amp_triple_conj", ((1, ("a0p", "a1p", "a2p")),)),
+        *_AMPLITUDE_TARGETS,
         t("mean_x0", ((1, ("x0",)),), apply_shift=False, offset=2.0 * params.mu),
         t("mean_y0", ((1, ("y0",)),), apply_shift=False),
         t("mean_x", ((1, ("x",)),), apply_shift=False),
@@ -626,18 +631,8 @@ def amplitude_schema(centers=(0.0,) * 6) -> MomentSchema:
     if len(centers) != 6:
         raise SchemaError("need 6 centers")
     channels = tuple(ChannelSpec(n, c) for n, c in zip(names, centers))
-    t = TargetSpec
-    targets = (
-        t("amp_n1n2", ((1, ("a1", "a1p", "a2", "a2p")),)),
-        t("amp_n2n0", ((1, ("a2", "a2p", "a0", "a0p")),)),
-        t("amp_n0n1", ((1, ("a0", "a0p", "a1", "a1p")),)),
-        t("amp_n0", ((1, ("a0", "a0p")),)),
-        t("amp_n1", ((1, ("a1", "a1p")),)),
-        t("amp_n2", ((1, ("a2", "a2p")),)),
-        t("amp_triple", ((1, ("a0", "a1", "a2")),)),
-        t("amp_triple_conj", ((1, ("a0p", "a1p", "a2p")),)),
-        t("mean_a0", ((1, ("a0",)),), apply_shift=False),
-    )
+    targets = _AMPLITUDE_TARGETS + (
+        TargetSpec("mean_a0", ((1, ("a0",)),), apply_shift=False),)
     return MomentSchema(channels=channels, targets=targets)
 
 

@@ -30,6 +30,8 @@ from opo3 import (
 
 needs_cc = pytest.mark.skipif(shutil.which("cc") is None,
                               reason="no C compiler (cc) on PATH")
+# the kernels a test runs the engine on in turn
+KERNELS = ("c", "numpy") if shutil.which("cc") else ("numpy",)
 NPYRANDOM = _kernels._NUMPY_DIR / "random" / "lib" / "libnpyrandom.a"
 
 
@@ -321,6 +323,24 @@ class TestDeterminism:
             assert got == want, name
 
 
+def use_kernel(monkeypatch, kernel):
+    """Make the engine run on `kernel`, "c" or "numpy", once the test's
+    earlier patches are undone; returns the kernel."""
+    monkeypatch.undo()
+    if kernel == "c":
+        assert _kernels.get_stepper() is _kernels._chunk_step_c
+        return _kernels._chunk_step_c
+    monkeypatch.setattr(_kernels, "get_stepper",
+                        lambda: _kernels._chunk_step_numpy)
+    return _kernels._chunk_step_numpy
+
+
+def stream(master_seed, index):
+    """Trajectory `index`'s documented noise stream."""
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(
+        master_seed, spawn_key=(index,))))
+
+
 @pytest.fixture
 def no_compiler(monkeypatch, tmp_path):
     """Call to hide `cc` and forget the loaded kernel; undone afterwards."""
@@ -341,10 +361,26 @@ def drive(stepper, start, w, params, dt, thr, step0, chunk, **kw):
     first_bad = np.full(start.shape[1], -1, dtype=np.int64)
     m_pump = params.mu / params.eps
     for lo in range(0, w.shape[1], chunk):
-        stepper(state, np.ascontiguousarray(w[:, lo:lo + chunk]), alive,
-                first_bad, params.eps, m_pump, dt, 1.0 - params.gamma_r * dt,
-                dt, thr * thr, step0 + lo, **kw)
+        wc = np.ascontiguousarray(w[:, lo:lo + chunk])
+        stepper(state, wc, None, 1.0, alive, first_bad, wc.shape[1],
+                params.eps, m_pump, dt, 1.0 - params.gamma_r * dt, thr * thr,
+                step0 + lo, **kw)
     return state, alive, first_bad
+
+
+def drive_drawn(stepper, start, params, dt, thr, step0, chunk, n_steps,
+                seed=9, **kw):
+    """`drive` on noise the kernel draws from the trajectories' generators,
+    seeded by `seed_generators(seed, 0, B)`; returns their words too."""
+    state = start.copy()
+    alive = np.ones(start.shape[1], dtype=np.bool_)
+    first_bad = np.full(start.shape[1], -1, dtype=np.int64)
+    gens = _kernels.seed_generators(seed, 0, start.shape[1])
+    for lo in range(0, n_steps, chunk):
+        stepper(state, None, gens, math.sqrt(dt / 2.0), alive, first_bad,
+                min(chunk, n_steps - lo), params.eps, params.mu / params.eps,
+                dt, 1.0 - params.gamma_r * dt, thr * thr, step0 + lo, **kw)
+    return state, alive, first_bad, gens
 
 
 class TestKernels:
@@ -386,6 +422,27 @@ class TestKernels:
             assert got.tobytes() == want.tobytes()
 
     @needs_cc
+    def test_kernels_match_on_generator_words(self):
+        # both kernels drawing from the same seed_generators words, chunk
+        # after chunk, leave the same bytes and the same words; #4 and #6
+        # die at the first step of the first chunk, so each has drawn only
+        # that step's four normals
+        start, w, dt = self.kicked_block()
+        c_out, np_out = (drive_drawn(step, start, self.params, dt, 50.0,
+                                     5000, 150, w.shape[1])
+                         for step in (_kernels._chunk_step_c,
+                                      _kernels._chunk_step_numpy))
+        np.testing.assert_array_equal(c_out[2],
+                                      [-1, -1, -1, -1, 5000, -1, 5000])
+        for got, want in zip(c_out, np_out):
+            assert got.tobytes() == want.tobytes()
+        for j in (4, 6):
+            rng = stream(9, j)
+            rng.standard_normal(4)
+            want = _kernels._pcg64_words(rng.bit_generator)
+            assert np_out[3][j].tobytes() == want.tobytes()
+
+    @needs_cc
     @pytest.mark.parametrize("n_threads", [2, 3, 8])
     def test_c_kernel_thread_count_invariance(self, n_threads):
         # each trajectory is stepped by exactly one thread, on its own
@@ -399,16 +456,8 @@ class TestKernels:
                          5000, 150, n_threads=threads)
 
         def drawn(threads):
-            state = start.copy()
-            alive = np.ones(start.shape[1], dtype=np.bool_)
-            first_bad = np.full(start.shape[1], -1, dtype=np.int64)
-            gens = _kernels.seed_generators(9, 0, start.shape[1])
-            for lo in range(0, w.shape[1], 150):
-                _kernels._draw_chunk_step_c(
-                    state, gens, 150, math.sqrt(dt / 2.0), alive, first_bad,
-                    p.eps, p.mu / p.eps, dt, 1.0 - p.gamma_r * dt, dt,
-                    50.0 ** 2, 5000 + lo, n_threads=threads)
-            return state, alive, first_bad, gens
+            return drive_drawn(_kernels._chunk_step_c, start, p, dt, 50.0,
+                               5000, 150, w.shape[1], n_threads=threads)
 
         for run in (buffered, drawn):
             want, got = run(1), run(n_threads)
@@ -431,25 +480,35 @@ class TestKernels:
         w = np.zeros((3, 5, 4))
         alive = np.ones(3, dtype=np.bool_)
         first_bad = np.full(3, -1, dtype=np.int64)
-        scalars = (0.1, 5.0, 0.01, 0.99, 0.01, 1e12, 0)
+        scalars = (0.1, 5.0, 0.01, 0.99, 1e12, 0)
+        step = _kernels._chunk_step_c
         for bad in (state.astype(np.complex64), np.zeros((3, 6), complex).T):
             with pytest.raises(ValueError, match="state must be"):
-                _kernels._chunk_step_c(bad, w, alive, first_bad, *scalars)
+                step(bad, w, None, 1.0, alive, first_bad, 5, *scalars)
         for bad in (np.zeros((5, 4, 3)), w.astype(np.float32),
-                    np.zeros((3, 4, 5)).transpose(0, 2, 1)):
+                    np.zeros((3, 4, 5)).transpose(0, 2, 1), w[:, :4].copy()):
             with pytest.raises(ValueError, match="w must be"):
-                _kernels._chunk_step_c(state, bad, alive, first_bad, *scalars)
-        with pytest.raises(ValueError, match="alive and first_bad"):
-            _kernels._chunk_step_c(state, w, alive.astype(np.int64),
-                                   first_bad, *scalars)
+                step(state, bad, None, 1.0, alive, first_bad, 5, *scalars)
+        with pytest.raises(ValueError, match="alive must be"):
+            step(state, w, None, 1.0, alive.astype(np.int64), first_bad, 5,
+                 *scalars)
+        for bad in (first_bad.astype(np.int32), first_bad[:2]):
+            with pytest.raises(ValueError, match="first_bad must be"):
+                step(state, w, None, 1.0, alive, bad, 5, *scalars)
+        read_only = state.copy()
+        read_only.flags.writeable = False
+        with pytest.raises(ValueError, match="state must be a writeable"):
+            step(read_only, w, None, 1.0, alive, first_bad, 5, *scalars)
         gens = _kernels.seed_generators(0, 0, 3)
         read_only = gens.copy()
         read_only.flags.writeable = False
         for bad in (gens[:2], gens.astype(np.int64), gens.T.copy(),
                     np.zeros((4, 3), np.uint64).T, read_only):
             with pytest.raises(ValueError, match="gens must be"):
-                _kernels._draw_chunk_step_c(state, bad, 5, 0.1, alive,
-                                            first_bad, *scalars)
+                step(state, None, bad, 0.1, alive, first_bad, 5, *scalars)
+        for noise in ((w[:, :0].copy(), None), (None, gens)):
+            with pytest.raises(ValueError, match="n_steps must be positive"):
+                step(state, *noise, 0.1, alive, first_bad, 0, *scalars)
 
     @pytest.mark.parametrize("kernel", ["c", "numpy"])
     @pytest.mark.parametrize("index", [-1, 2**64])
@@ -482,9 +541,8 @@ class TestKernels:
                 params, cfg, initial_state=PhaseSpaceState(bad, 0, 0, 0, 0, 0))
         assert channels.shape == (12, 0) and first_bad == 0
 
-    @needs_cc
-    def test_kernel_draws_match_standard_normal_feed(self):
-        # the C kernel draws each trajectory's normals from its own stream;
+    def test_kernel_draws_match_standard_normal_feed(self, monkeypatch):
+        # each kernel draws each trajectory's normals from its own stream;
         # that must equal integrate_batch fed rng.standard_normal on the same
         # streams, through a burn-in of two chunks and a trajectory (#4)
         # that crosses the low threshold at step 1200, mid-chunk
@@ -494,19 +552,21 @@ class TestKernels:
                         master_seed=31, divergence_threshold=1.248)
         rcfg = cfg.resolve(params)
         assert rcfg.burn_steps > engine.CHUNK_STEPS
-        assert _kernels.get_stepper() is _kernels._chunk_step_c
-        cube, alive, first_bad = engine._run_block(params, rcfg, range(8))
-        normals = np.stack([engine._traj_rng(31, j).standard_normal(
+        normals = np.stack([stream(31, j).standard_normal(
             (rcfg.total_steps, 4)) for j in range(8)], axis=2)
         start = np.repeat(fixed_point(params).as_array()[:, None], 8, axis=1)
-        state, want_alive, want_bad = integrate_batch(
-            params, rcfg.dt, normals, start, rcfg.divergence_threshold)
-        np.testing.assert_array_equal(first_bad, [-1] * 4 + [1200] + [-1] * 3)
-        np.testing.assert_array_equal(alive, want_alive)
-        np.testing.assert_array_equal(first_bad, want_bad)
-        # channels 6..11 are a0, a0p, a1, a1p, a2, a2p
-        np.testing.assert_array_equal(cube[6:, alive, 0],
-                                      state[[0, 3, 1, 4, 2, 5]][:, alive])
+        for kernel in KERNELS:
+            use_kernel(monkeypatch, kernel)
+            cube, alive, first_bad = engine._run_block(params, rcfg, range(8))
+            state, want_alive, want_bad = integrate_batch(
+                params, rcfg.dt, normals, start, rcfg.divergence_threshold)
+            np.testing.assert_array_equal(first_bad,
+                                          [-1] * 4 + [1200] + [-1] * 3)
+            np.testing.assert_array_equal(alive, want_alive)
+            np.testing.assert_array_equal(first_bad, want_bad)
+            # channels 6..11 are a0, a0p, a1, a1p, a2, a2p
+            np.testing.assert_array_equal(cube[6:, alive, 0],
+                                          state[[0, 3, 1, 4, 2, 5]][:, alive])
 
     @needs_cc
     def test_c_source_compiles_without_warnings(self, tmp_path):
@@ -560,6 +620,16 @@ class TestKernels:
             tails += int(np.count_nonzero(np.abs(got) > 3.6541528853610088))
         assert tails > 0
 
+    def test_seeding_without_c_kernel(self, monkeypatch):
+        # without the C kernel numpy seeds the same words
+        monkeypatch.setattr(_kernels, "_c_function", lambda: None)
+        for seed, first in ((0, 0), (31, 2**32 - 2), (2**200 + 17, 2**64 - 3)):
+            rows = _kernels.seed_generators(seed, first, 3)
+            for j, row in enumerate(rows):
+                bitgen = stream(seed, first + j).bit_generator
+                want = _kernels._pcg64_words(bitgen)
+                assert row.tobytes() == want.tobytes(), (seed, first + j)
+
     @needs_cc
     def test_seeding_matches_seed_sequence(self):
         # opo3_seed runs SeedSequence and pcg64_set_seed in C; spawn keys
@@ -583,7 +653,6 @@ class TestKernels:
                     one = _kernels.seed_generators(seed, first + j, 1)[0]
                     assert row.tobytes() == one.tobytes()
 
-    @needs_cc
     def test_run_block_writes_back_generator_states(self, monkeypatch):
         # after _run_block each (B, 4) row is the trajectory's PCG64 moved
         # past exactly the normals it drew: every step for the live ones,
@@ -593,25 +662,27 @@ class TestKernels:
                         n_samples_per_traj=1, n_trajectories=8,
                         master_seed=31, divergence_threshold=1.248)
         rcfg = cfg.resolve(params)
-        assert _kernels.get_stepper() is _kernels._chunk_step_c
-        seen = []
-        draw = _kernels._draw_chunk_step_c
+        for kernel in KERNELS:
+            step, seen = use_kernel(monkeypatch, kernel), []
 
-        def recording_draw(state, gens, *args):
-            seen.append(gens)
-            return draw(state, gens, *args)
+            def recording_step(state, w, gens, *args):
+                assert w is None
+                seen.append(gens)
+                return step(state, w, gens, *args)
 
-        monkeypatch.setattr(_kernels, "_draw_chunk_step_c", recording_draw)
-        _, alive, first_bad = engine._run_block(params, rcfg, range(8))
-        # 2,200 steps in chunks of 1024, 1024 and 152, on one array
-        assert len(seen) == 3 and all(gens is seen[0] for gens in seen)
-        assert first_bad[4] == 1200 and 1200 % engine.CHUNK_STEPS != 0
-        for j, row in enumerate(seen[0]):
-            steps = rcfg.total_steps if alive[j] else int(first_bad[j]) + 1
-            rng = engine._traj_rng(31, j)
-            rng.standard_normal(4 * steps)
-            want = _kernels._pcg64_words(rng.bit_generator)
-            assert row.tobytes() == want.tobytes(), j
+            monkeypatch.setattr(_kernels, "get_stepper",
+                                lambda: recording_step)
+            _, alive, first_bad = engine._run_block(params, rcfg, range(8))
+            # 2,200 steps in chunks of 1024, 1024 and 152, on one array
+            assert len(seen) == 3 and all(gens is seen[0] for gens in seen)
+            assert first_bad[4] == 1200 and 1200 % engine.CHUNK_STEPS != 0
+            for j, row in enumerate(seen[0]):
+                steps = (rcfg.total_steps if alive[j]
+                         else int(first_bad[j]) + 1)
+                rng = stream(31, j)
+                rng.standard_normal(4 * steps)
+                want = _kernels._pcg64_words(rng.bit_generator)
+                assert row.tobytes() == want.tobytes(), (kernel, j)
 
     @pytest.mark.parametrize("kernel", [pytest.param("c", marks=needs_cc),
                                         "numpy"])
@@ -643,7 +714,7 @@ class TestKernels:
         first_bad = np.full(nb, -1, dtype=np.int64)
         stepper = (_kernels._chunk_step_c if kernel == "c"
                    else _kernels._chunk_step_numpy)
-        stepper(state, w, alive, first_bad, 1.0, 0.0, 0.5, 1.0, 0.0,
+        stepper(state, w, None, 1.0, alive, first_bad, 1, 1.0, 0.0, 0.5, 1.0,
                 math.inf, 0)
         assert alive.all()
         for got, operands in ((state[1], z), (state[4], zp)):
@@ -673,10 +744,10 @@ class TestKernels:
         dt, n_steps, thr = 0.01, 40, 50.0
         calm = np.tile(fixed_point(p).as_array()[:, None], (1, 9))
         wild = np.array([40, 10, 0, 40, 0, 10], dtype=np.complex128)
-        noise = np.random.default_rng(4).standard_normal(
+        buffer = np.random.default_rng(4).standard_normal(
             (9, n_steps, 4)) * math.sqrt(dt / 2.0)
-        scalars = (p.eps, p.mu / p.eps, dt, 1.0 - p.gamma_r * dt, dt,
-                   thr * thr, 0)
+        scalars = (p.eps, p.mu / p.eps, dt, 1.0 - p.gamma_r * dt, thr * thr,
+                   0)
 
         def run(start, first, threads):
             nb = start.shape[1]
@@ -684,15 +755,10 @@ class TestKernels:
             alive = np.ones(nb, dtype=np.bool_)
             first_bad = np.full(nb, -1, dtype=np.int64)
             gens = _kernels.seed_generators(6, first, nb)
-            if drawn:
-                _kernels._draw_chunk_step_c(state, gens, n_steps,
-                                            math.sqrt(dt / 2.0), alive,
-                                            first_bad, *scalars,
-                                            n_threads=threads)
-            else:
-                _kernels._chunk_step_c(state, noise[first:first + nb],
-                                       alive, first_bad, *scalars,
-                                       n_threads=threads)
+            noise = ((None, gens, math.sqrt(dt / 2.0)) if drawn
+                     else (buffer[first:first + nb], None, 1.0))
+            _kernels._chunk_step_c(state, *noise, alive, first_bad, n_steps,
+                                   *scalars, n_threads=threads)
             return state, alive, first_bad, gens
 
         alone = {}      # (index, calm) -> the trajectory in a block alone
@@ -875,6 +941,30 @@ class TestDivergence:
         assert np.isfinite(got[0]).all() and got[1].all()
         for a, b in zip(got, want):
             assert a.tobytes() == b.tobytes()
+
+    def test_threshold_beyond_float_refused_by_name(self):
+        # 10**400 once passed resolve and then raised a bare OverflowError
+        # in the run; every entry point now refuses it by name, and inf
+        # stays a threshold that never trips
+        params = ModelParams(0.5, 1.0, 0.05)
+        kw = dict(dt=0.05, burn_in=20.0, sample_interval=2.0,
+                  n_samples_per_traj=2, n_trajectories=3)
+        normals = np.random.default_rng(1).standard_normal((3, 4, 3))
+        start = np.repeat(fixed_point(params).as_array()[:, None], 3, axis=1)
+        match = "^divergence_threshold is too large for a float"
+        with pytest.raises(ValueError, match=match):
+            SimConfig(divergence_threshold=10**400, **kw).resolve(params)
+        with pytest.raises(ValueError, match=match):
+            run_ensemble(params, SimConfig(divergence_threshold=10**400,
+                                           **kw))
+        with pytest.raises(ValueError, match=match):
+            integrate_batch(params, 0.01, normals, start, 10**400)
+        res = run_ensemble(params, SimConfig(divergence_threshold=math.inf,
+                                             **kw))
+        assert res.n_diverged == 0 and res.moments.n_samples == 6
+        _, alive, first_bad = integrate_batch(params, 0.01, normals, start,
+                                              float("inf"))
+        assert alive.all() and (first_bad == -1).all()
 
     def test_tiny_threshold_kills_everything(self):
         params = ModelParams(0.5, 1.0, 0.05)

@@ -639,3 +639,27 @@ class TestSchemaValidation:
     def test_amplitude_schema_needs_six_centers(self):
         with pytest.raises(SchemaError):
             amplitude_schema(centers=(0.0,) * 5)
+
+    def test_schemas_state_the_amplitude_targets_once(self):
+        # the eight amplitude targets, as both schemas stated them apart
+        # before they shared one tuple, in the same order and place
+        t = TargetSpec
+        amplitude = (
+            t("amp_n1n2", ((1, ("a1", "a1p", "a2", "a2p")),)),
+            t("amp_n2n0", ((1, ("a2", "a2p", "a0", "a0p")),)),
+            t("amp_n0n1", ((1, ("a0", "a0p", "a1", "a1p")),)),
+            t("amp_n0", ((1, ("a0", "a0p")),)),
+            t("amp_n1", ((1, ("a1", "a1p")),)),
+            t("amp_n2", ((1, ("a2", "a2p")),)),
+            t("amp_triple", ((1, ("a0", "a1", "a2")),)),
+            t("amp_triple_conj", ((1, ("a0p", "a1p", "a2p")),)),
+        )
+        opo = opo_schema(ModelParams(0.5, 1.0, 0.05)).targets
+        assert [tgt.name for tgt in opo] == [
+            "t1", "t2", "t3", "t4", "s", "var_x0", "var_y0", "skew_x0",
+            "cov_x_xp", "cov_y_yp", "cov_x0_x", "cov_x0_y", "cov_y0_x",
+            "cov_y0_y", "q4", *(tgt.name for tgt in amplitude), "mean_x0",
+            "mean_y0", "mean_x", "mean_y", "mean_xp", "mean_yp"]
+        assert opo[15:23] == amplitude
+        assert amplitude_schema().targets == amplitude + (
+            t("mean_a0", ((1, ("a0",)),), apply_shift=False),)

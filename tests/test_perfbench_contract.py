@@ -5,9 +5,14 @@ load its modules by path, as they are, and fail when the package drops or
 renames a name the harness patches or calls.
 """
 
+import dataclasses
 import importlib.util
 import sys
 from pathlib import Path
+
+import pytest
+
+from opo3 import _kernels, engine
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -52,3 +57,27 @@ def test_moment_workload_matches_its_oracle():
     out = run.execute(cube)
     oracle = workloads.moments_oracle(cube, run.params())
     assert run.check(cube, out, oracle) == []
+
+
+@pytest.mark.parametrize("kernel", ["default", "numpy"])
+def test_replay_reproduces_the_run_bitwise(monkeypatch, kernel):
+    # the harness replays run_ensemble's loop through integrate_batch,
+    # passing the scheme by position, on each trajectory's documented
+    # stream; the replay's moments and errors must equal the run's exactly
+    tracing, workloads = load("tracing"), load("workloads")
+    run = workloads.WORKLOADS["tiny"]["ensemble-wide"]
+    if kernel == "numpy":
+        monkeypatch.setattr(_kernels, "get_stepper",
+                            lambda: _kernels._chunk_step_numpy)
+        run = dataclasses.replace(run, n_trajectories=16)
+    res = engine.run_ensemble(run.params(), run.sim_config(5),
+                              workers=run.workers)
+    assert res.n_diverged == 0
+    mc = res.report().to_dict()["moments"]
+    acc, tracer, n_blocks = tracing.replay(run, 5)
+    assert n_blocks == -(-run.n_trajectories // engine.BLOCK_SIZE)
+    assert tracer.count("kernels.integrate_batch") == (
+        n_blocks * run.n_samples_per_traj)
+    rep = acc.finalize(centering="reference")
+    assert len(mc) > 20
+    assert tracing.same_moments(mc, rep, 0.0) == []
