@@ -61,18 +61,19 @@ EXIT_UNRELIABLE = 3
 
 @dataclass(frozen=True)
 class RunSpec:
-    """Fully resolved invocation settings (model + run + output)."""
+    """Fully resolved invocation settings (model + run + output); the
+    engine's settings default to SimConfig's defaults."""
 
     mu: float = 0.5
     gamma_r: float = 1.0
     g: float = 0.05
-    dt: float | None = None
-    burn_in: float | None = None
-    sample_interval: float | None = None
-    n_samples_per_traj: int = 64
-    n_trajectories: int = 256
-    master_seed: int = 12345
-    divergence_threshold: float = 1e6
+    dt: float | None = SimConfig.dt
+    burn_in: float | None = SimConfig.burn_in
+    sample_interval: float | None = SimConfig.sample_interval
+    n_samples_per_traj: int = SimConfig.n_samples_per_traj
+    n_trajectories: int = SimConfig.n_trajectories
+    master_seed: int = SimConfig.master_seed
+    divergence_threshold: float = SimConfig.divergence_threshold
     sigma_threshold: float = 3.0
     out_dir: str = "."
 

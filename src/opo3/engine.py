@@ -85,17 +85,17 @@ class SimConfig:
     def resolve(self, params: ModelParams) -> "ResolvedConfig":
         if params.mu >= 1.0:
             raise ValidityError("above threshold unsupported (mu >= 1)")
-        if self.n_samples_per_traj < 1:
-            raise ValueError("n_samples_per_traj must be >= 1")
-        if self.n_trajectories < 1:
-            raise ValueError("n_trajectories must be >= 1")
-        try:    # any integer, numpy's too, but not a bool
-            master_seed = operator.index(self.master_seed)
-        except TypeError:
-            master_seed = -1
-        if isinstance(self.master_seed, bool) or master_seed < 0:
-            raise ValueError(f"master_seed must be an integer >= 0, got "
-                             f"{self.master_seed!r}")
+        integers = {}
+        for name, least in (("n_samples_per_traj", 1), ("n_trajectories", 1),
+                            ("master_seed", 0)):
+            value = getattr(self, name)
+            try:    # any integer, numpy's too, but not a bool
+                integers[name] = operator.index(value)
+            except TypeError:
+                integers[name] = least - 1
+            if isinstance(value, bool) or integers[name] < least:
+                raise ValueError(f"{name} must be an integer >= {least}, "
+                                 f"got {value!r}")
         slow = min(1.0 - params.mu, params.gamma_r)
         fast = max(1.0, params.gamma_r)
         dt = self.dt if self.dt is not None else 0.01 / fast
@@ -121,7 +121,7 @@ class SimConfig:
                 f"{1.0 / (1.0 - params.mu):g}"
             )
         # each at most 1/(n+1) of the counter, so the total fits as well
-        limit = _MAX_STEPS // (self.n_samples_per_traj + 1)
+        limit = _MAX_STEPS // (integers["n_samples_per_traj"] + 1)
         for name, value in (("burn_in", burn_in), ("sample_interval", interval)):
             if not value / dt < limit:      # also an overflow to inf
                 raise ValueError(f"{name}={value:g} needs too many steps of "
@@ -132,9 +132,7 @@ class SimConfig:
             dt=dt,
             burn_steps=burn_steps,
             int_steps=int_steps,
-            n_samples_per_traj=self.n_samples_per_traj,
-            n_trajectories=self.n_trajectories,
-            master_seed=master_seed,
+            **integers,
             divergence_threshold=self.divergence_threshold,
         )
 

@@ -520,8 +520,7 @@ class MomentAccumulator:
             frozen.flags.writeable = False
         return sums, counts, self._totals
 
-    def finalize(self, centering: str = "reference",
-                 label: str = "monte-carlo") -> MomentReport:
+    def finalize(self, centering: str = "reference") -> MomentReport:
         sums, counts, totals = self._batch_sums()
         names = self.schema.target_names()
         jk = _jackknife(lambda st: [st.target(n) for n in names],
@@ -536,7 +535,7 @@ class MomentAccumulator:
                                              jk.std_error_imag)
         }
         return MomentReport(entries=entries, n_samples=int(counts.sum()),
-                            n_batches=b, centering=centering, label=label,
+                            n_batches=b, centering=centering,
                             params=self.schema.params, schema=self.schema,
                             batch_sums=sums, batch_counts=counts,
                             batch_totals=totals)

@@ -120,6 +120,10 @@ class TestSettingsTable:
                for s in a.option_strings]
         assert got == self.RUN_OPTIONS
 
+    def test_engine_defaults_are_sim_configs(self):
+        # RunSpec states no engine default of its own
+        assert RunSpec().sim_config() == engine.SimConfig()
+
     @pytest.mark.parametrize("key", [f.name for f in fields(RunSpec)])
     def test_flag_and_config_key_agree(self, tmp_path, key):
         value = self.VALUES[key]

@@ -6,9 +6,12 @@ import ctypes
 import dataclasses
 import math
 import os
+import re
 import shutil
+import struct
 import subprocess
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -32,7 +35,16 @@ needs_cc = pytest.mark.skipif(shutil.which("cc") is None,
                               reason="no C compiler (cc) on PATH")
 # the kernels a test runs the engine on in turn
 KERNELS = ("c", "numpy") if shutil.which("cc") else ("numpy",)
-NPYRANDOM = _kernels._NUMPY_DIR / "random" / "lib" / "libnpyrandom.a"
+# the static archive numpy wheels ship for C extensions
+NPYRANDOM = Path(np.__file__).parent / "random" / "lib" / "libnpyrandom.a"
+
+
+def c_table(source, name):
+    """The 256 entries of the table `name` in C source, as written."""
+    body = re.search(rf" {name}\[256\] = {{(.*?)}};", source, re.S)
+    entries = [t.strip() for t in body.group(1).split(",")]
+    assert len(entries) == 256, name
+    return entries
 
 
 def se_of_mean(arr):
@@ -214,6 +226,26 @@ class TestResolve:
         with pytest.raises(ValueError, match="^master_seed must be an "
                            "integer >= 0, got "):
             SimConfig(master_seed=seed).resolve(ModelParams(0.5, 1.0, 0.05))
+
+    @pytest.mark.parametrize("field", ["n_samples_per_traj",
+                                       "n_trajectories"])
+    @pytest.mark.parametrize("count", [0, -1, np.int64(0), True, False,
+                                       np.True_, 10.5, 4.0, "4", None])
+    def test_bad_count(self, field, count):
+        # named before anything runs: True ran one trajectory and 4.0 or
+        # "4" failed later with a TypeError naming no field
+        with pytest.raises(ValueError, match=f"^{field} must be an "
+                           "integer >= 1, got "):
+            SimConfig(**{field: count}).resolve(ModelParams(0.5, 1.0, 0.05))
+
+    @pytest.mark.parametrize("field", ["n_samples_per_traj",
+                                       "n_trajectories"])
+    def test_integer_count(self, field):
+        # numpy integers pass, stored as int
+        rcfg = SimConfig(**{field: np.int64(3)}).resolve(
+            ModelParams(0.5, 1.0, 0.05))
+        assert getattr(rcfg, field) == 3
+        assert type(getattr(rcfg, field)) is int
 
     @pytest.mark.parametrize("seed", [0, 2**200, np.int64(5), np.uint64(7)])
     def test_integer_master_seed(self, seed):
@@ -568,35 +600,50 @@ class TestKernels:
             np.testing.assert_array_equal(cube[6:, alive, 0],
                                           state[[0, 3, 1, 4, 2, 5]][:, alive])
 
+    @pytest.mark.skipif(not NPYRANDOM.is_file(),
+                        reason="numpy ships no libnpyrandom.a here")
+    def test_ziggurat_tables_are_numpys(self):
+        # each embedded table, packed as numpy stores it, is 2048 bytes of
+        # numpy's static archive, so the sampler's tables are numpy's own
+        archive = NPYRANDOM.read_bytes()
+        for name, fmt, parse in (
+                ("ki_double", "<256Q", lambda t: int(t.removesuffix("ULL"), 16)),
+                ("wi_double", "<256d", float.fromhex),
+                ("fi_double", "<256d", float.fromhex)):
+            entries = c_table(_kernels._C_SOURCE, name)
+            blob = struct.pack(fmt, *map(parse, entries))
+            assert blob in archive, name
+
     @needs_cc
     def test_c_source_compiles_without_warnings(self, tmp_path):
-        # compile only the generated source, tables filled in, with the
-        # runtime flags plus warnings as errors
+        # compile only the C source, with the runtime flags plus warnings
+        # as errors
         proc = subprocess.run(
             ["cc", *_kernels._C_FLAGS, "-Wall", "-Wextra", "-Werror",
              "-x", "c", "-", "-c", "-o", str(tmp_path / "kernel.o")],
-            input=_kernels._c_source(NPYRANDOM), capture_output=True,
-            text=True, timeout=300)
+            input=_kernels._C_SOURCE, capture_output=True, text=True,
+            timeout=300)
         assert proc.returncode == 0, proc.stderr
 
     @needs_cc
     def test_library_exports_kernel_without_linking_numpy(self, monkeypatch,
                                                           tmp_path):
-        # the tables are copied into the source; numpy's archive is read,
-        # never linked
+        # the build compiles the C source as it stands and links nothing
+        # of numpy's
         monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
         commands = []
         run = subprocess.run
 
         def recording_run(cmd, *args, **kwargs):
-            commands.append(cmd)
+            commands.append((cmd, kwargs.get("input")))
             return run(cmd, *args, **kwargs)
 
         monkeypatch.setattr(_kernels.subprocess, "run", recording_run)
         lib = ctypes.CDLL(str(_kernels._compiled_library()))
-        build = [cmd for cmd in commands if "-shared" in cmd]
+        build = [(cmd, source) for cmd, source in commands if "-shared" in cmd]
         assert len(build) == 1
-        assert not any("npyrandom" in str(arg) for arg in build[0])
+        assert build[0][1] == _kernels._C_SOURCE
+        assert not any("npyrandom" in str(arg) for arg in build[0][0])
         for name in ("opo3_chunk_step", "opo3_normals", "opo3_seed"):
             assert hasattr(lib, name), name
         assert not hasattr(lib, "random_standard_normal_fill")
@@ -816,18 +863,15 @@ class TestKernels:
     @needs_cc
     def test_sampler_self_check_falls_back_once(self, monkeypatch,
                                                 tmp_path):
-        # a kernel whose sampler differs from numpy's in one table entry
-        # must never run: one warning, then the numpy kernel
-        tables = _kernels._ziggurat_tables
-
-        def one_entry_off(archive):
-            found = dict(tables(archive))
-            wi = list(found[b"wi_double"])
-            wi[7] = np.nextafter(wi[7], 1.0)
-            found[b"wi_double"] = tuple(wi)
-            return found
-
-        monkeypatch.setattr(_kernels, "_ziggurat_tables", one_entry_off)
+        # a kernel whose sampler differs from numpy's in one table entry,
+        # wi_double[7] one ulp larger, must never run: one warning, then
+        # the numpy kernel
+        source = _kernels._C_SOURCE
+        entry = c_table(source, "wi_double")[7]
+        wider = np.nextafter(float.fromhex(entry), np.inf).hex()
+        assert source.count(f" {entry},") == 1
+        monkeypatch.setattr(_kernels, "_C_SOURCE",
+                            source.replace(f" {entry},", f" {wider},"))
         monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
         _kernels._c_function.cache_clear()
         try:
@@ -883,20 +927,6 @@ class TestKernels:
             _kernels._c_function.cache_clear()
             with pytest.warns(RuntimeWarning, match="step kernel"):
                 assert _kernels.get_stepper() is no_numpy_step
-        finally:
-            _kernels._c_function.cache_clear()
-
-    @needs_cc
-    def test_missing_npyrandom_falls_back_once(self, monkeypatch, tmp_path):
-        # without numpy's libnpyrandom.a the C kernel has no ziggurat tables
-        monkeypatch.setattr(_kernels, "_NUMPY_DIR", tmp_path)
-        _kernels._c_function.cache_clear()
-        try:
-            with pytest.warns(RuntimeWarning,
-                              match="libnpyrandom.a not found") as record:
-                assert _kernels.get_stepper() is _kernels._chunk_step_numpy
-                assert _kernels.get_stepper() is _kernels._chunk_step_numpy
-            assert len(record) == 1
         finally:
             _kernels._c_function.cache_clear()
 
