@@ -8,6 +8,8 @@ perturbative closed forms, and tests a generalized Cauchy-Schwarz
 inequality that certifies nonclassical tripartite correlations.
 """
 
+import importlib
+
 from .model import (
     DomainError,
     ModelParams,
@@ -16,11 +18,6 @@ from .model import (
     derive_params,
     drift_and_diffusion,
     fixed_point,
-)
-from .analytic import (
-    CsSides,
-    analytic_moment_report,
-    cs_sides_analytic,
 )
 from .moments import (
     ChannelSpec,
@@ -45,17 +42,24 @@ from .engine import (
     run_ensemble,
     simulate_trajectory,
 )
-from .criteria import (
-    AuditResult,
-    CriterionReport,
-    OddMomentResult,
-    WitnessResult,
-    cs_running_average,
-    cs_test,
-    pair_audit,
-    pump_odd_moment,
-    separability_witness,
-)
+
+# names that load their module on first use (PEP 562), so that a process
+# that only integrates never imports the criteria, the closed forms or the
+# logging these bring in
+_ON_FIRST_USE = {
+    "CsSides": "analytic",
+    "analytic_moment_report": "analytic",
+    "cs_sides_analytic": "analytic",
+    "AuditResult": "criteria",
+    "CriterionReport": "criteria",
+    "OddMomentResult": "criteria",
+    "WitnessResult": "criteria",
+    "cs_running_average": "criteria",
+    "cs_test": "criteria",
+    "pair_audit": "criteria",
+    "pump_odd_moment": "criteria",
+    "separability_witness": "criteria",
+}
 
 __version__ = "0.1.0"
 
@@ -100,3 +104,16 @@ __all__ = [
     "separability_witness",
     "__version__",
 ]
+
+
+def __getattr__(name):
+    module = _ON_FIRST_USE.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_ON_FIRST_USE))

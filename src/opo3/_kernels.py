@@ -60,8 +60,12 @@ instead, with one warning.  The library is cached under
 $XDG_CACHE_HOME/opo3 (else ~/.cache/opo3, else a per-user temporary
 directory), keyed by this module's source, the flags, the resolved
 compiler's path, size and mtime, and the numpy version, so a cache hit
-runs no compiler; the numpy kernel's bytes for the step check are kept
-beside it.
+runs no compiler and starts no process.  numpy's answers to the load-time
+check (the seeded PCG64 words, the standard normals drawn from the last
+of them, that generator's words after the draws, and the numpy kernel's
+bytes on a chunk of those draws) are computed once per build, on its
+first load, and kept beside the library, so later loads import neither
+numpy.random nor run a numpy step.
 """
 
 from __future__ import annotations
@@ -70,7 +74,6 @@ import ctypes
 import functools
 import os
 import shutil
-import subprocess
 import tempfile
 import warnings
 import zlib
@@ -929,9 +932,9 @@ def _compiled_library() -> Path:
     st = os.stat(real)
     compiler = f"{real}:{st.st_size}:{st.st_mtime_ns}"
     # crc32, not hashlib: importing hashlib loads OpenSSL, about 3 MB of
-    # resident memory in every process that integrates; this module's
-    # source holds both the C source, tables included, and the numpy kernel
-    # whose check bytes are kept beside the library
+    # resident memory that a process on a cache hit never loads otherwise;
+    # this module's source holds the C source, tables included, and the
+    # numpy kernel and check inputs behind the answers kept beside it
     key = "".join(f"{zlib.crc32(part):08x}"
                   for part in (Path(__file__).read_bytes(),
                                " ".join(_C_FLAGS).encode(), compiler.encode(),
@@ -940,6 +943,8 @@ def _compiled_library() -> Path:
     lib = cache / f"chunk_step_{key}.so"
     if lib.is_file():
         return lib
+    import subprocess       # only a build starts a process
+
     fd, tmp = tempfile.mkstemp(dir=cache, prefix=".build-", suffix=".so")
     os.close(fd)
     try:
@@ -950,6 +955,8 @@ def _compiled_library() -> Path:
             raise _BuildError(f"cc failed: {proc.stderr.strip()[:500]}")
         # concurrent builders each write their own file; the rename is atomic
         os.replace(tmp, lib)
+    except subprocess.SubprocessError as exc:
+        raise _BuildError(f"cc failed: {exc}") from exc
     finally:
         if os.path.exists(tmp):
             os.unlink(tmp)
@@ -975,27 +982,43 @@ def _check_chunk(step, normals) -> bytes:
     return state.tobytes() + alive.tobytes() + first_bad.tobytes()
 
 
-def _check_reference(path: Path, normals) -> bytes:
-    """The numpy kernel's `_check_chunk` bytes, kept in `path` beside the
-    library: the first load of a build computes them, later loads read
-    them, because a first numpy step pages in about 0.3 MB of numpy that
-    a run on the C kernel never touches."""
+def _numpy_answers() -> bytes:
+    """numpy's answers to the load-time check, laid out as `_c_function`
+    lays out the C kernel's: the PCG64 words of SeedSequence(_CHECK_SEED,
+    spawn_key=(k + j,)) for k in _CHECK_KEYS and j in (0, 1), the
+    _CHECK_DRAWS draws of Generator.standard_normal from the last of them,
+    that generator's words after the draws, and the numpy kernel's
+    `_check_chunk` bytes on the draws."""
+    bitgens = [np.random.PCG64(np.random.SeedSequence(
+        _CHECK_SEED, spawn_key=(k + j,))) for k in _CHECK_KEYS for j in (0, 1)]
+    seeded = b"".join(_pcg64_words(b).tobytes() for b in bitgens)
+    draws = np.random.Generator(bitgens[-1]).standard_normal(_CHECK_DRAWS)
+    return (seeded + draws.tobytes() + _pcg64_words(bitgens[-1]).tobytes()
+            + _check_chunk(_chunk_step_numpy, draws))
+
+
+def _kept_answers(path: Path) -> bytes:
+    """`_numpy_answers`, kept in `path` beside the library: the first load
+    of a build computes them, later loads read them, because importing
+    numpy.random brings in secrets, hashlib and OpenSSL, about 15 ms and
+    6 MB, and a first numpy step pages in about 0.3 MB of numpy, that a run
+    on the C kernel never needs."""
     try:
         return path.read_bytes()
     except OSError:
         pass
-    reference = _check_chunk(_chunk_step_numpy, normals)
+    answers = _numpy_answers()
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=".check-")
     try:
         with os.fdopen(fd, "wb") as f:
-            f.write(reference)
+            f.write(answers)
         os.replace(tmp, path)
     except OSError:
         pass        # compared all the same, only not kept
     finally:
         if os.path.exists(tmp):
             os.unlink(tmp)
-    return reference
+    return answers
 
 
 @functools.cache
@@ -1007,12 +1030,13 @@ def _c_function():
     _CHECK_KEYS and their successors, its sampler must reproduce
     Generator.standard_normal bit for bit on _CHECK_DRAWS draws from the
     last of them, consuming the same words, and its step must leave the
-    numpy kernel's bytes on `_check_chunk`.
+    numpy kernel's bytes on `_check_chunk` of those draws: every byte
+    must equal the kept `_numpy_answers`.
     """
     try:
         path = _compiled_library()
         lib = ctypes.CDLL(str(path))
-    except (OSError, subprocess.SubprocessError, _BuildError) as exc:
+    except (OSError, _BuildError) as exc:
         warnings.warn(f"opo3: C step kernel unavailable ({exc}); "
                       "using the slower numpy kernel", RuntimeWarning,
                       stacklevel=2)
@@ -1024,20 +1048,15 @@ def _c_function():
             (lib.opo3_chunk_step, [ptr] * 3 + [f64] + [ptr] * 2 + [i64] * 2
              + [f64] * 5 + [i64] * 2, ctypes.c_int)):
         fn.argtypes, fn.restype = args, res
-    ours = np.concatenate([seed_generators(_CHECK_SEED, k, 2, lib)
-                           for k in _CHECK_KEYS])
-    bitgens = [np.random.PCG64(np.random.SeedSequence(
-        _CHECK_SEED, spawn_key=(k + j,))) for k in _CHECK_KEYS for j in (0, 1)]
-    seeded = ours.tobytes() == b"".join(_pcg64_words(b).tobytes()
-                                        for b in bitgens)
+    words = np.concatenate([seed_generators(_CHECK_SEED, k, 2, lib)
+                            for k in _CHECK_KEYS])
+    seeded = words.tobytes()
     # then draws from the last key's state, which is written back
-    got = np.empty(_CHECK_DRAWS)
-    lib.opo3_normals(ours[-1].ctypes.data, got.size, got.ctypes.data)
-    want = np.random.Generator(bitgens[-1]).standard_normal(got.size)
-    if not (seeded and got.tobytes() == want.tobytes()
-            and ours[-1].tobytes() == _pcg64_words(bitgens[-1]).tobytes()
-            and _check_chunk(functools.partial(_chunk_step_c, lib=lib), want)
-            == _check_reference(path.with_suffix(".check"), want)):
+    draws = np.empty(_CHECK_DRAWS)
+    lib.opo3_normals(words[-1].ctypes.data, draws.size, draws.ctypes.data)
+    ours = (seeded + draws.tobytes() + words[-1].tobytes()
+            + _check_chunk(functools.partial(_chunk_step_c, lib=lib), draws))
+    if ours != _kept_answers(path.with_suffix(".check")):
         warnings.warn("opo3: the C kernel does not reproduce numpy's "
                       "SeedSequence, PCG64, Generator.standard_normal and "
                       "step kernel; using the slower numpy kernel",

@@ -524,6 +524,44 @@ class TestPackage:
         assert len(opo3.__all__) == len(set(opo3.__all__))
         assert [n for n in opo3.__all__ if not hasattr(opo3, n)] == []
 
+    @pytest.mark.skipif(shutil.which("cc") is None,
+                        reason="no C compiler (cc) on PATH")
+    def test_integrating_loads_only_what_it_needs(self):
+        # on a warm kernel cache, importing the package and integrating one
+        # trajectory loads neither the build's subprocess, numpy.random
+        # (nor the hashlib it brings in), the criteria or the closed forms
+        # (nor their logging); the lazy names are listed all the same and
+        # resolve to their modules' own objects
+        code = (
+            "import json, sys, opo3\n"
+            "opo3.simulate_trajectory(opo3.ModelParams(0.5, 1.0, 0.05), "
+            "opo3.SimConfig(dt=0.05, burn_in=20.0, sample_interval=2.0, "
+            "n_samples_per_traj=1, n_trajectories=1))\n"
+            "loaded = [m for m in ('subprocess', 'numpy.random', 'hashlib', "
+            "'logging', 'opo3.criteria', 'opo3.analytic') "
+            "if m in sys.modules]\n"
+            "unlisted = sorted(set(opo3.__all__) - set(dir(opo3)))\n"
+            "stepper = opo3._kernels.get_stepper().__name__\n"
+            "own = all(getattr(sys.modules[getattr(opo3, n).__module__], n) "
+            "is getattr(opo3, n) for n in opo3.__all__ if n != '__version__')\n"
+            "print(json.dumps([loaded, unlisted, stepper, own, "
+            "opo3.cs_test is opo3.criteria.cs_test, "
+            "opo3.CsSides is opo3.analytic.CsSides]))")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                             text=True, env=package_env())
+        assert out.returncode == 0, out.stderr
+        loaded, unlisted, stepper, own, *same = json.loads(out.stdout)
+        assert stepper == "_chunk_step_c"
+        assert loaded == []
+        assert unlisted == []
+        assert own and all(same)
+
+    def test_unknown_name_is_an_attribute_error(self):
+        with pytest.raises(AttributeError, match="no_such_name"):
+            opo3.no_such_name
+        assert not hasattr(opo3, "cs_tests")
+        assert {"cs_test", "CsSides", "run_ensemble"} <= set(dir(opo3))
+
 
 class TestEntryPoints:
     def test_version_flag(self, capsys):

@@ -385,6 +385,27 @@ def no_compiler(monkeypatch, tmp_path):
     _kernels._c_function.cache_clear()
 
 
+@pytest.fixture
+def fresh_cache(monkeypatch, tmp_path):
+    """A kernel cache that holds only a copy of this session's library, so
+    that the first load there computes and keeps its own check answers
+    without compiling again; yields the copy's path.  The loaded kernel is
+    forgotten before and after."""
+    built = _kernels._compiled_library()
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    (tmp_path / "opo3").mkdir(mode=0o700)
+    copy = Path(shutil.copy(built, tmp_path / "opo3" / built.name))
+    _kernels._c_function.cache_clear()
+    yield copy
+    _kernels._c_function.cache_clear()
+
+
+def one_ulp_off(state, *args, step=_kernels._chunk_step_numpy):
+    """The numpy kernel, then a1's real part at #0 one ulp larger."""
+    step(state, *args)
+    state.real[1, 0] = np.nextafter(state.real[1, 0], np.inf)
+
+
 def drive(stepper, start, w, params, dt, thr, step0, chunk, **kw):
     """Advance `start` through the noise `w` in chunks of `chunk` steps;
     `kw` goes to the stepper."""
@@ -638,7 +659,7 @@ class TestKernels:
             commands.append((cmd, kwargs.get("input")))
             return run(cmd, *args, **kwargs)
 
-        monkeypatch.setattr(_kernels.subprocess, "run", recording_run)
+        monkeypatch.setattr(subprocess, "run", recording_run)
         lib = ctypes.CDLL(str(_kernels._compiled_library()))
         build = [(cmd, source) for cmd, source in commands if "-shared" in cmd]
         assert len(build) == 1
@@ -846,7 +867,7 @@ class TestKernels:
             commands.append(cmd)
             return subprocess.CompletedProcess(cmd, 0, "", "")
 
-        monkeypatch.setattr(_kernels.subprocess, "run", fake_build)
+        monkeypatch.setattr(subprocess, "run", fake_build)
         first = _kernels._compiled_library()
         assert len(commands) == 1 and commands[0][0] == str(bin_dir / "cc")
         assert _kernels._compiled_library() == first
@@ -859,6 +880,20 @@ class TestKernels:
         (bin_dir / "gcc-x").write_text("#!/bin/sh\n# another\n")
         os.utime(bin_dir / "gcc-x", ns=(st.st_atime_ns, st.st_mtime_ns))
         assert _kernels._compiled_library() not in (first, second)
+
+    @needs_cc
+    def test_hung_build_is_a_build_error(self, monkeypatch, tmp_path):
+        # a compiler that outlives its timeout fails the build like any
+        # other failure, and leaves nothing in the cache
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+
+        def hung_build(cmd, *args, **kwargs):
+            raise subprocess.TimeoutExpired(cmd, kwargs.get("timeout"))
+
+        monkeypatch.setattr(subprocess, "run", hung_build)
+        with pytest.raises(_kernels._BuildError, match="timed out"):
+            _kernels._compiled_library()
+        assert list((tmp_path / "opo3").iterdir()) == []
 
     @needs_cc
     def test_sampler_self_check_falls_back_once(self, monkeypatch,
@@ -884,51 +919,89 @@ class TestKernels:
             _kernels._c_function.cache_clear()
 
     @needs_cc
-    def test_step_self_check_falls_back_once(self, monkeypatch, tmp_path):
+    def test_step_self_check_falls_back_once(self, monkeypatch, fresh_cache):
         # a C step one ulp away from the numpy kernel on the load-time
         # chunk must never run: one warning, then the numpy kernel
-        step = _kernels._chunk_step_numpy
-
-        def one_ulp_off(state, *args):
-            step(state, *args)
-            state.real[1, 0] = np.nextafter(state.real[1, 0], np.inf)
-
         monkeypatch.setattr(_kernels, "_chunk_step_numpy", one_ulp_off)
-        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
-        _kernels._c_function.cache_clear()
-        try:
-            with pytest.warns(RuntimeWarning) as record:
-                assert _kernels.get_stepper() is one_ulp_off
-                assert _kernels.get_stepper() is one_ulp_off
-            assert len(record) == 1
-            assert "step kernel" in str(record[0].message)
-        finally:
-            _kernels._c_function.cache_clear()
+        with pytest.warns(RuntimeWarning) as record:
+            assert _kernels.get_stepper() is one_ulp_off
+            assert _kernels.get_stepper() is one_ulp_off
+        assert len(record) == 1
+        assert "step kernel" in str(record[0].message)
 
     @needs_cc
-    def test_step_reference_kept_beside_library(self, monkeypatch, tmp_path):
-        # the first load computes the numpy kernel's check bytes and keeps
-        # them; a later load compares with those and runs no numpy step,
-        # and a kept reference one bit off makes the C kernel fall back
-        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    def test_step_reference_kept_beside_library(self, monkeypatch,
+                                                fresh_cache):
+        # the first load computes numpy's check answers and keeps them; a
+        # later load compares with those and needs neither numpy.random nor
+        # a numpy step, and a kept file one bit off in any of its parts
+        # makes the C kernel fall back with one warning
+        assert _kernels.get_stepper() is _kernels._chunk_step_c
+        kept = fresh_cache.with_suffix(".check")
+        answers = kept.read_bytes()
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("numpy computed a check answer on a hit")
+
+        for owner, name in ((np.random, "SeedSequence"),
+                            (np.random, "Generator"),
+                            (_kernels, "_chunk_step_numpy")):
+            monkeypatch.setattr(owner, name, refuse)
         _kernels._c_function.cache_clear()
-        try:
-            assert _kernels.get_stepper() is _kernels._chunk_step_c
-            kept = _kernels._compiled_library().with_suffix(".check")
-            reference = kept.read_bytes()
+        assert _kernels.get_stepper() is _kernels._chunk_step_c
+        # seed words, draws, the words after the draws, the chunk's state,
+        # alive and first_bad bytes
+        nb = _kernels._CHECK_STEP[0]
+        sizes = {"seed words": 8 * 4 * 2 * len(_kernels._CHECK_KEYS),
+                 "draws": 8 * _kernels._CHECK_DRAWS, "words after": 8 * 4,
+                 "chunk": 16 * 6 * nb + nb + 8 * nb}
+        assert len(answers) == sum(sizes.values())
+        start = 0
+        for part, size in sizes.items():
+            at = start + size // 2
+            kept.write_bytes(answers[:at] + bytes([answers[at] ^ 4])
+                             + answers[at + 1:])
+            _kernels._c_function.cache_clear()
+            with pytest.warns(RuntimeWarning) as record:
+                assert _kernels.get_stepper() is refuse
+                assert _kernels.get_stepper() is refuse
+            assert len(record) == 1, part
+            assert "does not reproduce" in str(record[0].message), part
+            start += size
 
-            def no_numpy_step(*args):
-                raise AssertionError("a numpy step ran on a cache hit")
-
-            monkeypatch.setattr(_kernels, "_chunk_step_numpy", no_numpy_step)
-            _kernels._c_function.cache_clear()
-            assert _kernels.get_stepper() is _kernels._chunk_step_c
-            kept.write_bytes(bytes([reference[0] ^ 1]) + reference[1:])
-            _kernels._c_function.cache_clear()
-            with pytest.warns(RuntimeWarning, match="step kernel"):
-                assert _kernels.get_stepper() is no_numpy_step
-        finally:
-            _kernels._c_function.cache_clear()
+    @needs_cc
+    def test_fallback_warnings_pass_the_test_filters(self, monkeypatch,
+                                                     fresh_cache,
+                                                     no_compiler):
+        # each fallback warning, a failed self-check's and no compiler's,
+        # is let through by a `default:` entry of the suite's
+        # filterwarnings, matched as `warnings` matches, with re.match and
+        # ignoring case; and every such entry matches one of them
+        tomllib = pytest.importorskip("tomllib")
+        pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
+        with open(pyproject, "rb") as f:
+            entries = tomllib.load(f)["tool"]["pytest"]["ini_options"][
+                "filterwarnings"]
+        defaults = [(re.compile(message, re.I), category)
+                    for action, message, category
+                    in (entry.split(":")[:3] for entry in entries)
+                    if action == "default"]
+        assert defaults
+        messages = []
+        monkeypatch.setattr(_kernels, "_chunk_step_numpy", one_ulp_off)
+        for fail in (lambda: None, no_compiler):
+            fail()
+            with pytest.warns(RuntimeWarning) as record:
+                _kernels.get_stepper()
+            assert len(record) == 1
+            messages.append(str(record[0].message))
+        assert "does not reproduce" in messages[0]
+        assert "unavailable" in messages[1]
+        for message in messages:
+            assert any(pattern.match(message) and category == "RuntimeWarning"
+                       for pattern, category in defaults), message
+        for pattern, _ in defaults:
+            assert any(pattern.match(m) for m in messages), pattern.pattern
 
     @needs_cc
     def test_library_cached_under_xdg_cache_home(self, monkeypatch, tmp_path):
