@@ -28,10 +28,15 @@ block on pthreads, the calling thread taking the first range and any
 whose thread fails to start.  A thread steps its range four trajectories
 at a time, one per lane of a vector, with the real and imaginary parts of
 each amplitude in their own vectors; the step map is stated once, for the
-lanes.  A lane past the end of the range, or dead, is masked: it draws
-nothing, and its state and generator stay as they are.  A trajectory
-touches only its own generator and state column, and every lane rounds
-alone, so results depend neither on the thread count nor on the lane.
+lanes.  A step's drawn normals are taken column by column: the first of
+each live lane, then the second of each, and so on, so that four
+independent PCG64 chains are in flight at once.  Each lane still draws
+its own four normals in order from its own generator, and no lane's draw
+reads another's, so the order across lanes changes no bit.  A lane past
+the end of the range, or dead, is masked: it draws nothing, and its
+state and generator stay as they are.  A trajectory touches only its own
+generator and state column, and every lane rounds alone, so results
+depend neither on the thread count nor on the lane.
 
 The pump takes the factored Euler step a0 <- m + (a0 - m) * e_pump +
 dt * (-eps * a1 * a2), m = mu/eps, e_pump = 1 - gamma_r*dt; signal modes
@@ -63,7 +68,8 @@ compiler's path, size and mtime, and the numpy version, so a cache hit
 runs no compiler and starts no process.  numpy's answers to the load-time
 check (the seeded PCG64 words, the standard normals drawn from the last
 of them, that generator's words after the draws, and the numpy kernel's
-bytes on a chunk of those draws) are computed once per build, on its
+bytes on a chunk of those draws and on a chunk drawn from seeded words,
+one trajectory dying mid-chunk) are computed once per build, on its
 first load, and kept beside the library, so later loads import neither
 numpy.random nor run a numpy step.
 """
@@ -573,6 +579,7 @@ static LANE_CLONES void *step_range(void *arg)
     /* a local copy, which the stores through alive cannot alias */
     const range_t copy = *(const range_t *)arg, *r = &copy;
     const int64_t nb = r->nb;
+    const int drawn = r->gens != NULL;
     double *state = r->state;          /* (6, nb) complex, (re, im) pairs */
     for (int64_t j0 = r->lo; j0 < r->hi; j0 += LANES) {
         double parts[12][LANES], w[4][LANES] = {{0}};
@@ -587,22 +594,28 @@ static LANE_CLONES void *step_range(void *arg)
             for (int i = 0; i < 12; i++)
                 parts[i][k] = on ? state[2 * ((i / 2) * nb + j) + i % 2]
                                  : (double)(i % 2 == 0);
-            if (on && r->gens)
+            if (on && drawn)
                 g[k] = LOAD_PCG64(r->gens + 4 * j);
-            if (on && r->w)
+            if (on && !drawn)
                 wl[k] = r->w + j * r->n_steps * 4;
         }
         const vmask loaded = keep;
         lanes_t a[6];                   /* a0, a1, a2, a0p, a1p, a2p */
         memcpy(a, parts, sizeof a);
         for (int64_t c = 0; c < r->n_steps; c++) {
-            /* each live lane's four normals, drawn or read */
-            for (int k = 0; k < LANES; k++) {
-                if (!keep[k])
-                    continue;
+            /* each live lane's four normals, drawn a column at a time
+               across the lanes, so that their generators advance side by
+               side while each draws its own four in order, or read */
+            if (drawn) {
                 for (int i = 0; i < 4; i++)
-                    w[i][k] = r->gens ? standard_normal(&g[k]) * r->scale
-                                      : wl[k][4 * c + i];
+                    for (int k = 0; k < LANES; k++)
+                        if (keep[k])
+                            w[i][k] = standard_normal(&g[k]) * r->scale;
+            } else {
+                for (int k = 0; k < LANES; k++)
+                    if (keep[k])
+                        for (int i = 0; i < 4; i++)
+                            w[i][k] = wl[k][4 * c + i];
             }
             lanes_t dw[4], z, root0, root0p, next[6];
             memcpy(&dw[0].re, w[0], sizeof dw[0].re);
@@ -653,7 +666,7 @@ static LANE_CLONES void *step_range(void *arg)
                 continue;
             for (int i = 0; i < 12; i++)
                 state[2 * ((i / 2) * nb + j) + i % 2] = parts[i][k];
-            if (r->gens)
+            if (drawn)
                 store_pcg64(&g[k], r->gens + 4 * j);
         }
     }
@@ -697,8 +710,13 @@ int opo3_chunk_step(double *state, const double *w, uint64_t *gens,
 }
 """
 
-# no -ffast-math or -march=native: the kernel must round like numpy does
-_C_FLAGS = ("-O2", "-pthread", "-fPIC", "-shared", "-ffp-contract=off",
+# no -ffast-math or -march=native: the kernel must round like numpy does.
+# -O3 is as safe as -O2 here: it adds loop transformations (unrolling,
+# unswitching, vectorizing), and none of them reassociates or fuses a
+# float operation while no flag enables -fassociative-math and
+# -ffp-contract=off forbids fused multiply-adds; the load-time check
+# compares the bytes regardless
+_C_FLAGS = ("-O3", "-pthread", "-fPIC", "-shared", "-ffp-contract=off",
             "-fno-math-errno")
 # the load-time check's spawn keys: 0, 1 and 2**32 - 1, 2**32 (two words)
 _CHECK_SEED = 20260814
@@ -963,23 +981,34 @@ def _compiled_library() -> Path:
     return lib
 
 
-def _check_chunk(step, normals) -> bytes:
+def _check_chunk(step, normals, gens=None) -> bytes:
     """state, alive and first_bad bytes after `step` (a kernel) on the
-    load-time check chunk: _CHECK_STEP trajectories x steps of buffered
-    noise made from `normals`, two lane groups, the second partial, with
-    #3 kicked over the threshold at step 9, #5 starting at a zero pump
-    (the exact zero root) and #6 at a tiny one (the rescaled root)."""
+    load-time check chunk: _CHECK_STEP trajectories x steps from a start
+    made from `normals`, two lane groups, the second partial, with #5
+    starting at a zero pump (the exact zero root) and #6 at a tiny one (the
+    rescaled root).  Its noise is buffered, made from `normals` too, with
+    #3 kicked over the threshold at step 9, or, given `gens`, drawn from a
+    copy of those generator words, whose bytes after the chunk follow; #3
+    then starts with pumps and signals that grow past the threshold at
+    step 9 of the chunk's steps 3 to 14, its generator stopping there."""
     nb, n_steps = _CHECK_STEP
     state = 2.0 + normals[:6 * nb].reshape(6, nb) + 1j * normals[
         6 * nb:12 * nb].reshape(6, nb)
     state[0, 5], state[3, 6] = 0.0, 1e-170j
-    w = 0.1 * normals[12 * nb:(12 + 4 * n_steps) * nb].reshape(nb, n_steps, 4)
-    w[3, 9, 0] = 1e4
     alive = np.ones(nb, dtype=np.bool_)
     first_bad = np.full(nb, -1, dtype=np.int64)
-    step(state, w, None, 1.0, alive, first_bad, n_steps, 0.5, 2.0, 0.01,
-         0.99, 1e4, 3)
-    return state.tobytes() + alive.tobytes() + first_bad.tobytes()
+    args = (alive, first_bad, n_steps, 0.5, 2.0, 0.01, 0.99, 1e4, 3)
+    if gens is None:
+        w = 0.1 * normals[12 * nb:(12 + 4 * n_steps) * nb].reshape(
+            nb, n_steps, 4)
+        w[3, 9, 0] = 1e4
+        step(state, w, None, 1.0, *args)
+        return state.tobytes() + alive.tobytes() + first_bad.tobytes()
+    state[:, 3] = (90, 15, 15, 90, 15, 15)
+    gens = gens.copy()
+    step(state, None, gens, 0.1, *args)
+    return (state.tobytes() + alive.tobytes() + first_bad.tobytes()
+            + gens.tobytes())
 
 
 def _numpy_answers() -> bytes:
@@ -988,13 +1017,17 @@ def _numpy_answers() -> bytes:
     spawn_key=(k + j,)) for k in _CHECK_KEYS and j in (0, 1), the
     _CHECK_DRAWS draws of Generator.standard_normal from the last of them,
     that generator's words after the draws, and the numpy kernel's
-    `_check_chunk` bytes on the draws."""
+    `_check_chunk` bytes on the draws, buffered, then drawn from the words
+    of SeedSequence(_CHECK_SEED, spawn_key=(j,)) for each trajectory j."""
     bitgens = [np.random.PCG64(np.random.SeedSequence(
         _CHECK_SEED, spawn_key=(k + j,))) for k in _CHECK_KEYS for j in (0, 1)]
     seeded = b"".join(_pcg64_words(b).tobytes() for b in bitgens)
     draws = np.random.Generator(bitgens[-1]).standard_normal(_CHECK_DRAWS)
+    gens = np.array([_pcg64_words(np.random.PCG64(np.random.SeedSequence(
+        _CHECK_SEED, spawn_key=(j,)))) for j in range(_CHECK_STEP[0])])
     return (seeded + draws.tobytes() + _pcg64_words(bitgens[-1]).tobytes()
-            + _check_chunk(_chunk_step_numpy, draws))
+            + _check_chunk(_chunk_step_numpy, draws)
+            + _check_chunk(_chunk_step_numpy, draws, gens))
 
 
 def _kept_answers(path: Path) -> bytes:
@@ -1030,8 +1063,9 @@ def _c_function():
     _CHECK_KEYS and their successors, its sampler must reproduce
     Generator.standard_normal bit for bit on _CHECK_DRAWS draws from the
     last of them, consuming the same words, and its step must leave the
-    numpy kernel's bytes on `_check_chunk` of those draws: every byte
-    must equal the kept `_numpy_answers`.
+    numpy kernel's bytes on `_check_chunk` of those draws, buffered and
+    drawn from its own seeding's words: every byte must equal the kept
+    `_numpy_answers`.
     """
     try:
         path = _compiled_library()
@@ -1054,8 +1088,10 @@ def _c_function():
     # then draws from the last key's state, which is written back
     draws = np.empty(_CHECK_DRAWS)
     lib.opo3_normals(words[-1].ctypes.data, draws.size, draws.ctypes.data)
+    step = functools.partial(_chunk_step_c, lib=lib)
+    gens = seed_generators(_CHECK_SEED, 0, _CHECK_STEP[0], lib)
     ours = (seeded + draws.tobytes() + words[-1].tobytes()
-            + _check_chunk(functools.partial(_chunk_step_c, lib=lib), draws))
+            + _check_chunk(step, draws) + _check_chunk(step, draws, gens))
     if ours != _kept_answers(path.with_suffix(".check")):
         warnings.warn("opo3: the C kernel does not reproduce numpy's "
                       "SeedSequence, PCG64, Generator.standard_normal and "

@@ -496,6 +496,30 @@ class TestKernels:
             assert np_out[3][j].tobytes() == want.tobytes()
 
     @needs_cc
+    def test_kernels_match_on_a_drawn_death_mid_chunk(self):
+        # #1 starts with pumps and signals that grow past the threshold a
+        # few steps into the first chunk of drawn noise; both kernels leave
+        # the same bytes, and its generator has drawn four normals for each
+        # step through the one it died at, and no more
+        start, w, dt = self.kicked_block()
+        start[:, 1] = (49, 35, 35, 49, 35, 35)
+        step0, chunk = 5000, 150
+        c_out, np_out = (drive_drawn(step, start, self.params, dt, 50.0,
+                                     step0, chunk, w.shape[1])
+                         for step in (_kernels._chunk_step_c,
+                                      _kernels._chunk_step_numpy))
+        first_bad = c_out[2]
+        np.testing.assert_array_equal(first_bad,
+                                      [-1, 5006, -1, -1, 5000, -1, 5000])
+        assert step0 < first_bad[1] < step0 + chunk - 1
+        for got, want in zip(c_out, np_out):
+            assert got.tobytes() == want.tobytes()
+        rng = stream(9, 1)
+        rng.standard_normal(4 * (first_bad[1] - step0 + 1))
+        want = _kernels._pcg64_words(rng.bit_generator)
+        assert c_out[3][1].tobytes() == want.tobytes()
+
+    @needs_cc
     @pytest.mark.parametrize("n_threads", [2, 3, 8])
     def test_c_kernel_thread_count_invariance(self, n_threads):
         # each trajectory is stepped by exactly one thread, on its own
@@ -645,6 +669,24 @@ class TestKernels:
             input=_kernels._C_SOURCE, capture_output=True, text=True,
             timeout=300)
         assert proc.returncode == 0, proc.stderr
+
+    def test_build_flags_keep_the_rounding(self):
+        # no flag may let the compiler fuse, reassociate or assume away a
+        # float operation, nor tune for the build machine, and no vector
+        # clone may enable FMA
+        flags = _kernels._C_FLAGS
+        assert "-ffp-contract=off" in flags
+        for flag in ("-ffast-math", "-Ofast", "-funsafe-math-optimizations",
+                     "-ffinite-math-only", "-fassociative-math",
+                     "-freciprocal-math", "-march=native"):
+            assert flag not in flags, flag
+        targets = re.findall(r"target(?:_clones)?\(([^)]*)\)",
+                             _kernels._C_SOURCE)
+        assert targets
+        for target in targets:
+            for name in re.findall(r'"([^"]*)"', target):
+                assert not any(isa in name for isa in
+                               ("fma", "avx2", "avx512", "arch=")), name
 
     @needs_cc
     def test_library_exports_kernel_without_linking_numpy(self, monkeypatch,
@@ -930,6 +972,37 @@ class TestKernels:
         assert "step kernel" in str(record[0].message)
 
     @needs_cc
+    def test_drawn_step_self_check_falls_back_once(self, monkeypatch,
+                                                   fresh_cache):
+        # the load-time chunk also draws from seeded generator words, its
+        # last lane group partial and #3 dying mid-chunk, so a C step one
+        # ulp away from the numpy kernel on drawn noise only never runs
+        nb, n_steps = _kernels._CHECK_STEP
+        assert nb % 4
+        normals = stream(_kernels._CHECK_SEED,
+                         _kernels._CHECK_KEYS[-1] + 1).standard_normal(
+            _kernels._CHECK_DRAWS)
+        gens = np.array([_kernels._pcg64_words(
+            stream(_kernels._CHECK_SEED, j).bit_generator) for j in range(nb)])
+        out = _kernels._check_chunk(_kernels._chunk_step_numpy, normals,
+                                    gens)
+        first_bad = np.frombuffer(out, np.int64, nb, 16 * 6 * nb + nb)
+        np.testing.assert_array_equal(first_bad, [-1, -1, -1, 9, -1, -1, -1])
+        assert 3 < first_bad[3] < 3 + n_steps - 1
+        numpy_step = _kernels._chunk_step_numpy
+
+        def off_when_drawn(state, w, gens, *args):
+            step = one_ulp_off if gens is not None else numpy_step
+            step(state, w, gens, *args)
+
+        monkeypatch.setattr(_kernels, "_chunk_step_numpy", off_when_drawn)
+        with pytest.warns(RuntimeWarning) as record:
+            assert _kernels.get_stepper() is off_when_drawn
+            assert _kernels.get_stepper() is off_when_drawn
+        assert len(record) == 1
+        assert "step kernel" in str(record[0].message)
+
+    @needs_cc
     def test_step_reference_kept_beside_library(self, monkeypatch,
                                                 fresh_cache):
         # the first load computes numpy's check answers and keeps them; a
@@ -949,12 +1022,14 @@ class TestKernels:
             monkeypatch.setattr(owner, name, refuse)
         _kernels._c_function.cache_clear()
         assert _kernels.get_stepper() is _kernels._chunk_step_c
-        # seed words, draws, the words after the draws, the chunk's state,
-        # alive and first_bad bytes
+        # seed words, draws, the words after the draws, the buffered
+        # chunk's state, alive and first_bad bytes, then the drawn chunk's
+        # and its generator words after
         nb = _kernels._CHECK_STEP[0]
         sizes = {"seed words": 8 * 4 * 2 * len(_kernels._CHECK_KEYS),
                  "draws": 8 * _kernels._CHECK_DRAWS, "words after": 8 * 4,
-                 "chunk": 16 * 6 * nb + nb + 8 * nb}
+                 "chunk": 16 * 6 * nb + nb + 8 * nb,
+                 "drawn chunk": 16 * 6 * nb + nb + 8 * nb + 8 * 4 * nb}
         assert len(answers) == sum(sizes.values())
         start = 0
         for part, size in sizes.items():
