@@ -60,18 +60,19 @@ kernels give the same bits.
 Build: the C source is complete as written, numpy's ziggurat tables
 included, so the build reads no file of numpy's and links nothing of it.
 On load the kernel's seeding, sampler and step must reproduce numpy's
-states and draws and the numpy kernel's bytes, or the numpy kernel runs
-instead, with one warning.  The library is cached under
-$XDG_CACHE_HOME/opo3 (else ~/.cache/opo3, else a per-user temporary
-directory), keyed by this module's source, the flags, the resolved
-compiler's path, size and mtime, and the numpy version, so a cache hit
-runs no compiler and starts no process.  numpy's answers to the load-time
-check (the seeded PCG64 words, the standard normals drawn from the last
-of them, that generator's words after the draws, and the numpy kernel's
-bytes on a chunk of those draws and on a chunk drawn from seeded words,
-one trajectory dying mid-chunk) are computed once per build, on its
-first load, and kept beside the library, so later loads import neither
-numpy.random nor run a numpy step.
+states and draws and the numpy kernel's bytes.  A failed build or load,
+or a failed check, makes the numpy kernel run instead, with one warning
+that names the reason.  The library is cached under $XDG_CACHE_HOME/opo3
+when that path is absolute (else ~/.cache/opo3, else a per-user
+temporary directory), keyed by this module's source, the flags, the
+resolved compiler's path, size and mtime, and the numpy version, so a
+cache hit runs no compiler and starts no process.  numpy's answers to the
+load-time check (the seeded PCG64 words, the standard normals drawn from
+the last of them, that generator's words after the draws, and the numpy
+kernel's bytes on a chunk of those draws and on a chunk drawn from
+seeded words, one trajectory dying mid-chunk) are computed once per
+build, on its first load, and kept beside the library, so later loads
+import neither numpy.random nor run a numpy step.
 """
 
 from __future__ import annotations
@@ -910,10 +911,13 @@ class _BuildError(Exception):
 
 
 def _cache_dir() -> Path:
-    """First usable of $XDG_CACHE_HOME/opo3, ~/.cache/opo3, tmp/opo3-<uid>."""
+    """First usable of $XDG_CACHE_HOME/opo3, ~/.cache/opo3, tmp/opo3-<uid>;
+    a relative $XDG_CACHE_HOME is ignored, as the XDG spec asks, so no
+    library is loaded from the working directory."""
     candidates = []
-    if os.environ.get("XDG_CACHE_HOME"):
-        candidates.append(Path(os.environ["XDG_CACHE_HOME"]) / "opo3")
+    xdg = Path(os.environ.get("XDG_CACHE_HOME", ""))
+    if xdg.is_absolute():
+        candidates.append(xdg / "opo3")
     try:
         candidates.append(Path.home() / ".cache" / "opo3")
     except RuntimeError:
@@ -1056,8 +1060,8 @@ def _kept_answers(path: Path) -> bytes:
 
 @functools.cache
 def _c_function():
-    """The loaded C kernel library, or None (with one warning) when
-    unavailable.
+    """The loaded C kernel library, or None (with one warning that names
+    the reason) when unavailable.
 
     Its seeding must first give numpy's PCG64 states for the spawn keys
     _CHECK_KEYS and their successors, its sampler must reproduce
@@ -1070,33 +1074,31 @@ def _c_function():
     try:
         path = _compiled_library()
         lib = ctypes.CDLL(str(path))
+        ptr, i64, f64 = ctypes.c_void_p, ctypes.c_int64, ctypes.c_double
+        for fn, args, res in (
+                (lib.opo3_seed, [ptr, i64, i64, i64, ptr], None),
+                (lib.opo3_normals, [ptr, i64, ptr], None),
+                (lib.opo3_chunk_step, [ptr] * 3 + [f64] + [ptr] * 2
+                 + [i64] * 2 + [f64] * 5 + [i64] * 2, ctypes.c_int)):
+            fn.argtypes, fn.restype = args, res
+        words = np.concatenate([seed_generators(_CHECK_SEED, k, 2, lib)
+                                for k in _CHECK_KEYS])
+        seeded = words.tobytes()
+        # then draws from the last key's state, which is written back
+        draws = np.empty(_CHECK_DRAWS)
+        lib.opo3_normals(words[-1].ctypes.data, draws.size, draws.ctypes.data)
+        step = functools.partial(_chunk_step_c, lib=lib)
+        gens = seed_generators(_CHECK_SEED, 0, _CHECK_STEP[0], lib)
+        ours = (seeded + draws.tobytes() + words[-1].tobytes()
+                + _check_chunk(step, draws) + _check_chunk(step, draws, gens))
+        if ours != _kept_answers(path.with_suffix(".check")):
+            raise _BuildError("it does not reproduce numpy's SeedSequence, "
+                              "PCG64, Generator.standard_normal and step "
+                              "kernel")
     except (OSError, _BuildError) as exc:
         warnings.warn(f"opo3: C step kernel unavailable ({exc}); "
                       "using the slower numpy kernel", RuntimeWarning,
                       stacklevel=2)
-        return None
-    ptr, i64, f64 = ctypes.c_void_p, ctypes.c_int64, ctypes.c_double
-    for fn, args, res in (
-            (lib.opo3_seed, [ptr, i64, i64, i64, ptr], None),
-            (lib.opo3_normals, [ptr, i64, ptr], None),
-            (lib.opo3_chunk_step, [ptr] * 3 + [f64] + [ptr] * 2 + [i64] * 2
-             + [f64] * 5 + [i64] * 2, ctypes.c_int)):
-        fn.argtypes, fn.restype = args, res
-    words = np.concatenate([seed_generators(_CHECK_SEED, k, 2, lib)
-                            for k in _CHECK_KEYS])
-    seeded = words.tobytes()
-    # then draws from the last key's state, which is written back
-    draws = np.empty(_CHECK_DRAWS)
-    lib.opo3_normals(words[-1].ctypes.data, draws.size, draws.ctypes.data)
-    step = functools.partial(_chunk_step_c, lib=lib)
-    gens = seed_generators(_CHECK_SEED, 0, _CHECK_STEP[0], lib)
-    ours = (seeded + draws.tobytes() + words[-1].tobytes()
-            + _check_chunk(step, draws) + _check_chunk(step, draws, gens))
-    if ours != _kept_answers(path.with_suffix(".check")):
-        warnings.warn("opo3: the C kernel does not reproduce numpy's "
-                      "SeedSequence, PCG64, Generator.standard_normal and "
-                      "step kernel; using the slower numpy kernel",
-                      RuntimeWarning, stacklevel=2)
         return None
     return lib
 

@@ -9,6 +9,8 @@ through the accumulator's centering modes but are not used here).
 Verdicts follow a k-standard-error rule (default k=3): "violated" when
 rhs - lhs > k*sigma, "satisfied" when rhs - lhs < -k*sigma, else
 "inconclusive".  Exactly zero signal on both sides reports "no signal".
+The witness, the pair audit and the pump-skew check test report entries
+against zero at the same k.  A NaN significance never decides a verdict.
 The choice of k is a statistical protocol choice and is recorded in every
 result.
 """
@@ -60,6 +62,22 @@ def _verdict(significance: float, k: float) -> str:
     if significance < -k:
         return SATISFIED
     return INCONCLUSIVE
+
+
+def _zero_test(moments: MomentReport, names, holds, yes: str, no: str):
+    """Test report entries against zero: one (name, value, std_error,
+    |significance|) row per name, whether holds(|significance|) for every
+    row, and the verdict, `yes` if it does, else `no`.  A NaN significance
+    never decides a verdict: it gives False and "inconclusive"."""
+    rows = []
+    for n in names:
+        e = moments[n]
+        v = e.value.real
+        rows.append((n, v, e.std_error, abs(_significance(v, e.std_error))))
+    if any(math.isnan(row[3]) for row in rows):
+        return tuple(rows), False, INCONCLUSIVE
+    ok = all(holds(row[3]) for row in rows)
+    return tuple(rows), ok, yes if ok else no
 
 
 def _cs_sides(st, partition: str):
@@ -207,18 +225,11 @@ def separability_witness(moments: MomentReport,
                          sigma_threshold: float = 3.0) -> WitnessResult:
     """Check t1..t4 against zero; all nonzero at k sigma excludes separability."""
     k = check_sigma_threshold(sigma_threshold)
-    rows = []
-    all_nonzero = True
-    for n in ("t1", "t2", "t3", "t4"):
-        e = moments[n]
-        v = e.value.real
-        sig = abs(_significance(v, e.std_error))
-        rows.append((n, v, e.std_error, sig))
-        if not sig >= k:
-            all_nonzero = False
-    verdict = EXCLUDED if all_nonzero else INCONCLUSIVE
-    return WitnessResult(triples=tuple(rows), excluded=all_nonzero,
-                         verdict=verdict, sigma_threshold=k)
+    rows, excluded, verdict = _zero_test(moments, ("t1", "t2", "t3", "t4"),
+                                         lambda s: s >= k, EXCLUDED,
+                                         INCONCLUSIVE)
+    return WitnessResult(triples=rows, excluded=excluded, verdict=verdict,
+                         sigma_threshold=k)
 
 
 PAIRS_BLIND = "pump-signal pair correlations consistent with zero (pair-based criteria blind here)"
@@ -247,22 +258,14 @@ def pair_audit(moments: MomentReport, sigma_threshold: float = 3.0) -> AuditResu
     """Test the pump-signal quadrature covariances for consistency with zero;
     a NaN significance leaves the audit inconclusive."""
     k = check_sigma_threshold(sigma_threshold)
-    names = ("cov_x0_x", "cov_x0_y", "cov_y0_x", "cov_y0_y")
-    rows = []
-    for n in names:
-        e = moments[n]
-        v = e.value.real
-        sig = abs(_significance(v, e.std_error))
-        rows.append((n, v, e.std_error, sig, sig <= k))
-    all_ok = all(row[4] for row in rows)
-    if any(math.isnan(row[3]) for row in rows):
-        worst, verdict = math.nan, INCONCLUSIVE
-    else:
-        worst = max(row[3] for row in rows)
-        verdict = PAIRS_BLIND if all_ok else PAIRS_PRESENT
-    return AuditResult(entries=tuple(rows), all_consistent=all_ok,
-                       verdict=verdict, max_significance=worst,
-                       sigma_threshold=k)
+    rows, all_ok, verdict = _zero_test(
+        moments, ("cov_x0_x", "cov_x0_y", "cov_y0_x", "cov_y0_y"),
+        lambda s: s <= k, PAIRS_BLIND, PAIRS_PRESENT)
+    worst = (math.nan if verdict == INCONCLUSIVE
+             else max(row[3] for row in rows))
+    return AuditResult(entries=tuple(row + (row[3] <= k,) for row in rows),
+                       all_consistent=all_ok, verdict=verdict,
+                       max_significance=worst, sigma_threshold=k)
 
 
 NON_GAUSSIAN = "non-Gaussian pump fluctuations"
@@ -288,32 +291,25 @@ def pump_odd_moment(moments: MomentReport, sigma_threshold: float = 3.0) -> OddM
     """Gaussianity diagnostic: <(Delta x0)^3> with significance against zero;
     inconclusive when the significance is NaN."""
     k = check_sigma_threshold(sigma_threshold)
-    e = moments["skew_x0"]
-    v = e.value.real
-    sig = abs(_significance(v, e.std_error))
-    non_gaussian = sig >= k
-    if math.isnan(sig):
-        verdict = INCONCLUSIVE
-    else:
-        verdict = NON_GAUSSIAN if non_gaussian else GAUSSIAN_COMPATIBLE
+    ((_, v, se, sig),), non_gaussian, verdict = _zero_test(
+        moments, ("skew_x0",), lambda s: s >= k, NON_GAUSSIAN,
+        GAUSSIAN_COMPATIBLE)
     return OddMomentResult(
-        value=v, std_error=e.std_error, significance=sig,
+        value=v, std_error=se, significance=sig,
         non_gaussian=non_gaussian, verdict=verdict, sigma_threshold=k,
     )
 
 
-def cs_running_average(result, partition: str = "0|12",
-                       centering: str = "reference") -> dict:
-    """Running-average lhs/rhs/ratio curves versus sample time tau.
+def cs_running_average(result) -> dict:
+    """Running-average lhs/rhs/ratio curves of the 0|12 test versus sample
+    time tau, on reference-centered moments.
 
     `result` is an ensemble result whose accumulator was built with
     collect_time_series enabled; the estimate at tau_k pools samples
     0..k of every retained trajectory.
     """
-    if partition not in PARTITIONS:
-        raise ValueError(f"unknown partition {partition!r}")
-    st = result.moments.running_stats(centering)
-    lhs, rhs = _cs_sides(st, partition)
+    st = result.moments.running_stats()
+    lhs, rhs = _cs_sides(st, "0|12")
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = np.where(lhs != 0.0, rhs / lhs, np.nan)
     return {

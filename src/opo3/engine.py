@@ -63,6 +63,18 @@ def _step_constants(params: ModelParams, dt: float, divergence_threshold):
             1.0 - params.gamma_r * dt, thr * thr)
 
 
+def _integer(name: str, value, least: int) -> int:
+    """value as an int >= least: any integer, numpy's too, but not a bool."""
+    try:
+        out = operator.index(value)
+    except TypeError:
+        out = least - 1
+    if isinstance(value, bool) or out < least:
+        raise ValueError(f"{name} must be an integer >= {least}, "
+                         f"got {value!r}")
+    return out
+
+
 @dataclass(frozen=True)
 class SimConfig:
     """Ensemble run settings; None fields are resolved from the model.
@@ -85,17 +97,10 @@ class SimConfig:
     def resolve(self, params: ModelParams) -> "ResolvedConfig":
         if params.mu >= 1.0:
             raise ValidityError("above threshold unsupported (mu >= 1)")
-        integers = {}
-        for name, least in (("n_samples_per_traj", 1), ("n_trajectories", 1),
-                            ("master_seed", 0)):
-            value = getattr(self, name)
-            try:    # any integer, numpy's too, but not a bool
-                integers[name] = operator.index(value)
-            except TypeError:
-                integers[name] = least - 1
-            if isinstance(value, bool) or integers[name] < least:
-                raise ValueError(f"{name} must be an integer >= {least}, "
-                                 f"got {value!r}")
+        integers = {name: _integer(name, getattr(self, name), least)
+                    for name, least in (("n_samples_per_traj", 1),
+                                        ("n_trajectories", 1),
+                                        ("master_seed", 0))}
         slow = min(1.0 - params.mu, params.gamma_r)
         fast = max(1.0, params.gamma_r)
         dt = self.dt if self.dt is not None else 0.01 / fast
@@ -299,9 +304,7 @@ def _worker_count(workers) -> int:
             return (len(os.sched_getaffinity(0))
                     if hasattr(os, "sched_getaffinity") else os.cpu_count())
         workers = int(raw) if raw.isdecimal() else raw
-    if type(workers) is not int or workers < 1:   # bool and float too
-        raise ValueError(f"{name} must be an integer >= 1, got {workers!r}")
-    return workers
+    return _integer(name, workers, 1)
 
 
 def run_ensemble(params: ModelParams, config: SimConfig, workers: int | None = None,

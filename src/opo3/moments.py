@@ -379,7 +379,6 @@ class MomentAccumulator:
         self._totals = None       # (K,) sums of the joined block, if taken
         self.collect_per_sample = bool(collect_per_sample)
         self.per_sample_sums = None    # (K, n_samples) complex when collected
-        self.per_sample_rows = 0       # number of trajectories folded in
 
     # -- feeding ---------------------------------------------------------
 
@@ -435,7 +434,6 @@ class MomentAccumulator:
             if self.collect_per_sample:
                 self.per_sample_sums = self._per_sample_total(
                     prods.sum(axis=1))
-                self.per_sample_rows += nb
         self._blocks.append(block)
         self._block_ns.append(np.full(nb, n, dtype=np.int64))
         self._totals = None
@@ -459,17 +457,26 @@ class MomentAccumulator:
         out._totals = self._totals
         if self.per_sample_sums is not None:
             out.per_sample_sums = self.per_sample_sums.copy()
-        out.per_sample_rows = self.per_sample_rows
         return out
 
     def merge_in_place(self, other: "MomentAccumulator") -> "MomentAccumulator":
-        """Append other's batches; a refused merge leaves self unchanged."""
+        """Append other's batches; a refused merge leaves self unchanged.
+
+        Per-sample sums cover every batch or none: a side with them merges
+        only with a side that has them too or holds no batch, and batches
+        without them end an empty accumulator's collection.
+        """
         if self.schema != other.schema:
             raise SchemaError("cannot merge accumulators with different schemas")
+        if (self.n_batches and other.n_batches
+                and (self.per_sample_sums is None)
+                != (other.per_sample_sums is None)):
+            raise SchemaError("cannot merge per-sample sums with batches "
+                              "that have none")
         if other.per_sample_sums is not None:
             self.per_sample_sums = self._per_sample_total(other.per_sample_sums)
-            self.per_sample_rows += other.per_sample_rows
-            self.collect_per_sample = True
+        if other.n_batches:
+            self.collect_per_sample = other.per_sample_sums is not None
         self._blocks.extend(other._blocks)
         self._block_ns.extend(other._block_ns)
         self._totals = None
@@ -479,13 +486,14 @@ class MomentAccumulator:
 
     def running_stats(self, centering: str = "reference") -> _Stats:
         """Stats context over running averages of the per-sample sums:
-        entry j pools sample indices 0..j of every trajectory folded in."""
+        entry j pools sample indices 0..j of every batch, one per
+        trajectory."""
         if self.per_sample_sums is None:
             raise NoSamplesError("time-series sums absent; accumulate with "
                                  "collect_per_sample (run_ensemble: "
                                  "collect_time_series=True)")
         prefix = np.cumsum(self.per_sample_sums, axis=1)      # (K, n)
-        counts = self.per_sample_rows * np.arange(
+        counts = self.n_batches * np.arange(
             1, prefix.shape[1] + 1, dtype=np.float64)
         return _Stats(self.schema, prefix, counts, centering)
 

@@ -180,6 +180,46 @@ class TestSignificance:
         assert math.isnan(audit.max_significance)
         assert audit.verdict == "inconclusive" and not audit.all_consistent
 
+    @pytest.mark.parametrize("value,se,sig", [
+        (-2.0, 0.0, math.inf), (0.0, 0.0, 0.0), (0.5, 0.25, 2.0),
+        (-0.5, 0.25, 2.0), (math.nan, 1.0, math.nan),
+        (1.0, math.nan, math.nan)])
+    @pytest.mark.parametrize("k", [1.5, 2.0, 3.0])
+    def test_zero_tests_share_one_rule(self, value, se, sig, k):
+        # the witness, the audit and the skew check test the same estimate
+        # against zero: nonzero at or above k, consistent with zero at or
+        # below it (so both exactly at k), and neither on a NaN; a zero
+        # error gives an infinite significance under a nonzero value
+        est = MomentEstimate(complex(value), se)
+        names = ("t1", "t2", "t3", "t4", "skew_x0", "cov_x0_x", "cov_x0_y",
+                 "cov_y0_x", "cov_y0_y")
+        rep = MomentReport(entries=dict.fromkeys(names, est), n_samples=100,
+                           n_batches=10, centering="reference")
+        w = separability_witness(rep, sigma_threshold=k)
+        audit = pair_audit(rep, sigma_threshold=k)
+        odd = pump_odd_moment(rep, sigma_threshold=k)
+        rows = [repr((n, value, se, sig)) for n in names]
+        assert [repr(row) for row in w.triples] == rows[:4]
+        assert repr(odd.to_dict()) == repr(dict(
+            value=value, std_error=se, significance=sig,
+            non_gaussian=sig >= k, verdict=odd.verdict, sigma_threshold=k))
+        assert [repr(row[:4]) for row in audit.entries] == rows[5:]
+        assert [row[4] for row in audit.entries] == [sig <= k] * 4
+        nonzero, zero = sig >= k, sig <= k
+        if math.isnan(sig):
+            assert w.verdict == audit.verdict == odd.verdict == "inconclusive"
+            assert math.isnan(audit.max_significance)
+        else:
+            assert w.verdict == (criteria.EXCLUDED if nonzero
+                                 else "inconclusive")
+            assert audit.verdict == (criteria.PAIRS_BLIND if zero
+                                     else criteria.PAIRS_PRESENT)
+            assert odd.verdict == (criteria.NON_GAUSSIAN if nonzero
+                                   else criteria.GAUSSIAN_COMPATIBLE)
+            assert audit.max_significance == sig
+        assert (w.excluded, audit.all_consistent, odd.non_gaussian) == (
+            nonzero, zero, nonzero)
+
 
 class TestSigmaThreshold:
     @pytest.mark.parametrize("bad", [-1.0, 0.0, math.nan, math.inf])
@@ -380,7 +420,3 @@ class TestRunningAverage:
         res = run_ensemble(base_params, cfg)  # no collect_time_series
         with pytest.raises(ValueError, match="time-series"):
             cs_running_average(res)
-
-    def test_unknown_partition(self, std_ensemble):
-        with pytest.raises(ValueError, match="partition"):
-            cs_running_average(std_ensemble, partition="bogus")

@@ -33,6 +33,13 @@ from opo3 import (
 
 needs_cc = pytest.mark.skipif(shutil.which("cc") is None,
                               reason="no C compiler (cc) on PATH")
+# the one fallback warning, with the reasons the tests provoke
+FALLBACK = ("opo3: C step kernel unavailable ({}); using the slower numpy "
+            "kernel")
+NOT_REPRODUCED = FALLBACK.format(
+    "it does not reproduce numpy's SeedSequence, PCG64, "
+    "Generator.standard_normal and step kernel")
+NO_COMPILER = FALLBACK.format("no C compiler (cc) on PATH")
 # the kernels a test runs the engine on in turn
 KERNELS = ("c", "numpy") if shutil.which("cc") else ("numpy",)
 # the static archive numpy wheels ship for C extensions
@@ -293,7 +300,8 @@ class TestDeterminism:
                 assert a.std_error == b.std_error, (workers, name)
                 assert a.std_error_imag == b.std_error_imag, (workers, name)
 
-    @pytest.mark.parametrize("workers", [0, -3, 2.0, True, "2"])
+    @pytest.mark.parametrize("workers", [0, -3, 2.0, True, "2", np.True_,
+                                         np.int64(0)])
     def test_bad_worker_count_rejected(self, workers):
         params = ModelParams(0.5, 1.0, 0.05)
         cfg = SimConfig(dt=0.05, burn_in=20.0, sample_interval=2.0,
@@ -301,6 +309,18 @@ class TestDeterminism:
         with pytest.raises(ValueError,
                            match="^workers must be an integer >= 1"):
             run_ensemble(params, cfg, workers=workers)
+
+    @pytest.mark.parametrize("workers", [np.int64(2), np.int32(1),
+                                         np.uint8(3)])
+    def test_numpy_integer_worker_count_accepted(self, workers):
+        # counts are integers however they are typed, as in SimConfig
+        params = ModelParams(0.5, 1.0, 0.05)
+        cfg = SimConfig(dt=0.05, burn_in=20.0, sample_interval=2.0,
+                        n_samples_per_traj=1, n_trajectories=3)
+        res = run_ensemble(params, cfg, workers=workers)
+        on_c = res.backend == "opo3._kernels._chunk_step_c"
+        assert res.workers == (int(workers) if on_c else 1)
+        assert type(res.workers) is int
 
     def test_reports_workers_and_block_size(self, monkeypatch):
         params = ModelParams(0.5, 1.0, 0.05)
@@ -338,7 +358,7 @@ class TestDeterminism:
         fast = run_ensemble(params, cfg)
         assert fast.backend == "opo3._kernels._chunk_step_c"
         no_compiler()
-        with pytest.warns(RuntimeWarning, match="C step kernel unavailable"):
+        with pytest.warns(RuntimeWarning, match=re.escape(NO_COMPILER)):
             assert _kernels.get_stepper() is _kernels._chunk_step_numpy
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -956,7 +976,7 @@ class TestKernels:
                 assert _kernels.get_stepper() is _kernels._chunk_step_numpy
                 assert _kernels.get_stepper() is _kernels._chunk_step_numpy
             assert len(record) == 1
-            assert "does not reproduce" in str(record[0].message)
+            assert str(record[0].message) == NOT_REPRODUCED
         finally:
             _kernels._c_function.cache_clear()
 
@@ -969,7 +989,7 @@ class TestKernels:
             assert _kernels.get_stepper() is one_ulp_off
             assert _kernels.get_stepper() is one_ulp_off
         assert len(record) == 1
-        assert "step kernel" in str(record[0].message)
+        assert str(record[0].message) == NOT_REPRODUCED
 
     @needs_cc
     def test_drawn_step_self_check_falls_back_once(self, monkeypatch,
@@ -1000,7 +1020,7 @@ class TestKernels:
             assert _kernels.get_stepper() is off_when_drawn
             assert _kernels.get_stepper() is off_when_drawn
         assert len(record) == 1
-        assert "step kernel" in str(record[0].message)
+        assert str(record[0].message) == NOT_REPRODUCED
 
     @needs_cc
     def test_step_reference_kept_beside_library(self, monkeypatch,
@@ -1041,17 +1061,17 @@ class TestKernels:
                 assert _kernels.get_stepper() is refuse
                 assert _kernels.get_stepper() is refuse
             assert len(record) == 1, part
-            assert "does not reproduce" in str(record[0].message), part
+            assert str(record[0].message) == NOT_REPRODUCED, part
             start += size
 
     @needs_cc
     def test_fallback_warnings_pass_the_test_filters(self, monkeypatch,
                                                      fresh_cache,
                                                      no_compiler):
-        # each fallback warning, a failed self-check's and no compiler's,
-        # is let through by a `default:` entry of the suite's
-        # filterwarnings, matched as `warnings` matches, with re.match and
-        # ignoring case; and every such entry matches one of them
+        # the one fallback warning, for a failed self-check and for no
+        # compiler alike, is let through by the one `default:` entry of the
+        # suite's filterwarnings, matched as `warnings` matches, with
+        # re.match and ignoring case
         tomllib = pytest.importorskip("tomllib")
         pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
         with open(pyproject, "rb") as f:
@@ -1061,7 +1081,7 @@ class TestKernels:
                     for action, message, category
                     in (entry.split(":")[:3] for entry in entries)
                     if action == "default"]
-        assert defaults
+        assert len(defaults) == 1
         messages = []
         monkeypatch.setattr(_kernels, "_chunk_step_numpy", one_ulp_off)
         for fail in (lambda: None, no_compiler):
@@ -1070,13 +1090,21 @@ class TestKernels:
                 _kernels.get_stepper()
             assert len(record) == 1
             messages.append(str(record[0].message))
-        assert "does not reproduce" in messages[0]
-        assert "unavailable" in messages[1]
+        assert messages == [NOT_REPRODUCED, NO_COMPILER]
+        [(pattern, category)] = defaults
+        assert category == "RuntimeWarning"
         for message in messages:
-            assert any(pattern.match(message) and category == "RuntimeWarning"
-                       for pattern, category in defaults), message
-        for pattern, _ in defaults:
-            assert any(pattern.match(m) for m in messages), pattern.pattern
+            assert pattern.match(message), message
+
+    def test_relative_xdg_cache_home_is_ignored(self, monkeypatch, tmp_path):
+        # the XDG spec says to ignore a relative path: the cache falls
+        # through to ~/.cache/opo3, and the working directory, checked by
+        # no one, holds no library
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv("HOME", str(tmp_path / "home"))
+        monkeypatch.setenv("XDG_CACHE_HOME", "relcache")
+        assert _kernels._cache_dir() == tmp_path / "home" / ".cache" / "opo3"
+        assert [p.name for p in tmp_path.iterdir()] == ["home"]
 
     @needs_cc
     def test_library_cached_under_xdg_cache_home(self, monkeypatch, tmp_path):

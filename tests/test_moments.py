@@ -188,11 +188,53 @@ class TestMergeLaws:
         want = a.finalize()
         with pytest.raises(SchemaError, match="per-sample shapes differ"):
             a.merge_in_place(b)
-        assert (a.n_batches, a.n_samples, a.per_sample_rows) == (3, 6, 3)
+        assert (a.n_batches, a.n_samples) == (3, 6)
         assert a.per_sample_sums.tobytes() == sums
         got = a.finalize()
         for name in a.schema.target_names():
             assert got[name] == want[name], name
+
+    def test_merge_refuses_batches_without_per_sample_sums(self):
+        # running averages must pool every batch the moments pool, so
+        # batches with per-sample sums merge only with batches that have
+        # them too; an empty side merges either way
+        params, cube = opo_cube(317, 10, 4)
+        schema = opo_schema(params)
+
+        def fed(collect, values):
+            acc = MomentAccumulator(schema, collect_per_sample=collect)
+            return acc.add_batches(values)
+
+        def state(acc):
+            sums = acc.per_sample_sums
+            return (acc.n_batches, acc.n_samples, acc.collect_per_sample,
+                    None if sums is None else sums.tobytes())
+
+        summed, bare = fed(True, cube[:, :5]), fed(False, cube[:, 5:])
+        for a, b in ((summed, bare), (bare, summed)):
+            before = state(a), state(b)
+            with pytest.raises(SchemaError, match="per-sample sums"):
+                merge(a, b)
+            with pytest.raises(SchemaError, match="per-sample sums"):
+                a.merge_in_place(b)
+            assert (state(a), state(b)) == before
+        for collects in (False, True):
+            empty = MomentAccumulator(schema, collect_per_sample=collects)
+            for m in (merge(summed, empty), merge(empty, summed)):
+                assert state(m) == state(summed)
+            for m in (merge(bare, empty), merge(empty, bare)):
+                assert state(m) == state(bare)
+                # so a later batch adds no sums over part of the batches
+                m.add_batches(cube[:, :1])
+                assert m.n_batches == 6 and m.per_sample_sums is None
+        # with sums on both sides the running averages pool all ten batches
+        both = merge(summed, fed(True, cube[:, 5:]))
+        single = fed(True, cube)
+        assert both.n_batches == 10
+        np.testing.assert_array_equal(both.running_stats().n,
+                                      single.running_stats().n)
+        np.testing.assert_allclose(both.per_sample_sums,
+                                   single.per_sample_sums, rtol=1e-13)
 
 
 class TestErrorBars:
@@ -306,7 +348,7 @@ class TestBatchStore:
                     == prod.sum(axis=0).tobytes()
                     == single.per_sample_sums[k].tobytes()), key
         # so the running averages and the report are bitwise the same
-        assert single.per_sample_rows == acc.per_sample_rows == 40
+        assert single.n_batches == acc.n_batches == 40
         for mode in moments.CENTERINGS:
             got, want = single.running_stats(mode), acc.running_stats(mode)
             for name in schema.target_names():
@@ -476,7 +518,7 @@ class TestEvaluationShortcuts:
                     feed(bad)
                 assert acc.n_batches == series.n_batches == 6
             got = acc.finalize()
-        assert (series.per_sample_rows, series.per_sample_sums.tobytes()) == (
+        assert (series.n_batches, series.per_sample_sums.tobytes()) == (
             6, sums)
         for name in schema.target_names():
             assert got[name] == want[name], name
@@ -494,7 +536,7 @@ class TestEvaluationShortcuts:
                                            collect_per_sample=True)
             with pytest.raises(ValueError, match="non-finite per-sample"):
                 amp_series.add_batches(big)
-            assert (amp_series.n_batches, amp_series.per_sample_rows) == (0, 0)
+            assert amp_series.n_batches == 0
             assert amp_series.per_sample_sums is None
             amp_series.add_batches(big[:, :1])
             amp_other = MomentAccumulator(amplitude_schema(),
@@ -503,7 +545,7 @@ class TestEvaluationShortcuts:
             amp_sums = amp_series.per_sample_sums.tobytes()
             with pytest.raises(ValueError, match="non-finite per-sample"):
                 amp_series.merge_in_place(amp_other)
-        assert (amp_series.n_batches, amp_series.per_sample_rows) == (1, 1)
+        assert amp_series.n_batches == 1
         assert amp_series.per_sample_sums.tobytes() == amp_sums
         # finite totals whose leave-one-out deviations (~1e307) would
         # overflow if squared as they are: the error stays finite
