@@ -9,21 +9,29 @@ over defaults.  Keys:
     out_dir
 
 dt, burn_in and sample_interval accept "auto" (or empty) to defer to the
-engine's resolution rules.  Unknown keys are rejected.  Exit codes: 0 ok,
-2 invalid input (including too few trajectories or samples for error
-bars, and an out_dir that cannot be made, checked before any integration,
-or written), 3 unreliable run (too many divergent trajectories; `run`
-still writes its report and `sweep` its sweep.csv, while `compare` and
-`sweep --source mc` exit 3 without output when divergences leave no
-estimate).  The OPO3_WORKERS environment variable sets the C kernel's
-thread count.
+engine's resolution rules.  Unknown keys are rejected.
+
+Every integrated ensemble leaves its record (`EnsembleResult.record`):
+`run` writes report.json (the record, moments, criteria and closed
+forms) and timeseries.csv; `compare` writes the record as report.json
+beside compare.csv, whose `within_threshold` column holds
+|pull| <= sigma_threshold; `sweep` writes sweep.csv and, beside it,
+sweep.json, the list of its Monte-Carlo points' records.
+
+Exit codes: 0 ok, 2 invalid input (including too few trajectories or
+samples for error bars, and an out_dir that cannot be made, checked
+before any integration, or written), 3 unreliable run (more than 1% of
+some run's trajectories diverged).  An unreliable run still writes its
+report.json or sweep.json, and `run` its timeseries.csv; when
+divergences leave no estimate, `compare` writes no compare.csv and
+`sweep` no sweep.csv.  The OPO3_WORKERS environment variable sets the C
+kernel's thread count.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 import typing
 from dataclasses import dataclass, fields, replace
@@ -48,10 +56,6 @@ from .moments import NoSamplesError
 
 class CliError(ValueError):
     """User-input problem; maps to exit code 2."""
-
-
-class UnreliableRunError(Exception):
-    """Divergences left no Monte-Carlo estimate; maps to exit code 3."""
 
 
 EXIT_OK = 0
@@ -148,13 +152,7 @@ def build_runspec(args: argparse.Namespace) -> RunSpec:
 def _fmt(x) -> str:
     if x is None:
         return "nan"
-    if isinstance(x, float):
-        if math.isnan(x):
-            return "nan"
-        if math.isinf(x):
-            return "inf" if x > 0 else "-inf"
-        return format(x, ".12g")
-    return str(x)
+    return format(x, ".12g") if isinstance(x, float) else str(x)
 
 
 def _write(path: Path, text: str) -> None:
@@ -170,19 +168,15 @@ def _write_csv(path: Path, header: str, rows) -> None:
     _write(path, "\n".join(lines) + "\n")
 
 
+def _write_json(path: Path, doc) -> None:
+    _write(path, json.dumps(doc, indent=2) + "\n")
+
+
 TIMESERIES_HEADER = "tau,n_samples,lhs,rhs,ratio"
 SWEEP_HEADER = ("mu,gamma_r,g,source,lhs,rhs,ratio,significance,verdict,"
                 "n_diverged,reliable")
 COMPARE_HEADER = ("moment,mc_value,mc_std_error,analytic_value,pull,"
-                  "within_3sigma,low_confidence")
-
-
-def _json_default(obj):
-    if isinstance(obj, complex):
-        return [obj.real, obj.imag]
-    if hasattr(obj, "item"):
-        return obj.item()
-    raise TypeError(f"not serializable: {type(obj)!r}")
+                  "within_threshold,low_confidence")
 
 
 def _out_dir(spec: RunSpec) -> Path:
@@ -195,17 +189,42 @@ def _out_dir(spec: RunSpec) -> Path:
     return out_dir
 
 
+def _integrate(spec: RunSpec, **kwargs):
+    """(result, its record, its reference-centered moments) of the ensemble
+    at `spec`; the moments are None when divergences left too few
+    trajectories for an estimate."""
+    result = run_ensemble(spec.params(), spec.sim_config(), **kwargs)
+    try:
+        report = result.report()
+    except NoSamplesError:
+        if result.reliable:
+            raise   # too few trajectories requested: invalid input
+        report = None
+    return result, result.record(), report
+
+
+def _exit_code(records: list, estimated: bool, axis: str | None = None) -> int:
+    """EXIT_OK, or EXIT_UNRELIABLE after the one warning when some record
+    is unreliable; a sweep names its points by `axis`, and `estimated`
+    says whether the last run left an estimate."""
+    bad = [r for r in records if not r["reliable"]]
+    if not bad:
+        return EXIT_OK
+    points = "".join(f"; {axis}={r['params'][axis]:g}: {r['n_diverged']}/"
+                     f"{r['n_trajectories']} diverged" for r in bad if axis)
+    print(f"warning: unreliable run: {sum(r['n_diverged'] for r in bad)}/"
+          f"{sum(r['n_trajectories'] for r in bad)} trajectories diverged"
+          f"{points}{'' if estimated else ', leaving no estimate'}",
+          file=sys.stderr)
+    return EXIT_UNRELIABLE
+
+
 def cmd_run(spec: RunSpec) -> int:
-    params = spec.params()
     out_dir = _out_dir(spec)
-    result = run_ensemble(params, spec.sim_config(), collect_time_series=True)
-    k = spec.sigma_threshold
+    result, record, report = _integrate(spec, collect_time_series=True)
+    params, k = result.params, spec.sigma_threshold
 
     criteria = {}
-    try:
-        report = _mc_report(result)
-    except UnreliableRunError:
-        report = None   # divergences left no estimate; still write provenance
     if report is not None:
         for part in sorted(PARTITIONS):
             criteria[f"cauchy_schwarz_{part.replace('|', '_')}"] = cs_test(
@@ -218,21 +237,10 @@ def cmd_run(spec: RunSpec) -> int:
 
     analytic_rep = analytic_moment_report(params)
     sides = cs_sides_analytic(params)
-
-    doc = {
+    _write_json(out_dir / "report.json", {
         "version": __version__,
-        "params": {"mu": params.mu, "gamma_r": params.gamma_r,
-                   "g": params.g, "eps": params.eps},
-        "config": result.config.to_dict(),
+        **record,
         "sigma_threshold": k,
-        "n_trajectories": result.n_trajectories,
-        "n_diverged": result.n_diverged,
-        "divergence_fraction": result.divergence_fraction,
-        "reliable": result.reliable,
-        "elapsed_seconds": result.elapsed_seconds,
-        "backend": result.backend,
-        "workers": result.workers,
-        "block_size": result.block_size,
         "moments": report.to_dict() if report is not None else None,
         "criteria": criteria,
         "analytic": {
@@ -240,10 +248,7 @@ def cmd_run(spec: RunSpec) -> int:
             "cauchy_schwarz": {"lhs": sides.lhs, "rhs": sides.rhs,
                                "ratio": sides.ratio, "verdict": sides.verdict},
         },
-    }
-
-    text = json.dumps(doc, indent=2, default=_json_default, allow_nan=True)
-    _write(out_dir / "report.json", text + "\n")
+    })
 
     if result.moments.per_sample_sums is not None:
         curves = cs_running_average(result)
@@ -264,24 +269,7 @@ def cmd_run(spec: RunSpec) -> int:
               f"(ratio={_fmt(cs0['ratio'])}, "
               f"significance={_fmt(cs0['significance'])})")
     print(f"wrote {out_dir / 'report.json'} and {out_dir / 'timeseries.csv'}")
-    if not result.reliable:
-        print(f"warning: {result.n_diverged}/{result.n_trajectories} "
-              "trajectories diverged; run is unreliable", file=sys.stderr)
-        return EXIT_UNRELIABLE
-    return EXIT_OK
-
-
-def _mc_report(result):
-    """The run's moments, or UnreliableRunError when divergences left
-    too few trajectories to estimate them."""
-    try:
-        return result.moments.finalize(centering="reference")
-    except NoSamplesError as exc:
-        if result.reliable:
-            raise   # too few trajectories requested: invalid input
-        raise UnreliableRunError(
-            f"{result.n_diverged}/{result.n_trajectories} trajectories "
-            f"diverged; {exc}") from exc
+    return _exit_code([record], report is not None)
 
 
 def _sweep_values(raw: str) -> list:
@@ -310,40 +298,35 @@ def _criterion_row(params: ModelParams, source: str, crit,
 
 def cmd_sweep(spec: RunSpec, axis: str, values_raw: str, source: str) -> int:
     values = _sweep_values(values_raw)
-    if axis not in ("gamma_r", "mu"):
-        raise CliError(f"unknown sweep axis: {axis}")
-    if source not in ("analytic", "mc", "both"):
-        raise CliError(f"unknown sweep source: {source}")
     out_dir = _out_dir(spec)
-    rows = []
-    unreliable = []
+    rows, records = [], []
     for v in values:
         point = replace(spec, **{axis: v})
         params = point.params()
-        if source in ("analytic", "both"):
+        if source != "mc":
             crit = cs_test(analytic_moment_report(params),
                            sigma_threshold=point.sigma_threshold)
             rows.append(_criterion_row(params, "analytic", crit))
-        if source in ("mc", "both"):
-            result = run_ensemble(params, point.sim_config())
-            crit = cs_test(_mc_report(result),
-                           sigma_threshold=point.sigma_threshold)
-            rows.append(_criterion_row(params, "mc", crit, result.n_diverged,
-                                       result.reliable))
-            if not result.reliable:
-                unreliable.append(f"{axis}={v:g}: {result.n_diverged}/"
-                                  f"{result.n_trajectories} diverged")
-    path = out_dir / "sweep.csv"
-    _write_csv(path, SWEEP_HEADER, rows)
-    for row in rows:
-        print(f"{axis}={row[0] if axis == 'mu' else row[1]:g} "
-              f"[{row[3]}] ratio={_fmt(row[6])} verdict={row[8]}")
-    print(f"wrote {path}")
-    if unreliable:
-        print("warning: unreliable Monte-Carlo points (trajectories "
-              f"diverged): {'; '.join(unreliable)}", file=sys.stderr)
-        return EXIT_UNRELIABLE
-    return EXIT_OK
+        if source != "analytic":
+            _, record, report = _integrate(point)
+            records.append(record)
+            if report is None:      # no estimate at this point: no sweep.csv
+                rows = None
+                break
+            crit = cs_test(report, sigma_threshold=point.sigma_threshold)
+            rows.append(_criterion_row(params, "mc", crit,
+                                       record["n_diverged"],
+                                       record["reliable"]))
+    if rows is not None:
+        path = out_dir / "sweep.csv"
+        _write_csv(path, SWEEP_HEADER, rows)
+        for row in rows:
+            print(f"{axis}={row[0] if axis == 'mu' else row[1]:g} "
+                  f"[{row[3]}] ratio={_fmt(row[6])} verdict={row[8]}")
+        print(f"wrote {path}")
+    _write_json(out_dir / "sweep.json", records)
+    print(f"wrote {out_dir / 'sweep.json'}")
+    return _exit_code(records, rows is not None, axis)
 
 
 COMPARE_MOMENTS = ("t1", "t2", "t3", "t4", "q4", "var_x0",
@@ -351,41 +334,36 @@ COMPARE_MOMENTS = ("t1", "t2", "t3", "t4", "q4", "var_x0",
 
 
 def cmd_compare(spec: RunSpec) -> int:
-    params = spec.params()
     out_dir = _out_dir(spec)
-    result = run_ensemble(params, spec.sim_config())
-    report = _mc_report(result)
-    analytic_rep = analytic_moment_report(params)
-    rows = []
-    all_ok = True
-    any_low = False
-    for name in COMPARE_MOMENTS:
-        mc = report[name]
-        an = analytic_rep[name].value.real
-        pull = _significance(mc.value.real - an, mc.std_error)
-        ok = abs(pull) <= 3.0
-        all_ok = all_ok and ok
-        any_low = any_low or mc.low_confidence
-        rows.append([name, mc.value.real, mc.std_error, an, pull,
-                     ok, mc.low_confidence])
-    path = out_dir / "compare.csv"
-    _write_csv(path, COMPARE_HEADER, rows)
-    print(f"{'moment':10s} {'mc':>14s} {'std_err':>10s} {'analytic':>14s} "
-          f"{'pull':>7s}")
-    for name, mcv, se, an, pull, ok, low in rows:
-        flag = "" if ok else "  <-- outside 3 sigma"
-        low_s = " (low confidence)" if low else ""
-        print(f"{name:10s} {mcv:14.6e} {se:10.2e} {an:14.6e} "
-              f"{pull:7.2f}{flag}{low_s}")
-    print(f"summary: {'all pulls within +-3' if all_ok else 'pulls outside +-3'}"
-          f"; wrote {path}")
-    if not result.reliable:
-        print("warning: unreliable run (divergences)", file=sys.stderr)
-        return EXIT_UNRELIABLE
-    if any_low:
-        print("warning: fewer than 30 trajectory batches; "
-              "errors are low-confidence", file=sys.stderr)
-    return EXIT_OK
+    _, record, report = _integrate(spec)
+    _write_json(out_dir / "report.json", record)
+    if report is not None:
+        k = spec.sigma_threshold
+        analytic_rep = analytic_moment_report(spec.params())
+        rows = []
+        for name in COMPARE_MOMENTS:
+            mc = report[name]
+            an = analytic_rep[name].value.real
+            pull = _significance(mc.value.real - an, mc.std_error)
+            rows.append([name, mc.value.real, mc.std_error, an, pull,
+                         abs(pull) <= k, mc.low_confidence])
+        path = out_dir / "compare.csv"
+        _write_csv(path, COMPARE_HEADER, rows)
+        print(f"{'moment':10s} {'mc':>14s} {'std_err':>10s} "
+              f"{'analytic':>14s} {'pull':>7s}")
+        for name, mcv, se, an, pull, ok, low in rows:
+            flag = "" if ok else f"  <-- outside {k:g} sigma"
+            low_s = " (low confidence)" if low else ""
+            print(f"{name:10s} {mcv:14.6e} {se:10.2e} {an:14.6e} "
+                  f"{pull:7.2f}{flag}{low_s}")
+        within = all(row[5] for row in rows)
+        print(f"summary: {'all pulls within' if within else 'pulls outside'}"
+              f" +-{k:g}; wrote {path}")
+        if any(row[6] for row in rows):
+            print("warning: fewer than 30 trajectory batches; "
+                  "errors are low-confidence", file=sys.stderr)
+    print(f"wrote {out_dir / 'report.json'}")
+    return _exit_code([record], report is not None)
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -433,12 +411,7 @@ def main(argv=None) -> int:
             return cmd_run(spec)
         if args.command == "sweep":
             return cmd_sweep(spec, args.axis, args.values, args.source)
-        if args.command == "compare":
-            return cmd_compare(spec)
-        raise CliError(f"unknown command {args.command!r}")
-    except UnreliableRunError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_UNRELIABLE
+        return cmd_compare(spec)
     except ValueError as exc:    # CliError and the model's input errors
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID

@@ -294,6 +294,25 @@ class EnsembleResult:
     def report(self, centering: str = "reference"):
         return self.moments.finalize(centering=centering)
 
+    def record(self) -> dict:
+        """The run's provenance in plain JSON types: the point, the resolved
+        settings, the kernel and its threads, and how many trajectories
+        diverged."""
+        p = self.params
+        return {
+            "params": {"mu": p.mu, "gamma_r": p.gamma_r, "g": p.g,
+                       "eps": p.eps},
+            "config": self.config.to_dict(),
+            "n_trajectories": self.n_trajectories,
+            "n_diverged": self.n_diverged,
+            "divergence_fraction": self.divergence_fraction,
+            "reliable": self.reliable,
+            "elapsed_seconds": self.elapsed_seconds,
+            "backend": self.backend,
+            "workers": self.workers,
+            "block_size": self.block_size,
+        }
+
 
 def _worker_count(workers) -> int:
     """`workers`, else OPO3_WORKERS, else the CPUs this process may use."""

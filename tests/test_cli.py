@@ -399,6 +399,9 @@ class TestSweep:
                        "--out-dir", tmp_path])
         assert rc == 3
         assert "8/8 trajectories diverged" in capsys.readouterr().err
+        assert not (tmp_path / "sweep.csv").exists()
+        record, = json.loads((tmp_path / "sweep.json").read_text())
+        assert record["n_diverged"] == 8
 
     def test_mc_partly_diverged_writes_csv_and_exits_3(self, tmp_path, capsys):
         # at g=0.5 a threshold of 1.2 cuts 1 of 16 signal excursions: an
@@ -442,7 +445,7 @@ class TestCompare:
         assert rc == 0
         lines = (tmp_path / "compare.csv").read_text().splitlines()
         assert lines[0] == ("moment,mc_value,mc_std_error,analytic_value,"
-                            "pull,within_3sigma,low_confidence")
+                            "pull,within_threshold,low_confidence")
         rows = [ln.split(",") for ln in lines[1:]]
         assert [r[0] for r in rows] == ["t1", "t2", "t3", "t4", "q4",
                                         "var_x0", "cov_x_xp", "cov_y_yp"]
@@ -459,6 +462,29 @@ class TestCompare:
                        "--out-dir", tmp_path])
         assert rc == 3
         assert "8/8 trajectories diverged" in capsys.readouterr().err
+        doc = json.loads((tmp_path / "report.json").read_text())
+        assert doc["reliable"] is False
+        assert doc["n_diverged"] == 8
+        assert not (tmp_path / "compare.csv").exists()
+
+    def test_sigma_threshold_sets_within_threshold(self, tmp_path, capsys):
+        # the within_threshold column, the flag and the summary follow k
+        flags = {}
+        for k in ("3", "0.1"):
+            rc = run_main(["compare", *FAST, "--n-trajectories", 64,
+                           "--n-samples-per-traj", 8, "--seed", 5,
+                           "--sigma-threshold", k, "--out-dir", tmp_path / k])
+            assert rc == 0
+            rows = [ln.split(",") for ln in (tmp_path / k / "compare.csv")
+                    .read_text().splitlines()[1:]]
+            flags[k] = [r[5] for r in rows]
+            for r in rows:
+                assert r[5] == str(abs(float(r[4])) <= float(k)), r
+            out = capsys.readouterr().out
+            assert ("outside 0.1 sigma" in out) is (k == "0.1")
+        assert "pulls outside +-0.1" in out
+        assert any(a == "True" and b == "False"
+                   for a, b in zip(flags["3"], flags["0.1"]))
 
     def test_too_few_trajectories_exits_2(self, tmp_path, capsys):
         # one trajectory and no divergence: no error bars, an input problem
@@ -482,6 +508,62 @@ class TestCompare:
         out = capsys.readouterr().out
         assert "outside 3 sigma" not in out
         assert "all pulls within +-3" in out
+
+
+class TestRunRecord:
+    # run, compare and sweep state a run's provenance in one record
+    POINT = [*FAST, "--mu", "0.5", "--n-trajectories", 16,
+             "--n-samples-per-traj", 4, "--seed", 7]
+
+    def test_records_agree_across_subcommands(self, tmp_path):
+        for cmd in (["run"], ["compare"],
+                    ["sweep", "--axis", "mu", "--values", "0.5",
+                     "--source", "mc"]):
+            assert run_main([*cmd, *self.POINT,
+                             "--out-dir", tmp_path / cmd[0]]) == 0
+        run = json.loads((tmp_path / "run" / "report.json").read_text())
+        compare = json.loads((tmp_path / "compare" / "report.json")
+                             .read_text())
+        sweep, = json.loads((tmp_path / "sweep" / "sweep.json").read_text())
+        assert set(compare) == set(sweep) == {
+            "params", "config", "n_trajectories", "n_diverged",
+            "divergence_fraction", "reliable", "elapsed_seconds", "backend",
+            "workers", "block_size"}
+        for key in set(compare) - {"elapsed_seconds"}:
+            assert run[key] == compare[key] == sweep[key], key
+        assert compare["config"]["master_seed"] == 7
+        assert compare["n_trajectories"] == 16
+
+    def test_compare_and_sweep_record_kernel_and_divergences(
+            self, tmp_path, monkeypatch):
+        monkeypatch.setenv("OPO3_WORKERS", "2")
+        stepper = _kernels.get_stepper()
+        # at g=0.5 a threshold of 1.2 cuts 1 of 16 signal excursions
+        point = [*FAST, "--g", "0.5", "--n-trajectories", 16,
+                 "--n-samples-per-traj", 4, "--divergence-threshold", "1.2"]
+        assert run_main(["compare", *point,
+                         "--out-dir", tmp_path / "compare"]) == 3
+        assert run_main(["sweep", "--axis", "mu", "--values", "0.5,0.3",
+                         "--source", "both", *point,
+                         "--out-dir", tmp_path / "sweep"]) == 3
+        compare = json.loads((tmp_path / "compare" / "report.json")
+                             .read_text())
+        sweep = json.loads((tmp_path / "sweep" / "sweep.json").read_text())
+        assert [r["params"]["mu"] for r in sweep] == [0.5, 0.3]
+        for doc in (compare, sweep[0]):
+            assert doc["backend"] == (f"{stepper.__module__}."
+                                      f"{stepper.__name__}")
+            assert doc["workers"] == (
+                2 if stepper is _kernels._chunk_step_c else 1)
+            assert doc["n_diverged"] == 1
+            assert doc["reliable"] is False
+        assert (tmp_path / "compare" / "compare.csv").exists()
+        assert (tmp_path / "sweep" / "sweep.csv").exists()
+
+    def test_analytic_sweep_records_no_runs(self, tmp_path):
+        assert run_main(["sweep", "--axis", "mu", "--values", "0.5",
+                         "--out-dir", tmp_path]) == 0
+        assert json.loads((tmp_path / "sweep.json").read_text()) == []
 
 
 class TestOutputDirectory:

@@ -981,6 +981,39 @@ class TestKernels:
             _kernels._c_function.cache_clear()
 
     @needs_cc
+    def test_baseline_clone_matches_numpy_kernel(self, monkeypatch, tmp_path):
+        # a CPU with AVX only ever runs the "avx" clone of step_range; built
+        # without clones, the baseline code must pass the load-time check
+        # and step a drawn block of 256 trajectories, #1 dying mid-chunk,
+        # to the numpy kernel's bytes
+        source = _kernels._C_SOURCE
+        clones = '__attribute__((target_clones("avx", "default")))'
+        assert source.count(clones) == 1
+        monkeypatch.setattr(_kernels, "_C_SOURCE", source.replace(clones, ""))
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+        _kernels._c_function.cache_clear()
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert _kernels.get_stepper() is _kernels._chunk_step_c
+            assert b"step_range.avx" not in (
+                _kernels._compiled_library().read_bytes())
+            rng = np.random.default_rng(4)
+            start = fixed_point(self.params).as_array()[:, None] + 0.1 * (
+                rng.standard_normal((6, 256))
+                + 1j * rng.standard_normal((6, 256)))
+            start[:, 1] = (49, 35, 35, 49, 35, 35)
+            c_out, np_out = (drive_drawn(step, start, self.params, 0.01,
+                                         50.0, 5000, 150, 300)
+                             for step in (_kernels._chunk_step_c,
+                                          _kernels._chunk_step_numpy))
+            assert not c_out[1][1] and c_out[1].sum() == 255
+            for got, want in zip(c_out, np_out):
+                assert got.tobytes() == want.tobytes()
+        finally:
+            _kernels._c_function.cache_clear()
+
+    @needs_cc
     def test_step_self_check_falls_back_once(self, monkeypatch, fresh_cache):
         # a C step one ulp away from the numpy kernel on the load-time
         # chunk must never run: one warning, then the numpy kernel

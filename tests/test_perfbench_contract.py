@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from opo3 import _kernels, engine
+from opo3 import _kernels, cli, engine
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -40,6 +40,26 @@ def test_every_traced_attribute_resolves():
         pass
     assert [owner.__dict__[attr]
             for owner, attr, _ in tracing.PATCHES] == before
+
+
+def test_every_traced_cli_name_is_called(monkeypatch, tmp_path):
+    # a span reads 0 when the program stops calling the name the harness
+    # patches, as when a call moves out of cli's namespace; with only the
+    # patches on opo3.cli in place, each under a span of its own name (some
+    # share a layer's span), one small `opo3 run` must open every one
+    tracing = load("tracing")
+    on_cli = tuple((owner, attr, attr) for owner, attr, _ in tracing.PATCHES
+                   if owner is cli)
+    assert len(on_cli) == 8
+    monkeypatch.setattr(tracing, "PATCHES", on_cli)
+    tracer = tracing.Tracer()
+    with tracer.patched():
+        rc = cli.main(["run", "--dt", "0.05", "--burn-in", "20",
+                       "--sample-interval", "2", "--n-trajectories", "4",
+                       "--n-samples-per-traj", "2", "--out-dir",
+                       str(tmp_path)])
+    assert rc == 0
+    assert [attr for _, attr, _ in on_cli if tracer.count(attr) == 0] == []
 
 
 def test_setup_probe_runs(capsys):
