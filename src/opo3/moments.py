@@ -12,6 +12,13 @@ ensemble runs.  Standard errors come from leave-one-out jackknife over
 batches, which for plain moments reduces to batch means and extends cleanly
 to nonlinear composites (criteria ratios and margins).
 
+Every sum has one fixed order, so estimates are bit-for-bit the same for
+any slicing of the batches into add_batches calls:
+  per batch   a batch's key products are added in sample order
+  per sample  each sample index's products are one chain in batch
+              (trajectory) order, carried across calls
+  totals      the joined batch sums are summed pairwise over batches
+
 Centering modes at finalize time:
   reference  shift only channels flagged shiftable to their empirical means;
              non-shiftable channels (the pump) stay at their provisional
@@ -99,9 +106,19 @@ class MomentSchema:
         keys.update((i,) for i in range(len(names)))
         keys.discard(())
         key_order = tuple(sorted(keys, key=lambda k: (len(k), k)))
+        key_index = {k: i for i, k in enumerate(key_order)}
+        centers = np.array([c.center for c in self.channels],
+                           dtype=np.complex128)
+        centers.flags.writeable = False
         object.__setattr__(self, "_target_terms", target_terms)
         object.__setattr__(self, "key_order", key_order)
-        object.__setattr__(self, "_key_index", {k: i for i, k in enumerate(key_order)})
+        object.__setattr__(self, "_key_index", key_index)
+        object.__setattr__(self, "_centers", centers)
+        # the singletons lead key_order in channel order; each later key
+        # extends its prefix, a key listed before it, by one channel
+        object.__setattr__(self, "_prefixes", tuple(
+            (key_index[key[:-1]], key[-1])
+            for key in key_order[len(names):]))
 
     @property
     def n_channels(self) -> int:
@@ -212,7 +229,8 @@ class _Stats:
     """Evaluation context over key-major raw sums: (K,) for the full dataset
     or (K, M) for M replicates with n shaped (M,); given totals, replicate m
     leaves batch m out (totals - sums[:, m]).  Derived quantities broadcast.
-    Raw means multiply by 1/n, taken once per context as complex128.
+    Means multiply a sum by 1/n, taken once per context as complex128, in
+    _mean alone.
     """
 
     def __init__(self, schema: MomentSchema, sums, n, centering: str,
@@ -228,55 +246,72 @@ class _Stats:
         self._inv_n = (1.0 / n).astype(np.complex128)
         self.centering = centering
         self._cache = {}
-        self._pow_cache = {}
+        self._neg_shifts = {}
 
-    def raw(self, key: tuple):
+    def _key_sum(self, key: tuple):
+        """The context's sum of key's products; the empty key sums to n."""
         if key == ():
-            return 1.0 if np.isscalar(self._n) else np.ones_like(self._n, dtype=np.complex128)
+            return self._n
         idx = self.schema._key_index[key]
         if self._totals is None:
-            return self._sums[idx] * self._inv_n
-        return (self._totals[idx] - self._sums[idx]) * self._inv_n
+            return self._sums[idx]
+        return self._totals[idx] - self._sums[idx]
 
-    def _neg_shift_powers(self, ch: int):
-        """[(-s)^1, ..., (-s)^4] for the shift s of channel ch under the
-        centering mode, or None when s is zero."""
-        if ch not in self._pow_cache:
+    def _mean(self, key_sum):
+        return key_sum * self._inv_n
+
+    def raw(self, key: tuple):
+        return self._mean(self._key_sum(key))
+
+    def _neg_shift(self, ch: int):
+        """-s for the shift s of channel ch under the centering mode, or
+        None when s is zero."""
+        if ch not in self._neg_shifts:
             spec = self.schema.channels[ch]
-            s = 0.0
-            if self.centering == "sample" or (self.centering == "reference" and spec.shiftable):
-                s = self.raw((ch,))
+            neg = None
+            if self.centering == "sample" or (self.centering == "reference"
+                                              and spec.shiftable):
+                neg = -self.raw((ch,))
             elif self.centering == "raw":
-                s = -complex(spec.center)
-            pows = None
-            if np.any(s != 0.0):
-                pows = [-s]
-                for _ in range(3):
-                    pows.append(pows[-1] * pows[0])
-            self._pow_cache[ch] = pows
-        return self._pow_cache[ch]
+                neg = complex(spec.center)
+            if neg is not None and not np.any(neg != 0.0):
+                neg = None
+            self._neg_shifts[ch] = neg
+        return self._neg_shifts[ch]
 
     def centered(self, key: tuple):
         """Inclusion-exclusion: E[prod (v_c - shift_c)] from raw moments.
 
         Channels with zero shift contribute only their full power, so the
-        expansion runs over the shifted channels alone.
+        expansion runs over the shifted channels alone, on key sums, and
+        the result is scaled to a mean once.
         """
-        mults = {u: key.count(u) for u in sorted(set(key))}
-        shifted = [u for u in mults if self._neg_shift_powers(u) is not None]
-        fixed = tuple(u for u in key if u not in shifted)
-        total = 0.0
-        for kvec in itertools.product(*(range(mults[u] + 1) for u in shifted)):
-            sub = tuple(sorted(fixed + tuple(
-                u for u, k in zip(shifted, kvec) for _ in range(k))))
-            term = self.raw(sub)
-            coef = 1
-            for u, k in zip(shifted, kvec):
-                coef *= math.comb(mults[u], k)
-                if k < mults[u]:
-                    term = term * self._neg_shift_powers(u)[mults[u] - k - 1]
-            total = total + coef * term
-        return total
+        shifted = tuple((u, key.count(u)) for u in sorted(set(key))
+                        if self._neg_shift(u) is not None)
+        fixed = tuple(u for u in key if self._neg_shift(u) is None)
+        return self._mean(self._shifted_sum(fixed, shifted))
+
+    def _shifted_sum(self, fixed: tuple, shifted: tuple):
+        """The sum of prod(v_fixed) * prod((v_u - s_u)^m), (u, m) in shifted.
+
+        Binomial expansion in the first shifted channel u gives
+        sum_k C(m, k) (-s_u)^(m-k) X_k, where X_k is this sum with u^k
+        joined to the fixed channels and u dropped from the shifted ones;
+        it is evaluated by Horner's rule in -s_u, one multiply and one add
+        per power, with each X_k expanded the same way in the next channel.
+        """
+        if not shifted:
+            return self._key_sum(tuple(sorted(fixed)))
+        (u, m), rest = shifted[0], shifted[1:]
+        neg = self._neg_shift(u)
+        acc = self._shifted_sum(fixed, rest)
+        for k in range(1, m + 1):
+            term = self._shifted_sum(fixed + (u,) * k, rest)
+            coef = math.comb(m, k)
+            # acc * neg is a new array, so adding in place touches no sum
+            acc = acc * neg
+            acc += term if coef == 1 else coef * term
+        return acc
 
     def target(self, name: str):
         if name in self._cache:
@@ -284,10 +319,17 @@ class _Stats:
         entry = self.schema._target_terms.get(name)
         if entry is None:
             raise SchemaError(f"unknown target {name!r}")
-        total, apply_shift, terms = entry
+        offset, apply_shift, terms = entry
+        total = None
         for coef, key in terms:
             part = self.centered(key) if apply_shift else self.raw(key)
-            total = total + coef * part
+            if coef != 1:
+                part = coef * part
+            total = part if total is None else total + part
+        if total is None:
+            total = offset
+        elif offset:
+            total = total + offset
         self._cache[name] = total
         return total
 
@@ -363,13 +405,21 @@ class MomentAccumulator:
 
     Samples arrive through add_batches as channel vectors (values in
     schema channel order), one batch per trajectory.  A block's K key
-    products fill one (K, nb, n) array, reduced to its batch sums in one
-    call.  Per-batch key sums are stored key-major in (K, nb) blocks that
-    are never written after they are appended, so copies, merges and
-    reports share them.  Evaluation joins them once into one read-only
-    (K, B) array and sums along its batch axis pairwise, so the totals
-    depend on the batch order alone, not on how batches arrived; the
-    totals are kept until a batch is added.
+    products fill one sample-major (K, n, nb) array.  Three summation
+    orders make every sum independent of how batches arrive:
+      per batch   each batch's products are added in sample order, with
+                  n - 1 adds over the (K, nb) sample rows;
+      per sample  (collect_per_sample) the products of each sample index
+                  form one chain in trajectory order: the running sums are
+                  added into the block's first batch, then accumulated
+                  along the batch axis;
+      totals      evaluation joins the per-batch sums once into one
+                  read-only (K, B) array and sums along its batch axis
+                  pairwise, so they depend on the batch order alone; they
+                  are kept until a batch is added.
+    Per-batch key sums are stored key-major in (K, nb) blocks that are
+    never written after they are appended, so copies, merges and reports
+    share them.
     """
 
     def __init__(self, schema: MomentSchema, collect_per_sample: bool = False):
@@ -382,35 +432,28 @@ class MomentAccumulator:
 
     # -- feeding ---------------------------------------------------------
 
-    def _center_values(self, values: np.ndarray, out=None) -> np.ndarray:
-        centers = np.array([c.center for c in self.schema.channels],
-                           dtype=np.complex128)
-        return np.subtract(
-            values, centers.reshape((-1,) + (1,) * (values.ndim - 1)), out=out)
-
     def _key_products(self, values: np.ndarray) -> np.ndarray:
-        # the singletons lead key_order in channel order, so the centered
-        # values fill its first rows; each later key extends its prefix, a
-        # key listed before it, by one channel: the left-to-right product
-        # with one multiply per key
-        c, key_index = self.schema.n_channels, self.schema._key_index
-        out = np.empty((self.schema.n_keys,) + values.shape[1:],
+        """The (K, n, nb) key products of (C, nb, n) values, sample-major:
+        the centered values fill the singleton rows, and each later key is
+        its prefix times one channel, the left-to-right product with one
+        multiply per key."""
+        schema = self.schema
+        c = schema.n_channels
+        out = np.empty((schema.n_keys, values.shape[2], values.shape[1]),
                        dtype=np.complex128)
-        self._center_values(values, out=out[:c])
-        for k, key in enumerate(self.schema.key_order[c:], c):
-            np.multiply(out[key_index[key[:-1]]], out[key[-1]], out=out[k])
+        np.subtract(values.transpose(0, 2, 1), schema._centers[:, None, None],
+                    out=out[:c])
+        for k, (prefix, ch) in enumerate(schema._prefixes, c):
+            np.multiply(out[prefix], out[ch], out=out[k])
         return out
 
-    def _per_sample_total(self, sums: np.ndarray) -> np.ndarray:
-        """The per-sample sums with `sums` added, refused if they overflow."""
+    def _per_sample_base(self, n: int):
+        """The per-sample sums that batches of n samples add to, or None."""
         base = self.per_sample_sums
-        if base is None:
-            base = np.zeros_like(sums)
-        elif base.shape != sums.shape:
+        if base is not None and base.shape[1] != n:
             raise SchemaError("per-sample shapes differ: per-sample "
                               "collection needs a fixed sample count")
-        with np.errstate(over="ignore", invalid="ignore"):
-            return _finite(base + sums, "per-sample sums")
+        return base
 
     def add_batches(self, values) -> "MomentAccumulator":
         """B per-trajectory batches of n samples: values shaped
@@ -427,16 +470,28 @@ class MomentAccumulator:
             return self
         if n == 0:
             raise ValueError("empty batch: each batch needs at least one sample")
+        base = self._per_sample_base(n) if self.collect_per_sample else None
         # non-finite values or overflowing products leave a non-finite sum
         with np.errstate(over="ignore", invalid="ignore"):
             prods = self._key_products(values)
-            block = _finite(prods.sum(axis=2), "sample values or key sums")
+            # explicit adds in sample order: a reduction along the sample
+            # axis would sum pairwise once that axis is innermost (nb = 1)
+            block = prods[:, 0].copy()
+            for j in range(1, n):
+                block += prods[:, j]
+            _finite(block, "sample values or key sums")
             if self.collect_per_sample:
-                self.per_sample_sums = self._per_sample_total(
-                    prods.sum(axis=1))
+                # one chain over batches that carries on from earlier calls,
+                # written over the products
+                if base is not None:
+                    prods[:, :, 0] += base
+                np.add.accumulate(prods, axis=2, out=prods)
+                per_sample = _finite(prods[:, :, -1].copy(), "per-sample sums")
         self._blocks.append(block)
         self._block_ns.append(np.full(nb, n, dtype=np.int64))
         self._totals = None
+        if self.collect_per_sample:
+            self.per_sample_sums = per_sample
         return self
 
     # -- bookkeeping -----------------------------------------------------
@@ -464,7 +519,9 @@ class MomentAccumulator:
 
         Per-sample sums cover every batch or none: a side with them merges
         only with a side that has them too or holds no batch, and batches
-        without them end an empty accumulator's collection.
+        without them end an empty accumulator's collection.  Merged
+        per-sample sums add two chains, self's and other's, so they match
+        a single stream of both batches to rounding, not bit for bit.
         """
         if self.schema != other.schema:
             raise SchemaError("cannot merge accumulators with different schemas")
@@ -474,7 +531,12 @@ class MomentAccumulator:
             raise SchemaError("cannot merge per-sample sums with batches "
                               "that have none")
         if other.per_sample_sums is not None:
-            self.per_sample_sums = self._per_sample_total(other.per_sample_sums)
+            theirs = other.per_sample_sums
+            base = self._per_sample_base(theirs.shape[1])
+            with np.errstate(over="ignore", invalid="ignore"):
+                self.per_sample_sums = _finite(
+                    theirs.copy() if base is None else base + theirs,
+                    "per-sample sums")
         if other.n_batches:
             self.collect_per_sample = other.per_sample_sums is not None
         self._blocks.extend(other._blocks)
@@ -554,7 +616,9 @@ class MomentAccumulator:
 
 def merge(a: MomentAccumulator, b: MomentAccumulator) -> MomentAccumulator:
     """Combined accumulator holding a's batches, then b's: the accumulator
-    one stream of both would build, point estimates and errors alike."""
+    one stream of both would build, point estimates and errors alike.  Its
+    per-sample sums add a's chain and b's, so running averages match one
+    stream to rounding only."""
     return a.copy().merge_in_place(b)
 
 

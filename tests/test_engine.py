@@ -300,6 +300,23 @@ class TestDeterminism:
                 assert a.std_error == b.std_error, (workers, name)
                 assert a.std_error_imag == b.std_error_imag, (workers, name)
 
+    def test_block_size_invariance(self, monkeypatch):
+        # the block size decides how batches reach the accumulator; the
+        # moments and the running-average sums must not depend on it
+        params = ModelParams(0.5, 1.0, 0.05)
+        cfg = SimConfig(dt=0.05, burn_in=20.0, sample_interval=2.0,
+                        n_samples_per_traj=4, n_trajectories=40,
+                        master_seed=323)
+        want = run_ensemble(params, cfg, collect_time_series=True)
+        monkeypatch.setattr(engine, "BLOCK_SIZE", 7)
+        got = run_ensemble(params, cfg, collect_time_series=True)
+        assert (got.block_size, want.block_size) == (7, 256)
+        assert (got.moments.per_sample_sums.tobytes()
+                == want.moments.per_sample_sums.tobytes())
+        a, b = got.report(), want.report()
+        for name in a.entries:
+            assert a[name] == b[name], name
+
     @pytest.mark.parametrize("workers", [0, -3, 2.0, True, "2", np.True_,
                                          np.int64(0)])
     def test_bad_worker_count_rejected(self, workers):

@@ -18,6 +18,7 @@ from opo3 import (
     TargetSpec,
     amplitude_schema,
     analytic_moment_report,
+    fixed_point,
     merge,
     opo_schema,
     state_channels,
@@ -324,59 +325,73 @@ class TestBatchStore:
                 assert abs(part - want) <= rtol * abs(want), name
 
     def test_key_sums_equal_left_to_right_products(self):
-        # keys are built from their prefixes into one (K, nb, n) array; the
-        # block sums and per-sample sums must still be bitwise the per-key
-        # reductions of each key's channels multiplied left to right, and
-        # bitwise what one add_batches call per trajectory stores
-        params, cube = opo_cube(281, 40, 5)
+        # keys are built from their prefixes into one sample-major
+        # (K, n, nb) array; the block sums must still be bitwise each key's
+        # channels multiplied left to right and added in sample order, the
+        # per-sample sums those products added in trajectory order, and
+        # both bitwise what one add_batches call per trajectory stores
+        params, cube = opo_cube(281, 37, 9)
         schema = opo_schema(params)
-        acc = MomentAccumulator(schema, collect_per_sample=True)
-        acc.add_batches(cube)
-        single = MomentAccumulator(schema, collect_per_sample=True)
-        for j in range(40):
-            single.add_batches(cube[:, j:j + 1])
-        joined = np.concatenate(single._blocks, axis=1)
-        centered = acc._center_values(cube)
-        (block,) = acc._blocks
-        for k, key in enumerate(schema.key_order):
-            prod = centered[key[0]]
-            for idx in key[1:]:
-                prod = prod * centered[idx]
-            want = prod.sum(axis=1).tobytes()
-            assert block[k].tobytes() == want == joined[k].tobytes(), key
-            assert (acc.per_sample_sums[k].tobytes()
-                    == prod.sum(axis=0).tobytes()
-                    == single.per_sample_sums[k].tobytes()), key
-        # so the running averages and the report are bitwise the same
-        assert single.n_batches == acc.n_batches == 40
-        for mode in moments.CENTERINGS:
-            got, want = single.running_stats(mode), acc.running_stats(mode)
-            for name in schema.target_names():
-                assert (_bits(got.target(name), got.n)
-                        == _bits(want.target(name), want.n)), (mode, name)
-            assert (repr(single.finalize(mode).entries)
-                    == repr(acc.finalize(mode).entries)), mode
+        centers = np.array([c.center for c in schema.channels])
+        for n in range(1, 10):
+            values = cube[:, :, :n]
+            acc = MomentAccumulator(schema, collect_per_sample=True)
+            acc.add_batches(values)
+            single = MomentAccumulator(schema, collect_per_sample=True)
+            for j in range(37):
+                single.add_batches(values[:, j:j + 1])
+            joined = np.concatenate(single._blocks, axis=1)
+            centered = values - centers[:, None, None]
+            (block,) = acc._blocks
+            for k, key in enumerate(schema.key_order):
+                prod = centered[key[0]]
+                for idx in key[1:]:
+                    prod = prod * centered[idx]
+                want = prod[:, 0]
+                for j in range(1, n):
+                    want = want + prod[:, j]
+                assert (block[k].tobytes() == want.tobytes()
+                        == joined[k].tobytes()), (n, key)
+                want = prod[0]
+                for b in range(1, 37):
+                    want = want + prod[b]
+                assert (acc.per_sample_sums[k].tobytes() == want.tobytes()
+                        == single.per_sample_sums[k].tobytes()), (n, key)
+            # so the running averages and the report are bitwise the same
+            assert single.n_batches == acc.n_batches == 37
+            for mode in moments.CENTERINGS:
+                got, want = single.running_stats(mode), acc.running_stats(mode)
+                for name in schema.target_names():
+                    assert (_bits(got.target(name), got.n)
+                            == _bits(want.target(name), want.n)), (n, mode,
+                                                                   name)
+                assert (repr(single.finalize(mode).entries)
+                        == repr(acc.finalize(mode).entries)), (n, mode)
 
     def test_arrival_order_is_bitwise_invisible(self):
         params, cube = opo_cube(277, 520, 3)
         schema = opo_schema(params)
-        whole = MomentAccumulator(schema).add_batches(cube)
-        sliced = MomentAccumulator(schema)
-        for lo in range(0, 520, 256):
-            sliced.add_batches(cube[:, lo:lo + 256])
-        single = MomentAccumulator(schema)
-        for j in range(520):
-            single.add_batches(cube[:, j:j + 1])
+
+        def fed(width):
+            acc = MomentAccumulator(schema, collect_per_sample=True)
+            for lo in range(0, 520, width):
+                acc.add_batches(cube[:, lo:lo + width])
+            return acc
+
+        whole, feeds = fed(520), [fed(256), fed(5), fed(1)]
         bounds = np.linspace(0, 520, 9).astype(int)
         shards = [MomentAccumulator(schema).add_batches(cube[:, lo:hi])
                   for lo, hi in zip(bounds[:-1], bounds[1:])]
         merged = shards[0]
         for other in shards[1:]:
             merged = merge(merged, other)
+        for acc in feeds:
+            assert (acc.per_sample_sums.tobytes()
+                    == whole.per_sample_sums.tobytes())
         for mode in ("reference", "sample", "none", "raw"):
             want = whole.finalize(mode)
             jk = want.jackknife(cs_parts)
-            for acc in (sliced, single, merged):
+            for acc in feeds + [merged]:
                 got = acc.finalize(mode)
                 assert got.n_batches == 520 and got.n_samples == 1560
                 for name in schema.target_names():
@@ -387,6 +402,13 @@ class TestBatchStore:
                 for field in ("value", "std_error", "std_error_imag"):
                     assert np.array_equal(getattr(other, field),
                                           getattr(jk, field)), (mode, field)
+            # the running averages, which timeseries.csv prints
+            running = whole.running_stats(mode)
+            for acc in feeds:
+                st = acc.running_stats(mode)
+                for name in schema.target_names():
+                    assert (_bits(st.target(name))
+                            == _bits(running.target(name))), (mode, name)
 
     def test_merge_shares_no_mutable_state(self):
         params, cube = opo_cube(281, 90, 4)
@@ -414,16 +436,19 @@ class TestBatchStore:
 
 
 class _DividingStats(moments._Stats):
-    """The evaluation context with raw means divided by n, as numpy's
+    """The evaluation context with means divided by n, as numpy's
     complex / real computes them, in place of the stored reciprocal."""
 
-    def raw(self, key: tuple):
-        if key == ():
-            return super().raw(key)
-        idx = self.schema._key_index[key]
-        if self._totals is None:
-            return self._sums[idx] / self._n
-        return (self._totals[idx] - self._sums[idx]) / self._n
+    def _mean(self, key_sum):
+        return key_sum / self._n
+
+
+class _OffByOneUlpStats(moments._Stats):
+    """The evaluation context with a reciprocal one ulp above 1/n."""
+
+    def _mean(self, key_sum):
+        return key_sum * np.nextafter(1.0 / self._n, np.inf).astype(
+            np.complex128)
 
 
 def _bits(*arrays):
@@ -457,6 +482,9 @@ class TestEvaluationShortcuts:
         got = evaluate()
         monkeypatch.setattr(moments, "_Stats", _DividingStats)
         assert evaluate() == got
+        # every mean goes through _mean: a reciprocal one ulp off shows
+        monkeypatch.setattr(moments, "_Stats", _OffByOneUlpStats)
+        assert evaluate() != got
 
     def test_totals_cache_follows_the_batches(self):
         params, cube = opo_cube(307, 60, 4)
@@ -593,6 +621,54 @@ class TestCentering:
         rep = acc.finalize(centering="reference")
         # stays referenced to the declared center, not the empirical mean
         assert rep["m2"].value == pytest.approx(np.mean((u - c) ** 2), rel=1e-12)
+
+    def test_every_opo_target_against_direct_means(self):
+        # the inclusion-exclusion of every target under every centering
+        # against numpy means of the centered products themselves, judged
+        # on the size of the summed products; states around the fixed
+        # point, so the raw centering undoes pump centers of mu/eps ~ 7
+        params = ModelParams(mu=0.5, gamma_r=1.0, g=0.05)
+        rng = np.random.default_rng(331)
+        shape = (6, 48, 6)
+        states = fixed_point(params).as_array()[:, None, None] + 0.3 * (
+            rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+        cube = state_channels(states, params)
+        schema = opo_schema(params)
+        acc = MomentAccumulator(schema)
+        acc.add_batches(cube[:, :20]).add_batches(cube[:, 20:])
+        index = {c.name: i for i, c in enumerate(schema.channels)}
+        centers = np.array([c.center for c in schema.channels])
+        shiftable = np.array([c.shiftable for c in schema.channels])
+        v = cube.reshape(len(centers), -1) - centers[:, None]
+        means = v.mean(axis=1)
+        shifts = {"reference": np.where(shiftable, means, 0.0),
+                  "sample": means, "none": np.zeros_like(means),
+                  "raw": -centers}
+        for mode, shift in shifts.items():
+            rep = acc.finalize(mode)
+            d = v - shift[:, None]
+            for tgt in schema.targets:
+                base = d if tgt.apply_shift else v
+                want, scale = complex(tgt.offset), abs(tgt.offset)
+                for coef, mult in tgt.terms:
+                    prod = np.prod([base[index[ch]] for ch in mult], axis=0)
+                    want += coef * prod.mean()
+                    scale += abs(coef) * np.abs(prod).mean()
+                assert abs(rep[tgt.name].value - want) <= 1e-12 * scale, (
+                    mode, tgt.name)
+        # with equal batches, the jackknife error of a plain mean is the
+        # batch-means error
+        rep = acc.finalize()
+        for tgt in schema.targets:
+            if tgt.apply_shift:
+                continue
+            (_, (ch,)), = tgt.terms
+            batch_means = cube[index[ch]].mean(axis=1)
+            for part, se in ((batch_means.real, rep[tgt.name].std_error),
+                             (batch_means.imag,
+                              rep[tgt.name].std_error_imag)):
+                want = math.sqrt(part.var(ddof=1) / part.size)
+                assert se == pytest.approx(want, rel=1e-12), tgt.name
 
     def test_unknown_centering_rejected(self):
         acc = MomentAccumulator(scalar_schema())
