@@ -1,10 +1,17 @@
-"""Inner integration loops for the positive-P equations.
+"""Inner integration loops for the positive-P equations, and the moment
+accumulator's key sums.
 
 Two implementations with identical results, bit for bit, advance a block
 of trajectories through one chunk of steps in place: a C kernel, compiled
 with the system `cc` on first use and cached on disk, and a vectorized
 numpy kernel, the reference the tests compare against and the fallback
-when no compiler is available or the build fails.
+when no compiler is available or the build fails.  The same library and
+the same switch serve the key sums of `moments.MomentAccumulator`
+(`get_key_summer`): the C routine takes each key's product of a block of
+batches, its prefix key's times one channel, and adds it into the
+batch's sum and, when asked, into its sample index's chain, in one pass
+over tiles of batches that fit in L1, reading the values through their
+strides; numpy's version is its oracle and fallback.
 
 State layout: complex128 array (6, B) with rows (a0, a1, a2, a0p, a1p, a2p).
 Noise layout: C-contiguous float64 array (B, n_steps, 4) of normals already
@@ -44,41 +51,48 @@ take Euler-Maruyama steps.  A trajectory whose candidate exceeds the
 threshold or goes non-finite is frozen at its last good state, marked
 dead, and its global step index recorded.
 
-Rounding: both kernels take each step in float64 real arithmetic, every
-complex product the textbook (ac - bd, ad + bc), each operation rounded
-on its own in the same order; the C kernel is built with
--ffp-contract=off, so no multiply-add is fused, and its vector clones
-(AVX and the baseline) enable no FMA.  The complex square root is a
-formula of IEEE operations only: with m = sqrt(x*x + y*y),
-t = sqrt((m + |x|)/2) and u = y/(2t), the root of x + iy is
-(t, copysign(u, y)) for x >= 0 and (|u|, copysign(t, y)) for x < 0,
-chosen by a mask, not a branch.  Where x*x + y*y leaves [2^-1000, 2^1000]
-the operand is first scaled by an exact power of two, and 0 gives
-(+0, y).  It is within 2 ulp of cmath.sqrt and needs no libm, so the two
-kernels give the same bits.
+Rounding: both kernels take each step, and both key sums each product
+and sum, in float64 real arithmetic, every complex product the textbook
+(ac - bd, ad + bc), each operation rounded on its own in the same order;
+the C kernel is built with -ffp-contract=off, so no multiply-add is
+fused, and its vector clones (AVX and the baseline) enable no FMA.  The
+numpy versions multiply real and imaginary parts apart: where the CPU
+has FMA, numpy's complex multiply fuses a multiply-add into each part
+(the real part is fma(ar, br, -ai*bi)), so its bits follow the CPU and
+are not the textbook product's.  The complex square root is a formula of
+IEEE operations only: with m = sqrt(x*x + y*y), t = sqrt((m + |x|)/2)
+and u = y/(2t), the root of x + iy is (t, copysign(u, y)) for x >= 0 and
+(|u|, copysign(t, y)) for x < 0, chosen by a mask, not a branch.  Where
+x*x + y*y leaves [2^-1000, 2^1000] the operand is first scaled by an
+exact power of two, and 0 gives (+0, y).  It is within 2 ulp of
+cmath.sqrt and needs no libm, so the two kernels give the same bits.
 
 Build: the C source is complete as written, numpy's ziggurat tables
 included, so the build reads no file of numpy's and links nothing of it.
 On load the kernel's seeding, sampler and step must reproduce numpy's
-states and draws and the numpy kernel's bytes.  A failed build or load,
-or a failed check, makes the numpy kernel run instead, with one warning
-that names the reason.  The library is cached under $XDG_CACHE_HOME/opo3
-when that path is absolute (else ~/.cache/opo3, else a per-user
-temporary directory), keyed by this module's source, the flags, the
-resolved compiler's path, size and mtime, and the numpy version, so a
-cache hit runs no compiler and starts no process.  numpy's answers to the
-load-time check (the seeded PCG64 words, the standard normals drawn from
-the last of them, that generator's words after the draws, and the numpy
-kernel's bytes on a chunk of those draws and on a chunk drawn from
-seeded words, one trajectory dying mid-chunk) are computed once per
-build, on its first load, and kept beside the library, so later loads
-import neither numpy.random nor run a numpy step.
+states and draws and the numpy kernel's bytes, and its key sums the
+numpy key sums' bytes, the textbook products' sums, not those of numpy's
+complex multiply.  A failed build or load, or a failed check, makes the
+numpy kernel and key sums run instead, with one warning that names the
+reason.  The library is cached under $XDG_CACHE_HOME/opo3 when that path
+is absolute (else ~/.cache/opo3, else a per-user temporary directory),
+keyed by this module's source, the flags, the resolved compiler's path,
+size and mtime, and the numpy version, so a cache hit runs no compiler
+and starts no process.  numpy's answers to the load-time check (the
+seeded PCG64 words, the standard normals drawn from the last of them,
+that generator's words after the draws, the numpy kernel's bytes on a
+chunk of those draws and on a chunk drawn from seeded words, one
+trajectory dying mid-chunk, and the numpy key sums on a strided view of
+those draws) are computed once per build, on its first load, and kept
+beside the library, so later loads import neither numpy.random nor run a
+numpy step or numpy key sums.
 """
 
 from __future__ import annotations
 
 import ctypes
 import functools
+import itertools
 import os
 import shutil
 import tempfile
@@ -709,6 +723,136 @@ int opo3_chunk_step(double *state, const double *w, uint64_t *gens,
     free(ranges);
     return 0;
 }
+
+/* The key sums of the moment accumulator take KEY_TILE batches at a time,
+   across the vector lanes, with one row of the tile's products and one of
+   its sums per key, real and imaginary parts apart: 256 bytes a key, so
+   that for K up to about 120 keys they stay in a 32 KB L1 cache. */
+#define KEY_TILE 8
+#define KEY_VECS (KEY_TILE / LANES)
+typedef struct { vdouble re[KEY_VECS], im[KEY_VECS]; } key_row_t;
+#define BATCH(row, b) ((row)[(b) / LANES][(b) % LANES])
+static const double zero_pair[2] = {0, 0};
+
+/* one opo3_key_sums call's arguments; strides in bytes */
+typedef struct {
+    const char *values; int64_t s_ch, s_b, s_n;
+    const double *centers; const int64_t *prefixes;
+    int64_t n_ch, n_keys, nb, n;
+    double *block, *chains;
+} key_args_t;
+
+static LANE_CLONES void key_tiles(const key_args_t *a, key_row_t *prod,
+                                  key_row_t *sum, int fresh)
+{
+    const int64_t n_ch = a->n_ch, n_keys = a->n_keys;
+    for (int64_t b0 = 0; b0 < a->nb; b0 += KEY_TILE) {
+        const int64_t width = a->nb - b0 < KEY_TILE ? a->nb - b0 : KEY_TILE;
+        for (int64_t j = 0; j < a->n; j++) {
+            /* the centered values fill the singleton rows; lanes past the
+               last batch read zeros.  Each vector is built in registers:
+               one stored lane by lane would stall its load */
+            for (int64_t c = 0; c < n_ch; c++) {
+                const char *v = a->values + c * a->s_ch + b0 * a->s_b
+                                + j * a->s_n;
+                const vdouble center_re = (vdouble){} + a->centers[2 * c];
+                const vdouble center_im = (vdouble){} + a->centers[2 * c + 1];
+                for (int i = 0; i < KEY_VECS; i++) {
+                    double z[LANES][2];
+                    for (int l = 0; l < LANES; l++) {
+                        const int64_t b = i * LANES + l;
+                        memcpy(z[l], b < width ? v + b * a->s_b
+                                               : (const char *)zero_pair,
+                               sizeof z[l]);
+                    }
+                    prod[c].re[i] = (vdouble){z[0][0], z[1][0], z[2][0],
+                                              z[3][0]} - center_re;
+                    prod[c].im[i] = (vdouble){z[0][1], z[1][1], z[2][1],
+                                              z[3][1]} - center_im;
+                }
+            }
+            /* each later key is its prefix times one channel */
+            for (int64_t k = n_ch; k < n_keys; k++) {
+                const key_row_t *p = &prod[a->prefixes[2 * (k - n_ch)]];
+                const key_row_t *q = &prod[a->prefixes[2 * (k - n_ch) + 1]];
+                for (int i = 0; i < KEY_VECS; i++) {
+                    prod[k].re[i] = p->re[i] * q->re[i] - p->im[i] * q->im[i];
+                    prod[k].im[i] = p->re[i] * q->im[i] + p->im[i] * q->re[i];
+                }
+            }
+            /* per batch, in sample order */
+            if (j == 0) {
+                memcpy(sum, prod, n_keys * sizeof *sum);
+            } else {
+                for (int64_t k = 0; k < n_keys; k++) {
+                    for (int i = 0; i < KEY_VECS; i++) {
+                        sum[k].re[i] += prod[k].re[i];
+                        sum[k].im[i] += prod[k].im[i];
+                    }
+                }
+            }
+            /* per sample, one chain in batch order; a fresh chain starts
+               at the first batch's product */
+            if (a->chains) {
+                const int start = fresh && b0 == 0;
+                for (int64_t k = 0; k < n_keys; k++) {
+                    double *z = a->chains + 2 * (k * a->n + j);
+                    double re = start ? BATCH(prod[k].re, 0) : z[0];
+                    double im = start ? BATCH(prod[k].im, 0) : z[1];
+                    for (int64_t b = start; b < width; b++) {
+                        re += BATCH(prod[k].re, b);
+                        im += BATCH(prod[k].im, b);
+                    }
+                    z[0] = re;
+                    z[1] = im;
+                }
+            }
+        }
+        for (int64_t k = 0; k < n_keys; k++) {
+            double *out = a->block + 2 * (k * a->nb + b0);
+            for (int64_t b = 0; b < width; b++) {
+                out[2 * b] = BATCH(sum[k].re, b);
+                out[2 * b + 1] = BATCH(sum[k].im, b);
+            }
+        }
+    }
+}
+
+/* The sums of the key products of nb batches of n samples each: values is
+   a (n_ch, nb, n) complex array with byte strides s_ch, s_b and s_n,
+   centers (n_ch) complex, and key k >= n_ch the product of key
+   prefixes[2(k - n_ch)], an earlier one, and channel
+   prefixes[2(k - n_ch) + 1]; singleton keys are the centered channels.
+   Every complex product is the textbook (ac - bd, ad + bc).  block
+   (n_keys, nb) complex gets each batch's products added in sample order.
+   Unless chains is NULL, chains (n_keys, n) complex gets each sample
+   index's products added in batch order, onto base (n_keys, n) complex,
+   or from the first batch's product when base is NULL.  Returns -1 when
+   the tile cannot be allocated, -2 for a prefix that is not an earlier
+   key or a channel that is not one. */
+int opo3_key_sums(const char *values, int64_t s_ch, int64_t s_b,
+                  int64_t s_n, const double *centers,
+                  const int64_t *prefixes, int64_t n_ch, int64_t n_keys,
+                  int64_t nb, int64_t n, const double *base, double *block,
+                  double *chains)
+{
+    for (int64_t k = n_ch; k < n_keys; k++) {
+        const int64_t p = prefixes[2 * (k - n_ch)];
+        const int64_t c = prefixes[2 * (k - n_ch) + 1];
+        if (p < 0 || p >= k || c < 0 || c >= n_ch)
+            return -2;
+    }
+    key_row_t *rows = aligned_alloc(sizeof *rows, 2 * n_keys * sizeof *rows);
+    if (!rows)
+        return -1;
+    if (chains && base)
+        memcpy(chains, base, 2 * n_keys * n * sizeof *chains);
+    const key_args_t args = {values, s_ch, s_b, s_n, centers, prefixes, n_ch,
+                             n_keys, nb, n, block, chains};
+    key_tiles(&args, rows, rows + n_keys, base == NULL);
+    free(rows);
+    return 0;
+}
 """
 
 # no -ffast-math or -march=native: the kernel must round like numpy does.
@@ -725,6 +869,10 @@ _CHECK_KEYS = (0, 2**32 - 1)
 _CHECK_DRAWS = 2**14
 # the load-time step check's block: trajectories x steps
 _CHECK_STEP = (7, 12)
+# the load-time key-sum check: channels, batches x samples, and the batch
+# that starts the second call
+_CHECK_SUMS = (3, 21, 3)
+_CHECK_SPLIT = 17
 
 
 def _root_formula(x, y, m2):
@@ -880,6 +1028,90 @@ def _chunk_step_c(state, w, gens, scale, alive, first_bad, n_steps, eps,
         raise MemoryError("no memory for the C kernel's thread ranges")
 
 
+def _key_sums_numpy(values, centers, prefixes, collect, base):
+    """opo3_key_sums in numpy, each operation the C source's, in its order,
+    on float64 arrays, so the bits are equal; numpy's complex multiply
+    fuses a multiply-add where the CPU has one, so products are taken on
+    the real and imaginary parts apart.  It takes the arguments of
+    `_key_sums_c`."""
+    c, nb, n = values.shape
+    n_keys = c + len(prefixes)
+    # the products, sample-major: (K, n, nb) real and imaginary parts
+    re, im = np.empty((2, n_keys, n, nb))
+    tmp = np.empty((n, nb))
+    # non-finite values or overflowing products leave a non-finite sum
+    with np.errstate(over="ignore", invalid="ignore"):
+        for part, src, center in ((re, values.real, centers.real),
+                                  (im, values.imag, centers.imag)):
+            np.subtract(src.transpose(0, 2, 1), center[:, None, None],
+                        out=part[:c])
+        for k, (p, q) in enumerate(prefixes.tolist(), c):
+            np.multiply(re[p], re[q], out=re[k])
+            np.multiply(im[p], im[q], out=tmp)
+            re[k] -= tmp
+            np.multiply(re[p], im[q], out=im[k])
+            np.multiply(im[p], re[q], out=tmp)
+            im[k] += tmp
+        block = np.empty((n_keys, nb), dtype=np.complex128)
+        chains = (np.empty((n_keys, n), dtype=np.complex128) if collect
+                  else None)
+        for at, prods in ((0, re), (1, im)):
+            # explicit adds in sample order: a reduction along the sample
+            # axis would sum pairwise once that axis is innermost (nb = 1)
+            acc = prods[:, 0].copy()
+            for j in range(1, n):
+                acc += prods[:, j]
+            block.view(np.float64)[:, at::2] = acc
+            if collect:
+                # one chain over batches, carried on from base, written
+                # over the products
+                if base is not None:
+                    prods[:, :, 0] += base.view(np.float64)[:, at::2]
+                np.add.accumulate(prods, axis=2, out=prods)
+                chains.view(np.float64)[:, at::2] = prods[:, :, -1]
+    return block, chains
+
+
+def _key_sums_c(values, centers, prefixes, collect, base, lib=None):
+    """opo3_key_sums on (C, nb, n) complex128 values, read through their
+    strides, with (C,) centers and (K - C, 2) int64 prefix rows (prefix
+    key, channel): the (K, nb) batch sums and, when collect is set, the
+    (K, n) per-sample sums carried on from base, or None."""
+    lib = lib or _c_function()
+    if lib is None:
+        raise RuntimeError("the C key sums are not available")
+    c, nb, n = values.shape
+    n_keys = c + len(prefixes)
+    if not values.flags.aligned:
+        values = values.copy()
+    if values.dtype != np.complex128:
+        raise ValueError("values must be a complex128 array")
+    if nb < 1 or n < 1:
+        raise ValueError("key sums need at least one batch of one sample")
+    # the C side trusts these shapes and layouts; check them here
+    for name, a, dtype, shape in (
+            ("centers", centers, np.complex128, (c,)),
+            ("prefixes", prefixes, np.int64, (n_keys - c, 2)),
+            ("base", base, np.complex128, (n_keys, n))):
+        if a is not None and not (a.dtype == dtype and a.shape == shape
+                                  and a.flags.c_contiguous):
+            raise ValueError(f"{name} must be a C-contiguous "
+                             f"{np.dtype(dtype).name} {shape} array")
+    block = np.empty((n_keys, nb), dtype=np.complex128)
+    chains = np.empty((n_keys, n), dtype=np.complex128) if collect else None
+    status = lib.opo3_key_sums(
+        values.ctypes.data, *values.strides, centers.ctypes.data,
+        prefixes.ctypes.data, c, n_keys, nb, n,
+        None if base is None else base.ctypes.data, block.ctypes.data,
+        None if chains is None else chains.ctypes.data)
+    if status == -2:
+        raise ValueError("each prefix row must name an earlier key and a "
+                         "channel")
+    if status != 0:
+        raise MemoryError("no memory for the C key sums' tiles")
+    return block, chains
+
+
 def seed_generators(master_seed: int, first: int, nb: int,
                     lib=None) -> np.ndarray:
     """(nb, 4) uint64 rows (state hi, state lo, inc hi, inc lo), row j the
@@ -1015,14 +1247,41 @@ def _check_chunk(step, normals, gens=None) -> bytes:
             + gens.tobytes())
 
 
+def _check_key_sums(key_sums, normals) -> bytes:
+    """The bytes of `key_sums` (a key-sum kernel) on the load-time check
+    input made from `normals`: every key of order 1 to 4 over
+    _CHECK_SUMS[0] channels, on a view with a negative batch stride and
+    every other sample of _CHECK_SUMS[1] batches x samples, fed in two
+    calls split at _CHECK_SPLIT, full and partial tiles, the second
+    carrying the first's per-sample sums on; its batch sums, then the
+    per-sample sums."""
+    c, nb, n = _CHECK_SUMS
+    keys = [key for order in range(1, 5)
+            for key in itertools.combinations_with_replacement(range(c),
+                                                               order)]
+    index = {key: i for i, key in enumerate(keys)}
+    prefixes = np.array([(index[key[:-1]], key[-1]) for key in keys[c:]],
+                        dtype=np.int64)
+    size = c * nb * 2 * n
+    values = (normals[:size] + 1j * normals[size:2 * size]).reshape(
+        c, nb, 2 * n)[:, ::-1, ::2]
+    centers = normals[2 * size:2 * size + c] + 0.5j
+    first, chains = key_sums(values[:, :_CHECK_SPLIT], centers, prefixes,
+                             True, None)
+    second, chains = key_sums(values[:, _CHECK_SPLIT:], centers, prefixes,
+                              True, chains)
+    return first.tobytes() + second.tobytes() + chains.tobytes()
+
+
 def _numpy_answers() -> bytes:
     """numpy's answers to the load-time check, laid out as `_c_function`
     lays out the C kernel's: the PCG64 words of SeedSequence(_CHECK_SEED,
     spawn_key=(k + j,)) for k in _CHECK_KEYS and j in (0, 1), the
     _CHECK_DRAWS draws of Generator.standard_normal from the last of them,
-    that generator's words after the draws, and the numpy kernel's
+    that generator's words after the draws, the numpy kernel's
     `_check_chunk` bytes on the draws, buffered, then drawn from the words
-    of SeedSequence(_CHECK_SEED, spawn_key=(j,)) for each trajectory j."""
+    of SeedSequence(_CHECK_SEED, spawn_key=(j,)) for each trajectory j,
+    and the numpy key sums' `_check_key_sums` bytes on the draws."""
     bitgens = [np.random.PCG64(np.random.SeedSequence(
         _CHECK_SEED, spawn_key=(k + j,))) for k in _CHECK_KEYS for j in (0, 1)]
     seeded = b"".join(_pcg64_words(b).tobytes() for b in bitgens)
@@ -1031,7 +1290,8 @@ def _numpy_answers() -> bytes:
         _CHECK_SEED, spawn_key=(j,)))) for j in range(_CHECK_STEP[0])])
     return (seeded + draws.tobytes() + _pcg64_words(bitgens[-1]).tobytes()
             + _check_chunk(_chunk_step_numpy, draws)
-            + _check_chunk(_chunk_step_numpy, draws, gens))
+            + _check_chunk(_chunk_step_numpy, draws, gens)
+            + _check_key_sums(_key_sums_numpy, draws))
 
 
 def _kept_answers(path: Path) -> bytes:
@@ -1068,7 +1328,8 @@ def _c_function():
     Generator.standard_normal bit for bit on _CHECK_DRAWS draws from the
     last of them, consuming the same words, and its step must leave the
     numpy kernel's bytes on `_check_chunk` of those draws, buffered and
-    drawn from its own seeding's words: every byte must equal the kept
+    drawn from its own seeding's words, and its key sums the numpy key
+    sums' bytes on `_check_key_sums`: every byte must equal the kept
     `_numpy_answers`.
     """
     try:
@@ -1079,7 +1340,9 @@ def _c_function():
                 (lib.opo3_seed, [ptr, i64, i64, i64, ptr], None),
                 (lib.opo3_normals, [ptr, i64, ptr], None),
                 (lib.opo3_chunk_step, [ptr] * 3 + [f64] + [ptr] * 2
-                 + [i64] * 2 + [f64] * 5 + [i64] * 2, ctypes.c_int)):
+                 + [i64] * 2 + [f64] * 5 + [i64] * 2, ctypes.c_int),
+                (lib.opo3_key_sums, [ptr] + [i64] * 3 + [ptr] * 2
+                 + [i64] * 4 + [ptr] * 3, ctypes.c_int)):
             fn.argtypes, fn.restype = args, res
         words = np.concatenate([seed_generators(_CHECK_SEED, k, 2, lib)
                                 for k in _CHECK_KEYS])
@@ -1090,11 +1353,13 @@ def _c_function():
         step = functools.partial(_chunk_step_c, lib=lib)
         gens = seed_generators(_CHECK_SEED, 0, _CHECK_STEP[0], lib)
         ours = (seeded + draws.tobytes() + words[-1].tobytes()
-                + _check_chunk(step, draws) + _check_chunk(step, draws, gens))
+                + _check_chunk(step, draws) + _check_chunk(step, draws, gens)
+                + _check_key_sums(functools.partial(_key_sums_c, lib=lib),
+                                  draws))
         if ours != _kept_answers(path.with_suffix(".check")):
             raise _BuildError("it does not reproduce numpy's SeedSequence, "
-                              "PCG64, Generator.standard_normal and step "
-                              "kernel")
+                              "PCG64, Generator.standard_normal, step "
+                              "kernel and key sums")
     except (OSError, _BuildError) as exc:
         warnings.warn(f"opo3: C step kernel unavailable ({exc}); "
                       "using the slower numpy kernel", RuntimeWarning,
@@ -1106,3 +1371,8 @@ def _c_function():
 def get_stepper():
     """The C kernel when it builds and loads, else the numpy kernel."""
     return _chunk_step_c if _c_function() is not None else _chunk_step_numpy
+
+
+def get_key_summer():
+    """The C key sums when the C kernel builds and loads, else numpy's."""
+    return _key_sums_c if _c_function() is not None else _key_sums_numpy

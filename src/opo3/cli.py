@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import typing
 from dataclasses import dataclass, fields, replace
@@ -168,8 +169,26 @@ def _write_csv(path: Path, header: str, rows) -> None:
     _write(path, "\n".join(lines) + "\n")
 
 
+def _csv_tokens(doc):
+    """doc with each non-finite float as its CSV token: "inf", "-inf" or
+    "nan"."""
+    if isinstance(doc, float) and not math.isfinite(doc):
+        return _fmt(doc)
+    if isinstance(doc, dict):
+        return {k: _csv_tokens(v) for k, v in doc.items()}
+    if isinstance(doc, (list, tuple)):
+        return [_csv_tokens(v) for v in doc]
+    return doc
+
+
 def _write_json(path: Path, doc) -> None:
-    _write(path, json.dumps(doc, indent=2) + "\n")
+    """doc as strict JSON, which has no literal for a non-finite float:
+    a document holding one is written with the CSV tokens instead."""
+    try:
+        text = json.dumps(doc, indent=2, allow_nan=False)
+    except ValueError:
+        text = json.dumps(_csv_tokens(doc), indent=2, allow_nan=False)
+    _write(path, text + "\n")
 
 
 TIMESERIES_HEADER = "tau,n_samples,lhs,rhs,ratio"

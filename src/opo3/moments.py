@@ -18,6 +18,13 @@ any slicing of the batches into add_batches calls:
   per sample  each sample index's products are one chain in batch
               (trajectory) order, carried across calls
   totals      the joined batch sums are summed pairwise over batches
+Each key's product is its prefix key's times one channel, and every
+complex product is the textbook (ac - bd, ad + bc), each real operation
+rounded on its own, in the C key sums and in their numpy oracle alike
+(`_kernels`).  numpy's own complex multiply cannot be the oracle: where
+the CPU has FMA, its SIMD loop fuses one multiply into each part's add,
+the real part being fma(ar, br, -ai*bi), so its bits follow the CPU that
+runs it and differ from the textbook product's.
 
 Centering modes at finalize time:
   reference  shift only channels flagged shiftable to their empirical means;
@@ -36,6 +43,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import _kernels
 from .model import ModelParams
 
 CENTERINGS = ("reference", "sample", "none", "raw")
@@ -115,10 +123,13 @@ class MomentSchema:
         object.__setattr__(self, "_key_index", key_index)
         object.__setattr__(self, "_centers", centers)
         # the singletons lead key_order in channel order; each later key
-        # extends its prefix, a key listed before it, by one channel
-        object.__setattr__(self, "_prefixes", tuple(
-            (key_index[key[:-1]], key[-1])
-            for key in key_order[len(names):]))
+        # extends its prefix, a key listed before it, by one channel: rows
+        # (prefix index, channel) of a read-only (K - C, 2) array
+        prefixes = np.array([(key_index[key[:-1]], key[-1])
+                             for key in key_order[len(names):]],
+                            dtype=np.int64).reshape(-1, 2)
+        prefixes.flags.writeable = False
+        object.__setattr__(self, "_prefixes", prefixes)
 
     @property
     def n_channels(self) -> int:
@@ -404,15 +415,15 @@ class MomentAccumulator:
     """Mergeable raw-moment sums with per-batch bookkeeping.
 
     Samples arrive through add_batches as channel vectors (values in
-    schema channel order), one batch per trajectory.  A block's K key
-    products fill one sample-major (K, n, nb) array.  Three summation
-    orders make every sum independent of how batches arrive:
-      per batch   each batch's products are added in sample order, with
-                  n - 1 adds over the (K, nb) sample rows;
+    schema channel order), one batch per trajectory.  The key sums of a
+    call's batches are taken in one pass by `_kernels.get_key_summer()`,
+    the C key sums, which build no (K, n, nb) array of products, or their
+    numpy oracle, with equal bytes.  Three summation orders make every
+    sum independent of how batches arrive:
+      per batch   each batch's products are added in sample order;
       per sample  (collect_per_sample) the products of each sample index
-                  form one chain in trajectory order: the running sums are
-                  added into the block's first batch, then accumulated
-                  along the batch axis;
+                  form one chain in trajectory order, carried on from the
+                  running sums of earlier calls;
       totals      evaluation joins the per-batch sums once into one
                   read-only (K, B) array and sums along its batch axis
                   pairwise, so they depend on the batch order alone; they
@@ -431,21 +442,6 @@ class MomentAccumulator:
         self.per_sample_sums = None    # (K, n_samples) complex when collected
 
     # -- feeding ---------------------------------------------------------
-
-    def _key_products(self, values: np.ndarray) -> np.ndarray:
-        """The (K, n, nb) key products of (C, nb, n) values, sample-major:
-        the centered values fill the singleton rows, and each later key is
-        its prefix times one channel, the left-to-right product with one
-        multiply per key."""
-        schema = self.schema
-        c = schema.n_channels
-        out = np.empty((schema.n_keys, values.shape[2], values.shape[1]),
-                       dtype=np.complex128)
-        np.subtract(values.transpose(0, 2, 1), schema._centers[:, None, None],
-                    out=out[:c])
-        for k, (prefix, ch) in enumerate(schema._prefixes, c):
-            np.multiply(out[prefix], out[ch], out=out[k])
-        return out
 
     def _per_sample_base(self, n: int):
         """The per-sample sums that batches of n samples add to, or None."""
@@ -471,22 +467,12 @@ class MomentAccumulator:
         if n == 0:
             raise ValueError("empty batch: each batch needs at least one sample")
         base = self._per_sample_base(n) if self.collect_per_sample else None
-        # non-finite values or overflowing products leave a non-finite sum
-        with np.errstate(over="ignore", invalid="ignore"):
-            prods = self._key_products(values)
-            # explicit adds in sample order: a reduction along the sample
-            # axis would sum pairwise once that axis is innermost (nb = 1)
-            block = prods[:, 0].copy()
-            for j in range(1, n):
-                block += prods[:, j]
-            _finite(block, "sample values or key sums")
-            if self.collect_per_sample:
-                # one chain over batches that carries on from earlier calls,
-                # written over the products
-                if base is not None:
-                    prods[:, :, 0] += base
-                np.add.accumulate(prods, axis=2, out=prods)
-                per_sample = _finite(prods[:, :, -1].copy(), "per-sample sums")
+        block, per_sample = _kernels.get_key_summer()(
+            values, self.schema._centers, self.schema._prefixes,
+            self.collect_per_sample, base)
+        _finite(block, "sample values or key sums")
+        if self.collect_per_sample:
+            _finite(per_sample, "per-sample sums")
         self._blocks.append(block)
         self._block_ns.append(np.full(nb, n, dtype=np.int64))
         self._totals = None

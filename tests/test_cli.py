@@ -534,6 +534,35 @@ class TestRunRecord:
         assert compare["config"]["master_seed"] == 7
         assert compare["n_trajectories"] == 16
 
+    def test_json_is_strict(self, tmp_path):
+        # JSON has no literal for a non-finite float: an unbounded
+        # threshold is written as the CSV token "inf" in every JSON
+        # artifact, and a finite document as json.dumps writes it
+        def refuse(token):
+            raise ValueError(f"non-standard JSON constant {token}")
+
+        point = [*self.POINT, "--divergence-threshold", "inf"]
+        for cmd in (["run"], ["compare"],
+                    ["sweep", "--axis", "mu", "--values", "0.5",
+                     "--source", "mc"]):
+            assert run_main([*cmd, *point,
+                             "--out-dir", tmp_path / cmd[0]]) == 0
+        for path in ("run/report.json", "compare/report.json",
+                     "sweep/sweep.json"):
+            doc = json.loads((tmp_path / path).read_text(),
+                             parse_constant=refuse)
+            record = doc[0] if isinstance(doc, list) else doc
+            assert record["config"]["divergence_threshold"] == "inf", path
+        assert run_main(["run", *self.POINT,
+                         "--out-dir", tmp_path / "finite"]) == 0
+        text = (tmp_path / "finite" / "report.json").read_text()
+        assert text == json.dumps(json.loads(text), indent=2) + "\n"
+        cli._write_json(tmp_path / "tokens.json",
+                        {"a": (float("-inf"), float("nan")), "b": 1.5})
+        assert json.loads((tmp_path / "tokens.json").read_text(),
+                          parse_constant=refuse) == {"a": ["-inf", "nan"],
+                                                     "b": 1.5}
+
     def test_compare_and_sweep_record_kernel_and_divergences(
             self, tmp_path, monkeypatch):
         monkeypatch.setenv("OPO3_WORKERS", "2")

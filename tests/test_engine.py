@@ -18,10 +18,12 @@ import pytest
 
 from opo3 import (
     ModelParams,
+    MomentAccumulator,
     PhaseSpaceState,
     SimConfig,
     ValidityError,
     _kernels,
+    amplitude_schema,
     analytic_moment_report,
     drift_and_diffusion,
     engine,
@@ -38,7 +40,7 @@ FALLBACK = ("opo3: C step kernel unavailable ({}); using the slower numpy "
             "kernel")
 NOT_REPRODUCED = FALLBACK.format(
     "it does not reproduce numpy's SeedSequence, PCG64, "
-    "Generator.standard_normal and step kernel")
+    "Generator.standard_normal, step kernel and key sums")
 NO_COMPILER = FALLBACK.format("no C compiler (cc) on PATH")
 # the kernels a test runs the engine on in turn
 KERNELS = ("c", "numpy") if shutil.which("cc") else ("numpy",)
@@ -441,6 +443,14 @@ def one_ulp_off(state, *args, step=_kernels._chunk_step_numpy):
     """The numpy kernel, then a1's real part at #0 one ulp larger."""
     step(state, *args)
     state.real[1, 0] = np.nextafter(state.real[1, 0], np.inf)
+
+
+def sums_one_ulp_off(*args, sums=_kernels._key_sums_numpy):
+    """The numpy key sums, then the last per-sample sum's imaginary part
+    one ulp larger."""
+    block, chains = sums(*args)
+    chains.imag[-1, -1] = np.nextafter(chains.imag[-1, -1], np.inf)
+    return block, chains
 
 
 def drive(stepper, start, w, params, dt, thr, step0, chunk, **kw):
@@ -1042,6 +1052,28 @@ class TestKernels:
         assert str(record[0].message) == NOT_REPRODUCED
 
     @needs_cc
+    def test_key_sums_self_check_falls_back_once(self, monkeypatch,
+                                                 fresh_cache):
+        # C key sums one ulp away from numpy's on the load-time input must
+        # never run: one warning, then the step and the key sums both run
+        # on numpy
+        monkeypatch.setattr(_kernels, "_key_sums_numpy", sums_one_ulp_off)
+        with pytest.warns(RuntimeWarning) as record:
+            assert _kernels.get_stepper() is _kernels._chunk_step_numpy
+            assert _kernels.get_key_summer() is sums_one_ulp_off
+            assert _kernels.get_stepper() is _kernels._chunk_step_numpy
+        assert len(record) == 1
+        assert str(record[0].message) == NOT_REPRODUCED
+        # an accumulator's per-sample sums come out one ulp off too
+        schema = amplitude_schema()
+        values = np.arange(12.0).reshape(6, 1, 2) * (1 + 0.5j)
+        acc = MomentAccumulator(schema, collect_per_sample=True)
+        acc.add_batches(values)
+        want = sums_one_ulp_off(values, schema._centers, schema._prefixes,
+                                True, None)[1]
+        assert acc.per_sample_sums.tobytes() == want.tobytes()
+
+    @needs_cc
     def test_drawn_step_self_check_falls_back_once(self, monkeypatch,
                                                    fresh_cache):
         # the load-time chunk also draws from seeded generator words, its
@@ -1088,18 +1120,26 @@ class TestKernels:
 
         for owner, name in ((np.random, "SeedSequence"),
                             (np.random, "Generator"),
-                            (_kernels, "_chunk_step_numpy")):
+                            (_kernels, "_chunk_step_numpy"),
+                            (_kernels, "_key_sums_numpy")):
             monkeypatch.setattr(owner, name, refuse)
         _kernels._c_function.cache_clear()
         assert _kernels.get_stepper() is _kernels._chunk_step_c
+        assert _kernels.get_key_summer() is _kernels._key_sums_c
         # seed words, draws, the words after the draws, the buffered
         # chunk's state, alive and first_bad bytes, then the drawn chunk's
-        # and its generator words after
+        # and its generator words after, then the key sums: both calls'
+        # batch sums and the per-sample sums, all complex, over the keys
+        # of order 1 to 4 of the check's channels
         nb = _kernels._CHECK_STEP[0]
+        n_ch, n_batches, n = _kernels._CHECK_SUMS
+        n_keys = sum(math.comb(n_ch + order - 1, order)
+                     for order in range(1, 5))
         sizes = {"seed words": 8 * 4 * 2 * len(_kernels._CHECK_KEYS),
                  "draws": 8 * _kernels._CHECK_DRAWS, "words after": 8 * 4,
                  "chunk": 16 * 6 * nb + nb + 8 * nb,
-                 "drawn chunk": 16 * 6 * nb + nb + 8 * nb + 8 * 4 * nb}
+                 "drawn chunk": 16 * 6 * nb + nb + 8 * nb + 8 * 4 * nb,
+                 "key sums": 16 * n_keys * (n_batches + n)}
         assert len(answers) == sum(sizes.values())
         start = 0
         for part, size in sizes.items():
@@ -1109,7 +1149,7 @@ class TestKernels:
             _kernels._c_function.cache_clear()
             with pytest.warns(RuntimeWarning) as record:
                 assert _kernels.get_stepper() is refuse
-                assert _kernels.get_stepper() is refuse
+                assert _kernels.get_key_summer() is refuse
             assert len(record) == 1, part
             assert str(record[0].message) == NOT_REPRODUCED, part
             start += size

@@ -2,7 +2,9 @@
 batch-means errors, centering algebra, and the quadrature/amplitude
 mapping identities."""
 
+import itertools
 import math
+import shutil
 import warnings
 
 import numpy as np
@@ -23,7 +25,13 @@ from opo3 import (
     opo_schema,
     state_channels,
 )
-from opo3 import moments
+from opo3 import _kernels, moments
+
+needs_cc = pytest.mark.skipif(shutil.which("cc") is None,
+                              reason="no C compiler (cc) on PATH")
+# the key-sum kernels a test runs the accumulator on in turn
+KEY_SUMMERS = ((_kernels._key_sums_c, _kernels._key_sums_numpy)
+               if shutil.which("cc") else (_kernels._key_sums_numpy,))
 
 
 def scalar_schema(center=0.0):
@@ -37,6 +45,15 @@ def scalar_schema(center=0.0):
             t("m4", ((1, ("u", "u", "u", "u")),)),
         ),
     )
+
+
+def textbook_product(a, b):
+    """The complex product (ac - bd, ad + bc), each real operation rounded
+    on its own; numpy's complex multiply may fuse a multiply-add."""
+    out = np.empty(np.broadcast_shapes(a.shape, b.shape), dtype=np.complex128)
+    out.real = a.real * b.real - a.imag * b.imag
+    out.imag = a.real * b.imag + a.imag * b.real
+    return out
 
 
 def feed_scalars(acc, values):
@@ -324,49 +341,55 @@ class TestBatchStore:
                 want /= b * n
                 assert abs(part - want) <= rtol * abs(want), name
 
-    def test_key_sums_equal_left_to_right_products(self):
-        # keys are built from their prefixes into one sample-major
-        # (K, n, nb) array; the block sums must still be bitwise each key's
-        # channels multiplied left to right and added in sample order, the
+    def test_key_sums_equal_left_to_right_products(self, monkeypatch):
+        # keys are built from their prefixes; the block sums must still be
+        # bitwise each key's channels multiplied left to right, each
+        # product the textbook one, and added in sample order, the
         # per-sample sums those products added in trajectory order, and
-        # both bitwise what one add_batches call per trajectory stores
+        # both bitwise what one add_batches call per trajectory stores,
+        # on the C key sums and on numpy's
         params, cube = opo_cube(281, 37, 9)
         schema = opo_schema(params)
         centers = np.array([c.center for c in schema.channels])
-        for n in range(1, 10):
-            values = cube[:, :, :n]
-            acc = MomentAccumulator(schema, collect_per_sample=True)
-            acc.add_batches(values)
-            single = MomentAccumulator(schema, collect_per_sample=True)
-            for j in range(37):
-                single.add_batches(values[:, j:j + 1])
-            joined = np.concatenate(single._blocks, axis=1)
-            centered = values - centers[:, None, None]
-            (block,) = acc._blocks
-            for k, key in enumerate(schema.key_order):
-                prod = centered[key[0]]
-                for idx in key[1:]:
-                    prod = prod * centered[idx]
-                want = prod[:, 0]
-                for j in range(1, n):
-                    want = want + prod[:, j]
-                assert (block[k].tobytes() == want.tobytes()
-                        == joined[k].tobytes()), (n, key)
-                want = prod[0]
-                for b in range(1, 37):
-                    want = want + prod[b]
-                assert (acc.per_sample_sums[k].tobytes() == want.tobytes()
-                        == single.per_sample_sums[k].tobytes()), (n, key)
-            # so the running averages and the report are bitwise the same
-            assert single.n_batches == acc.n_batches == 37
-            for mode in moments.CENTERINGS:
-                got, want = single.running_stats(mode), acc.running_stats(mode)
-                for name in schema.target_names():
-                    assert (_bits(got.target(name), got.n)
-                            == _bits(want.target(name), want.n)), (n, mode,
-                                                                   name)
-                assert (repr(single.finalize(mode).entries)
-                        == repr(acc.finalize(mode).entries)), (n, mode)
+        for kernel in KEY_SUMMERS:
+            monkeypatch.setattr(_kernels, "get_key_summer", lambda: kernel)
+            for n in range(1, 10):
+                values = cube[:, :, :n]
+                acc = MomentAccumulator(schema, collect_per_sample=True)
+                acc.add_batches(values)
+                single = MomentAccumulator(schema, collect_per_sample=True)
+                for j in range(37):
+                    single.add_batches(values[:, j:j + 1])
+                joined = np.concatenate(single._blocks, axis=1)
+                centered = values - centers[:, None, None]
+                (block,) = acc._blocks
+                for k, key in enumerate(schema.key_order):
+                    prod = centered[key[0]]
+                    for idx in key[1:]:
+                        prod = textbook_product(prod, centered[idx])
+                    want = prod[:, 0]
+                    for j in range(1, n):
+                        want = want + prod[:, j]
+                    assert (block[k].tobytes() == want.tobytes()
+                            == joined[k].tobytes()), (n, key)
+                    want = prod[0]
+                    for b in range(1, 37):
+                        want = want + prod[b]
+                    assert (acc.per_sample_sums[k].tobytes()
+                            == want.tobytes()
+                            == single.per_sample_sums[k].tobytes()), (n, key)
+                # so the running averages and the report are bitwise the
+                # same
+                assert single.n_batches == acc.n_batches == 37
+                for mode in moments.CENTERINGS:
+                    got = single.running_stats(mode)
+                    want = acc.running_stats(mode)
+                    for name in schema.target_names():
+                        assert (_bits(got.target(name), got.n)
+                                == _bits(want.target(name), want.n)), (
+                            n, mode, name)
+                    assert (repr(single.finalize(mode).entries)
+                            == repr(acc.finalize(mode).entries)), (n, mode)
 
     def test_arrival_order_is_bitwise_invisible(self):
         params, cube = opo_cube(277, 520, 3)
@@ -433,6 +456,148 @@ class TestBatchStore:
             got, want = acc.finalize(), twin.finalize()
             for name in schema.target_names():
                 assert got[name] == want[name], name
+
+
+def wide_schema():
+    """Five channels and a target on every multiset of four of them: 125
+    keys, where the OPO schema has 79."""
+    names = tuple(f"u{i}" for i in range(5))
+    channels = tuple(ChannelSpec(name, 0.25 * i - 0.5j)
+                     for i, name in enumerate(names))
+    targets = tuple(TargetSpec("m_" + "".join(mult), ((1, mult),))
+                    for mult in itertools.combinations_with_replacement(
+                        names, 4))
+    return MomentSchema(channels=channels, targets=targets)
+
+
+def sums_of(kernel, schema, values, collect=True, base=None):
+    return kernel(values, schema._centers, schema._prefixes, collect, base)
+
+
+@needs_cc
+class TestKeySumKernels:
+    """The C key sums against the numpy ones, the oracle: equal bytes."""
+
+    @staticmethod
+    def assert_same(values, schema, base=None, collect=True):
+        got = sums_of(_kernels._key_sums_c, schema, values, collect, base)
+        want = sums_of(_kernels._key_sums_numpy, schema, values, collect,
+                       base)
+        assert got[0].tobytes() == want[0].tobytes()
+        if collect:
+            assert got[1].tobytes() == want[1].tobytes()
+        else:
+            assert got[1] is want[1] is None
+        return got
+
+    def test_every_tile_shape(self):
+        # 1 to 9 batches: a single batch, partial tiles and a full one and
+        # more; 1 to 9 samples; chains fresh and carried on from a base
+        params, cube = opo_cube(311, 9, 9)
+        schema = opo_schema(params)
+        rng = np.random.default_rng(312)
+        for nb in range(1, 10):
+            for n in range(1, 10):
+                values = cube[:, :nb, :n]
+                base = (rng.standard_normal((schema.n_keys, n))
+                        + 1j * rng.standard_normal((schema.n_keys, n)))
+                self.assert_same(values, schema, collect=False)
+                self.assert_same(values, schema)
+                self.assert_same(values, schema, base)
+
+    def test_strided_views(self):
+        # values read through their strides: reversed batches and every
+        # other sample, channels reversed and every third batch, channels
+        # from a batch-major array, Fortran order; an unaligned copy is
+        # copied once more
+        params, cube = opo_cube(313, 23, 10)
+        schema = opo_schema(params)
+        batch_major = np.ascontiguousarray(cube.transpose(1, 2, 0))
+        views = (cube[:, ::-1, ::2], cube[::-1, 3:17:3],
+                 batch_major.transpose(2, 0, 1), np.asfortranarray(cube))
+        for values in views:
+            assert not values.flags.c_contiguous
+            self.assert_same(values, schema)
+        raw = np.zeros(cube.nbytes + 1, dtype=np.uint8)
+        unaligned = raw[1:].view(np.complex128).reshape(cube.shape)
+        unaligned[...] = cube
+        assert not unaligned.flags.aligned
+        got = self.assert_same(unaligned, schema)
+        want = sums_of(_kernels._key_sums_c, schema, cube)
+        assert got[0].tobytes() == want[0].tobytes()
+        assert got[1].tobytes() == want[1].tobytes()
+
+    def test_chains_carried_across_calls_and_merge(self, monkeypatch):
+        # accumulators fed in slices of every width from 1 to 9, then
+        # merged, hold the same bytes on either kernel
+        params, cube = opo_cube(317, 60, 4)
+        schema = opo_schema(params)
+
+        def fed(kernel):
+            monkeypatch.setattr(_kernels, "get_key_summer", lambda: kernel)
+            shards = []
+            for width, (lo, hi) in enumerate(((0, 25), (25, 60)), 4):
+                acc = MomentAccumulator(schema, collect_per_sample=True)
+                for start in range(lo, hi, width):
+                    acc.add_batches(cube[:, start:min(start + width, hi)])
+                shards.append(acc)
+            return shards + [merge(*shards)]
+
+        for got, want in zip(fed(_kernels._key_sums_c),
+                             fed(_kernels._key_sums_numpy)):
+            assert len(got._blocks) == len(want._blocks)
+            for a, b in zip(got._blocks, want._blocks):
+                assert a.tobytes() == b.tobytes()
+            assert (got.per_sample_sums.tobytes()
+                    == want.per_sample_sums.tobytes())
+        for width in range(1, 10):
+            feeds = [cube[:, lo:lo + width] for lo in range(0, 60, width)]
+            chains = None
+            for values in feeds:
+                block, chains = self.assert_same(values, schema, chains)
+
+    def test_amplitude_schema(self):
+        rng = np.random.default_rng(319)
+        values = (rng.standard_normal((6, 13, 5))
+                  + 1j * rng.standard_normal((6, 13, 5)))
+        for centers in ((0.0,) * 6, (0.5, -0.5, 1j, -1j, 2 + 1j, 0.25)):
+            self.assert_same(values, amplitude_schema(centers))
+
+    def test_more_keys_than_the_opo_schema(self):
+        schema = wide_schema()
+        assert schema.n_keys == 125 > opo_schema(ModelParams(
+            mu=0.4, gamma_r=2.5, g=0.3)).n_keys
+        rng = np.random.default_rng(331)
+        values = (rng.standard_normal((5, 21, 6))
+                  + 1j * rng.standard_normal((5, 21, 6)))
+        _, chains = self.assert_same(values[:, :12], schema)
+        self.assert_same(values[:, 12:], schema, chains)
+
+    def test_bad_arguments_refused(self):
+        # the C side trusts its arguments: prefix rows must name an earlier
+        # key and a channel, and every array its dtype, shape and layout
+        schema = wide_schema()
+        values = np.ones((5, 3, 2), dtype=np.complex128)
+        for row, bad in ((0, (5, 0)), (7, (-1, 0)), (3, (0, 5))):
+            prefixes = schema._prefixes.copy()
+            prefixes[row] = bad
+            with pytest.raises(ValueError, match="earlier key"):
+                _kernels._key_sums_c(values, schema._centers, prefixes,
+                                     False, None)
+        base = np.zeros((schema.n_keys, 2), dtype=np.complex128)
+        for args, match in (
+                ((values.real, schema._centers, schema._prefixes, False,
+                  None), "complex128"),
+                ((values[:, :0], schema._centers, schema._prefixes, False,
+                  None), "at least one batch"),
+                ((values, schema._centers.real, schema._prefixes, False,
+                  None), "centers"),
+                ((values, schema._centers, schema._prefixes[:-1], False,
+                  base), "base"),
+                ((values, schema._centers, schema._prefixes, True,
+                  np.asfortranarray(base[:, :1].repeat(2, 1))), "base")):
+            with pytest.raises(ValueError, match=match):
+                _kernels._key_sums_c(*args)
 
 
 class _DividingStats(moments._Stats):
