@@ -313,7 +313,7 @@ def cs_running_average(result) -> dict:
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = np.where(lhs != 0.0, rhs / lhs, np.nan)
     return {
-        "tau": np.asarray(result.sample_times, dtype=np.float64),
+        "tau": result.config.sample_times(),
         "n_samples": st.n.astype(np.int64),
         "lhs": lhs,
         "rhs": rhs,

@@ -272,16 +272,20 @@ class EnsembleResult:
     moments: MomentAccumulator
     params: ModelParams
     config: ResolvedConfig
-    n_trajectories: int
-    n_diverged: int
     elapsed_seconds: float
-    sample_times: np.ndarray
     diverged_indices: list
     backend: str                          # qualified name of the step kernel
     workers: int                          # threads the kernel ran a block on
     block_size: int                       # trajectories per block
-    samples: np.ndarray | None = None     # (12, kept_traj, n) when requested
     halves: tuple | None = None           # (first-half acc, second-half acc)
+
+    @property
+    def n_trajectories(self) -> int:
+        return self.config.n_trajectories
+
+    @property
+    def n_diverged(self) -> int:
+        return len(self.diverged_indices)
 
     @property
     def divergence_fraction(self) -> float:
@@ -327,8 +331,8 @@ def _worker_count(workers) -> int:
 
 
 def run_ensemble(params: ModelParams, config: SimConfig, workers: int | None = None,
-                 keep_samples: bool = False, collect_time_series: bool = False,
-                 split_halves: bool = False, initial_state=None) -> EnsembleResult:
+                 collect_time_series: bool = False, split_halves: bool = False,
+                 initial_state=None) -> EnsembleResult:
     """Integrate an ensemble and stream every trajectory into one accumulator.
 
     Blocks of BLOCK_SIZE trajectories run in trajectory order, each added
@@ -348,7 +352,7 @@ def run_ensemble(params: ModelParams, config: SimConfig, workers: int | None = N
     acc = MomentAccumulator(schema, collect_per_sample=collect_time_series)
     halves = ((MomentAccumulator(schema), MomentAccumulator(schema))
               if split_halves else None)
-    kept_cubes, diverged_indices = [], []
+    diverged_indices = []
     for lo in range(0, nt, BLOCK_SIZE):
         cube, alive, _ = _run_block(params, rcfg,
                                     range(lo, min(lo + BLOCK_SIZE, nt)),
@@ -361,23 +365,17 @@ def run_ensemble(params: ModelParams, config: SimConfig, workers: int | None = N
         if halves and n >= 2:
             halves[0].add_batches(kept[:, :, : n // 2])
             halves[1].add_batches(kept[:, :, n // 2:])
-        if keep_samples:
-            kept_cubes.append(kept)
 
     return EnsembleResult(
         moments=acc,
         params=params,
         config=rcfg,
-        n_trajectories=nt,
-        n_diverged=len(diverged_indices),
         elapsed_seconds=time.perf_counter() - t0,
-        sample_times=rcfg.sample_times(),
         diverged_indices=diverged_indices,
         backend=f"{stepper.__module__}.{stepper.__name__}",
         # the numpy kernel runs on the calling thread alone
         workers=1 if stepper is _kernels._chunk_step_numpy else threads,
         block_size=BLOCK_SIZE,
-        samples=np.concatenate(kept_cubes, axis=1) if kept_cubes else None,
         halves=halves,
     )
 

@@ -233,7 +233,7 @@ class MomentReport:
         value = np.atleast_1d(np.asarray(fn(_ExactValues(self)),
                                          dtype=np.complex128))
         zero = np.zeros(value.shape)
-        return JackknifeResult(value, zero, zero, self.n_batches)
+        return JackknifeResult(value, zero, zero)
 
 
 class _Stats:
@@ -391,7 +391,6 @@ class JackknifeResult:
     value: np.ndarray
     std_error: np.ndarray
     std_error_imag: np.ndarray
-    n_batches: int
 
 
 def _jackknife(fn, schema: MomentSchema, sums, counts, totals,
@@ -408,7 +407,7 @@ def _jackknife(fn, schema: MomentSchema, sums, counts, totals,
         se_re, se_im = np.array([_jack_se(np.asarray(r, dtype=np.complex128))
                                  for r in reps]).T
     return JackknifeResult(np.asarray(value, dtype=np.complex128), se_re,
-                           se_im, counts.size)
+                           se_im)
 
 
 class MomentAccumulator:
@@ -429,8 +428,8 @@ class MomentAccumulator:
                   pairwise, so they depend on the batch order alone; they
                   are kept until a batch is added.
     Per-batch key sums are stored key-major in (K, nb) blocks that are
-    never written after they are appended, so copies, merges and reports
-    share them.
+    never written after they are appended, and per-sample sums are
+    read-only, so merges and reports share them.
     """
 
     def __init__(self, schema: MomentSchema, collect_per_sample: bool = False):
@@ -477,6 +476,7 @@ class MomentAccumulator:
         self._block_ns.append(np.full(nb, n, dtype=np.int64))
         self._totals = None
         if self.collect_per_sample:
+            per_sample.flags.writeable = False
             self.per_sample_sums = per_sample
         return self
 
@@ -489,46 +489,6 @@ class MomentAccumulator:
     @property
     def n_batches(self) -> int:
         return sum(len(ns) for ns in self._block_ns)
-
-    def copy(self) -> "MomentAccumulator":
-        out = MomentAccumulator(self.schema,
-                                collect_per_sample=self.collect_per_sample)
-        out._blocks = list(self._blocks)
-        out._block_ns = list(self._block_ns)
-        out._totals = self._totals
-        if self.per_sample_sums is not None:
-            out.per_sample_sums = self.per_sample_sums.copy()
-        return out
-
-    def merge_in_place(self, other: "MomentAccumulator") -> "MomentAccumulator":
-        """Append other's batches; a refused merge leaves self unchanged.
-
-        Per-sample sums cover every batch or none: a side with them merges
-        only with a side that has them too or holds no batch, and batches
-        without them end an empty accumulator's collection.  Merged
-        per-sample sums add two chains, self's and other's, so they match
-        a single stream of both batches to rounding, not bit for bit.
-        """
-        if self.schema != other.schema:
-            raise SchemaError("cannot merge accumulators with different schemas")
-        if (self.n_batches and other.n_batches
-                and (self.per_sample_sums is None)
-                != (other.per_sample_sums is None)):
-            raise SchemaError("cannot merge per-sample sums with batches "
-                              "that have none")
-        if other.per_sample_sums is not None:
-            theirs = other.per_sample_sums
-            base = self._per_sample_base(theirs.shape[1])
-            with np.errstate(over="ignore", invalid="ignore"):
-                self.per_sample_sums = _finite(
-                    theirs.copy() if base is None else base + theirs,
-                    "per-sample sums")
-        if other.n_batches:
-            self.collect_per_sample = other.per_sample_sums is not None
-        self._blocks.extend(other._blocks)
-        self._block_ns.extend(other._block_ns)
-        self._totals = None
-        return self
 
     # -- evaluation ------------------------------------------------------
 
@@ -548,7 +508,7 @@ class MomentAccumulator:
     def _batch_sums(self):
         """The (K, B) batch sums, joined into one block, (B,) sample counts
         and (K,) totals, read-only, since reports keep them.  The totals
-        are summed once and kept until a batch is added or merged in.
+        are summed once and kept until a batch is added.
         Each leave-one-out replicate must keep 2 samples: the centered
         moments of a lone sample are rounding noise, not zero."""
         b = self.n_batches
@@ -601,11 +561,40 @@ class MomentAccumulator:
 
 
 def merge(a: MomentAccumulator, b: MomentAccumulator) -> MomentAccumulator:
-    """Combined accumulator holding a's batches, then b's: the accumulator
-    one stream of both would build, point estimates and errors alike.  Its
-    per-sample sums add a's chain and b's, so running averages match one
-    stream to rounding only."""
-    return a.copy().merge_in_place(b)
+    """A new accumulator holding a's batches, then b's: the accumulator one
+    stream of both would build, point estimates and errors alike.  It
+    shares their blocks and read-only per-sample sums, and a and b are
+    never changed, whether the merge is refused or not.
+
+    Per-sample sums cover every batch or none: a side with them merges
+    only with a side that has them too or holds no batch, and batches
+    without them end an empty side's collection.  Merged per-sample sums
+    add a's chain and b's, so running averages match one stream to
+    rounding only.
+    """
+    if a.schema != b.schema:
+        raise SchemaError("cannot merge accumulators with different schemas")
+    if (a.n_batches and b.n_batches
+            and (a.per_sample_sums is None) != (b.per_sample_sums is None)):
+        raise SchemaError("cannot merge per-sample sums with batches "
+                          "that have none")
+    per_sample = a.per_sample_sums
+    if b.per_sample_sums is not None:
+        theirs = b.per_sample_sums
+        base = a._per_sample_base(theirs.shape[1])
+        if base is None:
+            per_sample = theirs
+        else:
+            with np.errstate(over="ignore", invalid="ignore"):
+                per_sample = _finite(base + theirs, "per-sample sums")
+            per_sample.flags.writeable = False
+    out = MomentAccumulator(a.schema, collect_per_sample=(
+        b.per_sample_sums is not None if b.n_batches
+        else a.collect_per_sample))
+    out._blocks = a._blocks + b._blocks
+    out._block_ns = a._block_ns + b._block_ns
+    out.per_sample_sums = per_sample
+    return out
 
 
 # -- the OPO schema ----------------------------------------------------

@@ -3,7 +3,8 @@ acceptance-line registry echoed at the end of the run."""
 
 import pytest
 
-from opo3 import ModelParams, SimConfig, run_ensemble, simulate_trajectory
+from opo3 import (ModelParams, SimConfig, engine, run_ensemble,
+                  simulate_trajectory)
 
 
 @pytest.fixture(scope="session", autouse=True)
@@ -32,8 +33,20 @@ def std_ensemble(base_params):
     cfg = SimConfig(dt=0.01, burn_in=20.0, sample_interval=2.0,
                     n_samples_per_traj=64, n_trajectories=256,
                     master_seed=2468)
-    return run_ensemble(base_params, cfg, keep_samples=True,
-                        collect_time_series=True, split_halves=True)
+    return run_ensemble(base_params, cfg, collect_time_series=True,
+                        split_halves=True)
+
+
+@pytest.fixture(scope="session")
+def std_samples(std_ensemble):
+    """The (12, kept, 64) channel cube of std_ensemble's run, integrated
+    again: trajectories are seeded by index, so it holds the samples the
+    run accumulated."""
+    res = std_ensemble
+    cube, alive, _ = engine._run_block(res.params, res.config,
+                                       range(res.n_trajectories),
+                                       n_threads=res.workers)
+    return cube[:, alive]
 
 
 @pytest.fixture(scope="session")

@@ -26,7 +26,7 @@ from opo3 import (
     run_ensemble,
     state_channels,
 )
-from opo3.engine import BLOCK_SIZE
+from opo3.engine import BLOCK_SIZE, _run_block
 
 # frozen high-precision evaluations of the closed-form ratio (64-bit inputs)
 RATIO_GR_100 = 1.5230345115117114
@@ -44,7 +44,7 @@ def agreement_ensemble():
     cfg = SimConfig(dt=0.01, burn_in=20.0, sample_interval=2.0,
                     n_samples_per_traj=100, n_trajectories=1024,
                     master_seed=20260814)
-    return run_ensemble(params, cfg, keep_samples=True)
+    return run_ensemble(params, cfg)
 
 
 @pytest.fixture(scope="module")
@@ -142,9 +142,13 @@ def test_criterion_5_mean_field(acceptance):
                         sample_interval=2.0 / (1.0 - mu),
                         n_samples_per_traj=64, n_trajectories=256,
                         master_seed=101)
-        res = run_ensemble(params, cfg, keep_samples=True)
+        res = run_ensemble(params, cfg)
         mean = res.report()["mean_x0"].value.real
-        spread = res.samples[0].real.std(ddof=1)   # per-sample scatter
+        # per-sample scatter of the run's samples, integrated again
+        cube, alive, _ = _run_block(params, res.config,
+                                    range(res.n_trajectories),
+                                    n_threads=res.workers)
+        spread = cube[0, alive].real.std(ddof=1)
         dev = mean - 2.0 * mu
         rel = abs(dev) / (2.0 * mu)
         ok = ok and abs(dev) <= 3.0 * spread and rel <= 0.01

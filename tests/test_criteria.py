@@ -406,7 +406,8 @@ class TestRunningAverage:
         r = cs_test(std_report)
         n = std_ensemble.config.n_samples_per_traj
         assert curve["lhs"].shape == (n,)
-        np.testing.assert_allclose(curve["tau"], std_ensemble.sample_times)
+        np.testing.assert_allclose(curve["tau"],
+                                   std_ensemble.config.sample_times())
         assert curve["n_samples"][-1] == std_report.n_samples
         assert np.all(np.diff(curve["n_samples"]) > 0)
         assert curve["lhs"][-1] == pytest.approx(r.lhs, rel=1e-12)

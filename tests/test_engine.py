@@ -355,16 +355,24 @@ class TestDeterminism:
             3 if on_c else 1)
 
     def test_trajectory_matches_ensemble_member(self):
-        # trajectory seeding depends only on (master_seed, index)
+        # trajectory seeding depends only on (master_seed, index), so the
+        # run accumulates each member's samples as simulate_trajectory
+        # gives them
         params = ModelParams(0.5, 1.0, 0.05)
         kw = dict(dt=0.05, burn_in=20.0, sample_interval=2.0,
                   n_samples_per_traj=4, master_seed=55)
-        ens = run_ensemble(params, SimConfig(n_trajectories=8, **kw),
-                           keep_samples=True)
-        channels, first_bad = simulate_trajectory(
-            params, SimConfig(n_trajectories=1, **kw), trajectory_index=5)
-        assert first_bad == -1
-        np.testing.assert_array_equal(ens.samples[:, 5, :], channels)
+        ens = run_ensemble(params, SimConfig(n_trajectories=8, **kw))
+        acc = MomentAccumulator(ens.moments.schema)
+        for index in range(8):
+            channels, first_bad = simulate_trajectory(
+                params, SimConfig(n_trajectories=1, **kw),
+                trajectory_index=index)
+            assert first_bad == -1
+            acc.add_batches(channels[:, None, :])
+        want, got = ens.report(), acc.finalize()
+        assert got.batch_sums.tobytes() == want.batch_sums.tobytes()
+        for name in want.entries:
+            assert got[name] == want[name], name
 
     @needs_cc
     def test_numpy_fallback_agrees(self, no_compiler):
@@ -1305,11 +1313,12 @@ class TestDivergence:
         assert steps[8] <= first_bad < steps[9]
         assert np.all(np.isfinite(channels))
 
-    def test_pump_bounded_by_fixed_point(self, std_ensemble, base_params):
+    def test_pump_bounded_by_fixed_point(self, std_ensemble, std_samples,
+                                         base_params):
         # pathwise alpha1*alpha2 = |alpha1|^2 >= 0, so the pump amplitude
         # never exceeds mu/eps; no trajectory diverges at sane thresholds
         assert std_ensemble.n_diverged == 0
-        a0 = std_ensemble.samples[6]
+        a0 = std_samples[6]
         assert np.max(np.abs(a0)) <= base_params.mu / base_params.eps + 1e-9
 
 
@@ -1367,11 +1376,11 @@ class TestStationaryPhysics:
             comb = math.hypot(a.std_error, b.std_error)
             assert abs(a.value.real - b.value.real) <= 3.0 * comb, name
 
-    def test_conjugate_pairing_invariants(self, std_ensemble):
+    def test_conjugate_pairing_invariants(self, std_samples):
         # exact pathwise structure from real pump initial data: the pump
         # stays real, the unstarred/starred signal pairs stay conjugate,
         # so xp = conj(x), yp = -conj(y) sample by sample
-        s = std_ensemble.samples
+        s = std_samples
         x0, y0, x, y, xp, yp = (s[i] for i in range(6))
         a0, a1, a2 = s[6], s[8], s[10]
         tol = 1e-12

@@ -163,7 +163,7 @@ class TestMergeLaws:
             a.add_batches(random_stream(rng, 1)[:, None])
         empty = MomentAccumulator(schema)
         m = merge(a, empty)
-        rep_a = a.copy().finalize()
+        rep_a = a.finalize()
         rep_m = m.finalize()
         assert rep_m.n_samples == rep_a.n_samples
         assert rep_m.n_batches == rep_a.n_batches
@@ -196,21 +196,25 @@ class TestMergeLaws:
 
     def test_refused_merge_leaves_accumulator_unchanged(self):
         # per-sample accumulators of 3 batches with 2 and 4 samples each:
-        # the merge is refused before any batch is taken over
+        # the merge is refused, and neither side changes
         params, cube = opo_cube(313, 3, 4)
         a = MomentAccumulator(opo_schema(params), collect_per_sample=True)
         b = MomentAccumulator(opo_schema(params), collect_per_sample=True)
         a.add_batches(cube[:, :, :2])
         b.add_batches(cube)
-        sums = a.per_sample_sums.tobytes()
-        want = a.finalize()
-        with pytest.raises(SchemaError, match="per-sample shapes differ"):
-            a.merge_in_place(b)
+        sums = a.per_sample_sums.tobytes(), b.per_sample_sums.tobytes()
+        want = a.finalize(), b.finalize()
+        for x, y in ((a, b), (b, a)):
+            with pytest.raises(SchemaError, match="per-sample shapes differ"):
+                merge(x, y)
         assert (a.n_batches, a.n_samples) == (3, 6)
-        assert a.per_sample_sums.tobytes() == sums
-        got = a.finalize()
-        for name in a.schema.target_names():
-            assert got[name] == want[name], name
+        assert (b.n_batches, b.n_samples) == (3, 12)
+        assert (a.per_sample_sums.tobytes(),
+                b.per_sample_sums.tobytes()) == sums
+        for acc, rep in zip((a, b), want):
+            got = acc.finalize()
+            for name in acc.schema.target_names():
+                assert got[name] == rep[name], name
 
     def test_merge_refuses_batches_without_per_sample_sums(self):
         # running averages must pool every batch the moments pool, so
@@ -233,8 +237,6 @@ class TestMergeLaws:
             before = state(a), state(b)
             with pytest.raises(SchemaError, match="per-sample sums"):
                 merge(a, b)
-            with pytest.raises(SchemaError, match="per-sample sums"):
-                a.merge_in_place(b)
             assert (state(a), state(b)) == before
         for collects in (False, True):
             empty = MomentAccumulator(schema, collect_per_sample=collects)
@@ -437,25 +439,42 @@ class TestBatchStore:
         params, cube = opo_cube(281, 90, 4)
         schema = opo_schema(params)
 
-        def build(lo, hi):
-            acc = MomentAccumulator(schema)
+        def build(lo, hi, collect):
+            acc = MomentAccumulator(schema, collect_per_sample=collect)
             for start in range(lo, hi, 16):
                 acc.add_batches(cube[:, start:min(start + 16, hi)])
             return acc
 
-        a, b = build(0, 50), build(50, 90)
-        m = merge(a, b)
-        assert m.finalize().n_batches == 90
-        m.add_batches(cube[:, :8])
-        assert m.finalize().n_batches == 98
-        a.add_batches(cube[:, :8])
-        assert m.n_batches == 98
-        assert (a.n_batches, b.n_batches) == (58, 40)
-        for acc, twin in ((a, build(0, 50).add_batches(cube[:, :8])),
-                          (b, build(50, 90))):
-            got, want = acc.finalize(), twin.finalize()
-            for name in schema.target_names():
-                assert got[name] == want[name], name
+        def state(acc):
+            sums = acc.per_sample_sums
+            rep = acc.finalize()
+            return (acc.n_batches, acc.n_samples,
+                    None if sums is None else sums.tobytes(),
+                    [_bits(e.value, e.std_error, e.std_error_imag)
+                     for e in rep.entries.values()])
+
+        for collect in (False, True):
+            a, b = build(0, 50, collect), build(50, 90, collect)
+            m = merge(a, b)
+            before = state(a), state(b)
+            assert m.finalize().n_batches == 90
+            m.add_batches(cube[:, :8])
+            assert m.finalize().n_batches == 98
+            assert (state(a), state(b)) == before
+            if collect:
+                # the stored sums are read-only, so a merge may share them
+                for acc in (a, b, m):
+                    with pytest.raises(ValueError, match="read-only"):
+                        acc.per_sample_sums[0, 0] = 0.0
+                assert (merge(MomentAccumulator(schema), b).per_sample_sums
+                        is b.per_sample_sums)
+            a.add_batches(cube[:, :8])
+            assert m.n_batches == 98
+            assert (a.n_batches, b.n_batches) == (58, 40)
+            for acc, twin in (
+                    (a, build(0, 50, collect).add_batches(cube[:, :8])),
+                    (b, build(50, 90, collect))):
+                assert state(acc) == state(twin), collect
 
 
 def wide_schema():
@@ -669,21 +688,17 @@ class TestEvaluationShortcuts:
         assert check(acc, "sample").batch_totals is first.batch_totals
         acc.add_batches(cube[:, 20:21])
         assert check(acc).n_batches == 21
-        # merge, both ways
+        # merge, then add to the merged accumulator
         other = MomentAccumulator(schema).add_batches(cube[:, 30:45])
         check(other)
         merged = merge(acc, other)
-        assert check(merged).n_batches == 36
-        check(acc)
-        acc.merge_in_place(other)
-        joined = check(acc)
+        joined = check(merged)
         assert joined.n_batches == 36
-        # copy, then add to the copy
-        twin = acc.copy()
-        assert check(twin).batch_totals is joined.batch_totals
-        twin.add_batches(cube[:, 50:60])
-        assert check(twin).n_batches == 46
-        assert check(acc).n_batches == 36
+        assert check(merged, "sample").batch_totals is joined.batch_totals
+        merged.add_batches(cube[:, 50:60])
+        assert check(merged).n_batches == 46
+        assert check(acc).n_batches == 21
+        assert check(other).n_batches == 15
         for rep, frozen in reports:
             assert rep.batch_totals.tobytes() == frozen
 
@@ -735,11 +750,13 @@ class TestEvaluationShortcuts:
             amp_other = MomentAccumulator(amplitude_schema(),
                                           collect_per_sample=True)
             amp_other.add_batches(big[:, 1:])
-            amp_sums = amp_series.per_sample_sums.tobytes()
+            amp_sums = (amp_series.per_sample_sums.tobytes(),
+                        amp_other.per_sample_sums.tobytes())
             with pytest.raises(ValueError, match="non-finite per-sample"):
-                amp_series.merge_in_place(amp_other)
-        assert amp_series.n_batches == 1
-        assert amp_series.per_sample_sums.tobytes() == amp_sums
+                merge(amp_series, amp_other)
+        assert amp_series.n_batches == amp_other.n_batches == 1
+        assert (amp_series.per_sample_sums.tobytes(),
+                amp_other.per_sample_sums.tobytes()) == amp_sums
         # finite totals whose leave-one-out deviations (~1e307) would
         # overflow if squared as they are: the error stays finite
         wide = MomentAccumulator(amplitude_schema())
