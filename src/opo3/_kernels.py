@@ -1,5 +1,5 @@
 """Inner integration loops for the positive-P equations, and the moment
-accumulator's key sums.
+accumulator's key sums and target programs.
 
 Two implementations with identical results, bit for bit, advance a block
 of trajectories through one chunk of steps in place: a C kernel, compiled
@@ -11,7 +11,17 @@ the same switch serve the key sums of `moments.MomentAccumulator`
 batches, its prefix key's times one channel, and adds it into the
 batch's sum and, when asked, into its sample index's chain, in one pass
 over tiles of batches that fit in L1, reading the values through their
-strides; numpy's version is its oracle and fallback.
+strides, and refuses a sum that is not finite; numpy's version is its
+oracle and fallback.  They also serve the jackknife's replicates
+(`get_target_evaluator`): `moments` compiles each target's
+inclusion-exclusion into a flat program of stack ops (TARGET_OPS: push a
+key sum, push n, multiply by minus a key's mean, multiply or add a
+constant, add, take the mean, store), and the C routine runs a program
+over tiles of 256 batches, forming each key sum left out of the totals
+and each replicate's shifts tile by tile; numpy runs it on whole rows
+as its oracle and fallback.  The jackknife's spreads (`get_spreads`),
+each row's sums of squared deviations from its mean, are taken per lane
+in a fixed order, which the numpy version follows.
 
 State layout: complex128 array (6, B) with rows (a0, a1, a2, a0p, a1p, a2p).
 Noise layout: C-contiguous float64 array (B, n_steps, 4) of normals already
@@ -51,9 +61,10 @@ take Euler-Maruyama steps.  A trajectory whose candidate exceeds the
 threshold or goes non-finite is frozen at its last good state, marked
 dead, and its global step index recorded.
 
-Rounding: both kernels take each step, and both key sums each product
-and sum, in float64 real arithmetic, every complex product the textbook
-(ac - bd, ad + bc), each operation rounded on its own in the same order;
+Rounding: both kernels take each step, both key sums each product and
+sum, and both target programs each op, in float64 real arithmetic,
+every complex product the textbook (ac - bd, ad + bc), a mean each part
+times 1/n, each operation rounded on its own in the same order;
 the C kernel is built with -ffp-contract=off, so no multiply-add is
 fused, and its vector clones (AVX and the baseline) enable no FMA.  The
 numpy versions multiply real and imaginary parts apart: where the CPU
@@ -70,10 +81,11 @@ cmath.sqrt and needs no libm, so the two kernels give the same bits.
 Build: the C source is complete as written, numpy's ziggurat tables
 included, so the build reads no file of numpy's and links nothing of it.
 On load the kernel's seeding, sampler and step must reproduce numpy's
-states and draws and the numpy kernel's bytes, and its key sums the
-numpy key sums' bytes, the textbook products' sums, not those of numpy's
-complex multiply.  A failed build or load, or a failed check, makes the
-numpy kernel and key sums run instead, with one warning that names the
+states and draws and the numpy kernel's bytes, its key sums the numpy
+key sums' bytes, the textbook products' sums, not those of numpy's
+complex multiply, and its target programs and spreads the numpy ones'
+bytes.  A failed build or load, or a failed check, makes the numpy
+versions of all four run instead, with one warning that names the
 reason.  The library is cached under $XDG_CACHE_HOME/opo3 when that path
 is absolute (else ~/.cache/opo3, else a per-user temporary directory),
 keyed by this module's source, the flags, the resolved compiler's path,
@@ -82,10 +94,11 @@ and starts no process.  numpy's answers to the load-time check (the
 seeded PCG64 words, the standard normals drawn from the last of them,
 that generator's words after the draws, the numpy kernel's bytes on a
 chunk of those draws and on a chunk drawn from seeded words, one
-trajectory dying mid-chunk, and the numpy key sums on a strided view of
-those draws) are computed once per build, on its first load, and kept
-beside the library, so later loads import neither numpy.random nor run a
-numpy step or numpy key sums.
+trajectory dying mid-chunk, the numpy key sums on a strided view of
+those draws, and the numpy target programs and spreads on sums and rows
+made of them) are computed once per build, on its first load, and kept
+beside the library, so later loads import neither numpy.random nor run
+a numpy step, key sums, target program or spreads.
 """
 
 from __future__ import annotations
@@ -742,10 +755,12 @@ typedef struct {
     double *block, *chains;
 } key_args_t;
 
-static LANE_CLONES void key_tiles(const key_args_t *a, key_row_t *prod,
-                                  key_row_t *sum, int fresh)
+/* returns whether every batch sum it wrote is finite */
+static LANE_CLONES int key_tiles(const key_args_t *a, key_row_t *prod,
+                                 key_row_t *sum, int fresh)
 {
     const int64_t n_ch = a->n_ch, n_keys = a->n_keys;
+    int finite = 1;
     for (int64_t b0 = 0; b0 < a->nb; b0 += KEY_TILE) {
         const int64_t width = a->nb - b0 < KEY_TILE ? a->nb - b0 : KEY_TILE;
         for (int64_t j = 0; j < a->n; j++) {
@@ -813,9 +828,19 @@ static LANE_CLONES void key_tiles(const key_args_t *a, key_row_t *prod,
             for (int64_t b = 0; b < width; b++) {
                 out[2 * b] = BATCH(sum[k].re, b);
                 out[2 * b + 1] = BATCH(sum[k].im, b);
+                finite &= isfinite(out[2 * b]) && isfinite(out[2 * b + 1]);
             }
         }
     }
+    return finite;
+}
+
+static int all_finite(const double *x, int64_t n)
+{
+    int finite = 1;
+    for (int64_t i = 0; i < n; i++)
+        finite &= isfinite(x[i]) != 0;
+    return finite;
 }
 
 /* The sums of the key products of nb batches of n samples each: values is
@@ -829,7 +854,8 @@ static LANE_CLONES void key_tiles(const key_args_t *a, key_row_t *prod,
    index's products added in batch order, onto base (n_keys, n) complex,
    or from the first batch's product when base is NULL.  Returns -1 when
    the tile cannot be allocated, -2 for a prefix that is not an earlier
-   key or a channel that is not one. */
+   key or a channel that is not one, -3 when a batch sum is not finite
+   and else -4 when a per-sample sum is not. */
 int opo3_key_sums(const char *values, int64_t s_ch, int64_t s_b,
                   int64_t s_n, const double *centers,
                   const int64_t *prefixes, int64_t n_ch, int64_t n_keys,
@@ -849,9 +875,283 @@ int opo3_key_sums(const char *values, int64_t s_ch, int64_t s_b,
         memcpy(chains, base, 2 * n_keys * n * sizeof *chains);
     const key_args_t args = {values, s_ch, s_b, s_n, centers, prefixes, n_ch,
                              n_keys, nb, n, block, chains};
-    key_tiles(&args, rows, rows + n_keys, base == NULL);
+    const int finite = key_tiles(&args, rows, rows + n_keys, base == NULL);
     free(rows);
-    return 0;
+    if (!finite)
+        return -3;
+    return chains && !all_finite(chains, 2 * n_keys * n) ? -4 : 0;
+}
+
+/* The targets of the moment accumulator are stack programs, one op and
+   its argument a row: KEY k pushes key k's sum, N the sample count,
+   SHIFT k multiplies the top by minus the mean of key k, SCALE j and
+   OFFSET j multiply and add constant j, ADD adds the top into the one
+   below, MEAN multiplies the top by 1/n and STORE t pops it into output
+   row t.  The order matches TARGET_OPS in the Python source. */
+enum { OP_KEY, OP_N, OP_SHIFT, OP_SCALE, OP_ADD, OP_MEAN, OP_OFFSET,
+       OP_STORE };
+/* TARGET_TILE batches at a time across the vector lanes, real and
+   imaginary parts apart: 4 KB a row, so that a tile's rows stay in L2
+   and each key sum is read in 4 KB runs, which stream from memory about
+   a third faster than 1 KB ones, while each op's dispatch is paid once
+   for 256 batches (at 16 it costs more than the arithmetic) */
+#define TARGET_TILE 256
+#define TARGET_VECS (TARGET_TILE / LANES)
+typedef struct { vdouble re[TARGET_VECS], im[TARGET_VECS]; } target_row_t;
+
+/* one opo3_targets call's arguments; strides in bytes */
+typedef struct {
+    const char *sums; int64_t s_k, s_b;
+    const double *totals, *n, *consts;
+    const int64_t *ops;
+    const uint8_t *use;     /* per key, bit 0: its sum is read, bit 1: its
+                               mean shifts */
+    int64_t n_keys, nb, n_ops;
+    double *out;
+} target_args_t;
+
+/* the top of the stack times q, the textbook product */
+static ALWAYS_INLINE void row_cmul(target_row_t *top, const vdouble *q_re,
+                                   const vdouble *q_im)
+{
+    for (int i = 0; i < TARGET_VECS; i++) {
+        const vdouble re = top->re[i] * q_re[i] - top->im[i] * q_im[i];
+        const vdouble im = top->re[i] * q_im[i] + top->im[i] * q_re[i];
+        top->re[i] = re;
+        top->im[i] = im;
+    }
+}
+
+static LANE_CLONES void target_tiles(const target_args_t *a,
+                                     target_row_t *keys, target_row_t *negs,
+                                     target_row_t *stack)
+{
+    for (int64_t b0 = 0; b0 < a->nb; b0 += TARGET_TILE) {
+        const int64_t width = a->nb - b0 < TARGET_TILE ? a->nb - b0
+                                                       : TARGET_TILE;
+        /* lanes past the last batch count 1 sample of zeros */
+        double counts[TARGET_TILE];
+        for (int b = 0; b < TARGET_TILE; b++)
+            counts[b] = b < width ? a->n[b0 + b] : 1.0;
+        vdouble n[TARGET_VECS], inv[TARGET_VECS];
+        memcpy(n, counts, sizeof n);
+        for (int i = 0; i < TARGET_VECS; i++)
+            inv[i] = 1.0 / n[i];
+        /* each key sum the program reads: totals - sums[k, b] leaves
+           batch b out; without totals, sums[k, b] itself.  A whole tile
+           of adjacent complex values is read as vectors */
+        const int packed = width == TARGET_TILE && a->s_b == 16;
+        for (int64_t k = 0; k < a->n_keys; k++) {
+            if (!(a->use[k] & 1))
+                continue;
+            const char *v = a->sums + k * a->s_k + b0 * a->s_b;
+            for (int i = 0; i < TARGET_VECS; i++) {
+                vdouble re, im;
+                if (packed) {
+                    /* two vectors of (re, im) pairs, split by shuffles */
+                    vdouble lo, hi;
+                    memcpy(&lo, v + i * LANES * 16, sizeof lo);
+                    memcpy(&hi, v + i * LANES * 16 + 32, sizeof hi);
+                    re = __builtin_shuffle(lo, hi, (vmask){0, 2, 4, 6});
+                    im = __builtin_shuffle(lo, hi, (vmask){1, 3, 5, 7});
+                } else {
+                    double z[LANES][2];
+                    for (int l = 0; l < LANES; l++) {
+                        const int64_t b = i * LANES + l;
+                        memcpy(z[l], b < width ? v + b * a->s_b
+                                               : (const char *)zero_pair,
+                               sizeof z[l]);
+                    }
+                    re = (vdouble){z[0][0], z[1][0], z[2][0], z[3][0]};
+                    im = (vdouble){z[0][1], z[1][1], z[2][1], z[3][1]};
+                }
+                if (a->totals) {
+                    keys[k].re[i] = a->totals[2 * k] - re;
+                    keys[k].im[i] = a->totals[2 * k + 1] - im;
+                } else {
+                    keys[k].re[i] = re;
+                    keys[k].im[i] = im;
+                }
+            }
+        }
+        /* minus each shifted key's mean */
+        for (int64_t k = 0; k < a->n_keys; k++) {
+            for (int i = 0; i < TARGET_VECS && a->use[k] & 2; i++) {
+                negs[k].re[i] = -(keys[k].re[i] * inv[i]);
+                negs[k].im[i] = -(keys[k].im[i] * inv[i]);
+            }
+        }
+        int64_t sp = 0;
+        for (int64_t p = 0; p < a->n_ops; p++) {
+            const int64_t arg = a->ops[2 * p + 1];
+            target_row_t *top = stack + (sp > 0 ? sp - 1 : 0);
+            vdouble c_re[TARGET_VECS], c_im[TARGET_VECS];
+            switch (a->ops[2 * p]) {
+            case OP_KEY:
+                stack[sp++] = keys[arg];
+                break;
+            case OP_N:
+                for (int i = 0; i < TARGET_VECS; i++) {
+                    stack[sp].re[i] = n[i];
+                    stack[sp].im[i] = (vdouble){};
+                }
+                sp++;
+                break;
+            case OP_SHIFT:
+                row_cmul(top, negs[arg].re, negs[arg].im);
+                break;
+            case OP_SCALE:
+                for (int i = 0; i < TARGET_VECS; i++) {
+                    c_re[i] = (vdouble){} + a->consts[2 * arg];
+                    c_im[i] = (vdouble){} + a->consts[2 * arg + 1];
+                }
+                row_cmul(top, c_re, c_im);
+                break;
+            case OP_ADD:
+                for (int i = 0; i < TARGET_VECS; i++) {
+                    top[-1].re[i] += top->re[i];
+                    top[-1].im[i] += top->im[i];
+                }
+                sp--;
+                break;
+            case OP_MEAN:
+                for (int i = 0; i < TARGET_VECS; i++) {
+                    top->re[i] *= inv[i];
+                    top->im[i] *= inv[i];
+                }
+                break;
+            case OP_OFFSET:
+                for (int i = 0; i < TARGET_VECS; i++) {
+                    top->re[i] += a->consts[2 * arg];
+                    top->im[i] += a->consts[2 * arg + 1];
+                }
+                break;
+            case OP_STORE: {
+                double *out = a->out + 2 * (arg * a->nb + b0);
+                for (int64_t b = 0; b < width; b++) {
+                    out[2 * b] = BATCH(top->re, b);
+                    out[2 * b + 1] = BATCH(top->im, b);
+                }
+                sp--;
+                break;
+            }
+            }
+        }
+    }
+}
+
+/* Runs the program ops (n_ops rows of op and argument) on nb columns:
+   column b reads its key sums from sums (n_keys, nb) complex, byte
+   strides s_k and s_b, as totals (n_keys) complex minus sums[:, b], or
+   as sums[:, b] when totals is NULL, and counts n[b] samples; consts
+   (n_consts) complex; out (n_out, nb) complex.  Every complex product is
+   the textbook (ac - bd, ad + bc).  Returns -1 when the tiles cannot be
+   allocated and -2 for a program with an argument out of range, an op
+   short of operands or values left on the stack. */
+int opo3_targets(const char *sums, int64_t s_k, int64_t s_b,
+                 const double *totals, const double *n, int64_t nb,
+                 int64_t n_keys, const int64_t *ops, int64_t n_ops,
+                 const double *consts, int64_t n_consts, double *out,
+                 int64_t n_out)
+{
+    uint8_t *use = calloc(n_keys + 1, 1);
+    if (!use)
+        return -1;
+    int64_t sp = 0, depth = 1, bad = 0;
+    for (int64_t p = 0; p < n_ops && !bad; p++) {
+        const int64_t op = ops[2 * p], arg = ops[2 * p + 1];
+        const int64_t need = op == OP_KEY || op == OP_N ? 0
+                             : op == OP_ADD ? 2 : 1;
+        const int64_t limit = op == OP_KEY || op == OP_SHIFT ? n_keys
+                              : op == OP_SCALE || op == OP_OFFSET ? n_consts
+                              : op == OP_STORE ? n_out : 1;
+        bad = op < OP_KEY || op > OP_STORE || sp < need || arg < 0
+              || arg >= limit;
+        if (bad)
+            break;
+        if (op == OP_KEY)
+            use[arg] |= 1;
+        if (op == OP_SHIFT)
+            use[arg] |= 3;
+        sp += op == OP_KEY || op == OP_N ? 1
+              : op == OP_ADD || op == OP_STORE ? -1 : 0;
+        depth = sp > depth ? sp : depth;
+    }
+    if (bad || sp != 0) {
+        free(use);
+        return -2;
+    }
+    target_row_t *rows = aligned_alloc(sizeof *rows,
+                                       (2 * n_keys + depth) * sizeof *rows);
+    if (rows) {
+        const target_args_t args = {sums, s_k, s_b, totals, n, consts, ops,
+                                    use, n_keys, nb, n_ops, out};
+        target_tiles(&args, rows, rows + n_keys, rows + 2 * n_keys);
+    }
+    free(use);
+    free(rows);
+    return rows ? 0 : -1;
+}
+
+/* The jackknife's spreads sum over a row of complex values as doubles,
+   (re, im) pairs, zero-padded to whole groups of SPREAD_GROUP: each lane
+   adds its value of every group in order, and then each part's lanes
+   are added in order, its first lane first.  The order matches
+   `_spreads_numpy` in the Python source. */
+#define SPREAD_GROUP 32
+#define SPREAD_VECS (SPREAD_GROUP / LANES)
+
+/* the sums of each part of x (n2 doubles) or, given its means, of each
+   part's squared deviations from its mean */
+static LANE_CLONES void part_sums(const double *x, int64_t n2,
+                                  const double *mean, double *sums)
+{
+    /* past the row, a group holds the means, which deviate by +0 */
+    double pad[SPREAD_GROUP];
+    for (int j = 0; j < SPREAD_GROUP; j++)
+        pad[j] = mean ? mean[j % 2] : 0.0;
+    vdouble m[SPREAD_VECS], acc[SPREAD_VECS] = {};
+    memcpy(m, pad, sizeof m);
+    for (int64_t g = 0; g < n2; g += SPREAD_GROUP) {
+        const double *src = x + g;
+        double group[SPREAD_GROUP];
+        if (n2 - g < SPREAD_GROUP) {
+            memcpy(group, pad, sizeof group);
+            memcpy(group, x + g, (n2 - g) * sizeof *x);
+            src = group;
+        }
+        for (int i = 0; i < SPREAD_VECS; i++) {
+            vdouble v;
+            memcpy(&v, src + i * LANES, sizeof v);
+            if (mean) {
+                v -= m[i];
+                v *= v;
+            }
+            acc[i] += v;
+        }
+    }
+    double lanes[SPREAD_GROUP];
+    memcpy(lanes, acc, sizeof lanes);
+    sums[0] = lanes[0];
+    sums[1] = lanes[1];
+    for (int j = 2; j < SPREAD_GROUP; j++)
+        sums[j % 2] += lanes[j];
+}
+
+/* For each of n_rows rows of nb complex values, C-contiguous, the sums
+   of the squared deviations of its real and its imaginary parts from
+   their means, the sums over nb, into out (n_rows, 2). */
+void opo3_spreads(const double *rows, int64_t n_rows, int64_t nb,
+                  double *out)
+{
+    for (int64_t r = 0; r < n_rows; r++) {
+        const double *x = rows + 2 * r * nb;
+        double mean[2];
+        part_sums(x, 2 * nb, NULL, mean);
+        mean[0] /= (double)nb;
+        mean[1] /= (double)nb;
+        part_sums(x, 2 * nb, mean, out + 2 * r);
+    }
 }
 """
 
@@ -863,6 +1163,13 @@ int opo3_key_sums(const char *values, int64_t s_ch, int64_t s_b,
 # compares the bytes regardless
 _C_FLAGS = ("-O3", "-pthread", "-fPIC", "-shared", "-ffp-contract=off",
             "-fno-math-errno")
+# a target program's ops, in the order of the C source's enum
+TARGET_OPS = ("key", "n", "shift", "scale", "add", "mean", "offset", "store")
+OP_KEY, OP_N, OP_SHIFT, OP_SCALE, OP_ADD, OP_MEAN, OP_OFFSET, OP_STORE = (
+    range(len(TARGET_OPS)))
+# the doubles in one group of the jackknife's spreads, one for each lane
+# (SPREAD_GROUP in the C source)
+SPREAD_GROUP = 32
 # the load-time check's spawn keys: 0, 1 and 2**32 - 1, 2**32 (two words)
 _CHECK_SEED = 20260814
 _CHECK_KEYS = (0, 2**32 - 1)
@@ -873,6 +1180,16 @@ _CHECK_STEP = (7, 12)
 # that starts the second call
 _CHECK_SUMS = (3, 21, 3)
 _CHECK_SPLIT = 17
+# the load-time target check: keys x batches, a full tile of 256 and part
+# of one, and a program with every op, three deep, that shifts by two keys;
+# then the spreads of rows x values, two groups and a part of one
+_CHECK_TARGETS = (6, 270)
+_CHECK_SPREADS = (3, 37)
+_CHECK_PROGRAM = ((OP_KEY, 3), (OP_SHIFT, 0), (OP_KEY, 4), (OP_SHIFT, 1),
+                  (OP_SCALE, 0), (OP_ADD, 0), (OP_N, 0), (OP_SHIFT, 0),
+                  (OP_KEY, 5), (OP_OFFSET, 1), (OP_ADD, 0), (OP_ADD, 0),
+                  (OP_MEAN, 0), (OP_STORE, 1), (OP_KEY, 2), (OP_MEAN, 0),
+                  (OP_SCALE, 1), (OP_STORE, 0))
 
 
 def _root_formula(x, y, m2):
@@ -1028,12 +1345,18 @@ def _chunk_step_c(state, w, gens, scale, alive, first_bad, n_steps, eps,
         raise MemoryError("no memory for the C kernel's thread ranges")
 
 
+def _finite(arr: np.ndarray, what: str) -> np.ndarray:
+    if not np.all(np.isfinite(arr)):
+        raise ValueError(f"non-finite {what}")
+    return arr
+
+
 def _key_sums_numpy(values, centers, prefixes, collect, base):
     """opo3_key_sums in numpy, each operation the C source's, in its order,
     on float64 arrays, so the bits are equal; numpy's complex multiply
     fuses a multiply-add where the CPU has one, so products are taken on
     the real and imaginary parts apart.  It takes the arguments of
-    `_key_sums_c`."""
+    `_key_sums_c` and refuses non-finite sums as it does."""
     c, nb, n = values.shape
     n_keys = c + len(prefixes)
     # the products, sample-major: (K, n, nb) real and imaginary parts
@@ -1069,6 +1392,9 @@ def _key_sums_numpy(values, centers, prefixes, collect, base):
                     prods[:, :, 0] += base.view(np.float64)[:, at::2]
                 np.add.accumulate(prods, axis=2, out=prods)
                 chains.view(np.float64)[:, at::2] = prods[:, :, -1]
+    _finite(block, "sample values or key sums")
+    if collect:
+        _finite(chains, "per-sample sums")
     return block, chains
 
 
@@ -1076,7 +1402,8 @@ def _key_sums_c(values, centers, prefixes, collect, base, lib=None):
     """opo3_key_sums on (C, nb, n) complex128 values, read through their
     strides, with (C,) centers and (K - C, 2) int64 prefix rows (prefix
     key, channel): the (K, nb) batch sums and, when collect is set, the
-    (K, n) per-sample sums carried on from base, or None."""
+    (K, n) per-sample sums carried on from base, or None.  ValueError
+    when a batch sum, or else a per-sample sum, is not finite."""
     lib = lib or _c_function()
     if lib is None:
         raise RuntimeError("the C key sums are not available")
@@ -1107,9 +1434,143 @@ def _key_sums_c(values, centers, prefixes, collect, base, lib=None):
     if status == -2:
         raise ValueError("each prefix row must name an earlier key and a "
                          "channel")
+    if status == -3:
+        raise ValueError("non-finite sample values or key sums")
+    if status == -4:
+        raise ValueError("non-finite per-sample sums")
     if status != 0:
         raise MemoryError("no memory for the C key sums' tiles")
     return block, chains
+
+
+def _mean_numpy(re, im, n, inv):
+    """The parts of a mean of n samples on whole rows, each part times
+    inv = 1/n: MEAN, and the shifts, of `_targets_numpy`."""
+    return re * inv, im * inv
+
+
+def _targets_numpy(ops, consts, sums, totals, n, n_out):
+    """opo3_targets in numpy on whole rows, each operation the C source's,
+    in its order, on float64 arrays, so the bits are equal; products are
+    taken on the real and imaginary parts apart, as in `_key_sums_numpy`.
+    It takes the arguments of `_targets_c`."""
+    inv = 1.0 / n
+    c_re, c_im = consts.real.tolist(), consts.imag.tolist()
+    out = np.empty((n_out, sums.shape[1]), dtype=np.complex128)
+
+    def key(k):
+        if totals is None:
+            return sums[k].real, sums[k].imag
+        return totals[k].real - sums[k].real, totals[k].imag - sums[k].imag
+
+    negs, stack = {}, []
+    # leave-one-out sums and their products may overflow, as in C
+    with np.errstate(over="ignore", invalid="ignore"):
+        for op, arg in ops.tolist():
+            if op == OP_KEY:
+                stack.append(key(arg))
+            elif op == OP_N:
+                stack.append((n, np.zeros_like(n)))
+            elif op == OP_ADD:
+                re, im = stack.pop()
+                stack[-1] = (stack[-1][0] + re, stack[-1][1] + im)
+            elif op == OP_STORE:
+                out[arg].real, out[arg].imag = stack.pop()
+            elif op == OP_MEAN:
+                stack[-1] = _mean_numpy(*stack[-1], n, inv)
+            elif op == OP_OFFSET:
+                re, im = stack[-1]
+                stack[-1] = (re + c_re[arg], im + c_im[arg])
+            else:
+                if op == OP_SHIFT:
+                    if arg not in negs:
+                        m_re, m_im = _mean_numpy(*key(arg), n, inv)
+                        negs[arg] = (-m_re, -m_im)
+                    q_re, q_im = negs[arg]
+                else:
+                    q_re, q_im = c_re[arg], c_im[arg]
+                re, im = stack[-1]
+                stack[-1] = (re * q_re - im * q_im, re * q_im + im * q_re)
+    return out
+
+
+def _targets_c(ops, consts, sums, totals, n, n_out, lib=None):
+    """opo3_targets: the n_out rows that the program ops, (m, 2) int64
+    rows (op, argument) with (q,) complex128 consts, stores for each
+    column of the (K, B) complex128 sums, read through their strides, as
+    given (K,) totals minus the column, else as the column itself, with
+    (B,) float64 counts n; a (n_out, B) complex128 array."""
+    lib = lib or _c_function()
+    if lib is None:
+        raise RuntimeError("the C target programs are not available")
+    if sums.dtype != np.complex128 or sums.ndim != 2:
+        raise ValueError("sums must be a 2-d complex128 array")
+    if not sums.flags.aligned:
+        sums = sums.copy()
+    n_keys, nb = sums.shape
+    # the C side trusts these shapes and layouts; check them here
+    for name, a, dtype, shape in (("totals", totals, np.complex128, (n_keys,)),
+                                  ("n", n, np.float64, (nb,)),
+                                  ("ops", ops, np.int64, (len(ops), 2)),
+                                  ("consts", consts, np.complex128,
+                                   (len(consts),))):
+        if a is not None and not (a.dtype == dtype and a.shape == shape
+                                  and a.flags.c_contiguous):
+            raise ValueError(f"{name} must be a C-contiguous "
+                             f"{np.dtype(dtype).name} {shape} array")
+    out = np.empty((n_out, nb), dtype=np.complex128)
+    status = lib.opo3_targets(
+        sums.ctypes.data, *sums.strides,
+        None if totals is None else totals.ctypes.data, n.ctypes.data, nb,
+        n_keys, ops.ctypes.data, len(ops), consts.ctypes.data, len(consts),
+        out.ctypes.data, n_out)
+    if status == -2:
+        raise ValueError("a target program needs each argument in range, "
+                         "each op's operands on the stack and the stack "
+                         "empty at its end")
+    if status != 0:
+        raise MemoryError("no memory for the C target programs' tiles")
+    return out
+
+
+def _spreads_numpy(rows):
+    """opo3_spreads in numpy: the same sums in the same order, per lane of
+    SPREAD_GROUP doubles over the groups (a reduction along an axis that
+    is not the innermost adds in order), then each part's lanes, the last
+    group padded as the C source pads it, so the bits are equal.  It
+    takes the arguments of `_spreads_c`."""
+    n_rows, nb = rows.shape
+    pad = -2 * nb % SPREAD_GROUP
+    x = rows.view(np.float64)
+    if pad:
+        x = np.concatenate([x, np.zeros((n_rows, pad))], axis=1)
+
+    def part_sums(x):
+        lanes = np.add.reduce(x.reshape(n_rows, -1, SPREAD_GROUP), axis=1)
+        return np.add.accumulate(lanes.reshape(n_rows, -1, 2), axis=1)[:, -1]
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        means = part_sums(x) / nb
+        if pad:
+            x[:, 2 * nb:] = np.tile(means, pad // 2)
+        dev = x.reshape(n_rows, -1, 2) - means[:, None, :]
+        np.multiply(dev, dev, out=dev)
+        return part_sums(dev.reshape(n_rows, -1))
+
+
+def _spreads_c(rows, lib=None):
+    """opo3_spreads: for each row of the C-contiguous (T, B) complex128
+    rows, the sums of the squared deviations of its real and imaginary
+    parts from their means, a (T, 2) float64 array."""
+    lib = lib or _c_function()
+    if lib is None:
+        raise RuntimeError("the C spreads are not available")
+    if not (rows.dtype == np.complex128 and rows.ndim == 2
+            and rows.flags.c_contiguous):
+        raise ValueError("rows must be a C-contiguous 2-d complex128 array")
+    out = np.empty((rows.shape[0], 2))
+    lib.opo3_spreads(rows.ctypes.data, *rows.shape, out.ctypes.data)
+    return out
 
 
 def seed_generators(master_seed: int, first: int, nb: int,
@@ -1273,6 +1734,31 @@ def _check_key_sums(key_sums, normals) -> bytes:
     return first.tobytes() + second.tobytes() + chains.tobytes()
 
 
+def _check_targets(evaluate, normals) -> bytes:
+    """The bytes of `evaluate` (a target-program runner) on the load-time
+    check input made from `normals`: _CHECK_PROGRAM on _CHECK_TARGETS
+    keys x batches of sums in a view with a negative batch stride, leaving
+    each batch out of totals, then on the sums as they are."""
+    k, nb = _CHECK_TARGETS
+    size = 2 * k * nb
+    sums = (normals[:size] + 1j * normals[size:2 * size]).reshape(
+        k, 2 * nb)[:, ::-2]
+    totals = normals[2 * size:2 * size + k] + 1j * normals[-k:]
+    n = 2.0 + np.abs(normals[-nb:])
+    consts = normals[:2] - 1j * normals[-2:]
+    ops = np.array(_CHECK_PROGRAM, dtype=np.int64)
+    return b"".join(evaluate(ops, consts, sums, t, n, 2).tobytes()
+                    for t in (totals, None))
+
+
+def _check_spreads(spreads, normals) -> bytes:
+    """The bytes of `spreads` on _CHECK_SPREADS rows x values made from
+    `normals`: whole groups and a part of one."""
+    n_rows, nb = _CHECK_SPREADS
+    rows = normals[:2 * n_rows * nb].copy().view(np.complex128)
+    return spreads(rows.reshape(n_rows, nb)).tobytes()
+
+
 def _numpy_answers() -> bytes:
     """numpy's answers to the load-time check, laid out as `_c_function`
     lays out the C kernel's: the PCG64 words of SeedSequence(_CHECK_SEED,
@@ -1281,7 +1767,9 @@ def _numpy_answers() -> bytes:
     that generator's words after the draws, the numpy kernel's
     `_check_chunk` bytes on the draws, buffered, then drawn from the words
     of SeedSequence(_CHECK_SEED, spawn_key=(j,)) for each trajectory j,
-    and the numpy key sums' `_check_key_sums` bytes on the draws."""
+    the numpy key sums' `_check_key_sums` bytes on the draws, the numpy
+    target programs' `_check_targets` bytes and the numpy spreads'
+    `_check_spreads` bytes on them."""
     bitgens = [np.random.PCG64(np.random.SeedSequence(
         _CHECK_SEED, spawn_key=(k + j,))) for k in _CHECK_KEYS for j in (0, 1)]
     seeded = b"".join(_pcg64_words(b).tobytes() for b in bitgens)
@@ -1291,7 +1779,9 @@ def _numpy_answers() -> bytes:
     return (seeded + draws.tobytes() + _pcg64_words(bitgens[-1]).tobytes()
             + _check_chunk(_chunk_step_numpy, draws)
             + _check_chunk(_chunk_step_numpy, draws, gens)
-            + _check_key_sums(_key_sums_numpy, draws))
+            + _check_key_sums(_key_sums_numpy, draws)
+            + _check_targets(_targets_numpy, draws)
+            + _check_spreads(_spreads_numpy, draws))
 
 
 def _kept_answers(path: Path) -> bytes:
@@ -1328,9 +1818,10 @@ def _c_function():
     Generator.standard_normal bit for bit on _CHECK_DRAWS draws from the
     last of them, consuming the same words, and its step must leave the
     numpy kernel's bytes on `_check_chunk` of those draws, buffered and
-    drawn from its own seeding's words, and its key sums the numpy key
-    sums' bytes on `_check_key_sums`: every byte must equal the kept
-    `_numpy_answers`.
+    drawn from its own seeding's words, its key sums the numpy key sums'
+    bytes on `_check_key_sums`, its target programs the numpy ones' on
+    `_check_targets` and its spreads the numpy ones' on `_check_spreads`:
+    every byte must equal the kept `_numpy_answers`.
     """
     try:
         path = _compiled_library()
@@ -1342,7 +1833,11 @@ def _c_function():
                 (lib.opo3_chunk_step, [ptr] * 3 + [f64] + [ptr] * 2
                  + [i64] * 2 + [f64] * 5 + [i64] * 2, ctypes.c_int),
                 (lib.opo3_key_sums, [ptr] + [i64] * 3 + [ptr] * 2
-                 + [i64] * 4 + [ptr] * 3, ctypes.c_int)):
+                 + [i64] * 4 + [ptr] * 3, ctypes.c_int),
+                (lib.opo3_targets, [ptr] + [i64] * 2 + [ptr] * 2
+                 + [i64] * 2 + [ptr, i64, ptr, i64, ptr, i64],
+                 ctypes.c_int),
+                (lib.opo3_spreads, [ptr, i64, i64, ptr], None)):
             fn.argtypes, fn.restype = args, res
         words = np.concatenate([seed_generators(_CHECK_SEED, k, 2, lib)
                                 for k in _CHECK_KEYS])
@@ -1355,11 +1850,16 @@ def _c_function():
         ours = (seeded + draws.tobytes() + words[-1].tobytes()
                 + _check_chunk(step, draws) + _check_chunk(step, draws, gens)
                 + _check_key_sums(functools.partial(_key_sums_c, lib=lib),
-                                  draws))
+                                  draws)
+                + _check_targets(functools.partial(_targets_c, lib=lib),
+                                 draws)
+                + _check_spreads(functools.partial(_spreads_c, lib=lib),
+                                 draws))
         if ours != _kept_answers(path.with_suffix(".check")):
             raise _BuildError("it does not reproduce numpy's SeedSequence, "
                               "PCG64, Generator.standard_normal, step "
-                              "kernel and key sums")
+                              "kernel, key sums, target programs and "
+                              "spreads")
     except (OSError, _BuildError) as exc:
         warnings.warn(f"opo3: C step kernel unavailable ({exc}); "
                       "using the slower numpy kernel", RuntimeWarning,
@@ -1376,3 +1876,14 @@ def get_stepper():
 def get_key_summer():
     """The C key sums when the C kernel builds and loads, else numpy's."""
     return _key_sums_c if _c_function() is not None else _key_sums_numpy
+
+
+def get_target_evaluator():
+    """The C target programs when the C kernel builds and loads, else
+    numpy's."""
+    return _targets_c if _c_function() is not None else _targets_numpy
+
+
+def get_spreads():
+    """The C spreads when the C kernel builds and loads, else numpy's."""
+    return _spreads_c if _c_function() is not None else _spreads_numpy

@@ -14,6 +14,7 @@ grow and the leading-order expressions degrade, so a warning is logged.
 from __future__ import annotations
 
 import logging
+import math
 import sys
 from dataclasses import dataclass
 
@@ -26,9 +27,11 @@ logger = logging.getLogger(__name__)
 def _closed_forms(params: ModelParams) -> dict:
     """Every closed form, keyed by its MomentReport target name.
 
-    Raises ValidityError at mu >= 1 and where g**8, the scale of the
-    Cauchy-Schwarz sides, underflows (g below about 3.5e-39); logs one
-    warning above mu = 0.9.
+    Raises ValidityError at mu >= 1, where g**8, the scale of the
+    Cauchy-Schwarz sides, underflows (g below about 3.5e-39) or where it
+    or the sides overflow (g above about 1.3e38, less close to
+    threshold), and where gamma_r**2 overflows (gamma_r above about
+    1.3e154); logs one warning above mu = 0.9.
     The triples t1 = <dx dx+ dx0> < 0, t2 = <dy dy+ dx0>, t3 = <dy dx+ dy0>
     and t4 = <dx dy+ dy0> = t3 are O(g^4); s = -t1 + t2 + t3 + t4 enters
     the Cauchy-Schwarz side.  var_x0 is taken about the 2*mu reference;
@@ -42,11 +45,26 @@ def _closed_forms(params: ModelParams) -> dict:
             f"mu = {mu} is at or above threshold; perturbative "
             "expressions require mu < 1"
         )
-    if g**8 < sys.float_info.min:
+    too_large = ValidityError(
+        f"g = {g} is too large: the closed forms scale as g**8, which "
+        "overflows double precision in the Cauchy-Schwarz sides"
+    )
+    try:
+        scale = g**8
+    except OverflowError:
+        raise too_large from None
+    if scale < sys.float_info.min:
         raise ValidityError(
             f"g = {g} is too small: the closed forms scale as g**8, which "
             "underflows double precision"
         )
+    try:
+        gr2 = gr**2
+    except OverflowError:
+        raise ValidityError(
+            f"gamma_r = {gr} is too large: the closed forms square it, "
+            "which overflows double precision"
+        ) from None
     if mu > 0.9:
         logger.warning(
             "mu = %.4g is close to threshold; perturbative predictions "
@@ -68,13 +86,15 @@ def _closed_forms(params: ModelParams) -> dict:
     var_x0 = g4 * (mu / (1.0 - mu)) ** 2 * (
         (2.0 / (1.0 + mu)) ** 2
         + (1.0 + ((1.0 - mu) / (1.0 + mu)) ** 2)
-        * gr**2
-        / (gr**2 + 4.0 * (1.0 - mu) ** 2)
+        * gr2
+        / (gr2 + 4.0 * (1.0 - mu) ** 2)
     )
     var_y0 = 0.0
     shift = -2.0 * g2 * mu / (1.0 - mu**2)
     amp_single = mu**2 / (2.0 * (1.0 - mu**2))
     amp_triple = -s / (8.0 * g2 * params.eps)
+    if not (math.isfinite(q4 * (var_x0 + var_y0)) and math.isfinite(s * s)):
+        raise too_large
     return {
         "t1": t1,
         "t2": t2,

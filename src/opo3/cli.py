@@ -19,9 +19,11 @@ beside compare.csv, whose `within_threshold` column holds
 sweep.json, the list of its Monte-Carlo points' records.
 
 Exit codes: 0 ok, 2 invalid input (including too few trajectories or
-samples for error bars, and an out_dir that cannot be made, checked
-before any integration, or written), 3 unreliable run (more than 1% of
-some run's trajectories diverged).  An unreliable run still writes its
+samples for error bars; a g or gamma_r whose closed forms leave double
+precision, where a subcommand evaluates them, and an out_dir that
+cannot be made, both checked before any integration; and an output that
+cannot be written), 3 unreliable run (more than 1% of some run's
+trajectories diverged).  An unreliable run still writes its
 report.json or sweep.json, and `run` its timeseries.csv; when
 divergences leave no estimate, `compare` writes no compare.csv and
 `sweep` no sweep.csv.  The OPO3_WORKERS environment variable sets the C
@@ -208,6 +210,14 @@ def _out_dir(spec: RunSpec) -> Path:
     return out_dir
 
 
+def _analytic(spec: RunSpec):
+    """The analytic report and Cauchy-Schwarz sides at `spec`, after its
+    run settings are checked, so that both refuse before integration."""
+    params = spec.params()
+    spec.sim_config().resolve(params)
+    return analytic_moment_report(params), cs_sides_analytic(params)
+
+
 def _integrate(spec: RunSpec, **kwargs):
     """(result, its record, its reference-centered moments) of the ensemble
     at `spec`; the moments are None when divergences left too few
@@ -240,8 +250,9 @@ def _exit_code(records: list, estimated: bool, axis: str | None = None) -> int:
 
 def cmd_run(spec: RunSpec) -> int:
     out_dir = _out_dir(spec)
+    params, k = spec.params(), spec.sigma_threshold
+    analytic_rep, sides = _analytic(spec)
     result, record, report = _integrate(spec, collect_time_series=True)
-    params, k = result.params, spec.sigma_threshold
 
     criteria = {}
     if report is not None:
@@ -254,8 +265,6 @@ def cmd_run(spec: RunSpec) -> int:
         criteria["pump_odd_moment"] = pump_odd_moment(
             report, sigma_threshold=k).to_dict()
 
-    analytic_rep = analytic_moment_report(params)
-    sides = cs_sides_analytic(params)
     _write_json(out_dir / "report.json", {
         "version": __version__,
         **record,
@@ -318,13 +327,15 @@ def _criterion_row(params: ModelParams, source: str, crit,
 def cmd_sweep(spec: RunSpec, axis: str, values_raw: str, source: str) -> int:
     values = _sweep_values(values_raw)
     out_dir = _out_dir(spec)
+    points = [replace(spec, **{axis: v}) for v in values]
+    # every point's closed forms, before any integration
+    analytic = [cs_test(analytic_moment_report(point.params()),
+                        sigma_threshold=point.sigma_threshold)
+                if source != "mc" else None for point in points]
     rows, records = [], []
-    for v in values:
-        point = replace(spec, **{axis: v})
+    for point, crit in zip(points, analytic):
         params = point.params()
-        if source != "mc":
-            crit = cs_test(analytic_moment_report(params),
-                           sigma_threshold=point.sigma_threshold)
+        if crit is not None:
             rows.append(_criterion_row(params, "analytic", crit))
         if source != "analytic":
             _, record, report = _integrate(point)
@@ -354,11 +365,11 @@ COMPARE_MOMENTS = ("t1", "t2", "t3", "t4", "q4", "var_x0",
 
 def cmd_compare(spec: RunSpec) -> int:
     out_dir = _out_dir(spec)
+    analytic_rep, _ = _analytic(spec)
     _, record, report = _integrate(spec)
     _write_json(out_dir / "report.json", record)
     if report is not None:
         k = spec.sigma_threshold
-        analytic_rep = analytic_moment_report(spec.params())
         rows = []
         for name in COMPARE_MOMENTS:
             mc = report[name]

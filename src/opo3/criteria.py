@@ -88,6 +88,25 @@ def _cs_sides(st, partition: str):
     return q.real * p.real, t.real ** 2 + t.imag ** 2
 
 
+def _quotient(num, den):
+    """num / den for complex values or arrays in real operations, each
+    rounded on its own: ((ac + bd) + (bc - ad)i) / (c*c + d*d) for
+    num = a + bi and den = c + di, so no multiply-add is fused whatever
+    the CPU.  All four parts are first scaled by the power of two that
+    brings max(|c|, |d|) into [0.5, 1), which changes no bit of the
+    quotient but keeps c*c + d*d from underflowing or overflowing; the
+    caller mutes the warnings of np.divide."""
+    exp = -np.frexp(np.maximum(np.abs(den.real), np.abs(den.imag)))[1]
+    a, b, c, d = (np.ldexp(part, exp) for part in (num.real, num.imag,
+                                                   den.real, den.imag))
+    norm = c * c + d * d
+    out = np.empty(np.broadcast_shapes(np.shape(num), np.shape(den)),
+                   dtype=np.complex128)
+    out.real = np.divide(a * c + b * d, norm)
+    out.imag = np.divide(b * c - a * d, norm)
+    return out
+
+
 @dataclass(frozen=True)
 class CriterionReport:
     """Outcome of one Cauchy-Schwarz test on centered amplitude moments."""
@@ -145,10 +164,11 @@ def cs_test(moments: MomentReport, partition: str = "0|12",
         lhs, rhs = _cs_sides(st, partition)
         margin = rhs - lhs
         # np.divide: on exact (Python float) values a zero lhs gives inf
-        # rather than raising; has_lambda keeps an exact pair moment nonzero
-        with np.errstate(divide="ignore", invalid="ignore"):
+        # rather than raising; a replicate whose pair moment is 0 leaves a
+        # non-finite lambda, without a warning
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             ratio = np.divide(rhs, lhs)
-            lam = (st.target("amp_triple_conj") / st.target(pname)
+            lam = (_quotient(st.target("amp_triple_conj"), st.target(pname))
                    if has_lambda else margin * 0.0)
         # rhs rebuilt from the quadrature triple sum (mapping identity);
         # the two estimators agree in expectation, differ by noise

@@ -10,7 +10,9 @@ avoids a second pass while still centering on empirical means where wanted.
 Batches are the unit of error estimation: one batch per trajectory in
 ensemble runs.  Standard errors come from leave-one-out jackknife over
 batches, which for plain moments reduces to batch means and extends cleanly
-to nonlinear composites (criteria ratios and margins).
+to nonlinear composites (criteria ratios and margins).  Each value's
+replicates are summed, for their mean and then their squared deviations
+from it, in one fixed lane order (`_kernels.get_spreads`).
 
 Every sum has one fixed order, so estimates are bit-for-bit the same for
 any slicing of the batches into add_batches calls:
@@ -18,13 +20,18 @@ any slicing of the batches into add_batches calls:
   per sample  each sample index's products are one chain in batch
               (trajectory) order, carried across calls
   totals      the joined batch sums are summed pairwise over batches
-Each key's product is its prefix key's times one channel, and every
-complex product is the textbook (ac - bd, ad + bc), each real operation
-rounded on its own, in the C key sums and in their numpy oracle alike
-(`_kernels`).  numpy's own complex multiply cannot be the oracle: where
-the CPU has FMA, its SIMD loop fuses one multiply into each part's add,
-the real part being fma(ar, br, -ai*bi), so its bits follow the CPU that
-runs it and differ from the textbook product's.
+Each key's product is its prefix key's times one channel.  Finalize
+evaluates every target on the full data and on each leave-one-out
+replicate by a program compiled once per schema, centering and set of
+channels whose shift is exactly zero: each shifted term is expanded by
+Horner's rule in minus the shifts, each mean is a sum times 1/n.  The C
+key sums and target programs and their numpy oracles (`_kernels`) take
+every complex product the textbook way, (ac - bd, ad + bc), each real
+operation rounded on its own, so no report bit depends on the CPU.
+numpy's own complex multiply cannot be the oracle: where the CPU has
+FMA, its SIMD loop fuses one multiply into each part's add, the real
+part being fma(ar, br, -ai*bi), so its bits follow the CPU that runs it
+and differ from the textbook product's.
 
 Centering modes at finalize time:
   reference  shift only channels flagged shiftable to their empirical means;
@@ -96,6 +103,8 @@ class MomentSchema:
         target_terms = {}
         keys = set()
         for tgt in self.targets:
+            if not tgt.terms:
+                raise SchemaError(f"target {tgt.name} has no terms")
             terms_idx = []
             for coef, mult in tgt.terms:
                 try:
@@ -130,6 +139,15 @@ class MomentSchema:
                             dtype=np.int64).reshape(-1, 2)
         prefixes.flags.writeable = False
         object.__setattr__(self, "_prefixes", prefixes)
+        object.__setattr__(self, "_programs", {})
+
+    def _program(self, centering: str, zero: frozenset, names: tuple):
+        """The program of targets `names` under `centering` with the
+        channels in `zero` unshifted (`_compile`), compiled once."""
+        key = (centering, zero, names)
+        if key not in self._programs:
+            self._programs[key] = _compile(self, centering, zero, names)
+        return self._programs[key]
 
     @property
     def n_channels(self) -> int:
@@ -238,10 +256,11 @@ class MomentReport:
 
 class _Stats:
     """Evaluation context over key-major raw sums: (K,) for the full dataset
-    or (K, M) for M replicates with n shaped (M,); given totals, replicate m
-    leaves batch m out (totals - sums[:, m]).  Derived quantities broadcast.
-    Means multiply a sum by 1/n, taken once per context as complex128, in
-    _mean alone.
+    with a scalar count n, or (K, M) for M replicates with n shaped (M,);
+    given totals, replicate m leaves batch m out (totals - sums[:, m]).
+    Targets run as compiled programs (`MomentSchema._program`) in one pass
+    over the replicates, by `_kernels.get_target_evaluator()`; derived
+    quantities broadcast.  No replicate array outlives the context.
     """
 
     def __init__(self, schema: MomentSchema, sums, n, centering: str,
@@ -249,104 +268,145 @@ class _Stats:
         if centering not in CENTERINGS:
             raise ValueError(f"centering must be one of {CENTERINGS}")
         self.schema = schema
-        self._sums = sums
-        self._totals = totals
-        self._n = n
-        # numpy's complex / real is (a + b*0) * (1/c), so this product gives
-        # its bits, bar the sign of a part that is exactly zero
-        self._inv_n = (1.0 / n).astype(np.complex128)
         self.centering = centering
+        self._scalar = np.ndim(n) == 0
+        self._n = n
+        self._sums = sums.reshape(-1, 1) if self._scalar else sums
+        self._counts = np.ascontiguousarray(n, dtype=np.float64)
+        self._totals = totals
+        self._zero = None
         self._cache = {}
-        self._neg_shifts = {}
 
-    def _key_sum(self, key: tuple):
-        """The context's sum of key's products; the empty key sums to n."""
-        if key == ():
-            return self._n
-        idx = self.schema._key_index[key]
-        if self._totals is None:
-            return self._sums[idx]
-        return self._totals[idx] - self._sums[idx]
+    def _run(self, program, n_out: int, cols=slice(None)) -> np.ndarray:
+        ops, consts = program
+        return _kernels.get_target_evaluator()(
+            ops, consts, self._sums[:, cols], self._totals, self._counts[cols],
+            n_out)
 
-    def _mean(self, key_sum):
-        return key_sum * self._inv_n
-
-    def raw(self, key: tuple):
-        return self._mean(self._key_sum(key))
-
-    def _neg_shift(self, ch: int):
-        """-s for the shift s of channel ch under the centering mode, or
-        None when s is zero."""
-        if ch not in self._neg_shifts:
-            spec = self.schema.channels[ch]
-            neg = None
-            if self.centering == "sample" or (self.centering == "reference"
-                                              and spec.shiftable):
-                neg = -self.raw((ch,))
+    def _zero_shifts(self) -> frozenset:
+        """The channels whose shift is exactly zero in every column: all
+        under "none", those centered on 0 under "raw" and, under "sample"
+        and "reference", each one shifted to its mean where that mean is 0
+        in every column."""
+        if self._zero is None:
+            channels = self.schema.channels
+            if self.centering == "none":
+                zero = set(range(len(channels)))
             elif self.centering == "raw":
-                neg = complex(spec.center)
-            if neg is not None and not np.any(neg != 0.0):
-                neg = None
-            self._neg_shifts[ch] = neg
-        return self._neg_shifts[ch]
+                zero = {c for c, spec in enumerate(channels)
+                        if spec.center == 0}
+            else:
+                zero = {c for c, spec in enumerate(channels)
+                        if self.centering == "reference"
+                        and not spec.shiftable}
+                zero |= self._zero_means(
+                    [c for c in range(len(channels)) if c not in zero])
+            self._zero = frozenset(zero)
+        return self._zero
 
-    def centered(self, key: tuple):
-        """Inclusion-exclusion: E[prod (v_c - shift_c)] from raw moments.
+    def _zero_means(self, channels: list) -> set:
+        """Those of `channels` (the leading, singleton keys) whose mean is 0
+        in every column.  A nonzero mean in the first column rules a
+        channel out, so only the rest are evaluated over all columns."""
+        for cols in (slice(0, 1), slice(None)):
+            if not channels:
+                break
+            ops = np.array([row for i, c in enumerate(channels)
+                            for row in ((_kernels.OP_KEY, c),
+                                        (_kernels.OP_MEAN, 0),
+                                        (_kernels.OP_STORE, i))],
+                           dtype=np.int64)
+            means = self._run((ops, np.empty(0, dtype=np.complex128)),
+                              len(channels), cols)
+            channels = [c for c, nonzero in zip(channels,
+                                                np.any(means != 0, axis=1))
+                        if not nonzero]
+        return set(channels)
 
-        Channels with zero shift contribute only their full power, so the
-        expansion runs over the shifted channels alone, on key sums, and
-        the result is scaled to a mean once.
-        """
-        shifted = tuple((u, key.count(u)) for u in sorted(set(key))
-                        if self._neg_shift(u) is not None)
-        fixed = tuple(u for u in key if self._neg_shift(u) is None)
-        return self._mean(self._shifted_sum(fixed, shifted))
-
-    def _shifted_sum(self, fixed: tuple, shifted: tuple):
-        """The sum of prod(v_fixed) * prod((v_u - s_u)^m), (u, m) in shifted.
-
-        Binomial expansion in the first shifted channel u gives
-        sum_k C(m, k) (-s_u)^(m-k) X_k, where X_k is this sum with u^k
-        joined to the fixed channels and u dropped from the shifted ones;
-        it is evaluated by Horner's rule in -s_u, one multiply and one add
-        per power, with each X_k expanded the same way in the next channel.
-        """
-        if not shifted:
-            return self._key_sum(tuple(sorted(fixed)))
-        (u, m), rest = shifted[0], shifted[1:]
-        neg = self._neg_shift(u)
-        acc = self._shifted_sum(fixed, rest)
-        for k in range(1, m + 1):
-            term = self._shifted_sum(fixed + (u,) * k, rest)
-            coef = math.comb(m, k)
-            # acc * neg is a new array, so adding in place touches no sum
-            acc = acc * neg
-            acc += term if coef == 1 else coef * term
-        return acc
+    def targets(self, names) -> np.ndarray:
+        """The targets `names` in one pass: shaped (len(names),) for the
+        full dataset, (len(names), M) for M replicates."""
+        names = tuple(names)
+        program = self.schema._program(self.centering, self._zero_shifts(),
+                                       names)
+        out = self._run(program, len(names))
+        return out[:, 0] if self._scalar else out
 
     def target(self, name: str):
-        if name in self._cache:
-            return self._cache[name]
-        entry = self.schema._target_terms.get(name)
-        if entry is None:
-            raise SchemaError(f"unknown target {name!r}")
-        offset, apply_shift, terms = entry
-        total = None
-        for coef, key in terms:
-            part = self.centered(key) if apply_shift else self.raw(key)
-            if coef != 1:
-                part = coef * part
-            total = part if total is None else total + part
-        if total is None:
-            total = offset
-        elif offset:
-            total = total + offset
-        self._cache[name] = total
-        return total
+        if name not in self._cache:
+            self._cache[name] = self.targets((name,))[0]
+        return self._cache[name]
 
     @property
     def n(self):
         return self._n
+
+
+def _compile(schema: MomentSchema, centering: str, zero: frozenset,
+             names: tuple):
+    """The targets `names` as one program of `_kernels`' target
+    evaluators: (m, 2) int64 rows (op, argument) and complex128 constants.
+
+    A target adds its terms' means in order, each times its coefficient
+    where that is not 1, adds its offset where that is nonzero and is
+    stored to its row.  A term's mean is its sum times 1/n: the raw key
+    sum without apply_shift, else the sum of prod(v_fixed) *
+    prod((v_u - s_u)^m) over its channels, the fixed ones those in `zero`.
+    Binomial expansion in the first shifted channel u gives
+    sum_k C(m, k) (-s_u)^(m-k) X_k, where X_k is this sum with u^k joined
+    to the fixed channels and u dropped from the shifted ones; it runs by
+    Horner's rule in -s_u, one multiply and one add per power, with each
+    X_k expanded the same way in the next channel, and the empty key sums
+    to n.  -s_u is minus u's mean (SHIFT u, u's singleton key) or, under
+    "raw", u's center, a constant.
+    """
+    ops, consts = [], {}
+
+    def const(value) -> int:
+        return consts.setdefault(complex(value), len(consts))
+
+    def shifted_sum(fixed: tuple, shifted: tuple):
+        if not shifted:
+            key = tuple(sorted(fixed))
+            ops.append((_kernels.OP_KEY, schema._key_index[key]) if key
+                       else (_kernels.OP_N, 0))
+            return
+        (u, m), rest = shifted[0], shifted[1:]
+        shifted_sum(fixed, rest)
+        for k in range(1, m + 1):
+            ops.append((_kernels.OP_SCALE, const(schema.channels[u].center))
+                       if centering == "raw" else (_kernels.OP_SHIFT, u))
+            shifted_sum(fixed + (u,) * k, rest)
+            coef = math.comb(m, k)
+            if coef != 1:
+                ops.append((_kernels.OP_SCALE, const(coef)))
+            ops.append((_kernels.OP_ADD, 0))
+
+    for row, name in enumerate(names):
+        entry = schema._target_terms.get(name)
+        if entry is None:
+            raise SchemaError(f"unknown target {name!r}")
+        offset, apply_shift, terms = entry
+        for i, (coef, key) in enumerate(terms):
+            if apply_shift:
+                shifted_sum(tuple(u for u in key if u in zero),
+                            tuple((u, key.count(u)) for u in sorted(set(key))
+                                  if u not in zero))
+            else:
+                ops.append((_kernels.OP_KEY, schema._key_index[key]))
+            ops.append((_kernels.OP_MEAN, 0))
+            if coef != 1:
+                ops.append((_kernels.OP_SCALE, const(coef)))
+            if i:
+                ops.append((_kernels.OP_ADD, 0))
+        if offset:
+            ops.append((_kernels.OP_OFFSET, const(offset)))
+        ops.append((_kernels.OP_STORE, row))
+    program = (np.array(ops, dtype=np.int64).reshape(-1, 2),
+               np.array(list(consts), dtype=np.complex128))
+    for frozen in program:
+        frozen.flags.writeable = False
+    return program
 
 
 class _ExactValues:
@@ -363,27 +423,20 @@ class _ExactValues:
         return est.value
 
 
-def _finite(arr: np.ndarray, what: str) -> np.ndarray:
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"non-finite {what}")
-    return arr
-
-
-def _jack_se(loo):
-    """Jackknife SEs of the real and imaginary parts from one value's (B,)
-    leave-one-out replicates.  A sum of squares that overflows is redone on
-    deviations scaled by an exact power of two; the caller mutes overflow."""
-    b = loo.shape[-1]
-    dev = loo - loo.mean(axis=-1, keepdims=True)
-    se = []
-    for part in (dev.real, dev.imag):
-        err = np.sqrt((b - 1) / b * (part ** 2).sum(axis=-1))
-        if math.isinf(err):
-            exp = math.frexp(np.abs(part).max())[1]
-            squares = (np.ldexp(part, -exp) ** 2).sum(axis=-1)
-            err = np.ldexp(np.sqrt((b - 1) / b * squares), exp)
-        se.append(err)
-    return tuple(se)
+def _jack_se(reps):
+    """Jackknife SEs of the real and imaginary parts, shaped (T, 2), from
+    (T, B) leave-one-out replicates, one row per value, their squared
+    deviations summed by `_kernels.get_spreads()`.  A sum of squares that
+    overflows is redone on deviations scaled by an exact power of two;
+    the caller mutes overflow."""
+    b = reps.shape[-1]
+    se = np.sqrt((b - 1) / b * _kernels.get_spreads()(reps))
+    for row, k in zip(*np.nonzero(np.isinf(se))):
+        part = (reps[row] - reps[row].mean()).view(np.float64)[k::2]
+        exp = math.frexp(np.abs(part).max())[1]
+        squares = (np.ldexp(part, -exp) ** 2).sum()
+        se[row, k] = np.ldexp(np.sqrt((b - 1) / b * squares), exp)
+    return se
 
 
 @dataclass(frozen=True)
@@ -404,8 +457,8 @@ def _jackknife(fn, schema: MomentSchema, sums, counts, totals,
     if np.ndim(value) == 0:
         value, reps = [value], [reps]
     with np.errstate(over="ignore"):
-        se_re, se_im = np.array([_jack_se(np.asarray(r, dtype=np.complex128))
-                                 for r in reps]).T
+        se_re, se_im = _jack_se(np.ascontiguousarray(
+            reps, dtype=np.complex128)).T
     return JackknifeResult(np.asarray(value, dtype=np.complex128), se_re,
                            se_im)
 
@@ -469,9 +522,6 @@ class MomentAccumulator:
         block, per_sample = _kernels.get_key_summer()(
             values, self.schema._centers, self.schema._prefixes,
             self.collect_per_sample, base)
-        _finite(block, "sample values or key sums")
-        if self.collect_per_sample:
-            _finite(per_sample, "per-sample sums")
         self._blocks.append(block)
         self._block_ns.append(np.full(nb, n, dtype=np.int64))
         self._totals = None
@@ -524,8 +574,8 @@ class MomentAccumulator:
         sums, counts = self._blocks[0], self._block_ns[0]
         if self._totals is None:
             with np.errstate(over="ignore", invalid="ignore"):
-                self._totals = _finite(sums.sum(axis=1), "key sums over "
-                                       "all batches")
+                self._totals = _kernels._finite(
+                    sums.sum(axis=1), "key sums over all batches")
         kept = int(counts.sum() - counts.max())
         if kept < 2:
             raise NoSamplesError(
@@ -539,8 +589,8 @@ class MomentAccumulator:
     def finalize(self, centering: str = "reference") -> MomentReport:
         sums, counts, totals = self._batch_sums()
         names = self.schema.target_names()
-        jk = _jackknife(lambda st: [st.target(n) for n in names],
-                        self.schema, sums, counts, totals, centering)
+        jk = _jackknife(lambda st: st.targets(names), self.schema, sums,
+                        counts, totals, centering)
         b = counts.size
         entries = {
             name: MomentEstimate(
@@ -586,7 +636,8 @@ def merge(a: MomentAccumulator, b: MomentAccumulator) -> MomentAccumulator:
             per_sample = theirs
         else:
             with np.errstate(over="ignore", invalid="ignore"):
-                per_sample = _finite(base + theirs, "per-sample sums")
+                per_sample = _kernels._finite(base + theirs,
+                                              "per-sample sums")
             per_sample.flags.writeable = False
     out = MomentAccumulator(a.schema, collect_per_sample=(
         b.per_sample_sums is not None if b.n_batches

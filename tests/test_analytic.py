@@ -180,6 +180,23 @@ class TestCsSides:
                 with pytest.raises(ValidityError, match="too small"):
                     fn(params(0.5, 1.0, g=g))
 
+    def test_overflowing_coupling_rejected(self):
+        # above about 1.3e38 g^8 overflows, and closer to threshold the
+        # sides overflow at smaller g: both functions refuse by name
+        for mu, g in ((0.5, 1e39), (0.5, 1e300), (0.9999999, 1e37)):
+            for fn in (analytic_moment_report, cs_sides_analytic):
+                with pytest.raises(ValidityError, match="too large"):
+                    fn(params(mu, 1.0, g=g))
+        ratio = cs_sides_analytic(params(0.5, 1.0)).ratio
+        cs = cs_sides_analytic(params(0.5, 1.0, g=1e30))
+        assert cs.ratio == pytest.approx(ratio, rel=1e-11)
+        # gamma_r**2 overflows above about 1.3e154
+        for fn in (analytic_moment_report, cs_sides_analytic):
+            with pytest.raises(ValidityError, match="gamma_r = 1e.200 is "
+                               "too large"):
+                fn(params(0.5, 1e200))
+            assert fn(params(0.5, 1e150)) is not None
+
     def test_gamma_r_ordering_at_07(self):
         hi = cs_sides_analytic(params(0.7, 100.0)).ratio
         lo = cs_sides_analytic(params(0.7, 0.01)).ratio

@@ -6,6 +6,7 @@ import os
 import shutil
 import subprocess
 import sys
+import warnings
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -595,6 +596,55 @@ class TestRunRecord:
         assert json.loads((tmp_path / "sweep.json").read_text()) == []
 
 
+class TestClosedFormRange:
+    @pytest.mark.parametrize("argv", [
+        ["run"], ["compare"],
+        ["sweep", "--axis", "mu", "--values", "0.3,0.5", "--source",
+         "analytic"],
+        ["sweep", "--axis", "gamma_r", "--values", "1,2", "--source",
+         "both"]])
+    def test_overflowing_coupling_exits_2_before_integrating(
+            self, tmp_path, capsys, monkeypatch, argv):
+        # g**8, the scale of the closed forms, overflows: each subcommand
+        # that evaluates them names g and integrates nothing
+        def no_run(*args, **kwargs):
+            raise AssertionError("integrated despite an overflowing g")
+        monkeypatch.setattr(cli, "run_ensemble", no_run)
+        rc = run_main([*argv, *FAST, "--g", "1e39", "--out-dir", tmp_path])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: g = 1e+39 is too large")
+        assert "Traceback" not in err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_run_settings_refused_before_closed_forms(self, tmp_path,
+                                                      capsys):
+        # gamma_r = 1e200 overflows the closed forms, but `run` names the
+        # step count its burn-in would need first, as the engine does;
+        # an analytic sweep names gamma_r
+        rc = run_main(["run", "--gamma-r", "1e200", "--out-dir", tmp_path])
+        assert rc == 2
+        assert "needs too many steps" in capsys.readouterr().err
+        rc = run_main(["sweep", "--axis", "gamma_r", "--values", "1,1e200",
+                       "--source", "analytic", "--out-dir", tmp_path])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: gamma_r = 1e+200 is too large")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_tiny_pump_runs_without_warnings(self, tmp_path):
+        # at mu = 1e-320 the pump moments underflow to subnormals or 0;
+        # the run finishes and no warning is printed
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = run_main(["run", *FAST, "--mu", "1e-320",
+                           "--n-trajectories", 16, "--n-samples-per-traj",
+                           4, "--out-dir", tmp_path])
+        assert rc == 0
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert report["moments"]["n_batches"] == 16
+
+
 class TestOutputDirectory:
     @pytest.mark.parametrize("argv", [
         ["run"],
@@ -692,6 +742,15 @@ class TestEntryPoints:
             capture_output=True, text=True, env=package_env())
         assert out.returncode == 2
         assert "bad value for dt" in out.stderr
+
+    def test_package_module_entry(self):
+        # `python -m opo3` from the checkout stands in for `opo3`
+        out = subprocess.run(
+            [sys.executable, "-m", "opo3", "run", "--help"],
+            capture_output=True, text=True, env=package_env(),
+            cwd=PYPROJECT.parent)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.startswith("usage: opo3 run")
 
     def test_one_worker_run_leaves_multiprocessing_unimported(self):
         # workers are threads inside the C kernel, so neither a one-worker

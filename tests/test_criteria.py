@@ -104,6 +104,32 @@ class TestClassicalSanity:
         expect = rep["amp_triple_conj"].value / rep["amp_n0"].value
         assert r.lambda_opt == pytest.approx(expect, rel=1e-9)
 
+    def test_lambda_of_tiny_pair_moment(self):
+        # the pump amplitudes scaled by 2**-266 put the pair moment near
+        # 1e-160, whose square underflows; the triple scales by that exact
+        # power of two and the pair by its square, so lambda must scale by
+        # 2**266, bit for bit
+        chans = classical_ensemble(31)
+        lam = cs_test(classical_report(chans)).lambda_opt
+        pump = chans[:2]
+        rep = classical_report(np.concatenate(
+            [np.ldexp(pump.real, -266) + 1j * np.ldexp(pump.imag, -266),
+             chans[2:]]))
+        assert 1e-161 < abs(rep["amp_n0"].value) < 1e-159
+        big = cs_test(rep).lambda_opt
+        assert big == complex(math.ldexp(lam.real, 266),
+                              math.ldexp(lam.imag, 266))
+
+    def test_quotient_range(self):
+        # the textbook quotient on the scaled parts matches complex
+        # division where c*c + d*d alone would underflow or overflow
+        rng = np.random.default_rng(5)
+        num = rng.standard_normal(40) + 1j * rng.standard_normal(40)
+        den = rng.standard_normal(40) + 1j * rng.standard_normal(40)
+        for scale in (1e-200, 1e-160, 1.0, 1e160, 1e200):
+            got = criteria._quotient(num * scale, den * scale)
+            np.testing.assert_allclose(got, num / den, rtol=1e-15)
+
 
 class TestFrozenReport:
     def test_growth_after_finalize_leaves_report_unchanged(self):

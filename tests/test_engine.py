@@ -40,7 +40,8 @@ FALLBACK = ("opo3: C step kernel unavailable ({}); using the slower numpy "
             "kernel")
 NOT_REPRODUCED = FALLBACK.format(
     "it does not reproduce numpy's SeedSequence, PCG64, "
-    "Generator.standard_normal, step kernel and key sums")
+    "Generator.standard_normal, step kernel, key sums, target programs and "
+    "spreads")
 NO_COMPILER = FALLBACK.format("no C compiler (cc) on PATH")
 # the kernels a test runs the engine on in turn
 KERNELS = ("c", "numpy") if shutil.which("cc") else ("numpy",)
@@ -459,6 +460,14 @@ def sums_one_ulp_off(*args, sums=_kernels._key_sums_numpy):
     block, chains = sums(*args)
     chains.imag[-1, -1] = np.nextafter(chains.imag[-1, -1], np.inf)
     return block, chains
+
+
+def targets_one_ulp_off(*args, evaluate=_kernels._targets_numpy):
+    """The numpy target programs, then the first value's real part one ulp
+    larger."""
+    out = evaluate(*args)
+    out.real[0, 0] = np.nextafter(out.real[0, 0], np.inf)
+    return out
 
 
 def drive(stepper, start, w, params, dt, thr, step0, chunk, **kw):
@@ -1082,6 +1091,32 @@ class TestKernels:
         assert acc.per_sample_sums.tobytes() == want.tobytes()
 
     @needs_cc
+    def test_targets_self_check_falls_back_once(self, monkeypatch,
+                                                fresh_cache):
+        # C target programs one ulp away from numpy's on the load-time
+        # input must never run: one warning, then the step, the key sums
+        # and the target programs all run on numpy
+        numpy_targets = _kernels._targets_numpy
+        monkeypatch.setattr(_kernels, "_targets_numpy", targets_one_ulp_off)
+        with pytest.warns(RuntimeWarning) as record:
+            assert _kernels.get_target_evaluator() is targets_one_ulp_off
+            assert _kernels.get_stepper() is _kernels._chunk_step_numpy
+            assert _kernels.get_key_summer() is _kernels._key_sums_numpy
+        assert len(record) == 1
+        assert str(record[0].message) == NOT_REPRODUCED
+        # a report's first value comes out one ulp off too
+        values = np.arange(24.0).reshape(6, 2, 2) * (1 + 0.5j)
+        acc = MomentAccumulator(amplitude_schema()).add_batches(values)
+        got = acc.finalize()
+        monkeypatch.setattr(_kernels, "get_target_evaluator",
+                            lambda: numpy_targets)
+        want = acc.finalize()
+        assert list(got.entries)[0] == "amp_n1n2"
+        assert got["amp_n1n2"].value.real == np.nextafter(
+            want["amp_n1n2"].value.real, np.inf)
+        assert got["amp_n0"] == want["amp_n0"]
+
+    @needs_cc
     def test_drawn_step_self_check_falls_back_once(self, monkeypatch,
                                                    fresh_cache):
         # the load-time chunk also draws from seeded generator words, its
@@ -1129,25 +1164,35 @@ class TestKernels:
         for owner, name in ((np.random, "SeedSequence"),
                             (np.random, "Generator"),
                             (_kernels, "_chunk_step_numpy"),
-                            (_kernels, "_key_sums_numpy")):
+                            (_kernels, "_key_sums_numpy"),
+                            (_kernels, "_targets_numpy"),
+                            (_kernels, "_spreads_numpy")):
             monkeypatch.setattr(owner, name, refuse)
         _kernels._c_function.cache_clear()
         assert _kernels.get_stepper() is _kernels._chunk_step_c
         assert _kernels.get_key_summer() is _kernels._key_sums_c
+        assert _kernels.get_target_evaluator() is _kernels._targets_c
+        assert _kernels.get_spreads() is _kernels._spreads_c
         # seed words, draws, the words after the draws, the buffered
         # chunk's state, alive and first_bad bytes, then the drawn chunk's
         # and its generator words after, then the key sums: both calls'
         # batch sums and the per-sample sums, all complex, over the keys
-        # of order 1 to 4 of the check's channels
+        # of order 1 to 4 of the check's channels, then the target
+        # programs' two stored rows of every column, leaving each out of
+        # the totals and not, then the spreads of each part of each row
         nb = _kernels._CHECK_STEP[0]
         n_ch, n_batches, n = _kernels._CHECK_SUMS
         n_keys = sum(math.comb(n_ch + order - 1, order)
                      for order in range(1, 5))
+        columns = _kernels._CHECK_TARGETS[1]
+        spread_rows = _kernels._CHECK_SPREADS[0]
         sizes = {"seed words": 8 * 4 * 2 * len(_kernels._CHECK_KEYS),
                  "draws": 8 * _kernels._CHECK_DRAWS, "words after": 8 * 4,
                  "chunk": 16 * 6 * nb + nb + 8 * nb,
                  "drawn chunk": 16 * 6 * nb + nb + 8 * nb + 8 * 4 * nb,
-                 "key sums": 16 * n_keys * (n_batches + n)}
+                 "key sums": 16 * n_keys * (n_batches + n),
+                 "target programs": 16 * 2 * 2 * columns,
+                 "spreads": 8 * 2 * spread_rows}
         assert len(answers) == sum(sizes.values())
         start = 0
         for part, size in sizes.items():
@@ -1158,6 +1203,8 @@ class TestKernels:
             with pytest.warns(RuntimeWarning) as record:
                 assert _kernels.get_stepper() is refuse
                 assert _kernels.get_key_summer() is refuse
+                assert _kernels.get_target_evaluator() is refuse
+                assert _kernels.get_spreads() is refuse
             assert len(record) == 1, part
             assert str(record[0].message) == NOT_REPRODUCED, part
             start += size

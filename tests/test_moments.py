@@ -393,6 +393,28 @@ class TestBatchStore:
                     assert (repr(single.finalize(mode).entries)
                             == repr(acc.finalize(mode).entries)), (n, mode)
 
+    @pytest.mark.parametrize("summer", KEY_SUMMERS,
+                             ids=lambda f: f.__name__)
+    def test_summers_refuse_non_finite_sums(self, summer):
+        # each key-sum kernel refuses a non-finite batch sum, from a NaN
+        # value or from products that overflow, before a per-sample sum
+        # that overflows over batches, with the same messages
+        schema = amplitude_schema()
+        args = (schema._centers, schema._prefixes)
+        nan = np.ones((6, 3, 2), dtype=np.complex128)
+        nan[2, 1, 1] = complex(0.0, math.nan)
+        huge = np.full((6, 2, 3), 1e100 + 0j)
+        big = np.full((6, 2, 1), 1.05e77 + 0j)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for values, match in ((nan, "sample values or key sums"),
+                                  (huge, "sample values or key sums"),
+                                  (big, "per-sample sums")):
+                with pytest.raises(ValueError, match="non-finite " + match):
+                    summer(values, *args, True, None)
+            block, _ = summer(big, *args, False, None)
+        assert np.all(np.isfinite(block))
+
     def test_arrival_order_is_bitwise_invisible(self):
         params, cube = opo_cube(277, 520, 3)
         schema = opo_schema(params)
@@ -619,20 +641,240 @@ class TestKeySumKernels:
                 _kernels._key_sums_c(*args)
 
 
-class _DividingStats(moments._Stats):
-    """The evaluation context with means divided by n, as numpy's
-    complex / real computes them, in place of the stored reciprocal."""
+def amplitude_parts(st):
+    """A composite of the amplitude schema's targets."""
+    q, p, t = (st.target(n) for n in ("amp_n1n2", "amp_n0", "amp_triple"))
+    return np.stack([q.real * p.real + 0j, t * t.conjugate(),
+                     st.target("amp_triple_conj")])
 
-    def _mean(self, key_sum):
-        return key_sum / self._n
+
+def evaluations(acc, series, composite):
+    """The bytes of every report entry, of report.jackknife(composite) and
+    of every running target and composite, under every centering."""
+    out = []
+    names = acc.schema.target_names()
+    for mode in moments.CENTERINGS:
+        rep = acc.finalize(mode)
+        for e in rep.entries.values():
+            out += _bits(e.value, e.std_error, e.std_error_imag)
+        jk = rep.jackknife(composite)
+        out += _bits(jk.value, jk.std_error, jk.std_error_imag)
+        running = series.running_stats(mode)
+        out += _bits(running.targets(names), composite(running))
+    return out
 
 
-class _OffByOneUlpStats(moments._Stats):
-    """The evaluation context with a reciprocal one ulp above 1/n."""
+def fed_unequally(schema, cube):
+    """An accumulator fed the cube's batches with unequal sample counts,
+    and one fed them whole with per-sample sums."""
+    nb, n = cube.shape[1:]
+    acc = MomentAccumulator(schema)
+    acc.add_batches(cube[:, :260])
+    acc.add_batches(cube[:, 260:300, :2])
+    for j in range(300, nb):
+        acc.add_batches(cube[:, j:j + 1, :j % n + 1])
+    series = MomentAccumulator(schema, collect_per_sample=True)
+    series.add_batches(cube[:, :100]).add_batches(cube[:, 100:])
+    return acc, series
 
-    def _mean(self, key_sum):
-        return key_sum * np.nextafter(1.0 / self._n, np.inf).astype(
-            np.complex128)
+
+def targets_with(monkeypatch, evaluate, acc, series, composite):
+    monkeypatch.setattr(_kernels, "get_target_evaluator", lambda: evaluate)
+    return evaluations(acc, series, composite)
+
+
+@needs_cc
+class TestTargetPrograms:
+    """The C target programs against the numpy ones, the oracle: equal
+    bytes."""
+
+    @pytest.mark.parametrize("kind", ["opo", "amplitude", "wide"])
+    def test_every_target_under_every_centering(self, monkeypatch, kind):
+        # unequal batch counts, 320 batches: a full tile of 256 and a
+        # partial one; one channel holds its center alone, so its sum is
+        # zero and so is its shift under "sample" (and "reference" where
+        # it is shiftable), and "raw" leaves the channels centered on 0
+        rng = np.random.default_rng(347)
+        if kind == "opo":
+            params, cube = opo_cube(349, 320, 5)
+            schema, composite, still = opo_schema(params), cs_parts, 5
+        else:
+            schema = (amplitude_schema((0.5, -0.5, 1j, 0.0, 2 + 1j, 0.25))
+                      if kind == "amplitude" else wide_schema())
+            composite = amplitude_parts if kind == "amplitude" else (
+                lambda st: st.targets(schema.target_names()[:7]))
+            shape = (schema.n_channels, 320, 5)
+            cube = rng.standard_normal(shape) + 1j * rng.standard_normal(
+                shape)
+            still = 3
+        cube[still] = schema.channels[still].center
+        acc, series = fed_unequally(schema, cube)
+        sums, counts, totals = acc._batch_sums()
+        n = counts.astype(np.float64)
+        for mode in ("sample", "reference", "raw"):
+            st = moments._Stats(schema, sums, n.sum() - n, mode, totals)
+            assert (still in st._zero_shifts()) == (
+                mode != "raw" or schema.channels[still].center == 0)
+        got = targets_with(monkeypatch, _kernels._targets_c, acc, series,
+                           composite)
+        want = targets_with(monkeypatch, _kernels._targets_numpy, acc,
+                            series, composite)
+        assert got == want
+
+    def test_strided_sums(self):
+        # sums read through their strides: reversed and every other
+        # column, keys reversed, Fortran order, an unaligned copy, and
+        # adjacent columns, read as vectors; a full tile of 256 columns
+        # and part of one
+        rng = np.random.default_rng(353)
+        schema = wide_schema()
+        shape = (schema.n_keys, 2 * 300)
+        sums = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        totals = sums[:, ::2].sum(axis=1)
+        n = 3.0 + rng.random(300)
+        names = tuple(schema.target_names()[::5])
+        ops, consts = schema._program("sample", frozenset(), names)
+        raw = np.zeros(sums.nbytes + 1, dtype=np.uint8)
+        unaligned = raw[1:].view(np.complex128).reshape(shape)
+        unaligned[...] = sums
+        assert not unaligned.flags.aligned
+        for view in (sums[:, ::-2], sums[::-1, ::2], np.asfortranarray(
+                sums[:, ::2]), unaligned[:, ::2],
+                np.ascontiguousarray(sums[:, ::2])):
+            for t in (totals, None):
+                got = _kernels._targets_c(ops, consts, view, t, n,
+                                          len(names))
+                want = _kernels._targets_numpy(ops, consts, view, t, n,
+                                               len(names))
+                assert got.tobytes() == want.tobytes()
+
+    def test_spreads(self):
+        # every row length from 1 to 70 values, whole groups of 16 values
+        # and parts of one, then values whose squares overflow, a NaN and
+        # a constant row; the numpy sums run in the C order, lane by lane
+        rng = np.random.default_rng(367)
+        for nb in range(1, 71):
+            rows = (rng.standard_normal((3, nb)) + 1j * rng.standard_normal(
+                (3, nb))) * np.array([[1.0], [1e-3], [1e5]])
+            got = _kernels._spreads_c(rows)
+            assert got.tobytes() == _kernels._spreads_numpy(rows).tobytes()
+            lanes = rows.view(np.float64).reshape(3, nb, 2)
+            want = ((lanes - lanes.mean(axis=1, keepdims=True)) ** 2).sum(
+                axis=1)
+            np.testing.assert_allclose(got, want, rtol=1e-13)
+        rows = np.array([[1e200, -1e200, 3.0], [1.0, math.nan, 2.0],
+                         [0.5 - 2j] * 3])
+        got = _kernels._spreads_c(rows)
+        assert got.tobytes() == _kernels._spreads_numpy(rows).tobytes()
+        assert np.isinf(got[0, 0]) and np.isnan(got[1, 0])
+        assert got[1, 1] == got[2, 0] == got[2, 1] == 0.0
+        with pytest.raises(ValueError, match="C-contiguous"):
+            _kernels._spreads_c(rows[:, ::2])
+
+    def test_bad_programs_refused(self):
+        # the C side trusts the layouts and checks the program: each
+        # argument in range, each op's operands on the stack, none left
+        K, S, A, M, T = (getattr(_kernels, "OP_" + op)
+                         for op in ("KEY", "SHIFT", "ADD", "MEAN", "STORE"))
+        sums = np.ones((3, 5), dtype=np.complex128)
+        n, consts = np.full(5, 2.0), np.ones(1, dtype=np.complex128)
+        for ops in ([(K, 3), (T, 0)], [(K, -1), (T, 0)], [(S, 0), (T, 0)],
+                    [(K, 0), (S, 3), (T, 0)], [(K, 0), (A, 0), (T, 0)],
+                    [(K, 0), (_kernels.OP_SCALE, 1), (T, 0)],
+                    [(K, 0), (T, 1)], [(K, 0), (K, 1), (T, 0)],
+                    [(M, 0)], [(K, 0), (len(_kernels.TARGET_OPS), 0),
+                               (T, 0)], [(K, 0), (-1, 0), (T, 0)]):
+            with pytest.raises(ValueError, match="target program"):
+                _kernels._targets_c(np.array(ops, dtype=np.int64), consts,
+                                    sums, None, n, 1)
+        ops = np.array([(K, 0), (M, 0), (T, 0)], dtype=np.int64)
+        for args, match in (
+                ((ops, consts, sums.real, None, n, 1), "sums"),
+                ((ops, consts, sums, np.ones(2, complex), n, 1), "totals"),
+                ((ops, consts, sums, None, n[:4], 1), "n"),
+                ((ops, consts, sums, None, n.astype(np.float32), 1), "n"),
+                ((ops.ravel(), consts, sums, None, n, 1), "ops"),
+                ((ops.astype(np.int32), consts, sums, None, n, 1), "ops"),
+                ((ops, consts.real, sums, None, n, 1), "consts")):
+            with pytest.raises(ValueError, match=match):
+                _kernels._targets_c(*args)
+        good = _kernels._targets_c(ops, consts, sums, None, n, 1)
+        assert good.tobytes() == np.full((1, 5), 0.5 + 0j).tobytes()
+
+
+def textbook_moment(key_sums, n, m, neg, product=textbook_product):
+    """<(v - s)^m> from the key sums of v^1..v^m, key_sums[k - 1], and
+    n samples: Horner's rule in neg = -s from the empty key's n, every
+    complex product by `product`, then each part times 1/n."""
+    acc = np.asarray(n, dtype=np.complex128)
+    for k in range(1, m + 1):
+        acc = product(acc, neg) + product(np.complex128(math.comb(m, k)),
+                                          key_sums[k - 1])
+    return mean_parts(acc, n)
+
+
+def mean_parts(key_sum, n):
+    """A mean: each part of the sum times 1/n."""
+    inv = 1.0 / np.asarray(n)
+    out = np.empty(np.shape(key_sum), dtype=np.complex128)
+    out.real, out.imag = key_sum.real * inv, key_sum.imag * inv
+    return out
+
+
+class TestTextbookRounding:
+    def test_reports_follow_the_textbook_product(self):
+        # on a cube where numpy's complex multiply fuses a multiply-add
+        # and so differs from the textbook product, the report's values
+        # and errors are the textbook Horner rule's, bit for bit
+        rng = np.random.default_rng(359)
+        u = 1.5 + rng.standard_normal((1, 90, 3)) + 1j * (
+            0.5 + rng.standard_normal((1, 90, 3)))
+        schema = scalar_schema(center=0.7 - 0.2j)
+        acc = MomentAccumulator(schema).add_batches(u)
+        rows = [schema._key_index[(0,) * k] for k in range(1, 5)]
+        fused = False
+        for mode in ("sample", "raw"):
+            rep = acc.finalize(mode)
+            n = rep.batch_counts.astype(np.float64)
+            totals = rep.batch_totals[rows]
+            for key_sums, count in (
+                    (totals, n.sum()),
+                    (totals[:, None] - rep.batch_sums[rows], n.sum() - n)):
+                neg = (-mean_parts(key_sums[0], count) if mode == "sample"
+                       else np.complex128(schema.channels[0].center))
+                for name, m in (("m2", 2), ("m3", 3), ("m4", 4)):
+                    want = textbook_moment(key_sums, count, m, neg)
+                    numpy_way = textbook_moment(key_sums, count, m, neg,
+                                                np.multiply)
+                    fused |= not np.array_equal(want, numpy_way)
+                    got = rep[name]
+                    if np.ndim(count) == 0:
+                        assert _bits(got.value) == _bits(want), (mode, name)
+                    else:
+                        assert _bits(got.std_error, got.std_error_imag) == (
+                            _bits(*moments._jack_se(want[None])[0])), (
+                                mode, name)
+        probe = rng.standard_normal((2, 2000)) + 1j * rng.standard_normal(
+            (2, 2000))
+        if not np.array_equal(probe[0] * probe[1],
+                              textbook_product(probe[0], probe[1])):
+            # numpy fuses here, and on this cube its products differ
+            assert fused
+
+
+def _dividing_mean(re, im, n, inv):
+    """A mean's parts from dividing by n, as numpy's complex / real
+    computes it, in place of the product with the reciprocal inv."""
+    z = np.empty(np.shape(re), dtype=np.complex128)
+    z.real, z.imag = re, im
+    z = z / n
+    return z.real, z.imag
+
+
+def _off_by_one_ulp_mean(re, im, n, inv):
+    """A mean's parts times a reciprocal one ulp above 1/n."""
+    up = np.nextafter(inv, np.inf)
+    return re * up, im * up
 
 
 def _bits(*arrays):
@@ -664,10 +906,14 @@ class TestEvaluationShortcuts:
             return out
 
         got = evaluate()
-        monkeypatch.setattr(moments, "_Stats", _DividingStats)
+        # the numpy target programs, each mean divided by n
+        monkeypatch.setattr(_kernels, "get_target_evaluator",
+                            lambda: _kernels._targets_numpy)
+        monkeypatch.setattr(_kernels, "_mean_numpy", _dividing_mean)
         assert evaluate() == got
-        # every mean goes through _mean: a reciprocal one ulp off shows
-        monkeypatch.setattr(moments, "_Stats", _OffByOneUlpStats)
+        # every mean, the shifts' too, goes through _mean_numpy: a
+        # reciprocal one ulp off shows
+        monkeypatch.setattr(_kernels, "_mean_numpy", _off_by_one_ulp_mean)
         assert evaluate() != got
 
     def test_totals_cache_follows_the_batches(self):
@@ -788,6 +1034,28 @@ class TestCentering:
             assert rep["m2"].value == pytest.approx(val, rel=1e-12)
             # mean target undoes the ingest center via its offset in all modes
             assert rep["mean_u"].value == pytest.approx(u.mean(), rel=1e-12)
+
+    def test_zero_shifts_need_every_column(self):
+        # channel 1 sits at its center except in batch 0: the replicate
+        # that leaves batch 0 out has a zero mean, the others do not, so
+        # only channel 2, at its center throughout, has a zero shift
+        rng = np.random.default_rng(263)
+        schema = amplitude_schema()
+        cube = rng.standard_normal((6, 6, 3)) + 0j
+        cube[1, 1:] = 0.0
+        cube[2] = 0.0
+        acc = MomentAccumulator(schema).add_batches(cube)
+        sums, counts, totals = acc._batch_sums()
+        n = counts.astype(np.float64)
+        full = moments._Stats(schema, totals, n.sum(), "sample")
+        reps = moments._Stats(schema, sums, n.sum() - n, "sample", totals)
+        assert reps.targets(("mean_a0",)).shape == (1, 6)
+        means = reps._run((np.array([(_kernels.OP_KEY, 1),
+                                     (_kernels.OP_MEAN, 0),
+                                     (_kernels.OP_STORE, 0)]),
+                           np.empty(0, dtype=np.complex128)), 1)[0]
+        assert means[0] == 0 and np.all(means[1:] != 0)
+        assert full._zero_shifts() == reps._zero_shifts() == {2}
 
     def test_reference_mode_respects_non_shiftable(self):
         rng = np.random.default_rng(257)
@@ -935,6 +1203,11 @@ class TestSchemaValidation:
             acc.add_batches(np.zeros((3, 1, 5)))
         with pytest.raises(SchemaError):
             acc.add_batches([[[1.0]]])
+
+    def test_target_without_terms_refused(self):
+        with pytest.raises(SchemaError, match="no terms"):
+            MomentSchema(channels=(ChannelSpec("u"),),
+                         targets=(TargetSpec("t", (), offset=1.0),))
 
     def test_amplitude_schema_needs_six_centers(self):
         with pytest.raises(SchemaError):
