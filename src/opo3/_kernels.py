@@ -40,12 +40,25 @@ the numpy kernel draws each chunk up front from a `np.random.PCG64` set
 to the words.  `seed_generators` fills them with the states of
 PCG64(SeedSequence(master_seed, spawn_key=(i,))).
 
-Threads and lanes: the C kernel runs `n_threads` contiguous ranges of a
-block on pthreads, the calling thread taking the first range and any
-whose thread fails to start.  A thread steps its range four trajectories
-at a time, one per lane of a vector, with the real and imaginary parts of
-each amplitude in their own vectors; the step map is stated once, for the
-lanes.  A step's drawn normals are taken column by column: the first of
+Threads and lanes: every C pass but the seeding and the sampler splits
+its work into `n_threads` contiguous ranges, one pthread and its own
+part of the scratch each (`share_out`; the scratch is kept from call to
+call, so its pages fault in once), the calling thread taking the first
+range and any whose thread fails to start: the step kernel a block's
+trajectories, the key sums their 8-batch tiles, the target programs
+their 256-batch tiles and the spreads their rows.  Key sums that carry
+per-sample chains run on one thread, since each chain adds the batches
+in order.  One thread computes each trajectory, tile or row, in the
+order one thread alone would, so no byte depends on the count; the
+numpy versions take it and run on the calling thread.  The moment layer
+takes the count from `worker_count`, the rule the engine's default
+follows: OPO3_WORKERS, else the CPUs this process may use, at most
+MAX_THREADS.
+
+A thread of the step kernel steps its range four trajectories at a
+time, one per lane of a vector, with the real and imaginary parts of
+each amplitude in their own vectors; the step map is stated once, for
+the lanes.  A step's drawn normals are taken column by column: the first of
 each live lane, then the second of each, and so on, so that four
 independent PCG64 chains are in flight at once.  Each lane still draws
 its own four normals in order from its own generator, and no lane's draw
@@ -86,19 +99,23 @@ key sums' bytes, the textbook products' sums, not those of numpy's
 complex multiply, and its target programs and spreads the numpy ones'
 bytes.  A failed build or load, or a failed check, makes the numpy
 versions of all four run instead, with one warning that names the
-reason.  The library is cached under $XDG_CACHE_HOME/opo3 when that path
-is absolute (else ~/.cache/opo3, else a per-user temporary directory),
-keyed by this module's source, the flags, the resolved compiler's path,
-size and mtime, and the numpy version, so a cache hit runs no compiler
-and starts no process.  numpy's answers to the load-time check (the
-seeded PCG64 words, the standard normals drawn from the last of them,
-that generator's words after the draws, the numpy kernel's bytes on a
-chunk of those draws and on a chunk drawn from seeded words, one
-trajectory dying mid-chunk, the numpy key sums on a strided view of
-those draws, and the numpy target programs and spreads on sums and rows
-made of them) are computed once per build, on its first load, and kept
-beside the library, so later loads import neither numpy.random nor run
-a numpy step, key sums, target program or spreads.
+reason.  At its first moment pass a process also checks that the key
+sums without chains, the target programs and the spreads give the same
+bytes split over two threads as on one (`_splits_right`), and else runs
+the numpy moment passes, with one warning.  The library is cached under
+$XDG_CACHE_HOME/opo3 when that path is absolute (else ~/.cache/opo3,
+else a per-user temporary directory), keyed by this module's source,
+the flags, the resolved compiler's path, size and mtime, and the numpy
+version, so a cache hit runs no compiler and starts no process.
+numpy's answers to the load-time check (the seeded PCG64 words, the
+standard normals drawn from the last of them, that generator's words
+after the draws, the numpy kernel's bytes on a chunk of those draws and
+on a chunk drawn from seeded words, one trajectory dying mid-chunk, the
+numpy key sums on a strided view of those draws, and the numpy target
+programs and spreads on sums and rows made of them) are computed once
+per build, on its first load, and kept beside the library, so later
+loads import neither numpy.random nor run a numpy step, key sums,
+target program or spreads.
 """
 
 from __future__ import annotations
@@ -106,6 +123,7 @@ from __future__ import annotations
 import ctypes
 import functools
 import itertools
+import operator
 import os
 import shutil
 import tempfile
@@ -560,17 +578,112 @@ static ALWAYS_INLINE void cmul(const lanes_t *a, const lanes_t *b, lanes_t *p)
     p->im = a->re * b->im + a->im * b->re;
 }
 
-/* one opo3_chunk_step call's arguments, trajectories [lo, hi) of them and
-   the thread that runs them */
+/* One thread's share of a pass: work(args, scratch, lo, hi) on the
+   pass's units [lo, hi), with scratch of its own, and what it returned. */
+typedef int (*work_t)(const void *, void *, int64_t, int64_t);
+typedef struct {
+    work_t work; const void *args; void *scratch; int64_t lo, hi;
+    int result, started; pthread_t thread;
+} share_t;
+
+static void *run_share(void *arg)
+{
+    share_t *s = arg;
+    s->result = s->work(s->args, s->scratch, s->lo, s->hi);
+    return NULL;
+}
+
+/* The passes' scratch is kept from call to call, so that a pass does
+   not fault in fresh pages each time (the target programs' scratch, up
+   to 0.7 MB a thread, took about 100 page faults a call); a call that
+   finds it in use by another takes a buffer of its own.  Both are
+   page-aligned. */
+#define PAGE 4096
+static pthread_mutex_t kept_lock = PTHREAD_MUTEX_INITIALIZER;
+static char *kept;
+static size_t kept_size;
+
+/* size bytes of scratch: the kept buffer, grown to size, if *held,
+   else a buffer of its own; NULL when it cannot be allocated */
+static char *take_scratch(size_t size, int *held)
+{
+    size = (size + PAGE - 1) / PAGE * PAGE;
+    *held = pthread_mutex_trylock(&kept_lock) == 0;
+    if (!*held)
+        return aligned_alloc(PAGE, size);
+    if (kept_size < size) {
+        free(kept);
+        kept = aligned_alloc(PAGE, size);
+        kept_size = kept ? size : 0;
+    }
+    if (!kept) {
+        pthread_mutex_unlock(&kept_lock);
+        *held = 0;
+    }
+    return kept;
+}
+
+static void give_scratch(char *space, int held)
+{
+    if (held)
+        pthread_mutex_unlock(&kept_lock);
+    else
+        free(space);
+}
+
+/* Splits n_units units into n_threads contiguous ranges, n_threads
+   clamped to [1, n_units], and runs work on each on a pthread of its own
+   with `scratch` bytes of scratch of its own; the parts lie end to end
+   from a page boundary, so each keeps any alignment up to a page that
+   divides `scratch`.  The calling thread takes the first range and any
+   whose thread fails to start.  Returns -1 when the ranges or their
+   scratch cannot be allocated, else whether every range's work returned
+   nonzero. */
+static int share_out(work_t work, const void *args, int64_t n_units,
+                     int64_t n_threads, size_t scratch)
+{
+    if (n_threads > n_units)
+        n_threads = n_units;
+    if (n_threads < 1)
+        n_threads = 1;
+    int held = 0;
+    share_t *shares = malloc(n_threads * sizeof *shares);
+    char *space = scratch ? take_scratch(n_threads * scratch, &held) : NULL;
+    if (!shares || (scratch && !space)) {
+        free(shares);
+        give_scratch(space, held);
+        return -1;
+    }
+    for (int64_t t = 0; t < n_threads; t++)
+        shares[t] = (share_t){.work = work, .args = args,
+                              .scratch = space ? space + t * scratch : NULL,
+                              .lo = n_units * t / n_threads,
+                              .hi = n_units * (t + 1) / n_threads};
+    for (int64_t t = 1; t < n_threads; t++)
+        shares[t].started = pthread_create(&shares[t].thread, NULL,
+                                           run_share, &shares[t]) == 0;
+    int all = 1;
+    for (int64_t t = 0; t < n_threads; t++) {
+        if (shares[t].started)
+            pthread_join(shares[t].thread, NULL);
+        else
+            run_share(&shares[t]);
+        all &= shares[t].result != 0;
+    }
+    free(shares);
+    give_scratch(space, held);
+    return all;
+}
+
+/* one opo3_chunk_step call's arguments */
 typedef struct {
     double *state; const double *w; uint64_t *gens; double scale;
     uint8_t *alive; int64_t *first_bad; int64_t nb, n_steps;
     double eps, m_pump, dt, e_pump, thr2; int64_t step0;
-    int64_t lo, hi; pthread_t thread; int started;
-} range_t;
+} step_args_t;
 
 /* the pump mode: m + (a - m)*e_pump + dt*(-eps*b*c) */
-static ALWAYS_INLINE void pump_step(const range_t *r, const lanes_t *a,
+static ALWAYS_INLINE void pump_step(const step_args_t *r, const lanes_t *a,
                                     const lanes_t *b, const lanes_t *c,
                                     lanes_t *next)
 {
@@ -581,7 +694,7 @@ static ALWAYS_INLINE void pump_step(const range_t *r, const lanes_t *a,
 }
 
 /* a signal mode: s + dt*(eps*p*q - s) + root*dw */
-static ALWAYS_INLINE void signal_step(const range_t *r, const lanes_t *s,
+static ALWAYS_INLINE void signal_step(const step_args_t *r, const lanes_t *s,
                                       const lanes_t *p, const lanes_t *q,
                                       const lanes_t *root, const lanes_t *dw,
                                       lanes_t *next)
@@ -602,21 +715,23 @@ static ALWAYS_INLINE void and_inside(vmask *ok, const lanes_t *z, double thr2)
 /* Trajectories [lo, hi) in groups of LANES.  A lane that is dead, or past
    hi, is masked: it draws nothing and its state and generator stay as
    they are; a lane that leaves the threshold keeps its last good state. */
-static LANE_CLONES void *step_range(void *arg)
+static LANE_CLONES int step_range(const void *args, void *scratch,
+                                  int64_t lo, int64_t hi)
 {
     /* a local copy, which the stores through alive cannot alias */
-    const range_t copy = *(const range_t *)arg, *r = &copy;
+    const step_args_t copy = *(const step_args_t *)args, *r = &copy;
     const int64_t nb = r->nb;
     const int drawn = r->gens != NULL;
     double *state = r->state;          /* (6, nb) complex, (re, im) pairs */
-    for (int64_t j0 = r->lo; j0 < r->hi; j0 += LANES) {
+    (void)scratch;
+    for (int64_t j0 = lo; j0 < hi; j0 += LANES) {
         double parts[12][LANES], w[4][LANES] = {{0}};
         pcg64_t g[LANES] = {{0}};
         const double *wl[LANES] = {0};
         vmask keep = {0};
         for (int k = 0; k < LANES; k++) {
             const int64_t j = j0 + k;
-            const int on = j < r->hi && r->alive[j];
+            const int on = j < hi && r->alive[j];
             keep[k] = -on;
             /* masked lanes hold 1 + 0i, which takes no rescaled root */
             for (int i = 0; i < 12; i++)
@@ -698,7 +813,7 @@ static LANE_CLONES void *step_range(void *arg)
                 store_pcg64(&g[k], r->gens + 4 * j);
         }
     }
-    return NULL;
+    return 1;
 }
 
 /* With gens NULL the noise is read from w, (nb, n_steps, 4) and already
@@ -712,29 +827,9 @@ int opo3_chunk_step(double *state, const double *w, uint64_t *gens,
                     double dt, double e_pump, double thr2, int64_t step0,
                     int64_t n_threads)
 {
-    if (n_threads > nb)
-        n_threads = nb;
-    if (n_threads < 1)
-        n_threads = 1;
-    range_t *ranges = malloc(n_threads * sizeof(range_t));
-    if (!ranges)
-        return -1;
-    for (int64_t t = 0; t < n_threads; t++) {
-        range_t *r = &ranges[t];
-        *r = (range_t){state, w, gens, scale, alive, first_bad, nb, n_steps,
-                       eps, m_pump, dt, e_pump, thr2, step0,
-                       nb * t / n_threads, nb * (t + 1) / n_threads, 0, 0};
-        r->started = t > 0
-                     && pthread_create(&r->thread, NULL, step_range, r) == 0;
-    }
-    for (int64_t t = 0; t < n_threads; t++) {
-        if (ranges[t].started)
-            pthread_join(ranges[t].thread, NULL);
-        else
-            step_range(&ranges[t]);
-    }
-    free(ranges);
-    return 0;
+    const step_args_t args = {state, w, gens, scale, alive, first_bad, nb,
+                              n_steps, eps, m_pump, dt, e_pump, thr2, step0};
+    return share_out(step_range, &args, nb, n_threads, 0) < 0 ? -1 : 0;
 }
 
 /* The key sums of the moment accumulator take KEY_TILE batches at a time,
@@ -752,16 +847,20 @@ typedef struct {
     const char *values; int64_t s_ch, s_b, s_n;
     const double *centers; const int64_t *prefixes;
     int64_t n_ch, n_keys, nb, n;
-    double *block, *chains;
+    double *block, *chains; int fresh;
 } key_args_t;
 
-/* returns whether every batch sum it wrote is finite */
-static LANE_CLONES int key_tiles(const key_args_t *a, key_row_t *prod,
-                                 key_row_t *sum, int fresh)
+/* Tiles [t0, t1), its scratch a row of products and one of sums per
+   key; returns whether every batch sum it wrote is finite */
+static LANE_CLONES int key_tiles(const void *args, void *scratch,
+                                 int64_t t0, int64_t t1)
 {
+    const key_args_t *a = args;
     const int64_t n_ch = a->n_ch, n_keys = a->n_keys;
+    key_row_t *prod = scratch, *sum = prod + n_keys;
     int finite = 1;
-    for (int64_t b0 = 0; b0 < a->nb; b0 += KEY_TILE) {
+    for (int64_t b0 = t0 * KEY_TILE; b0 < a->nb && b0 < t1 * KEY_TILE;
+         b0 += KEY_TILE) {
         const int64_t width = a->nb - b0 < KEY_TILE ? a->nb - b0 : KEY_TILE;
         for (int64_t j = 0; j < a->n; j++) {
             /* the centered values fill the singleton rows; lanes past the
@@ -809,7 +908,7 @@ static LANE_CLONES int key_tiles(const key_args_t *a, key_row_t *prod,
             /* per sample, one chain in batch order; a fresh chain starts
                at the first batch's product */
             if (a->chains) {
-                const int start = fresh && b0 == 0;
+                const int start = a->fresh && b0 == 0;
                 for (int64_t k = 0; k < n_keys; k++) {
                     double *z = a->chains + 2 * (k * a->n + j);
                     double re = start ? BATCH(prod[k].re, 0) : z[0];
@@ -855,12 +954,16 @@ static int all_finite(const double *x, int64_t n)
    or from the first batch's product when base is NULL.  Returns -1 when
    the tile cannot be allocated, -2 for a prefix that is not an earlier
    key or a channel that is not one, -3 when a batch sum is not finite
-   and else -4 when a per-sample sum is not. */
+   and else -4 when a per-sample sum is not.  Without chains the tiles
+   are split over n_threads threads (see share_out); each tile is summed
+   by one thread as it would be by one alone, so no byte depends on the
+   count.  The chains add the batches in order, so with them one thread
+   takes every tile. */
 int opo3_key_sums(const char *values, int64_t s_ch, int64_t s_b,
                   int64_t s_n, const double *centers,
                   const int64_t *prefixes, int64_t n_ch, int64_t n_keys,
                   int64_t nb, int64_t n, const double *base, double *block,
-                  double *chains)
+                  double *chains, int64_t n_threads)
 {
     for (int64_t k = n_ch; k < n_keys; k++) {
         const int64_t p = prefixes[2 * (k - n_ch)];
@@ -868,15 +971,16 @@ int opo3_key_sums(const char *values, int64_t s_ch, int64_t s_b,
         if (p < 0 || p >= k || c < 0 || c >= n_ch)
             return -2;
     }
-    key_row_t *rows = aligned_alloc(sizeof *rows, 2 * n_keys * sizeof *rows);
-    if (!rows)
-        return -1;
     if (chains && base)
         memcpy(chains, base, 2 * n_keys * n * sizeof *chains);
     const key_args_t args = {values, s_ch, s_b, s_n, centers, prefixes, n_ch,
-                             n_keys, nb, n, block, chains};
-    const int finite = key_tiles(&args, rows, rows + n_keys, base == NULL);
-    free(rows);
+                             n_keys, nb, n, block, chains, base == NULL};
+    const int finite = share_out(key_tiles, &args,
+                                 (nb + KEY_TILE - 1) / KEY_TILE,
+                                 chains ? 1 : n_threads,
+                                 2 * n_keys * sizeof(key_row_t));
+    if (finite < 0)
+        return -1;
     if (!finite)
         return -3;
     return chains && !all_finite(chains, 2 * n_keys * n) ? -4 : 0;
@@ -906,7 +1010,8 @@ typedef struct {
     const int64_t *ops;
     const uint8_t *use;     /* per key, bit 0: its sum is read, bit 1: its
                                mean shifts */
-    int64_t n_keys, nb, n_ops;
+    int64_t n_read, n_shift;     /* the keys past the last read, shifted */
+    int64_t nb, n_ops;
     double *out;
 } target_args_t;
 
@@ -922,11 +1027,17 @@ static ALWAYS_INLINE void row_cmul(target_row_t *top, const vdouble *q_re,
     }
 }
 
-static LANE_CLONES void target_tiles(const target_args_t *a,
-                                     target_row_t *keys, target_row_t *negs,
-                                     target_row_t *stack)
+/* Tiles [t0, t1), its scratch a row of key sums per key up to the last
+   read, one of minus their means per key up to the last shifted, then
+   the stack */
+static LANE_CLONES int target_tiles(const void *args, void *scratch,
+                                    int64_t t0, int64_t t1)
 {
-    for (int64_t b0 = 0; b0 < a->nb; b0 += TARGET_TILE) {
+    const target_args_t *a = args;
+    target_row_t *keys = scratch, *negs = keys + a->n_read;
+    target_row_t *stack = negs + a->n_shift;
+    for (int64_t b0 = t0 * TARGET_TILE; b0 < a->nb && b0 < t1 * TARGET_TILE;
+         b0 += TARGET_TILE) {
         const int64_t width = a->nb - b0 < TARGET_TILE ? a->nb - b0
                                                        : TARGET_TILE;
         /* lanes past the last batch count 1 sample of zeros */
@@ -941,7 +1052,7 @@ static LANE_CLONES void target_tiles(const target_args_t *a,
            batch b out; without totals, sums[k, b] itself.  A whole tile
            of adjacent complex values is read as vectors */
         const int packed = width == TARGET_TILE && a->s_b == 16;
-        for (int64_t k = 0; k < a->n_keys; k++) {
+        for (int64_t k = 0; k < a->n_read; k++) {
             if (!(a->use[k] & 1))
                 continue;
             const char *v = a->sums + k * a->s_k + b0 * a->s_b;
@@ -975,7 +1086,7 @@ static LANE_CLONES void target_tiles(const target_args_t *a,
             }
         }
         /* minus each shifted key's mean */
-        for (int64_t k = 0; k < a->n_keys; k++) {
+        for (int64_t k = 0; k < a->n_shift; k++) {
             for (int i = 0; i < TARGET_VECS && a->use[k] & 2; i++) {
                 negs[k].re[i] = -(keys[k].re[i] * inv[i]);
                 negs[k].im[i] = -(keys[k].im[i] * inv[i]);
@@ -1038,6 +1149,7 @@ static LANE_CLONES void target_tiles(const target_args_t *a,
             }
         }
     }
+    return 1;
 }
 
 /* Runs the program ops (n_ops rows of op and argument) on nb columns:
@@ -1045,19 +1157,21 @@ static LANE_CLONES void target_tiles(const target_args_t *a,
    strides s_k and s_b, as totals (n_keys) complex minus sums[:, b], or
    as sums[:, b] when totals is NULL, and counts n[b] samples; consts
    (n_consts) complex; out (n_out, nb) complex.  Every complex product is
-   the textbook (ac - bd, ad + bc).  Returns -1 when the tiles cannot be
-   allocated and -2 for a program with an argument out of range, an op
-   short of operands or values left on the stack. */
+   the textbook (ac - bd, ad + bc).  The tiles are split over n_threads
+   threads (see share_out), each tile run by one thread as it would be by
+   one alone, so no byte depends on the count.  Returns -1 when the tiles
+   cannot be allocated and -2 for a program with an argument out of
+   range, an op short of operands or values left on the stack. */
 int opo3_targets(const char *sums, int64_t s_k, int64_t s_b,
                  const double *totals, const double *n, int64_t nb,
                  int64_t n_keys, const int64_t *ops, int64_t n_ops,
                  const double *consts, int64_t n_consts, double *out,
-                 int64_t n_out)
+                 int64_t n_out, int64_t n_threads)
 {
     uint8_t *use = calloc(n_keys + 1, 1);
     if (!use)
         return -1;
-    int64_t sp = 0, depth = 1, bad = 0;
+    int64_t sp = 0, depth = 1, bad = 0, n_read = 0, n_shift = 0;
     for (int64_t p = 0; p < n_ops && !bad; p++) {
         const int64_t op = ops[2 * p], arg = ops[2 * p + 1];
         const int64_t need = op == OP_KEY || op == OP_N ? 0
@@ -1069,10 +1183,12 @@ int opo3_targets(const char *sums, int64_t s_k, int64_t s_b,
               || arg >= limit;
         if (bad)
             break;
-        if (op == OP_KEY)
-            use[arg] |= 1;
+        if (op == OP_KEY || op == OP_SHIFT) {
+            use[arg] |= op == OP_KEY ? 1 : 3;
+            n_read = arg + 1 > n_read ? arg + 1 : n_read;
+        }
         if (op == OP_SHIFT)
-            use[arg] |= 3;
+            n_shift = arg + 1 > n_shift ? arg + 1 : n_shift;
         sp += op == OP_KEY || op == OP_N ? 1
               : op == OP_ADD || op == OP_STORE ? -1 : 0;
         depth = sp > depth ? sp : depth;
@@ -1081,16 +1197,15 @@ int opo3_targets(const char *sums, int64_t s_k, int64_t s_b,
         free(use);
         return -2;
     }
-    target_row_t *rows = aligned_alloc(sizeof *rows,
-                                       (2 * n_keys + depth) * sizeof *rows);
-    if (rows) {
-        const target_args_t args = {sums, s_k, s_b, totals, n, consts, ops,
-                                    use, n_keys, nb, n_ops, out};
-        target_tiles(&args, rows, rows + n_keys, rows + 2 * n_keys);
-    }
+    const target_args_t args = {sums, s_k, s_b, totals, n, consts, ops,
+                                use, n_read, n_shift, nb, n_ops, out};
+    const int done = share_out(target_tiles, &args,
+                               (nb + TARGET_TILE - 1) / TARGET_TILE,
+                               n_threads,
+                               (n_read + n_shift + depth)
+                               * sizeof(target_row_t));
     free(use);
-    free(rows);
-    return rows ? 0 : -1;
+    return done < 0 ? -1 : 0;
 }
 
 /* The jackknife's spreads sum over a row of complex values as doubles,
@@ -1138,20 +1253,37 @@ static LANE_CLONES void part_sums(const double *x, int64_t n2,
         sums[j % 2] += lanes[j];
 }
 
+/* one opo3_spreads call's arguments */
+typedef struct { const double *rows; int64_t nb; double *out; } spread_args_t;
+
+/* rows [r0, r1) */
+static int spread_rows(const void *args, void *scratch, int64_t r0,
+                       int64_t r1)
+{
+    const spread_args_t *a = args;
+    (void)scratch;
+    for (int64_t r = r0; r < r1; r++) {
+        const double *x = a->rows + 2 * r * a->nb;
+        double mean[2];
+        part_sums(x, 2 * a->nb, NULL, mean);
+        mean[0] /= (double)a->nb;
+        mean[1] /= (double)a->nb;
+        part_sums(x, 2 * a->nb, mean, a->out + 2 * r);
+    }
+    return 1;
+}
+
 /* For each of n_rows rows of nb complex values, C-contiguous, the sums
    of the squared deviations of its real and its imaginary parts from
-   their means, the sums over nb, into out (n_rows, 2). */
-void opo3_spreads(const double *rows, int64_t n_rows, int64_t nb,
-                  double *out)
+   their means, the sums over nb, into out (n_rows, 2).  The rows are
+   split over n_threads threads (see share_out), each row summed by one
+   thread, so no byte depends on the count.  Returns -1 when the ranges
+   cannot be allocated. */
+int opo3_spreads(const double *rows, int64_t n_rows, int64_t nb,
+                 double *out, int64_t n_threads)
 {
-    for (int64_t r = 0; r < n_rows; r++) {
-        const double *x = rows + 2 * r * nb;
-        double mean[2];
-        part_sums(x, 2 * nb, NULL, mean);
-        mean[0] /= (double)nb;
-        mean[1] /= (double)nb;
-        part_sums(x, 2 * nb, mean, out + 2 * r);
-    }
+    const spread_args_t args = {rows, nb, out};
+    return share_out(spread_rows, &args, n_rows, n_threads, 0) < 0 ? -1 : 0;
 }
 """
 
@@ -1180,6 +1312,8 @@ _CHECK_STEP = (7, 12)
 # that starts the second call
 _CHECK_SUMS = (3, 21, 3)
 _CHECK_SPLIT = 17
+# the threads the split check splits the moment passes over
+_CHECK_THREADS = 2
 # the load-time target check: keys x batches, a full tile of 256 and part
 # of one, and a program with every op, three deep, that shifts by two keys;
 # then the spreads of rows x values, two groups and a part of one
@@ -1190,6 +1324,37 @@ _CHECK_PROGRAM = ((OP_KEY, 3), (OP_SHIFT, 0), (OP_KEY, 4), (OP_SHIFT, 1),
                   (OP_KEY, 5), (OP_OFFSET, 1), (OP_ADD, 0), (OP_ADD, 0),
                   (OP_MEAN, 0), (OP_STORE, 1), (OP_KEY, 2), (OP_MEAN, 0),
                   (OP_SCALE, 1), (OP_STORE, 0))
+# the most threads a pass starts: one per trajectory of an engine block
+# (engine.BLOCK_SIZE)
+MAX_THREADS = 256
+
+
+def _integer(name: str, value, least: int) -> int:
+    """value as an int >= least: any integer, numpy's too, but not a bool."""
+    try:
+        out = operator.index(value)
+    except TypeError:
+        out = least - 1
+    if isinstance(value, bool) or out < least:
+        raise ValueError(f"{name} must be an integer >= {least}, "
+                         f"got {value!r}")
+    return out
+
+
+def worker_count(workers=None) -> int:
+    """The threads a pass may split its work over: `workers`, else
+    OPO3_WORKERS, else the CPUs this process may use, at most
+    MAX_THREADS.  ValueError names `workers` or OPO3_WORKERS when it is
+    not an integer >= 1."""
+    name = "workers"
+    if workers is None:
+        name, raw = "OPO3_WORKERS", os.environ.get("OPO3_WORKERS", "")
+        if not raw:
+            cpus = (len(os.sched_getaffinity(0))
+                    if hasattr(os, "sched_getaffinity") else os.cpu_count())
+            return min(cpus or 1, MAX_THREADS)
+        workers = int(raw) if raw.isdecimal() else raw
+    return min(_integer(name, workers, 1), MAX_THREADS)
 
 
 def _root_formula(x, y, m2):
@@ -1351,12 +1516,13 @@ def _finite(arr: np.ndarray, what: str) -> np.ndarray:
     return arr
 
 
-def _key_sums_numpy(values, centers, prefixes, collect, base):
+def _key_sums_numpy(values, centers, prefixes, collect, base, n_threads=1):
     """opo3_key_sums in numpy, each operation the C source's, in its order,
     on float64 arrays, so the bits are equal; numpy's complex multiply
     fuses a multiply-add where the CPU has one, so products are taken on
     the real and imaginary parts apart.  It takes the arguments of
-    `_key_sums_c` and refuses non-finite sums as it does."""
+    `_key_sums_c`, runs on the calling thread whatever n_threads says and
+    refuses non-finite sums as the C version does."""
     c, nb, n = values.shape
     n_keys = c + len(prefixes)
     # the products, sample-major: (K, n, nb) real and imaginary parts
@@ -1398,12 +1564,15 @@ def _key_sums_numpy(values, centers, prefixes, collect, base):
     return block, chains
 
 
-def _key_sums_c(values, centers, prefixes, collect, base, lib=None):
+def _key_sums_c(values, centers, prefixes, collect, base, n_threads=1,
+                lib=None):
     """opo3_key_sums on (C, nb, n) complex128 values, read through their
     strides, with (C,) centers and (K - C, 2) int64 prefix rows (prefix
     key, channel): the (K, nb) batch sums and, when collect is set, the
-    (K, n) per-sample sums carried on from base, or None.  ValueError
-    when a batch sum, or else a per-sample sum, is not finite."""
+    (K, n) per-sample sums carried on from base, or None.  Without
+    collect the 8-batch tiles are split over n_threads threads.
+    ValueError when a batch sum, or else a per-sample sum, is not
+    finite."""
     lib = lib or _c_function()
     if lib is None:
         raise RuntimeError("the C key sums are not available")
@@ -1430,7 +1599,7 @@ def _key_sums_c(values, centers, prefixes, collect, base, lib=None):
         values.ctypes.data, *values.strides, centers.ctypes.data,
         prefixes.ctypes.data, c, n_keys, nb, n,
         None if base is None else base.ctypes.data, block.ctypes.data,
-        None if chains is None else chains.ctypes.data)
+        None if chains is None else chains.ctypes.data, n_threads)
     if status == -2:
         raise ValueError("each prefix row must name an earlier key and a "
                          "channel")
@@ -1449,11 +1618,12 @@ def _mean_numpy(re, im, n, inv):
     return re * inv, im * inv
 
 
-def _targets_numpy(ops, consts, sums, totals, n, n_out):
+def _targets_numpy(ops, consts, sums, totals, n, n_out, n_threads=1):
     """opo3_targets in numpy on whole rows, each operation the C source's,
     in its order, on float64 arrays, so the bits are equal; products are
     taken on the real and imaginary parts apart, as in `_key_sums_numpy`.
-    It takes the arguments of `_targets_c`."""
+    It takes the arguments of `_targets_c` and runs on the calling thread
+    whatever n_threads says."""
     inv = 1.0 / n
     c_re, c_im = consts.real.tolist(), consts.imag.tolist()
     out = np.empty((n_out, sums.shape[1]), dtype=np.complex128)
@@ -1494,12 +1664,13 @@ def _targets_numpy(ops, consts, sums, totals, n, n_out):
     return out
 
 
-def _targets_c(ops, consts, sums, totals, n, n_out, lib=None):
+def _targets_c(ops, consts, sums, totals, n, n_out, n_threads=1, lib=None):
     """opo3_targets: the n_out rows that the program ops, (m, 2) int64
     rows (op, argument) with (q,) complex128 consts, stores for each
     column of the (K, B) complex128 sums, read through their strides, as
     given (K,) totals minus the column, else as the column itself, with
-    (B,) float64 counts n; a (n_out, B) complex128 array."""
+    (B,) float64 counts n; a (n_out, B) complex128 array.  Its 256-column
+    tiles are split over n_threads threads."""
     lib = lib or _c_function()
     if lib is None:
         raise RuntimeError("the C target programs are not available")
@@ -1523,7 +1694,7 @@ def _targets_c(ops, consts, sums, totals, n, n_out, lib=None):
         sums.ctypes.data, *sums.strides,
         None if totals is None else totals.ctypes.data, n.ctypes.data, nb,
         n_keys, ops.ctypes.data, len(ops), consts.ctypes.data, len(consts),
-        out.ctypes.data, n_out)
+        out.ctypes.data, n_out, n_threads)
     if status == -2:
         raise ValueError("a target program needs each argument in range, "
                          "each op's operands on the stack and the stack "
@@ -1533,12 +1704,13 @@ def _targets_c(ops, consts, sums, totals, n, n_out, lib=None):
     return out
 
 
-def _spreads_numpy(rows):
+def _spreads_numpy(rows, n_threads=1):
     """opo3_spreads in numpy: the same sums in the same order, per lane of
     SPREAD_GROUP doubles over the groups (a reduction along an axis that
     is not the innermost adds in order), then each part's lanes, the last
     group padded as the C source pads it, so the bits are equal.  It
-    takes the arguments of `_spreads_c`."""
+    takes the arguments of `_spreads_c` and runs on the calling thread
+    whatever n_threads says."""
     n_rows, nb = rows.shape
     pad = -2 * nb % SPREAD_GROUP
     x = rows.view(np.float64)
@@ -1558,10 +1730,11 @@ def _spreads_numpy(rows):
         return part_sums(dev.reshape(n_rows, -1))
 
 
-def _spreads_c(rows, lib=None):
+def _spreads_c(rows, n_threads=1, lib=None):
     """opo3_spreads: for each row of the C-contiguous (T, B) complex128
     rows, the sums of the squared deviations of its real and imaginary
-    parts from their means, a (T, 2) float64 array."""
+    parts from their means, a (T, 2) float64 array; the rows are split
+    over n_threads threads."""
     lib = lib or _c_function()
     if lib is None:
         raise RuntimeError("the C spreads are not available")
@@ -1569,7 +1742,9 @@ def _spreads_c(rows, lib=None):
             and rows.flags.c_contiguous):
         raise ValueError("rows must be a C-contiguous 2-d complex128 array")
     out = np.empty((rows.shape[0], 2))
-    lib.opo3_spreads(rows.ctypes.data, *rows.shape, out.ctypes.data)
+    if lib.opo3_spreads(rows.ctypes.data, *rows.shape, out.ctypes.data,
+                        n_threads) != 0:
+        raise MemoryError("no memory for the C spreads' thread ranges")
     return out
 
 
@@ -1714,8 +1889,9 @@ def _check_key_sums(key_sums, normals) -> bytes:
     _CHECK_SUMS[0] channels, on a view with a negative batch stride and
     every other sample of _CHECK_SUMS[1] batches x samples, fed in two
     calls split at _CHECK_SPLIT, full and partial tiles, the second
-    carrying the first's per-sample sums on; its batch sums, then the
-    per-sample sums."""
+    carrying the first's per-sample sums on: their batch sums, then the
+    per-sample sums; then the batch sums of all the batches in one call
+    without per-sample sums."""
     c, nb, n = _CHECK_SUMS
     keys = [key for order in range(1, 5)
             for key in itertools.combinations_with_replacement(range(c),
@@ -1731,7 +1907,9 @@ def _check_key_sums(key_sums, normals) -> bytes:
                              True, None)
     second, chains = key_sums(values[:, _CHECK_SPLIT:], centers, prefixes,
                               True, chains)
-    return first.tobytes() + second.tobytes() + chains.tobytes()
+    whole, _ = key_sums(values, centers, prefixes, False, None)
+    return (first.tobytes() + second.tobytes() + chains.tobytes()
+            + whole.tobytes())
 
 
 def _check_targets(evaluate, normals) -> bytes:
@@ -1833,11 +2011,11 @@ def _c_function():
                 (lib.opo3_chunk_step, [ptr] * 3 + [f64] + [ptr] * 2
                  + [i64] * 2 + [f64] * 5 + [i64] * 2, ctypes.c_int),
                 (lib.opo3_key_sums, [ptr] + [i64] * 3 + [ptr] * 2
-                 + [i64] * 4 + [ptr] * 3, ctypes.c_int),
+                 + [i64] * 4 + [ptr] * 3 + [i64], ctypes.c_int),
                 (lib.opo3_targets, [ptr] + [i64] * 2 + [ptr] * 2
-                 + [i64] * 2 + [ptr, i64, ptr, i64, ptr, i64],
+                 + [i64] * 2 + [ptr, i64, ptr, i64, ptr, i64, i64],
                  ctypes.c_int),
-                (lib.opo3_spreads, [ptr, i64, i64, ptr], None)):
+                (lib.opo3_spreads, [ptr, i64, i64, ptr, i64], ctypes.c_int)):
             fn.argtypes, fn.restype = args, res
         words = np.concatenate([seed_generators(_CHECK_SEED, k, 2, lib)
                                 for k in _CHECK_KEYS])
@@ -1873,17 +2051,58 @@ def get_stepper():
     return _chunk_step_c if _c_function() is not None else _chunk_step_numpy
 
 
+@functools.cache
+def _splits_right(lib) -> bool:
+    """Whether the loaded C library's moment passes, split over
+    _CHECK_THREADS threads, give the bytes they give on one, which the
+    load-time check holds to numpy's: its key sums on `_check_key_sums`,
+    its target programs on `_check_targets` and its spreads on
+    `_check_spreads`, on normals of its own seeding and sampler.  When
+    they do not, with one warning, False.
+
+    It runs at a process's first moment pass, not at load, because the
+    first thread a process starts can take milliseconds, which a process
+    that only steps, or only loads the library, need not pay.
+    """
+    words = seed_generators(_CHECK_SEED, _CHECK_KEYS[-1] + 1, 1, lib)
+    draws = np.empty(_CHECK_DRAWS)
+    lib.opo3_normals(words.ctypes.data, draws.size, draws.ctypes.data)
+    for check, run in ((_check_key_sums, _key_sums_c),
+                       (_check_targets, _targets_c),
+                       (_check_spreads, _spreads_c)):
+        one, split = (check(functools.partial(run, n_threads=threads,
+                                              lib=lib), draws)
+                      for threads in (1, _CHECK_THREADS))
+        if split != one:
+            warnings.warn("opo3: C moment passes split over threads "
+                          "unavailable (they do not reproduce their bytes "
+                          "on one thread); using the slower numpy key "
+                          "sums, target programs and spreads",
+                          RuntimeWarning, stacklevel=3)
+            return False
+    return True
+
+
+def _c_moments():
+    """The loaded C library when its moment passes split right, else
+    None."""
+    lib = _c_function()
+    return lib if lib is not None and _splits_right(lib) else None
+
+
 def get_key_summer():
-    """The C key sums when the C kernel builds and loads, else numpy's."""
-    return _key_sums_c if _c_function() is not None else _key_sums_numpy
+    """The C key sums when the C kernel builds, loads and splits right,
+    else numpy's."""
+    return _key_sums_c if _c_moments() is not None else _key_sums_numpy
 
 
 def get_target_evaluator():
-    """The C target programs when the C kernel builds and loads, else
-    numpy's."""
-    return _targets_c if _c_function() is not None else _targets_numpy
+    """The C target programs when the C kernel builds, loads and splits
+    right, else numpy's."""
+    return _targets_c if _c_moments() is not None else _targets_numpy
 
 
 def get_spreads():
-    """The C spreads when the C kernel builds and loads, else numpy's."""
-    return _spreads_c if _c_function() is not None else _spreads_numpy
+    """The C spreads when the C kernel builds, loads and splits right,
+    else numpy's."""
+    return _spreads_c if _c_moments() is not None else _spreads_numpy

@@ -26,8 +26,9 @@ cannot be written), 3 unreliable run (more than 1% of some run's
 trajectories diverged).  An unreliable run still writes its
 report.json or sweep.json, and `run` its timeseries.csv; when
 divergences leave no estimate, `compare` writes no compare.csv and
-`sweep` no sweep.csv.  The OPO3_WORKERS environment variable sets the C
-kernel's thread count.
+`sweep` no sweep.csv.  The OPO3_WORKERS environment variable sets how
+many threads the C step kernel and the moment layer's compiled passes
+split their work over; no output byte depends on it.
 """
 
 from __future__ import annotations

@@ -160,7 +160,13 @@ def cs_test(moments: MomentReport, partition: str = "0|12",
     if can_cross:
         cross_denom = 128.0 * moments.params.gamma_r * moments.params.g ** 6
 
+    # read in one program per context, then from its cache
+    names = (*PARTITIONS[partition], "amp_triple",
+             *(("amp_triple_conj",) if has_lambda else ()),
+             *(("s",) if can_cross else ()))
+
     def fn(st):
+        st.targets(names)
         lhs, rhs = _cs_sides(st, partition)
         margin = rhs - lhs
         # np.divide: on exact (Python float) values a zero lhs gives inf

@@ -16,7 +16,10 @@ its block, and finished blocks are merged in trajectory order, so results
 are bit-identical for any worker count and any block size.
 
 Workers are C kernel threads on contiguous ranges of a block's
-trajectories (see `run_ensemble`); everything else runs on one thread.
+trajectories (see `run_ensemble`).  The moment layer's compiled passes
+split their tiles the same way, over `_kernels.worker_count()` threads;
+the per-sample sums of a time series stay on one thread, and no byte
+depends on either count.  Everything else runs on one thread.
 
 Sampling: after `burn_steps`, the state is recorded every `int_steps` steps,
 n_samples_per_traj times.  Each trajectory contributes its samples as one
@@ -29,7 +32,6 @@ from __future__ import annotations
 
 import math
 import operator
-import os
 import time
 from dataclasses import dataclass, fields
 
@@ -63,18 +65,6 @@ def _step_constants(params: ModelParams, dt: float, divergence_threshold):
             1.0 - params.gamma_r * dt, thr * thr)
 
 
-def _integer(name: str, value, least: int) -> int:
-    """value as an int >= least: any integer, numpy's too, but not a bool."""
-    try:
-        out = operator.index(value)
-    except TypeError:
-        out = least - 1
-    if isinstance(value, bool) or out < least:
-        raise ValueError(f"{name} must be an integer >= {least}, "
-                         f"got {value!r}")
-    return out
-
-
 @dataclass(frozen=True)
 class SimConfig:
     """Ensemble run settings; None fields are resolved from the model.
@@ -97,7 +87,7 @@ class SimConfig:
     def resolve(self, params: ModelParams) -> "ResolvedConfig":
         if params.mu >= 1.0:
             raise ValidityError("above threshold unsupported (mu >= 1)")
-        integers = {name: _integer(name, getattr(self, name), least)
+        integers = {name: _kernels._integer(name, getattr(self, name), least)
                     for name, least in (("n_samples_per_traj", 1),
                                         ("n_trajectories", 1),
                                         ("master_seed", 0))}
@@ -318,18 +308,6 @@ class EnsembleResult:
         }
 
 
-def _worker_count(workers) -> int:
-    """`workers`, else OPO3_WORKERS, else the CPUs this process may use."""
-    name = "workers"
-    if workers is None:
-        name, raw = "OPO3_WORKERS", os.environ.get("OPO3_WORKERS", "")
-        if not raw:
-            return (len(os.sched_getaffinity(0))
-                    if hasattr(os, "sched_getaffinity") else os.cpu_count())
-        workers = int(raw) if raw.isdecimal() else raw
-    return _integer(name, workers, 1)
-
-
 def run_ensemble(params: ModelParams, config: SimConfig, workers: int | None = None,
                  collect_time_series: bool = False, split_halves: bool = False,
                  initial_state=None) -> EnsembleResult:
@@ -339,15 +317,15 @@ def run_ensemble(params: ModelParams, config: SimConfig, workers: int | None = N
     as it finishes.  The C kernel splits a block into `workers` contiguous
     ranges, one thread each; the calling thread runs the first and any
     range whose thread fails to start.  workers defaults to OPO3_WORKERS,
-    else to the CPUs this process may use; it must be an integer >= 1, and
-    estimates do not depend on it.
+    else to the CPUs this process may use (`_kernels.worker_count`); it
+    must be an integer >= 1, and estimates do not depend on it.
     """
     t0 = time.perf_counter()
     rcfg = config.resolve(params)
     stepper = _kernels.get_stepper()
     nt, n = rcfg.n_trajectories, rcfg.n_samples_per_traj
     # the kernel runs at most one thread per trajectory of a block
-    threads = min(_worker_count(workers), BLOCK_SIZE, nt)
+    threads = min(_kernels.worker_count(workers), BLOCK_SIZE, nt)
     schema = opo_schema(params)
     acc = MomentAccumulator(schema, collect_per_sample=collect_time_series)
     halves = ((MomentAccumulator(schema), MomentAccumulator(schema))

@@ -274,6 +274,7 @@ class _Stats:
         self._sums = sums.reshape(-1, 1) if self._scalar else sums
         self._counts = np.ascontiguousarray(n, dtype=np.float64)
         self._totals = totals
+        self._threads = _kernels.worker_count()
         self._zero = None
         self._cache = {}
 
@@ -281,7 +282,7 @@ class _Stats:
         ops, consts = program
         return _kernels.get_target_evaluator()(
             ops, consts, self._sums[:, cols], self._totals, self._counts[cols],
-            n_out)
+            n_out, self._threads)
 
     def _zero_shifts(self) -> frozenset:
         """The channels whose shift is exactly zero in every column: all
@@ -325,16 +326,20 @@ class _Stats:
 
     def targets(self, names) -> np.ndarray:
         """The targets `names` in one pass: shaped (len(names),) for the
-        full dataset, (len(names), M) for M replicates."""
+        full dataset, (len(names), M) for M replicates.  Each is kept for
+        `target`."""
         names = tuple(names)
         program = self.schema._program(self.centering, self._zero_shifts(),
                                        names)
         out = self._run(program, len(names))
-        return out[:, 0] if self._scalar else out
+        if self._scalar:
+            out = out[:, 0]
+        self._cache.update(zip(names, out))
+        return out
 
     def target(self, name: str):
         if name not in self._cache:
-            self._cache[name] = self.targets((name,))[0]
+            self.targets((name,))
         return self._cache[name]
 
     @property
@@ -415,6 +420,9 @@ class _ExactValues:
     def __init__(self, report: MomentReport):
         self._report = report
 
+    def targets(self, names) -> list:
+        return [self.target(name) for name in names]
+
     def target(self, name: str):
         est = self._report[name]
         if est.std_error or est.std_error_imag:
@@ -430,7 +438,8 @@ def _jack_se(reps):
     overflows is redone on deviations scaled by an exact power of two;
     the caller mutes overflow."""
     b = reps.shape[-1]
-    se = np.sqrt((b - 1) / b * _kernels.get_spreads()(reps))
+    se = np.sqrt((b - 1) / b * _kernels.get_spreads()(
+        reps, _kernels.worker_count()))
     for row, k in zip(*np.nonzero(np.isinf(se))):
         part = (reps[row] - reps[row].mean()).view(np.float64)[k::2]
         exp = math.frexp(np.abs(part).max())[1]
@@ -470,8 +479,12 @@ class MomentAccumulator:
     schema channel order), one batch per trajectory.  The key sums of a
     call's batches are taken in one pass by `_kernels.get_key_summer()`,
     the C key sums, which build no (K, n, nb) array of products, or their
-    numpy oracle, with equal bytes.  Three summation orders make every
-    sum independent of how batches arrive:
+    numpy oracle, with equal bytes.  The C pass splits its 8-batch tiles
+    over `_kernels.worker_count()` threads, as finalize's target programs
+    and spreads split theirs, unless it collects per-sample sums, which
+    stay on one thread; each tile is summed by one thread, so no byte
+    depends on the count.  Three summation orders make every sum
+    independent of how batches arrive:
       per batch   each batch's products are added in sample order;
       per sample  (collect_per_sample) the products of each sample index
                   form one chain in trajectory order, carried on from the
@@ -521,7 +534,7 @@ class MomentAccumulator:
         base = self._per_sample_base(n) if self.collect_per_sample else None
         block, per_sample = _kernels.get_key_summer()(
             values, self.schema._centers, self.schema._prefixes,
-            self.collect_per_sample, base)
+            self.collect_per_sample, base, _kernels.worker_count())
         self._blocks.append(block)
         self._block_ns.append(np.full(nb, n, dtype=np.int64))
         self._totals = None

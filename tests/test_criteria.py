@@ -28,7 +28,7 @@ from opo3 import (
     run_ensemble,
     separability_witness,
 )
-from opo3 import criteria
+from opo3 import criteria, moments
 
 PARTITIONS = ("0|12", "1|02", "2|01")
 
@@ -300,6 +300,31 @@ class TestSimulationVerdicts:
         # triple within statistical error
         assert r.cross_check_rhs is not None
         assert r.cross_check_consistent is True
+
+    def test_one_target_program_per_context(self, std_report, monkeypatch):
+        # cs_test reads its five targets from one program on the full
+        # data and one on the replicates, and one program gives the bytes
+        # of one program per target
+        calls = []
+        program = moments.MomentSchema._program
+
+        def recording(schema, centering, zero, names):
+            calls.append(names)
+            return program(schema, centering, zero, names)
+
+        monkeypatch.setattr(moments.MomentSchema, "_program", recording)
+        cs_test(std_report)
+        names = ("amp_n1n2", "amp_n0", "amp_triple", "amp_triple_conj", "s")
+        assert calls == [names, names]
+        sums, totals = std_report.batch_sums, std_report.batch_totals
+        n = std_report.batch_counts.astype(np.float64)
+        for args in ((totals, n.sum(), "reference"),
+                     (sums, n.sum() - n, "reference", totals)):
+            together = moments._Stats(std_report.schema, *args).targets(
+                names)
+            alone = [moments._Stats(std_report.schema, *args).target(name)
+                     for name in names]
+            assert together.tobytes() == np.array(alone).tobytes()
 
     def test_lambda_against_entries(self, std_report):
         r = cs_test(std_report)

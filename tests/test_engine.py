@@ -4,6 +4,7 @@ determinism, divergence handling, stationarity, and weak convergence."""
 import cmath
 import ctypes
 import dataclasses
+import inspect
 import math
 import os
 import re
@@ -43,6 +44,9 @@ NOT_REPRODUCED = FALLBACK.format(
     "Generator.standard_normal, step kernel, key sums, target programs and "
     "spreads")
 NO_COMPILER = FALLBACK.format("no C compiler (cc) on PATH")
+WRONG_SPLIT = ("opo3: C moment passes split over threads unavailable (they "
+               "do not reproduce their bytes on one thread); using the "
+               "slower numpy key sums, target programs and spreads")
 # the kernels a test runs the engine on in turn
 KERNELS = ("c", "numpy") if shutil.which("cc") else ("numpy",)
 # the static archive numpy wheels ship for C extensions
@@ -455,10 +459,11 @@ def one_ulp_off(state, *args, step=_kernels._chunk_step_numpy):
 
 
 def sums_one_ulp_off(*args, sums=_kernels._key_sums_numpy):
-    """The numpy key sums, then the last per-sample sum's imaginary part
-    one ulp larger."""
+    """The numpy key sums, then the last per-sample sum's imaginary part,
+    where there are per-sample sums, one ulp larger."""
     block, chains = sums(*args)
-    chains.imag[-1, -1] = np.nextafter(chains.imag[-1, -1], np.inf)
+    if chains is not None:
+        chains.imag[-1, -1] = np.nextafter(chains.imag[-1, -1], np.inf)
     return block, chains
 
 
@@ -1117,6 +1122,43 @@ class TestKernels:
         assert got["amp_n0"] == want["amp_n0"]
 
     @needs_cc
+    @pytest.mark.parametrize("name", ["_key_sums_c", "_targets_c",
+                                      "_spreads_c"])
+    def test_wrong_split_falls_back_once(self, monkeypatch, fresh_cache,
+                                         name):
+        # a C moment pass whose bytes change only when it is split over
+        # threads must never run: loading starts no thread and passes,
+        # and the first moment pass checks the splits over two threads,
+        # so one warning, and every moment pass runs on numpy
+        c_pass = getattr(_kernels, name)
+        signature = inspect.signature(c_pass)
+        splits = []
+
+        def off_when_split(*args, **kwargs):
+            out = c_pass(*args, **kwargs)
+            threads = signature.bind(*args, **kwargs).arguments.get(
+                "n_threads", 1)
+            splits.append(threads)
+            first = out[0] if isinstance(out, tuple) else out
+            if threads > 1:
+                first.real.flat[0] = np.nextafter(first.real.flat[0], np.inf)
+            return out
+
+        monkeypatch.setattr(_kernels, name, off_when_split)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert _kernels.get_stepper() is _kernels._chunk_step_c
+        assert set(splits) == {1}
+        with pytest.warns(RuntimeWarning) as record:
+            assert _kernels.get_key_summer() is _kernels._key_sums_numpy
+            assert (_kernels.get_target_evaluator()
+                    is _kernels._targets_numpy)
+            assert _kernels.get_spreads() is _kernels._spreads_numpy
+        assert _kernels.get_stepper() is _kernels._chunk_step_c
+        assert len(record) == 1
+        assert str(record[0].message) == WRONG_SPLIT
+
+    @needs_cc
     def test_drawn_step_self_check_falls_back_once(self, monkeypatch,
                                                    fresh_cache):
         # the load-time chunk also draws from seeded generator words, its
@@ -1176,10 +1218,11 @@ class TestKernels:
         # seed words, draws, the words after the draws, the buffered
         # chunk's state, alive and first_bad bytes, then the drawn chunk's
         # and its generator words after, then the key sums: both calls'
-        # batch sums and the per-sample sums, all complex, over the keys
-        # of order 1 to 4 of the check's channels, then the target
-        # programs' two stored rows of every column, leaving each out of
-        # the totals and not, then the spreads of each part of each row
+        # batch sums and the per-sample sums, then the batch sums of one
+        # call on two threads, all complex, over the keys of order 1 to 4
+        # of the check's channels, then the target programs' two stored
+        # rows of every column, leaving each out of the totals and not,
+        # then the spreads of each part of each row
         nb = _kernels._CHECK_STEP[0]
         n_ch, n_batches, n = _kernels._CHECK_SUMS
         n_keys = sum(math.comb(n_ch + order - 1, order)
@@ -1190,7 +1233,7 @@ class TestKernels:
                  "draws": 8 * _kernels._CHECK_DRAWS, "words after": 8 * 4,
                  "chunk": 16 * 6 * nb + nb + 8 * nb,
                  "drawn chunk": 16 * 6 * nb + nb + 8 * nb + 8 * 4 * nb,
-                 "key sums": 16 * n_keys * (n_batches + n),
+                 "key sums": 16 * n_keys * (2 * n_batches + n),
                  "target programs": 16 * 2 * 2 * columns,
                  "spreads": 8 * 2 * spread_rows}
         assert len(answers) == sum(sizes.values())

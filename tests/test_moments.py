@@ -1236,3 +1236,180 @@ class TestSchemaValidation:
         assert opo[15:23] == amplitude
         assert amplitude_schema().targets == amplitude + (
             t("mean_a0", ((1, ("a0",)),), apply_shift=False),)
+
+
+def moments_wide_cube(seed, n_batches=1024, n_samples=4):
+    """The tiny `moments-wide` benchmark cube: the channels of complex
+    Gaussian states around the fixed point, spread 0.3."""
+    params = ModelParams(0.5, 1.0, 0.05)
+    rng = np.random.default_rng(seed)
+    shape = (6, n_batches, n_samples)
+    states = fixed_point(params).as_array()[:, None, None] + 0.3 * (
+        rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    return params, state_channels(states, params)
+
+
+def record_threads(monkeypatch):
+    """Make the key sums, target programs and spreads that the moment layer
+    looks up record the thread count they are given, its last argument;
+    returns the {getter: set of counts} they fill."""
+    seen = {}
+    for getter in ("get_key_summer", "get_target_evaluator", "get_spreads"):
+        def recorder(*args, _pass=getattr(_kernels, getter)(), _name=getter):
+            seen.setdefault(_name, set()).add(args[-1])
+            return _pass(*args)
+        monkeypatch.setattr(_kernels, getter, lambda _r=recorder: _r)
+    return seen
+
+
+@needs_cc
+class TestThreadSplits:
+    """The C moment passes split over 1, 2 and 3 threads: every count
+    gives the numpy oracle's bytes."""
+
+    COUNTS = (1, 2, 3)
+
+    def test_key_sums_without_chains(self):
+        # 1 to 3 tiles, full and partial, so some threads get no tile or
+        # a partial one, and views with a negative batch stride; the
+        # values are scaled for each count, so that a batch a split
+        # leaves unwritten cannot hold the last call's bytes
+        params, cube = opo_cube(401, 21, 3)
+        schema = opo_schema(params)
+        every = slice(None)
+        for view in ((every, slice(8)), (every, slice(17)), (every,),
+                     (every, slice(None, None, -1)),
+                     (every, slice(None, None, -2), slice(None, None, 2))):
+            for threads in self.COUNTS:
+                values = (cube * threads)[view]
+                want, _ = sums_of(_kernels._key_sums_numpy, schema, values,
+                                  False)
+                got, chains = _kernels._key_sums_c(
+                    values, schema._centers, schema._prefixes, False, None,
+                    threads)
+                assert chains is None
+                assert got.tobytes() == want.tobytes(), threads
+
+    def test_chains_stay_in_batch_order(self, monkeypatch):
+        # collecting per-sample sums keeps one thread, so the blocks and
+        # the chains carried across calls are the same bytes at any count
+        params, cube = opo_cube(403, 45, 3)
+        schema = opo_schema(params)
+        runs = []
+        for threads in self.COUNTS:
+            monkeypatch.setenv("OPO3_WORKERS", str(threads))
+            acc = MomentAccumulator(schema, collect_per_sample=True)
+            for lo in range(0, 45, 20):
+                acc.add_batches(cube[:, lo:lo + 20])
+            runs.append([a.tobytes() for a in acc._blocks]
+                        + [acc.per_sample_sums.tobytes()])
+        assert runs[1] == runs[0] and runs[2] == runs[0]
+
+    def test_targets(self):
+        # 270 columns, a full tile of 256 and a partial one, and 600, two
+        # and a partial one, with and without totals, read through a
+        # negative stride; new sums for each count, so that a column a
+        # split leaves unwritten cannot hold the last call's bytes
+        rng = np.random.default_rng(405)
+        schema = wide_schema()
+        names = tuple(schema.target_names()[::4])
+        ops, consts = schema._program("sample", frozenset(), names)
+        for nb, threads in itertools.product((270, 600), self.COUNTS):
+            shape = (schema.n_keys, nb)
+            sums = (rng.standard_normal(shape)
+                    + 1j * rng.standard_normal(shape))[:, ::-1]
+            n = 3.0 + rng.random(nb)
+            for t in (sums.sum(axis=1), None):
+                want = _kernels._targets_numpy(ops, consts, sums, t, n,
+                                               len(names))
+                got = _kernels._targets_c(ops, consts, sums, t, n,
+                                          len(names), threads)
+                assert got.tobytes() == want.tobytes(), (nb, threads)
+
+    def test_spreads(self):
+        # fewer rows than threads, and more; new rows for each count
+        rng = np.random.default_rng(407)
+        for n_rows, threads in itertools.product((1, 2, 7), self.COUNTS):
+            rows = (rng.standard_normal((n_rows, 37))
+                    + 1j * rng.standard_normal((n_rows, 37)))
+            want = _kernels._spreads_numpy(rows).tobytes()
+            assert _kernels._spreads_c(rows, threads).tobytes() == want
+
+    def test_concurrent_calls(self):
+        # the passes keep their scratch from call to call; a call that
+        # finds it in use, here by a call on another Python thread (more
+        # of them than CPUs), takes its own, and both give the oracle's
+        # bytes
+        from concurrent.futures import ThreadPoolExecutor
+
+        rng = np.random.default_rng(409)
+        schema = wide_schema()
+        names = tuple(schema.target_names())
+        ops, consts = schema._program("sample", frozenset(), names)
+        inputs = []
+        for nb in (300, 700, 40, 520):
+            shape = (schema.n_keys, nb)
+            sums = rng.standard_normal(shape) + 1j * rng.standard_normal(
+                shape)
+            inputs.append((sums, sums.sum(axis=1), 3.0 + rng.random(nb)))
+
+        def run(i):
+            sums, totals, n = inputs[i % len(inputs)]
+            return _kernels._targets_c(ops, consts, sums, totals, n,
+                                       len(names), 1 + i % 3).tobytes()
+
+        with ThreadPoolExecutor(4) as pool:
+            got = list(pool.map(run, range(32), timeout=60))
+        for i, out in enumerate(got):
+            sums, totals, n = inputs[i % len(inputs)]
+            assert out == _kernels._targets_numpy(
+                ops, consts, sums, totals, n, len(names)).tobytes(), i
+
+    def test_reports_and_criteria_at_any_worker_count(self, monkeypatch):
+        # the moments-wide pipeline on its tiny cube: sliced feeds, a
+        # merge, finalize under every centering and cs_test on every
+        # partition give the same bytes at OPO3_WORKERS=1 and at 3
+        from opo3 import criteria
+
+        params, cube = moments_wide_cube(2026)
+        schema = opo_schema(params)
+        seen = record_threads(monkeypatch)
+        runs = []
+        for workers in ("1", "3"):
+            monkeypatch.setenv("OPO3_WORKERS", workers)
+            halves = [MomentAccumulator(schema), MomentAccumulator(schema)]
+            for acc, (lo, hi) in zip(halves, ((0, 512), (512, 1024))):
+                for start in range(lo, hi, 256):
+                    acc.add_batches(cube[:, start:start + 256])
+            acc = merge(*halves)
+            out = []
+            for mode in moments.CENTERINGS:
+                rep = acc.finalize(mode)
+                for e in rep.entries.values():
+                    out += _bits(e.value, e.std_error, e.std_error_imag)
+            ref = acc.finalize()
+            out += [repr(criteria.cs_test(ref, partition=p))
+                    for p in sorted(criteria.PARTITIONS)]
+            runs.append(out)
+        assert runs[1] == runs[0]
+        assert {name: counts >= {1, 3} for name, counts in seen.items()} == {
+            "get_key_summer": True, "get_target_evaluator": True,
+            "get_spreads": True}
+
+
+def test_bad_worker_count_refused_as_run_ensemble_refuses(monkeypatch):
+    # the moment layer follows the engine's worker-count rule, refusals
+    # and messages included
+    from opo3 import SimConfig, run_ensemble
+
+    params, cube = moments_wide_cube(409, 6, 2)
+    acc = MomentAccumulator(opo_schema(params)).add_batches(cube)
+    monkeypatch.setenv("OPO3_WORKERS", "abc")
+    cfg = SimConfig(dt=0.05, burn_in=20.0, sample_interval=2.0,
+                    n_samples_per_traj=1, n_trajectories=2)
+    with pytest.raises(ValueError) as want:
+        run_ensemble(params, cfg)
+    with pytest.raises(ValueError) as got:
+        acc.finalize()
+    assert str(got.value) == str(want.value) == (
+        "OPO3_WORKERS must be an integer >= 1, got 'abc'")
