@@ -1,27 +1,35 @@
 """Inner integration loops for the positive-P equations, and the moment
-accumulator's key sums and target programs.
+accumulator's key sums, target programs, spreads and totals.
 
 Two implementations with identical results, bit for bit, advance a block
 of trajectories through one chunk of steps in place: a C kernel, compiled
 with the system `cc` on first use and cached on disk, and a vectorized
 numpy kernel, the reference the tests compare against and the fallback
-when no compiler is available or the build fails.  The same library and
-the same switch serve the key sums of `moments.MomentAccumulator`
-(`get_key_summer`): the C routine takes each key's product of a block of
-batches, its prefix key's times one channel, and adds it into the
-batch's sum and, when asked, into its sample index's chain, in one pass
-over tiles of batches that fit in L1, reading the values through their
-strides, and refuses a sum that is not finite; numpy's version is its
-oracle and fallback.  They also serve the jackknife's replicates
-(`get_target_evaluator`): `moments` compiles each target's
-inclusion-exclusion into a flat program of stack ops (TARGET_OPS: push a
-key sum, push n, multiply by minus a key's mean, multiply or add a
-constant, add, take the mean, store), and the C routine runs a program
-over tiles of 256 batches, forming each key sum left out of the totals
-and each replicate's shifts tile by tile; numpy runs it on whole rows
-as its oracle and fallback.  The jackknife's spreads (`get_spreads`),
-each row's sums of squared deviations from its mean, are taken per lane
-in a fixed order, which the numpy version follows.
+when no compiler is available or the build fails.  One switch,
+`kernels()`, chooses the C library's passes, or numpy's, for all of:
+  step      the chunk step above;
+  key_sums  the key sums of `moments.MomentAccumulator`: each key's
+            product of a block of batches, its prefix key's times one
+            channel, added into the batch's sum and, when asked, into its
+            sample index's chain, in one pass over tiles of batches that
+            fit in L1, reading the values through their strides and
+            writing each batch's sums into its column of a page (`Pages`)
+            through the page's row stride; a sum that is not finite is
+            refused;
+  targets   the jackknife's replicates: `moments` compiles each target's
+            inclusion-exclusion into a flat program of stack ops
+            (TARGET_OPS: push a key sum, push n, multiply by minus a key's
+            mean, multiply or add a constant, add, take the mean, store),
+            and the C routine runs a program over tiles of 256 batches,
+            each tile a page read in place, forming each key sum left out
+            of the totals and each replicate's shifts tile by tile; numpy
+            runs it on whole rows of the joined pages;
+  spreads   each row's sums of squared deviations from its mean, taken
+            per lane in a fixed order, which the numpy version follows;
+  totals    each key's sum over the pages, numpy's pairwise row sum of
+            the joined array, which the C routine takes over the pages in
+            place and numpy by joining them.
+numpy's version of each is the C one's oracle and fallback.
 
 State layout: complex128 array (6, B) with rows (a0, a1, a2, a0p, a1p, a2p).
 Noise layout: C-contiguous float64 array (B, n_steps, 4) of normals already
@@ -46,14 +54,14 @@ part of the scratch each (`share_out`; the scratch is kept from call to
 call, so its pages fault in once), the calling thread taking the first
 range and any whose thread fails to start: the step kernel a block's
 trajectories, the key sums their 8-batch tiles, the target programs
-their 256-batch tiles and the spreads their rows.  Key sums that carry
-per-sample chains run on one thread, since each chain adds the batches
-in order.  One thread computes each trajectory, tile or row, in the
+their 256-batch tiles, and the spreads and totals their rows.  Key sums
+that carry per-sample chains run on one thread, since each chain adds
+the batches in order.  One thread computes each trajectory, tile or row, in the
 order one thread alone would, so no byte depends on the count; the
 numpy versions take it and run on the calling thread.  The moment layer
-takes the count from `worker_count`, the rule the engine's default
-follows: OPO3_WORKERS, else the CPUs this process may use, at most
-MAX_THREADS.
+takes the count from `moment_threads`, which is `worker_count`, the rule
+the engine's default follows (OPO3_WORKERS, else the CPUs this process
+may use, at most MAX_THREADS), unless the C passes do not split right.
 
 A thread of the step kernel steps its range four trajectories at a
 time, one per lane of a vector, with the real and imaginary parts of
@@ -96,13 +104,14 @@ included, so the build reads no file of numpy's and links nothing of it.
 On load the kernel's seeding, sampler and step must reproduce numpy's
 states and draws and the numpy kernel's bytes, its key sums the numpy
 key sums' bytes, the textbook products' sums, not those of numpy's
-complex multiply, and its target programs and spreads the numpy ones'
-bytes.  A failed build or load, or a failed check, makes the numpy
-versions of all four run instead, with one warning that names the
-reason.  At its first moment pass a process also checks that the key
-sums without chains, the target programs and the spreads give the same
-bytes split over two threads as on one (`_splits_right`), and else runs
-the numpy moment passes, with one warning.  The library is cached under
+complex multiply, and its target programs, spreads and totals the numpy
+ones' bytes.  A failed build or load, or a failed check, makes the
+numpy versions of all five run instead, with one warning that names the
+reason.  At its first moment pass on more than one thread a process also
+checks that the key sums without chains, the target programs, the
+spreads and the totals give the same bytes split over two threads as on
+one (`_splits_right`), and else runs them on one thread, with one
+warning.  The library is cached under
 $XDG_CACHE_HOME/opo3 when that path is absolute (else ~/.cache/opo3,
 else a per-user temporary directory), keyed by this module's source,
 the flags, the resolved compiler's path, size and mtime, and the numpy
@@ -112,10 +121,10 @@ standard normals drawn from the last of them, that generator's words
 after the draws, the numpy kernel's bytes on a chunk of those draws and
 on a chunk drawn from seeded words, one trajectory dying mid-chunk, the
 numpy key sums on a strided view of those draws, and the numpy target
-programs and spreads on sums and rows made of them) are computed once
-per build, on its first load, and kept beside the library, so later
-loads import neither numpy.random nor run a numpy step, key sums,
-target program or spreads.
+programs, spreads and totals on sums, rows and pages made of them) are
+computed once per build, on its first load, and kept beside the
+library, so later loads import neither numpy.random nor run a numpy
+step, key sums, target program, spreads or totals.
 """
 
 from __future__ import annotations
@@ -130,6 +139,7 @@ import tempfile
 import warnings
 import zlib
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -847,7 +857,7 @@ typedef struct {
     const char *values; int64_t s_ch, s_b, s_n;
     const double *centers; const int64_t *prefixes;
     int64_t n_ch, n_keys, nb, n;
-    double *block, *chains; int fresh;
+    char *block; int64_t s_out; double *chains; int fresh;
 } key_args_t;
 
 /* Tiles [t0, t1), its scratch a row of products and one of sums per
@@ -923,7 +933,7 @@ static LANE_CLONES int key_tiles(const void *args, void *scratch,
             }
         }
         for (int64_t k = 0; k < n_keys; k++) {
-            double *out = a->block + 2 * (k * a->nb + b0);
+            double *out = (double *)(a->block + k * a->s_out) + 2 * b0;
             for (int64_t b = 0; b < width; b++) {
                 out[2 * b] = BATCH(sum[k].re, b);
                 out[2 * b + 1] = BATCH(sum[k].im, b);
@@ -948,7 +958,8 @@ static int all_finite(const double *x, int64_t n)
    prefixes[2(k - n_ch)], an earlier one, and channel
    prefixes[2(k - n_ch) + 1]; singleton keys are the centered channels.
    Every complex product is the textbook (ac - bd, ad + bc).  block
-   (n_keys, nb) complex gets each batch's products added in sample order.
+   (n_keys, nb) complex, its rows s_out bytes apart and its columns
+   adjacent, gets each batch's products added in sample order.
    Unless chains is NULL, chains (n_keys, n) complex gets each sample
    index's products added in batch order, onto base (n_keys, n) complex,
    or from the first batch's product when base is NULL.  Returns -1 when
@@ -962,8 +973,8 @@ static int all_finite(const double *x, int64_t n)
 int opo3_key_sums(const char *values, int64_t s_ch, int64_t s_b,
                   int64_t s_n, const double *centers,
                   const int64_t *prefixes, int64_t n_ch, int64_t n_keys,
-                  int64_t nb, int64_t n, const double *base, double *block,
-                  double *chains, int64_t n_threads)
+                  int64_t nb, int64_t n, const double *base, char *block,
+                  int64_t s_out, double *chains, int64_t n_threads)
 {
     for (int64_t k = n_ch; k < n_keys; k++) {
         const int64_t p = prefixes[2 * (k - n_ch)];
@@ -974,7 +985,8 @@ int opo3_key_sums(const char *values, int64_t s_ch, int64_t s_b,
     if (chains && base)
         memcpy(chains, base, 2 * n_keys * n * sizeof *chains);
     const key_args_t args = {values, s_ch, s_b, s_n, centers, prefixes, n_ch,
-                             n_keys, nb, n, block, chains, base == NULL};
+                             n_keys, nb, n, block, s_out, chains,
+                             base == NULL};
     const int finite = share_out(key_tiles, &args,
                                  (nb + KEY_TILE - 1) / KEY_TILE,
                                  chains ? 1 : n_threads,
@@ -1005,7 +1017,7 @@ typedef struct { vdouble re[TARGET_VECS], im[TARGET_VECS]; } target_row_t;
 
 /* one opo3_targets call's arguments; strides in bytes */
 typedef struct {
-    const char *sums; int64_t s_k, s_b;
+    const char *const *tiles; int64_t s_k, s_b;
     const double *totals, *n, *consts;
     const int64_t *ops;
     const uint8_t *use;     /* per key, bit 0: its sum is read, bit 1: its
@@ -1055,7 +1067,7 @@ static LANE_CLONES int target_tiles(const void *args, void *scratch,
         for (int64_t k = 0; k < a->n_read; k++) {
             if (!(a->use[k] & 1))
                 continue;
-            const char *v = a->sums + k * a->s_k + b0 * a->s_b;
+            const char *v = a->tiles[b0 / TARGET_TILE] + k * a->s_k;
             for (int i = 0; i < TARGET_VECS; i++) {
                 vdouble re, im;
                 if (packed) {
@@ -1153,16 +1165,18 @@ static LANE_CLONES int target_tiles(const void *args, void *scratch,
 }
 
 /* Runs the program ops (n_ops rows of op and argument) on nb columns:
-   column b reads its key sums from sums (n_keys, nb) complex, byte
-   strides s_k and s_b, as totals (n_keys) complex minus sums[:, b], or
-   as sums[:, b] when totals is NULL, and counts n[b] samples; consts
+   column b reads its key sums from the (n_keys, nb) complex sums, whose
+   tile t of TARGET_TILE columns starts at tiles[t] (a page, see
+   opo3_totals) with byte strides s_k and s_b, as totals (n_keys) complex
+   minus sums[:, b], or as sums[:, b] when totals is NULL, and counts n[b]
+   samples; consts
    (n_consts) complex; out (n_out, nb) complex.  Every complex product is
    the textbook (ac - bd, ad + bc).  The tiles are split over n_threads
    threads (see share_out), each tile run by one thread as it would be by
    one alone, so no byte depends on the count.  Returns -1 when the tiles
    cannot be allocated and -2 for a program with an argument out of
    range, an op short of operands or values left on the stack. */
-int opo3_targets(const char *sums, int64_t s_k, int64_t s_b,
+int opo3_targets(const char *const *tiles, int64_t s_k, int64_t s_b,
                  const double *totals, const double *n, int64_t nb,
                  int64_t n_keys, const int64_t *ops, int64_t n_ops,
                  const double *consts, int64_t n_consts, double *out,
@@ -1197,7 +1211,7 @@ int opo3_targets(const char *sums, int64_t s_k, int64_t s_b,
         free(use);
         return -2;
     }
-    const target_args_t args = {sums, s_k, s_b, totals, n, consts, ops,
+    const target_args_t args = {tiles, s_k, s_b, totals, n, consts, ops,
                                 use, n_read, n_shift, nb, n_ops, out};
     const int done = share_out(target_tiles, &args,
                                (nb + TARGET_TILE - 1) / TARGET_TILE,
@@ -1285,6 +1299,91 @@ int opo3_spreads(const double *rows, int64_t n_rows, int64_t nb,
     const spread_args_t args = {rows, nb, out};
     return share_out(spread_rows, &args, n_rows, n_threads, 0) < 0 ? -1 : 0;
 }
+
+/* The key sums of the moment accumulator lie in pages, (n_keys,
+   TARGET_TILE) complex C-contiguous arrays, page p holding columns [256p,
+   256p + 256).  Their totals are numpy's row sums of the joined array
+   (sum(axis=1)): +0 plus a pairwise tree over the row's doubles, (re, im)
+   pairs.  A range of at most PAIRWISE_LEAF doubles is a leaf, summed in
+   eight partial sums, a part each, the rest added after; a longer one
+   splits at half its length rounded down to a multiple of 8.  Every
+   range starts at a multiple of 8 doubles, 4 columns, which a page
+   boundary is too, so no step of 8 straddles a page. */
+#define PAIRWISE_LEAF 128
+
+/* one opo3_totals call's arguments */
+typedef struct {
+    const char *const *pages; int64_t s_k, nb; double *out;
+} totals_args_t;
+
+/* column b of row k */
+static ALWAYS_INLINE const double *page_at(const totals_args_t *a, int64_t k,
+                                           int64_t b)
+{
+    return (const double *)(a->pages[b / TARGET_TILE] + k * a->s_k)
+           + 2 * (b % TARGET_TILE);
+}
+
+/* the sums of the real and imaginary parts of the doubles [lo, lo + n)
+   of row k, numpy's pairwise_sum */
+static void pairwise(const totals_args_t *a, int64_t k, int64_t lo,
+                     int64_t n, double *sums)
+{
+    int64_t i = 0;
+    if (n < 8) {
+        sums[0] = sums[1] = -0.0;
+    } else if (n <= PAIRWISE_LEAF) {
+        double r[8];
+        memcpy(r, page_at(a, k, lo / 2), sizeof r);
+        for (i = 8; i < n - n % 8; i += 8) {
+            const double *z = page_at(a, k, (lo + i) / 2);
+            for (int j = 0; j < 8; j++)
+                r[j] += z[j];
+        }
+        sums[0] = (r[0] + r[2]) + (r[4] + r[6]);
+        sums[1] = (r[1] + r[3]) + (r[5] + r[7]);
+    } else {
+        double left[2], right[2];
+        const int64_t half = n / 2 - n / 2 % 8;
+        pairwise(a, k, lo, half, left);
+        pairwise(a, k, lo + half, n - half, right);
+        sums[0] = left[0] + right[0];
+        sums[1] = left[1] + right[1];
+        return;
+    }
+    for (; i < n; i += 2) {
+        const double *z = page_at(a, k, (lo + i) / 2);
+        sums[0] += z[0];
+        sums[1] += z[1];
+    }
+}
+
+/* rows [r0, r1) */
+static int total_rows(const void *args, void *scratch, int64_t r0,
+                      int64_t r1)
+{
+    const totals_args_t *a = args;
+    (void)scratch;
+    for (int64_t k = r0; k < r1; k++) {
+        double sums[2];
+        pairwise(a, k, 0, 2 * a->nb, sums);
+        a->out[2 * k] = 0.0 + sums[0];
+        a->out[2 * k + 1] = 0.0 + sums[1];
+    }
+    return 1;
+}
+
+/* The totals of nb >= 1 columns of n_keys rows into out (n_keys) complex:
+   column b of row k at pages[b / TARGET_TILE] + k * s_k, the page's
+   columns adjacent.  The rows are split over n_threads threads (see
+   share_out), each row summed by one thread, so no byte depends on the
+   count.  Returns -1 when the ranges cannot be allocated. */
+int opo3_totals(const char *const *pages, int64_t s_k, int64_t n_keys,
+                int64_t nb, double *out, int64_t n_threads)
+{
+    const totals_args_t args = {pages, s_k, nb, out};
+    return share_out(total_rows, &args, n_keys, n_threads, 0) < 0 ? -1 : 0;
+}
 """
 
 # no -ffast-math or -march=native: the kernel must round like numpy does.
@@ -1302,6 +1401,11 @@ OP_KEY, OP_N, OP_SHIFT, OP_SCALE, OP_ADD, OP_MEAN, OP_OFFSET, OP_STORE = (
 # the doubles in one group of the jackknife's spreads, one for each lane
 # (SPREAD_GROUP in the C source)
 SPREAD_GROUP = 32
+# the columns of a tile of the target programs and of a page of key sums
+# (TARGET_TILE in the C source)
+PAGE_COLUMNS = 256
+# the pages the numpy target programs join and run at a time
+PAGE_RUN = 16
 # the load-time check's spawn keys: 0, 1 and 2**32 - 1, 2**32 (two words)
 _CHECK_SEED = 20260814
 _CHECK_KEYS = (0, 2**32 - 1)
@@ -1319,6 +1423,8 @@ _CHECK_THREADS = 2
 # then the spreads of rows x values, two groups and a part of one
 _CHECK_TARGETS = (6, 270)
 _CHECK_SPREADS = (3, 37)
+# the load-time totals check: keys x columns, a full page and part of one
+_CHECK_TOTALS = (3, 300)
 _CHECK_PROGRAM = ((OP_KEY, 3), (OP_SHIFT, 0), (OP_KEY, 4), (OP_SHIFT, 1),
                   (OP_SCALE, 0), (OP_ADD, 0), (OP_N, 0), (OP_SHIFT, 0),
                   (OP_KEY, 5), (OP_OFFSET, 1), (OP_ADD, 0), (OP_ADD, 0),
@@ -1516,7 +1622,8 @@ def _finite(arr: np.ndarray, what: str) -> np.ndarray:
     return arr
 
 
-def _key_sums_numpy(values, centers, prefixes, collect, base, n_threads=1):
+def _key_sums_numpy(values, centers, prefixes, collect, base, n_threads=1,
+                    out=None):
     """opo3_key_sums in numpy, each operation the C source's, in its order,
     on float64 arrays, so the bits are equal; numpy's complex multiply
     fuses a multiply-add where the CPU has one, so products are taken on
@@ -1541,7 +1648,7 @@ def _key_sums_numpy(values, centers, prefixes, collect, base, n_threads=1):
             np.multiply(re[p], im[q], out=im[k])
             np.multiply(im[p], re[q], out=tmp)
             im[k] += tmp
-        block = np.empty((n_keys, nb), dtype=np.complex128)
+        block = _key_block(out, n_keys, nb)
         chains = (np.empty((n_keys, n), dtype=np.complex128) if collect
                   else None)
         for at, prods in ((0, re), (1, im)):
@@ -1564,15 +1671,28 @@ def _key_sums_numpy(values, centers, prefixes, collect, base, n_threads=1):
     return block, chains
 
 
+def _key_block(out, n_keys: int, nb: int) -> np.ndarray:
+    """`out`, the (K, nb) complex128 view that the key sums fill, checked,
+    or a new array when it is None."""
+    if out is None:
+        return np.empty((n_keys, nb), dtype=np.complex128)
+    if not (out.dtype == np.complex128 and out.shape == (n_keys, nb)
+            and out.strides[1] == 16 and out.flags.writeable):
+        raise ValueError(f"out must be a writeable complex128 {(n_keys, nb)} "
+                         "array with adjacent columns")
+    return out
+
+
 def _key_sums_c(values, centers, prefixes, collect, base, n_threads=1,
-                lib=None):
+                out=None, lib=None):
     """opo3_key_sums on (C, nb, n) complex128 values, read through their
     strides, with (C,) centers and (K - C, 2) int64 prefix rows (prefix
-    key, channel): the (K, nb) batch sums and, when collect is set, the
-    (K, n) per-sample sums carried on from base, or None.  Without
-    collect the 8-batch tiles are split over n_threads threads.
-    ValueError when a batch sum, or else a per-sample sum, is not
-    finite."""
+    key, channel): the (K, nb) batch sums, written into `out` when it is
+    given (a view with adjacent columns, such as a page's), and, when
+    collect is set, the (K, n) per-sample sums carried on from base, or
+    None.  Without collect the 8-batch tiles are split over n_threads
+    threads.  ValueError when a batch sum, or else a per-sample sum, is
+    not finite."""
     lib = lib or _c_function()
     if lib is None:
         raise RuntimeError("the C key sums are not available")
@@ -1593,13 +1713,14 @@ def _key_sums_c(values, centers, prefixes, collect, base, n_threads=1,
                                   and a.flags.c_contiguous):
             raise ValueError(f"{name} must be a C-contiguous "
                              f"{np.dtype(dtype).name} {shape} array")
-    block = np.empty((n_keys, nb), dtype=np.complex128)
+    block = _key_block(out, n_keys, nb)
     chains = np.empty((n_keys, n), dtype=np.complex128) if collect else None
     status = lib.opo3_key_sums(
         values.ctypes.data, *values.strides, centers.ctypes.data,
         prefixes.ctypes.data, c, n_keys, nb, n,
         None if base is None else base.ctypes.data, block.ctypes.data,
-        None if chains is None else chains.ctypes.data, n_threads)
+        block.strides[0], None if chains is None else chains.ctypes.data,
+        n_threads)
     if status == -2:
         raise ValueError("each prefix row must name an earlier key and a "
                          "channel")
@@ -1623,7 +1744,17 @@ def _targets_numpy(ops, consts, sums, totals, n, n_out, n_threads=1):
     in its order, on float64 arrays, so the bits are equal; products are
     taken on the real and imaginary parts apart, as in `_key_sums_numpy`.
     It takes the arguments of `_targets_c` and runs on the calling thread
-    whatever n_threads says."""
+    whatever n_threads says.  Pages are joined PAGE_RUN at a time, so a
+    run's rows stay in cache and no (K, B) copy is made."""
+    if isinstance(sums, Pages):
+        out = np.empty((n_out, sums.n_cols), dtype=np.complex128)
+        for p in range(0, len(sums.pages), PAGE_RUN):
+            lo, hi = p * PAGE_COLUMNS, min((p + PAGE_RUN) * PAGE_COLUMNS,
+                                           sums.n_cols)
+            out[:, lo:hi] = _targets_numpy(
+                ops, consts, Pages(sums.pages[p:p + PAGE_RUN], hi - lo)
+                .joined(), totals, n[lo:hi], n_out)
+        return out
     inv = 1.0 / n
     c_re, c_im = consts.real.tolist(), consts.imag.tolist()
     out = np.empty((n_out, sums.shape[1]), dtype=np.complex128)
@@ -1667,17 +1798,24 @@ def _targets_numpy(ops, consts, sums, totals, n, n_out, n_threads=1):
 def _targets_c(ops, consts, sums, totals, n, n_out, n_threads=1, lib=None):
     """opo3_targets: the n_out rows that the program ops, (m, 2) int64
     rows (op, argument) with (q,) complex128 consts, stores for each
-    column of the (K, B) complex128 sums, read through their strides, as
-    given (K,) totals minus the column, else as the column itself, with
-    (B,) float64 counts n; a (n_out, B) complex128 array.  Its 256-column
-    tiles are split over n_threads threads."""
+    column of the (K, B) complex128 sums, `Pages` read in place or an
+    array read through its strides, as given (K,) totals minus the
+    column, else as the column itself, with (B,) float64 counts n; a
+    (n_out, B) complex128 array.  Its 256-column tiles are split over
+    n_threads threads."""
     lib = lib or _c_function()
     if lib is None:
         raise RuntimeError("the C target programs are not available")
-    if sums.dtype != np.complex128 or sums.ndim != 2:
-        raise ValueError("sums must be a 2-d complex128 array")
-    if not sums.flags.aligned:
-        sums = sums.copy()
+    if isinstance(sums, Pages):
+        tiles, (s_k, s_b) = sums.table(), sums.pages[0].strides
+    else:
+        if sums.dtype != np.complex128 or sums.ndim != 2:
+            raise ValueError("sums must be a 2-d complex128 array")
+        if not sums.flags.aligned:
+            sums = sums.copy()
+        s_k, s_b = sums.strides
+        tiles = sums.ctypes.data + s_b * PAGE_COLUMNS * np.arange(
+            -(-sums.shape[1] // PAGE_COLUMNS), dtype=np.int64)
     n_keys, nb = sums.shape
     # the C side trusts these shapes and layouts; check them here
     for name, a, dtype, shape in (("totals", totals, np.complex128, (n_keys,)),
@@ -1691,7 +1829,7 @@ def _targets_c(ops, consts, sums, totals, n, n_out, n_threads=1, lib=None):
                              f"{np.dtype(dtype).name} {shape} array")
     out = np.empty((n_out, nb), dtype=np.complex128)
     status = lib.opo3_targets(
-        sums.ctypes.data, *sums.strides,
+        tiles.ctypes.data, s_k, s_b,
         None if totals is None else totals.ctypes.data, n.ctypes.data, nb,
         n_keys, ops.ctypes.data, len(ops), consts.ctypes.data, len(consts),
         out.ctypes.data, n_out, n_threads)
@@ -1745,6 +1883,70 @@ def _spreads_c(rows, n_threads=1, lib=None):
     if lib.opo3_spreads(rows.ctypes.data, *rows.shape, out.ctypes.data,
                         n_threads) != 0:
         raise MemoryError("no memory for the C spreads' thread ranges")
+    return out
+
+
+class Pages:
+    """Key sums in place: n_cols columns of K rows in (K, PAGE_COLUMNS)
+    C-contiguous complex128 pages, page p holding columns [256p, 256p +
+    256), its columns past n_cols unread.  The C target programs and
+    totals read them through `table`; `joined` copies them into one
+    (K, n_cols) array, which only numpy's passes and tests need."""
+
+    __slots__ = ("pages", "n_cols", "_table")
+
+    def __init__(self, pages, n_cols: int):
+        self.pages = tuple(pages)
+        self.n_cols = n_cols
+        self._table = None
+        shape = (self.pages[0].shape[0], PAGE_COLUMNS)
+        # the C passes trust this layout
+        if not (0 < n_cols <= PAGE_COLUMNS * len(self.pages)
+                and all(p.dtype == np.complex128 and p.shape == shape
+                        and p.flags.c_contiguous for p in self.pages)):
+            raise ValueError("pages must be C-contiguous complex128 "
+                             f"(K, {PAGE_COLUMNS}) arrays that hold n_cols "
+                             "columns")
+
+    @property
+    def shape(self) -> tuple:
+        return (self.pages[0].shape[0], self.n_cols)
+
+    def table(self) -> np.ndarray:
+        """The pages' addresses, one int64 each, for the C passes."""
+        if self._table is None:
+            self._table = np.array([p.ctypes.data for p in self.pages],
+                                   dtype=np.int64)
+        return self._table
+
+    def joined(self) -> np.ndarray:
+        out = np.empty(self.shape, dtype=np.complex128)
+        for at, page in zip(range(0, self.n_cols, PAGE_COLUMNS), self.pages):
+            out[:, at:at + PAGE_COLUMNS] = page[:, :self.n_cols - at]
+        return out
+
+
+def _totals_numpy(sums: Pages, n_threads=1) -> np.ndarray:
+    """The (K,) totals of the pages: numpy's row sums of the joined
+    array, the answer that opo3_totals reproduces.  It takes the
+    arguments of `_totals_c` and runs on the calling thread whatever
+    n_threads says."""
+    return sums.joined().sum(axis=1)
+
+
+def _totals_c(sums: Pages, n_threads=1, lib=None) -> np.ndarray:
+    """opo3_totals: the (K,) row sums of the pages, read in place, with the
+    bytes of `_totals_numpy`; the rows are split over n_threads
+    threads."""
+    lib = lib or _c_function()
+    if lib is None:
+        raise RuntimeError("the C totals are not available")
+    n_keys, nb = sums.shape
+    out = np.empty(n_keys, dtype=np.complex128)
+    if lib.opo3_totals(sums.table().ctypes.data,
+                                 sums.pages[0].strides[0], n_keys, nb,
+                                 out.ctypes.data, n_threads) != 0:
+        raise MemoryError("no memory for the C totals' thread ranges")
     return out
 
 
@@ -1937,6 +2139,20 @@ def _check_spreads(spreads, normals) -> bytes:
     return spreads(rows.reshape(n_rows, nb)).tobytes()
 
 
+def _check_totals(totals, normals) -> bytes:
+    """The bytes of `totals` on _CHECK_TOTALS keys x columns made from
+    `normals`, every seventh scaled by 2^40 so that the order of the adds
+    shows, in two pages whose columns past the last are NaN."""
+    k, nb = _CHECK_TOTALS
+    pages = np.full((2, k, PAGE_COLUMNS), np.nan, dtype=np.complex128)
+    size = k * nb
+    sums = (normals[:size] + 1j * normals[size:2 * size]).reshape(k, nb)
+    sums[:, ::7] *= 2.0**40
+    for at, page in zip((0, PAGE_COLUMNS), pages):
+        page[:, :nb - at] = sums[:, at:at + PAGE_COLUMNS]
+    return totals(Pages(pages, nb)).tobytes()
+
+
 def _numpy_answers() -> bytes:
     """numpy's answers to the load-time check, laid out as `_c_function`
     lays out the C kernel's: the PCG64 words of SeedSequence(_CHECK_SEED,
@@ -1946,8 +2162,9 @@ def _numpy_answers() -> bytes:
     `_check_chunk` bytes on the draws, buffered, then drawn from the words
     of SeedSequence(_CHECK_SEED, spawn_key=(j,)) for each trajectory j,
     the numpy key sums' `_check_key_sums` bytes on the draws, the numpy
-    target programs' `_check_targets` bytes and the numpy spreads'
-    `_check_spreads` bytes on them."""
+    target programs' `_check_targets` bytes, the numpy spreads'
+    `_check_spreads` bytes and the numpy totals' `_check_totals` bytes on
+    them."""
     bitgens = [np.random.PCG64(np.random.SeedSequence(
         _CHECK_SEED, spawn_key=(k + j,))) for k in _CHECK_KEYS for j in (0, 1)]
     seeded = b"".join(_pcg64_words(b).tobytes() for b in bitgens)
@@ -1959,7 +2176,8 @@ def _numpy_answers() -> bytes:
             + _check_chunk(_chunk_step_numpy, draws, gens)
             + _check_key_sums(_key_sums_numpy, draws)
             + _check_targets(_targets_numpy, draws)
-            + _check_spreads(_spreads_numpy, draws))
+            + _check_spreads(_spreads_numpy, draws)
+            + _check_totals(_totals_numpy, draws))
 
 
 def _kept_answers(path: Path) -> bytes:
@@ -1998,8 +2216,9 @@ def _c_function():
     numpy kernel's bytes on `_check_chunk` of those draws, buffered and
     drawn from its own seeding's words, its key sums the numpy key sums'
     bytes on `_check_key_sums`, its target programs the numpy ones' on
-    `_check_targets` and its spreads the numpy ones' on `_check_spreads`:
-    every byte must equal the kept `_numpy_answers`.
+    `_check_targets`, its spreads the numpy ones' on `_check_spreads` and
+    its totals the numpy ones' on `_check_totals`: every byte must equal
+    the kept `_numpy_answers`.
     """
     try:
         path = _compiled_library()
@@ -2011,11 +2230,13 @@ def _c_function():
                 (lib.opo3_chunk_step, [ptr] * 3 + [f64] + [ptr] * 2
                  + [i64] * 2 + [f64] * 5 + [i64] * 2, ctypes.c_int),
                 (lib.opo3_key_sums, [ptr] + [i64] * 3 + [ptr] * 2
-                 + [i64] * 4 + [ptr] * 3 + [i64], ctypes.c_int),
+                 + [i64] * 4 + [ptr] * 2 + [i64, ptr, i64], ctypes.c_int),
                 (lib.opo3_targets, [ptr] + [i64] * 2 + [ptr] * 2
                  + [i64] * 2 + [ptr, i64, ptr, i64, ptr, i64, i64],
                  ctypes.c_int),
-                (lib.opo3_spreads, [ptr, i64, i64, ptr, i64], ctypes.c_int)):
+                (lib.opo3_spreads, [ptr, i64, i64, ptr, i64], ctypes.c_int),
+                (lib.opo3_totals, [ptr] + [i64] * 3 + [ptr, i64],
+                 ctypes.c_int)):
             fn.argtypes, fn.restype = args, res
         words = np.concatenate([seed_generators(_CHECK_SEED, k, 2, lib)
                                 for k in _CHECK_KEYS])
@@ -2032,12 +2253,13 @@ def _c_function():
                 + _check_targets(functools.partial(_targets_c, lib=lib),
                                  draws)
                 + _check_spreads(functools.partial(_spreads_c, lib=lib),
-                                 draws))
+                                 draws)
+                + _check_totals(functools.partial(_totals_c, lib=lib), draws))
         if ours != _kept_answers(path.with_suffix(".check")):
             raise _BuildError("it does not reproduce numpy's SeedSequence, "
                               "PCG64, Generator.standard_normal, step "
-                              "kernel, key sums, target programs and "
-                              "spreads")
+                              "kernel, key sums, target programs, spreads "
+                              "and totals")
     except (OSError, _BuildError) as exc:
         warnings.warn(f"opo3: C step kernel unavailable ({exc}); "
                       "using the slower numpy kernel", RuntimeWarning,
@@ -2046,9 +2268,30 @@ def _c_function():
     return lib
 
 
+class Kernels(NamedTuple):
+    """One implementation of every pass: the step kernel, the key sums,
+    the target programs, the spreads and the totals."""
+
+    step: object
+    key_sums: object
+    targets: object
+    spreads: object
+    totals: object
+
+
+def kernels() -> Kernels:
+    """The C passes when the library builds and loads, else numpy's."""
+    if _c_function() is not None:
+        return Kernels(_chunk_step_c, _key_sums_c, _targets_c, _spreads_c,
+                       _totals_c)
+    return Kernels(_chunk_step_numpy, _key_sums_numpy, _targets_numpy,
+                   _spreads_numpy, _totals_numpy)
+
+
 def get_stepper():
-    """The C kernel when it builds and loads, else the numpy kernel."""
-    return _chunk_step_c if _c_function() is not None else _chunk_step_numpy
+    """`kernels().step`, the name by which the benchmark harness reads the
+    backend."""
+    return kernels().step
 
 
 @functools.cache
@@ -2056,53 +2299,38 @@ def _splits_right(lib) -> bool:
     """Whether the loaded C library's moment passes, split over
     _CHECK_THREADS threads, give the bytes they give on one, which the
     load-time check holds to numpy's: its key sums on `_check_key_sums`,
-    its target programs on `_check_targets` and its spreads on
-    `_check_spreads`, on normals of its own seeding and sampler.  When
-    they do not, with one warning, False.
+    its target programs on `_check_targets`, its spreads on
+    `_check_spreads` and its totals on `_check_totals`, on normals of its
+    own seeding and sampler.  When they do not, with one warning, False.
 
-    It runs at a process's first moment pass, not at load, because the
-    first thread a process starts can take milliseconds, which a process
-    that only steps, or only loads the library, need not pay.
+    It runs at a process's first split moment pass, not at load, because
+    the first thread a process starts can take milliseconds, which a
+    process that only steps, or only loads the library, need not pay.
     """
     words = seed_generators(_CHECK_SEED, _CHECK_KEYS[-1] + 1, 1, lib)
     draws = np.empty(_CHECK_DRAWS)
     lib.opo3_normals(words.ctypes.data, draws.size, draws.ctypes.data)
     for check, run in ((_check_key_sums, _key_sums_c),
                        (_check_targets, _targets_c),
-                       (_check_spreads, _spreads_c)):
+                       (_check_spreads, _spreads_c),
+                       (_check_totals, _totals_c)):
         one, split = (check(functools.partial(run, n_threads=threads,
                                               lib=lib), draws)
                       for threads in (1, _CHECK_THREADS))
         if split != one:
             warnings.warn("opo3: C moment passes split over threads "
                           "unavailable (they do not reproduce their bytes "
-                          "on one thread); using the slower numpy key "
-                          "sums, target programs and spreads",
+                          "on one thread); running them on one thread",
                           RuntimeWarning, stacklevel=3)
             return False
     return True
 
 
-def _c_moments():
-    """The loaded C library when its moment passes split right, else
-    None."""
+def moment_threads() -> int:
+    """The threads the moment passes split over: `worker_count()`, or 1
+    when the C passes do not split right."""
+    threads = worker_count()
     lib = _c_function()
-    return lib if lib is not None and _splits_right(lib) else None
-
-
-def get_key_summer():
-    """The C key sums when the C kernel builds, loads and splits right,
-    else numpy's."""
-    return _key_sums_c if _c_moments() is not None else _key_sums_numpy
-
-
-def get_target_evaluator():
-    """The C target programs when the C kernel builds, loads and splits
-    right, else numpy's."""
-    return _targets_c if _c_moments() is not None else _targets_numpy
-
-
-def get_spreads():
-    """The C spreads when the C kernel builds, loads and splits right,
-    else numpy's."""
-    return _spreads_c if _c_moments() is not None else _spreads_numpy
+    if threads > 1 and lib is not None and not _splits_right(lib):
+        return 1
+    return threads

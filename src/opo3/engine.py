@@ -17,14 +17,14 @@ are bit-identical for any worker count and any block size.
 
 Workers are C kernel threads on contiguous ranges of a block's
 trajectories (see `run_ensemble`).  The moment layer's compiled passes
-split their tiles the same way, over `_kernels.worker_count()` threads;
+split their tiles the same way, over `_kernels.moment_threads()` threads;
 the per-sample sums of a time series stay on one thread, and no byte
 depends on either count.  Everything else runs on one thread.
 
 Sampling: after `burn_steps`, the state is recorded every `int_steps` steps,
 n_samples_per_traj times.  Each trajectory contributes its samples as one
-batch to a moment accumulator; divergent trajectories are excluded entirely
-and counted.  A run with more than 1% divergent trajectories is flagged
+batch to a moment accumulator, or past GROUP_CAP trajectories to its
+group's batch; divergent trajectories are excluded entirely and counted.  A run with more than 1% divergent trajectories is flagged
 unreliable.
 """
 
@@ -45,6 +45,7 @@ BLOCK_SIZE = 256          # trajectories per work unit; results do not depend on
 CHUNK_STEPS = 1024        # steps per kernel call
 DT_CEILING = 0.05         # dt * max(1, gamma_r) must not exceed this
 MAX_DIVERGED_FRACTION = 0.01
+GROUP_CAP = 2**16         # the most jackknife groups a run keeps
 _MAX_STEPS = 2**63 - 1    # the kernels count steps in int64
 
 
@@ -188,7 +189,7 @@ def _advance(state, stops, consts, gens=None, normals=None, n_threads=1):
     caller-supplied unscaled standard normals `normals` (n_steps, 4, B).
     The C kernel splits the block over n_threads threads, the numpy one not.
     """
-    stepper = _kernels.get_stepper()
+    stepper = _kernels.kernels().step
     nb = state.shape[1]
     alive = np.ones(nb, dtype=np.bool_)
     first_bad = np.full(nb, -1, dtype=np.int64)
@@ -267,6 +268,7 @@ class EnsembleResult:
     backend: str                          # qualified name of the step kernel
     workers: int                          # threads the kernel ran a block on
     block_size: int                       # trajectories per block
+    group_size: int = 1                   # trajectories per jackknife group
     halves: tuple | None = None           # (first-half acc, second-half acc)
 
     @property
@@ -290,8 +292,8 @@ class EnsembleResult:
 
     def record(self) -> dict:
         """The run's provenance in plain JSON types: the point, the resolved
-        settings, the kernel and its threads, and how many trajectories
-        diverged."""
+        settings, the kernel and its threads, the jackknife's group size,
+        and how many trajectories diverged."""
         p = self.params
         return {
             "params": {"mu": p.mu, "gamma_r": p.gamma_r, "g": p.g,
@@ -305,7 +307,17 @@ class EnsembleResult:
             "backend": self.backend,
             "workers": self.workers,
             "block_size": self.block_size,
+            "group_size": self.group_size,
         }
+
+
+def group_size(n_trajectories: int) -> int:
+    """The smallest power of two g with ceil(n_trajectories / g) <=
+    GROUP_CAP: it divides BLOCK_SIZE or is a multiple of it."""
+    g = 1
+    while -(-n_trajectories // g) > GROUP_CAP:
+        g *= 2
+    return g
 
 
 def run_ensemble(params: ModelParams, config: SimConfig, workers: int | None = None,
@@ -319,16 +331,23 @@ def run_ensemble(params: ModelParams, config: SimConfig, workers: int | None = N
     range whose thread fails to start.  workers defaults to OPO3_WORKERS,
     else to the CPUs this process may use (`_kernels.worker_count`); it
     must be an integer >= 1, and estimates do not depend on it.
+
+    Past GROUP_CAP trajectories the accumulators sum them in groups of
+    `group_size(n_trajectories)` consecutive ones, which the jackknife
+    leaves out one at a time, so the store stays within GROUP_CAP columns.
     """
     t0 = time.perf_counter()
     rcfg = config.resolve(params)
-    stepper = _kernels.get_stepper()
+    stepper = _kernels.kernels().step
     nt, n = rcfg.n_trajectories, rcfg.n_samples_per_traj
     # the kernel runs at most one thread per trajectory of a block
     threads = min(_kernels.worker_count(workers), BLOCK_SIZE, nt)
     schema = opo_schema(params)
-    acc = MomentAccumulator(schema, collect_per_sample=collect_time_series)
-    halves = ((MomentAccumulator(schema), MomentAccumulator(schema))
+    g = group_size(nt)
+    acc = MomentAccumulator(schema, collect_per_sample=collect_time_series,
+                            group_size=g)
+    halves = ((MomentAccumulator(schema, group_size=g),
+               MomentAccumulator(schema, group_size=g))
               if split_halves else None)
     diverged_indices = []
     for lo in range(0, nt, BLOCK_SIZE):
@@ -339,10 +358,11 @@ def run_ensemble(params: ModelParams, config: SimConfig, workers: int | None = N
         kept = cube[:, alive, :]
         if kept.shape[1] == 0:
             continue
-        acc.add_batches(kept)
+        indices = lo + np.flatnonzero(alive)
+        acc.add_batches(kept, indices)
         if halves and n >= 2:
-            halves[0].add_batches(kept[:, :, : n // 2])
-            halves[1].add_batches(kept[:, :, n // 2:])
+            halves[0].add_batches(kept[:, :, : n // 2], indices)
+            halves[1].add_batches(kept[:, :, n // 2:], indices)
 
     return EnsembleResult(
         moments=acc,
@@ -354,6 +374,7 @@ def run_ensemble(params: ModelParams, config: SimConfig, workers: int | None = N
         # the numpy kernel runs on the calling thread alone
         workers=1 if stepper is _kernels._chunk_step_numpy else threads,
         block_size=BLOCK_SIZE,
+        group_size=g,
         halves=halves,
     )
 

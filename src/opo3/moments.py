@@ -8,24 +8,28 @@ batch; centering is applied at finalize time by inclusion-exclusion, which
 avoids a second pass while still centering on empirical means where wanted.
 
 Batches are the unit of error estimation: one batch per trajectory in
-ensemble runs.  Standard errors come from leave-one-out jackknife over
-batches, which for plain moments reduces to batch means and extends cleanly
-to nonlinear composites (criteria ratios and margins).  Each value's
+ensemble runs, or one group of consecutive trajectories past
+`engine.GROUP_CAP` of them.  Standard errors come from leave-one-out
+jackknife over batches (delete-a-group for groups), which for plain moments
+reduces to batch means and extends cleanly to nonlinear composites
+(criteria ratios and margins).  Each value's
 replicates are summed, for their mean and then their squared deviations
-from it, in one fixed lane order (`_kernels.get_spreads`).
+from it, in one fixed lane order (`_kernels.kernels`).
 
 Every sum has one fixed order, so estimates are bit-for-bit the same for
 any slicing of the batches into add_batches calls:
   per batch   a batch's key products are added in sample order
+  per group   a group's batch sums are added in trajectory order
   per sample  each sample index's products are one chain in batch
               (trajectory) order, carried across calls
-  totals      the joined batch sums are summed pairwise over batches
+  totals      each key's batch sums are summed pairwise, as numpy sums a
+              row of the joined (K, B) array, over pages read in place
 Each key's product is its prefix key's times one channel.  Finalize
 evaluates every target on the full data and on each leave-one-out
 replicate by a program compiled once per schema, centering and set of
-channels whose shift is exactly zero: each shifted term is expanded by
-Horner's rule in minus the shifts, each mean is a sum times 1/n.  The C
-key sums and target programs and their numpy oracles (`_kernels`) take
+targets: each shifted term is expanded by Horner's rule in minus the
+shifts, each mean is a sum times 1/n.  The C key sums and target
+programs and their numpy oracles (`_kernels`) take
 every complex product the textbook way, (ac - bd, ad + bc), each real
 operation rounded on its own, so no report bit depends on the CPU.
 numpy's own complex multiply cannot be the oracle: where the CPU has
@@ -56,6 +60,9 @@ from .model import ModelParams
 CENTERINGS = ("reference", "sample", "none", "raw")
 
 LOW_CONFIDENCE_BATCHES = 30
+# finalize evaluates its targets in passes of at most this many bytes of
+# leave-one-out replicates (one row of B complex values per target)
+REPLICATE_BYTES = 2**23
 
 
 class SchemaError(ValueError):
@@ -141,13 +148,23 @@ class MomentSchema:
         object.__setattr__(self, "_prefixes", prefixes)
         object.__setattr__(self, "_programs", {})
 
-    def _program(self, centering: str, zero: frozenset, names: tuple):
-        """The program of targets `names` under `centering` with the
-        channels in `zero` unshifted (`_compile`), compiled once."""
-        key = (centering, zero, names)
+    def _program(self, centering: str, names: tuple):
+        """The program of targets `names` under `centering` (`_compile`),
+        compiled once."""
+        key = (centering, names)
         if key not in self._programs:
-            self._programs[key] = _compile(self, centering, zero, names)
+            self._programs[key] = _compile(self, centering, names)
         return self._programs[key]
+
+    def _unshifted(self, centering: str) -> frozenset:
+        """The channels `centering` never shifts: all under "none", those
+        centered on 0 under "raw" and the non-shiftable ones under
+        "reference"."""
+        return frozenset(
+            c for c, spec in enumerate(self.channels)
+            if centering == "none"
+            or (centering == "raw" and spec.center == 0)
+            or (centering == "reference" and not spec.shiftable))
 
     @property
     def n_channels(self) -> int:
@@ -197,10 +214,11 @@ class MomentEstimate:
 class MomentReport:
     """Named estimates, from one finalize or from closed forms.
 
-    finalize attaches read-only references to the (K, B) batch sums, the
-    (B,) counts and the (K,) totals it evaluated, so composites of a report
-    are jackknifed over exactly those batches, however the accumulator
-    grows afterwards, without summing them again.
+    finalize attaches the batch sums it evaluated, B columns of K keys in
+    read-only pages (`_kernels.Pages`, shared with the accumulator, never
+    joined), and read-only references to the (B,) counts and (K,) totals,
+    so composites of a report are jackknifed over exactly those batches,
+    however the accumulator grows afterwards, without summing them again.
     """
 
     entries: dict
@@ -210,8 +228,8 @@ class MomentReport:
     label: str = "monte-carlo"
     params: ModelParams | None = None
     schema: MomentSchema | None = field(default=None, repr=False)
-    batch_sums: np.ndarray | None = field(default=None, repr=False,
-                                          compare=False)
+    batch_sums: _kernels.Pages | None = field(default=None, repr=False,
+                                              compare=False)
     batch_counts: np.ndarray | None = field(default=None, repr=False,
                                             compare=False)
     batch_totals: np.ndarray | None = field(default=None, repr=False,
@@ -256,11 +274,12 @@ class MomentReport:
 
 class _Stats:
     """Evaluation context over key-major raw sums: (K,) for the full dataset
-    with a scalar count n, or (K, M) for M replicates with n shaped (M,);
-    given totals, replicate m leaves batch m out (totals - sums[:, m]).
-    Targets run as compiled programs (`MomentSchema._program`) in one pass
-    over the replicates, by `_kernels.get_target_evaluator()`; derived
-    quantities broadcast.  No replicate array outlives the context.
+    with a scalar count n, or (K, M) for M replicates, an array or pages,
+    with n shaped (M,); given totals, replicate m leaves batch m out
+    (totals - sums[:, m]).  Targets run as compiled programs
+    (`MomentSchema._program`) in one pass over the replicates, by
+    `_kernels.kernels().targets`; derived quantities broadcast.  No
+    replicate array outlives the context.
     """
 
     def __init__(self, schema: MomentSchema, sums, n, centering: str,
@@ -274,63 +293,20 @@ class _Stats:
         self._sums = sums.reshape(-1, 1) if self._scalar else sums
         self._counts = np.ascontiguousarray(n, dtype=np.float64)
         self._totals = totals
-        self._threads = _kernels.worker_count()
-        self._zero = None
         self._cache = {}
 
-    def _run(self, program, n_out: int, cols=slice(None)) -> np.ndarray:
+    def _run(self, program, n_out: int) -> np.ndarray:
         ops, consts = program
-        return _kernels.get_target_evaluator()(
-            ops, consts, self._sums[:, cols], self._totals, self._counts[cols],
-            n_out, self._threads)
-
-    def _zero_shifts(self) -> frozenset:
-        """The channels whose shift is exactly zero in every column: all
-        under "none", those centered on 0 under "raw" and, under "sample"
-        and "reference", each one shifted to its mean where that mean is 0
-        in every column."""
-        if self._zero is None:
-            channels = self.schema.channels
-            if self.centering == "none":
-                zero = set(range(len(channels)))
-            elif self.centering == "raw":
-                zero = {c for c, spec in enumerate(channels)
-                        if spec.center == 0}
-            else:
-                zero = {c for c, spec in enumerate(channels)
-                        if self.centering == "reference"
-                        and not spec.shiftable}
-                zero |= self._zero_means(
-                    [c for c in range(len(channels)) if c not in zero])
-            self._zero = frozenset(zero)
-        return self._zero
-
-    def _zero_means(self, channels: list) -> set:
-        """Those of `channels` (the leading, singleton keys) whose mean is 0
-        in every column.  A nonzero mean in the first column rules a
-        channel out, so only the rest are evaluated over all columns."""
-        for cols in (slice(0, 1), slice(None)):
-            if not channels:
-                break
-            ops = np.array([row for i, c in enumerate(channels)
-                            for row in ((_kernels.OP_KEY, c),
-                                        (_kernels.OP_MEAN, 0),
-                                        (_kernels.OP_STORE, i))],
-                           dtype=np.int64)
-            means = self._run((ops, np.empty(0, dtype=np.complex128)),
-                              len(channels), cols)
-            channels = [c for c, nonzero in zip(channels,
-                                                np.any(means != 0, axis=1))
-                        if not nonzero]
-        return set(channels)
+        return _kernels.kernels().targets(
+            ops, consts, self._sums, self._totals, self._counts, n_out,
+            _kernels.moment_threads())
 
     def targets(self, names) -> np.ndarray:
         """The targets `names` in one pass: shaped (len(names),) for the
         full dataset, (len(names), M) for M replicates.  Each is kept for
         `target`."""
         names = tuple(names)
-        program = self.schema._program(self.centering, self._zero_shifts(),
-                                       names)
+        program = self.schema._program(self.centering, names)
         out = self._run(program, len(names))
         if self._scalar:
             out = out[:, 0]
@@ -347,8 +323,7 @@ class _Stats:
         return self._n
 
 
-def _compile(schema: MomentSchema, centering: str, zero: frozenset,
-             names: tuple):
+def _compile(schema: MomentSchema, centering: str, names: tuple):
     """The targets `names` as one program of `_kernels`' target
     evaluators: (m, 2) int64 rows (op, argument) and complex128 constants.
 
@@ -356,7 +331,8 @@ def _compile(schema: MomentSchema, centering: str, zero: frozenset,
     where that is not 1, adds its offset where that is nonzero and is
     stored to its row.  A term's mean is its sum times 1/n: the raw key
     sum without apply_shift, else the sum of prod(v_fixed) *
-    prod((v_u - s_u)^m) over its channels, the fixed ones those in `zero`.
+    prod((v_u - s_u)^m) over its channels, the fixed ones those that
+    `centering` never shifts (`MomentSchema._unshifted`).
     Binomial expansion in the first shifted channel u gives
     sum_k C(m, k) (-s_u)^(m-k) X_k, where X_k is this sum with u^k joined
     to the fixed channels and u dropped from the shifted ones; it runs by
@@ -366,6 +342,7 @@ def _compile(schema: MomentSchema, centering: str, zero: frozenset,
     "raw", u's center, a constant.
     """
     ops, consts = [], {}
+    zero = schema._unshifted(centering)
 
     def const(value) -> int:
         return consts.setdefault(complex(value), len(consts))
@@ -434,12 +411,12 @@ class _ExactValues:
 def _jack_se(reps):
     """Jackknife SEs of the real and imaginary parts, shaped (T, 2), from
     (T, B) leave-one-out replicates, one row per value, their squared
-    deviations summed by `_kernels.get_spreads()`.  A sum of squares that
+    deviations summed by `_kernels.kernels().spreads`.  A sum of squares that
     overflows is redone on deviations scaled by an exact power of two;
     the caller mutes overflow."""
     b = reps.shape[-1]
-    se = np.sqrt((b - 1) / b * _kernels.get_spreads()(
-        reps, _kernels.worker_count()))
+    se = np.sqrt((b - 1) / b * _kernels.kernels().spreads(
+        reps, _kernels.moment_threads()))
     for row, k in zip(*np.nonzero(np.isinf(se))):
         part = (reps[row] - reps[row].mean()).view(np.float64)[k::2]
         exp = math.frexp(np.abs(part).max())[1]
@@ -457,9 +434,9 @@ class JackknifeResult:
 
 def _jackknife(fn, schema: MomentSchema, sums, counts, totals,
                centering: str) -> JackknifeResult:
-    """fn on the full (K, B) batch sums, whose (K,) totals are given, and on
-    each leave-one-batch-out replicate; componentwise errors, one per
-    element of fn's result."""
+    """fn on the full data, whose (K,) totals are given, and on each
+    replicate that leaves one of the B columns of the (K, B) batch sums
+    out; componentwise errors, one per element of fn's result."""
     n = counts.astype(np.float64)
     value = fn(_Stats(schema, totals, n.sum(), centering))
     reps = fn(_Stats(schema, sums, n.sum() - n, centering, totals=totals))
@@ -477,32 +454,48 @@ class MomentAccumulator:
 
     Samples arrive through add_batches as channel vectors (values in
     schema channel order), one batch per trajectory.  The key sums of a
-    call's batches are taken in one pass by `_kernels.get_key_summer()`,
+    call's batches are taken in one pass by `_kernels.kernels().key_sums`,
     the C key sums, which build no (K, n, nb) array of products, or their
     numpy oracle, with equal bytes.  The C pass splits its 8-batch tiles
-    over `_kernels.worker_count()` threads, as finalize's target programs
-    and spreads split theirs, unless it collects per-sample sums, which
-    stay on one thread; each tile is summed by one thread, so no byte
-    depends on the count.  Three summation orders make every sum
-    independent of how batches arrive:
+    over `_kernels.moment_threads()` threads, as finalize's target
+    programs, totals and spreads split theirs, unless it collects
+    per-sample sums, which stay on one thread; each tile is summed by one
+    thread, so no byte depends on the count.
+
+    The key sums are stored one column per batch in pages of
+    `_kernels.PAGE_COLUMNS` columns (`_kernels.Pages`), which the key sums
+    write in place and the target programs and totals read in place, so
+    nothing joins them.  A page that a report or a merge holds is
+    read-only and never written again: a write to it copies it first.
+
+    With group_size g > 1 a column holds a group, the trajectories
+    [g*i, g*(i + 1)): add_batches takes each batch's trajectory index, and
+    a group's sums and sample count add those of its batches, so the
+    jackknife leaves out one group at a time and the store holds one
+    column per group.
+
+    Four summation orders make every sum independent of how batches
+    arrive:
       per batch   each batch's products are added in sample order;
+      per group   a group's batch sums are added in trajectory order;
       per sample  (collect_per_sample) the products of each sample index
                   form one chain in trajectory order, carried on from the
                   running sums of earlier calls;
-      totals      evaluation joins the per-batch sums once into one
-                  read-only (K, B) array and sums along its batch axis
-                  pairwise, so they depend on the batch order alone; they
-                  are kept until a batch is added.
-    Per-batch key sums are stored key-major in (K, nb) blocks that are
-    never written after they are appended, and per-sample sums are
-    read-only, so merges and reports share them.
+      totals      each key's columns are summed as numpy sums a row of
+                  the joined (K, B) array, pairwise (`_kernels.Pages`),
+                  so they depend on the column order alone; they are kept
+                  until a batch is added.
     """
 
-    def __init__(self, schema: MomentSchema, collect_per_sample: bool = False):
+    def __init__(self, schema: MomentSchema, collect_per_sample: bool = False,
+                 group_size: int = 1):
         self.schema = schema
-        self._blocks = []         # (K, nb) complex batch sums
-        self._block_ns = []       # (nb,) int sample counts
-        self._totals = None       # (K,) sums of the joined block, if taken
+        self.group_size = _kernels._integer("group_size", group_size, 1)
+        self._pages = []          # (K, PAGE_COLUMNS) complex key sums
+        self._counts = np.zeros(0, dtype=np.int64)   # per column, with room
+        self._n_cols = 0
+        self._span = None         # (first, last) trajectory, when grouped
+        self._snapshot = None     # (pages, counts, totals), once taken
         self.collect_per_sample = bool(collect_per_sample)
         self.per_sample_sums = None    # (K, n_samples) complex when collected
 
@@ -516,9 +509,44 @@ class MomentAccumulator:
                               "collection needs a fixed sample count")
         return base
 
-    def add_batches(self, values) -> "MomentAccumulator":
+    def _page(self, col: int) -> np.ndarray:
+        """The writeable page of column `col`, added or copied as needed."""
+        p = col // _kernels.PAGE_COLUMNS
+        if p == len(self._pages):
+            self._pages.append(np.empty(
+                (self.schema.n_keys, _kernels.PAGE_COLUMNS),
+                dtype=np.complex128))
+        elif not self._pages[p].flags.writeable:
+            self._pages[p] = self._pages[p].copy()
+        return self._pages[p]
+
+    def _segments(self, col: int, width: int):
+        """(at, view) for the page views that hold columns [col, col +
+        width), `at` their offset in that range."""
+        at = 0
+        while at < width:
+            c = (col + at) % _kernels.PAGE_COLUMNS
+            m = min(width - at, _kernels.PAGE_COLUMNS - c)
+            yield at, self._page(col + at)[:, c:c + m]
+            at += m
+
+    def _commit(self, col: int, counts: np.ndarray) -> None:
+        """Columns [col, col + len(counts)) now hold sums of `counts`
+        samples each."""
+        end = col + len(counts)
+        if end > len(self._counts):
+            grown = np.zeros(max(end, 2 * len(self._counts)), dtype=np.int64)
+            grown[:self._n_cols] = self._counts[:self._n_cols]
+            self._counts = grown
+        self._counts[col:end] = counts
+        self._n_cols = end
+        self._snapshot = None
+
+    def add_batches(self, values, indices=None) -> "MomentAccumulator":
         """B per-trajectory batches of n samples: values shaped
         (n_channels, B, n); one batch of n samples is values[:, None, :].
+        A grouped accumulator also takes `indices`, each batch's
+        trajectory index, increasing, and past those added before.
 
         When collect_per_sample is set, also folds per-sample-index sums
         (over trajectories) for running-average curves.
@@ -531,27 +559,85 @@ class MomentAccumulator:
             return self
         if n == 0:
             raise ValueError("empty batch: each batch needs at least one sample")
-        base = self._per_sample_base(n) if self.collect_per_sample else None
-        block, per_sample = _kernels.get_key_summer()(
-            values, self.schema._centers, self.schema._prefixes,
-            self.collect_per_sample, base, _kernels.worker_count())
-        self._blocks.append(block)
-        self._block_ns.append(np.full(nb, n, dtype=np.int64))
-        self._totals = None
+        index = self._indices(indices, nb)
+        chains = self._per_sample_base(n) if self.collect_per_sample else None
+        key_sums = _kernels.kernels().key_sums
+        args = (self.schema._centers, self.schema._prefixes,
+                self.collect_per_sample)
+        threads = _kernels.moment_threads()
+        if index is None:
+            for at, out in self._segments(self._n_cols, nb):
+                _, chains = key_sums(values[:, at:at + out.shape[1]], *args,
+                                     chains, threads, out=out)
+            self._commit(self._n_cols, np.full(nb, n, dtype=np.int64))
+        else:
+            block, chains = key_sums(values, *args, chains, threads)
+            self._fold(block, index, n)
         if self.collect_per_sample:
-            per_sample.flags.writeable = False
-            self.per_sample_sums = per_sample
+            chains.flags.writeable = False
+            self.per_sample_sums = chains
         return self
+
+    def _indices(self, indices, nb: int):
+        """Each batch's trajectory index, checked, or None when
+        ungrouped."""
+        if self.group_size == 1:
+            return None
+        if indices is None:
+            raise ValueError("a grouped accumulator needs each batch's "
+                             "trajectory index")
+        index = np.asarray(indices, dtype=np.int64)
+        if (index.shape != (nb,) or index[0] < 0 or np.any(np.diff(index) <= 0)
+                or (self._span and index[0] <= self._span[1])):
+            raise ValueError("trajectory indices must be one increasing "
+                             "index >= 0 per batch, past those added before")
+        return index
+
+    def _fold(self, block: np.ndarray, index: np.ndarray, n: int) -> None:
+        """Adds the (K, nb) batch sums `block` of the trajectories `index`
+        into their groups' columns, each group's in trajectory order, after
+        the sums its column holds already when it is the last."""
+        col, g = self._n_cols, self.group_size
+        groups = index // g
+        counts = np.full(len(groups), n, dtype=np.int64)
+        if col and groups[0] == self._span[1] // g:
+            col -= 1
+            page = self._pages[col // _kernels.PAGE_COLUMNS]
+            block = np.concatenate(
+                [page[:, col % _kernels.PAGE_COLUMNS, None], block], axis=1)
+            groups = np.concatenate([groups[:1], groups])
+            counts = np.concatenate([self._counts[col:col + 1], counts])
+        starts = np.flatnonzero(np.diff(groups, prepend=-1))
+        sizes = np.diff(starts, append=len(groups))
+        # one add per member after the first, in order: vectorized over
+        # the groups when they are all of one size, else group by group
+        with np.errstate(over="ignore", invalid="ignore"):
+            if np.all(sizes == sizes[0]):
+                members = block.reshape(len(block), len(starts), sizes[0])
+                sums = members[:, :, 0].copy()
+                for rank in range(1, sizes[0]):
+                    sums += members[:, :, rank]
+            else:
+                sums = np.stack([np.add.accumulate(
+                    block[:, lo:lo + size], axis=1)[:, -1]
+                    for lo, size in zip(starts, sizes)], axis=1)
+        _kernels._finite(sums, "group sums")
+        for at, out in self._segments(col, len(starts)):
+            out[...] = sums[:, at:at + out.shape[1]]
+        self._commit(col, np.add.reduceat(counts, starts))
+        self._span = (self._span[0] if self._span else int(index[0]),
+                      int(index[-1]))
 
     # -- bookkeeping -----------------------------------------------------
 
     @property
     def n_samples(self) -> int:
-        return sum(int(ns.sum()) for ns in self._block_ns)
+        return int(self._counts[:self._n_cols].sum())
 
     @property
     def n_batches(self) -> int:
-        return sum(len(ns) for ns in self._block_ns)
+        """The columns: batches, or groups when grouped."""
+        return self._n_cols
 
     # -- evaluation ------------------------------------------------------
 
@@ -564,55 +650,67 @@ class MomentAccumulator:
                                  "collect_per_sample (run_ensemble: "
                                  "collect_time_series=True)")
         prefix = np.cumsum(self.per_sample_sums, axis=1)      # (K, n)
-        counts = self.n_batches * np.arange(
+        counts = self.n_samples // prefix.shape[1] * np.arange(
             1, prefix.shape[1] + 1, dtype=np.float64)
         return _Stats(self.schema, prefix, counts, centering)
 
+    def _held_pages(self) -> list:
+        """The pages of the columns, made read-only: a report or a merge
+        holds them."""
+        pages = self._pages[:-(-self._n_cols // _kernels.PAGE_COLUMNS)]
+        for page in pages:
+            page.flags.writeable = False
+        return pages
+
     def _batch_sums(self):
-        """The (K, B) batch sums, joined into one block, (B,) sample counts
+        """The batch sums as read-only `_kernels.Pages`, (B,) sample counts
         and (K,) totals, read-only, since reports keep them.  The totals
         are summed once and kept until a batch is added.
         Each leave-one-out replicate must keep 2 samples: the centered
         moments of a lone sample are rounding noise, not zero."""
-        b = self.n_batches
+        b = self._n_cols
         if b == 0:
             raise NoSamplesError("no samples")
         if b < 2:
             raise NoSamplesError(
                 f"need at least 2 batches for standard errors, have {b}"
             )
-        if len(self._blocks) > 1:
-            self._blocks = [np.concatenate(self._blocks, axis=1)]
-            self._block_ns = [np.concatenate(self._block_ns)]
-        sums, counts = self._blocks[0], self._block_ns[0]
-        if self._totals is None:
+        if self._snapshot is None:
+            sums = _kernels.Pages(self._held_pages(), b)
+            counts = self._counts[:b].copy()
             with np.errstate(over="ignore", invalid="ignore"):
-                self._totals = _kernels._finite(
-                    sums.sum(axis=1), "key sums over all batches")
+                totals = _kernels._finite(
+                    _kernels.kernels().totals(sums,
+                                              _kernels.moment_threads()),
+                    "key sums over all batches")
+            for frozen in (counts, totals):
+                frozen.flags.writeable = False
+            self._snapshot = (sums, counts, totals)
+        sums, counts, totals = self._snapshot
         kept = int(counts.sum() - counts.max())
         if kept < 2:
             raise NoSamplesError(
                 f"leaving out the largest batch keeps {kept} sample; "
                 "standard errors need at least 2"
             )
-        for frozen in (sums, counts, self._totals):
-            frozen.flags.writeable = False
-        return sums, counts, self._totals
+        return sums, counts, totals
 
     def finalize(self, centering: str = "reference") -> MomentReport:
         sums, counts, totals = self._batch_sums()
         names = self.schema.target_names()
-        jk = _jackknife(lambda st: st.targets(names), self.schema, sums,
-                        counts, totals, centering)
         b = counts.size
-        entries = {
-            name: MomentEstimate(
-                value=complex(v), std_error=float(se_re),
-                std_error_imag=float(se_im), n_batches=b,
-                low_confidence=b < LOW_CONFIDENCE_BATCHES)
-            for name, v, se_re, se_im in zip(names, jk.value, jk.std_error,
-                                             jk.std_error_imag)
-        }
+        entries = {}
+        rows = max(1, REPLICATE_BYTES // (16 * b))
+        for lo in range(0, len(names), rows):
+            part = names[lo:lo + rows]
+            jk = _jackknife(lambda st: st.targets(part), self.schema, sums,
+                            counts, totals, centering)
+            for name, v, se_re, se_im in zip(part, jk.value, jk.std_error,
+                                             jk.std_error_imag):
+                entries[name] = MomentEstimate(
+                    value=complex(v), std_error=float(se_re),
+                    std_error_imag=float(se_im), n_batches=b,
+                    low_confidence=b < LOW_CONFIDENCE_BATCHES)
         return MomentReport(entries=entries, n_samples=int(counts.sum()),
                             n_batches=b, centering=centering,
                             params=self.schema.params, schema=self.schema,
@@ -626,17 +724,26 @@ class MomentAccumulator:
 def merge(a: MomentAccumulator, b: MomentAccumulator) -> MomentAccumulator:
     """A new accumulator holding a's batches, then b's: the accumulator one
     stream of both would build, point estimates and errors alike.  It
-    shares their blocks and read-only per-sample sums, and a and b are
-    never changed, whether the merge is refused or not.
+    shares their pages and read-only per-sample sums, and a and b are
+    never changed, whether the merge is refused or not: a page it shares
+    becomes read-only, so whoever writes to it next copies it first.
+    b's pages are shared when a holds whole pages, else b's columns are
+    copied into pages of the new accumulator's own.
 
-    Per-sample sums cover every batch or none: a side with them merges
-    only with a side that has them too or holds no batch, and batches
-    without them end an empty side's collection.  Merged per-sample sums
-    add a's chain and b's, so running averages match one stream to
-    rounding only.
+    Grouped accumulators merge only with the same group size and when a's
+    groups all come before b's.  Per-sample sums cover every
+    batch or none: a side with them merges only with a side that has
+    them too or holds no batch, and batches without them end an empty
+    side's collection.  Merged per-sample sums add a's chain and b's, so
+    running averages match one stream to rounding only.
     """
     if a.schema != b.schema:
         raise SchemaError("cannot merge accumulators with different schemas")
+    if a.group_size != b.group_size or (
+            a._span and b._span
+            and a._span[1] // a.group_size >= b._span[0] // a.group_size):
+        raise SchemaError("cannot merge accumulators whose trajectory "
+                          "groups do not line up")
     if (a.n_batches and b.n_batches
             and (a.per_sample_sums is None) != (b.per_sample_sums is None)):
         raise SchemaError("cannot merge per-sample sums with batches "
@@ -654,9 +761,20 @@ def merge(a: MomentAccumulator, b: MomentAccumulator) -> MomentAccumulator:
             per_sample.flags.writeable = False
     out = MomentAccumulator(a.schema, collect_per_sample=(
         b.per_sample_sums is not None if b.n_batches
-        else a.collect_per_sample))
-    out._blocks = a._blocks + b._blocks
-    out._block_ns = a._block_ns + b._block_ns
+        else a.collect_per_sample), group_size=a.group_size)
+    out._pages = a._held_pages()
+    out._commit(0, a._counts[:a._n_cols])
+    if a._n_cols % _kernels.PAGE_COLUMNS == 0:
+        out._pages += b._held_pages()
+    else:
+        for lo in range(0, b._n_cols, _kernels.PAGE_COLUMNS):
+            page = b._pages[lo // _kernels.PAGE_COLUMNS]
+            width = min(_kernels.PAGE_COLUMNS, b._n_cols - lo)
+            for at, view in out._segments(a._n_cols + lo, width):
+                view[...] = page[:, at:at + view.shape[1]]
+    out._commit(a._n_cols, b._counts[:b._n_cols])
+    if a._span or b._span:
+        out._span = ((a._span or b._span)[0], (b._span or a._span)[1])
     out.per_sample_sums = per_sample
     return out
 

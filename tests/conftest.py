@@ -3,8 +3,15 @@ acceptance-line registry echoed at the end of the run."""
 
 import pytest
 
-from opo3 import (ModelParams, SimConfig, engine, run_ensemble,
+from opo3 import (ModelParams, SimConfig, _kernels, engine, run_ensemble,
                   simulate_trajectory)
+
+
+def use_kernels(monkeypatch, **passes):
+    """Run the passes named in `passes` (fields of `_kernels.Kernels`) on
+    the functions given, and the others as `_kernels.kernels()` chose."""
+    chosen = _kernels.kernels()._replace(**passes)
+    monkeypatch.setattr(_kernels, "kernels", lambda: chosen)
 
 
 @pytest.fixture(scope="session", autouse=True)

@@ -22,6 +22,7 @@ from opo3.cli import (
     make_parser,
     parse_config_file,
 )
+from conftest import use_kernels
 
 FAST = ["--dt", "0.05", "--burn-in", "20", "--sample-interval", "2"]
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
@@ -152,8 +153,9 @@ class TestRun:
                             "n_trajectories", "n_diverged",
                             "divergence_fraction", "reliable",
                             "elapsed_seconds", "backend", "workers",
-                            "block_size", "moments", "criteria", "analytic"}
-        stepper = _kernels.get_stepper()
+                            "block_size", "group_size", "moments", "criteria",
+                            "analytic"}
+        stepper = _kernels.kernels().step
         assert doc["backend"] == f"{stepper.__module__}.{stepper.__name__}"
         assert doc["params"]["mu"] == 0.5
         assert doc["reliable"] is True
@@ -245,8 +247,7 @@ class TestRun:
         for name, workers in (("c1", "1"), ("c2", "2"), ("c3", "3"),
                               ("numpy", "1")):
             if name == "numpy":
-                monkeypatch.setattr(_kernels, "get_stepper",
-                                    lambda: _kernels._chunk_step_numpy)
+                use_kernels(monkeypatch, step=_kernels._chunk_step_numpy)
             monkeypatch.setenv("OPO3_WORKERS", workers)
             assert run_main(argv + ["--out-dir", tmp_path / name]) == 0
             doc = json.loads((tmp_path / name / "report.json").read_text())
@@ -302,8 +303,7 @@ class TestRun:
         assert "sigma_threshold must be positive" in capsys.readouterr().err
 
     def test_report_names_fallback_backend(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(_kernels, "get_stepper",
-                            lambda: _kernels._chunk_step_numpy)
+        use_kernels(monkeypatch, step=_kernels._chunk_step_numpy)
         rc = run_main(["run", *FAST, "--n-trajectories", 4,
                        "--n-samples-per-traj", 2, "--out-dir", tmp_path])
         assert rc == 0
@@ -315,7 +315,7 @@ class TestRun:
         # unset, the kernel threads over every CPU this process may use
         argv = ["run", *FAST, "--n-trajectories", 4,
                 "--n-samples-per-traj", 2, "--out-dir", tmp_path]
-        on_c = _kernels.get_stepper() is _kernels._chunk_step_c
+        on_c = _kernels.kernels().step is _kernels._chunk_step_c
         cpus = (len(os.sched_getaffinity(0))
                 if hasattr(os, "sched_getaffinity") else os.cpu_count())
         for value, want in ((None, min(cpus, 4)), ("1", 1)):
@@ -529,7 +529,7 @@ class TestRunRecord:
         assert set(compare) == set(sweep) == {
             "params", "config", "n_trajectories", "n_diverged",
             "divergence_fraction", "reliable", "elapsed_seconds", "backend",
-            "workers", "block_size"}
+            "workers", "block_size", "group_size"}
         for key in set(compare) - {"elapsed_seconds"}:
             assert run[key] == compare[key] == sweep[key], key
         assert compare["config"]["master_seed"] == 7
@@ -567,7 +567,7 @@ class TestRunRecord:
     def test_compare_and_sweep_record_kernel_and_divergences(
             self, tmp_path, monkeypatch):
         monkeypatch.setenv("OPO3_WORKERS", "2")
-        stepper = _kernels.get_stepper()
+        stepper = _kernels.kernels().step
         # at g=0.5 a threshold of 1.2 cuts 1 of 16 signal excursions
         point = [*FAST, "--g", "0.5", "--n-trajectories", 16,
                  "--n-samples-per-traj", 4, "--divergence-threshold", "1.2"]
@@ -702,7 +702,7 @@ class TestPackage:
             "'logging', 'opo3.criteria', 'opo3.analytic') "
             "if m in sys.modules]\n"
             "unlisted = sorted(set(opo3.__all__) - set(dir(opo3)))\n"
-            "stepper = opo3._kernels.get_stepper().__name__\n"
+            "stepper = opo3._kernels.kernels().step.__name__\n"
             "own = all(getattr(sys.modules[getattr(opo3, n).__module__], n) "
             "is getattr(opo3, n) for n in opo3.__all__ if n != '__version__')\n"
             "print(json.dumps([loaded, unlisted, stepper, own, "

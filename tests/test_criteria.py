@@ -150,7 +150,8 @@ class TestFrozenReport:
         assert rep.batch_sums.shape == (rep.schema.n_keys, rep.n_batches)
         assert rep.batch_counts.sum() == rep.n_samples
         assert rep.batch_totals.shape == (rep.schema.n_keys,)
-        for frozen in (rep.batch_sums, rep.batch_counts, rep.batch_totals):
+        for frozen in (*rep.batch_sums.pages, rep.batch_counts,
+                       rep.batch_totals):
             with pytest.raises(ValueError, match="read-only"):
                 frozen[0] = 0
 
@@ -169,7 +170,8 @@ class TestFrozenReport:
             return [np.asarray(v).tobytes() for v in
                     (jk.value, jk.std_error, jk.std_error_imag)]
 
-        assert np.array_equal(rep.batch_totals, rep.batch_sums.sum(axis=1))
+        assert np.array_equal(rep.batch_totals,
+                              rep.batch_sums.joined().sum(axis=1))
         before = bits(rep.jackknife(fn))
         assert before == bits(acc.finalize(centering="sample").jackknife(fn))
         acc.add_batches(classical_ensemble(4106, n=400).reshape(6, 40, 10))
@@ -308,9 +310,9 @@ class TestSimulationVerdicts:
         calls = []
         program = moments.MomentSchema._program
 
-        def recording(schema, centering, zero, names):
+        def recording(schema, centering, names):
             calls.append(names)
-            return program(schema, centering, zero, names)
+            return program(schema, centering, names)
 
         monkeypatch.setattr(moments.MomentSchema, "_program", recording)
         cs_test(std_report)

@@ -5,6 +5,7 @@ import cmath
 import ctypes
 import dataclasses
 import inspect
+import itertools
 import math
 import os
 import re
@@ -33,6 +34,9 @@ from opo3 import (
     run_ensemble,
     simulate_trajectory,
 )
+from conftest import use_kernels
+from opo3 import moments
+from opo3.moments import merge as moments_merge, opo_schema
 
 needs_cc = pytest.mark.skipif(shutil.which("cc") is None,
                               reason="no C compiler (cc) on PATH")
@@ -41,12 +45,12 @@ FALLBACK = ("opo3: C step kernel unavailable ({}); using the slower numpy "
             "kernel")
 NOT_REPRODUCED = FALLBACK.format(
     "it does not reproduce numpy's SeedSequence, PCG64, "
-    "Generator.standard_normal, step kernel, key sums, target programs and "
-    "spreads")
+    "Generator.standard_normal, step kernel, key sums, target programs, "
+    "spreads and totals")
 NO_COMPILER = FALLBACK.format("no C compiler (cc) on PATH")
 WRONG_SPLIT = ("opo3: C moment passes split over threads unavailable (they "
-               "do not reproduce their bytes on one thread); using the "
-               "slower numpy key sums, target programs and spreads")
+               "do not reproduce their bytes on one thread); running them "
+               "on one thread")
 # the kernels a test runs the engine on in turn
 KERNELS = ("c", "numpy") if shutil.which("cc") else ("numpy",)
 # the static archive numpy wheels ship for C extensions
@@ -375,7 +379,8 @@ class TestDeterminism:
             assert first_bad == -1
             acc.add_batches(channels[:, None, :])
         want, got = ens.report(), acc.finalize()
-        assert got.batch_sums.tobytes() == want.batch_sums.tobytes()
+        assert (got.batch_sums.joined().tobytes()
+                == want.batch_sums.joined().tobytes())
         for name in want.entries:
             assert got[name] == want[name], name
 
@@ -391,7 +396,7 @@ class TestDeterminism:
         assert fast.backend == "opo3._kernels._chunk_step_c"
         no_compiler()
         with pytest.warns(RuntimeWarning, match=re.escape(NO_COMPILER)):
-            assert _kernels.get_stepper() is _kernels._chunk_step_numpy
+            assert _kernels.kernels().step is _kernels._chunk_step_numpy
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             slow = run_ensemble(params, cfg, workers=2)
@@ -412,10 +417,9 @@ def use_kernel(monkeypatch, kernel):
     earlier patches are undone; returns the kernel."""
     monkeypatch.undo()
     if kernel == "c":
-        assert _kernels.get_stepper() is _kernels._chunk_step_c
+        assert _kernels.kernels().step is _kernels._chunk_step_c
         return _kernels._chunk_step_c
-    monkeypatch.setattr(_kernels, "get_stepper",
-                        lambda: _kernels._chunk_step_numpy)
+    use_kernels(monkeypatch, step=_kernels._chunk_step_numpy)
     return _kernels._chunk_step_numpy
 
 
@@ -458,10 +462,10 @@ def one_ulp_off(state, *args, step=_kernels._chunk_step_numpy):
     state.real[1, 0] = np.nextafter(state.real[1, 0], np.inf)
 
 
-def sums_one_ulp_off(*args, sums=_kernels._key_sums_numpy):
+def sums_one_ulp_off(*args, sums=_kernels._key_sums_numpy, **kwargs):
     """The numpy key sums, then the last per-sample sum's imaginary part,
     where there are per-sample sums, one ulp larger."""
-    block, chains = sums(*args)
+    block, chains = sums(*args, **kwargs)
     if chains is not None:
         chains.imag[-1, -1] = np.nextafter(chains.imag[-1, -1], np.inf)
     return block, chains
@@ -472,6 +476,14 @@ def targets_one_ulp_off(*args, evaluate=_kernels._targets_numpy):
     larger."""
     out = evaluate(*args)
     out.real[0, 0] = np.nextafter(out.real[0, 0], np.inf)
+    return out
+
+
+def totals_one_ulp_off(*args, totals=_kernels._totals_numpy):
+    """The numpy totals, then the first total's real part one ulp
+    larger."""
+    out = totals(*args)
+    out.real[0] = np.nextafter(out.real[0], np.inf)
     return out
 
 
@@ -662,8 +674,7 @@ class TestKernels:
         # SeedSequence refuses -1 and the C seeding cannot express 2**64:
         # both kernels refuse both, before integrating
         if kernel == "numpy":
-            monkeypatch.setattr(_kernels, "get_stepper",
-                                lambda: _kernels._chunk_step_numpy)
+            use_kernels(monkeypatch, step=_kernels._chunk_step_numpy)
         cfg = SimConfig(dt=0.05, burn_in=20.0, sample_interval=2.0,
                         n_samples_per_traj=1, n_trajectories=1)
         with pytest.raises(ValueError, match=r"trajectory indices must lie "
@@ -676,8 +687,7 @@ class TestKernels:
 
     @pytest.mark.parametrize("bad", [math.inf, math.nan])
     def test_numpy_kernel_quiet_on_non_finite_state(self, monkeypatch, bad):
-        monkeypatch.setattr(_kernels, "get_stepper",
-                            lambda: _kernels._chunk_step_numpy)
+        use_kernels(monkeypatch, step=_kernels._chunk_step_numpy)
         params = ModelParams(0.5, 1.0, 0.05)
         cfg = SimConfig(dt=0.05, burn_in=20.0, sample_interval=2.0,
                         n_samples_per_traj=4, n_trajectories=1)
@@ -785,7 +795,7 @@ class TestKernels:
         # 1e7 draws over four seeds, bitwise, enough for the idx-0 tail
         # (|x| > r) and the wedge tests to run many times; equal generator
         # states afterwards mean the rejections consumed the same words
-        assert _kernels.get_stepper() is _kernels._chunk_step_c
+        assert _kernels.kernels().step is _kernels._chunk_step_c
         normals = _kernels._c_function().opo3_normals
         n, tails = 2_500_000, 0
         for seed in (0, 1, 20260814, 2**63 + 5):
@@ -813,7 +823,7 @@ class TestKernels:
     def test_seeding_matches_seed_sequence(self):
         # opo3_seed runs SeedSequence and pcg64_set_seed in C; spawn keys
         # from 2**32 on have two words, seeds from 2**128 on more than four
-        assert _kernels.get_stepper() is _kernels._chunk_step_c
+        assert _kernels.kernels().step is _kernels._chunk_step_c
         for seed in (0, 1, 2**32 - 1, 2**32, 2**64 + 5, 12345678901234567890,
                      2**200 + 17):
             for index in (0, 1, 255, 2**31, 2**32 - 1, 2**32, 2**40,
@@ -849,8 +859,7 @@ class TestKernels:
                 seen.append(gens)
                 return step(state, w, gens, *args)
 
-            monkeypatch.setattr(_kernels, "get_stepper",
-                                lambda: recording_step)
+            use_kernels(monkeypatch, step=recording_step)
             _, alive, first_bad = engine._run_block(params, rcfg, range(8))
             # 2,200 steps in chunks of 1024, 1024 and 152, on one array
             assert len(seen) == 3 and all(gens is seen[0] for gens in seen)
@@ -1022,8 +1031,8 @@ class TestKernels:
         _kernels._c_function.cache_clear()
         try:
             with pytest.warns(RuntimeWarning) as record:
-                assert _kernels.get_stepper() is _kernels._chunk_step_numpy
-                assert _kernels.get_stepper() is _kernels._chunk_step_numpy
+                assert _kernels.kernels().step is _kernels._chunk_step_numpy
+                assert _kernels.kernels().step is _kernels._chunk_step_numpy
             assert len(record) == 1
             assert str(record[0].message) == NOT_REPRODUCED
         finally:
@@ -1044,7 +1053,7 @@ class TestKernels:
         try:
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                assert _kernels.get_stepper() is _kernels._chunk_step_c
+                assert _kernels.kernels().step is _kernels._chunk_step_c
             assert b"step_range.avx" not in (
                 _kernels._compiled_library().read_bytes())
             rng = np.random.default_rng(4)
@@ -1068,8 +1077,8 @@ class TestKernels:
         # chunk must never run: one warning, then the numpy kernel
         monkeypatch.setattr(_kernels, "_chunk_step_numpy", one_ulp_off)
         with pytest.warns(RuntimeWarning) as record:
-            assert _kernels.get_stepper() is one_ulp_off
-            assert _kernels.get_stepper() is one_ulp_off
+            assert _kernels.kernels().step is one_ulp_off
+            assert _kernels.kernels().step is one_ulp_off
         assert len(record) == 1
         assert str(record[0].message) == NOT_REPRODUCED
 
@@ -1081,9 +1090,9 @@ class TestKernels:
         # on numpy
         monkeypatch.setattr(_kernels, "_key_sums_numpy", sums_one_ulp_off)
         with pytest.warns(RuntimeWarning) as record:
-            assert _kernels.get_stepper() is _kernels._chunk_step_numpy
-            assert _kernels.get_key_summer() is sums_one_ulp_off
-            assert _kernels.get_stepper() is _kernels._chunk_step_numpy
+            assert _kernels.kernels().step is _kernels._chunk_step_numpy
+            assert _kernels.kernels().key_sums is sums_one_ulp_off
+            assert _kernels.kernels().step is _kernels._chunk_step_numpy
         assert len(record) == 1
         assert str(record[0].message) == NOT_REPRODUCED
         # an accumulator's per-sample sums come out one ulp off too
@@ -1104,17 +1113,16 @@ class TestKernels:
         numpy_targets = _kernels._targets_numpy
         monkeypatch.setattr(_kernels, "_targets_numpy", targets_one_ulp_off)
         with pytest.warns(RuntimeWarning) as record:
-            assert _kernels.get_target_evaluator() is targets_one_ulp_off
-            assert _kernels.get_stepper() is _kernels._chunk_step_numpy
-            assert _kernels.get_key_summer() is _kernels._key_sums_numpy
+            assert _kernels.kernels().targets is targets_one_ulp_off
+            assert _kernels.kernels().step is _kernels._chunk_step_numpy
+            assert _kernels.kernels().key_sums is _kernels._key_sums_numpy
         assert len(record) == 1
         assert str(record[0].message) == NOT_REPRODUCED
         # a report's first value comes out one ulp off too
         values = np.arange(24.0).reshape(6, 2, 2) * (1 + 0.5j)
         acc = MomentAccumulator(amplitude_schema()).add_batches(values)
         got = acc.finalize()
-        monkeypatch.setattr(_kernels, "get_target_evaluator",
-                            lambda: numpy_targets)
+        use_kernels(monkeypatch, targets=numpy_targets)
         want = acc.finalize()
         assert list(got.entries)[0] == "amp_n1n2"
         assert got["amp_n1n2"].value.real == np.nextafter(
@@ -1122,14 +1130,37 @@ class TestKernels:
         assert got["amp_n0"] == want["amp_n0"]
 
     @needs_cc
+    def test_totals_self_check_falls_back_once(self, monkeypatch,
+                                               fresh_cache):
+        # C totals one ulp away from numpy's row sums of the joined pages on
+        # the load-time input must never run: one warning, then every pass
+        # runs on numpy
+        monkeypatch.setattr(_kernels, "_totals_numpy", totals_one_ulp_off)
+        with pytest.warns(RuntimeWarning) as record:
+            assert _kernels.kernels() == (
+                _kernels._chunk_step_numpy, _kernels._key_sums_numpy,
+                _kernels._targets_numpy, _kernels._spreads_numpy,
+                totals_one_ulp_off)
+        assert len(record) == 1
+        assert str(record[0].message) == NOT_REPRODUCED
+        # a report's totals come out one ulp off too
+        values = np.arange(24.0).reshape(6, 2, 2) * (1 + 0.5j)
+        rep = MomentAccumulator(amplitude_schema()).add_batches(
+            values).finalize()
+        want = rep.batch_sums.joined().sum(axis=1)
+        assert rep.batch_totals[0].real == np.nextafter(want[0].real, np.inf)
+        assert rep.batch_totals[1:].tobytes() == want[1:].tobytes()
+
+    @needs_cc
     @pytest.mark.parametrize("name", ["_key_sums_c", "_targets_c",
-                                      "_spreads_c"])
+                                      "_spreads_c", "_totals_c"])
     def test_wrong_split_falls_back_once(self, monkeypatch, fresh_cache,
                                          name):
         # a C moment pass whose bytes change only when it is split over
-        # threads must never run: loading starts no thread and passes,
-        # and the first moment pass checks the splits over two threads,
-        # so one warning, and every moment pass runs on numpy
+        # threads must never run split: loading starts no thread and
+        # passes, and the first moment pass on more than one thread checks
+        # the splits over two, so one warning, and every moment pass falls
+        # back to C on one thread
         c_pass = getattr(_kernels, name)
         signature = inspect.signature(c_pass)
         splits = []
@@ -1145,18 +1176,26 @@ class TestKernels:
             return out
 
         monkeypatch.setattr(_kernels, name, off_when_split)
+        monkeypatch.setenv("OPO3_WORKERS", "2")
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert _kernels.get_stepper() is _kernels._chunk_step_c
+            chosen = _kernels.kernels()
+        assert chosen.step is _kernels._chunk_step_c
+        assert off_when_split in chosen
         assert set(splits) == {1}
+        values = np.arange(48.0).reshape(6, 4, 2) * (1 + 0.5j)
         with pytest.warns(RuntimeWarning) as record:
-            assert _kernels.get_key_summer() is _kernels._key_sums_numpy
-            assert (_kernels.get_target_evaluator()
-                    is _kernels._targets_numpy)
-            assert _kernels.get_spreads() is _kernels._spreads_numpy
-        assert _kernels.get_stepper() is _kernels._chunk_step_c
+            assert _kernels.moment_threads() == 1
+            splits.clear()
+            rep = MomentAccumulator(amplitude_schema()).add_batches(
+                values).finalize()
+            assert _kernels.moment_threads() == 1
+        assert set(splits) == {1}
         assert len(record) == 1
         assert str(record[0].message) == WRONG_SPLIT
+        monkeypatch.setattr(_kernels, name, c_pass)
+        assert rep == MomentAccumulator(amplitude_schema()).add_batches(
+            values).finalize()
 
     @needs_cc
     def test_drawn_step_self_check_falls_back_once(self, monkeypatch,
@@ -1184,8 +1223,8 @@ class TestKernels:
 
         monkeypatch.setattr(_kernels, "_chunk_step_numpy", off_when_drawn)
         with pytest.warns(RuntimeWarning) as record:
-            assert _kernels.get_stepper() is off_when_drawn
-            assert _kernels.get_stepper() is off_when_drawn
+            assert _kernels.kernels().step is off_when_drawn
+            assert _kernels.kernels().step is off_when_drawn
         assert len(record) == 1
         assert str(record[0].message) == NOT_REPRODUCED
 
@@ -1196,7 +1235,7 @@ class TestKernels:
         # later load compares with those and needs neither numpy.random nor
         # a numpy step, and a kept file one bit off in any of its parts
         # makes the C kernel fall back with one warning
-        assert _kernels.get_stepper() is _kernels._chunk_step_c
+        assert _kernels.kernels().step is _kernels._chunk_step_c
         kept = fresh_cache.with_suffix(".check")
         answers = kept.read_bytes()
 
@@ -1208,13 +1247,13 @@ class TestKernels:
                             (_kernels, "_chunk_step_numpy"),
                             (_kernels, "_key_sums_numpy"),
                             (_kernels, "_targets_numpy"),
-                            (_kernels, "_spreads_numpy")):
+                            (_kernels, "_spreads_numpy"),
+                            (_kernels, "_totals_numpy")):
             monkeypatch.setattr(owner, name, refuse)
         _kernels._c_function.cache_clear()
-        assert _kernels.get_stepper() is _kernels._chunk_step_c
-        assert _kernels.get_key_summer() is _kernels._key_sums_c
-        assert _kernels.get_target_evaluator() is _kernels._targets_c
-        assert _kernels.get_spreads() is _kernels._spreads_c
+        assert _kernels.kernels() == (
+            _kernels._chunk_step_c, _kernels._key_sums_c,
+            _kernels._targets_c, _kernels._spreads_c, _kernels._totals_c)
         # seed words, draws, the words after the draws, the buffered
         # chunk's state, alive and first_bad bytes, then the drawn chunk's
         # and its generator words after, then the key sums: both calls'
@@ -1222,7 +1261,8 @@ class TestKernels:
         # call on two threads, all complex, over the keys of order 1 to 4
         # of the check's channels, then the target programs' two stored
         # rows of every column, leaving each out of the totals and not,
-        # then the spreads of each part of each row
+        # then the spreads of each part of each row, then the totals of
+        # each key
         nb = _kernels._CHECK_STEP[0]
         n_ch, n_batches, n = _kernels._CHECK_SUMS
         n_keys = sum(math.comb(n_ch + order - 1, order)
@@ -1235,7 +1275,8 @@ class TestKernels:
                  "drawn chunk": 16 * 6 * nb + nb + 8 * nb + 8 * 4 * nb,
                  "key sums": 16 * n_keys * (2 * n_batches + n),
                  "target programs": 16 * 2 * 2 * columns,
-                 "spreads": 8 * 2 * spread_rows}
+                 "spreads": 8 * 2 * spread_rows,
+                 "totals": 16 * _kernels._CHECK_TOTALS[0]}
         assert len(answers) == sum(sizes.values())
         start = 0
         for part, size in sizes.items():
@@ -1244,10 +1285,7 @@ class TestKernels:
                              + answers[at + 1:])
             _kernels._c_function.cache_clear()
             with pytest.warns(RuntimeWarning) as record:
-                assert _kernels.get_stepper() is refuse
-                assert _kernels.get_key_summer() is refuse
-                assert _kernels.get_target_evaluator() is refuse
-                assert _kernels.get_spreads() is refuse
+                assert _kernels.kernels() == (refuse,) * 5
             assert len(record) == 1, part
             assert str(record[0].message) == NOT_REPRODUCED, part
             start += size
@@ -1275,7 +1313,7 @@ class TestKernels:
         for fail in (lambda: None, no_compiler):
             fail()
             with pytest.warns(RuntimeWarning) as record:
-                _kernels.get_stepper()
+                _kernels.kernels().step
             assert len(record) == 1
             messages.append(str(record[0].message))
         assert messages == [NOT_REPRODUCED, NO_COMPILER]
@@ -1328,8 +1366,7 @@ class TestDivergence:
         start[0] = start[3] = 1e200 * np.exp(1j * np.linspace(-3, 3, 5))
         normals = np.random.default_rng(2).standard_normal((2, 4, 5))
         got = integrate_batch(params, 0.01, normals, start, threshold)
-        monkeypatch.setattr(_kernels, "get_stepper",
-                            lambda: _kernels._chunk_step_numpy)
+        use_kernels(monkeypatch, step=_kernels._chunk_step_numpy)
         want = integrate_batch(params, 0.01, normals, start, threshold)
         assert got[0][1].tobytes() != start[1].tobytes()
         assert np.isfinite(got[0]).all() and got[1].all()
@@ -1542,3 +1579,123 @@ class TestWeakConvergence:
                             normals=np.zeros((5, 4, 3)),
                             initial_states=np.ones((6, 3), dtype=complex),
                             **kwargs)
+
+
+def grouped_bits(acc):
+    """The bytes of an accumulator's stored sums and counts and of every
+    entry of its report."""
+    rep = acc.finalize()
+    return [rep.batch_sums.joined().tobytes(), rep.batch_counts.tobytes(),
+            *(np.array([e.value, e.std_error, e.std_error_imag]).tobytes()
+              for e in rep.entries.values())]
+
+
+class TestGroups:
+    """Past GROUP_CAP trajectories the jackknife leaves out fixed groups of
+    consecutive trajectories, each summed in trajectory order."""
+
+    def test_group_size(self):
+        cap = engine.GROUP_CAP
+        sizes = [engine.group_size(n) for n in (1, cap, cap + 1, 2 * cap,
+                                                2 * cap + 1, 2**20, 2**24,
+                                                2**24 + 1)]
+        assert sizes == [1, 1, 2, 2, 4, 16, 256, 512]
+        for g in sizes:
+            assert engine.BLOCK_SIZE % g == 0 or g % engine.BLOCK_SIZE == 0
+
+    @pytest.mark.parametrize("key_sums", ["c", "numpy"])
+    @pytest.mark.parametrize("cap, g", [(3, 16), (20, 2)])
+    def test_arrival_order_across_the_cap(self, monkeypatch, key_sums, cap,
+                                          g):
+        # a cap of 3 puts 40 trajectories in groups of 16, a cap of 20 in
+        # groups of 2; some diverge and leave their groups, the first and
+        # last members of one among them, and empty another.  Runs on
+        # blocks of 8, 32 and 256, on 1 and 2 workers, and accumulators
+        # fed the kept batches in one call, in calls of 1 to 7 and in
+        # shards merged at group boundaries hold the same bytes, with each
+        # group's sums its members' batch sums added in trajectory order,
+        # on the C key sums and on numpy's
+        if key_sums == "c" and _kernels.kernels().key_sums is not (
+                _kernels._key_sums_c):
+            pytest.skip("no C key sums")
+        use_kernels(monkeypatch, key_sums=getattr(
+            _kernels, f"_key_sums_{key_sums}"))
+        monkeypatch.setattr(engine, "GROUP_CAP", cap)
+        params = ModelParams(0.5, 1.0, 0.5)
+        cfg = SimConfig(dt=0.05, burn_in=20.0, sample_interval=2.0,
+                        n_samples_per_traj=3, n_trajectories=40,
+                        divergence_threshold=1.2, master_seed=22)
+        runs = []
+        for block, workers in ((8, 1), (32, 2), (256, 1)):
+            monkeypatch.setattr(engine, "BLOCK_SIZE", block)
+            res = run_ensemble(params, cfg, workers=workers,
+                               collect_time_series=True)
+            assert res.record()["group_size"] == g
+            runs.append(grouped_bits(res.moments)
+                        + [res.moments.per_sample_sums.tobytes()])
+        assert runs[1] == runs[0] and runs[2] == runs[0]
+        cube, alive, _ = engine._run_block(params, cfg.resolve(params),
+                                           range(40))
+        index = np.flatnonzero(alive)
+        assert not alive[32] and not alive[-1] and not alive[6:8].any()
+        kept = cube[:, alive]
+        schema = opo_schema(params)
+
+        def fed(*calls):
+            acc = MomentAccumulator(schema, group_size=g)
+            for lo, hi in calls:
+                acc.add_batches(kept[:, lo:hi], index[lo:hi])
+            return acc
+
+        widths = np.cumsum([0, *itertools.islice(
+            itertools.cycle(range(1, 8)), 40)])
+        widths = widths[widths < len(index)].tolist() + [len(index)]
+        bounds = np.searchsorted(index, [0, 16, 32, 40]).tolist()
+        shards = [fed((lo, hi)) for lo, hi in zip(bounds, bounds[1:])]
+        for acc in (fed((0, len(index))), fed(*zip(widths, widths[1:])),
+                    moments_merge(moments_merge(*shards[:2]), shards[2])):
+            assert grouped_bits(acc) == runs[0][:-1]
+        # each group's sums: its members' batch sums in trajectory order
+        block = _kernels._key_sums_numpy(kept, schema._centers,
+                                         schema._prefixes, False, None)[0]
+        edges = np.searchsorted(index, np.arange(0, 40 + g, g))
+        groups = [(lo, hi) for lo, hi in zip(edges, edges[1:]) if hi > lo]
+        assert len(groups) == {16: 3, 2: 18}[g]
+        sums = np.frombuffer(runs[0][0], dtype=np.complex128).reshape(
+            schema.n_keys, len(groups))
+        for i, (lo, hi) in enumerate(groups):
+            want = block[:, lo]
+            for j in range(lo + 1, hi):
+                want = want + block[:, j]
+            assert sums[:, i].tobytes() == want.tobytes()
+        assert np.frombuffer(runs[0][1], dtype=np.int64).tolist() == [
+            3 * (hi - lo) for lo, hi in groups]
+
+    def test_merge_refuses_misaligned_groups(self):
+        params = ModelParams(0.5, 1.0, 0.05)
+        schema = opo_schema(params)
+        rng = np.random.default_rng(443)
+        cube = rng.standard_normal((12, 12, 2)) + 1j * rng.standard_normal(
+            (12, 12, 2))
+
+        def grouped(lo, hi, g=4):
+            return MomentAccumulator(schema, group_size=g).add_batches(
+                cube[:, lo:hi], range(lo, hi))
+
+        ungrouped = MomentAccumulator(schema).add_batches(cube[:, 4:8])
+        for a, b in ((grouped(0, 6), grouped(6, 10)),
+                     (grouped(8, 12), grouped(0, 6)),
+                     (grouped(0, 4), grouped(4, 8, g=2)),
+                     (grouped(0, 4), ungrouped)):
+            with pytest.raises(moments.SchemaError,
+                               match="groups do not line up"):
+                moments_merge(a, b)
+        one = grouped(0, 6).add_batches(cube[:, 8:12], range(8, 12))
+        assert grouped_bits(moments_merge(grouped(0, 6),
+                                          grouped(8, 12))) == (
+            grouped_bits(one))
+        for bad in (None, range(3), [9, 8, 10, 11]):
+            with pytest.raises(ValueError, match="trajectory ind"):
+                grouped(0, 6).add_batches(cube[:, 8:12], bad)
+        with pytest.raises(ValueError, match="trajectory ind"):
+            grouped(0, 6).add_batches(cube[:, 0:1], [3])

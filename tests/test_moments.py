@@ -26,6 +26,7 @@ from opo3 import (
     state_channels,
 )
 from opo3 import _kernels, moments
+from conftest import use_kernels
 
 needs_cc = pytest.mark.skipif(shutil.which("cc") is None,
                               reason="no C compiler (cc) on PATH")
@@ -313,6 +314,12 @@ def opo_cube(seed, n_batches, n_samples):
     return params, state_channels(states, params)
 
 
+def stored_sums(acc):
+    """The accumulator's key sums, its pages joined into one (K, B)
+    array."""
+    return _kernels.Pages(acc._pages, acc.n_batches).joined()
+
+
 def cs_parts(st):
     """A composite of several targets, as cs_test hands to jackknife."""
     q, p, t = (st.target(n) for n in ("amp_n1n2", "amp_n0", "amp_triple"))
@@ -354,7 +361,7 @@ class TestBatchStore:
         schema = opo_schema(params)
         centers = np.array([c.center for c in schema.channels])
         for kernel in KEY_SUMMERS:
-            monkeypatch.setattr(_kernels, "get_key_summer", lambda: kernel)
+            use_kernels(monkeypatch, key_sums=kernel)
             for n in range(1, 10):
                 values = cube[:, :, :n]
                 acc = MomentAccumulator(schema, collect_per_sample=True)
@@ -362,9 +369,9 @@ class TestBatchStore:
                 single = MomentAccumulator(schema, collect_per_sample=True)
                 for j in range(37):
                     single.add_batches(values[:, j:j + 1])
-                joined = np.concatenate(single._blocks, axis=1)
+                joined = stored_sums(single)
                 centered = values - centers[:, None, None]
-                (block,) = acc._blocks
+                block = stored_sums(acc)
                 for k, key in enumerate(schema.key_order):
                     prod = centered[key[0]]
                     for idx in key[1:]:
@@ -575,7 +582,7 @@ class TestKeySumKernels:
         schema = opo_schema(params)
 
         def fed(kernel):
-            monkeypatch.setattr(_kernels, "get_key_summer", lambda: kernel)
+            use_kernels(monkeypatch, key_sums=kernel)
             shards = []
             for width, (lo, hi) in enumerate(((0, 25), (25, 60)), 4):
                 acc = MomentAccumulator(schema, collect_per_sample=True)
@@ -586,9 +593,8 @@ class TestKeySumKernels:
 
         for got, want in zip(fed(_kernels._key_sums_c),
                              fed(_kernels._key_sums_numpy)):
-            assert len(got._blocks) == len(want._blocks)
-            for a, b in zip(got._blocks, want._blocks):
-                assert a.tobytes() == b.tobytes()
+            assert got.n_batches == want.n_batches
+            assert stored_sums(got).tobytes() == stored_sums(want).tobytes()
             assert (got.per_sample_sums.tobytes()
                     == want.per_sample_sums.tobytes())
         for width in range(1, 10):
@@ -679,7 +685,7 @@ def fed_unequally(schema, cube):
 
 
 def targets_with(monkeypatch, evaluate, acc, series, composite):
-    monkeypatch.setattr(_kernels, "get_target_evaluator", lambda: evaluate)
+    use_kernels(monkeypatch, targets=evaluate)
     return evaluations(acc, series, composite)
 
 
@@ -692,8 +698,8 @@ class TestTargetPrograms:
     def test_every_target_under_every_centering(self, monkeypatch, kind):
         # unequal batch counts, 320 batches: a full tile of 256 and a
         # partial one; one channel holds its center alone, so its sum is
-        # zero and so is its shift under "sample" (and "reference" where
-        # it is shiftable), and "raw" leaves the channels centered on 0
+        # zero, yet it is shifted, by an exact zero mean, under "sample"
+        # and "reference", and "raw" leaves the channels centered on 0
         rng = np.random.default_rng(347)
         if kind == "opo":
             params, cube = opo_cube(349, 320, 5)
@@ -709,12 +715,11 @@ class TestTargetPrograms:
             still = 3
         cube[still] = schema.channels[still].center
         acc, series = fed_unequally(schema, cube)
-        sums, counts, totals = acc._batch_sums()
-        n = counts.astype(np.float64)
         for mode in ("sample", "reference", "raw"):
-            st = moments._Stats(schema, sums, n.sum() - n, mode, totals)
-            assert (still in st._zero_shifts()) == (
-                mode != "raw" or schema.channels[still].center == 0)
+            assert (still in schema._unshifted(mode)) == (
+                mode == "raw" and schema.channels[still].center == 0)
+        # numpy joins its pages one run at a time: here a page a run
+        monkeypatch.setattr(_kernels, "PAGE_RUN", 1)
         got = targets_with(monkeypatch, _kernels._targets_c, acc, series,
                            composite)
         want = targets_with(monkeypatch, _kernels._targets_numpy, acc,
@@ -733,7 +738,7 @@ class TestTargetPrograms:
         totals = sums[:, ::2].sum(axis=1)
         n = 3.0 + rng.random(300)
         names = tuple(schema.target_names()[::5])
-        ops, consts = schema._program("sample", frozenset(), names)
+        ops, consts = schema._program("sample", names)
         raw = np.zeros(sums.nbytes + 1, dtype=np.uint8)
         unaligned = raw[1:].view(np.complex128).reshape(shape)
         unaligned[...] = sums
@@ -839,7 +844,8 @@ class TestTextbookRounding:
             totals = rep.batch_totals[rows]
             for key_sums, count in (
                     (totals, n.sum()),
-                    (totals[:, None] - rep.batch_sums[rows], n.sum() - n)):
+                    (totals[:, None] - rep.batch_sums.joined()[rows],
+                     n.sum() - n)):
                 neg = (-mean_parts(key_sums[0], count) if mode == "sample"
                        else np.complex128(schema.channels[0].center))
                 for name, m in (("m2", 2), ("m3", 3), ("m4", 4)):
@@ -907,8 +913,7 @@ class TestEvaluationShortcuts:
 
         got = evaluate()
         # the numpy target programs, each mean divided by n
-        monkeypatch.setattr(_kernels, "get_target_evaluator",
-                            lambda: _kernels._targets_numpy)
+        use_kernels(monkeypatch, targets=_kernels._targets_numpy)
         monkeypatch.setattr(_kernels, "_mean_numpy", _dividing_mean)
         assert evaluate() == got
         # every mean, the shifts' too, goes through _mean_numpy: a
@@ -924,7 +929,7 @@ class TestEvaluationShortcuts:
         def check(acc, mode="reference"):
             rep = acc.finalize(mode)
             assert (rep.batch_totals.tobytes()
-                    == rep.batch_sums.sum(axis=1).tobytes())
+                    == rep.batch_sums.joined().sum(axis=1).tobytes())
             reports.append((rep, rep.batch_totals.tobytes()))
             return rep
 
@@ -1035,10 +1040,13 @@ class TestCentering:
             # mean target undoes the ingest center via its offset in all modes
             assert rep["mean_u"].value == pytest.approx(u.mean(), rel=1e-12)
 
-    def test_zero_shifts_need_every_column(self):
-        # channel 1 sits at its center except in batch 0: the replicate
-        # that leaves batch 0 out has a zero mean, the others do not, so
-        # only channel 2, at its center throughout, has a zero shift
+    @needs_cc
+    def test_zero_shifts_follow_the_centering_alone(self, monkeypatch):
+        # channel 1 sits at its center except in batch 0, so the replicate
+        # that leaves batch 0 out has a zero mean and the others do not,
+        # and channel 2 sits at its center throughout: the channels left
+        # unshifted follow the centering alone, not the data, and shifting
+        # by those exact zero means gives the C and numpy programs' bytes
         rng = np.random.default_rng(263)
         schema = amplitude_schema()
         cube = rng.standard_normal((6, 6, 3)) + 0j
@@ -1047,15 +1055,22 @@ class TestCentering:
         acc = MomentAccumulator(schema).add_batches(cube)
         sums, counts, totals = acc._batch_sums()
         n = counts.astype(np.float64)
-        full = moments._Stats(schema, totals, n.sum(), "sample")
         reps = moments._Stats(schema, sums, n.sum() - n, "sample", totals)
-        assert reps.targets(("mean_a0",)).shape == (1, 6)
         means = reps._run((np.array([(_kernels.OP_KEY, 1),
                                      (_kernels.OP_MEAN, 0),
                                      (_kernels.OP_STORE, 0)]),
                            np.empty(0, dtype=np.complex128)), 1)[0]
         assert means[0] == 0 and np.all(means[1:] != 0)
-        assert full._zero_shifts() == reps._zero_shifts() == {2}
+        every = frozenset(range(6))
+        assert [schema._unshifted(mode) for mode in moments.CENTERINGS] == [
+            frozenset(), frozenset(), every, every]
+        runs = []
+        for targets in (_kernels._targets_c, _kernels._targets_numpy):
+            use_kernels(monkeypatch, targets=targets)
+            runs.append([_bits(e.value, e.std_error, e.std_error_imag)
+                         for mode in moments.CENTERINGS
+                         for e in acc.finalize(mode).entries.values()])
+        assert runs[0] == runs[1]
 
     def test_reference_mode_respects_non_shiftable(self):
         rng = np.random.default_rng(257)
@@ -1250,15 +1265,17 @@ def moments_wide_cube(seed, n_batches=1024, n_samples=4):
 
 
 def record_threads(monkeypatch):
-    """Make the key sums, target programs and spreads that the moment layer
-    looks up record the thread count they are given, its last argument;
-    returns the {getter: set of counts} they fill."""
-    seen = {}
-    for getter in ("get_key_summer", "get_target_evaluator", "get_spreads"):
-        def recorder(*args, _pass=getattr(_kernels, getter)(), _name=getter):
+    """Make the key sums, target programs, spreads and totals that the
+    moment layer runs record the thread count they are given, their last
+    positional argument; returns the {pass: set of counts} they fill."""
+    seen, passes = {}, {}
+    for name in ("key_sums", "targets", "spreads", "totals"):
+        def recorder(*args, _pass=getattr(_kernels.kernels(), name),
+                     _name=name, **kwargs):
             seen.setdefault(_name, set()).add(args[-1])
-            return _pass(*args)
-        monkeypatch.setattr(_kernels, getter, lambda _r=recorder: _r)
+            return _pass(*args, **kwargs)
+        passes[name] = recorder
+    use_kernels(monkeypatch, **passes)
     return seen
 
 
@@ -1301,8 +1318,8 @@ class TestThreadSplits:
             acc = MomentAccumulator(schema, collect_per_sample=True)
             for lo in range(0, 45, 20):
                 acc.add_batches(cube[:, lo:lo + 20])
-            runs.append([a.tobytes() for a in acc._blocks]
-                        + [acc.per_sample_sums.tobytes()])
+            runs.append([acc._batch_sums()[0].joined().tobytes(),
+                         acc.per_sample_sums.tobytes()])
         assert runs[1] == runs[0] and runs[2] == runs[0]
 
     def test_targets(self):
@@ -1313,7 +1330,7 @@ class TestThreadSplits:
         rng = np.random.default_rng(405)
         schema = wide_schema()
         names = tuple(schema.target_names()[::4])
-        ops, consts = schema._program("sample", frozenset(), names)
+        ops, consts = schema._program("sample", names)
         for nb, threads in itertools.product((270, 600), self.COUNTS):
             shape = (schema.n_keys, nb)
             sums = (rng.standard_normal(shape)
@@ -1345,7 +1362,7 @@ class TestThreadSplits:
         rng = np.random.default_rng(409)
         schema = wide_schema()
         names = tuple(schema.target_names())
-        ops, consts = schema._program("sample", frozenset(), names)
+        ops, consts = schema._program("sample", names)
         inputs = []
         for nb in (300, 700, 40, 520):
             shape = (schema.n_keys, nb)
@@ -1393,8 +1410,8 @@ class TestThreadSplits:
             runs.append(out)
         assert runs[1] == runs[0]
         assert {name: counts >= {1, 3} for name, counts in seen.items()} == {
-            "get_key_summer": True, "get_target_evaluator": True,
-            "get_spreads": True}
+            "key_sums": True, "targets": True, "spreads": True,
+            "totals": True}
 
 
 def test_bad_worker_count_refused_as_run_ensemble_refuses(monkeypatch):
@@ -1413,3 +1430,167 @@ def test_bad_worker_count_refused_as_run_ensemble_refuses(monkeypatch):
         acc.finalize()
     assert str(got.value) == str(want.value) == (
         "OPO3_WORKERS must be an integer >= 1, got 'abc'")
+
+
+def paged(sums):
+    """`sums` (K, B) in pages whose columns past the last are NaN, which no
+    pass may read."""
+    k, nb = sums.shape
+    pages = np.full((-(-nb // _kernels.PAGE_COLUMNS), k,
+                     _kernels.PAGE_COLUMNS), np.nan, dtype=np.complex128)
+    for at, page in zip(range(0, nb, _kernels.PAGE_COLUMNS), pages):
+        page[:, :nb - at] = sums[:, at:at + _kernels.PAGE_COLUMNS]
+    return _kernels.Pages(pages, nb)
+
+
+def report_bits(acc, composite=cs_parts):
+    """The bytes of every entry of acc's reports, of their totals and of
+    one jackknifed composite, under every centering."""
+    out = []
+    for mode in moments.CENTERINGS:
+        rep = acc.finalize(mode)
+        out += [_bits(e.value, e.std_error, e.std_error_imag)
+                for e in rep.entries.values()]
+        jk = rep.jackknife(composite)
+        out += [_bits(rep.batch_totals, jk.value, jk.std_error,
+                      jk.std_error_imag)]
+    return out
+
+
+@needs_cc
+class TestPages:
+    """The key sums in pages: written and read in place, never joined."""
+
+    def test_totals_are_the_joined_rows_sums(self):
+        # numpy's sum(axis=1) of the joined array, byte for byte, at every
+        # column count from 1 to 600, about 2^14 and 70,000, on 1, 2 and 3
+        # threads; magnitudes spread over 2^+-40 make the order of the
+        # adds show, and rows of signed zeros the +0 that numpy starts from
+        rng = np.random.default_rng(421)
+        for nb in (*range(1, 601), 16_383, 16_384, 16_385, 70_000):
+            shape = (3, nb)
+            sums = (rng.standard_normal(shape) + 1j * rng.standard_normal(
+                shape)) * 2.0 ** rng.integers(-40, 40, shape)
+            sums[2] = np.where(rng.random(nb) < 0.5, complex(-0.0, 0.0),
+                               complex(-0.0, -0.0))
+            want = sums.sum(axis=1).tobytes()
+            stored = paged(sums)
+            assert _kernels._totals_numpy(stored).tobytes() == want, nb
+            for threads in (1, 2, 3):
+                got = _kernels._totals_c(stored, threads)
+                assert got.tobytes() == want, (nb, threads)
+
+    def test_batches_straddle_pages(self, monkeypatch):
+        # calls of 1 to 300 batches that start anywhere in a page and
+        # cross page boundaries store each batch's sums in its column, on
+        # the C key sums and numpy's, so the store and the reports are
+        # those of one call
+        params, cube = opo_cube(431, 700, 3)
+        schema = opo_schema(params)
+        want = _kernels._key_sums_numpy(cube, schema._centers,
+                                        schema._prefixes, False, None)[0]
+        whole = report_bits(MomentAccumulator(schema).add_batches(cube))
+        for key_sums in KEY_SUMMERS:
+            use_kernels(monkeypatch, key_sums=key_sums)
+            acc, lo = MomentAccumulator(schema), 0
+            for width in (1, 254, 3, 300, 1, 141):
+                acc.add_batches(cube[:, lo:lo + width])
+                lo += width
+            assert len(acc._pages) == 3
+            assert stored_sums(acc).tobytes() == want.tobytes()
+            assert report_bits(acc) == whole
+
+    @pytest.mark.parametrize("n_a, n_b", [(100, 300), (256, 300), (300, 257),
+                                          (512, 100), (1, 598)])
+    def test_merges_at_any_batch_count(self, n_a, n_b):
+        # a merge shares b's pages when a holds whole pages and copies b's
+        # columns into pages of its own otherwise; either way it is one
+        # stream's accumulator, and later batches, added to it and to a and
+        # b, land in pages of each one's own
+        params, cube = opo_cube(433, 640, 2)
+        schema = opo_schema(params)
+        a = MomentAccumulator(schema).add_batches(cube[:, :n_a])
+        b = MomentAccumulator(schema).add_batches(cube[:, n_a:n_a + n_b])
+        before = [stored_sums(a).tobytes(), stored_sums(b).tobytes()]
+        merged = merge(a, b)
+        shared = n_a % _kernels.PAGE_COLUMNS == 0
+        assert (merged._pages[-1] is b._pages[-1]) == shared
+        one = MomentAccumulator(schema).add_batches(cube[:, :n_a + n_b])
+        assert stored_sums(merged).tobytes() == stored_sums(one).tobytes()
+        assert report_bits(merged) == report_bits(one)
+        end = n_a + n_b
+        for acc in (merged, a, b, one):
+            acc.add_batches(cube[:, end:end + 20])
+        assert stored_sums(merged).tobytes() == stored_sums(one).tobytes()
+        assert report_bits(merged) == report_bits(one)
+        extra = [stored_sums(acc)[:, -20:].tobytes() for acc in (a, b)]
+        assert [stored_sums(a)[:, :n_a].tobytes(),
+                stored_sums(b)[:, :n_b].tobytes()] == before
+        assert extra[0] == extra[1] == stored_sums(one)[:, -20:].tobytes()
+
+    def test_report_keeps_its_bytes_as_its_last_page_fills(self):
+        # a report taken mid-stream holds the accumulator's partial last
+        # page, read-only; the batches that land in that page's columns
+        # later go to a copy, so the report, its jackknife and the page keep
+        # their bytes
+        params, cube = opo_cube(437, 400, 3)
+        acc = MomentAccumulator(opo_schema(params)).add_batches(cube[:, :100])
+        rep = acc.finalize()
+        (held,) = rep.batch_sums.pages
+        assert not held.flags.writeable
+
+        def bits():
+            jk = rep.jackknife(cs_parts)
+            return ([_bits(e.value, e.std_error, e.std_error_imag)
+                     for e in rep.entries.values()]
+                    + [_bits(held, rep.batch_totals, jk.value, jk.std_error)])
+
+        before = bits()
+        acc.add_batches(cube[:, 100:300])
+        assert acc._pages[0] is not held and acc.n_batches == 300
+        assert bits() == before
+        assert report_bits(acc) == report_bits(
+            MomentAccumulator(opo_schema(params)).add_batches(cube[:, :300]))
+
+    def test_finalize_passes_give_one_pass_bytes(self, monkeypatch):
+        # finalize evaluates its targets in passes of at most
+        # REPLICATE_BYTES of replicates; passes of 3, 1 and 7 rows give
+        # the bytes of one pass over all 29
+        params, cube = opo_cube(441, 300, 3)
+        acc = MomentAccumulator(opo_schema(params)).add_batches(cube)
+        want = report_bits(acc)
+        for rows in (3, 1, 7):
+            monkeypatch.setattr(moments, "REPLICATE_BYTES", 16 * 300 * rows)
+            assert report_bits(acc) == want
+
+    def test_finalize_reads_the_pages_in_place(self):
+        # finalize and cs_test on every partition, on 16,384 batches fed a
+        # page at a time, allocate less than a quarter of the stored key
+        # sums: no pass joins the pages into a (K, B) array.  What they do
+        # allocate is their replicates, a row of B values per target, so
+        # the schema keeps the OPO channels and the targets that bound a
+        # Cauchy-Schwarz test (the amplitude moments, s and q4): 10 rows
+        # against 76 keys, where the full OPO schema's 29 rows in one pass
+        # are 37% of its 79 keys' store
+        import tracemalloc
+
+        from opo3 import criteria
+
+        params, cube = moments_wide_cube(439, 16_384, 2)
+        full = opo_schema(params)
+        schema = MomentSchema(full.channels, tuple(
+            t for t in full.targets
+            if t.name in ("s", "q4") or t.name.startswith("amp_")), params)
+        acc = MomentAccumulator(schema)
+        for lo in range(0, 16_384, _kernels.PAGE_COLUMNS):
+            acc.add_batches(cube[:, lo:lo + _kernels.PAGE_COLUMNS])
+        stored = acc.n_batches * acc.schema.n_keys * 16
+        tracemalloc.start()
+        try:
+            rep = acc.finalize()
+            for partition in criteria.PARTITIONS:
+                criteria.cs_test(rep, partition=partition)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < stored / 4, (peak, stored)
