@@ -18,20 +18,6 @@ from .model import (
     derive_params,
     drift_and_diffusion,
     fixed_point,
-)
-from .moments import (
-    ChannelSpec,
-    JackknifeResult,
-    MomentAccumulator,
-    MomentEstimate,
-    MomentReport,
-    MomentSchema,
-    NoSamplesError,
-    SchemaError,
-    TargetSpec,
-    amplitude_schema,
-    merge,
-    opo_schema,
     state_channels,
 )
 from .engine import (
@@ -44,9 +30,14 @@ from .engine import (
 )
 
 # names that load their module on first use (PEP 562), so that a process
-# that only integrates never imports the criteria, the closed forms or the
-# logging these bring in
+# that only integrates a trajectory never imports the moment layer, the
+# criteria, the closed forms or the logging these bring in
 _ON_FIRST_USE = {
+    **dict.fromkeys(
+        ("ChannelSpec", "JackknifeResult", "MomentAccumulator",
+         "MomentEstimate", "MomentReport", "MomentSchema", "NoSamplesError",
+         "SchemaError", "TargetSpec", "amplitude_schema", "merge",
+         "opo_schema"), "moments"),
     "CsSides": "analytic",
     "analytic_moment_report": "analytic",
     "cs_sides_analytic": "analytic",

@@ -4,8 +4,8 @@ accumulator's key sums, target programs, spreads and totals.
 Two implementations with identical results, bit for bit, advance a block
 of trajectories through one chunk of steps in place: a C kernel, compiled
 with the system `cc` on first use and cached on disk, and a vectorized
-numpy kernel, the reference the tests compare against and the fallback
-when no compiler is available or the build fails.  One switch,
+numpy kernel in `_oracle`, the reference the tests compare against and
+the fallback when no compiler is available or the build fails.  One switch,
 `kernels()`, chooses the C library's passes, or numpy's, for all of:
   step      the chunk step above;
   key_sums  the key sums of `moments.MomentAccumulator`: each key's
@@ -29,7 +29,8 @@ when no compiler is available or the build fails.  One switch,
   totals    each key's sum over the pages, numpy's pairwise row sum of
             the joined array, which the C routine takes over the pages in
             place and numpy by joining them.
-numpy's version of each is the C one's oracle and fallback.
+numpy's version of each, in `_oracle`, is the C one's oracle and
+fallback, and is imported only where it runs.
 
 State layout: complex128 array (6, B) with rows (a0, a1, a2, a0p, a1p, a2p).
 Noise layout: C-contiguous float64 array (B, n_steps, 4) of normals already
@@ -87,14 +88,11 @@ sum, and both target programs each op, in float64 real arithmetic,
 every complex product the textbook (ac - bd, ad + bc), a mean each part
 times 1/n, each operation rounded on its own in the same order;
 the C kernel is built with -ffp-contract=off, so no multiply-add is
-fused, and its vector clones (AVX and the baseline) enable no FMA.  The
-numpy versions multiply real and imaginary parts apart: where the CPU
-has FMA, numpy's complex multiply fuses a multiply-add into each part
-(the real part is fma(ar, br, -ai*bi)), so its bits follow the CPU and
-are not the textbook product's.  The complex square root is a formula of
-IEEE operations only: with m = sqrt(x*x + y*y), t = sqrt((m + |x|)/2)
-and u = y/(2t), the root of x + iy is (t, copysign(u, y)) for x >= 0 and
-(|u|, copysign(t, y)) for x < 0, chosen by a mask, not a branch.  Where
+fused, and its vector clones (AVX and the baseline) enable no FMA.
+The complex square root is a formula of IEEE operations only: with
+m = sqrt(x*x + y*y), t = sqrt((m + |x|)/2) and u = y/(2t), the root of
+x + iy is (t, copysign(u, y)) for x >= 0 and (|u|, copysign(t, y)) for
+x < 0, chosen by a mask, not a branch.  Where
 x*x + y*y leaves [2^-1000, 2^1000] the operand is first scaled by an
 exact power of two, and 0 gives (+0, y).  It is within 2 ulp of
 cmath.sqrt and needs no libm, so the two kernels give the same bits.
@@ -113,18 +111,13 @@ spreads and the totals give the same bytes split over two threads as on
 one (`_splits_right`), and else runs them on one thread, with one
 warning.  The library is cached under
 $XDG_CACHE_HOME/opo3 when that path is absolute (else ~/.cache/opo3,
-else a per-user temporary directory), keyed by this module's source,
-the flags, the resolved compiler's path, size and mtime, and the numpy
-version, so a cache hit runs no compiler and starts no process.
-numpy's answers to the load-time check (the seeded PCG64 words, the
-standard normals drawn from the last of them, that generator's words
-after the draws, the numpy kernel's bytes on a chunk of those draws and
-on a chunk drawn from seeded words, one trajectory dying mid-chunk, the
-numpy key sums on a strided view of those draws, and the numpy target
-programs, spreads and totals on sums, rows and pages made of them) are
-computed once per build, on its first load, and kept beside the
-library, so later loads import neither numpy.random nor run a numpy
-step, key sums, target program, spreads or totals.
+else a per-user temporary directory), keyed by this module's source
+and `_oracle`'s, the flags, the resolved compiler's path, size and
+mtime, and the numpy version, so a cache hit runs no compiler and starts
+no process.  numpy's answers to the load-time check
+(`_oracle._numpy_answers`) are computed once per build, on its first
+load, and kept beside the library, so later loads import neither
+numpy.random nor `_oracle`.
 """
 
 from __future__ import annotations
@@ -1226,7 +1219,7 @@ int opo3_targets(const char *const *tiles, int64_t s_k, int64_t s_b,
    (re, im) pairs, zero-padded to whole groups of SPREAD_GROUP: each lane
    adds its value of every group in order, and then each part's lanes
    are added in order, its first lane first.  The order matches
-   `_spreads_numpy` in the Python source. */
+   `_oracle._spreads_numpy`. */
 #define SPREAD_GROUP 32
 #define SPREAD_VECS (SPREAD_GROUP / LANES)
 
@@ -1404,8 +1397,6 @@ SPREAD_GROUP = 32
 # the columns of a tile of the target programs and of a page of key sums
 # (TARGET_TILE in the C source)
 PAGE_COLUMNS = 256
-# the pages the numpy target programs join and run at a time
-PAGE_RUN = 16
 # the load-time check's spawn keys: 0, 1 and 2**32 - 1, 2**32 (two words)
 _CHECK_SEED = 20260814
 _CHECK_KEYS = (0, 2**32 - 1)
@@ -1463,126 +1454,6 @@ def worker_count(workers=None) -> int:
     return min(_integer(name, workers, 1), MAX_THREADS)
 
 
-def _root_formula(x, y, m2):
-    """root_formula of the C source on float64 arrays, m2 = x*x + y*y."""
-    t = np.sqrt(0.5 * (np.sqrt(m2) + np.abs(x)))
-    u = 0.5 * (y / t)
-    if not np.signbit(x).any():    # x >= 0, and u has the sign of y
-        return t, u
-    neg = x < 0.0
-    return np.where(neg, np.abs(u), t), np.copysign(np.where(neg, t, u), y)
-
-
-def _root(x, y):
-    """lane_root of the C source: the kernels' principal square root of
-    x + iy on float64 arrays, as (real, imaginary) arrays."""
-    m2 = x * x + y * y
-    re, im = _root_formula(x, y, m2)
-    out = ~((m2 >= 2.0**-1000) & (m2 <= 2.0**1000))
-    if not out.any():
-        return re, im
-    # root_rescaled, NaN included
-    xo, yo = x[out], y[out]
-    big = (np.abs(xo) > 1) | (np.abs(yo) > 1)
-    scale = np.where(big, 2.0**-600, 2.0**600)
-    sx, sy = xo * scale, yo * scale
-    ro, io = _root_formula(sx, sy, sx * sx + sy * sy)
-    back = np.where(big, 2.0**300, 2.0**-300)
-    zero = (xo == 0) & (yo == 0)
-    re[out] = np.where(zero, 0.0, ro * back)
-    im[out] = np.where(zero, yo, io * back)
-    return re, im
-
-
-def _scatter(state, cols, px, py, sx, sy):
-    """Store pumps (2, n) and signals (2, 2, n) into state's columns."""
-    for part, p, s in ((state.real, px, sx), (state.imag, py, sy)):
-        rows = np.empty((2, 3, cols.size))
-        rows[:, 0], rows[:, 1:] = p, s
-        part[:, cols] = rows.reshape(6, cols.size)
-
-
-def _chunk_step_numpy(state, w, gens, scale, alive, first_bad, n_steps, eps,
-                      m_pump, dt, e_pump, thr2, step0, n_threads=1):
-    """The C lane step on all live trajectories at once, each operation
-    the C source's, in its order, on float64 arrays, so the bits are equal.
-    It takes the arguments of `_chunk_step_c` and runs on the calling
-    thread whatever n_threads says.
-
-    Pumps are held as (2, n) arrays, rows a0 and a0p, and signals as
-    (2, 2, n) arrays, rows (a1, a2) and (a1p, a2p), real and imaginary
-    parts apart; the partner p of each signal in eps*p*q is then the
-    signals reversed on both axes.
-    """
-    idx = np.flatnonzero(alive)
-    if gens is not None:
-        # each live trajectory's whole chunk, drawn up front
-        rng = np.random.Generator(np.random.PCG64(0))
-        live, start = idx, gens.copy()
-        w = np.empty((len(alive), n_steps, 4))
-        for j in idx:
-            _draw(rng, gens[j], w[j])
-            w[j] *= scale
-    n = idx.size
-    re = state.real[:, idx].reshape(2, 3, n)
-    im = state.imag[:, idx].reshape(2, 3, n)
-    px, py, sx, sy = re[:, 0], im[:, 0], re[:, 1:], im[:, 1:]
-    # dw1 = w0 + i w1, dw2 = w0 - i w1, and alike for dw1p and dw2p
-    flip = np.array([1.0, -1.0])[:, None]
-    # non-finite states are expected here and killed by the threshold test
-    with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
-        for c in range(n_steps):
-            if n == 0:
-                break
-            wc = (w[:, c] if n == len(alive) else w[idx, c]).T
-            rx, ry = _root(eps * px, eps * py)
-            # the pumps: m + (a - m)*e_pump + dt*(-eps*b*c)
-            bx, by = -eps * sx[:, 0], -eps * sy[:, 0]
-            qx = bx * sx[:, 1] - by * sy[:, 1]
-            qy = bx * sy[:, 1] + by * sx[:, 1]
-            npx = m_pump + (px - m_pump) * e_pump + dt * qx
-            npy = py * e_pump + dt * qy
-            # the signals: s + dt*(eps*p*q - s) + root*dw
-            ex, ey = eps * sx[::-1, ::-1], eps * sy[::-1, ::-1]
-            pump_x, pump_y = px[:, None], py[:, None]
-            dx = ex * pump_x - ey * pump_y
-            dy = ex * pump_y + ey * pump_x
-            wr, wi = wc[0::2, None], wc[1::2, None] * flip
-            rx, ry = rx[:, None], ry[:, None]
-            nsx = sx + dt * (dx - sx) + (rx * wr - ry * wi)
-            nsy = sy + dt * (dy - sy) + (rx * wi + ry * wr)
-            ok = ((npx * npx + npy * npy <= thr2).all(axis=0)
-                  & (nsx * nsx + nsy * nsy <= thr2).all(axis=(0, 1)))
-            if not ok.all():
-                # the dead keep their last good state
-                _scatter(state, idx[~ok], px[:, ~ok], py[:, ~ok],
-                         sx[..., ~ok], sy[..., ~ok])
-                alive[idx[~ok]] = False
-                first_bad[idx[~ok]] = step0 + c
-                idx, npx, npy = idx[ok], npx[:, ok], npy[:, ok]
-                nsx, nsy = nsx[..., ok], nsy[..., ok]
-                n = idx.size
-            px, py, sx, sy = npx, npy, nsx, nsy
-    _scatter(state, idx, px, py, sx, sy)
-    if gens is not None:
-        # one that died in the chunk drew through its last step only
-        for j in live[~alive[live]]:
-            gens[j] = start[j]
-            _draw(rng, gens[j], np.empty((first_bad[j] - step0 + 1, 4)))
-
-
-def _draw(rng, words, out):
-    """Fill `out` from rng.standard_normal, its PCG64 set to the state in
-    `words` (see `seed_generators`) first and stored back into it after."""
-    state, inc = (int(words[0]) << 64 | int(words[1]),
-                  int(words[2]) << 64 | int(words[3]))
-    rng.bit_generator.state = {"bit_generator": "PCG64",
-                               "state": {"state": state, "inc": inc},
-                               "has_uint32": 0, "uinteger": 0}
-    rng.standard_normal(out=out)
-    words[:] = _pcg64_words(rng.bit_generator)
-
-
 def _chunk_step_c(state, w, gens, scale, alive, first_bad, n_steps, eps,
                   m_pump, dt, e_pump, thr2, step0, n_threads=1, lib=None):
     """opo3_chunk_step on a block: its n_steps steps draw their noise from
@@ -1620,55 +1491,6 @@ def _finite(arr: np.ndarray, what: str) -> np.ndarray:
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"non-finite {what}")
     return arr
-
-
-def _key_sums_numpy(values, centers, prefixes, collect, base, n_threads=1,
-                    out=None):
-    """opo3_key_sums in numpy, each operation the C source's, in its order,
-    on float64 arrays, so the bits are equal; numpy's complex multiply
-    fuses a multiply-add where the CPU has one, so products are taken on
-    the real and imaginary parts apart.  It takes the arguments of
-    `_key_sums_c`, runs on the calling thread whatever n_threads says and
-    refuses non-finite sums as the C version does."""
-    c, nb, n = values.shape
-    n_keys = c + len(prefixes)
-    # the products, sample-major: (K, n, nb) real and imaginary parts
-    re, im = np.empty((2, n_keys, n, nb))
-    tmp = np.empty((n, nb))
-    # non-finite values or overflowing products leave a non-finite sum
-    with np.errstate(over="ignore", invalid="ignore"):
-        for part, src, center in ((re, values.real, centers.real),
-                                  (im, values.imag, centers.imag)):
-            np.subtract(src.transpose(0, 2, 1), center[:, None, None],
-                        out=part[:c])
-        for k, (p, q) in enumerate(prefixes.tolist(), c):
-            np.multiply(re[p], re[q], out=re[k])
-            np.multiply(im[p], im[q], out=tmp)
-            re[k] -= tmp
-            np.multiply(re[p], im[q], out=im[k])
-            np.multiply(im[p], re[q], out=tmp)
-            im[k] += tmp
-        block = _key_block(out, n_keys, nb)
-        chains = (np.empty((n_keys, n), dtype=np.complex128) if collect
-                  else None)
-        for at, prods in ((0, re), (1, im)):
-            # explicit adds in sample order: a reduction along the sample
-            # axis would sum pairwise once that axis is innermost (nb = 1)
-            acc = prods[:, 0].copy()
-            for j in range(1, n):
-                acc += prods[:, j]
-            block.view(np.float64)[:, at::2] = acc
-            if collect:
-                # one chain over batches, carried on from base, written
-                # over the products
-                if base is not None:
-                    prods[:, :, 0] += base.view(np.float64)[:, at::2]
-                np.add.accumulate(prods, axis=2, out=prods)
-                chains.view(np.float64)[:, at::2] = prods[:, :, -1]
-    _finite(block, "sample values or key sums")
-    if collect:
-        _finite(chains, "per-sample sums")
-    return block, chains
 
 
 def _key_block(out, n_keys: int, nb: int) -> np.ndarray:
@@ -1733,68 +1555,6 @@ def _key_sums_c(values, centers, prefixes, collect, base, n_threads=1,
     return block, chains
 
 
-def _mean_numpy(re, im, n, inv):
-    """The parts of a mean of n samples on whole rows, each part times
-    inv = 1/n: MEAN, and the shifts, of `_targets_numpy`."""
-    return re * inv, im * inv
-
-
-def _targets_numpy(ops, consts, sums, totals, n, n_out, n_threads=1):
-    """opo3_targets in numpy on whole rows, each operation the C source's,
-    in its order, on float64 arrays, so the bits are equal; products are
-    taken on the real and imaginary parts apart, as in `_key_sums_numpy`.
-    It takes the arguments of `_targets_c` and runs on the calling thread
-    whatever n_threads says.  Pages are joined PAGE_RUN at a time, so a
-    run's rows stay in cache and no (K, B) copy is made."""
-    if isinstance(sums, Pages):
-        out = np.empty((n_out, sums.n_cols), dtype=np.complex128)
-        for p in range(0, len(sums.pages), PAGE_RUN):
-            lo, hi = p * PAGE_COLUMNS, min((p + PAGE_RUN) * PAGE_COLUMNS,
-                                           sums.n_cols)
-            out[:, lo:hi] = _targets_numpy(
-                ops, consts, Pages(sums.pages[p:p + PAGE_RUN], hi - lo)
-                .joined(), totals, n[lo:hi], n_out)
-        return out
-    inv = 1.0 / n
-    c_re, c_im = consts.real.tolist(), consts.imag.tolist()
-    out = np.empty((n_out, sums.shape[1]), dtype=np.complex128)
-
-    def key(k):
-        if totals is None:
-            return sums[k].real, sums[k].imag
-        return totals[k].real - sums[k].real, totals[k].imag - sums[k].imag
-
-    negs, stack = {}, []
-    # leave-one-out sums and their products may overflow, as in C
-    with np.errstate(over="ignore", invalid="ignore"):
-        for op, arg in ops.tolist():
-            if op == OP_KEY:
-                stack.append(key(arg))
-            elif op == OP_N:
-                stack.append((n, np.zeros_like(n)))
-            elif op == OP_ADD:
-                re, im = stack.pop()
-                stack[-1] = (stack[-1][0] + re, stack[-1][1] + im)
-            elif op == OP_STORE:
-                out[arg].real, out[arg].imag = stack.pop()
-            elif op == OP_MEAN:
-                stack[-1] = _mean_numpy(*stack[-1], n, inv)
-            elif op == OP_OFFSET:
-                re, im = stack[-1]
-                stack[-1] = (re + c_re[arg], im + c_im[arg])
-            else:
-                if op == OP_SHIFT:
-                    if arg not in negs:
-                        m_re, m_im = _mean_numpy(*key(arg), n, inv)
-                        negs[arg] = (-m_re, -m_im)
-                    q_re, q_im = negs[arg]
-                else:
-                    q_re, q_im = c_re[arg], c_im[arg]
-                re, im = stack[-1]
-                stack[-1] = (re * q_re - im * q_im, re * q_im + im * q_re)
-    return out
-
-
 def _targets_c(ops, consts, sums, totals, n, n_out, n_threads=1, lib=None):
     """opo3_targets: the n_out rows that the program ops, (m, 2) int64
     rows (op, argument) with (q,) complex128 consts, stores for each
@@ -1840,32 +1600,6 @@ def _targets_c(ops, consts, sums, totals, n, n_out, n_threads=1, lib=None):
     if status != 0:
         raise MemoryError("no memory for the C target programs' tiles")
     return out
-
-
-def _spreads_numpy(rows, n_threads=1):
-    """opo3_spreads in numpy: the same sums in the same order, per lane of
-    SPREAD_GROUP doubles over the groups (a reduction along an axis that
-    is not the innermost adds in order), then each part's lanes, the last
-    group padded as the C source pads it, so the bits are equal.  It
-    takes the arguments of `_spreads_c` and runs on the calling thread
-    whatever n_threads says."""
-    n_rows, nb = rows.shape
-    pad = -2 * nb % SPREAD_GROUP
-    x = rows.view(np.float64)
-    if pad:
-        x = np.concatenate([x, np.zeros((n_rows, pad))], axis=1)
-
-    def part_sums(x):
-        lanes = np.add.reduce(x.reshape(n_rows, -1, SPREAD_GROUP), axis=1)
-        return np.add.accumulate(lanes.reshape(n_rows, -1, 2), axis=1)[:, -1]
-
-    with np.errstate(over="ignore", invalid="ignore"):
-        means = part_sums(x) / nb
-        if pad:
-            x[:, 2 * nb:] = np.tile(means, pad // 2)
-        dev = x.reshape(n_rows, -1, 2) - means[:, None, :]
-        np.multiply(dev, dev, out=dev)
-        return part_sums(dev.reshape(n_rows, -1))
 
 
 def _spreads_c(rows, n_threads=1, lib=None):
@@ -1926,17 +1660,9 @@ class Pages:
         return out
 
 
-def _totals_numpy(sums: Pages, n_threads=1) -> np.ndarray:
-    """The (K,) totals of the pages: numpy's row sums of the joined
-    array, the answer that opo3_totals reproduces.  It takes the
-    arguments of `_totals_c` and runs on the calling thread whatever
-    n_threads says."""
-    return sums.joined().sum(axis=1)
-
-
 def _totals_c(sums: Pages, n_threads=1, lib=None) -> np.ndarray:
     """opo3_totals: the (K,) row sums of the pages, read in place, with the
-    bytes of `_totals_numpy`; the rows are split over n_threads
+    bytes of `_oracle._totals_numpy`; the rows are split over n_threads
     threads."""
     lib = lib or _c_function()
     if lib is None:
@@ -1958,6 +1684,7 @@ def seed_generators(master_seed: int, first: int, nb: int,
     lib = lib or _c_function()
     out = np.empty((nb, 4), dtype=np.uint64)
     if lib is None:
+        from ._oracle import _pcg64_words
         for j in range(nb):
             out[j] = _pcg64_words(np.random.PCG64(np.random.SeedSequence(
                 master_seed, spawn_key=(first + j,))))
@@ -1969,13 +1696,6 @@ def seed_generators(master_seed: int, first: int, nb: int,
     return out
 
 
-def _pcg64_words(bit_generator: np.random.PCG64) -> np.ndarray:
-    """A numpy PCG64's state as the kernel's four words."""
-    st, mask = bit_generator.state["state"], 2**64 - 1
-    return np.array([st["state"] >> 64, st["state"] & mask, st["inc"] >> 64,
-                     st["inc"] & mask], dtype=np.uint64)
-
-
 class _BuildError(Exception):
     pass
 
@@ -1984,18 +1704,18 @@ def _cache_dir() -> Path:
     """First usable of $XDG_CACHE_HOME/opo3, ~/.cache/opo3, tmp/opo3-<uid>;
     a relative $XDG_CACHE_HOME is ignored, as the XDG spec asks, so no
     library is loaded from the working directory."""
-    candidates = []
+    uid = os.getuid()
     xdg = Path(os.environ.get("XDG_CACHE_HOME", ""))
-    if xdg.is_absolute():
-        candidates.append(xdg / "opo3")
+    candidates = [xdg / "opo3"] if xdg.is_absolute() else []
     try:
         candidates.append(Path.home() / ".cache" / "opo3")
     except RuntimeError:
         pass
-    uid = os.getuid()
-    private = Path(tempfile.gettempdir()) / f"opo3-{uid}"
-    candidates.append(private)
-    for path in candidates:
+    # gettempdir's first call writes and removes a probe file, so the
+    # private candidate, None here, is made only when the others fail
+    for path in [*candidates, None]:
+        private = path is None
+        path = path or Path(tempfile.gettempdir()) / f"opo3-{uid}"
         try:
             path.mkdir(mode=0o700, parents=True, exist_ok=True)
         except OSError:
@@ -2005,7 +1725,7 @@ def _cache_dir() -> Path:
         # a shared temporary directory may hold a directory someone else
         # made under our name; never load a library from one
         st = path.stat()
-        if path == private and (st.st_uid != uid or st.st_mode & 0o022):
+        if private and (st.st_uid != uid or st.st_mode & 0o022):
             continue
         return path
     raise _BuildError("no writable cache directory")
@@ -2025,10 +1745,12 @@ def _compiled_library() -> Path:
     compiler = f"{real}:{st.st_size}:{st.st_mtime_ns}"
     # crc32, not hashlib: importing hashlib loads OpenSSL, about 3 MB of
     # resident memory that a process on a cache hit never loads otherwise;
-    # this module's source holds the C source, tables included, and the
-    # numpy kernel and check inputs behind the answers kept beside it
+    # this module's source holds the C source, tables included, and check
+    # inputs, `_oracle`'s the numpy passes, behind the answers kept beside it
+    here = Path(__file__)
     key = "".join(f"{zlib.crc32(part):08x}"
-                  for part in (Path(__file__).read_bytes(),
+                  for part in (here.read_bytes(),
+                               here.with_name("_oracle.py").read_bytes(),
                                " ".join(_C_FLAGS).encode(), compiler.encode(),
                                np.__version__.encode()))
     cache = _cache_dir()
@@ -2153,44 +1875,18 @@ def _check_totals(totals, normals) -> bytes:
     return totals(Pages(pages, nb)).tobytes()
 
 
-def _numpy_answers() -> bytes:
-    """numpy's answers to the load-time check, laid out as `_c_function`
-    lays out the C kernel's: the PCG64 words of SeedSequence(_CHECK_SEED,
-    spawn_key=(k + j,)) for k in _CHECK_KEYS and j in (0, 1), the
-    _CHECK_DRAWS draws of Generator.standard_normal from the last of them,
-    that generator's words after the draws, the numpy kernel's
-    `_check_chunk` bytes on the draws, buffered, then drawn from the words
-    of SeedSequence(_CHECK_SEED, spawn_key=(j,)) for each trajectory j,
-    the numpy key sums' `_check_key_sums` bytes on the draws, the numpy
-    target programs' `_check_targets` bytes, the numpy spreads'
-    `_check_spreads` bytes and the numpy totals' `_check_totals` bytes on
-    them."""
-    bitgens = [np.random.PCG64(np.random.SeedSequence(
-        _CHECK_SEED, spawn_key=(k + j,))) for k in _CHECK_KEYS for j in (0, 1)]
-    seeded = b"".join(_pcg64_words(b).tobytes() for b in bitgens)
-    draws = np.random.Generator(bitgens[-1]).standard_normal(_CHECK_DRAWS)
-    gens = np.array([_pcg64_words(np.random.PCG64(np.random.SeedSequence(
-        _CHECK_SEED, spawn_key=(j,)))) for j in range(_CHECK_STEP[0])])
-    return (seeded + draws.tobytes() + _pcg64_words(bitgens[-1]).tobytes()
-            + _check_chunk(_chunk_step_numpy, draws)
-            + _check_chunk(_chunk_step_numpy, draws, gens)
-            + _check_key_sums(_key_sums_numpy, draws)
-            + _check_targets(_targets_numpy, draws)
-            + _check_spreads(_spreads_numpy, draws)
-            + _check_totals(_totals_numpy, draws))
-
-
 def _kept_answers(path: Path) -> bytes:
-    """`_numpy_answers`, kept in `path` beside the library: the first load
-    of a build computes them, later loads read them, because importing
-    numpy.random brings in secrets, hashlib and OpenSSL, about 15 ms and
-    6 MB, and a first numpy step pages in about 0.3 MB of numpy, that a run
-    on the C kernel never needs."""
+    """`_oracle._numpy_answers`, kept in `path` beside the library: the
+    first load of a build computes them, later loads read them, because
+    importing numpy.random (secrets, hashlib, OpenSSL: 15 ms, 6 MB),
+    compiling `_oracle` (3-4 ms without bytecode) and paging in a numpy
+    step (0.3 MB) cost what a run on the C kernel never needs."""
     try:
         return path.read_bytes()
     except OSError:
         pass
-    answers = _numpy_answers()
+    from . import _oracle
+    answers = _oracle._numpy_answers()
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=".check-")
     try:
         with os.fdopen(fd, "wb") as f:
@@ -2218,7 +1914,7 @@ def _c_function():
     bytes on `_check_key_sums`, its target programs the numpy ones' on
     `_check_targets`, its spreads the numpy ones' on `_check_spreads` and
     its totals the numpy ones' on `_check_totals`: every byte must equal
-    the kept `_numpy_answers`.
+    the kept `_oracle._numpy_answers`.
     """
     try:
         path = _compiled_library()
@@ -2284,8 +1980,10 @@ def kernels() -> Kernels:
     if _c_function() is not None:
         return Kernels(_chunk_step_c, _key_sums_c, _targets_c, _spreads_c,
                        _totals_c)
-    return Kernels(_chunk_step_numpy, _key_sums_numpy, _targets_numpy,
-                   _spreads_numpy, _totals_numpy)
+    from . import _oracle
+    return Kernels(_oracle._chunk_step_numpy, _oracle._key_sums_numpy,
+                   _oracle._targets_numpy, _oracle._spreads_numpy,
+                   _oracle._totals_numpy)
 
 
 def get_stepper():

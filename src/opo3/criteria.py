@@ -167,23 +167,30 @@ def cs_test(moments: MomentReport, partition: str = "0|12",
 
     def fn(st):
         st.targets(names)
-        lhs, rhs = _cs_sides(st, partition)
-        margin = rhs - lhs
         # np.divide: on exact (Python float) values a zero lhs gives inf
         # rather than raising; a replicate whose pair moment is 0 leaves a
-        # non-finite lambda, without a warning
+        # non-finite lambda, without a warning.  Each row + 0j goes into
+        # one array as it is formed, lambda's once its temporaries are gone
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            ratio = np.divide(rhs, lhs)
             lam = (_quotient(st.target("amp_triple_conj"), st.target(pname))
-                   if has_lambda else margin * 0.0)
+                   if has_lambda else None)
+        lhs, rhs = _cs_sides(st, partition)
+        out = np.empty((4 + has_lambda + can_cross, *np.shape(lhs)),
+                       dtype=np.complex128)
+        if has_lambda:
+            np.add(lam, 0j, out=out[4, ...])
+        del lam
+        np.add(lhs, 0j, out=out[0, ...])
+        np.add(rhs, 0j, out=out[1, ...])
+        np.add(rhs - lhs, 0j, out=out[2, ...])
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            np.add(np.divide(rhs, lhs), 0j, out=out[3, ...])
         # rhs rebuilt from the quadrature triple sum (mapping identity);
         # the two estimators agree in expectation, differ by noise
         if can_cross:
-            diff = rhs - st.target("s").real ** 2 / cross_denom
-        else:
-            diff = margin * 0.0
-        return [lhs + 0j, rhs + 0j, margin + 0j, ratio + 0j, lam + 0j,
-                diff + 0j]
+            np.add(rhs - st.target("s").real ** 2 / cross_denom, 0j,
+                   out=out[-1, ...])
+        return out
 
     jk = moments.jackknife(fn)
     lhs, rhs, margin, ratio = (float(v.real) for v in jk.value[:4])
@@ -203,9 +210,9 @@ def cs_test(moments: MomentReport, partition: str = "0|12",
     significance = _significance(margin, margin_se)
     cross_rhs, cross_ok = None, None
     if can_cross:
-        cross_diff = float(jk.value[5].real)
+        cross_diff = float(jk.value[-1].real)
         cross_rhs = rhs - cross_diff
-        tol = max(k * float(jk.std_error[5]),
+        tol = max(k * float(jk.std_error[-1]),
                   1e-9 * max(abs(rhs), abs(cross_rhs)), 1e-300)
         cross_ok = bool(abs(cross_diff) <= tol)
 

@@ -3,8 +3,8 @@
 Trajectories are integrated in nondimensional time tau = gamma*t with
 explicit Euler-Maruyama steps; the pump's linear part takes the factored
 form of `_step_constants`.  The step map is stated in the block kernels
-of `_kernels` (compiled C, with numpy as its oracle and fallback), which
-`_advance` drives a chunk at a time, whichever of them loaded;
+of `_kernels` (compiled C) and `_oracle` (numpy, its oracle and
+fallback), which `_advance` drives a chunk at a time, whichever loaded;
 `model.drift_and_diffusion` states the equations independently, and the
 tests check one against the other through `integrate_batch` on a
 one-trajectory block.  Each trajectory owns an independent, counter-derived
@@ -22,10 +22,12 @@ the per-sample sums of a time series stay on one thread, and no byte
 depends on either count.  Everything else runs on one thread.
 
 Sampling: after `burn_steps`, the state is recorded every `int_steps` steps,
-n_samples_per_traj times.  Each trajectory contributes its samples as one
-batch to a moment accumulator, or past GROUP_CAP trajectories to its
-group's batch; divergent trajectories are excluded entirely and counted.  A run with more than 1% divergent trajectories is flagged
-unreliable.
+n_samples_per_traj times, as `model.state_channels`.  Each trajectory
+contributes its samples as one batch to a moment accumulator, or past
+GROUP_CAP trajectories to its group's batch; divergent trajectories are
+excluded entirely and counted.  A run with more than 1% divergent
+trajectories is flagged unreliable.  `run_ensemble` imports the moment
+layer when it runs, so `simulate_trajectory` never loads it.
 """
 
 from __future__ import annotations
@@ -38,8 +40,8 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import _kernels
-from .model import ModelParams, PhaseSpaceState, ValidityError, fixed_point
-from .moments import MomentAccumulator, opo_schema, state_channels
+from .model import (ModelParams, PhaseSpaceState, ValidityError, fixed_point,
+                    state_channels)
 
 BLOCK_SIZE = 256          # trajectories per work unit; results do not depend on it
 CHUNK_STEPS = 1024        # steps per kernel call
@@ -214,7 +216,7 @@ def _run_block(params: ModelParams, rcfg: ResolvedConfig, traj_indices,
     """Integrate one block of consecutive trajectory indices; returns
     channel cube and divergence bookkeeping.
 
-    cube: (12, B, n_samples) complex128 in moments.OPO_CHANNELS order, for
+    cube: (12, B, n_samples) complex128 in model.OPO_CHANNELS order, for
     every trajectory including ones that later diverge (callers filter).
     """
     nb = len(traj_indices)
@@ -336,6 +338,8 @@ def run_ensemble(params: ModelParams, config: SimConfig, workers: int | None = N
     `group_size(n_trajectories)` consecutive ones, which the jackknife
     leaves out one at a time, so the store stays within GROUP_CAP columns.
     """
+    from .moments import MomentAccumulator, opo_schema
+
     t0 = time.perf_counter()
     rcfg = config.resolve(params)
     stepper = _kernels.kernels().step
@@ -372,7 +376,7 @@ def run_ensemble(params: ModelParams, config: SimConfig, workers: int | None = N
         diverged_indices=diverged_indices,
         backend=f"{stepper.__module__}.{stepper.__name__}",
         # the numpy kernel runs on the calling thread alone
-        workers=1 if stepper is _kernels._chunk_step_numpy else threads,
+        workers=threads if stepper is _kernels._chunk_step_c else 1,
         block_size=BLOCK_SIZE,
         group_size=g,
         halves=halves,

@@ -1,4 +1,5 @@
-"""Parameterization and the drift/diffusion functions of the Ito equations.
+"""Parameterization, the drift/diffusion functions of the Ito equations and
+the quadrature map from phase-space states to the moment layer's channels.
 
 Everything here is a pure function of its inputs.  Time is dimensionless,
 tau = gamma*t, so the down-converted decay rate is 1 and the pump decay rate
@@ -132,3 +133,31 @@ def drift_and_diffusion(state: PhaseSpaceState, params: ModelParams):
     )
     noise_amp = (cmath.sqrt(eps * a0), cmath.sqrt(eps * a0p))
     return drift, noise_amp
+
+
+OPO_CHANNELS = ("x0", "y0", "x", "y", "xp", "yp",
+                "a0", "a0p", "a1", "a1p", "a2", "a2p")
+
+
+def state_channels(states: np.ndarray, params: ModelParams) -> np.ndarray:
+    """Channel values from raw phase-space states: the one quadrature map.
+
+    states has shape (6, ...) ordered (a0, a1, a2, a0p, a1p, a2p); returns
+    (12, ...) in OPO_CHANNELS order: the scaled quadratures x0 =
+    eps*(a0 + a0p), y0 = -i*eps*(a0 - a0p) of the pump and, under the sign
+    convention x + i*y = 2*g*a1, x - i*y = 2*g*a2p, xp + i*yp = 2*g*a2,
+    xp - i*yp = 2*g*a1p, those of the down-converted modes, then the six
+    amplitudes.  All are complex: single positive-P samples are not real,
+    only ensemble moments are.
+    """
+    g, eps = params.g, params.eps
+    a0, a1, a2, a0p, a1p, a2p = states
+    return np.stack([
+        eps * (a0 + a0p),
+        -1j * eps * (a0 - a0p),
+        g * (a1 + a2p),
+        -1j * g * (a1 - a2p),
+        g * (a2 + a1p),
+        -1j * g * (a2 - a1p),
+        a0, a0p, a1, a1p, a2, a2p,
+    ])

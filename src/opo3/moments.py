@@ -29,7 +29,7 @@ evaluates every target on the full data and on each leave-one-out
 replicate by a program compiled once per schema, centering and set of
 targets: each shifted term is expanded by Horner's rule in minus the
 shifts, each mean is a sum times 1/n.  The C key sums and target
-programs and their numpy oracles (`_kernels`) take
+programs (`_kernels`) and their numpy oracles (`_oracle`) take
 every complex product the textbook way, (ac - bd, ad + bc), each real
 operation rounded on its own, so no report bit depends on the CPU.
 numpy's own complex multiply cannot be the oracle: where the CPU has
@@ -44,6 +44,9 @@ Centering modes at finalize time:
   sample     shift every channel to its empirical mean
   none       no shifts; moments taken about the provisional centers
   raw        undo the provisional centers; plain uncentered moments
+
+The OPO schema reads the channels of `model.state_channels`, named here
+too; `opo3` loads this module on first use.
 """
 
 from __future__ import annotations
@@ -55,7 +58,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _kernels
-from .model import ModelParams
+from .model import OPO_CHANNELS, ModelParams, state_channels
 
 CENTERINGS = ("reference", "sample", "none", "raw")
 
@@ -782,9 +785,6 @@ def merge(a: MomentAccumulator, b: MomentAccumulator) -> MomentAccumulator:
 # -- the OPO schema ----------------------------------------------------
 
 
-OPO_CHANNELS = ("x0", "y0", "x", "y", "xp", "yp",
-                "a0", "a0p", "a1", "a1p", "a2", "a2p")
-
 # the normally ordered amplitude moments, in both schemas below
 _AMPLITUDE_TARGETS = (
     TargetSpec("amp_n1n2", ((1, ("a1", "a1p", "a2", "a2p")),)),
@@ -863,26 +863,3 @@ def amplitude_schema(centers=(0.0,) * 6) -> MomentSchema:
         TargetSpec("mean_a0", ((1, ("a0",)),), apply_shift=False),)
     return MomentSchema(channels=channels, targets=targets)
 
-
-def state_channels(states: np.ndarray, params: ModelParams) -> np.ndarray:
-    """Channel values from raw phase-space states: the one quadrature map.
-
-    states has shape (6, ...) ordered (a0, a1, a2, a0p, a1p, a2p); returns
-    (12, ...) in OPO_CHANNELS order: the scaled quadratures x0 =
-    eps*(a0 + a0p), y0 = -i*eps*(a0 - a0p) of the pump and, under the sign
-    convention x + i*y = 2*g*a1, x - i*y = 2*g*a2p, xp + i*yp = 2*g*a2,
-    xp - i*yp = 2*g*a1p, those of the down-converted modes, then the six
-    amplitudes.  All are complex: single positive-P samples are not real,
-    only ensemble moments are.
-    """
-    g, eps = params.g, params.eps
-    a0, a1, a2, a0p, a1p, a2p = states
-    return np.stack([
-        eps * (a0 + a0p),
-        -1j * eps * (a0 - a0p),
-        g * (a1 + a2p),
-        -1j * g * (a1 - a2p),
-        g * (a2 + a1p),
-        -1j * g * (a2 - a1p),
-        a0, a0p, a1, a1p, a2, a2p,
-    ])

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import opo3
-from opo3 import _kernels, cli, engine
+from opo3 import _kernels, _oracle, cli, engine
 from opo3.cli import (
     CliError,
     build_runspec,
@@ -247,7 +247,7 @@ class TestRun:
         for name, workers in (("c1", "1"), ("c2", "2"), ("c3", "3"),
                               ("numpy", "1")):
             if name == "numpy":
-                use_kernels(monkeypatch, step=_kernels._chunk_step_numpy)
+                use_kernels(monkeypatch, step=_oracle._chunk_step_numpy)
             monkeypatch.setenv("OPO3_WORKERS", workers)
             assert run_main(argv + ["--out-dir", tmp_path / name]) == 0
             doc = json.loads((tmp_path / name / "report.json").read_text())
@@ -303,12 +303,12 @@ class TestRun:
         assert "sigma_threshold must be positive" in capsys.readouterr().err
 
     def test_report_names_fallback_backend(self, tmp_path, monkeypatch):
-        use_kernels(monkeypatch, step=_kernels._chunk_step_numpy)
+        use_kernels(monkeypatch, step=_oracle._chunk_step_numpy)
         rc = run_main(["run", *FAST, "--n-trajectories", 4,
                        "--n-samples-per-traj", 2, "--out-dir", tmp_path])
         assert rc == 0
         doc = json.loads((tmp_path / "report.json").read_text())
-        assert doc["backend"] == "opo3._kernels._chunk_step_numpy"
+        assert doc["backend"] == "opo3._oracle._chunk_step_numpy"
         assert doc["workers"] == 1
 
     def test_report_workers_default_and_override(self, tmp_path, monkeypatch):
@@ -690,24 +690,27 @@ class TestPackage:
     def test_integrating_loads_only_what_it_needs(self):
         # on a warm kernel cache, importing the package and integrating one
         # trajectory loads neither the build's subprocess, numpy.random
-        # (nor the hashlib it brings in), the criteria or the closed forms
-        # (nor their logging); the lazy names are listed all the same and
-        # resolve to their modules' own objects
+        # (nor the hashlib it brings in), the moment layer, the numpy
+        # oracle, the criteria or the closed forms (nor their logging); the
+        # lazy names are listed all the same and resolve to their modules'
+        # own objects, and the quadrature map is the model's everywhere
         code = (
             "import json, sys, opo3\n"
             "opo3.simulate_trajectory(opo3.ModelParams(0.5, 1.0, 0.05), "
             "opo3.SimConfig(dt=0.05, burn_in=20.0, sample_interval=2.0, "
             "n_samples_per_traj=1, n_trajectories=1))\n"
             "loaded = [m for m in ('subprocess', 'numpy.random', 'hashlib', "
-            "'logging', 'opo3.criteria', 'opo3.analytic') "
-            "if m in sys.modules]\n"
+            "'logging', 'opo3.moments', 'opo3._oracle', 'opo3.criteria', "
+            "'opo3.analytic') if m in sys.modules]\n"
             "unlisted = sorted(set(opo3.__all__) - set(dir(opo3)))\n"
             "stepper = opo3._kernels.kernels().step.__name__\n"
             "own = all(getattr(sys.modules[getattr(opo3, n).__module__], n) "
             "is getattr(opo3, n) for n in opo3.__all__ if n != '__version__')\n"
             "print(json.dumps([loaded, unlisted, stepper, own, "
             "opo3.cs_test is opo3.criteria.cs_test, "
-            "opo3.CsSides is opo3.analytic.CsSides]))")
+            "opo3.CsSides is opo3.analytic.CsSides, "
+            "opo3.state_channels is opo3.moments.state_channels "
+            "is opo3.model.state_channels]))")
         out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                              text=True, env=package_env())
         assert out.returncode == 0, out.stderr

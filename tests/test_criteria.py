@@ -3,6 +3,7 @@ ensembles and simulation data, the separability witness, the pump-signal
 pair audit, and the pump Gaussianity diagnostic."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,12 +24,15 @@ from opo3 import (
     cs_running_average,
     cs_sides_analytic,
     cs_test,
+    fixed_point,
+    opo_schema,
     pair_audit,
     pump_odd_moment,
     run_ensemble,
     separability_witness,
+    state_channels,
 )
-from opo3 import criteria, moments
+from opo3 import _kernels, criteria, moments
 
 PARTITIONS = ("0|12", "1|02", "2|01")
 
@@ -356,6 +360,58 @@ class TestSimulationVerdicts:
         assert r.ratio is None
         assert r.lambda_opt is None
         assert r.lhs == 0.0 and r.rhs == 0.0
+
+
+class TestCompositeMemory:
+    # tracemalloc's peak over one cs_test call on the report below, in
+    # bytes, when its composite was six rows + 0j in a list, then stacked,
+    # beside the (T, B) targets they were made from (numpy 2.4, Python
+    # 3.11); it now reads 3,674,376, 3,149,616 and 3,149,584
+    PARENT_PEAK = {"0|12": 4_198_968, "1|02": 3_936_592, "2|01": 3_936_224}
+
+    def test_cs_test_holds_its_composite_once(self):
+        # on 16,384 batches each partition's peak stays 10% under that
+        # figure, and the fields keep the bytes of the listed composite
+        if _kernels.kernels().targets is not _kernels._targets_c:
+            pytest.skip("the figures are the C passes'")
+        params = ModelParams(0.5, 1.0, 0.05)
+        rng = np.random.default_rng(7)
+        states = fixed_point(params).as_array()[:, None, None] + 0.05 * (
+            rng.standard_normal((6, 16384, 1))
+            + 1j * rng.standard_normal((6, 16384, 1)))
+        rep = MomentAccumulator(opo_schema(params)).add_batches(
+            state_channels(states, params)).finalize()
+        denom = 128.0 * params.gamma_r * params.g ** 6
+        for part, parent in self.PARENT_PEAK.items():
+            qname, pname = criteria.PARTITIONS[part]
+
+            def listed(st):
+                lhs, rhs = criteria._cs_sides(st, part)
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    ratio = np.divide(rhs, lhs)
+                lam = criteria._quotient(st.target("amp_triple_conj"),
+                                         st.target(pname))
+                diff = rhs - st.target("s").real ** 2 / denom
+                return [lhs + 0j, rhs + 0j, rhs - lhs + 0j, ratio + 0j,
+                        lam + 0j, diff + 0j]
+
+            cs_test(rep, part)      # the target programs are compiled once
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                r = cs_test(rep, part)
+                peak = tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+            assert peak < 0.9 * parent, (part, peak)
+            jk = rep.jackknife(listed)
+            want = [*jk.value[:4].real, *jk.std_error[:4], jk.value[4]]
+            got = [r.lhs, r.rhs, r.margin, r.ratio, r.lhs_std_error,
+                   r.rhs_std_error, r.margin_std_error, r.ratio_std_error,
+                   r.lambda_opt]
+            assert np.array(got).tobytes() == np.array(want).tobytes(), part
+            if part == "0|12":
+                assert r.cross_check_rhs == r.rhs - jk.value[5].real
 
 
 def triples_report(*estimates):

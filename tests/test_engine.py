@@ -25,6 +25,7 @@ from opo3 import (
     SimConfig,
     ValidityError,
     _kernels,
+    _oracle,
     amplitude_schema,
     analytic_moment_report,
     drift_and_diffusion,
@@ -396,11 +397,11 @@ class TestDeterminism:
         assert fast.backend == "opo3._kernels._chunk_step_c"
         no_compiler()
         with pytest.warns(RuntimeWarning, match=re.escape(NO_COMPILER)):
-            assert _kernels.kernels().step is _kernels._chunk_step_numpy
+            assert _kernels.kernels().step is _oracle._chunk_step_numpy
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             slow = run_ensemble(params, cfg, workers=2)
-        assert slow.backend == "opo3._kernels._chunk_step_numpy"
+        assert slow.backend == "opo3._oracle._chunk_step_numpy"
         assert slow.workers == 1
         assert slow.n_diverged == fast.n_diverged == 0
         # the kernels are bitwise equal, so the moments and errors are too
@@ -419,8 +420,8 @@ def use_kernel(monkeypatch, kernel):
     if kernel == "c":
         assert _kernels.kernels().step is _kernels._chunk_step_c
         return _kernels._chunk_step_c
-    use_kernels(monkeypatch, step=_kernels._chunk_step_numpy)
-    return _kernels._chunk_step_numpy
+    use_kernels(monkeypatch, step=_oracle._chunk_step_numpy)
+    return _oracle._chunk_step_numpy
 
 
 def stream(master_seed, index):
@@ -456,13 +457,13 @@ def fresh_cache(monkeypatch, tmp_path):
     _kernels._c_function.cache_clear()
 
 
-def one_ulp_off(state, *args, step=_kernels._chunk_step_numpy):
+def one_ulp_off(state, *args, step=_oracle._chunk_step_numpy):
     """The numpy kernel, then a1's real part at #0 one ulp larger."""
     step(state, *args)
     state.real[1, 0] = np.nextafter(state.real[1, 0], np.inf)
 
 
-def sums_one_ulp_off(*args, sums=_kernels._key_sums_numpy, **kwargs):
+def sums_one_ulp_off(*args, sums=_oracle._key_sums_numpy, **kwargs):
     """The numpy key sums, then the last per-sample sum's imaginary part,
     where there are per-sample sums, one ulp larger."""
     block, chains = sums(*args, **kwargs)
@@ -471,7 +472,7 @@ def sums_one_ulp_off(*args, sums=_kernels._key_sums_numpy, **kwargs):
     return block, chains
 
 
-def targets_one_ulp_off(*args, evaluate=_kernels._targets_numpy):
+def targets_one_ulp_off(*args, evaluate=_oracle._targets_numpy):
     """The numpy target programs, then the first value's real part one ulp
     larger."""
     out = evaluate(*args)
@@ -479,7 +480,7 @@ def targets_one_ulp_off(*args, evaluate=_kernels._targets_numpy):
     return out
 
 
-def totals_one_ulp_off(*args, totals=_kernels._totals_numpy):
+def totals_one_ulp_off(*args, totals=_oracle._totals_numpy):
     """The numpy totals, then the first total's real part one ulp
     larger."""
     out = totals(*args)
@@ -541,10 +542,10 @@ class TestKernels:
         start, w, dt = self.kicked_block()
         c_out = drive(_kernels._chunk_step_c, start, w, self.params, dt,
                       50.0, 5000, 150)
-        np_out = drive(_kernels._chunk_step_numpy, start, w, self.params, dt,
+        np_out = drive(_oracle._chunk_step_numpy, start, w, self.params, dt,
                        50.0, 5000, 150)
         # a dead trajectory stays at its last good state
-        frozen, _, _ = drive(_kernels._chunk_step_numpy, start[:, 2:3],
+        frozen, _, _ = drive(_oracle._chunk_step_numpy, start[:, 2:3],
                              w[2:3, :137], self.params, dt, 50.0, 0, 150)
         for state, alive, first_bad in (c_out, np_out):
             np.testing.assert_array_equal(alive, [1, 1, 0, 0, 0, 1, 0])
@@ -565,7 +566,7 @@ class TestKernels:
         c_out, np_out = (drive_drawn(step, start, self.params, dt, 50.0,
                                      5000, 150, w.shape[1])
                          for step in (_kernels._chunk_step_c,
-                                      _kernels._chunk_step_numpy))
+                                      _oracle._chunk_step_numpy))
         np.testing.assert_array_equal(c_out[2],
                                       [-1, -1, -1, -1, 5000, -1, 5000])
         for got, want in zip(c_out, np_out):
@@ -573,7 +574,7 @@ class TestKernels:
         for j in (4, 6):
             rng = stream(9, j)
             rng.standard_normal(4)
-            want = _kernels._pcg64_words(rng.bit_generator)
+            want = _oracle._pcg64_words(rng.bit_generator)
             assert np_out[3][j].tobytes() == want.tobytes()
 
     @needs_cc
@@ -588,7 +589,7 @@ class TestKernels:
         c_out, np_out = (drive_drawn(step, start, self.params, dt, 50.0,
                                      step0, chunk, w.shape[1])
                          for step in (_kernels._chunk_step_c,
-                                      _kernels._chunk_step_numpy))
+                                      _oracle._chunk_step_numpy))
         first_bad = c_out[2]
         np.testing.assert_array_equal(first_bad,
                                       [-1, 5006, -1, -1, 5000, -1, 5000])
@@ -597,7 +598,7 @@ class TestKernels:
             assert got.tobytes() == want.tobytes()
         rng = stream(9, 1)
         rng.standard_normal(4 * (first_bad[1] - step0 + 1))
-        want = _kernels._pcg64_words(rng.bit_generator)
+        want = _oracle._pcg64_words(rng.bit_generator)
         assert c_out[3][1].tobytes() == want.tobytes()
 
     @needs_cc
@@ -674,7 +675,7 @@ class TestKernels:
         # SeedSequence refuses -1 and the C seeding cannot express 2**64:
         # both kernels refuse both, before integrating
         if kernel == "numpy":
-            use_kernels(monkeypatch, step=_kernels._chunk_step_numpy)
+            use_kernels(monkeypatch, step=_oracle._chunk_step_numpy)
         cfg = SimConfig(dt=0.05, burn_in=20.0, sample_interval=2.0,
                         n_samples_per_traj=1, n_trajectories=1)
         with pytest.raises(ValueError, match=r"trajectory indices must lie "
@@ -687,7 +688,7 @@ class TestKernels:
 
     @pytest.mark.parametrize("bad", [math.inf, math.nan])
     def test_numpy_kernel_quiet_on_non_finite_state(self, monkeypatch, bad):
-        use_kernels(monkeypatch, step=_kernels._chunk_step_numpy)
+        use_kernels(monkeypatch, step=_oracle._chunk_step_numpy)
         params = ModelParams(0.5, 1.0, 0.05)
         cfg = SimConfig(dt=0.05, burn_in=20.0, sample_interval=2.0,
                         n_samples_per_traj=4, n_trajectories=1)
@@ -800,12 +801,12 @@ class TestKernels:
         n, tails = 2_500_000, 0
         for seed in (0, 1, 20260814, 2**63 + 5):
             numpys = np.random.PCG64(seed)
-            ours = _kernels._pcg64_words(numpys)
+            ours = _oracle._pcg64_words(numpys)
             got = np.empty(n)
             normals(ours.ctypes.data, n, got.ctypes.data)
             want = np.random.Generator(numpys).standard_normal(n)
             assert got.tobytes() == want.tobytes(), seed
-            assert ours.tobytes() == _kernels._pcg64_words(numpys).tobytes()
+            assert ours.tobytes() == _oracle._pcg64_words(numpys).tobytes()
             tails += int(np.count_nonzero(np.abs(got) > 3.6541528853610088))
         assert tails > 0
 
@@ -816,7 +817,7 @@ class TestKernels:
             rows = _kernels.seed_generators(seed, first, 3)
             for j, row in enumerate(rows):
                 bitgen = stream(seed, first + j).bit_generator
-                want = _kernels._pcg64_words(bitgen)
+                want = _oracle._pcg64_words(bitgen)
                 assert row.tobytes() == want.tobytes(), (seed, first + j)
 
     @needs_cc
@@ -869,7 +870,7 @@ class TestKernels:
                          else int(first_bad[j]) + 1)
                 rng = stream(31, j)
                 rng.standard_normal(4 * steps)
-                want = _kernels._pcg64_words(rng.bit_generator)
+                want = _oracle._pcg64_words(rng.bit_generator)
                 assert row.tobytes() == want.tobytes(), (kernel, j)
 
     @pytest.mark.parametrize("kernel", [pytest.param("c", marks=needs_cc),
@@ -901,7 +902,7 @@ class TestKernels:
         alive = np.ones(nb, dtype=np.bool_)
         first_bad = np.full(nb, -1, dtype=np.int64)
         stepper = (_kernels._chunk_step_c if kernel == "c"
-                   else _kernels._chunk_step_numpy)
+                   else _oracle._chunk_step_numpy)
         stepper(state, w, None, 1.0, alive, first_bad, 1, 1.0, 0.0, 0.5, 1.0,
                 math.inf, 0)
         assert alive.all()
@@ -914,7 +915,7 @@ class TestKernels:
         # the step's additions may flip the sign of a zero part, so the
         # signs are checked on the formula itself: zero gives (+0, y)
         with np.errstate(all="ignore"):
-            re, im = _kernels._root(z.real.copy(), z.imag.copy())
+            re, im = _oracle._root(z.real.copy(), z.imag.copy())
         for r, i, v in zip(re.tolist(), im.tolist(), z.tolist()):
             want = cmath.sqrt(v)
             assert (math.copysign(1, r), math.copysign(1, i)) == (
@@ -1031,8 +1032,8 @@ class TestKernels:
         _kernels._c_function.cache_clear()
         try:
             with pytest.warns(RuntimeWarning) as record:
-                assert _kernels.kernels().step is _kernels._chunk_step_numpy
-                assert _kernels.kernels().step is _kernels._chunk_step_numpy
+                assert _kernels.kernels().step is _oracle._chunk_step_numpy
+                assert _kernels.kernels().step is _oracle._chunk_step_numpy
             assert len(record) == 1
             assert str(record[0].message) == NOT_REPRODUCED
         finally:
@@ -1064,7 +1065,7 @@ class TestKernels:
             c_out, np_out = (drive_drawn(step, start, self.params, 0.01,
                                          50.0, 5000, 150, 300)
                              for step in (_kernels._chunk_step_c,
-                                          _kernels._chunk_step_numpy))
+                                          _oracle._chunk_step_numpy))
             assert not c_out[1][1] and c_out[1].sum() == 255
             for got, want in zip(c_out, np_out):
                 assert got.tobytes() == want.tobytes()
@@ -1075,7 +1076,7 @@ class TestKernels:
     def test_step_self_check_falls_back_once(self, monkeypatch, fresh_cache):
         # a C step one ulp away from the numpy kernel on the load-time
         # chunk must never run: one warning, then the numpy kernel
-        monkeypatch.setattr(_kernels, "_chunk_step_numpy", one_ulp_off)
+        monkeypatch.setattr(_oracle, "_chunk_step_numpy", one_ulp_off)
         with pytest.warns(RuntimeWarning) as record:
             assert _kernels.kernels().step is one_ulp_off
             assert _kernels.kernels().step is one_ulp_off
@@ -1088,11 +1089,11 @@ class TestKernels:
         # C key sums one ulp away from numpy's on the load-time input must
         # never run: one warning, then the step and the key sums both run
         # on numpy
-        monkeypatch.setattr(_kernels, "_key_sums_numpy", sums_one_ulp_off)
+        monkeypatch.setattr(_oracle, "_key_sums_numpy", sums_one_ulp_off)
         with pytest.warns(RuntimeWarning) as record:
-            assert _kernels.kernels().step is _kernels._chunk_step_numpy
+            assert _kernels.kernels().step is _oracle._chunk_step_numpy
             assert _kernels.kernels().key_sums is sums_one_ulp_off
-            assert _kernels.kernels().step is _kernels._chunk_step_numpy
+            assert _kernels.kernels().step is _oracle._chunk_step_numpy
         assert len(record) == 1
         assert str(record[0].message) == NOT_REPRODUCED
         # an accumulator's per-sample sums come out one ulp off too
@@ -1110,12 +1111,12 @@ class TestKernels:
         # C target programs one ulp away from numpy's on the load-time
         # input must never run: one warning, then the step, the key sums
         # and the target programs all run on numpy
-        numpy_targets = _kernels._targets_numpy
-        monkeypatch.setattr(_kernels, "_targets_numpy", targets_one_ulp_off)
+        numpy_targets = _oracle._targets_numpy
+        monkeypatch.setattr(_oracle, "_targets_numpy", targets_one_ulp_off)
         with pytest.warns(RuntimeWarning) as record:
             assert _kernels.kernels().targets is targets_one_ulp_off
-            assert _kernels.kernels().step is _kernels._chunk_step_numpy
-            assert _kernels.kernels().key_sums is _kernels._key_sums_numpy
+            assert _kernels.kernels().step is _oracle._chunk_step_numpy
+            assert _kernels.kernels().key_sums is _oracle._key_sums_numpy
         assert len(record) == 1
         assert str(record[0].message) == NOT_REPRODUCED
         # a report's first value comes out one ulp off too
@@ -1135,11 +1136,11 @@ class TestKernels:
         # C totals one ulp away from numpy's row sums of the joined pages on
         # the load-time input must never run: one warning, then every pass
         # runs on numpy
-        monkeypatch.setattr(_kernels, "_totals_numpy", totals_one_ulp_off)
+        monkeypatch.setattr(_oracle, "_totals_numpy", totals_one_ulp_off)
         with pytest.warns(RuntimeWarning) as record:
             assert _kernels.kernels() == (
-                _kernels._chunk_step_numpy, _kernels._key_sums_numpy,
-                _kernels._targets_numpy, _kernels._spreads_numpy,
+                _oracle._chunk_step_numpy, _oracle._key_sums_numpy,
+                _oracle._targets_numpy, _oracle._spreads_numpy,
                 totals_one_ulp_off)
         assert len(record) == 1
         assert str(record[0].message) == NOT_REPRODUCED
@@ -1208,20 +1209,20 @@ class TestKernels:
         normals = stream(_kernels._CHECK_SEED,
                          _kernels._CHECK_KEYS[-1] + 1).standard_normal(
             _kernels._CHECK_DRAWS)
-        gens = np.array([_kernels._pcg64_words(
+        gens = np.array([_oracle._pcg64_words(
             stream(_kernels._CHECK_SEED, j).bit_generator) for j in range(nb)])
-        out = _kernels._check_chunk(_kernels._chunk_step_numpy, normals,
+        out = _kernels._check_chunk(_oracle._chunk_step_numpy, normals,
                                     gens)
         first_bad = np.frombuffer(out, np.int64, nb, 16 * 6 * nb + nb)
         np.testing.assert_array_equal(first_bad, [-1, -1, -1, 9, -1, -1, -1])
         assert 3 < first_bad[3] < 3 + n_steps - 1
-        numpy_step = _kernels._chunk_step_numpy
+        numpy_step = _oracle._chunk_step_numpy
 
         def off_when_drawn(state, w, gens, *args):
             step = one_ulp_off if gens is not None else numpy_step
             step(state, w, gens, *args)
 
-        monkeypatch.setattr(_kernels, "_chunk_step_numpy", off_when_drawn)
+        monkeypatch.setattr(_oracle, "_chunk_step_numpy", off_when_drawn)
         with pytest.warns(RuntimeWarning) as record:
             assert _kernels.kernels().step is off_when_drawn
             assert _kernels.kernels().step is off_when_drawn
@@ -1244,11 +1245,11 @@ class TestKernels:
 
         for owner, name in ((np.random, "SeedSequence"),
                             (np.random, "Generator"),
-                            (_kernels, "_chunk_step_numpy"),
-                            (_kernels, "_key_sums_numpy"),
-                            (_kernels, "_targets_numpy"),
-                            (_kernels, "_spreads_numpy"),
-                            (_kernels, "_totals_numpy")):
+                            (_oracle, "_chunk_step_numpy"),
+                            (_oracle, "_key_sums_numpy"),
+                            (_oracle, "_targets_numpy"),
+                            (_oracle, "_spreads_numpy"),
+                            (_oracle, "_totals_numpy")):
             monkeypatch.setattr(owner, name, refuse)
         _kernels._c_function.cache_clear()
         assert _kernels.kernels() == (
@@ -1309,7 +1310,7 @@ class TestKernels:
                     if action == "default"]
         assert len(defaults) == 1
         messages = []
-        monkeypatch.setattr(_kernels, "_chunk_step_numpy", one_ulp_off)
+        monkeypatch.setattr(_oracle, "_chunk_step_numpy", one_ulp_off)
         for fail in (lambda: None, no_compiler):
             fail()
             with pytest.warns(RuntimeWarning) as record:
@@ -1331,6 +1332,23 @@ class TestKernels:
         monkeypatch.setenv("XDG_CACHE_HOME", "relcache")
         assert _kernels._cache_dir() == tmp_path / "home" / ".cache" / "opo3"
         assert [p.name for p in tmp_path.iterdir()] == ["home"]
+
+    def test_usable_home_cache_never_looks_up_the_temporary_directory(
+            self, monkeypatch, tmp_path):
+        # gettempdir's first call writes and removes a probe file; with a
+        # usable ~/.cache the cold start never makes it
+        def refuse():
+            raise AssertionError("looked up the temporary directory")
+
+        monkeypatch.setenv("HOME", str(tmp_path / "home"))
+        monkeypatch.delenv("XDG_CACHE_HOME", raising=False)
+        monkeypatch.setattr(_kernels.tempfile, "gettempdir", refuse)
+        assert _kernels._cache_dir() == tmp_path / "home" / ".cache" / "opo3"
+        # a home that is a file: the private candidate is looked up next
+        (tmp_path / "file").write_text("")
+        monkeypatch.setenv("HOME", str(tmp_path / "file"))
+        with pytest.raises(AssertionError, match="temporary directory"):
+            _kernels._cache_dir()
 
     @needs_cc
     def test_library_cached_under_xdg_cache_home(self, monkeypatch, tmp_path):
@@ -1366,7 +1384,7 @@ class TestDivergence:
         start[0] = start[3] = 1e200 * np.exp(1j * np.linspace(-3, 3, 5))
         normals = np.random.default_rng(2).standard_normal((2, 4, 5))
         got = integrate_batch(params, 0.01, normals, start, threshold)
-        use_kernels(monkeypatch, step=_kernels._chunk_step_numpy)
+        use_kernels(monkeypatch, step=_oracle._chunk_step_numpy)
         want = integrate_batch(params, 0.01, normals, start, threshold)
         assert got[0][1].tobytes() != start[1].tobytes()
         assert np.isfinite(got[0]).all() and got[1].all()
@@ -1619,7 +1637,7 @@ class TestGroups:
                 _kernels._key_sums_c):
             pytest.skip("no C key sums")
         use_kernels(monkeypatch, key_sums=getattr(
-            _kernels, f"_key_sums_{key_sums}"))
+            _kernels if key_sums == "c" else _oracle, f"_key_sums_{key_sums}"))
         monkeypatch.setattr(engine, "GROUP_CAP", cap)
         params = ModelParams(0.5, 1.0, 0.5)
         cfg = SimConfig(dt=0.05, burn_in=20.0, sample_interval=2.0,
@@ -1656,8 +1674,8 @@ class TestGroups:
                     moments_merge(moments_merge(*shards[:2]), shards[2])):
             assert grouped_bits(acc) == runs[0][:-1]
         # each group's sums: its members' batch sums in trajectory order
-        block = _kernels._key_sums_numpy(kept, schema._centers,
-                                         schema._prefixes, False, None)[0]
+        block = _oracle._key_sums_numpy(kept, schema._centers,
+                                        schema._prefixes, False, None)[0]
         edges = np.searchsorted(index, np.arange(0, 40 + g, g))
         groups = [(lo, hi) for lo, hi in zip(edges, edges[1:]) if hi > lo]
         assert len(groups) == {16: 3, 2: 18}[g]

@@ -25,14 +25,14 @@ from opo3 import (
     opo_schema,
     state_channels,
 )
-from opo3 import _kernels, moments
+from opo3 import _kernels, _oracle, moments
 from conftest import use_kernels
 
 needs_cc = pytest.mark.skipif(shutil.which("cc") is None,
                               reason="no C compiler (cc) on PATH")
 # the key-sum kernels a test runs the accumulator on in turn
-KEY_SUMMERS = ((_kernels._key_sums_c, _kernels._key_sums_numpy)
-               if shutil.which("cc") else (_kernels._key_sums_numpy,))
+KEY_SUMMERS = ((_kernels._key_sums_c, _oracle._key_sums_numpy)
+               if shutil.which("cc") else (_oracle._key_sums_numpy,))
 
 
 def scalar_schema(center=0.0):
@@ -529,7 +529,7 @@ class TestKeySumKernels:
     @staticmethod
     def assert_same(values, schema, base=None, collect=True):
         got = sums_of(_kernels._key_sums_c, schema, values, collect, base)
-        want = sums_of(_kernels._key_sums_numpy, schema, values, collect,
+        want = sums_of(_oracle._key_sums_numpy, schema, values, collect,
                        base)
         assert got[0].tobytes() == want[0].tobytes()
         if collect:
@@ -592,7 +592,7 @@ class TestKeySumKernels:
             return shards + [merge(*shards)]
 
         for got, want in zip(fed(_kernels._key_sums_c),
-                             fed(_kernels._key_sums_numpy)):
+                             fed(_oracle._key_sums_numpy)):
             assert got.n_batches == want.n_batches
             assert stored_sums(got).tobytes() == stored_sums(want).tobytes()
             assert (got.per_sample_sums.tobytes()
@@ -719,10 +719,10 @@ class TestTargetPrograms:
             assert (still in schema._unshifted(mode)) == (
                 mode == "raw" and schema.channels[still].center == 0)
         # numpy joins its pages one run at a time: here a page a run
-        monkeypatch.setattr(_kernels, "PAGE_RUN", 1)
+        monkeypatch.setattr(_oracle, "PAGE_RUN", 1)
         got = targets_with(monkeypatch, _kernels._targets_c, acc, series,
                            composite)
-        want = targets_with(monkeypatch, _kernels._targets_numpy, acc,
+        want = targets_with(monkeypatch, _oracle._targets_numpy, acc,
                             series, composite)
         assert got == want
 
@@ -749,8 +749,8 @@ class TestTargetPrograms:
             for t in (totals, None):
                 got = _kernels._targets_c(ops, consts, view, t, n,
                                           len(names))
-                want = _kernels._targets_numpy(ops, consts, view, t, n,
-                                               len(names))
+                want = _oracle._targets_numpy(ops, consts, view, t, n,
+                                              len(names))
                 assert got.tobytes() == want.tobytes()
 
     def test_spreads(self):
@@ -762,7 +762,7 @@ class TestTargetPrograms:
             rows = (rng.standard_normal((3, nb)) + 1j * rng.standard_normal(
                 (3, nb))) * np.array([[1.0], [1e-3], [1e5]])
             got = _kernels._spreads_c(rows)
-            assert got.tobytes() == _kernels._spreads_numpy(rows).tobytes()
+            assert got.tobytes() == _oracle._spreads_numpy(rows).tobytes()
             lanes = rows.view(np.float64).reshape(3, nb, 2)
             want = ((lanes - lanes.mean(axis=1, keepdims=True)) ** 2).sum(
                 axis=1)
@@ -770,7 +770,7 @@ class TestTargetPrograms:
         rows = np.array([[1e200, -1e200, 3.0], [1.0, math.nan, 2.0],
                          [0.5 - 2j] * 3])
         got = _kernels._spreads_c(rows)
-        assert got.tobytes() == _kernels._spreads_numpy(rows).tobytes()
+        assert got.tobytes() == _oracle._spreads_numpy(rows).tobytes()
         assert np.isinf(got[0, 0]) and np.isnan(got[1, 0])
         assert got[1, 1] == got[2, 0] == got[2, 1] == 0.0
         with pytest.raises(ValueError, match="C-contiguous"):
@@ -913,12 +913,12 @@ class TestEvaluationShortcuts:
 
         got = evaluate()
         # the numpy target programs, each mean divided by n
-        use_kernels(monkeypatch, targets=_kernels._targets_numpy)
-        monkeypatch.setattr(_kernels, "_mean_numpy", _dividing_mean)
+        use_kernels(monkeypatch, targets=_oracle._targets_numpy)
+        monkeypatch.setattr(_oracle, "_mean_numpy", _dividing_mean)
         assert evaluate() == got
         # every mean, the shifts' too, goes through _mean_numpy: a
         # reciprocal one ulp off shows
-        monkeypatch.setattr(_kernels, "_mean_numpy", _off_by_one_ulp_mean)
+        monkeypatch.setattr(_oracle, "_mean_numpy", _off_by_one_ulp_mean)
         assert evaluate() != got
 
     def test_totals_cache_follows_the_batches(self):
@@ -1065,7 +1065,7 @@ class TestCentering:
         assert [schema._unshifted(mode) for mode in moments.CENTERINGS] == [
             frozenset(), frozenset(), every, every]
         runs = []
-        for targets in (_kernels._targets_c, _kernels._targets_numpy):
+        for targets in (_kernels._targets_c, _oracle._targets_numpy):
             use_kernels(monkeypatch, targets=targets)
             runs.append([_bits(e.value, e.std_error, e.std_error_imag)
                          for mode in moments.CENTERINGS
@@ -1299,7 +1299,7 @@ class TestThreadSplits:
                      (every, slice(None, None, -2), slice(None, None, 2))):
             for threads in self.COUNTS:
                 values = (cube * threads)[view]
-                want, _ = sums_of(_kernels._key_sums_numpy, schema, values,
+                want, _ = sums_of(_oracle._key_sums_numpy, schema, values,
                                   False)
                 got, chains = _kernels._key_sums_c(
                     values, schema._centers, schema._prefixes, False, None,
@@ -1337,8 +1337,8 @@ class TestThreadSplits:
                     + 1j * rng.standard_normal(shape))[:, ::-1]
             n = 3.0 + rng.random(nb)
             for t in (sums.sum(axis=1), None):
-                want = _kernels._targets_numpy(ops, consts, sums, t, n,
-                                               len(names))
+                want = _oracle._targets_numpy(ops, consts, sums, t, n,
+                                              len(names))
                 got = _kernels._targets_c(ops, consts, sums, t, n,
                                           len(names), threads)
                 assert got.tobytes() == want.tobytes(), (nb, threads)
@@ -1349,7 +1349,7 @@ class TestThreadSplits:
         for n_rows, threads in itertools.product((1, 2, 7), self.COUNTS):
             rows = (rng.standard_normal((n_rows, 37))
                     + 1j * rng.standard_normal((n_rows, 37)))
-            want = _kernels._spreads_numpy(rows).tobytes()
+            want = _oracle._spreads_numpy(rows).tobytes()
             assert _kernels._spreads_c(rows, threads).tobytes() == want
 
     def test_concurrent_calls(self):
@@ -1379,7 +1379,7 @@ class TestThreadSplits:
             got = list(pool.map(run, range(32), timeout=60))
         for i, out in enumerate(got):
             sums, totals, n = inputs[i % len(inputs)]
-            assert out == _kernels._targets_numpy(
+            assert out == _oracle._targets_numpy(
                 ops, consts, sums, totals, n, len(names)).tobytes(), i
 
     def test_reports_and_criteria_at_any_worker_count(self, monkeypatch):
@@ -1475,7 +1475,7 @@ class TestPages:
                                complex(-0.0, -0.0))
             want = sums.sum(axis=1).tobytes()
             stored = paged(sums)
-            assert _kernels._totals_numpy(stored).tobytes() == want, nb
+            assert _oracle._totals_numpy(stored).tobytes() == want, nb
             for threads in (1, 2, 3):
                 got = _kernels._totals_c(stored, threads)
                 assert got.tobytes() == want, (nb, threads)
@@ -1487,8 +1487,8 @@ class TestPages:
         # those of one call
         params, cube = opo_cube(431, 700, 3)
         schema = opo_schema(params)
-        want = _kernels._key_sums_numpy(cube, schema._centers,
-                                        schema._prefixes, False, None)[0]
+        want = _oracle._key_sums_numpy(cube, schema._centers,
+                                       schema._prefixes, False, None)[0]
         whole = report_bits(MomentAccumulator(schema).add_batches(cube))
         for key_sums in KEY_SUMMERS:
             use_kernels(monkeypatch, key_sums=key_sums)

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from opo3 import _kernels, cli, engine
+from opo3 import _oracle, cli, engine
 from conftest import use_kernels
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -88,7 +88,7 @@ def test_replay_reproduces_the_run_bitwise(monkeypatch, kernel):
     tracing, workloads = load("tracing"), load("workloads")
     run = workloads.WORKLOADS["tiny"]["ensemble-wide"]
     if kernel == "numpy":
-        use_kernels(monkeypatch, step=_kernels._chunk_step_numpy)
+        use_kernels(monkeypatch, step=_oracle._chunk_step_numpy)
         run = dataclasses.replace(run, n_trajectories=16)
     res = engine.run_ensemble(run.params(), run.sim_config(5),
                               workers=run.workers)
