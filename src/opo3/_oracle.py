@@ -1,6 +1,7 @@
 """numpy's versions of the passes of `_kernels`, their oracle and
 fallback, and numpy's answers to its load-time check.  Each pass takes
-the C source's operations in its order on float64 arrays, multiplying
+the operations of the C source, `_kernels.c`, in its order on float64
+arrays, multiplying
 real and imaginary parts apart, since numpy's complex multiply fuses a
 multiply-add into each part where the CPU has FMA, so the bytes are the
 C passes'.  `_kernels` imports this module only without the library, on
@@ -14,8 +15,7 @@ import numpy as np
 from ._kernels import (
     _CHECK_DRAWS, _CHECK_KEYS, _CHECK_SEED, _CHECK_STEP, OP_ADD, OP_KEY,
     OP_MEAN, OP_N, OP_OFFSET, OP_SHIFT, OP_STORE, PAGE_COLUMNS, SPREAD_GROUP,
-    Pages, _check_chunk, _check_key_sums, _check_spreads, _check_targets,
-    _check_totals, _finite, _key_block)
+    Kernels, Pages, _check_bytes, _finite, _key_block)
 
 # the pages the numpy target programs join and run at a time
 PAGE_RUN = 16
@@ -293,12 +293,18 @@ def _pcg64_words(bit_generator: np.random.PCG64) -> np.ndarray:
                      st["inc"] & mask], dtype=np.uint64)
 
 
+def _passes() -> Kernels:
+    """numpy's passes, as this module names them when called."""
+    return Kernels(_chunk_step_numpy, _key_sums_numpy, _targets_numpy,
+                   _spreads_numpy, _totals_numpy)
+
+
 def _numpy_answers() -> bytes:
     """numpy's answers to the load-time check, laid out as `_c_function`
     lays out the C library's: the seeded PCG64 words, the draws from the
-    last of them and its words after the draws, then the numpy passes'
-    `_check_*` bytes on the draws, the step's twice, buffered and drawing
-    from the words of SeedSequence(_CHECK_SEED, spawn_key=(j,))."""
+    last of them and its words after the draws, then `_check_bytes` of
+    the numpy passes on the draws and the words of
+    SeedSequence(_CHECK_SEED, spawn_key=(j,))."""
     bitgens = [np.random.PCG64(np.random.SeedSequence(
         _CHECK_SEED, spawn_key=(k + j,))) for k in _CHECK_KEYS for j in (0, 1)]
     seeded = b"".join(_pcg64_words(b).tobytes() for b in bitgens)
@@ -306,9 +312,4 @@ def _numpy_answers() -> bytes:
     gens = np.array([_pcg64_words(np.random.PCG64(np.random.SeedSequence(
         _CHECK_SEED, spawn_key=(j,)))) for j in range(_CHECK_STEP[0])])
     return (seeded + draws.tobytes() + _pcg64_words(bitgens[-1]).tobytes()
-            + _check_chunk(_chunk_step_numpy, draws)
-            + _check_chunk(_chunk_step_numpy, draws, gens)
-            + _check_key_sums(_key_sums_numpy, draws)
-            + _check_targets(_targets_numpy, draws)
-            + _check_spreads(_spreads_numpy, draws)
-            + _check_totals(_totals_numpy, draws))
+            + _check_bytes(_passes(), draws, gens))

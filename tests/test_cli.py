@@ -720,6 +720,24 @@ class TestPackage:
         assert unlisted == []
         assert own and all(same)
 
+    def test_build_copies_the_c_source(self, tmp_path):
+        # the C kernel's source is package data: setuptools' build_py,
+        # run on a copy of the project (it writes an egg-info into the
+        # tree it runs in), installs it beside the modules, byte for byte
+        pytest.importorskip("setuptools")
+        root = PYPROJECT.parent
+        for name in ("pyproject.toml", "README.md"):
+            shutil.copy(root / name, tmp_path / name)
+        shutil.copytree(root / "src", tmp_path / "src", ignore=(
+            shutil.ignore_patterns("__pycache__", "*.egg-info")))
+        out = subprocess.run(
+            [sys.executable, "-c", "import setuptools; setuptools.setup()",
+             "build_py", "--build-lib", str(tmp_path / "lib")],
+            capture_output=True, text=True, cwd=tmp_path, timeout=300)
+        assert out.returncode == 0, out.stderr
+        built = tmp_path / "lib" / "opo3" / "_kernels.c"
+        assert built.read_bytes() == _kernels._C_FILE.read_bytes()
+
     def test_unknown_name_is_an_attribute_error(self):
         with pytest.raises(AttributeError, match="no_such_name"):
             opo3.no_such_name

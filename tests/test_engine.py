@@ -443,6 +443,36 @@ def no_compiler(monkeypatch, tmp_path):
 
 
 @pytest.fixture
+def fake_cc(monkeypatch, tmp_path):
+    """PATH holding only a `cc` that fails if it is ever run."""
+    bin_dir = tmp_path / "bin"
+    bin_dir.mkdir()
+    (bin_dir / "cc").write_text("#!/bin/sh\nexit 1\n")
+    (bin_dir / "cc").chmod(0o755)
+    monkeypatch.setenv("PATH", str(bin_dir))
+
+
+@pytest.fixture(scope="session")
+def fresh_build(tmp_path_factory):
+    """One build of the kernel into an empty cache of its own, the tests'
+    to share: the cache's directory (an XDG_CACHE_HOME), the library's
+    path, and each command the build ran, with its stdin."""
+    cache = tmp_path_factory.mktemp("xdg-cache")
+    commands = []
+    run = subprocess.run
+
+    def recording_run(cmd, *args, **kwargs):
+        commands.append((cmd, kwargs.get("input")))
+        return run(cmd, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("XDG_CACHE_HOME", str(cache))
+        mp.setattr(subprocess, "run", recording_run)
+        lib = _kernels._compiled_library()
+    return cache, lib, commands
+
+
+@pytest.fixture
 def fresh_cache(monkeypatch, tmp_path):
     """A kernel cache that holds only a copy of this session's library, so
     that the first load there computes and keeps its own check answers
@@ -735,19 +765,18 @@ class TestKernels:
                 ("ki_double", "<256Q", lambda t: int(t.removesuffix("ULL"), 16)),
                 ("wi_double", "<256d", float.fromhex),
                 ("fi_double", "<256d", float.fromhex)):
-            entries = c_table(_kernels._C_SOURCE, name)
+            entries = c_table(_kernels._C_FILE.read_text(), name)
             blob = struct.pack(fmt, *map(parse, entries))
             assert blob in archive, name
 
     @needs_cc
     def test_c_source_compiles_without_warnings(self, tmp_path):
         # compile only the C source, with the runtime flags plus warnings
-        # as errors
+        # as errors, by path, so that a diagnostic cites _kernels.c:LINE
         proc = subprocess.run(
             ["cc", *_kernels._C_FLAGS, "-Wall", "-Wextra", "-Werror",
-             "-x", "c", "-", "-c", "-o", str(tmp_path / "kernel.o")],
-            input=_kernels._C_SOURCE, capture_output=True, text=True,
-            timeout=300)
+             "-c", str(_kernels._C_FILE), "-o", str(tmp_path / "kernel.o")],
+            capture_output=True, text=True, timeout=300)
         assert proc.returncode == 0, proc.stderr
 
     def test_build_flags_keep_the_rounding(self):
@@ -761,7 +790,7 @@ class TestKernels:
                      "-freciprocal-math", "-march=native"):
             assert flag not in flags, flag
         targets = re.findall(r"target(?:_clones)?\(([^)]*)\)",
-                             _kernels._C_SOURCE)
+                             _kernels._C_FILE.read_text())
         assert targets
         for target in targets:
             for name in re.findall(r'"([^"]*)"', target):
@@ -769,23 +798,14 @@ class TestKernels:
                                ("fma", "avx2", "avx512", "arch=")), name
 
     @needs_cc
-    def test_library_exports_kernel_without_linking_numpy(self, monkeypatch,
-                                                          tmp_path):
+    def test_library_exports_kernel_without_linking_numpy(self, fresh_build):
         # the build compiles the C source as it stands and links nothing
         # of numpy's
-        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
-        commands = []
-        run = subprocess.run
-
-        def recording_run(cmd, *args, **kwargs):
-            commands.append((cmd, kwargs.get("input")))
-            return run(cmd, *args, **kwargs)
-
-        monkeypatch.setattr(subprocess, "run", recording_run)
-        lib = ctypes.CDLL(str(_kernels._compiled_library()))
+        _, path, commands = fresh_build
+        lib = ctypes.CDLL(str(path))
         build = [(cmd, source) for cmd, source in commands if "-shared" in cmd]
         assert len(build) == 1
-        assert build[0][1] == _kernels._C_SOURCE
+        assert build[0][1] == _kernels._C_FILE.read_bytes()
         assert not any("npyrandom" in str(arg) for arg in build[0][0])
         for name in ("opo3_chunk_step", "opo3_normals", "opo3_seed"):
             assert hasattr(lib, name), name
@@ -1002,6 +1022,47 @@ class TestKernels:
         os.utime(bin_dir / "gcc-x", ns=(st.st_atime_ns, st.st_mtime_ns))
         assert _kernels._compiled_library() not in (first, second)
 
+    def test_cache_key_covers_the_c_file(self, monkeypatch, fake_cc,
+                                         tmp_path):
+        # one byte more in _kernels.c is a new library, built from the
+        # file's bytes as they are then
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+        sources = []
+
+        def fake_build(cmd, *args, **kwargs):
+            # the output file exists already, made empty by mkstemp
+            sources.append(kwargs["input"])
+            return subprocess.CompletedProcess(cmd, 0, b"", b"")
+
+        monkeypatch.setattr(subprocess, "run", fake_build)
+        copy = tmp_path / "_kernels.c"
+        source = _kernels._C_FILE.read_bytes()
+        copy.write_bytes(source)
+        monkeypatch.setattr(_kernels, "_C_FILE", copy)
+        first = _kernels._compiled_library()
+        assert _kernels._compiled_library() == first
+        copy.write_bytes(source + b"\n")
+        assert _kernels._compiled_library() != first
+        assert sources == [source, source + b"\n"]
+
+    def test_missing_c_file_falls_back_once(self, monkeypatch, fake_cc,
+                                            tmp_path):
+        # without _kernels.c nothing is built: one warning that names the
+        # file, then numpy's passes
+        missing = tmp_path / "_kernels.c"
+        monkeypatch.setattr(_kernels, "_C_FILE", missing)
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+        _kernels._c_function.cache_clear()
+        try:
+            with pytest.warns(RuntimeWarning) as record:
+                assert _kernels.kernels() == _oracle._passes()
+                assert _kernels.kernels() == _oracle._passes()
+            assert len(record) == 1
+            assert str(record[0].message) == FALLBACK.format(
+                f"[Errno 2] No such file or directory: '{missing}'")
+        finally:
+            _kernels._c_function.cache_clear()
+
     @needs_cc
     def test_hung_build_is_a_build_error(self, monkeypatch, tmp_path):
         # a compiler that outlives its timeout fails the build like any
@@ -1021,13 +1082,17 @@ class TestKernels:
                                                 tmp_path):
         # a kernel whose sampler differs from numpy's in one table entry,
         # wi_double[7] one ulp larger, must never run: one warning, then
-        # the numpy kernel
-        source = _kernels._C_SOURCE
+        # the numpy kernel; a table entry fails the check at any
+        # optimisation, so it builds at -O0, in a quarter of the time
+        source = _kernels._C_FILE.read_text()
         entry = c_table(source, "wi_double")[7]
         wider = np.nextafter(float.fromhex(entry), np.inf).hex()
         assert source.count(f" {entry},") == 1
-        monkeypatch.setattr(_kernels, "_C_SOURCE",
-                            source.replace(f" {entry},", f" {wider},"))
+        mutant = tmp_path / "_kernels.c"
+        mutant.write_text(source.replace(f" {entry},", f" {wider},"))
+        monkeypatch.setattr(_kernels, "_C_FILE", mutant)
+        monkeypatch.setattr(_kernels, "_C_FLAGS", tuple(
+            "-O0" if flag == "-O3" else flag for flag in _kernels._C_FLAGS))
         monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
         _kernels._c_function.cache_clear()
         try:
@@ -1045,10 +1110,12 @@ class TestKernels:
         # without clones, the baseline code must pass the load-time check
         # and step a drawn block of 256 trajectories, #1 dying mid-chunk,
         # to the numpy kernel's bytes
-        source = _kernels._C_SOURCE
+        source = _kernels._C_FILE.read_text()
         clones = '__attribute__((target_clones("avx", "default")))'
         assert source.count(clones) == 1
-        monkeypatch.setattr(_kernels, "_C_SOURCE", source.replace(clones, ""))
+        baseline = tmp_path / "_kernels.c"
+        baseline.write_text(source.replace(clones, ""))
+        monkeypatch.setattr(_kernels, "_C_FILE", baseline)
         monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
         _kernels._c_function.cache_clear()
         try:
@@ -1351,10 +1418,11 @@ class TestKernels:
             _kernels._cache_dir()
 
     @needs_cc
-    def test_library_cached_under_xdg_cache_home(self, monkeypatch, tmp_path):
-        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
-        lib = _kernels._compiled_library()
-        assert lib.parent == tmp_path / "opo3" and lib.is_file()
+    def test_library_cached_under_xdg_cache_home(self, monkeypatch,
+                                                 fresh_build):
+        cache, lib, _ = fresh_build
+        monkeypatch.setenv("XDG_CACHE_HOME", str(cache))
+        assert lib.parent == cache / "opo3" and lib.is_file()
         built = lib.stat().st_mtime_ns
         assert _kernels._compiled_library() == lib
         assert lib.stat().st_mtime_ns == built
