@@ -59,10 +59,9 @@ chain adds the batches in order.  One thread computes each trajectory,
 tile or row, in the order one thread alone would, and a trajectory
 touches only its own generator and state column, so no byte depends on
 the count; the numpy versions take it and run on the calling thread.
-The moment layer takes the count from `moment_threads`, which is
-`worker_count`, the rule the engine's default follows (OPO3_WORKERS,
-else the CPUs this process may use, at most MAX_THREADS), unless the C
-passes do not split right.
+A caller passes the count it will split over to `kernels`: the engine
+its workers, the moment layer `worker_count()` (OPO3_WORKERS, else the
+CPUs this process may use, at most MAX_THREADS).
 
 The pump takes the factored Euler step a0 <- m + (a0 - m) * e_pump +
 dt * (-eps * a1 * a2), m = mu/eps, e_pump = 1 - gamma_r*dt; signal modes
@@ -84,13 +83,13 @@ it on stdin.  On load the kernel's seeding, sampler and step must
 reproduce numpy's states and draws and the numpy kernel's bytes, its
 key sums the numpy key sums' bytes, the textbook products' sums, not
 those of numpy's complex multiply, and its target programs, spreads and
-totals the numpy ones' bytes (`_check_bytes`).  A failed build or load,
-or a failed check, makes the numpy versions of all five run instead,
-with one warning that names the reason.  At its first moment pass on
-more than one thread a process also checks that the key sums without
-chains, the target programs, the spreads and the totals give the same
-bytes split over two threads as on one (`_splits_right`), and else runs
-them on one thread, with one warning.  The library is cached under
+totals the numpy ones' bytes (`_self_check`).  The first `kernels` call
+that asks for more than one thread runs the same check once more with
+every pass split over _CHECK_THREADS threads, the step's chunks
+included.  A failed build or load, or a failed check, makes the numpy
+versions of all five run instead, with one warning that names the
+reason; a check that fails only when split does so for the calls that
+ask for more than one thread.  The library is cached under
 $XDG_CACHE_HOME/opo3 when that path is absolute (else ~/.cache/opo3,
 else a per-user temporary directory), keyed by `_kernels.c`, this
 module's source and `_oracle`'s, the flags, the resolved compiler's
@@ -149,7 +148,7 @@ _CHECK_STEP = (7, 12)
 # that starts the second call
 _CHECK_SUMS = (3, 21, 3)
 _CHECK_SPLIT = 17
-# the threads the split check splits the moment passes over
+# the threads the split self-check splits every pass over
 _CHECK_THREADS = 2
 # the load-time target check: keys x batches, a full tile of 256 and part
 # of one, and a program with every op, three deep, that shifts by two keys;
@@ -633,17 +632,15 @@ def _c_passes(**bind) -> Kernels:
     return Kernels(*(functools.partial(run, **bind) for run in passes))
 
 
-def _check_bytes(passes: Kernels, normals, gens=None) -> bytes:
-    """The load-time check's bytes from `passes` on `normals`: given the
-    generator words `gens`, first the step's on `_check_chunk`, buffered
-    and then drawn from a copy of `gens`; then the moment passes', the
-    key sums' on `_check_key_sums`, the target programs' on
-    `_check_targets`, the spreads' on `_check_spreads` and the totals' on
-    `_check_totals`."""
-    chunks = b"" if gens is None else (_check_chunk(passes.step, normals)
-                                      + _check_chunk(passes.step, normals,
-                                                     gens))
-    return (chunks + _check_key_sums(passes.key_sums, normals)
+def _check_bytes(passes: Kernels, normals, gens) -> bytes:
+    """The load-time check's bytes from `passes` on `normals`: the step's
+    on `_check_chunk`, buffered and then drawn from a copy of the
+    generator words `gens`; then the key sums' on `_check_key_sums`, the
+    target programs' on `_check_targets`, the spreads' on `_check_spreads`
+    and the totals' on `_check_totals`."""
+    return (_check_chunk(passes.step, normals)
+            + _check_chunk(passes.step, normals, gens)
+            + _check_key_sums(passes.key_sums, normals)
             + _check_targets(passes.targets, normals)
             + _check_spreads(passes.spreads, normals)
             + _check_totals(passes.totals, normals))
@@ -674,50 +671,69 @@ def _kept_answers(path: Path) -> bytes:
     return answers
 
 
-@functools.cache
-def _c_function():
-    """The loaded C kernel library, or None (with one warning that names
-    the reason) when unavailable.
+def _loaded(path: Path):
+    """The C library at `path`, its functions' argument types set."""
+    lib = ctypes.CDLL(str(path))
+    ptr, i64, f64 = ctypes.c_void_p, ctypes.c_int64, ctypes.c_double
+    for fn, args, res in (
+            (lib.opo3_seed, [ptr, i64, i64, i64, ptr], None),
+            (lib.opo3_normals, [ptr, i64, ptr], None),
+            (lib.opo3_chunk_step, [ptr] * 3 + [f64] + [ptr] * 2
+             + [i64] * 2 + [f64] * 5 + [i64] * 2, ctypes.c_int),
+            (lib.opo3_key_sums, [ptr] + [i64] * 3 + [ptr] * 2
+             + [i64] * 4 + [ptr] * 2 + [i64, ptr, i64], ctypes.c_int),
+            (lib.opo3_targets, [ptr] + [i64] * 2 + [ptr] * 2
+             + [i64] * 2 + [ptr, i64, ptr, i64, ptr, i64, i64],
+             ctypes.c_int),
+            (lib.opo3_spreads, [ptr, i64, i64, ptr, i64], ctypes.c_int),
+            (lib.opo3_totals, [ptr] + [i64] * 3 + [ptr, i64],
+             ctypes.c_int)):
+        fn.argtypes, fn.restype = args, res
+    return lib
 
-    Its seeding must first give numpy's PCG64 states for the spawn keys
+
+def _self_check(lib, path: Path, n_threads: int) -> None:
+    """_BuildError unless `lib`, loaded from `path`, passes the self-check
+    with its passes on n_threads threads.
+
+    Its seeding must give numpy's PCG64 states for the spawn keys
     _CHECK_KEYS and their successors, its sampler must reproduce
     Generator.standard_normal bit for bit on _CHECK_DRAWS draws from the
     last of them, consuming the same words, and its passes must give
     `_check_bytes` of those draws and of its own seeding's words: every
     byte must equal the kept `_oracle._numpy_answers`.
     """
+    words = np.concatenate([seed_generators(_CHECK_SEED, k, 2, lib)
+                            for k in _CHECK_KEYS])
+    seeded = words.tobytes()
+    # then draws from the last key's state, which is written back
+    draws = np.empty(_CHECK_DRAWS)
+    lib.opo3_normals(words[-1].ctypes.data, draws.size, draws.ctypes.data)
+    gens = seed_generators(_CHECK_SEED, 0, _CHECK_STEP[0], lib)
+    ours = (seeded + draws.tobytes() + words[-1].tobytes()
+            + _check_bytes(_c_passes(n_threads=n_threads, lib=lib), draws,
+                           gens))
+    if ours != _kept_answers(path.with_suffix(".check")):
+        split = "" if n_threads == 1 else f"split over {n_threads} threads, "
+        raise _BuildError(f"{split}it does not reproduce numpy's "
+                          "SeedSequence, PCG64, Generator.standard_normal, "
+                          "step kernel, key sums, target programs, spreads "
+                          "and totals")
+
+
+@functools.cache
+def _c_function(n_threads=1):
+    """The loaded C kernel library, or None (with one warning that names
+    the reason) when it is unavailable or fails `_self_check` on
+    n_threads threads.  The load checks it on one thread, and so starts
+    none: a process that only loads it, or only steps on one thread, need
+    not pay for its first thread, which can take milliseconds."""
     try:
-        path = _compiled_library()
-        lib = ctypes.CDLL(str(path))
-        ptr, i64, f64 = ctypes.c_void_p, ctypes.c_int64, ctypes.c_double
-        for fn, args, res in (
-                (lib.opo3_seed, [ptr, i64, i64, i64, ptr], None),
-                (lib.opo3_normals, [ptr, i64, ptr], None),
-                (lib.opo3_chunk_step, [ptr] * 3 + [f64] + [ptr] * 2
-                 + [i64] * 2 + [f64] * 5 + [i64] * 2, ctypes.c_int),
-                (lib.opo3_key_sums, [ptr] + [i64] * 3 + [ptr] * 2
-                 + [i64] * 4 + [ptr] * 2 + [i64, ptr, i64], ctypes.c_int),
-                (lib.opo3_targets, [ptr] + [i64] * 2 + [ptr] * 2
-                 + [i64] * 2 + [ptr, i64, ptr, i64, ptr, i64, i64],
-                 ctypes.c_int),
-                (lib.opo3_spreads, [ptr, i64, i64, ptr, i64], ctypes.c_int),
-                (lib.opo3_totals, [ptr] + [i64] * 3 + [ptr, i64],
-                 ctypes.c_int)):
-            fn.argtypes, fn.restype = args, res
-        words = np.concatenate([seed_generators(_CHECK_SEED, k, 2, lib)
-                                for k in _CHECK_KEYS])
-        seeded = words.tobytes()
-        # then draws from the last key's state, which is written back
-        draws = np.empty(_CHECK_DRAWS)
-        lib.opo3_normals(words[-1].ctypes.data, draws.size, draws.ctypes.data)
-        gens = seed_generators(_CHECK_SEED, 0, _CHECK_STEP[0], lib)
-        ours = (seeded + draws.tobytes() + words[-1].tobytes()
-                + _check_bytes(_c_passes(lib=lib), draws, gens))
-        if ours != _kept_answers(path.with_suffix(".check")):
-            raise _BuildError("it does not reproduce numpy's SeedSequence, "
-                              "PCG64, Generator.standard_normal, step "
-                              "kernel, key sums, target programs, spreads "
-                              "and totals")
+        lib = _c_function() if n_threads > 1 else _loaded(_compiled_library())
+        if lib is None:
+            return None             # the load has warned
+        # CDLL keeps the path it was given, which names the kept answers
+        _self_check(lib, Path(lib._name), n_threads)
     except (OSError, _BuildError) as exc:
         warnings.warn(f"opo3: C step kernel unavailable ({exc}); "
                       "using the slower numpy kernel", RuntimeWarning,
@@ -726,9 +742,13 @@ def _c_function():
     return lib
 
 
-def kernels() -> Kernels:
-    """The C passes when the library builds and loads, else numpy's."""
-    if _c_function() is not None:
+def kernels(threads=1) -> Kernels:
+    """The passes for a caller that splits them over `threads` threads:
+    the C ones when the library builds, loads and passes its self-check
+    on one thread and, when `threads` is above one, on _CHECK_THREADS;
+    else numpy's."""
+    if _c_function() is not None and (
+            threads == 1 or _c_function(_CHECK_THREADS) is not None):
         return _c_passes()
     from . import _oracle
     return _oracle._passes()
@@ -738,39 +758,3 @@ def get_stepper():
     """`kernels().step`, the name by which the benchmark harness reads the
     backend."""
     return kernels().step
-
-
-@functools.cache
-def _splits_right(lib) -> bool:
-    """Whether the loaded C library's moment passes, split over
-    _CHECK_THREADS threads, give the bytes they give on one, which the
-    load-time check holds to numpy's: the moment part of `_check_bytes`,
-    on normals of its own seeding and sampler.  When they do not, with
-    one warning, False.
-
-    It runs at a process's first split moment pass, not at load, because
-    the first thread a process starts can take milliseconds, which a
-    process that only steps, or only loads the library, need not pay.
-    """
-    words = seed_generators(_CHECK_SEED, _CHECK_KEYS[-1] + 1, 1, lib)
-    draws = np.empty(_CHECK_DRAWS)
-    lib.opo3_normals(words.ctypes.data, draws.size, draws.ctypes.data)
-    one, split = (_check_bytes(_c_passes(n_threads=threads, lib=lib), draws)
-                  for threads in (1, _CHECK_THREADS))
-    if split != one:
-        warnings.warn("opo3: C moment passes split over threads "
-                      "unavailable (they do not reproduce their bytes on "
-                      "one thread); running them on one thread",
-                      RuntimeWarning, stacklevel=3)
-        return False
-    return True
-
-
-def moment_threads() -> int:
-    """The threads the moment passes split over: `worker_count()`, or 1
-    when the C passes do not split right."""
-    threads = worker_count()
-    lib = _c_function()
-    if threads > 1 and lib is not None and not _splits_right(lib):
-        return 1
-    return threads

@@ -41,7 +41,7 @@ import typing
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
-from . import __version__
+from . import __version__, moments
 from .analytic import analytic_moment_report, cs_sides_analytic
 from .criteria import (
     PARTITIONS,
@@ -329,10 +329,16 @@ def cmd_sweep(spec: RunSpec, axis: str, values_raw: str, source: str) -> int:
     values = _sweep_values(values_raw)
     out_dir = _out_dir(spec)
     points = [replace(spec, **{axis: v}) for v in values]
-    # every point's closed forms, before any integration
-    analytic = [cs_test(analytic_moment_report(point.params()),
-                        sigma_threshold=point.sigma_threshold)
-                if source != "mc" else None for point in points]
+    # each point's settings where it is integrated, then its closed forms
+    # where the source uses them, as `_analytic` checks them, and all
+    # before any integration
+    analytic = []
+    for point in points:
+        if source != "analytic":
+            point.sim_config().resolve(point.params())
+        analytic.append(cs_test(analytic_moment_report(point.params()),
+                                sigma_threshold=point.sigma_threshold)
+                        if source != "mc" else None)
     rows, records = [], []
     for point, crit in zip(points, analytic):
         params = point.params()
@@ -391,8 +397,9 @@ def cmd_compare(spec: RunSpec) -> int:
         print(f"summary: {'all pulls within' if within else 'pulls outside'}"
               f" +-{k:g}; wrote {path}")
         if any(row[6] for row in rows):
-            print("warning: fewer than 30 trajectory batches; "
-                  "errors are low-confidence", file=sys.stderr)
+            print(f"warning: fewer than {moments.LOW_CONFIDENCE_BATCHES} "
+                  "trajectory batches; errors are low-confidence",
+                  file=sys.stderr)
     print(f"wrote {out_dir / 'report.json'}")
     return _exit_code([record], report is not None)
 

@@ -17,7 +17,7 @@ are bit-identical for any worker count and any block size.
 
 Workers are C kernel threads on contiguous ranges of a block's
 trajectories (see `run_ensemble`).  The moment layer's compiled passes
-split their tiles the same way, over `_kernels.moment_threads()` threads;
+split their tiles the same way, over `_kernels.worker_count()` threads;
 the per-sample sums of a time series stay on one thread, and no byte
 depends on either count.  Everything else runs on one thread.
 
@@ -191,7 +191,7 @@ def _advance(state, stops, consts, gens=None, normals=None, n_threads=1):
     caller-supplied unscaled standard normals `normals` (n_steps, 4, B).
     The C kernel splits the block over n_threads threads, the numpy one not.
     """
-    stepper = _kernels.kernels().step
+    stepper = _kernels.kernels(n_threads).step
     nb = state.shape[1]
     alive = np.ones(nb, dtype=np.bool_)
     first_bad = np.full(nb, -1, dtype=np.int64)
@@ -328,11 +328,13 @@ def run_ensemble(params: ModelParams, config: SimConfig, workers: int | None = N
     """Integrate an ensemble and stream every trajectory into one accumulator.
 
     Blocks of BLOCK_SIZE trajectories run in trajectory order, each added
-    as it finishes.  The C kernel splits a block into `workers` contiguous
-    ranges, one thread each; the calling thread runs the first and any
-    range whose thread fails to start.  workers defaults to OPO3_WORKERS,
-    else to the CPUs this process may use (`_kernels.worker_count`); it
-    must be an integer >= 1, and estimates do not depend on it.
+    as it finishes.  `workers` sets the step kernel's threads: the C
+    kernel splits a block into `workers` contiguous ranges, one thread
+    each; the calling thread runs the first and any range whose thread
+    fails to start.  workers defaults to OPO3_WORKERS, else to the CPUs
+    this process may use (`_kernels.worker_count`); it must be an integer
+    >= 1, and estimates do not depend on it.  The moment passes take
+    `_kernels.worker_count()`, that is OPO3_WORKERS, else the CPUs.
 
     Past GROUP_CAP trajectories the accumulators sum them in groups of
     `group_size(n_trajectories)` consecutive ones, which the jackknife
@@ -342,10 +344,10 @@ def run_ensemble(params: ModelParams, config: SimConfig, workers: int | None = N
 
     t0 = time.perf_counter()
     rcfg = config.resolve(params)
-    stepper = _kernels.kernels().step
     nt, n = rcfg.n_trajectories, rcfg.n_samples_per_traj
     # the kernel runs at most one thread per trajectory of a block
     threads = min(_kernels.worker_count(workers), BLOCK_SIZE, nt)
+    stepper = _kernels.kernels(threads).step
     schema = opo_schema(params)
     g = group_size(nt)
     acc = MomentAccumulator(schema, collect_per_sample=collect_time_series,

@@ -300,9 +300,10 @@ class _Stats:
 
     def _run(self, program, n_out: int) -> np.ndarray:
         ops, consts = program
-        return _kernels.kernels().targets(
+        threads = _kernels.worker_count()
+        return _kernels.kernels(threads).targets(
             ops, consts, self._sums, self._totals, self._counts, n_out,
-            _kernels.moment_threads())
+            threads)
 
     def targets(self, names) -> np.ndarray:
         """The targets `names` in one pass: shaped (len(names),) for the
@@ -418,8 +419,9 @@ def _jack_se(reps):
     overflows is redone on deviations scaled by an exact power of two;
     the caller mutes overflow."""
     b = reps.shape[-1]
-    se = np.sqrt((b - 1) / b * _kernels.kernels().spreads(
-        reps, _kernels.moment_threads()))
+    threads = _kernels.worker_count()
+    se = np.sqrt((b - 1) / b * _kernels.kernels(threads).spreads(
+        reps, threads))
     for row, k in zip(*np.nonzero(np.isinf(se))):
         part = (reps[row] - reps[row].mean()).view(np.float64)[k::2]
         exp = math.frexp(np.abs(part).max())[1]
@@ -457,13 +459,13 @@ class MomentAccumulator:
 
     Samples arrive through add_batches as channel vectors (values in
     schema channel order), one batch per trajectory.  The key sums of a
-    call's batches are taken in one pass by `_kernels.kernels().key_sums`,
-    the C key sums, which build no (K, n, nb) array of products, or their
-    numpy oracle, with equal bytes.  The C pass splits its 8-batch tiles
-    over `_kernels.moment_threads()` threads, as finalize's target
-    programs, totals and spreads split theirs, unless it collects
-    per-sample sums, which stay on one thread; each tile is summed by one
-    thread, so no byte depends on the count.
+    call's batches are taken in one pass by the key sums of
+    `_kernels.kernels(threads)`, the C key sums, which build no
+    (K, n, nb) array of products, or their numpy oracle, with equal bytes.
+    The C pass splits its 8-batch tiles over `_kernels.worker_count()`
+    threads, as finalize's target programs, totals and spreads split
+    theirs, unless it collects per-sample sums, which stay on one thread;
+    each tile is summed by one thread, so no byte depends on the count.
 
     The key sums are stored one column per batch in pages of
     `_kernels.PAGE_COLUMNS` columns (`_kernels.Pages`), which the key sums
@@ -564,10 +566,10 @@ class MomentAccumulator:
             raise ValueError("empty batch: each batch needs at least one sample")
         index = self._indices(indices, nb)
         chains = self._per_sample_base(n) if self.collect_per_sample else None
-        key_sums = _kernels.kernels().key_sums
+        threads = _kernels.worker_count()
+        key_sums = _kernels.kernels(threads).key_sums
         args = (self.schema._centers, self.schema._prefixes,
                 self.collect_per_sample)
-        threads = _kernels.moment_threads()
         if index is None:
             for at, out in self._segments(self._n_cols, nb):
                 _, chains = key_sums(values[:, at:at + out.shape[1]], *args,
@@ -681,10 +683,10 @@ class MomentAccumulator:
         if self._snapshot is None:
             sums = _kernels.Pages(self._held_pages(), b)
             counts = self._counts[:b].copy()
+            threads = _kernels.worker_count()
             with np.errstate(over="ignore", invalid="ignore"):
                 totals = _kernels._finite(
-                    _kernels.kernels().totals(sums,
-                                              _kernels.moment_threads()),
+                    _kernels.kernels(threads).totals(sums, threads),
                     "key sums over all batches")
             for frozen in (counts, totals):
                 frozen.flags.writeable = False

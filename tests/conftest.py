@@ -11,7 +11,7 @@ def use_kernels(monkeypatch, **passes):
     """Run the passes named in `passes` (fields of `_kernels.Kernels`) on
     the functions given, and the others as `_kernels.kernels()` chose."""
     chosen = _kernels.kernels()._replace(**passes)
-    monkeypatch.setattr(_kernels, "kernels", lambda: chosen)
+    monkeypatch.setattr(_kernels, "kernels", lambda threads=1: chosen)
 
 
 @pytest.fixture(scope="session", autouse=True)

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import opo3
-from opo3 import _kernels, _oracle, cli, engine
+from opo3 import _kernels, _oracle, cli, engine, moments
 from opo3.cli import (
     CliError,
     build_runspec,
@@ -437,6 +437,25 @@ class TestSweep:
             main(["sweep", "--axis", "phi", "--values", "1"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("argv, message", [
+        (["--axis", "gamma_r", "--values", "1,10", "--dt", "0.01",
+          "--source", "both"], "dt=0.01 too coarse"),
+        (["--axis", "mu", "--values", "0.5,1.2", "--source", "mc"],
+         "above threshold unsupported")])
+    def test_later_point_refused_before_integrating(
+            self, tmp_path, capsys, monkeypatch, argv, message):
+        # a later point's settings are refused before the first point is
+        # integrated: exit 2, and neither sweep.json nor sweep.csv
+        def no_run(*args, **kwargs):
+            raise AssertionError("integrated before refusing a later point")
+        monkeypatch.setattr(cli, "run_ensemble", no_run)
+        rc = run_main(["sweep", *argv, "--n-trajectories", 4,
+                       "--n-samples-per-traj", 2, "--out-dir", tmp_path])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestCompare:
     def test_table(self, tmp_path, capsys):
@@ -509,6 +528,19 @@ class TestCompare:
         out = capsys.readouterr().out
         assert "outside 3 sigma" not in out
         assert "all pulls within +-3" in out
+
+    def test_low_confidence_warning_names_the_floor(self, tmp_path, capsys,
+                                                    monkeypatch):
+        # the warning states the batch count below which errors are flagged
+        monkeypatch.setattr(moments, "LOW_CONFIDENCE_BATCHES", 50)
+        rc = run_main(["compare", *FAST, "--n-trajectories", 40,
+                       "--n-samples-per-traj", 2, "--out-dir", tmp_path])
+        assert rc == 0
+        assert ("warning: fewer than 50 trajectory batches; errors are "
+                "low-confidence") in capsys.readouterr().err
+        rows = [ln.split(",") for ln in
+                (tmp_path / "compare.csv").read_text().splitlines()[1:]]
+        assert all(r[6] == "True" for r in rows)
 
 
 class TestRunRecord:

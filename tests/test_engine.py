@@ -6,6 +6,7 @@ import ctypes
 import dataclasses
 import inspect
 import itertools
+import json
 import math
 import os
 import re
@@ -28,6 +29,7 @@ from opo3 import (
     _oracle,
     amplitude_schema,
     analytic_moment_report,
+    cli,
     drift_and_diffusion,
     engine,
     fixed_point,
@@ -44,14 +46,12 @@ needs_cc = pytest.mark.skipif(shutil.which("cc") is None,
 # the one fallback warning, with the reasons the tests provoke
 FALLBACK = ("opo3: C step kernel unavailable ({}); using the slower numpy "
             "kernel")
-NOT_REPRODUCED = FALLBACK.format(
-    "it does not reproduce numpy's SeedSequence, PCG64, "
-    "Generator.standard_normal, step kernel, key sums, target programs, "
-    "spreads and totals")
+NOT_NUMPYS = ("it does not reproduce numpy's SeedSequence, PCG64, "
+              "Generator.standard_normal, step kernel, key sums, target "
+              "programs, spreads and totals")
+NOT_REPRODUCED = FALLBACK.format(NOT_NUMPYS)
 NO_COMPILER = FALLBACK.format("no C compiler (cc) on PATH")
-WRONG_SPLIT = ("opo3: C moment passes split over threads unavailable (they "
-               "do not reproduce their bytes on one thread); running them "
-               "on one thread")
+WRONG_SPLIT = FALLBACK.format(f"split over 2 threads, {NOT_NUMPYS}")
 # the kernels a test runs the engine on in turn
 KERNELS = ("c", "numpy") if shutil.which("cc") else ("numpy",)
 # the static archive numpy wheels ship for C extensions
@@ -1220,50 +1220,73 @@ class TestKernels:
         assert rep.batch_totals[1:].tobytes() == want[1:].tobytes()
 
     @needs_cc
-    @pytest.mark.parametrize("name", ["_key_sums_c", "_targets_c",
-                                      "_spreads_c", "_totals_c"])
+    @pytest.mark.parametrize("name", ["_chunk_step_c", "_key_sums_c",
+                                      "_targets_c", "_spreads_c",
+                                      "_totals_c"])
     def test_wrong_split_falls_back_once(self, monkeypatch, fresh_cache,
-                                         name):
-        # a C moment pass whose bytes change only when it is split over
-        # threads must never run split: loading starts no thread and
-        # passes, and the first moment pass on more than one thread checks
-        # the splits over two, so one warning, and every moment pass falls
-        # back to C on one thread
+                                         tmp_path, name):
+        # a C pass whose bytes change only when it is split over threads
+        # must never run split: loading starts no thread and passes, and
+        # the first pass on more than one thread, an engine block or a
+        # moment pass, checks every pass split over two, so one warning,
+        # and every pass of a split call runs on numpy, whose artifacts are
+        # those of a run on one thread
         c_pass = getattr(_kernels, name)
         signature = inspect.signature(c_pass)
         splits = []
 
         def off_when_split(*args, **kwargs):
             out = c_pass(*args, **kwargs)
-            threads = signature.bind(*args, **kwargs).arguments.get(
-                "n_threads", 1)
+            bound = signature.bind(*args, **kwargs).arguments
+            threads = bound.get("n_threads", 1)
             splits.append(threads)
-            first = out[0] if isinstance(out, tuple) else out
+            # the step writes its state in place and returns nothing
+            first = (bound["state"] if out is None
+                     else out[0] if isinstance(out, tuple) else out)
             if threads > 1:
                 first.real.flat[0] = np.nextafter(first.real.flat[0], np.inf)
             return out
 
         monkeypatch.setattr(_kernels, name, off_when_split)
-        monkeypatch.setenv("OPO3_WORKERS", "2")
+        monkeypatch.setenv("OPO3_WORKERS", "1")
+        argv = ["run", "--dt", "0.05", "--burn-in", "20",
+                "--sample-interval", "2", "--n-trajectories", "9",
+                "--n-samples-per-traj", "3", "--seed", "3", "--out-dir"]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             chosen = _kernels.kernels()
-        assert chosen.step is _kernels._chunk_step_c
-        assert off_when_split in chosen
+            assert set(splits) == {1}
+            assert cli.main(argv + [str(tmp_path / "one")]) == 0
+        assert chosen == _kernels._c_passes() and off_when_split in chosen
         assert set(splits) == {1}
+        monkeypatch.setenv("OPO3_WORKERS", "2")
+        splits.clear()
         values = np.arange(48.0).reshape(6, 4, 2) * (1 + 0.5j)
         with pytest.warns(RuntimeWarning) as record:
-            assert _kernels.moment_threads() == 1
-            splits.clear()
-            rep = MomentAccumulator(amplitude_schema()).add_batches(
-                values).finalize()
-            assert _kernels.moment_threads() == 1
-        assert set(splits) == {1}
+            if name != "_chunk_step_c":
+                # here the first split call is a moment pass
+                rep = MomentAccumulator(amplitude_schema()).add_batches(
+                    values).finalize()
+            assert cli.main(argv + [str(tmp_path / "two")]) == 0
         assert len(record) == 1
         assert str(record[0].message) == WRONG_SPLIT
-        monkeypatch.setattr(_kernels, name, c_pass)
-        assert rep == MomentAccumulator(amplitude_schema()).add_batches(
-            values).finalize()
+        # only the split check called the C pass
+        assert set(splits) == {2}
+        docs = {}
+        for run in ("one", "two"):
+            doc = json.loads((tmp_path / run / "report.json").read_text())
+            docs[run] = (doc.pop("backend"), doc.pop("workers"))
+            doc.pop("elapsed_seconds")
+            docs[run] += (json.dumps(doc),
+                          (tmp_path / run / "timeseries.csv").read_bytes())
+        step = chosen.step
+        assert docs["one"][:2] == (f"{step.__module__}.{step.__name__}", 1)
+        assert docs["two"][:2] == ("opo3._oracle._chunk_step_numpy", 1)
+        assert docs["two"][2:] == docs["one"][2:]
+        if name != "_chunk_step_c":
+            monkeypatch.setenv("OPO3_WORKERS", "1")
+            assert rep == MomentAccumulator(amplitude_schema()).add_batches(
+                values).finalize()
 
     @needs_cc
     def test_drawn_step_self_check_falls_back_once(self, monkeypatch,
